@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .genetics import ModelParams
+from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
 from .inference import MarginalEngine, PosteriorWeights
 from .pedigree import Pedigree
 from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, WeightedObservation
@@ -53,8 +53,8 @@ class EMConfig:
     """
 
     q: float
-    epsilon: float = 0.01
-    eta: float = 0.001
+    epsilon: float = DEFAULT_EPSILON
+    eta: float = DEFAULT_ETA
     test_ages: tuple[float, ...] = (20.0, 40.0, 60.0, 80.0)
     tol: float = 3e-4
     stable_window: int = 3

@@ -6,11 +6,28 @@ junction forest by maximum separator weight. Two-pass sum-product over that
 forest yields every individual's posterior genotype distribution, and the
 accumulated message normalizers give the log evidence, in a single sweep.
 
-All message tables carry a leading batch axis so that many families sharing
-one graph structure (as in simulation studies) propagate simultaneously;
-:class:`MarginalEngine` packages that batching for the EM loop. A
-brute-force enumerator over all 4^n genotype configurations serves as an
-independent oracle for small families.
+:class:`MarginalEngine` compiles the junction forests of a whole cohort once
+into one schedule, with each tree rooted at its lowest clique. The collect
+pass multiplies each clique's belief, summed to its separator, into its
+parent, in order of the sending clique's height. The distribute pass sends
+each parent's final belief back to its children, divided by the message it
+collected from them, in order of the receiving clique's depth. With this
+Hugin-style division a step's layout does not depend on how many
+neighbours a clique has. The messages of all families are bucketed by (pass, level,
+layout), the layout being the rank and separator axes of both cliques, so a
+pass costs a fixed number of batched numpy operations per bucket however
+many structures the cohort holds. Clique potentials live in one table per
+clique rank and collected messages in one table per separator size, with
+the batch axis last; every index array of the schedule has one entry per
+clique, never per table entry. Founder priors and transmission tables are
+folded into static potentials once per allele frequency, so a run
+multiplies in only the per-individual evidence, and marginals are read from
+each clique's final belief. :func:`posterior_marginals` is the one-family
+case of the same engine.
+
+A brute-force enumerator over all 4^n genotype configurations, with its own
+scalar factor construction, serves as an independent oracle for small
+families.
 """
 
 from __future__ import annotations
@@ -20,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import genetics
-from .genetics import N_STATES, Genotype, GenotypeFactor, ModelParams
+from .genetics import N_STATES, Genotype, ModelParams
 
 __all__ = [
     "InferenceError",
@@ -29,13 +46,24 @@ __all__ = [
     "MarginalResult",
     "CliqueTree",
     "build_clique_tree",
-    "Propagator",
     "posterior_marginals",
     "brute_force_marginals",
+    "EngineStats",
     "MarginalEngine",
+    "MAX_POTENTIAL_BYTES",
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
+
+#: Budget for the clique potential tables, checked before any is allocated:
+#: for a single clique and for the whole cohort. A run holds a few tables of
+#: that size at once (static, with evidence, and the gathered buckets).
+MAX_POTENTIAL_BYTES = 2 ** 30
+
+_FLOAT_BYTES = np.dtype(float).itemsize
+_INDEX = np.int32
+# schedule stages, in the order they run
+_COLLECT, _ROOT, _DISTRIBUTE, _READOUT = range(4)
 
 
 class InferenceError(RuntimeError):
@@ -99,14 +127,6 @@ class CliqueTree:
     def max_clique_size(self):
         return max(len(c) for c in self.cliques)
 
-    def containing_clique(self, scope) -> int:
-        """Lowest-index clique containing every variable in ``scope``."""
-        scope = set(scope)
-        for i, clique in enumerate(self.cliques):
-            if scope <= set(clique):
-                return i
-        raise InferenceError(f"no clique contains scope {sorted(scope)}")
-
     def roots(self):
         """Lowest clique index of each connected component."""
         seen = set()
@@ -169,12 +189,9 @@ def _min_fill_cliques(adj) -> list[tuple[int, ...]]:
         best, best_fill = None, None
         for v in sorted(remaining):
             nbrs = adj[v]
-            fill = 0
-            nbr_list = sorted(nbrs)
-            for i, a in enumerate(nbr_list):
-                for b in nbr_list[i + 1:]:
-                    if b not in adj[a]:
-                        fill += 1
+            # neighbour pairs minus the edges among them, each seen twice
+            degree = len(nbrs)
+            fill = degree * (degree - 1) // 2 - sum(len(adj[a] & nbrs) for a in nbrs) // 2
             if best_fill is None or fill < best_fill:
                 best, best_fill = v, fill
                 if fill == 0:
@@ -203,15 +220,17 @@ def build_clique_tree(pedigree) -> CliqueTree:
     # Later elimination cliques may be subsets of earlier ones; never the
     # reverse, since each eliminated vertex vanishes from subsequent cliques.
     cliques: list[tuple[int, ...]] = []
+    kept: list[set[int]] = []
     for cand in elim:
-        if not any(set(cand) <= set(kept) for kept in cliques):
+        members = set(cand)
+        if not any(members <= k for k in kept):
             cliques.append(cand)
+            kept.append(members)
 
     candidates = []
-    for i in range(len(cliques)):
-        si = set(cliques[i])
-        for j in range(i + 1, len(cliques)):
-            weight = len(si & set(cliques[j]))
+    for i, si in enumerate(kept):
+        for j in range(i + 1, len(kept)):
+            weight = len(si & kept[j])
             if weight:
                 candidates.append((-weight, i, j))
     candidates.sort()
@@ -232,147 +251,16 @@ def build_clique_tree(pedigree) -> CliqueTree:
     return CliqueTree(cliques, edges, len(pedigree))
 
 
-def _expand(table, positions, rank):
-    """Reshape a batched table so its axes land on the given clique axes."""
-    shape = [table.shape[0]] + [1] * rank
-    for axis, pos in zip(range(1, table.ndim), positions):
-        shape[1 + pos] = table.shape[axis]
-    return table.reshape(shape)
+def _axes_shape(axes, rank, batch=()):
+    """Reshape target that lays a table's axes on the given clique axes,
+    followed by the ``batch`` axes.
 
-
-class Propagator:
-    """Precompiled two-pass sum-product schedule for one clique tree.
-
-    The schedule (factor-to-clique assignment, message order, axis maps) is
-    computed once; :meth:`run` then evaluates it for any batch of factor
-    tables sharing the tree structure. Tables carry a leading batch axis and
-    may use size 1 for broadcasting shared factors.
+    ``axes`` must be ascending, as every scope and separator here is.
     """
-
-    def __init__(self, tree: CliqueTree, factor_scopes):
-        self.tree = tree
-        self.factor_scopes = [tuple(s) for s in factor_scopes]
-        self.clique_assignment = [
-            tree.containing_clique(scope) for scope in self.factor_scopes
-        ]
-        # positions of each factor's variables inside its clique
-        self.factor_positions = []
-        for scope, ci in zip(self.factor_scopes, self.clique_assignment):
-            clique = tree.cliques[ci]
-            self.factor_positions.append(tuple(clique.index(v) for v in scope))
-        # marginal read-out clique per variable
-        self.var_clique = []
-        self.var_position = []
-        for v in range(tree.n_vars):
-            ci = tree.containing_clique((v,))
-            self.var_clique.append(ci)
-            self.var_position.append(tree.cliques[ci].index(v))
-
-        self.roots = tree.roots()
-        collect, distribute = [], []
-        for root in self.roots:
-            order = []
-            stack = [(root, None)]
-            while stack:
-                node, par = stack.pop()
-                order.append((node, par))
-                for nb in tree.neighbors(node):
-                    if nb != par:
-                        stack.append((nb, node))
-            for node, par in reversed(order):
-                if par is not None:
-                    collect.append((node, par))
-            for node, par in order:
-                if par is not None:
-                    distribute.append((par, node))
-        self._collect = collect
-        self._distribute = distribute
-
-        self._edge_meta = {}
-        for src, dst in collect + distribute:
-            c_src, c_dst = tree.cliques[src], tree.cliques[dst]
-            sep = tuple(v for v in c_src if v in set(c_dst))
-            sum_axes = tuple(
-                1 + i for i, v in enumerate(c_src) if v not in set(sep)
-            )
-            dst_positions = tuple(c_dst.index(v) for v in sep)
-            self._edge_meta[(src, dst)] = (sum_axes, dst_positions)
-
-    def _potentials(self, tables, batch):
-        pots = []
-        for clique in self.tree.cliques:
-            pots.append(np.ones((batch,) + (N_STATES,) * len(clique)))
-        for table, ci, positions in zip(
-            tables, self.clique_assignment, self.factor_positions
-        ):
-            clique = self.tree.cliques[ci]
-            pots[ci] = pots[ci] * _expand(table, positions, len(clique))
-        return pots
-
-    def _gather(self, pots, messages, node, exclude):
-        arr = pots[node]
-        rank = len(self.tree.cliques[node])
-        for nb in self.tree.neighbors(node):
-            if nb == exclude:
-                continue
-            msg = messages.get((nb, node))
-            if msg is not None:
-                _, positions = self._edge_meta[(nb, node)]
-                arr = arr * _expand(msg, positions, rank)
-        return arr
-
-    def run(self, tables, family_ids=None):
-        """Propagate one batch; returns marginals (B, n, 4) and log evidence (B,).
-
-        Raises :class:`ZeroEvidenceError` when any family in the batch has
-        zero total probability.
-        """
-        batch = max(t.shape[0] for t in tables) if tables else 1
-        pots = self._potentials(tables, batch)
-        messages = {}
-        log_evidence = np.zeros(batch)
-
-        def fail_zero(z):
-            idx = int(np.argmin(z))
-            fam = family_ids[idx] if family_ids is not None else f"batch[{idx}]"
-            raise ZeroEvidenceError(fam)
-
-        for src, dst in self._collect:
-            sum_axes, _ = self._edge_meta[(src, dst)]
-            msg = self._gather(pots, messages, src, dst).sum(axis=sum_axes)
-            z = msg.reshape(batch, -1).sum(axis=1)
-            if np.any(z <= 0):
-                fail_zero(z)
-            msg = msg / z.reshape((batch,) + (1,) * (msg.ndim - 1))
-            messages[(src, dst)] = msg
-            log_evidence += np.log(z)
-
-        beliefs = [None] * len(self.tree.cliques)
-        for root in self.roots:
-            belief = self._gather(pots, messages, root, None)
-            z = belief.reshape(batch, -1).sum(axis=1)
-            if np.any(z <= 0):
-                fail_zero(z)
-            log_evidence += np.log(z)
-
-        for src, dst in self._distribute:
-            sum_axes, _ = self._edge_meta[(src, dst)]
-            msg = self._gather(pots, messages, src, dst).sum(axis=sum_axes)
-            z = msg.reshape(batch, -1).sum(axis=1)
-            msg = msg / z.reshape((batch,) + (1,) * (msg.ndim - 1))
-            messages[(src, dst)] = msg
-
-        marginals = np.empty((batch, self.tree.n_vars, N_STATES))
-        for v in range(self.tree.n_vars):
-            ci = self.var_clique[v]
-            if beliefs[ci] is None:
-                beliefs[ci] = self._gather(pots, messages, ci, None)
-            belief = beliefs[ci]
-            keep_axis = 1 + self.var_position[v]
-            other = tuple(ax for ax in range(1, belief.ndim) if ax != keep_axis)
-            marg = belief.sum(axis=other)
-            marginals[:, v, :] = marg / marg.sum(axis=1, keepdims=True)
-        return marginals, log_evidence
+    shape = [1] * rank
+    for axis in axes:
+        shape[axis] = N_STATES
+    return tuple(shape) + tuple(batch)
 
 
 def _suppress_flags(pedigree, suppress_proband_phenotype):
@@ -402,43 +290,6 @@ def _constraint_mask(pedigree, genotype_constraints):
     return mask if hit else None
 
 
-def family_factors(pedigree, params: ModelParams, suppress_proband_phenotype=False,
-                   genotype_constraints=None) -> list[GenotypeFactor]:
-    """All local factors of one family's genotype network.
-
-    Founder priors and transmission tables plus one evidence factor per
-    individual; factor tables have axes ordered by ascending record
-    position.
-    """
-    pos = pedigree.position
-    factors = []
-    for rec in pedigree:
-        i = pos(rec.individual_id)
-        if rec.is_founder:
-            factors.append(GenotypeFactor((i,), founder_prior_table(params.q)))
-        else:
-            scope = (pos(rec.father_id), pos(rec.mother_id), i)
-            order = np.argsort(scope)
-            factors.append(
-                GenotypeFactor(
-                    tuple(scope[k] for k in order),
-                    np.transpose(genetics.TRANSMISSION, axes=order),
-                )
-            )
-    suppress = _suppress_flags(pedigree, suppress_proband_phenotype)
-    mask = _constraint_mask(pedigree, genotype_constraints)
-    for i, rec in enumerate(pedigree):
-        phi = genetics.evidence_factor(rec, params, suppress_phenotype=suppress[i])
-        if mask is not None:
-            phi = phi * mask[i]
-        factors.append(GenotypeFactor((i,), phi))
-    return factors
-
-
-def founder_prior_table(q: float) -> np.ndarray:
-    return genetics.founder_prior(q)
-
-
 def _weights_from_marginals(pedigree, marginals) -> dict:
     out = {}
     for i, rec in enumerate(pedigree):
@@ -462,18 +313,15 @@ def posterior_marginals(pedigree, params: ModelParams,
     record order, and the log evidence of the observed data (up to the
     genotype-independent hazard factor omitted from affected penetrance).
     """
-    factors = family_factors(
-        pedigree, params,
+    engine = MarginalEngine(
+        [pedigree],
         suppress_proband_phenotype=suppress_proband_phenotype,
         genotype_constraints=genotype_constraints,
     )
-    tree = build_clique_tree(pedigree)
-    propagator = Propagator(tree, [f.scope for f in factors])
-    tables = [f.table[None] for f in factors]
-    marginals, log_evidence = propagator.run(tables, family_ids=[pedigree.family_id])
+    marginals, log_evidence = engine.run(params)
     return MarginalResult(
-        weights=_weights_from_marginals(pedigree, marginals[0]),
-        marginals=marginals[0],
+        weights=_weights_from_marginals(pedigree, marginals),
+        marginals=marginals,
         log_evidence=float(log_evidence[0]),
     )
 
@@ -484,8 +332,9 @@ def brute_force_marginals(pedigree, params: ModelParams,
                           genotype_constraints=None) -> MarginalResult:
     """Oracle marginals by enumerating all 4^n genotype configurations.
 
-    Independent of the clique-tree machinery; cost grows as 4^n so families
-    larger than ``cap`` members are rejected.
+    Independent of the clique-tree machinery, down to its factors: evidence
+    comes from the scalar :func:`genetics.evidence_factor`. Cost grows as
+    4^n, so families larger than ``cap`` members are rejected.
     """
     n = len(pedigree)
     if n > cap:
@@ -493,17 +342,24 @@ def brute_force_marginals(pedigree, params: ModelParams,
             f"family {pedigree.family_id} has {n} members, above the "
             f"enumeration cap {cap}"
         )
-    factors = family_factors(
-        pedigree, params,
-        suppress_proband_phenotype=suppress_proband_phenotype,
-        genotype_constraints=genotype_constraints,
-    )
+    pos = pedigree.position
+    suppress = _suppress_flags(pedigree, suppress_proband_phenotype)
+    mask = _constraint_mask(pedigree, genotype_constraints)
+    prior = genetics.founder_prior(params.q)
+    # grid[i] indexes member i's axis, so table[grid[a], grid[b]] broadcasts
+    # a factor onto its scope's axes of the joint table
+    grid = np.indices((N_STATES,) * n, sparse=True)
     joint = np.ones((N_STATES,) * n)
-    for factor in factors:
-        shape = [1] * n
-        for v in factor.scope:
-            shape[v] = N_STATES
-        joint *= factor.table.reshape(shape)
+    for i, rec in enumerate(pedigree):
+        if rec.is_founder:
+            joint *= prior[grid[i]]
+        else:
+            father, mother = grid[pos(rec.father_id)], grid[pos(rec.mother_id)]
+            joint *= genetics.TRANSMISSION[father, mother, grid[i]]
+        phi = genetics.evidence_factor(rec, params, suppress_phenotype=suppress[i])
+        if mask is not None:
+            phi = phi * mask[i]
+        joint *= phi[grid[i]]
     total = joint.sum()
     if total <= 0:
         raise ZeroEvidenceError(pedigree.family_id)
@@ -518,48 +374,200 @@ def brute_force_marginals(pedigree, params: ModelParams,
     )
 
 
-class _StructureGroup:
-    """Families sharing one parent-link structure, propagated as a batch."""
+class _Forest:
+    """One structure's junction forest, rooted, with its factors placed.
 
-    def __init__(self, template, members, member_rows, constraint_masks):
-        self.template = template
-        self.members = members            # family indices in engine order
-        n = len(template)
-        self.n = n
-        self.tree = build_clique_tree(template)
+    Each tree is rooted at its lowest clique. Every member's founder prior
+    or transmission table goes to the lowest clique holding its scope, and
+    its evidence and marginal read-out to the lowest clique holding the
+    member (for a root, all of its members).
+    """
+
+    def __init__(self, template):
+        tree = build_clique_tree(template)
+        cliques = tree.cliques
+        nc = len(cliques)
+        self.ranks = [len(c) for c in cliques]
+        parent = [-1] * nc
+        depth = [0] * nc
+        order = []
+        for root in tree.roots():
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                order.append(node)
+                for nb in tree.neighbors(node):
+                    if nb != parent[node]:
+                        parent[nb] = node
+                        depth[nb] = depth[node] + 1
+                        stack.append(nb)
+        children = [[] for _ in range(nc)]
+        for node in order:
+            if parent[node] >= 0:
+                children[parent[node]].append(node)
+        height = [0] * nc
+        for node in reversed(order):
+            if children[node]:
+                height[node] = 1 + max(height[c] for c in children[node])
+        self.parent, self.children = parent, children
+        self.depth, self.height = depth, height
+
+        axis_of = [{v: a for a, v in enumerate(c)} for c in cliques]
+        # separator with the parent, as axes of the clique and of the parent
+        self.sep_in_child = [()] * nc
+        self.sep_in_parent = [()] * nc
+        for j, p in enumerate(parent):
+            if p >= 0:
+                sep = [v for v in cliques[j] if v in axis_of[p]]
+                self.sep_in_child[j] = tuple(axis_of[j][v] for v in sep)
+                self.sep_in_parent[j] = tuple(axis_of[p][v] for v in sep)
+
+        holding = [[] for _ in range(tree.n_vars)]
+        for j, clique in enumerate(cliques):
+            for v in clique:
+                holding[v].append(j)
+        home = [h[0] for h in holding]
+        self.readout = [[] for _ in range(nc)]  # (axis, member) pairs
+        for v, j in enumerate(home):
+            self.readout[j].append((axis_of[j][v], v))
+        self.factors = [[] for _ in range(nc)]  # prior (a,) / transmission (f, m, c)
         pos = template.position
-        self.prior_scopes = []
-        self.transmission_factors = []
         for rec in template:
             i = pos(rec.individual_id)
             if rec.is_founder:
-                self.prior_scopes.append((i,))
+                self.factors[home[i]].append((axis_of[home[i]][i],))
             else:
-                scope = (pos(rec.father_id), pos(rec.mother_id), i)
-                order = np.argsort(scope)
-                self.transmission_factors.append(
-                    (
-                        tuple(scope[k] for k in order),
-                        np.transpose(genetics.TRANSMISSION, axes=order)[None],
-                    )
-                )
-        scopes = (
-            self.prior_scopes
-            + [s for s, _ in self.transmission_factors]
-            + [(i,) for i in range(n)]
-        )
-        self.propagator = Propagator(self.tree, scopes)
-        rows = np.asarray(member_rows)  # (F, n) flattened record data indices
-        self.rows = rows
-        self.constraint_masks = constraint_masks  # (F, n, 4) or None
+                f, m = pos(rec.father_id), pos(rec.mother_id)
+                j = min(set(holding[f]).intersection(holding[m], holding[i]))
+                self.factors[j].append((axis_of[j][f], axis_of[j][m], axis_of[j][i]))
+
+    def steps(self):
+        """Every schedule step of this forest as (bucket key, clique, other).
+
+        A collect or distribute step carries the edge's child clique and its
+        parent; ``ordinal`` splits siblings with equal keys, so that no
+        collect bucket multiplies into one parent twice. A root step carries
+        the root, a read-out step the clique and the member read out.
+        """
+        ordinal = {}
+        for c, p in enumerate(self.parent):
+            if p < 0:
+                yield (_ROOT, 0, 0, self.ranks[c], (), 0, ()), c, 0
+                continue
+            child = (self.ranks[c], self.sep_in_child[c])
+            parent = (self.ranks[p], self.sep_in_parent[c])
+            layout = (self.height[c],) + child + parent
+            n = ordinal[p, layout] = ordinal.get((p, layout), -1) + 1
+            yield (_COLLECT, self.height[c], n) + child + parent, c, p
+            yield (_DISTRIBUTE, self.depth[c], 0) + child + parent, c, p
+        for j, readout in enumerate(self.readout):
+            for axis, member in readout:
+                yield (_READOUT, 0, 0, self.ranks[j], (axis,), 0, ()), j, member
+
+
+def _pattern_table(rank, factors, prior):
+    """Product of founder priors and transmission tables on one clique."""
+    table = np.ones((N_STATES,) * rank)
+    for axes in factors:
+        if len(axes) == 1:
+            table = table * prior.reshape(_axes_shape(axes, rank))
+        else:  # (father, mother, child) axes, put in ascending order
+            transmission = np.transpose(genetics.TRANSMISSION, np.argsort(axes))
+            table = table * transmission.reshape(_axes_shape(sorted(axes), rank))
+    return table
+
+
+@dataclass(frozen=True)
+class _Side:
+    """Cliques of one rank, as rows of its potential table, with the axes a
+    bucket sums out of them and the shape that lays a separator table of
+    the bucket on their remaining axes."""
+
+    rank: int
+    rows: object  # int32 array, or a slice for one ascending run
+    sum_axes: tuple
+    shape: tuple
+
+
+@dataclass(frozen=True)
+class _Bucket:
+    """One batched schedule step over cliques with a shared layout.
+
+    ``cliques`` are the (child, root or read-out) clique ids. Edge buckets
+    carry the ``child`` and ``parent`` sides and the ``slots`` of the
+    collect messages; read-out buckets carry the member ``targets``.
+    """
+
+    cliques: np.ndarray
+    child: _Side
+    parent: _Side | None = None
+    slots: object = None
+    targets: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class EngineStats:
+    """Deterministic size counts of a compiled :class:`MarginalEngine`.
+
+    ``collect_buckets`` and ``distribute_buckets`` count the batched steps of
+    the two passes, ``readout_buckets`` those that read root totals and
+    marginals from final beliefs, and ``potential_bytes`` the size of one set
+    of clique potential tables.
+    """
+
+    families: int
+    structures: int
+    cliques: int
+    max_clique_size: int
+    collect_buckets: int
+    distribute_buckets: int
+    readout_buckets: int
+    potential_bytes: int
+
+
+def _index(values):
+    return np.asarray(values, dtype=_INDEX)
+
+
+def _slice(index):
+    """``index`` as int32, or as a slice when it is one ascending run, which
+    reads a view instead of gathering a copy."""
+    index = _index(index)
+    n = len(index)
+    if n and index[-1] - index[0] == n - 1 and (index[1:] - index[:-1] == 1).all():
+        return slice(int(index[0]), int(index[0]) + n)
+    return index
+
+
+def _columns(table, rows):
+    """Batch columns ``rows`` of a batch-last table: a view for a slice, else
+    a contiguous copy (``table[..., rows]`` would lay the batch axis first)."""
+    if isinstance(rows, slice):
+        return table[..., rows]
+    return np.take(table, rows, axis=-1)
+
+
+def _scale_columns(table, rows, factor):
+    """Multiply batch columns ``rows`` of a table by ``factor`` in place.
+
+    ``rows`` must not repeat a column: only one of the products would stay.
+    """
+    if isinstance(rows, slice):
+        table[..., rows] *= factor
+    else:
+        table[..., rows] = np.take(table, rows, axis=-1) * factor
 
 
 class MarginalEngine:
     """Batched posterior-marginal evaluator reused across EM iterations.
 
-    Groups families by parent-link structure, builds each group's junction
-    tree and message schedule once, and evaluates all weights for new model
-    parameters in a handful of vectorized passes.
+    Compiles the junction forests of all families into one bucketed
+    two-pass schedule (see the module docstring) and evaluates all marginals
+    for new model parameters in a fixed number of vectorized steps.
+    :attr:`stats` reports the schedule's size.
+
+    Raises :class:`InferenceError` when a family's largest clique table, or
+    all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
     """
 
     def __init__(self, families, suppress_proband_phenotype=False,
@@ -573,71 +581,249 @@ class MarginalEngine:
         self.offsets = offsets
         self.total = total
 
-        age = np.empty(total)
-        status = np.empty(total, dtype=int)
-        gtest = np.empty(total, dtype=int)
-        suppress = np.zeros(total, dtype=bool)
         cov_len = len(self.families[0].individuals[0].covariates) if self.families else 0
-        Z = np.zeros((total, cov_len))
+        mask = None
         for fam, off in zip(self.families, offsets):
             if fam.covariate_count != cov_len:
                 raise InferenceError(
                     "families carry different covariate counts; cannot fit jointly"
                 )
-            flags = _suppress_flags(fam, suppress_proband_phenotype)
-            for i, rec in enumerate(fam):
-                age[off + i] = rec.age
-                status[off + i] = rec.status
-                gtest[off + i] = -1 if rec.gene_test is None else rec.gene_test
-                suppress[off + i] = flags[i]
-                if cov_len:
-                    Z[off + i] = rec.covariates
-        self._age, self._status, self._gtest = age, status, gtest
-        self._suppress, self._Z = suppress, Z
+            fam_mask = _constraint_mask(fam, genotype_constraints)
+            if fam_mask is not None:
+                if mask is None:
+                    mask = np.ones((total, N_STATES))
+                mask[off:off + len(fam)] = fam_mask
+        records = [rec for fam in self.families for rec in fam]
+        self._age = np.array([rec.age for rec in records], dtype=float)
+        self._status = np.array([rec.status for rec in records], dtype=int)
+        self._gtest = np.array(
+            [-1 if rec.gene_test is None else rec.gene_test for rec in records], dtype=int
+        )
+        self._suppress = np.array(
+            [flag for fam in self.families
+             for flag in _suppress_flags(fam, suppress_proband_phenotype)],
+            dtype=bool,
+        )
+        self._Z = np.array([rec.covariates for rec in records], dtype=float).reshape(
+            total, cov_len
+        )
+        self._mask = mask
+        self._static_q = None
+        self._static = {}
+        self._compile()
 
-        grouped: dict[tuple, list[int]] = {}
+    def _compile(self):
+        groups: dict[tuple, list[int]] = {}
         for fi, fam in enumerate(self.families):
-            grouped.setdefault(fam.structure_key(), []).append(fi)
-        self.groups = []
-        for key, member_idx in grouped.items():
-            template = self.families[member_idx[0]]
-            rows = [
-                [offsets[fi] + i for i in range(len(template))] for fi in member_idx
-            ]
-            masks = None
-            if genotype_constraints:
-                stacked = []
-                hit = False
-                for fi in member_idx:
-                    mask = _constraint_mask(self.families[fi], genotype_constraints)
-                    if mask is None:
-                        mask = np.ones((len(template), N_STATES))
-                    else:
-                        hit = True
-                    stacked.append(mask)
-                masks = np.stack(stacked) if hit else None
-            self.groups.append(_StructureGroup(template, member_idx, rows, masks))
+            groups.setdefault(fam.structure_key(), []).append(fi)
+        drafts: dict[tuple, list] = {}   # bucket key -> [(group, step)]
+        patterns: dict[int, dict] = {}   # rank -> {factors: index}
+        rank_of, sep_of, fam_of, pattern_of = [], [], [], []
+        first, sizes = [], []            # per group: first clique id, families
+        largest = (0, None)
+        n_cliques = 0
+        for g, members in enumerate(groups.values()):
+            template = self.families[members[0]]
+            forest = _Forest(template)
+            k_max = max(forest.ranks)
+            if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
+                raise InferenceError(
+                    f"family {template.family_id}: its junction tree has a clique "
+                    f"of {k_max} members, whose {N_STATES}^{k_max}-entry table "
+                    f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
+                )
+            if k_max > largest[0]:
+                largest = (k_max, template.family_id)
+            # Clique ids run group by group, then clique by clique, so a step
+            # that all families of a group share reads one contiguous range.
+            count = len(members)
+            first.append(n_cliques)
+            sizes.append(count)
+            n_cliques += len(forest.ranks) * count
+            rank_of.append(np.repeat(forest.ranks, count))
+            sep_of.append(np.repeat([len(s) for s in forest.sep_in_child], count))
+            fam_of.append(np.tile(members, len(forest.ranks)))
+            local = []
+            for rank, factors in zip(forest.ranks, forest.factors):
+                known = patterns.setdefault(rank, {})
+                local.append(known.setdefault(tuple(sorted(factors)), len(known)))
+            pattern_of.append(np.repeat(local, count))
+            for step in forest.steps():
+                drafts.setdefault(step[0], []).append((g, step))
+
+        def joined(parts):
+            return _index(np.concatenate(parts) if parts else ())
+
+        rank_of, sep_of, pattern_of = joined(rank_of), joined(sep_of), joined(pattern_of)
+        self._clique_family = joined(fam_of)
+        potential_bytes = int(np.sum(N_STATES ** rank_of.astype(np.int64))) * _FLOAT_BYTES
+        if potential_bytes > MAX_POTENTIAL_BYTES:
+            raise InferenceError(
+                f"the cohort's clique potential tables need {potential_bytes} bytes, "
+                f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
+                f"{largest[0]} members, family {largest[1]})"
+            )
+
+        def table_rows(table_of):
+            """Row of each clique within its table, and each table's length."""
+            rows = np.zeros(n_cliques, dtype=_INDEX)
+            counts = {}
+            for size in np.unique(table_of):
+                where = np.flatnonzero(table_of == size)
+                rows[where] = np.arange(len(where))
+                counts[int(size)] = len(where)
+            return rows, counts
+
+        rank_row, rank_sizes = table_rows(rank_of)
+        sep_row, self._sep_sizes = table_rows(sep_of)
+        self._sep_sizes.pop(0, None)  # roots have no parent
+        self._patterns = {
+            rank: (list(known), pattern_of[rank_of == rank])
+            for rank, known in patterns.items()
+        }
+
+        def side(cliques, rank, keep):
+            return _Side(rank, _slice(rank_row[cliques]),
+                         tuple(a for a in range(rank) if a not in keep),
+                         _axes_shape(keep, rank, (-1,)))
+
+        grouped = _index([fi for group in groups.values() for fi in group])
+        first, sizes = np.asarray(first, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+        group_start = np.cumsum(sizes) - sizes  # of each group in ``grouped``
+        record_offsets = np.asarray(self.offsets, dtype=np.int64)
+        stages = ([], [], [], [])
+        evidence = {rank: {} for rank in rank_sizes}
+        for key in sorted(drafts):
+            stage, _, _, rank, axes, other_rank, other_axes = key
+            # one row per (step, family of the step's group)
+            g = np.asarray([group for group, _ in drafts[key]])
+            counts = sizes[g]
+            row_step = np.repeat(np.arange(len(g)), counts)
+            fam = np.arange(len(row_step)) - np.repeat(np.cumsum(counts) - counts, counts)
+            g = g[row_step]
+            local, other = np.asarray([step[1:] for _, step in drafts[key]])[row_step].T
+            cliques = _index(first[g] + local * sizes[g] + fam)
+            if stage in (_COLLECT, _DISTRIBUTE):
+                parents = _index(first[g] + other * sizes[g] + fam)
+                bucket = _Bucket(cliques, side(cliques, rank, axes),
+                                 side(parents, other_rank, other_axes),
+                                 slots=_slice(sep_row[cliques]))
+            elif stage == _ROOT:
+                bucket = _Bucket(cliques, side(cliques, rank, ()))
+            else:
+                targets = _index(record_offsets[grouped[group_start[g] + fam]] + other)
+                evidence[rank].setdefault(axes[0], []).append((rank_row[cliques], targets))
+                bucket = _Bucket(cliques, side(cliques, rank, axes), targets=targets)
+            stages[stage].append(bucket)
+        self._stages = stages
+
+        # Each member's evidence sits on its read-out axis; the extra column
+        # ``total`` of the evidence table holds ones for every other axis.
+        self._evidence = {}
+        for rank, by_axis in evidence.items():
+            self._evidence[rank] = []
+            for axis in sorted(by_axis):
+                index = np.full(rank_sizes[rank], self.total, dtype=_INDEX)
+                for rows, targets in by_axis[axis]:
+                    index[rows] = targets
+                self._evidence[rank].append((axis, index))
+        self.stats = EngineStats(
+            families=len(self.families),
+            structures=len(groups),
+            cliques=n_cliques,
+            max_clique_size=largest[0],
+            collect_buckets=len(stages[_COLLECT]),
+            distribute_buckets=len(stages[_DISTRIBUTE]),
+            readout_buckets=len(stages[_ROOT]) + len(stages[_READOUT]),
+            potential_bytes=potential_bytes,
+        )
+
+    def _potentials(self, q, phi):
+        """Fresh clique potentials per rank: cached static tables times evidence."""
+        if q != self._static_q:
+            prior = genetics.founder_prior(q)
+            self._static = {}
+            for rank, (factors, index) in self._patterns.items():
+                tables = np.stack([_pattern_table(rank, f, prior) for f in factors], -1)
+                self._static[rank] = np.take(tables, index, axis=-1)
+            self._static_q = q
+        pots = {}
+        for rank, static in self._static.items():
+            pot = None
+            for axis, index in self._evidence[rank]:
+                factor = np.take(phi, index, axis=1).reshape(_axes_shape((axis,), rank, (-1,)))
+                if pot is None:
+                    pot = static * factor
+                else:
+                    pot *= factor
+            pots[rank] = static.copy() if pot is None else pot
+        return pots
+
+    def _total(self, table, bucket):
+        """Sum of each batch column of ``table``, which must be positive."""
+        z = table.reshape(-1, len(bucket.cliques)).sum(axis=0)
+        if (z <= 0).any():
+            clique = bucket.cliques[int(np.argmin(z))]
+            raise ZeroEvidenceError(self.families[self._clique_family[clique]].family_id)
+        return z
 
     def run(self, params: ModelParams):
-        """Marginals (total, 4) in global record order plus per-family log evidence."""
-        phi_all = genetics.evidence_matrix(
+        """Marginals (total, 4) in global record order plus per-family log evidence.
+
+        Raises :class:`ZeroEvidenceError`, naming the family, when a family's
+        observed data has zero probability.
+        """
+        phi = genetics.evidence_matrix(
             self._age, self._status, self._Z if self._Z.shape[1] else None,
             self._gtest, params, suppress=self._suppress,
         )
+        if self._mask is not None:
+            phi = phi * self._mask
+        # one column per record, plus column ``total``: no evidence
+        phi = np.ascontiguousarray(np.concatenate((phi, np.ones((1, N_STATES)))).T)
+        pots = self._potentials(params.q, phi)
+        collected = {
+            size: np.empty((N_STATES,) * size + (count,))
+            for size, count in self._sep_sizes.items()
+        }
+        norm = np.ones(len(self._clique_family))
+        collect, roots, distribute, readouts = self._stages
+
+        def marginal(side):
+            return _columns(pots[side.rank], side.rows).sum(axis=side.sum_axes)
+
+        def absorb(side, msg):
+            _scale_columns(pots[side.rank], side.rows, msg.reshape(side.shape))
+
+        # Collect: each child's belief, summed to the separator, multiplies
+        # into its parent's. A root's total is then its tree's evidence.
+        for bucket in collect:
+            msg = marginal(bucket.child)
+            norm[bucket.cliques] = z = self._total(msg, bucket)
+            msg /= z
+            collected[msg.ndim - 1][..., bucket.slots] = msg
+            absorb(bucket.parent, msg)
+        for bucket in roots:
+            norm[bucket.cliques] = self._total(
+                _columns(pots[bucket.child.rank], bucket.child.rows), bucket
+            )
+        # Distribute: the parent's final belief on the separator, divided by
+        # the message it collected from the child. Where that message is 0,
+        # so is the parent's marginal, and the quotient is left at 0; the
+        # quotient's total is positive since the parent's total is.
+        for bucket in distribute:
+            msg = marginal(bucket.parent)
+            sent = _columns(collected[msg.ndim - 1], bucket.slots)
+            np.divide(msg, sent, out=msg, where=sent > 0)
+            msg /= msg.reshape(-1, len(bucket.cliques)).sum(axis=0)
+            absorb(bucket.child, msg)
         marginals = np.empty((self.total, N_STATES))
-        log_evidence = np.empty(len(self.families))
-        prior = genetics.founder_prior(params.q)[None]
-        for group in self.groups:
-            phi = phi_all[group.rows]  # (F, n, 4)
-            if group.constraint_masks is not None:
-                phi = phi * group.constraint_masks
-            tables = [prior for _ in group.prior_scopes]
-            tables += [table for _, table in group.transmission_factors]
-            tables += [np.ascontiguousarray(phi[:, i, :]) for i in range(group.n)]
-            fam_ids = [self.families[fi].family_id for fi in group.members]
-            marg, logev = group.propagator.run(tables, family_ids=fam_ids)
-            marginals[group.rows.reshape(-1)] = marg.reshape(-1, N_STATES)
-            log_evidence[group.members] = logev
+        for bucket in readouts:
+            marg = marginal(bucket.child)
+            marginals[bucket.targets] = (marg / marg.sum(axis=0)).T
+        log_evidence = np.bincount(
+            self._clique_family, weights=np.log(norm), minlength=len(self.families)
+        )
         return marginals, log_evidence
 
     def family_weights(self, marginals) -> list[dict]:

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from poosurv import format_ped
 from poosurv.cli import main
+
+from test_inference import random_pedigree
 
 
 @pytest.fixture
@@ -146,6 +149,17 @@ class TestFitCommand:
              "--out", str(blocker / "report.json")],
         )
         assert result.exit_code == 4
+
+    def test_infeasible_pedigree_is_numerical_error(self, runner, tmp_path):
+        ped = tmp_path / "wide.ped"
+        ped.write_text(format_ped([random_pedigree(np.random.default_rng(0), 200, "W")]))
+        report_path = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["fit", str(ped), "--q", "0.2", "--out", str(report_path)]
+        )
+        assert result.exit_code == 3
+        assert "family W" in result.output and "clique" in result.output
+        assert not report_path.exists()
 
     def test_poo_file_constrains_fit(self, runner, tmp_path):
         runner_out = tmp_path / "oracle_sim"

@@ -1,13 +1,19 @@
 """Clique-tree inference tests against the brute-force enumeration oracle."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poosurv import (
     DEFAULT_HAZARD,
     Genotype,
     IndividualRecord,
     InferenceError,
+    MarginalEngine,
     ModelParams,
     Pedigree,
     Sex,
@@ -17,6 +23,7 @@ from poosurv import (
     parse_ped,
     posterior_marginals,
 )
+from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -305,3 +312,149 @@ F1 4 1 2 2 50.0 0 0 0
     exact = posterior_marginals(fam, params)
     brute = brute_force_marginals(fam, params)
     np.testing.assert_allclose(exact.marginals, brute.marginals, atol=1e-12)
+
+
+def renamed(pedigree, family_id):
+    return Pedigree(
+        [dataclasses.replace(rec, family_id=family_id) for rec in pedigree]
+    )
+
+
+class TestMarginalEngine:
+    def test_stats_on_fixed_cohort(self):
+        # The two trios share one structure of one rank-3 clique, their only
+        # root. The cousin family's forest has six cliques (one of rank 4)
+        # and five edges, each with its own layout, so each pass has five
+        # buckets. The roots (all rank 3) form one bucket and the read-outs
+        # one per (rank, axis): (3, 0-2) and (4, 0-1).
+        engine = MarginalEngine([trio(), cousin_marriage_family(), renamed(trio(), "T2")])
+        assert engine.stats == EngineStats(
+            families=3,
+            structures=2,
+            cliques=8,
+            max_clique_size=4,
+            collect_buckets=5,
+            distribute_buckets=5,
+            readout_buckets=6,
+            potential_bytes=(7 * 4 ** 3 + 4 ** 4) * 8,
+        )
+
+    def test_infeasible_clique_rejected_before_allocation(self):
+        rng = np.random.default_rng(0)
+        ped = random_pedigree(rng, 200, family_id="BIG")
+        size = build_clique_tree(ped).max_clique_size
+        assert 4 ** size * 8 > MAX_POTENTIAL_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(InferenceError) as exc:
+                MarginalEngine([ped])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "family BIG" in str(exc.value)
+        assert f"clique of {size} members" in str(exc.value)
+        assert peak < 16 * 2 ** 20
+
+    def test_zero_evidence_names_the_failing_family(self):
+        params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
+        bad = Pedigree(
+            [make_record("Z9", "x", sex=Sex.MALE, age=50.0, status=1, gene_test=0)]
+        )
+        with pytest.raises(ZeroEvidenceError) as exc:
+            MarginalEngine([trio(), cousin_marriage_family(), bad]).run(params)
+        assert exc.value.family_id == "Z9"
+
+
+TEMPLATE_ROWS = (  # (id, father, mother, sex): three generations, seven members
+    ("1", None, None, Sex.MALE),
+    ("2", None, None, Sex.FEMALE),
+    ("3", "1", "2", Sex.MALE),
+    ("4", "1", "2", Sex.FEMALE),
+    ("5", None, None, Sex.FEMALE),
+    ("6", "3", "5", Sex.MALE),
+    ("7", "3", "5", Sex.FEMALE),
+)
+
+
+def template_family(rng, family_id, covariates):
+    """The fixed seven-member structure with random phenotypes and tests."""
+    return Pedigree([
+        make_record(
+            family_id, ident, father, mother, sex, float(rng.uniform(1.0, 90.0)),
+            int(rng.random() < 0.35), [None, None, 0, 1][rng.integers(0, 4)],
+            bool(rng.random() < 0.1), tuple(np.round(rng.normal(size=covariates), 3)),
+        )
+        for ident, father, mother, sex in TEMPLATE_ROWS
+    ])
+
+
+@st.composite
+def mixed_cohorts(draw):
+    """Families of every kind the engine batches, with constraints."""
+    covariates = draw(st.integers(0, 1))
+    families = []
+    for index in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["template", "random", "loop", "single"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        family_id = f"H{index}"
+        if kind == "template":
+            ped = template_family(rng, family_id, covariates)
+        elif kind == "random":
+            size = int(rng.integers(2, 9))
+            ped = random_pedigree(rng, size, family_id, covariates=covariates)
+        elif kind == "loop":
+            ped = random_pedigree(rng, 9, family_id, with_loop=True, covariates=covariates)
+        else:
+            ped = random_pedigree(rng, 1, family_id, covariates=covariates)
+        families.append(ped)
+    constraints = {}
+    for ped in families:
+        for rec in ped:
+            states = draw(st.sets(st.sampled_from(list(Genotype)), max_size=3))
+            if states and draw(st.integers(0, 4)) == 0:
+                constraints[(ped.family_id, rec.individual_id)] = tuple(states)
+    params = random_params(
+        np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), covariates
+    )
+    return families, constraints, params, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mixed_cohorts(), st.randoms(use_true_random=False))
+def test_engine_matches_brute_force_on_mixed_cohorts(cohort, random):
+    families, constraints, params, suppress = cohort
+    options = dict(
+        suppress_proband_phenotype=suppress, genotype_constraints=constraints or None
+    )
+    expected, impossible = {}, set()
+    for ped in families:
+        try:
+            expected[ped.family_id] = brute_force_marginals(ped, params, **options)
+        except ZeroEvidenceError:
+            impossible.add(ped.family_id)
+
+    order = list(range(len(families)))
+    runs = []
+    for _ in range(2):  # as given, then shuffled
+        engine = MarginalEngine([families[i] for i in order], **options)
+        if impossible:
+            with pytest.raises(ZeroEvidenceError) as exc:
+                engine.run(params)
+            assert exc.value.family_id in impossible
+            return
+        marginals, log_evidence = engine.run(params)
+        run = {}
+        for k, i in enumerate(order):
+            ped, off = families[i], engine.offsets[k]
+            run[ped.family_id] = (marginals[off:off + len(ped)], log_evidence[k])
+        runs.append(run)
+        random.shuffle(order)
+
+    for ped in families:
+        brute = expected[ped.family_id]
+        found, log_ev = runs[0][ped.family_id]
+        np.testing.assert_allclose(found, brute.marginals, rtol=0, atol=1e-13)
+        assert abs(log_ev - brute.log_evidence) <= 1e-13
+        again, log_again = runs[1][ped.family_id]
+        np.testing.assert_array_equal(again, found)
+        assert log_again == log_ev
