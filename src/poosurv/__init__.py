@@ -22,14 +22,12 @@ from .pedigree import (
     format_ped,
     parse_ped,
     validate,
-    write_ped,
 )
 from .genetics import (
     DEFAULT_EPSILON,
     DEFAULT_ETA,
     GENOTYPE_LABELS,
     Genotype,
-    GenotypeFactor,
     ModelParams,
     TRANSMISSION,
     evidence_factor,
@@ -60,9 +58,6 @@ from .survival import (
     RankDeficiencyError,
     SingularInformationError,
     SurvivalCurve,
-    WeightedObservation,
-    breslow_baseline,
-    cox_fit,
     survival_curve,
     wald_test,
 )
@@ -75,7 +70,6 @@ from .em import (
     FitResult,
     apply_proband_correction,
     bootstrap_em,
-    build_weighted_dataset,
     em_fit,
 )
 from .simulate import (
@@ -97,12 +91,11 @@ __all__ = [
     "__version__",
     # pedigree
     "IndividualRecord", "Pedigree", "PedigreeError", "Sex", "ValidationWarning",
-    "format_ped", "parse_ped", "validate", "write_ped",
+    "format_ped", "parse_ped", "validate",
     # genetics
     "DEFAULT_EPSILON", "DEFAULT_ETA", "GENOTYPE_LABELS", "Genotype",
-    "GenotypeFactor", "ModelParams", "TRANSMISSION", "evidence_factor",
-    "evidence_matrix", "founder_prior", "penetrance_factor", "test_factor",
-    "transmission",
+    "ModelParams", "TRANSMISSION", "evidence_factor", "evidence_matrix",
+    "founder_prior", "penetrance_factor", "test_factor", "transmission",
     # inference
     "CliqueTree", "InferenceError", "MarginalEngine", "MarginalResult",
     "PosteriorWeights", "ZeroEvidenceError", "brute_force_marginals",
@@ -110,12 +103,10 @@ __all__ = [
     # survival
     "BaselineHazard", "ConvergenceError", "CoxError", "CoxFit", "CoxProblem",
     "MonotoneLikelihoodError", "RankDeficiencyError", "SingularInformationError",
-    "SurvivalCurve", "WeightedObservation", "breslow_baseline", "cox_fit",
-    "survival_curve", "wald_test",
+    "SurvivalCurve", "survival_curve", "wald_test",
     # em
     "BootstrapReplicate", "EMConfig", "EMError", "EMIteration", "EMTrace",
-    "FitResult", "apply_proband_correction", "bootstrap_em",
-    "build_weighted_dataset", "em_fit",
+    "FitResult", "apply_proband_correction", "bootstrap_em", "em_fit",
     # simulate
     "DEFAULT_HAZARD", "FAMILY_TEMPLATE", "HazardSpec", "ReplicateRow",
     "Scenario", "TruthRecord", "apply_scenario_mask", "format_truth",

@@ -9,6 +9,7 @@ arguments. Exit codes: 0 success, 2 validation error, 3 numerical failure,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,6 +39,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 ORACLE_TOLERANCE = 1e-8
+
+_EM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EMConfig)}
 
 
 def _fail(code: int, message: str):
@@ -151,10 +154,10 @@ def _baseline_to_json(baseline: BaselineHazard):
 @click.option("--q", type=float, required=True, help="Disease allele frequency.")
 @click.option("--epsilon", type=float, default=DEFAULT_EPSILON, show_default=True, help="Gene-test error rate for carriers.")
 @click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True, help="Gene-test error rate for non-carriers.")
-@click.option("--test-ages", default="20,40,60,80", show_default=True, help="Convergence test ages.")
-@click.option("--tol", type=float, default=1e-4, show_default=True)
-@click.option("--max-iter", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--test-ages", default=",".join(f"{a:g}" for a in _EM_DEFAULTS["test_ages"]), show_default=True, help="Convergence test ages.")
+@click.option("--tol", type=float, default=_EM_DEFAULTS["tol"], show_default=True)
+@click.option("--max-iter", type=int, default=_EM_DEFAULTS["max_iter"], show_default=True)
+@click.option("--seed", type=int, default=_EM_DEFAULTS["seed"], show_default=True)
 @click.option("--proband-correction", is_flag=True, help="Suppress proband phenotypes (ascertainment correction).")
 @click.option("--poo-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Oracle sidecar pinning genotype states.")
 @click.option("--bootstrap", "bootstrap_b", type=int, default=None, help="Family bootstrap replicates for honest intervals.")
@@ -177,7 +180,6 @@ def fit(ped_path, q, epsilon, eta, test_ages, tol, max_iter, seed,
         max_iter=max_iter,
         seed=seed,
         proband_correction=proband_correction,
-        bootstrap_B=bootstrap_b,
     )
     result = em_fit(families, config, genotype_constraints=constraints)
     z, p = wald_test(result.cox, 0)
@@ -202,6 +204,7 @@ def fit(ped_path, q, epsilon, eta, test_ages, tol, max_iter, seed,
                 "beta": row.beta,
                 "survival": list(row.survival),
                 "log_evidence": row.log_evidence,
+                "log_likelihood": row.log_likelihood,
             }
             for row in result.trace.iterations
         ],

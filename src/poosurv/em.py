@@ -19,7 +19,7 @@ import numpy as np
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
 from .inference import MarginalEngine, PosteriorWeights
 from .pedigree import Pedigree
-from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, WeightedObservation
+from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem
 
 __all__ = [
     "EMError",
@@ -29,12 +29,11 @@ __all__ = [
     "FitResult",
     "BootstrapReplicate",
     "apply_proband_correction",
-    "build_weighted_dataset",
     "em_fit",
     "bootstrap_em",
 ]
 
-LOG_EVIDENCE_SLACK = 1e-6
+LOG_LIKELIHOOD_SLACK = 1e-6
 
 
 class EMError(RuntimeError):
@@ -61,7 +60,6 @@ class EMConfig:
     max_iter: int = 1000
     seed: int = 0
     proband_correction: bool = False
-    bootstrap_B: int | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -78,13 +76,20 @@ class EMConfig:
 
 @dataclass(frozen=True)
 class EMIteration:
-    """One row of the EM trace."""
+    """One row of the EM trace.
+
+    ``log_evidence`` is the E-step's log evidence, which leaves out the
+    genotype-independent baseline hazard jump of every affected individual.
+    ``log_likelihood`` adds those jumps back: it is the observed-data log
+    likelihood of the iteration's parameters, which EM never decreases.
+    """
 
     index: int
     beta: float
     gamma: tuple[float, ...]
     survival: tuple[float, ...]
     log_evidence: float
+    log_likelihood: float
     max_change: float
 
 
@@ -168,39 +173,16 @@ def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
     return corrected, warnings
 
 
-def _lookup_weights(weights, family_index, family_id, individual_id):
-    if isinstance(weights, dict):
-        return weights[(family_id, individual_id)]
-    return weights[family_index][individual_id]
-
-
-def build_weighted_dataset(families, weights) -> list[WeightedObservation]:
-    """Materialize the 2n-row weighted dataset driving the M-step.
-
-    For every individual there is one paternal-origin row weighted by
-    ``w_pat`` and one maternal-origin row weighted by ``w_mat``; all
-    paternal rows come first, each block in pedigree order. Non-carrier
-    mass appears in no row, and phenotype-suppressed individuals are left
-    out entirely. ``weights`` is either one mapping per family or a dict
-    keyed by (family_id, individual_id).
-    """
-    pat_rows, mat_rows = [], []
-    for fi, fam in enumerate(families):
-        for rec in fam:
-            if rec.phenotype_suppressed:
-                continue
-            w = _lookup_weights(weights, fi, fam.family_id, rec.individual_id)
-            pat_rows.append(
-                WeightedObservation(rec.age, rec.status, "pat", rec.covariates, w.w_pat)
-            )
-            mat_rows.append(
-                WeightedObservation(rec.age, rec.status, "mat", rec.covariates, w.w_mat)
-            )
-    return pat_rows + mat_rows
-
-
 def _dataset_arrays(families):
-    """Static arrays of the 2n-row dataset plus the record rows feeding it."""
+    """Static arrays of the 2n-row weighted dataset driving the M-step.
+
+    For every individual there is one paternal-origin row (first column of
+    ``X`` set to 1) and one maternal-origin row; all paternal rows come
+    first, each block in pedigree order. Phenotype-suppressed individuals
+    are left out entirely. Also returns the global record index of each
+    individual's rows, so that row weights are ``w_pat[rows]`` followed by
+    ``w_mat[rows]``; non-carrier mass appears in no row.
+    """
     times, statuses, covs, rows = [], [], [], []
     offset = 0
     for fam in families:
@@ -242,6 +224,9 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
     engine = MarginalEngine(families, genotype_constraints=genotype_constraints)
     time2, status2, X, rows = _dataset_arrays(families)
     problem = CoxProblem(time2, status2, X)
+    # every affected time is a Breslow jump time: affected rows never lose
+    # their carrier mass
+    event_times = time2[:rows.size][status2[:rows.size] == 1]
     test_ages = np.asarray(config.test_ages)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
@@ -251,7 +236,7 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
 
     coefs = np.zeros(X.shape[1])
     prev_survival = None
-    prev_log_evidence = None
+    prev_log_likelihood = None
     marginals = None
     converged = False
     below_tol_streak = 0
@@ -276,6 +261,8 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
         w_pat = marginals[:, 1]
         w_mat = marginals[:, 2] + marginals[:, 3]
         log_evidence = float(log_evidence_fam.sum())
+        jumps = baseline.increments[np.searchsorted(baseline.times, event_times)]
+        log_likelihood = log_evidence + float(np.log(jumps).sum())
 
         change = (
             float(np.max(np.abs(survival - prev_survival)))
@@ -289,18 +276,19 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
                 gamma=tuple(coefs[1:]),
                 survival=tuple(survival),
                 log_evidence=log_evidence,
+                log_likelihood=log_likelihood,
                 max_change=change,
             )
         )
         if (
-            prev_log_evidence is not None
-            and log_evidence < prev_log_evidence - LOG_EVIDENCE_SLACK
+            prev_log_likelihood is not None
+            and log_likelihood < prev_log_likelihood - LOG_LIKELIHOOD_SLACK
         ):
             trace.warnings.append(
-                f"log-evidence decreased by {prev_log_evidence - log_evidence:.3e} "
-                f"at iteration {iteration}"
+                "log-likelihood decreased by "
+                f"{prev_log_likelihood - log_likelihood:.3e} at iteration {iteration}"
             )
-        prev_log_evidence = log_evidence
+        prev_log_likelihood = log_likelihood
         prev_survival = survival
         below_tol_streak = below_tol_streak + 1 if change < config.tol else 0
         if below_tol_streak >= config.stable_window:
@@ -349,7 +337,7 @@ def _bootstrap_one(args):
     )
 
 
-def bootstrap_em(families, config: EMConfig, B: int | None = None,
+def bootstrap_em(families, config: EMConfig, B: int = 200,
                  jobs: int = 1) -> list[BootstrapReplicate]:
     """Family-level nonparametric bootstrap of the full EM fit.
 
@@ -360,8 +348,7 @@ def bootstrap_em(families, config: EMConfig, B: int | None = None,
     not depend on ``jobs``.
     """
     families = list(families)
-    n_reps = B if B is not None else (config.bootstrap_B or 200)
-    tasks = [(families, config, r) for r in range(n_reps)]
+    tasks = [(families, config, r) for r in range(B)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "DEFAULT_ETA",
     "ModelParams",
-    "GenotypeFactor",
     "founder_prior",
     "transmission",
     "TRANSMISSION",
@@ -90,24 +89,6 @@ class ModelParams:
         if self.baseline is None:
             return np.zeros_like(np.asarray(t, dtype=float)) if not np.isscalar(t) else 0.0
         return self.baseline.cumulative(t)
-
-
-@dataclass(frozen=True)
-class GenotypeFactor:
-    """Non-negative table over the genotypes of 1-3 individuals."""
-
-    scope: tuple
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.shape != (N_STATES,) * len(self.scope):
-            raise ValueError(
-                f"table shape {table.shape} does not match scope {self.scope}"
-            )
-        if np.any(table < 0):
-            raise ValueError("factor tables must be non-negative")
-        object.__setattr__(self, "table", table)
 
 
 def founder_prior(q: float) -> np.ndarray:

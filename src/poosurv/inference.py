@@ -263,13 +263,6 @@ def _axes_shape(axes, rank, batch=()):
     return tuple(shape) + tuple(batch)
 
 
-def _suppress_flags(pedigree, suppress_proband_phenotype):
-    return [
-        rec.phenotype_suppressed or (suppress_proband_phenotype and rec.proband)
-        for rec in pedigree
-    ]
-
-
 def _constraint_mask(pedigree, genotype_constraints):
     """Indicator table (n, 4) for externally known genotype states."""
     if not genotype_constraints:
@@ -305,7 +298,6 @@ def _weights_from_marginals(pedigree, marginals) -> dict:
 
 
 def posterior_marginals(pedigree, params: ModelParams,
-                        suppress_proband_phenotype=False,
                         genotype_constraints=None) -> MarginalResult:
     """Exact posterior genotype marginals for every family member.
 
@@ -313,11 +305,7 @@ def posterior_marginals(pedigree, params: ModelParams,
     record order, and the log evidence of the observed data (up to the
     genotype-independent hazard factor omitted from affected penetrance).
     """
-    engine = MarginalEngine(
-        [pedigree],
-        suppress_proband_phenotype=suppress_proband_phenotype,
-        genotype_constraints=genotype_constraints,
-    )
+    engine = MarginalEngine([pedigree], genotype_constraints=genotype_constraints)
     marginals, log_evidence = engine.run(params)
     return MarginalResult(
         weights=_weights_from_marginals(pedigree, marginals),
@@ -328,7 +316,6 @@ def posterior_marginals(pedigree, params: ModelParams,
 
 def brute_force_marginals(pedigree, params: ModelParams,
                           cap: int = DEFAULT_ENUMERATION_CAP,
-                          suppress_proband_phenotype=False,
                           genotype_constraints=None) -> MarginalResult:
     """Oracle marginals by enumerating all 4^n genotype configurations.
 
@@ -343,7 +330,6 @@ def brute_force_marginals(pedigree, params: ModelParams,
             f"enumeration cap {cap}"
         )
     pos = pedigree.position
-    suppress = _suppress_flags(pedigree, suppress_proband_phenotype)
     mask = _constraint_mask(pedigree, genotype_constraints)
     prior = genetics.founder_prior(params.q)
     # grid[i] indexes member i's axis, so table[grid[a], grid[b]] broadcasts
@@ -356,7 +342,9 @@ def brute_force_marginals(pedigree, params: ModelParams,
         else:
             father, mother = grid[pos(rec.father_id)], grid[pos(rec.mother_id)]
             joint *= genetics.TRANSMISSION[father, mother, grid[i]]
-        phi = genetics.evidence_factor(rec, params, suppress_phenotype=suppress[i])
+        phi = genetics.evidence_factor(
+            rec, params, suppress_phenotype=rec.phenotype_suppressed
+        )
         if mask is not None:
             phi = phi * mask[i]
         joint *= phi[grid[i]]
@@ -570,8 +558,7 @@ class MarginalEngine:
     all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
     """
 
-    def __init__(self, families, suppress_proband_phenotype=False,
-                 genotype_constraints=None):
+    def __init__(self, families, genotype_constraints=None):
         self.families = list(families)
         offsets = []
         total = 0
@@ -599,11 +586,7 @@ class MarginalEngine:
         self._gtest = np.array(
             [-1 if rec.gene_test is None else rec.gene_test for rec in records], dtype=int
         )
-        self._suppress = np.array(
-            [flag for fam in self.families
-             for flag in _suppress_flags(fam, suppress_proband_phenotype)],
-            dtype=bool,
-        )
+        self._suppress = np.array([rec.phenotype_suppressed for rec in records], dtype=bool)
         self._Z = np.array([rec.covariates for rec in records], dtype=float).reshape(
             total, cov_len
         )

@@ -30,7 +30,6 @@ __all__ = [
     "Pedigree",
     "parse_ped",
     "format_ped",
-    "write_ped",
     "validate",
 ]
 
@@ -392,10 +391,6 @@ def format_ped(families) -> str:
             cells.extend(_format_float(c) for c in rec.covariates)
             out.append(" ".join(cells))
     return "\n".join(out) + "\n"
-
-
-def write_ped(families, stream) -> None:
-    stream.write(format_ped(families))
 
 
 def validate(pedigree: Pedigree, eta: float | None = None) -> list[ValidationWarning]:

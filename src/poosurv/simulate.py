@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em import EMConfig, EMError, em_fit
-from .genetics import GENOTYPE_LABELS, Genotype
+from .genetics import GENOTYPE_LABELS, LABEL_TO_GENOTYPE, Genotype
 from .inference import InferenceError
 from .pedigree import IndividualRecord, Pedigree, Sex
 from .survival import CoxError
@@ -291,7 +291,6 @@ def format_truth(truth) -> str:
 
 def parse_truth(text: str) -> dict:
     """Read a truth/oracle sidecar back into a genotype constraint map."""
-    label_to_genotype = {label: g for g, label in GENOTYPE_LABELS.items()}
     constraints = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -301,11 +300,11 @@ def parse_truth(text: str) -> dict:
         if len(fields) != 4:
             raise ValueError(f"truth sidecar line {lineno}: expected 4 columns")
         family_id, individual_id, genotype_label, _poo = fields
-        if genotype_label not in label_to_genotype:
+        if genotype_label not in LABEL_TO_GENOTYPE:
             raise ValueError(
                 f"truth sidecar line {lineno}: unknown genotype {genotype_label!r}"
             )
-        constraints[(family_id, individual_id)] = label_to_genotype[genotype_label]
+        constraints[(family_id, individual_id)] = LABEL_TO_GENOTYPE[genotype_label]
     return constraints
 
 

@@ -24,11 +24,8 @@ __all__ = [
     "MonotoneLikelihoodError",
     "ConvergenceError",
     "BaselineHazard",
-    "WeightedObservation",
     "CoxFit",
     "CoxProblem",
-    "cox_fit",
-    "breslow_baseline",
     "SurvivalCurve",
     "survival_curve",
     "wald_test",
@@ -106,27 +103,6 @@ class BaselineHazard:
     def __repr__(self):
         total = self._padded_cum[-1]
         return f"BaselineHazard(jumps={self.times.size}, total={total:.4g})"
-
-
-@dataclass(frozen=True)
-class WeightedObservation:
-    """One row of the weighted survival dataset."""
-
-    time: float
-    status: int
-    poo: str
-    covariates: tuple[float, ...] = ()
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.poo not in ("pat", "mat"):
-            raise ValueError(f"poo must be 'pat' or 'mat', got {self.poo!r}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status!r}")
-        if not (np.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"time must be finite and non-negative, got {self.time}")
-        if not (np.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
 
 
 @dataclass
@@ -235,7 +211,14 @@ class CoxProblem:
             )
 
     def fit(self, weights, init=None):
-        """Newton maximization; returns (coefficients, covariance, loglik, steps)."""
+        """Newton maximization; returns (coefficients, covariance, loglik, steps).
+
+        Raises :class:`RankDeficiencyError` when positively weighted events
+        exist in only one origin group, :class:`MonotoneLikelihoodError` on
+        coefficient divergence, :class:`SingularInformationError` on a
+        singular information matrix, and :class:`ConvergenceError` when
+        Newton fails to converge.
+        """
         self._check_rank(weights)
         coefs = np.zeros(self.p) if init is None else np.asarray(init, dtype=float).copy()
         loglik, score, info = self.evaluate(coefs, weights)
@@ -254,7 +237,9 @@ class CoxProblem:
             for _ in range(MAX_HALVINGS):
                 candidate = coefs + step * direction
                 cand_ll, cand_score, cand_info = self.evaluate(candidate, weights)
-                if cand_ll >= loglik - 1e-12:
+                # Relative slack: an absolute one is below an ulp of a large
+                # log-likelihood, and rounding noise would pick the step.
+                if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
                     break
                 step /= 2.0
             else:
@@ -276,7 +261,12 @@ class CoxProblem:
         return coefs, covariance, loglik, n_steps
 
     def breslow(self, weights, coefs) -> BaselineHazard:
-        """Weighted Breslow estimate of the cumulative baseline hazard."""
+        """Weighted Breslow estimate of the cumulative baseline hazard.
+
+        At each distinct event time the jump equals the summed event weight
+        divided by the weighted risk-set total of exp(linear predictor);
+        zero-weight rows contribute nothing.
+        """
         coefs = np.asarray(coefs, dtype=float)
         w = np.asarray(weights, dtype=float)[self._order]
         r = w * np.exp(self._X @ coefs)
@@ -289,56 +279,6 @@ class CoxProblem:
         increments = d[keep] / s0
         # blocks are in descending time order
         return BaselineHazard(times[::-1], increments[::-1])
-
-
-def _design(data):
-    n = len(data)
-    p = 1 + (len(data[0].covariates) if n else 0)
-    time = np.array([obs.time for obs in data])
-    status = np.array([obs.status for obs in data])
-    X = np.empty((n, p))
-    X[:, 0] = [1.0 if obs.poo == "pat" else 0.0 for obs in data]
-    for i, obs in enumerate(data):
-        if len(obs.covariates) != p - 1:
-            raise ValueError("covariate vectors have inconsistent lengths")
-        X[i, 1:] = obs.covariates
-    weights = np.array([obs.weight for obs in data])
-    return time, status, X, weights
-
-
-def cox_fit(data, init=None) -> CoxFit:
-    """Fit the weighted Cox model with a parent-of-origin factor.
-
-    ``data`` is a sequence of :class:`WeightedObservation`. Raises
-    :class:`RankDeficiencyError` when positively weighted events exist in
-    only one origin group, :class:`MonotoneLikelihoodError` on coefficient
-    divergence, :class:`SingularInformationError` on a singular information
-    matrix, and :class:`ConvergenceError` when Newton fails to converge.
-    """
-    if not data:
-        raise RankDeficiencyError("empty dataset")
-    time, status, X, weights = _design(data)
-    problem = CoxProblem(time, status, X)
-    coefs, covariance, loglik, n_steps = problem.fit(weights, init=init)
-    return CoxFit(
-        beta_hat=float(coefs[0]),
-        gamma_hat=coefs[1:],
-        covariance=covariance,
-        log_partial_likelihood=loglik,
-        n_iter=n_steps,
-    )
-
-
-def breslow_baseline(data, fit: CoxFit) -> BaselineHazard:
-    """Baseline cumulative hazard for a fitted model.
-
-    At each distinct event time the jump equals the summed event weight
-    divided by the weighted risk-set total of exp(linear predictor);
-    zero-weight rows contribute nothing.
-    """
-    time, status, X, weights = _design(data)
-    problem = CoxProblem(time, status, X)
-    return problem.breslow(weights, fit.coefficients)
 
 
 class SurvivalCurve:

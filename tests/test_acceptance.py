@@ -19,9 +19,7 @@ from poosurv import (
     DEFAULT_HAZARD,
     CoxProblem,
     ModelParams,
-    WeightedObservation,
     brute_force_marginals,
-    cox_fit,
     posterior_marginals,
     replicate_study,
     simulate_families,
@@ -30,7 +28,7 @@ from poosurv.cli import main as cli_main
 from poosurv.em import EMConfig, em_fit
 
 from test_inference import random_pedigree, random_params
-from test_survival import design_arrays, random_dataset
+from test_survival import fit_cox, random_dataset
 
 MASTER_SEED = 202
 TRUE_BETA = -0.6
@@ -98,8 +96,9 @@ def test_criterion_2_cox_correctness():
     worst_score = worst_info = 0.0
     h = 1e-5
     for _ in range(50):
-        data = random_dataset(rng, n=int(rng.integers(25, 70)), n_cov=int(rng.integers(0, 3)))
-        time_arr, status, X, w = design_arrays(data)
+        time_arr, status, X, w = random_dataset(
+            rng, n=int(rng.integers(25, 70)), n_cov=int(rng.integers(0, 3))
+        )
         problem = CoxProblem(time_arr, status, X)
         coefs = rng.normal(scale=0.5, size=X.shape[1])
         _, score, info = problem.evaluate(coefs, w)
@@ -122,22 +121,18 @@ def test_criterion_2_cox_correctness():
         )
 
     # invariances
-    data = random_dataset(rng, n=50, n_cov=1, zero_weights=False)
+    time_arr, status, X, w = random_dataset(rng, n=50, n_cov=1, zero_weights=False)
     c = 2.5
-    scaled = [
-        WeightedObservation(o.time, o.status, o.poo, o.covariates, o.weight * c)
-        for o in data
-    ]
-    fit_base, fit_scaled = cox_fit(data), cox_fit(scaled)
+    fit_base = fit_cox(time_arr, status, X, w)
+    fit_scaled = fit_cox(time_arr, status, X, w * c)
     scale_dev = abs(fit_scaled.beta_hat - fit_base.beta_hat)
-    doubled = [
-        WeightedObservation(o.time, o.status, o.poo, o.covariates, 2 * o.weight)
-        if i == 3
-        else o
-        for i, o in enumerate(data)
-    ]
-    duplicated = data + [data[3]]
-    dup_dev = abs(cox_fit(duplicated).beta_hat - cox_fit(doubled).beta_hat)
+    doubled = w.copy()
+    doubled[3] *= 2
+    fit_duplicated = fit_cox(
+        np.append(time_arr, time_arr[3]), np.append(status, status[3]),
+        np.vstack([X, X[3]]), np.append(w, w[3]),
+    )
+    dup_dev = abs(fit_duplicated.beta_hat - fit_cox(time_arr, status, X, doubled).beta_hat)
     report(
         "2 cox correctness",
         worst_score < 1e-6 and worst_info < 1e-4 and scale_dev < 1e-10 and dup_dev < 1e-10,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poosurv import format_ped
+from poosurv import EMConfig, format_ped
 from poosurv.cli import main
 
 from test_inference import random_pedigree
@@ -115,8 +115,15 @@ class TestFitCommand:
                     "iterations", "trace"):
             assert key in report
         assert report["n_families"] == 60
+        assert all("log_likelihood" in row for row in report["trace"])
+        assert not any("decreased" in w for w in report["warnings"])
         echo = json.loads((tmp_path / "report.json.config.json").read_text())
         assert echo["parameters"]["q"] == 0.2
+        # unset options take the library's defaults
+        defaults = EMConfig(q=0.2)
+        assert echo["parameters"]["tol"] == defaults.tol
+        assert echo["parameters"]["max_iter"] == defaults.max_iter
+        assert tuple(echo["parameters"]["test_ages"]) == defaults.test_ages
 
     def test_config_echo_records_flags(self, runner, sim_dir, tmp_path):
         report_path = tmp_path / "r.json"

@@ -1,26 +1,26 @@
 """EM loop tests: dataset construction, proband correction, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from poosurv import (
     DEFAULT_HAZARD,
+    CoxProblem,
     EMConfig,
     EMError,
     Genotype,
     IndividualRecord,
     ModelParams,
     Pedigree,
-    PosteriorWeights,
     Sex,
-    WeightedObservation,
     apply_proband_correction,
-    build_weighted_dataset,
-    cox_fit,
     em_fit,
     posterior_marginals,
     simulate_families,
 )
+from poosurv.em import _dataset_arrays
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -45,45 +45,47 @@ def informative_family(family_id="F1"):
 class TestWeightedDataset:
     def test_two_rows_per_individual_block_layout(self):
         fams, _ = simulate_families(3, beta=-0.6, q=0.2, scenario="S1", seed=0)
-        n = sum(len(f) for f in fams)
-        weights = [
-            {rec.individual_id: PosteriorWeights(0.25, 0.5, 0.25) for rec in fam}
-            for fam in fams
-        ]
-        data = build_weighted_dataset(fams, weights)
-        assert len(data) == 2 * n
-        assert all(o.poo == "pat" for o in data[:n])
-        assert all(o.poo == "mat" for o in data[n:])
-        # pedigree order within each block, pat and mat rows aligned
-        for i in range(n):
-            assert data[i].time == data[n + i].time
-            assert data[i].status == data[n + i].status
+        records = [rec for fam in fams for rec in fam]
+        n = len(records)
+        time2, status2, X, rows = _dataset_arrays(fams)
+        assert len(time2) == len(status2) == len(X) == 2 * n
+        np.testing.assert_array_equal(rows, np.arange(n))
+        # paternal block first, then maternal, each in pedigree order
+        np.testing.assert_array_equal(X[:n, 0], 1.0)
+        np.testing.assert_array_equal(X[n:, 0], 0.0)
+        np.testing.assert_array_equal(time2[:n], [rec.age for rec in records])
+        np.testing.assert_array_equal(status2[:n], [rec.status for rec in records])
+        # pat and mat rows aligned
+        np.testing.assert_array_equal(time2[:n], time2[n:])
+        np.testing.assert_array_equal(status2[:n], status2[n:])
 
     def test_weights_map_to_rows_and_zero_mass_dropped(self):
-        fam = Pedigree([make_record("F", "a", age=40.0, status=1)])
-        weights = {("F", "a"): PosteriorWeights(w_pat=0.3, w_mat=0.5, w_zero=0.2)}
-        rows = build_weighted_dataset([fam], weights)
-        assert [(r.poo, r.weight) for r in rows] == [("pat", 0.3), ("mat", 0.5)]
+        fam = Pedigree([
+            make_record("F", "a", age=40.0, status=1),
+            make_record("F", "b", sex=Sex.FEMALE, age=55.0),
+        ])
+        time2, status2, X, rows = _dataset_arrays([fam])
+        np.testing.assert_array_equal(time2, [40.0, 55.0, 40.0, 55.0])
+        np.testing.assert_array_equal(status2, [1, 0, 1, 0])
+        np.testing.assert_array_equal(X[:, 0], [1.0, 1.0, 0.0, 0.0])
+        # two rows per individual: the non-carrier mass has none
+        w_pat, w_mat = np.array([0.3, 0.1]), np.array([0.5, 0.2])
+        weights2n = np.concatenate((w_pat[rows], w_mat[rows]))
+        np.testing.assert_array_equal(weights2n, [0.3, 0.1, 0.5, 0.2])
 
     def test_zero_weight_row_does_not_change_fit(self):
         fams = [informative_family("A"), informative_family("B")]
-        weights = []
-        for fam in fams:
-            w = {}
-            for rec in fam:
-                if rec.gene_test == 0:
-                    w[rec.individual_id] = PosteriorWeights(0.0, 0.0, 1.0)
-                else:
-                    w[rec.individual_id] = PosteriorWeights(0.7, 0.3, 0.0)
-            weights.append(w)
-        data = build_weighted_dataset(fams, weights)
-        trimmed = [o for o in data if o.weight > 0]
-        fit_full = cox_fit(data)
-        fit_trim = cox_fit(trimmed)
-        assert fit_full.beta_hat == pytest.approx(fit_trim.beta_hat, abs=1e-12)
+        tested_negative = np.array([rec.gene_test == 0 for fam in fams for rec in fam])
+        w_pat = np.where(tested_negative, 0.0, 0.7)
+        w_mat = np.where(tested_negative, 0.0, 0.3)
+        time2, status2, X, rows = _dataset_arrays(fams)
+        weights2n = np.concatenate((w_pat[rows], w_mat[rows]))
+        keep = weights2n > 0
+        full = CoxProblem(time2, status2, X).fit(weights2n)[0]
+        trimmed = CoxProblem(time2[keep], status2[keep], X[keep]).fit(weights2n[keep])[0]
+        assert full[0] == pytest.approx(trimmed[0], abs=1e-12)
 
     def test_suppressed_records_excluded(self):
-        fam = informative_family()
         corrected, _ = apply_proband_correction(
             [
                 Pedigree(
@@ -94,9 +96,10 @@ class TestWeightedDataset:
                 )
             ]
         )
-        weights = [{"p": PosteriorWeights(0.5, 0.5, 0.0), "q": PosteriorWeights(0.2, 0.2, 0.6)}]
-        rows = build_weighted_dataset(corrected, weights)
-        assert len(rows) == 2  # only the non-proband remains, twice
+        time2, _, _, rows = _dataset_arrays(corrected)
+        assert len(time2) == 2  # only the non-proband remains, twice
+        np.testing.assert_array_equal(rows, [1])
+        np.testing.assert_array_equal(time2, [60.0, 60.0])
 
 
 class TestProbandCorrection:
@@ -129,11 +132,16 @@ class TestProbandCorrection:
         assert result.weights["c"].w_zero > 0.0
 
     def test_correction_off_is_identity(self):
-        fams, _ = simulate_families(4, beta=-0.6, q=0.2, scenario="S1", seed=3)
+        # without the correction a proband flag changes nothing
+        fams, _ = simulate_families(
+            4, beta=-0.6, q=0.2, scenario="S1", seed=3, mark_probands=True
+        )
         params = ModelParams(q=0.2, beta=-0.6, baseline=DEFAULT_HAZARD)
+        assert any(rec.proband for fam in fams for rec in fam)
         for fam in fams:
             plain = posterior_marginals(fam, params)
-            again = posterior_marginals(fam, params, suppress_proband_phenotype=False)
+            unflagged = Pedigree([replace(rec, proband=False) for rec in fam])
+            again = posterior_marginals(unflagged, params)
             np.testing.assert_array_equal(plain.marginals, again.marginals)
 
     def test_log_evidence_changes_when_proband_informative(self):
@@ -146,7 +154,8 @@ class TestProbandCorrection:
             if not any(r.proband for r in fam):
                 continue
             plain = posterior_marginals(fam, params)
-            suppressed = posterior_marginals(fam, params, suppress_proband_phenotype=True)
+            (corrected,), _ = apply_proband_correction([fam])
+            suppressed = posterior_marginals(corrected, params)
             if abs(plain.log_evidence - suppressed.log_evidence) > 1e-9:
                 changed += 1
         assert changed > 0
@@ -179,7 +188,7 @@ class TestEMFit:
                 checked += 1
         assert checked > 10
 
-    def test_fully_resolved_origins_match_direct_cox_fit(self):
+    def test_fully_resolved_origins_match_direct_cox_problem(self):
         # Oracle constraints resolve every origin, so the EM's coefficient
         # equals a direct Cox fit on the true-label rows
         from poosurv import oracle_constraints
@@ -191,15 +200,12 @@ class TestEMFit:
         records = {
             (fam.family_id, rec.individual_id): rec for fam in fams for rec in fam
         }
-        direct = []
-        for t in truth:
-            if t.genotype == Genotype.NON_CARRIER:
-                continue
-            rec = records[(t.family_id, t.individual_id)]
-            origin = "pat" if t.genotype == Genotype.HET_PATERNAL else "mat"
-            direct.append(WeightedObservation(rec.age, rec.status, origin, (), 1.0))
-        fit = cox_fit(direct)
-        assert result.beta_hat == pytest.approx(fit.beta_hat, abs=1e-7)
+        carriers = [t for t in truth if t.genotype != Genotype.NON_CARRIER]
+        rows = [records[(t.family_id, t.individual_id)] for t in carriers]
+        X = np.array([[float(t.genotype == Genotype.HET_PATERNAL)] for t in carriers])
+        problem = CoxProblem([r.age for r in rows], [r.status for r in rows], X)
+        beta_hat = problem.fit(np.ones(len(rows)))[0][0]
+        assert result.beta_hat == pytest.approx(beta_hat, abs=1e-7)
 
     def test_no_events_is_mstep_rank_failure(self):
         fam = Pedigree(
@@ -263,8 +269,23 @@ class TestEMFit:
         assert [r.index for r in rows] == list(range(1, len(rows) + 1))
         assert all(len(r.survival) == len(config.test_ages) for r in rows)
         assert all(np.isfinite(r.log_evidence) for r in rows)
+        assert all(np.isfinite(r.log_likelihood) for r in rows)
         assert rows[0].max_change == float("inf")
         assert isinstance(result.trace.warnings, list)
+
+    @pytest.mark.parametrize(
+        "scenario, correction", [("S0", False), ("S1", False), ("S1", True)]
+    )
+    def test_log_likelihood_is_monotone(self, scenario, correction):
+        fams, _ = simulate_families(
+            100, beta=-0.6, q=0.2, scenario=scenario, seed=31, mark_probands=correction
+        )
+        config = EMConfig(q=0.2, seed=5, proband_correction=correction)
+        result = em_fit(fams, config)
+        steps = np.diff([row.log_likelihood for row in result.trace.iterations])
+        assert result.iterations > 5
+        assert np.all(steps >= 0.0), steps.min()
+        assert not any("decreased" in w for w in result.trace.warnings)
 
     def test_fit_result_survival_curves(self):
         fams, _ = simulate_families(20, beta=-0.6, q=0.2, scenario="S2", seed=40)
@@ -280,14 +301,12 @@ class TestEMFit:
         # attach a noise covariate to simulated families: the EM must carry
         # it through the evidence factors and the M-step design, and its
         # estimate should be near zero
-        from dataclasses import replace as dc_replace
-
         fams, _ = simulate_families(150, beta=-0.6, q=0.2, scenario="S1", seed=44)
         rng = np.random.default_rng(44)
         with_cov = []
         for fam in fams:
             records = [
-                dc_replace(rec, covariates=(float(rng.normal()),)) for rec in fam
+                replace(rec, covariates=(float(rng.normal()),)) for rec in fam
             ]
             with_cov.append(Pedigree(records))
         config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=3)

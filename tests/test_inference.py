@@ -18,6 +18,7 @@ from poosurv import (
     Pedigree,
     Sex,
     ZeroEvidenceError,
+    apply_proband_correction,
     brute_force_marginals,
     build_clique_tree,
     parse_ped,
@@ -242,7 +243,7 @@ class TestPosteriorMarginals:
         with pytest.raises(ZeroEvidenceError):
             brute_force_marginals(ped, params)
 
-    def test_suppress_proband_phenotype_changes_evidence(self):
+    def test_suppressed_proband_phenotype_changes_evidence(self):
         ped = Pedigree(
             [
                 make_record("S", "f", sex=Sex.MALE, age=70.0),
@@ -254,7 +255,8 @@ class TestPosteriorMarginals:
         )
         params = ModelParams(q=0.2, beta=-0.6, baseline=DEFAULT_HAZARD)
         plain = posterior_marginals(ped, params)
-        suppressed = posterior_marginals(ped, params, suppress_proband_phenotype=True)
+        (corrected,), _ = apply_proband_correction([ped])
+        suppressed = posterior_marginals(corrected, params)
         assert suppressed.log_evidence != pytest.approx(plain.log_evidence)
         assert plain.weights["c"].w_zero == 0.0
         assert suppressed.weights["c"].w_zero > 0.0
@@ -423,20 +425,24 @@ def mixed_cohorts(draw):
 @given(mixed_cohorts(), st.randoms(use_true_random=False))
 def test_engine_matches_brute_force_on_mixed_cohorts(cohort, random):
     families, constraints, params, suppress = cohort
-    options = dict(
-        suppress_proband_phenotype=suppress, genotype_constraints=constraints or None
-    )
+    if suppress:
+        families, _ = apply_proband_correction(families)
+    constraints = constraints or None
     expected, impossible = {}, set()
     for ped in families:
         try:
-            expected[ped.family_id] = brute_force_marginals(ped, params, **options)
+            expected[ped.family_id] = brute_force_marginals(
+                ped, params, genotype_constraints=constraints
+            )
         except ZeroEvidenceError:
             impossible.add(ped.family_id)
 
     order = list(range(len(families)))
     runs = []
     for _ in range(2):  # as given, then shuffled
-        engine = MarginalEngine([families[i] for i in order], **options)
+        engine = MarginalEngine(
+            [families[i] for i in order], genotype_constraints=constraints
+        )
         if impossible:
             with pytest.raises(ZeroEvidenceError) as exc:
                 engine.run(params)

@@ -1,10 +1,14 @@
 """Parsing, validation, and round-trip tests for the PED phenotype format."""
 
 import io
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poosurv import (
+    IndividualRecord,
     PedigreeError,
     Pedigree,
     Sex,
@@ -129,6 +133,55 @@ def test_round_trip_preserves_float_ages_and_covariates():
     again = parse_ped(format_ped([fam]))[0]
     assert again.record("1").age == 33.51234567890123
     assert again.record("1").covariates == (-2.718281828459045,)
+
+
+IDS = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=4).filter(
+    lambda token: token != "0"
+)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ped_cohorts(draw):
+    """Families with any ids, ages, covariates, tests and probands, rows shuffled."""
+    n_cov = draw(st.integers(0, 3))
+    family_ids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    families = []
+    for family_id in family_ids:
+        ids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
+        records = []
+        for ident in ids:
+            males = [r.individual_id for r in records if r.sex == Sex.MALE]
+            females = [r.individual_id for r in records if r.sex == Sex.FEMALE]
+            father = mother = None
+            if males and females and draw(st.booleans()):
+                father = draw(st.sampled_from(males))
+                mother = draw(st.sampled_from(females))
+            records.append(IndividualRecord(
+                family_id, ident, father, mother,
+                draw(st.sampled_from([Sex.MALE, Sex.FEMALE])),
+                draw(st.floats(min_value=0.0, allow_infinity=False)),
+                draw(st.integers(0, 1)),
+                draw(st.sampled_from([None, 0, 1])),
+                draw(st.booleans()),
+                tuple(draw(st.lists(FLOATS, min_size=n_cov, max_size=n_cov))),
+            ))
+        families.append(Pedigree(draw(st.permutations(records))))
+    return families
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ped_cohorts())
+def test_round_trip_property(families):
+    again = parse_ped(format_ped(families))
+    assert [f.family_id for f in again] == [f.family_id for f in families]
+    for a, b in zip(families, again):
+        assert b.individuals == a.individuals
+        # equality alone would let -0.0 stand in for 0.0
+        assert [repr(r.age) for r in b] == [repr(r.age) for r in a]
+        assert [tuple(map(repr, r.covariates)) for r in b] == [
+            tuple(map(repr, r.covariates)) for r in a
+        ]
 
 
 def test_founder_set_matches_absent_parents():

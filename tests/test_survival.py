@@ -7,66 +7,56 @@ import pytest
 
 from poosurv import (
     BaselineHazard,
+    CoxFit,
     CoxProblem,
     MonotoneLikelihoodError,
     RankDeficiencyError,
-    WeightedObservation,
-    breslow_baseline,
-    cox_fit,
     survival_curve,
     wald_test,
 )
 
 
 def random_dataset(rng, n=60, n_cov=1, with_ties=True, zero_weights=True):
+    """Arrays (time, status, X, w); the first column of X is the paternal flag."""
     times = rng.uniform(1.0, 30.0, size=n)
     if with_ties:
         # force duplicated event times to exercise tie handling
         times[: n // 4] = np.round(times[: n // 4])
     status = (rng.random(n) < 0.6).astype(int)
-    poo = np.where(rng.random(n) < 0.5, "pat", "mat")
+    pat = (rng.random(n) < 0.5).astype(float)
     covs = rng.normal(size=(n, n_cov))
     weights = rng.uniform(0.05, 2.0, size=n)
     if zero_weights:
         weights[rng.random(n) < 0.1] = 0.0
-    data = [
-        WeightedObservation(
-            float(times[i]), int(status[i]), str(poo[i]),
-            tuple(covs[i]), float(weights[i]),
-        )
-        for i in range(n)
-    ]
-    return data
+    return times, status, np.column_stack([pat, covs]), weights
 
 
-def design_arrays(data):
-    time = np.array([o.time for o in data])
-    status = np.array([o.status for o in data])
-    X = np.column_stack(
-        [
-            [1.0 if o.poo == "pat" else 0.0 for o in data],
-        ]
-        + [np.array([o.covariates[j] for o in data]) for j in range(len(data[0].covariates))]
-    )
-    w = np.array([o.weight for o in data])
-    return time, status, X, w
+def fit_cox(time, status, X, w, init=None) -> CoxFit:
+    coefs, covariance, loglik, n_steps = CoxProblem(time, status, X).fit(w, init=init)
+    return CoxFit(float(coefs[0]), coefs[1:], covariance, loglik, n_steps)
 
 
-def naive_partial_loglik(data, coefs):
+def two_group(rows):
+    """Arrays from (time, status, origin) rows with unit weights."""
+    time = np.array([float(t) for t, _, _ in rows])
+    status = np.array([d for _, d, _ in rows])
+    X = np.array([[1.0 if origin == "pat" else 0.0] for _, _, origin in rows])
+    return time, status, X, np.ones(len(rows))
+
+
+def naive_partial_loglik(time, status, X, w, coefs):
     """Independent O(n^2) evaluation of the weighted Breslow partial likelihood."""
     coefs = np.asarray(coefs)
+    n = len(time)
     total = 0.0
-    event_times = sorted({o.time for o in data if o.status == 1 and o.weight > 0})
+    event_times = sorted({time[i] for i in range(n) if status[i] == 1 and w[i] > 0})
     for t in event_times:
         denom = sum(
-            o.weight * math.exp(float(np.dot([1.0 if o.poo == "pat" else 0.0, *o.covariates], coefs)))
-            for o in data
-            if o.time >= t
+            w[i] * math.exp(float(np.dot(X[i], coefs))) for i in range(n) if time[i] >= t
         )
-        for o in data:
-            if o.status == 1 and o.time == t and o.weight > 0:
-                x = np.array([1.0 if o.poo == "pat" else 0.0, *o.covariates])
-                total += o.weight * (float(x @ coefs) - math.log(denom))
+        for i in range(n):
+            if status[i] == 1 and time[i] == t and w[i] > 0:
+                total += w[i] * (float(X[i] @ coefs) - math.log(denom))
     return total
 
 
@@ -75,8 +65,7 @@ class TestDerivatives:
         rng = np.random.default_rng(42)
         h_score, h_info = 1e-5, 1e-5
         for _ in range(10):
-            data = random_dataset(rng, n=50, n_cov=rng.integers(0, 3))
-            time, status, X, w = design_arrays(data)
+            time, status, X, w = random_dataset(rng, n=50, n_cov=rng.integers(0, 3))
             problem = CoxProblem(time, status, X)
             coefs = rng.normal(scale=0.5, size=X.shape[1])
             loglik, score, info = problem.evaluate(coefs, w)
@@ -104,138 +93,131 @@ class TestDerivatives:
     def test_loglik_matches_naive_double_loop(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            data = random_dataset(rng, n=30, n_cov=1)
-            time, status, X, w = design_arrays(data)
+            time, status, X, w = random_dataset(rng, n=30, n_cov=1)
             problem = CoxProblem(time, status, X)
             coefs = rng.normal(scale=0.5, size=2)
             loglik, _, _ = problem.evaluate(coefs, w)
-            assert loglik == pytest.approx(naive_partial_loglik(data, coefs), rel=1e-10)
+            expected = naive_partial_loglik(time, status, X, w, coefs)
+            assert loglik == pytest.approx(expected, rel=1e-10)
 
 
 class TestFit:
     def test_two_point_likelihood_shape_and_divergence(self):
         # events in both groups but perfectly separated in time: the partial
         # likelihood is beta - log(exp(beta) + 1), monotone increasing
-        data = [
-            WeightedObservation(1.0, 1, "pat"),
-            WeightedObservation(2.0, 1, "mat"),
-        ]
-        time, status, X, w = design_arrays(data)
+        time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 1, "mat")])
         problem = CoxProblem(time, status, X)
         for b in (-1.0, 0.0, 0.7, 2.5):
             ll, _, _ = problem.evaluate(np.array([b]), w)
             assert ll == pytest.approx(b - math.log(math.exp(b) + 1.0), rel=1e-12)
         with pytest.raises(MonotoneLikelihoodError):
-            cox_fit(data)
+            problem.fit(w)
 
     def test_single_group_events_rank_deficient(self):
-        data = [
-            WeightedObservation(1.0, 1, "pat"),
-            WeightedObservation(2.0, 0, "mat"),
-            WeightedObservation(3.0, 1, "pat"),
-        ]
+        time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 0, "mat"), (3.0, 1, "pat")])
         with pytest.raises(RankDeficiencyError):
-            cox_fit(data)
+            CoxProblem(time, status, X).fit(w)
 
     def test_zero_weight_events_do_not_count_for_rank(self):
-        data = [
-            WeightedObservation(1.0, 1, "pat"),
-            WeightedObservation(2.0, 1, "mat", weight=0.0),
-            WeightedObservation(3.0, 0, "mat"),
-        ]
+        time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 1, "mat"), (3.0, 0, "mat")])
+        w[1] = 0.0
         with pytest.raises(RankDeficiencyError):
-            cox_fit(data)
+            CoxProblem(time, status, X).fit(w)
 
     def test_recovers_generator_within_3_se_and_score_small(self):
         rng = np.random.default_rng(2024)
         beta_true = -0.7
         n = 200
-        poo = np.where(rng.random(n) < 0.5, "pat", "mat")
-        rate = np.exp(np.where(poo == "pat", beta_true, 0.0))
+        pat = rng.random(n) < 0.5
+        rate = np.exp(np.where(pat, beta_true, 0.0))
         event = rng.exponential(1.0 / rate)
         censor = rng.uniform(0.5, 4.0, size=n)
-        data = [
-            WeightedObservation(
-                float(min(event[i], censor[i])),
-                int(event[i] <= censor[i]),
-                str(poo[i]),
-            )
-            for i in range(n)
-        ]
-        fit = cox_fit(data)
+        time = np.minimum(event, censor)
+        status = (event <= censor).astype(int)
+        X = pat.astype(float)[:, None]
+        w = np.ones(n)
+        fit = fit_cox(time, status, X, w)
         se = fit.std_errors[0]
         assert abs(fit.beta_hat - beta_true) < 3 * se
-        time, status, X, w = design_arrays(data)
         problem = CoxProblem(time, status, X)
         _, score, _ = problem.evaluate(fit.coefficients, w)
         assert np.max(np.abs(score)) < 1e-8
         # independent grid-search maximizer over the naive likelihood; the
         # 3-se check above justifies bracketing the search around beta_hat
         grid = np.arange(fit.beta_hat - 0.3, fit.beta_hat + 0.3, 0.002)
-        values = [naive_partial_loglik(data, [b]) for b in grid]
+        values = [naive_partial_loglik(time, status, X, w, [b]) for b in grid]
         assert abs(grid[int(np.argmax(values))] - fit.beta_hat) < 0.002
 
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(5)
-        data = random_dataset(rng, n=60, n_cov=1, zero_weights=False)
+        time, status, X, w = random_dataset(rng, n=60, n_cov=1, zero_weights=False)
         c = 3.7
-        scaled = [
-            WeightedObservation(o.time, o.status, o.poo, o.covariates, o.weight * c)
-            for o in data
-        ]
-        fit1, fit2 = cox_fit(data), cox_fit(scaled)
+        fit1, fit2 = fit_cox(time, status, X, w), fit_cox(time, status, X, w * c)
         assert fit2.beta_hat == pytest.approx(fit1.beta_hat, abs=1e-10)
         np.testing.assert_allclose(fit2.gamma_hat, fit1.gamma_hat, atol=1e-10)
         np.testing.assert_allclose(fit2.covariance, fit1.covariance / c, rtol=1e-8)
-        b1 = breslow_baseline(data, fit1)
-        b2 = breslow_baseline(scaled, fit2)
+        problem = CoxProblem(time, status, X)
+        b1 = problem.breslow(w, fit1.coefficients)
+        b2 = problem.breslow(w * c, fit2.coefficients)
         ages = np.linspace(0, 30, 40)
         np.testing.assert_allclose(b2.cumulative(ages), b1.cumulative(ages), atol=1e-10)
 
     def test_duplication_equals_double_weight(self):
         rng = np.random.default_rng(6)
-        data = random_dataset(rng, n=40, n_cov=1, zero_weights=False)
-        doubled = [
-            WeightedObservation(o.time, o.status, o.poo, o.covariates, 2 * o.weight)
-            if i == 7
-            else o
-            for i, o in enumerate(data)
-        ]
-        duplicated = data + [data[7]]
-        fit_doubled = cox_fit(doubled)
-        fit_duplicated = cox_fit(duplicated)
+        time, status, X, w = random_dataset(rng, n=40, n_cov=1, zero_weights=False)
+        doubled = w.copy()
+        doubled[7] *= 2
+        fit_doubled = fit_cox(time, status, X, doubled)
+        fit_duplicated = fit_cox(
+            np.append(time, time[7]), np.append(status, status[7]),
+            np.vstack([X, X[7]]), np.append(w, w[7]),
+        )
         assert fit_duplicated.beta_hat == pytest.approx(fit_doubled.beta_hat, abs=1e-10)
         assert fit_duplicated.log_partial_likelihood == pytest.approx(
             fit_doubled.log_partial_likelihood, abs=1e-9
         )
 
+    def test_step_acceptance_is_stable_under_weight_rounding(self):
+        # A log-likelihood near -2e4 has an ulp of about 4e-12, so an
+        # absolute acceptance slack of 1e-12 let one-ulp weight changes
+        # decide between taking and halving a Newton step.
+        n = 4000
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            time = np.tile(rng.uniform(20.0, 80.0, size=n), 2)
+            status = np.tile((rng.random(n) < 0.5).astype(int), 2)
+            X = np.zeros((2 * n, 1))
+            X[:n, 0] = 1.0
+            w = rng.uniform(0.0, 1.0, size=2 * n)
+            nudged = w * (1.0 + rng.integers(-1, 2, size=2 * n) * 2.2e-16)
+            problem = CoxProblem(time, status, X)
+            beta = problem.fit(w, init=[0.3])[0][0]
+            beta_nudged = problem.fit(nudged, init=[0.3])[0][0]
+            assert abs(beta - beta_nudged) <= 1e-12, seed
+
 
 class TestBreslow:
     def test_single_event_unit_jump(self):
-        data = [WeightedObservation(5.0, 1, "mat")]
-        baseline = CoxProblem(*design_arrays(data)[:3]).breslow(
-            np.array([1.0]), np.array([0.0])
-        )
+        baseline = CoxProblem([5.0], [1], [[0.0]]).breslow(np.array([1.0]), np.array([0.0]))
         np.testing.assert_array_equal(baseline.times, [5.0])
         np.testing.assert_allclose(baseline.increments, [1.0])
 
     def test_event_plus_censored_half_jump(self):
-        data = [
-            WeightedObservation(5.0, 1, "mat"),
-            WeightedObservation(7.0, 0, "mat"),
-        ]
-        time, status, X, w = design_arrays(data)
+        time, status, X, w = two_group([(5.0, 1, "mat"), (7.0, 0, "mat")])
         baseline = CoxProblem(time, status, X).breslow(w, np.zeros(1))
         np.testing.assert_array_equal(baseline.times, [5.0])
         np.testing.assert_allclose(baseline.increments, [0.5])
 
     def test_zero_weight_events_add_no_jump(self):
         rng = np.random.default_rng(8)
-        data = random_dataset(rng, n=40, zero_weights=False)
-        extra = data + [WeightedObservation(4.321, 1, "pat", data[0].covariates, 0.0)]
-        fit = cox_fit(data)
-        b1 = breslow_baseline(data, fit)
-        b2 = breslow_baseline(extra, fit)
+        time, status, X, w = random_dataset(rng, n=40, zero_weights=False)
+        fit = fit_cox(time, status, X, w)
+        b1 = CoxProblem(time, status, X).breslow(w, fit.coefficients)
+        extra = CoxProblem(
+            np.append(time, 4.321), np.append(status, 1),
+            np.vstack([X, [1.0, *X[0, 1:]]]),
+        )
+        b2 = extra.breslow(np.append(w, 0.0), fit.coefficients)
         ages = np.linspace(0, 35, 50)
         np.testing.assert_allclose(b2.cumulative(ages), b1.cumulative(ages), atol=1e-12)
 
@@ -243,17 +225,14 @@ class TestBreslow:
         rng = np.random.default_rng(13)
         times = rng.uniform(1, 20, size=80)
         status = (rng.random(80) < 0.5).astype(int)
-        data = [
-            WeightedObservation(float(times[i]), int(status[i]), "mat")
-            for i in range(80)
-        ]
-        time, st, X, w = design_arrays(data)
-        baseline = CoxProblem(time, st, X).breslow(np.ones(80), np.zeros(1))
+        baseline = CoxProblem(times, status, np.zeros((80, 1))).breslow(
+            np.ones(80), np.zeros(1)
+        )
         # straight Nelson-Aalen: d_i / n_i at each distinct event time
         cum = 0.0
-        for t in sorted({x.time for x in data if x.status == 1}):
-            d = sum(1 for x in data if x.status == 1 and x.time == t)
-            n_at_risk = sum(1 for x in data if x.time >= t)
+        for t in sorted(set(times[status == 1])):
+            d = int(np.sum((status == 1) & (times == t)))
+            n_at_risk = int(np.sum(times >= t))
             cum += d / n_at_risk
             assert baseline.cumulative(t) == pytest.approx(cum, rel=1e-12)
 
@@ -286,28 +265,25 @@ class TestCurvesAndWald:
         assert np.all(np.diff(values) <= 1e-15)
 
     def test_wald_zero_coefficient(self):
-        fit = cox_fit(
-            [
-                WeightedObservation(1.0, 1, "pat"),
-                WeightedObservation(1.0, 1, "mat"),
-                WeightedObservation(2.0, 0, "pat"),
-                WeightedObservation(2.0, 0, "mat"),
-            ]
+        fit = fit_cox(
+            *two_group([(1.0, 1, "pat"), (1.0, 1, "mat"), (2.0, 0, "pat"), (2.0, 0, "mat")])
         )
         z, p = wald_test(fit, 0)
         assert abs(fit.beta_hat) < 1e-8
         assert p == pytest.approx(1.0, abs=1e-6)
 
     def test_wald_quantile(self):
-        fit = cox_fit(
-            [
-                WeightedObservation(1.0, 1, "pat"),
-                WeightedObservation(1.5, 1, "mat"),
-                WeightedObservation(2.0, 0, "pat"),
-                WeightedObservation(2.5, 0, "mat"),
-                WeightedObservation(3.0, 1, "pat"),
-                WeightedObservation(3.5, 1, "mat"),
-            ]
+        fit = fit_cox(
+            *two_group(
+                [
+                    (1.0, 1, "pat"),
+                    (1.5, 1, "mat"),
+                    (2.0, 0, "pat"),
+                    (2.5, 0, "mat"),
+                    (3.0, 1, "pat"),
+                    (3.5, 1, "mat"),
+                ]
+            )
         )
         se = fit.std_errors[0]
         synthetic = fit
