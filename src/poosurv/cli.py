@@ -1,8 +1,8 @@
 """Command-line front end: simulate, fit, replicate, check-oracle, curve.
 
-Every subcommand writes a JSON config echo (resolved parameters, seed, and
-package version) alongside its outputs, and is deterministic given its
-arguments. Exit codes: 0 success, 2 validation error, 3 numerical failure,
+Every subcommand that writes files also writes a JSON config echo of the
+parameters click resolved and the package version, and every subcommand is
+deterministic given its arguments. Exit codes: 0 success, 2 validation error, 3 numerical failure,
 4 I/O error.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,10 +21,16 @@ import numpy as np
 from . import __version__
 from .em import EMConfig, EMError, bootstrap_em, em_fit
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
-from .inference import InferenceError, brute_force_marginals, posterior_marginals
+from .inference import (
+    DEFAULT_ENUMERATION_CAP,
+    InferenceError,
+    brute_force_marginals,
+    posterior_marginals,
+)
 from .pedigree import PedigreeError, parse_ped, format_ped
 from .simulate import (
     DEFAULT_HAZARD,
+    DEFAULT_Q,
     HazardSpec,
     Scenario,
     format_truth,
@@ -49,6 +56,7 @@ def _fail(code: int, message: str):
 
 
 def _guarded(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -59,13 +67,21 @@ def _guarded(fn):
         except OSError as err:
             _fail(EXIT_IO, str(err))
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
-def _write_config_echo(path: Path, command: str, params: dict):
-    echo = {"command": command, "version": __version__, "parameters": params}
+def _write_config_echo(path: Path, **resolved):
+    """Write the running command's parameters as click resolved them.
+
+    ``resolved`` replaces the raw text of options that the command parsed
+    (hazards, ages, cases, scenarios) with their parsed values.
+    """
+    ctx = click.get_current_context()
+    echo = {
+        "command": ctx.info_name,
+        "version": __version__,
+        "parameters": {**ctx.params, **resolved},
+    }
     path.write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
@@ -102,44 +118,35 @@ def main():
 
 
 @main.command()
-@click.option("--families", "n_families", type=int, required=True, help="Number of families.")
+@click.option("--families", type=int, required=True, help="Number of families.")
 @click.option("--beta", type=float, required=True, help="Paternal-origin log hazard ratio.")
-@click.option("--q", type=float, default=0.2, show_default=True, help="Disease allele frequency.")
+@click.option("--q", type=float, default=DEFAULT_Q, show_default=True, help="Disease allele frequency.")
 @click.option("--scenario", type=click.Choice([s.value for s in Scenario], case_sensitive=False), required=True)
-@click.option("--hazard", "hazard_text", default=None, help="Piecewise hazard as start:rate,... (default: built-in study table).")
+@click.option("--hazard", default=None, help="Piecewise hazard as start:rate,... (default: built-in study table).")
 @click.option("--mark-probands", is_flag=True, help="Flag the first affected member of each family as proband.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
+@click.option("--out", type=click.Path(file_okay=False), required=True)
 @_guarded
-def simulate(n_families, beta, q, scenario, hazard_text, mark_probands, seed, out_dir):
+def simulate(families, beta, q, scenario, hazard, mark_probands, seed, out):
     """Simulate families and write pedigree.ped plus truth.tsv (and oracle.tsv)."""
-    scenario = Scenario.parse(scenario)
-    hazard = _parse_hazard(hazard_text)
-    families, truth = simulate_families(
-        n_families, beta, q, hazard=hazard, scenario=scenario, seed=seed,
+    scenario = Scenario(scenario)
+    hazard = _parse_hazard(hazard)
+    pedigrees, truth = simulate_families(
+        families, beta, q, hazard=hazard, scenario=scenario, seed=seed,
         mark_probands=mark_probands,
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "pedigree.ped").write_text(format_ped(families))
-    (out / "truth.tsv").write_text(format_truth(truth))
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "pedigree.ped").write_text(format_ped(pedigrees))
+    (out_dir / "truth.tsv").write_text(format_truth(truth))
     if scenario == Scenario.ORACLE:
-        (out / "oracle.tsv").write_text(format_truth(truth))
+        (out_dir / "oracle.tsv").write_text(format_truth(truth))
     _write_config_echo(
-        out / "config.json",
-        "simulate",
-        {
-            "families": n_families,
-            "beta": beta,
-            "q": q,
-            "scenario": scenario.value,
-            "hazard": {"cuts": hazard.cuts, "rates": hazard.rates},
-            "mark_probands": mark_probands,
-            "seed": seed,
-            "out": str(out_dir),
-        },
+        out_dir / "config.json",
+        scenario=scenario.value,
+        hazard={"cuts": hazard.cuts, "rates": hazard.rates},
     )
-    click.echo(f"wrote {n_families} families to {out / 'pedigree.ped'}")
+    click.echo(f"wrote {families} families to {out_dir / 'pedigree.ped'}")
 
 
 def _baseline_to_json(baseline: BaselineHazard):
@@ -149,8 +156,12 @@ def _baseline_to_json(baseline: BaselineHazard):
     }
 
 
+def _baseline_from_json(data) -> BaselineHazard:
+    return BaselineHazard(data["times"], data["increments"])
+
+
 @main.command()
-@click.argument("ped_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("ped", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", type=float, required=True, help="Disease allele frequency.")
 @click.option("--epsilon", type=float, default=DEFAULT_EPSILON, show_default=True, help="Gene-test error rate for carriers.")
 @click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True, help="Gene-test error rate for non-carriers.")
@@ -160,14 +171,14 @@ def _baseline_to_json(baseline: BaselineHazard):
 @click.option("--seed", type=int, default=_EM_DEFAULTS["seed"], show_default=True)
 @click.option("--proband-correction", is_flag=True, help="Suppress proband phenotypes (ascertainment correction).")
 @click.option("--poo-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Oracle sidecar pinning genotype states.")
-@click.option("--bootstrap", "bootstrap_b", type=int, default=None, help="Family bootstrap replicates for honest intervals.")
+@click.option("--bootstrap", type=int, default=None, help="Family bootstrap replicates for honest intervals.")
 @click.option("--jobs", type=int, default=1, show_default=True, help="Concurrency for the bootstrap.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded
-def fit(ped_path, q, epsilon, eta, test_ages, tol, max_iter, seed,
-        proband_correction, poo_file, bootstrap_b, jobs, out_path):
+def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
+        proband_correction, poo_file, bootstrap, jobs, out):
     """Fit the origin-effect survival model to a pedigree file."""
-    families = _load_families(ped_path)
+    families = _load_families(ped)
     constraints = None
     if poo_file:
         constraints = parse_truth(Path(poo_file).read_text())
@@ -209,12 +220,15 @@ def fit(ped_path, q, epsilon, eta, test_ages, tol, max_iter, seed,
             for row in result.trace.iterations
         ],
     }
-    if bootstrap_b:
-        reps = bootstrap_em(families, config, B=bootstrap_b, jobs=jobs)
+    if bootstrap:
+        reps = bootstrap_em(
+            families, config, B=bootstrap, jobs=jobs,
+            genotype_constraints=constraints,
+        )
         usable = [r for r in reps if r.error is None]
         betas = sorted(r.beta_hat for r in usable)
         report["bootstrap"] = {
-            "replicates": bootstrap_b,
+            "replicates": bootstrap,
             "failed": len(reps) - len(usable),
             "beta_hats": betas,
             "beta_ci_95": [
@@ -226,34 +240,17 @@ def fit(ped_path, q, epsilon, eta, test_ages, tol, max_iter, seed,
             "fits": [
                 {
                     "beta_hat": r.beta_hat,
+                    "gamma": [float(g) for g in r.gamma_hat],
                     "baseline": _baseline_to_json(r.baseline),
                 }
                 for r in usable
             ],
         }
-    out = Path(out_path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_config_echo(
-        Path(str(out) + ".config.json"),
-        "fit",
-        {
-            "ped": str(ped_path),
-            "q": q,
-            "epsilon": epsilon,
-            "eta": eta,
-            "test_ages": list(config.test_ages),
-            "tol": tol,
-            "max_iter": max_iter,
-            "seed": seed,
-            "proband_correction": proband_correction,
-            "poo_file": str(poo_file) if poo_file else None,
-            "bootstrap": bootstrap_b,
-            "jobs": jobs,
-            "out": str(out_path),
-        },
-    )
+    out_path = Path(out)
+    if out_path.parent and not out_path.parent.exists():
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_config_echo(Path(out + ".config.json"), test_ages=list(config.test_ages))
     click.echo(
         f"beta_hat={result.beta_hat:.6f} se={report['se_naive']:.6f} "
         f"p={p:.4g} iterations={result.iterations} converged={result.converged}"
@@ -264,36 +261,35 @@ FULL_DESIGN_CASES = ((100, -0.6), (400, -0.6), (100, -1.2))
 
 
 @main.command()
-@click.option("--case", "case_texts", multiple=True, help="Study case as FAMILIES:BETA (repeatable).")
+@click.option("--case", "cases", multiple=True, help="Study case as FAMILIES:BETA (repeatable).")
 @click.option("--full-design", is_flag=True, help="Run the full three-case, four-scenario design.")
-@click.option("--scenarios", default="S0,S1,S2,Oracle", show_default=True)
+@click.option("--scenarios", default=",".join(s.value for s in Scenario), show_default=True)
 @click.option("--replicates", type=int, default=200, show_default=True)
-@click.option("--q", type=float, default=0.2, show_default=True)
+@click.option("--q", type=float, default=DEFAULT_Q, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded
-def replicate(case_texts, full_design, scenarios, replicates, q, seed, jobs, out_path):
+def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
     """Run the scenario replication study and write its results table."""
     if full_design:
-        cases = list(FULL_DESIGN_CASES)
+        case_list = list(FULL_DESIGN_CASES)
     else:
-        if not case_texts:
+        if not cases:
             raise ValueError("provide --case FAMILIES:BETA or --full-design")
-        cases = []
-        for text in case_texts:
+        case_list = []
+        for text in cases:
             try:
                 n_text, beta_text = text.split(":")
-                cases.append((int(n_text), float(beta_text)))
+                case_list.append((int(n_text), float(beta_text)))
             except ValueError:
                 raise ValueError(
                     f"bad case {text!r}; expected FAMILIES:BETA like 400:-0.6"
                 ) from None
-    scenario_list = [Scenario.parse(s) for s in scenarios.split(",")]
+    scenario_list = [Scenario(s) for s in scenarios.split(",")]
     rows = replicate_study(
-        cases, scenario_list, replicates, seed=seed, q=q, jobs=jobs
+        case_list, scenario_list, replicates, seed=seed, q=q, jobs=jobs
     )
-    out = Path(out_path)
     with open(out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
@@ -307,33 +303,25 @@ def replicate(case_texts, full_design, scenarios, replicates, q, seed, jobs, out
                  row.error]
             )
     _write_config_echo(
-        Path(str(out) + ".config.json"),
-        "replicate",
-        {
-            "cases": [[n, b] for n, b in cases],
-            "scenarios": [s.value for s in scenario_list],
-            "replicates": replicates,
-            "q": q,
-            "seed": seed,
-            "jobs": jobs,
-            "out": str(out_path),
-        },
+        Path(out + ".config.json"),
+        cases=[[n, b] for n, b in case_list],
+        scenarios=[s.value for s in scenario_list],
     )
     click.echo(f"wrote {len(rows)} replicate rows to {out}")
 
 
 @main.command("check-oracle")
-@click.argument("ped_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("ped", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", type=float, required=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
 @click.option("--epsilon", type=float, default=DEFAULT_EPSILON, show_default=True)
 @click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True)
-@click.option("--hazard", "hazard_text", default=None, help="Baseline hazard as start:rate,...")
-@click.option("--cap", type=int, default=12, show_default=True, help="Enumeration cap on family size.")
+@click.option("--hazard", default=None, help="Baseline hazard as start:rate,...")
+@click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True, help="Enumeration cap on family size.")
 @_guarded
-def check_oracle(ped_path, q, beta, epsilon, eta, hazard_text, cap):
+def check_oracle(ped, q, beta, epsilon, eta, hazard, cap):
     """Compare clique-tree marginals against brute-force enumeration."""
-    families = _load_families(ped_path)
+    families = _load_families(ped)
     for fam in families:
         if len(fam) > cap:
             raise ValueError(
@@ -341,7 +329,7 @@ def check_oracle(ped_path, q, beta, epsilon, eta, hazard_text, cap):
                 f"enumeration cap {cap}"
             )
     params = ModelParams(
-        q=q, beta=beta, epsilon=epsilon, eta=eta, baseline=_parse_hazard(hazard_text)
+        q=q, beta=beta, epsilon=epsilon, eta=eta, baseline=_parse_hazard(hazard)
     )
     worst = 0.0
     for fam in families:
@@ -360,45 +348,35 @@ def check_oracle(ped_path, q, beta, epsilon, eta, hazard_text, cap):
 
 
 @main.command()
-@click.argument("report_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("report", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ages", default="0:100:1", show_default=True, help="Evaluation grid start:stop:step.")
-@click.option("--z", "z_text", default="", help="Covariate values, comma separated.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
+@click.option("--z", default="", help="Covariate values, comma separated.")
+@click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded
-def curve(report_path, ages, z_text, out_path):
+def curve(report, ages, z, out):
     """Export fitted survival curves (with bootstrap bands when available)."""
-    report = json.loads(Path(report_path).read_text())
+    fitted = json.loads(Path(report).read_text())
     try:
         start, stop, step = (float(v) for v in ages.split(":"))
     except ValueError:
         raise ValueError(f"bad age grid {ages!r}; expected start:stop:step") from None
     grid = np.arange(start, stop + step / 2, step)
-    z = tuple(float(v) for v in z_text.split(",")) if z_text else ()
-    gamma = tuple(report["gamma"])
-    baseline = BaselineHazard(
-        report["baseline"]["times"], report["baseline"]["increments"]
-    )
-    beta_hat = report["beta_hat"]
-    point = {
-        group: survival_curve(baseline, beta_hat, gamma, group=group, z=z)(grid)
-        for group in ("pat", "mat")
-    }
+    z_values = tuple(float(v) for v in z.split(",")) if z else ()
+
+    def curve_of(f, group):
+        try:
+            baseline = _baseline_from_json(f["baseline"])
+            beta, gamma = f["beta_hat"], tuple(f["gamma"])
+        except KeyError as err:
+            raise ValueError(f"{report} is not a fit report of this version: no {err}") from None
+        return survival_curve(baseline, beta, gamma, group=group, z=z_values)(grid)
+
+    point = {group: curve_of(fitted, group) for group in ("pat", "mat")}
     bands = {}
-    fits = (report.get("bootstrap") or {}).get("fits") or []
+    fits = (fitted.get("bootstrap") or {}).get("fits") or []
     if fits:
         for group in ("pat", "mat"):
-            curves = np.stack(
-                [
-                    survival_curve(
-                        BaselineHazard(f["baseline"]["times"], f["baseline"]["increments"]),
-                        f["beta_hat"],
-                        gamma,
-                        group=group,
-                        z=z,
-                    )(grid)
-                    for f in fits
-                ]
-            )
+            curves = np.stack([curve_of(f, group) for f in fits])
             lower = np.percentile(curves, 2.5, axis=0)
             upper = np.percentile(curves, 97.5, axis=0)
             # widen so the band always contains the point curve
@@ -406,7 +384,6 @@ def curve(report_path, ages, z_text, out_path):
                 np.minimum(lower, point[group]),
                 np.maximum(upper, point[group]),
             )
-    out = Path(out_path)
     with open(out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
@@ -424,11 +401,7 @@ def curve(report_path, ages, z_text, out_path):
             else:
                 row += ["", "", "", ""]
             writer.writerow(row)
-    _write_config_echo(
-        Path(str(out) + ".config.json"),
-        "curve",
-        {"report": str(report_path), "ages": ages, "z": z_text, "out": str(out_path)},
-    )
+    _write_config_echo(Path(out + ".config.json"))
     click.echo(f"wrote curves for {grid.size} ages to {out}")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
 from .inference import MarginalEngine, PosteriorWeights
 from .pedigree import Pedigree
-from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem
+from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, survival_curve
 
 __all__ = [
     "EMError",
@@ -35,6 +35,11 @@ __all__ = [
 
 LOG_LIKELIHOOD_SLACK = 1e-6
 
+#: Consecutive below-``tol`` iterations that declare convergence; the window
+#: guards against stopping on a transient plateau and tightens the final
+#: estimate at negligible cost.
+STABLE_WINDOW = 3
+
 
 class EMError(RuntimeError):
     """EM orchestration failure (carries the failing iteration in the message)."""
@@ -46,9 +51,7 @@ class EMConfig:
 
     ``q``, ``epsilon``, and ``eta`` are treated as known. Convergence is
     declared when the baseline survival at every ``test_ages`` entry changes
-    by less than ``tol`` for ``stable_window`` consecutive iterations; the
-    window guards against stopping on a transient plateau and tightens the
-    final estimate at negligible cost.
+    by less than ``tol`` for ``STABLE_WINDOW`` consecutive iterations.
     """
 
     q: float
@@ -56,7 +59,6 @@ class EMConfig:
     eta: float = DEFAULT_ETA
     test_ages: tuple[float, ...] = (20.0, 40.0, 60.0, 80.0)
     tol: float = 3e-4
-    stable_window: int = 3
     max_iter: int = 1000
     seed: int = 0
     proband_correction: bool = False
@@ -70,8 +72,6 @@ class EMConfig:
         object.__setattr__(self, "test_ages", ages)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.stable_window < 1:
-            raise ValueError("stable_window must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,6 @@ class FitResult:
 
     def survival(self, group: str = "mat", z=()):
         """Fitted survival curve for one origin group at covariates ``z``."""
-        from .survival import survival_curve
-
         return survival_curve(
             self.baseline, self.beta_hat, tuple(self.gamma_hat), group=group, z=z
         )
@@ -291,7 +289,7 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
         prev_log_likelihood = log_likelihood
         prev_survival = survival
         below_tol_streak = below_tol_streak + 1 if change < config.tol else 0
-        if below_tol_streak >= config.stable_window:
+        if below_tol_streak >= STABLE_WINDOW:
             converged = True
             break
 
@@ -312,7 +310,7 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
 
 
 def _bootstrap_one(args):
-    families, config, replicate_index = args
+    families, config, genotype_constraints, replicate_index = args
     seed_seq = np.random.SeedSequence((config.seed, replicate_index))
     resample_seed, em_seed = seed_seq.spawn(2)
     rng = np.random.Generator(np.random.Philox(resample_seed))
@@ -320,7 +318,7 @@ def _bootstrap_one(args):
     resampled = [families[i] for i in idx]
     rep_config = replace(config, seed=int(em_seed.generate_state(1)[0]))
     try:
-        result = em_fit(resampled, rep_config)
+        result = em_fit(resampled, rep_config, genotype_constraints=genotype_constraints)
     except (CoxError, EMError) as err:
         return BootstrapReplicate(
             beta_hat=float("nan"),
@@ -337,18 +335,20 @@ def _bootstrap_one(args):
     )
 
 
-def bootstrap_em(families, config: EMConfig, B: int = 200,
-                 jobs: int = 1) -> list[BootstrapReplicate]:
+def bootstrap_em(families, config: EMConfig, B: int = 200, jobs: int = 1,
+                 genotype_constraints=None) -> list[BootstrapReplicate]:
     """Family-level nonparametric bootstrap of the full EM fit.
 
     Families are resampled with replacement and the whole EM rerun per
     replicate; percentile intervals over the replicates give honest
     uncertainty for the origin effect and the survival curves. Each
     replicate uses an independent deterministic substream, so results do
-    not depend on ``jobs``.
+    not depend on ``jobs``. ``genotype_constraints`` are applied to every
+    replicate's fit as in :func:`em_fit`; being keyed by (family_id,
+    individual_id), they also pin resampled duplicates of a family.
     """
     families = list(families)
-    tasks = [(families, config, r) for r in range(B)]
+    tasks = [(families, config, genotype_constraints, r) for r in range(B)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import BaselineHazard
-
 __all__ = [
     "Genotype",
     "GENOTYPE_LABELS",

@@ -56,11 +56,12 @@ class Scenario(str, enum.Enum):
     ORACLE = "Oracle"
 
     @classmethod
-    def parse(cls, text: str) -> "Scenario":
+    def _missing_(cls, value):
+        # case-insensitive lookup; None makes Enum raise its ValueError
         for member in cls:
-            if member.value.lower() == str(text).lower():
+            if member.value.lower() == str(value).lower():
                 return member
-        raise ValueError(f"unknown scenario {text!r}")
+        return None
 
 
 class HazardSpec:
@@ -115,6 +116,9 @@ class HazardSpec:
 #: Onset hazard used throughout the scenario study: nothing before age 20,
 #: then 0.02/yr on [20, 40), 0.10/yr on [40, 60), 0.05/yr afterwards.
 DEFAULT_HAZARD = HazardSpec((0.0, 20.0, 40.0, 60.0), (0.0, 0.02, 0.10, 0.05))
+
+#: Disease allele frequency of the scenario study.
+DEFAULT_Q = 0.2
 
 #: (individual_id, father_id, mother_id, sex) rows of the fixed family layout.
 FAMILY_TEMPLATE = (
@@ -228,7 +232,7 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     """
     if n < 1:
         raise ValueError("need at least one family")
-    scenario = Scenario.parse(scenario) if not isinstance(scenario, Scenario) else scenario
+    scenario = Scenario(scenario)
     root = _as_seedseq(seed)
     truth_root, mask_root = root.spawn(2)
     truth_seeds = truth_root.spawn(n)
@@ -250,7 +254,7 @@ def apply_scenario_mask(families, truth, scenario, seed):
     unaffected individual with probability 0.1; S2 and Oracle reveal
     everyone. Returns new pedigrees; the truth list is not modified.
     """
-    scenario = Scenario.parse(scenario) if not isinstance(scenario, Scenario) else scenario
+    scenario = Scenario(scenario)
     carrier = {
         (t.family_id, t.individual_id): t.genotype != Genotype.NON_CARRIER
         for t in truth
@@ -328,9 +332,8 @@ def _case_label(n_families, beta) -> str:
 
 
 def _run_replicate(args) -> ReplicateRow:
-    (master_seed, case_index, n_families, beta, scenario_value,
+    (master_seed, case_index, n_families, beta, scenario,
      replicate_index, q, hazard, em_overrides) = args
-    scenario = Scenario.parse(scenario_value)
     sim_entropy = (master_seed, case_index, replicate_index)
     families, truth = simulate_families(
         n_families, beta, q, hazard=hazard, scenario=scenario, seed=sim_entropy
@@ -366,7 +369,7 @@ def _run_replicate(args) -> ReplicateRow:
     )
 
 
-def replicate_study(cases, scenarios, replicates, seed=0, q=0.2,
+def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
                     hazard=DEFAULT_HAZARD, em_overrides=None,
                     jobs: int = 1) -> list[ReplicateRow]:
     """Simulate and fit every (case, scenario, replicate) combination.
@@ -382,16 +385,14 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=0.2,
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    scenarios = [
-        s if isinstance(s, Scenario) else Scenario.parse(s) for s in scenarios
-    ]
+    scenarios = [Scenario(s) for s in scenarios]
     tasks = []
     for case_index, (n_families, beta) in enumerate(cases):
         for scenario in scenarios:
             for replicate_index in range(replicates):
                 tasks.append(
                     (seed, case_index, int(n_families), float(beta),
-                     scenario.value, replicate_index, q, hazard,
+                     scenario, replicate_index, q, hazard,
                      dict(em_overrides or {}))
                 )
     if jobs > 1:

@@ -2,13 +2,23 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poosurv import EMConfig, format_ped
+from poosurv import (
+    BaselineHazard,
+    EMConfig,
+    Pedigree,
+    bootstrap_em,
+    format_ped,
+    parse_ped,
+    parse_truth,
+    survival_curve,
+)
 from poosurv.cli import main
 
 from test_inference import random_pedigree
@@ -187,6 +197,27 @@ class TestFitCommand:
         assert report["converged"]
         assert report["iterations"] <= 6  # hard evidence pins the weights
 
+    def test_poo_file_constrains_bootstrap(self, runner, tmp_path):
+        sim = tmp_path / "oracle_sim"
+        run_ok(
+            runner,
+            ["simulate", "--families", "60", "--beta", "-0.6",
+             "--scenario", "Oracle", "--seed", "4", "--out", str(sim)],
+        )
+        args = ["fit", str(sim / "pedigree.ped"), "--q", "0.2", "--bootstrap", "3"]
+        plain, pinned = tmp_path / "plain.json", tmp_path / "pinned.json"
+        run_ok(runner, args + ["--out", str(plain)])
+        run_ok(runner, args + ["--poo-file", str(sim / "oracle.tsv"), "--out", str(pinned)])
+        plain_betas = json.loads(plain.read_text())["bootstrap"]["beta_hats"]
+        pinned_betas = json.loads(pinned.read_text())["bootstrap"]["beta_hats"]
+        assert pinned_betas != plain_betas
+        # every replicate's fit sees the sidecar's constraints
+        reps = bootstrap_em(
+            parse_ped((sim / "pedigree.ped").read_text()), EMConfig(q=0.2), B=3,
+            genotype_constraints=parse_truth((sim / "oracle.tsv").read_text()),
+        )
+        assert pinned_betas == sorted(r.beta_hat for r in reps)
+
 
 class TestReplicateCommand:
     def test_small_study_csv(self, runner, tmp_path):
@@ -201,6 +232,22 @@ class TestReplicateCommand:
         assert len(rows) == 4
         assert set(r["scenario"] for r in rows) == {"S1", "S2"}
         assert all(r["case"] == "n6_beta-0.6" for r in rows)
+
+    def test_config_echo_records_every_option(self, runner, tmp_path):
+        out = tmp_path / "study.csv"
+        run_ok(
+            runner,
+            ["replicate", "--case", "6:-0.6", "--scenarios", "s2",
+             "--replicates", "1", "--out", str(out)],
+        )
+        echo = json.loads((tmp_path / "study.csv.config.json").read_text())
+        assert echo["command"] == "replicate"
+        assert set(echo["parameters"]) == {
+            p.name for p in main.commands["replicate"].params
+        }
+        assert echo["parameters"]["full_design"] is False
+        assert echo["parameters"]["cases"] == [[6, -0.6]]
+        assert echo["parameters"]["scenarios"] == ["S2"]
 
     def test_case_argument_validation(self, runner, tmp_path):
         result = runner.invoke(
@@ -301,6 +348,18 @@ class TestCurveCommand:
                 upper = float(row[f"upper_{group}"])
                 assert lower <= point <= upper
 
+    def test_report_without_bootstrap_gamma_is_validation_error(
+        self, runner, fitted_report, tmp_path
+    ):
+        report = json.loads(Path(fitted_report).read_text())
+        for f in report["bootstrap"]["fits"]:
+            del f["gamma"]
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(report))
+        result = runner.invoke(main, ["curve", str(stale), "--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 2
+        assert "'gamma'" in result.output
+
     def test_curve_without_bootstrap_has_empty_bands(self, runner, tmp_path):
         sim = tmp_path / "sim"
         run_ok(
@@ -319,3 +378,46 @@ class TestCurveCommand:
         with open(out) as handle:
             rows = list(csv.DictReader(handle))
         assert all(r["lower_pat"] == "" and r["upper_mat"] == "" for r in rows)
+
+    def test_bands_use_each_bootstrap_fits_own_gamma(self, runner, tmp_path):
+        sim = tmp_path / "sim"
+        run_ok(
+            runner,
+            ["simulate", "--families", "40", "--beta", "-0.6", "--q", "0.2",
+             "--scenario", "S2", "--seed", "5", "--out", str(sim)],
+        )
+        rng = np.random.default_rng(0)
+        families = [
+            Pedigree([replace(rec, covariates=(float(rng.normal()),)) for rec in fam])
+            for fam in parse_ped((sim / "pedigree.ped").read_text())
+        ]
+        ped = tmp_path / "cov.ped"
+        ped.write_text(format_ped(families))
+        report_path = tmp_path / "fit.json"
+        run_ok(
+            runner,
+            ["fit", str(ped), "--q", "0.2", "--epsilon", "0", "--eta", "0",
+             "--bootstrap", "3", "--out", str(report_path)],
+        )
+        out = tmp_path / "c.csv"
+        run_ok(runner, ["curve", str(report_path), "--z", "1", "--out", str(out)])
+        report = json.loads(report_path.read_text())
+        fits = report["bootstrap"]["fits"]
+        assert len(fits) == 3
+        assert len({f["gamma"][0] for f in fits}) == 3
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        grid = np.array([float(r["age"]) for r in rows])
+
+        def curve_of(f, group):
+            baseline = BaselineHazard(f["baseline"]["times"], f["baseline"]["increments"])
+            return survival_curve(baseline, f["beta_hat"], f["gamma"], group=group, z=(1.0,))(grid)
+
+        for group in ("pat", "mat"):
+            point = curve_of(report, group)
+            curves = np.stack([curve_of(f, group) for f in fits])
+            lower = np.minimum(np.percentile(curves, 2.5, axis=0), point)
+            upper = np.maximum(np.percentile(curves, 97.5, axis=0), point)
+            np.testing.assert_array_equal([float(r[f"survival_{group}"]) for r in rows], point)
+            np.testing.assert_array_equal([float(r[f"lower_{group}"]) for r in rows], lower)
+            np.testing.assert_array_equal([float(r[f"upper_{group}"]) for r in rows], upper)

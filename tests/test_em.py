@@ -20,7 +20,7 @@ from poosurv import (
     posterior_marginals,
     simulate_families,
 )
-from poosurv.em import _dataset_arrays
+from poosurv.em import STABLE_WINDOW, _dataset_arrays
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -253,8 +253,7 @@ class TestEMFit:
         config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=2)
         result = em_fit(fams, config)
         assert result.converged
-        window = config.stable_window
-        tail = result.trace.iterations[-window:]
+        tail = result.trace.iterations[-STABLE_WINDOW:]
         assert all(row.max_change < config.tol for row in tail)
 
         capped = em_fit(fams, EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=2, max_iter=3))

@@ -179,6 +179,17 @@ class TestEventTimes:
                 assert rec.status == int(t.event_time <= t.censor_time)
 
 
+class TestScenarioLookup:
+    def test_values_match_case_insensitively(self):
+        assert Scenario("s1") is Scenario.S1
+        assert Scenario("oracle") is Scenario.ORACLE
+        assert Scenario(Scenario.S0) is Scenario.S0
+
+    def test_unknown_value_is_rejected(self):
+        with pytest.raises(ValueError, match="'S9' is not a valid Scenario"):
+            Scenario("S9")
+
+
 class TestScenarioMasks:
     def test_s0_all_missing(self):
         families, _ = simulate_families(20, beta=-0.6, q=0.2, scenario="S0", seed=16)

@@ -45,18 +45,19 @@ def two_group(rows):
 
 
 def naive_partial_loglik(time, status, X, w, coefs):
-    """Independent O(n^2) evaluation of the weighted Breslow partial likelihood."""
-    coefs = np.asarray(coefs)
-    n = len(time)
+    """Independent evaluation of the weighted Breslow partial likelihood.
+
+    Loops over the distinct event times and takes each risk set from its
+    definition, ``time >= t``: no sorted order and no cumulative sums.
+    """
+    linear = X @ np.asarray(coefs, dtype=float)
+    risk = w * np.exp(linear)
+    events = (status == 1) & (w > 0)
     total = 0.0
-    event_times = sorted({time[i] for i in range(n) if status[i] == 1 and w[i] > 0})
-    for t in event_times:
-        denom = sum(
-            w[i] * math.exp(float(np.dot(X[i], coefs))) for i in range(n) if time[i] >= t
-        )
-        for i in range(n):
-            if status[i] == 1 and time[i] == t and w[i] > 0:
-                total += w[i] * (float(X[i] @ coefs) - math.log(denom))
+    for t in np.unique(time[events]):
+        at_t = events & (time == t)
+        denom = risk[time >= t].sum()
+        total += float(np.sum(w[at_t] * (linear[at_t] - math.log(denom))))
     return total
 
 
