@@ -21,6 +21,7 @@ from .pedigree import (
     ValidationWarning,
     format_ped,
     parse_ped,
+    pin_genotypes,
     validate,
 )
 from .genetics import (
@@ -81,7 +82,6 @@ from .simulate import (
     TruthRecord,
     apply_scenario_mask,
     format_truth,
-    oracle_constraints,
     parse_truth,
     replicate_study,
     simulate_families,
@@ -91,7 +91,7 @@ __all__ = [
     "__version__",
     # pedigree
     "IndividualRecord", "Pedigree", "PedigreeError", "Sex", "ValidationWarning",
-    "format_ped", "parse_ped", "validate",
+    "format_ped", "parse_ped", "pin_genotypes", "validate",
     # genetics
     "DEFAULT_EPSILON", "DEFAULT_ETA", "GENOTYPE_LABELS", "Genotype",
     "ModelParams", "TRANSMISSION", "evidence_factor", "evidence_matrix",
@@ -110,5 +110,5 @@ __all__ = [
     # simulate
     "DEFAULT_HAZARD", "FAMILY_TEMPLATE", "HazardSpec", "ReplicateRow",
     "Scenario", "TruthRecord", "apply_scenario_mask", "format_truth",
-    "oracle_constraints", "parse_truth", "replicate_study", "simulate_families",
+    "parse_truth", "replicate_study", "simulate_families",
 ]

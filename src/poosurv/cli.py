@@ -27,14 +27,13 @@ from .inference import (
     brute_force_marginals,
     posterior_marginals,
 )
-from .pedigree import PedigreeError, parse_ped, format_ped
+from .pedigree import PedigreeError, format_ped, parse_ped, pin_genotypes, validate
 from .simulate import (
     DEFAULT_HAZARD,
     DEFAULT_Q,
     HazardSpec,
     Scenario,
     format_truth,
-    oracle_constraints,
     parse_truth,
     replicate_study,
     simulate_families,
@@ -171,17 +170,16 @@ def _baseline_from_json(data) -> BaselineHazard:
 @click.option("--seed", type=int, default=_EM_DEFAULTS["seed"], show_default=True)
 @click.option("--proband-correction", is_flag=True, help="Suppress proband phenotypes (ascertainment correction).")
 @click.option("--poo-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Oracle sidecar pinning genotype states.")
-@click.option("--bootstrap", type=int, default=None, help="Family bootstrap replicates for honest intervals.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Concurrency for the bootstrap.")
+@click.option("--bootstrap", type=click.IntRange(min=0), default=None, help="Family bootstrap replicates for honest intervals.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Concurrency for the bootstrap.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded
 def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         proband_correction, poo_file, bootstrap, jobs, out):
     """Fit the origin-effect survival model to a pedigree file."""
     families = _load_families(ped)
-    constraints = None
     if poo_file:
-        constraints = parse_truth(Path(poo_file).read_text())
+        families = pin_genotypes(families, parse_truth(Path(poo_file).read_text()))
     config = EMConfig(
         q=q,
         epsilon=epsilon,
@@ -192,7 +190,8 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         seed=seed,
         proband_correction=proband_correction,
     )
-    result = em_fit(families, config, genotype_constraints=constraints)
+    findings = [str(w) for fam in families for w in validate(fam, epsilon=epsilon)]
+    result = em_fit(families, config)
     z, p = wald_test(result.cox, 0)
     report = {
         "beta_hat": result.beta_hat,
@@ -208,7 +207,7 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         "log_evidence": result.trace.iterations[-1].log_evidence,
         "n_families": len(families),
         "n_individuals": sum(len(f) for f in families),
-        "warnings": result.trace.warnings,
+        "warnings": findings + result.trace.warnings,
         "trace": [
             {
                 "iteration": row.index,
@@ -221,10 +220,7 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         ],
     }
     if bootstrap:
-        reps = bootstrap_em(
-            families, config, B=bootstrap, jobs=jobs,
-            genotype_constraints=constraints,
-        )
+        reps = bootstrap_em(families, config, B=bootstrap, jobs=jobs)
         usable = [r for r in reps if r.error is None]
         betas = sorted(r.beta_hat for r in usable)
         report["bootstrap"] = {
@@ -267,7 +263,7 @@ FULL_DESIGN_CASES = ((100, -0.6), (400, -0.6), (100, -1.2))
 @click.option("--replicates", type=int, default=200, show_default=True)
 @click.option("--q", type=float, default=DEFAULT_Q, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded
 def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
@@ -358,8 +354,12 @@ def curve(report, ages, z, out):
     fitted = json.loads(Path(report).read_text())
     try:
         start, stop, step = (float(v) for v in ages.split(":"))
+        if not step > 0:
+            raise ValueError
     except ValueError:
-        raise ValueError(f"bad age grid {ages!r}; expected start:stop:step") from None
+        raise ValueError(
+            f"bad age grid {ages!r}; expected start:stop:step with a positive step"
+        ) from None
     grid = np.arange(start, stop + step / 2, step)
     z_values = tuple(float(v) for v in z.split(",")) if z else ()
 

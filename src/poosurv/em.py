@@ -204,12 +204,12 @@ def _dataset_arrays(families):
     return time2, status2, X, np.asarray(rows, dtype=int)
 
 
-def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
+def em_fit(families, config: EMConfig) -> FitResult:
     """Estimate the origin effect, covariate effects, and baseline hazard.
 
-    ``genotype_constraints`` optionally pins individuals to known genotype
-    states (keyed by (family_id, individual_id)), e.g. from an oracle
-    sidecar. Deterministic given (families, config, constraints).
+    Records with a ``genotype_pin`` (see :func:`pedigree.pin_genotypes`)
+    are restricted to the pinned states. Deterministic given (families,
+    config).
     """
     families = list(families)
     if not families:
@@ -219,7 +219,7 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
         families, warnings = apply_proband_correction(families)
         trace.warnings.extend(warnings)
 
-    engine = MarginalEngine(families, genotype_constraints=genotype_constraints)
+    engine = MarginalEngine(families)
     time2, status2, X, rows = _dataset_arrays(families)
     problem = CoxProblem(time2, status2, X)
     # every affected time is a Breslow jump time: affected rows never lose
@@ -310,7 +310,7 @@ def em_fit(families, config: EMConfig, genotype_constraints=None) -> FitResult:
 
 
 def _bootstrap_one(args):
-    families, config, genotype_constraints, replicate_index = args
+    families, config, replicate_index = args
     seed_seq = np.random.SeedSequence((config.seed, replicate_index))
     resample_seed, em_seed = seed_seq.spawn(2)
     rng = np.random.Generator(np.random.Philox(resample_seed))
@@ -318,8 +318,8 @@ def _bootstrap_one(args):
     resampled = [families[i] for i in idx]
     rep_config = replace(config, seed=int(em_seed.generate_state(1)[0]))
     try:
-        result = em_fit(resampled, rep_config, genotype_constraints=genotype_constraints)
-    except (CoxError, EMError) as err:
+        result = em_fit(resampled, rep_config)
+    except EMError as err:
         return BootstrapReplicate(
             beta_hat=float("nan"),
             gamma_hat=(),
@@ -335,20 +335,21 @@ def _bootstrap_one(args):
     )
 
 
-def bootstrap_em(families, config: EMConfig, B: int = 200, jobs: int = 1,
-                 genotype_constraints=None) -> list[BootstrapReplicate]:
+def bootstrap_em(families, config: EMConfig, B: int = 200,
+                 jobs: int = 1) -> list[BootstrapReplicate]:
     """Family-level nonparametric bootstrap of the full EM fit.
 
     Families are resampled with replacement and the whole EM rerun per
     replicate; percentile intervals over the replicates give honest
     uncertainty for the origin effect and the survival curves. Each
     replicate uses an independent deterministic substream, so results do
-    not depend on ``jobs``. ``genotype_constraints`` are applied to every
-    replicate's fit as in :func:`em_fit`; being keyed by (family_id,
-    individual_id), they also pin resampled duplicates of a family.
+    not depend on ``jobs``. Resampled duplicates of a family are the same
+    :class:`Pedigree`, so they keep its genotype pins.
     """
+    if B < 1:
+        raise ValueError("need at least one bootstrap replicate")
     families = list(families)
-    tasks = [(families, config, genotype_constraints, r) for r in range(B)]
+    tasks = [(families, config, r) for r in range(B)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

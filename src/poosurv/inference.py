@@ -263,24 +263,16 @@ def _axes_shape(axes, rank, batch=()):
     return tuple(shape) + tuple(batch)
 
 
-def _constraint_mask(pedigree, genotype_constraints):
-    """Indicator table (n, 4) for externally known genotype states."""
-    if not genotype_constraints:
+def _pin_mask(records):
+    """Indicator table (n, 4) of each record's pinned states, or ``None``."""
+    if all(rec.genotype_pin is None for rec in records):
         return None
-    mask = np.ones((len(pedigree), N_STATES))
-    hit = False
-    for i, rec in enumerate(pedigree):
-        allowed = genotype_constraints.get((rec.family_id, rec.individual_id))
-        if allowed is None:
-            continue
-        hit = True
-        if isinstance(allowed, (int, Genotype)):
-            allowed = (allowed,)
-        row = np.zeros(N_STATES)
-        for state in allowed:
-            row[int(state)] = 1.0
-        mask[i] = row
-    return mask if hit else None
+    mask = np.ones((len(records), N_STATES))
+    for i, rec in enumerate(records):
+        if rec.genotype_pin is not None:
+            mask[i] = 0.0
+            mask[i, list(rec.genotype_pin)] = 1.0
+    return mask
 
 
 def _weights_from_marginals(pedigree, marginals) -> dict:
@@ -297,15 +289,14 @@ def _weights_from_marginals(pedigree, marginals) -> dict:
     return out
 
 
-def posterior_marginals(pedigree, params: ModelParams,
-                        genotype_constraints=None) -> MarginalResult:
+def posterior_marginals(pedigree, params: ModelParams) -> MarginalResult:
     """Exact posterior genotype marginals for every family member.
 
     Returns the per-individual weights, the full (n, 4) marginal table in
     record order, and the log evidence of the observed data (up to the
     genotype-independent hazard factor omitted from affected penetrance).
     """
-    engine = MarginalEngine([pedigree], genotype_constraints=genotype_constraints)
+    engine = MarginalEngine([pedigree])
     marginals, log_evidence = engine.run(params)
     return MarginalResult(
         weights=_weights_from_marginals(pedigree, marginals),
@@ -315,8 +306,7 @@ def posterior_marginals(pedigree, params: ModelParams,
 
 
 def brute_force_marginals(pedigree, params: ModelParams,
-                          cap: int = DEFAULT_ENUMERATION_CAP,
-                          genotype_constraints=None) -> MarginalResult:
+                          cap: int = DEFAULT_ENUMERATION_CAP) -> MarginalResult:
     """Oracle marginals by enumerating all 4^n genotype configurations.
 
     Independent of the clique-tree machinery, down to its factors: evidence
@@ -330,7 +320,7 @@ def brute_force_marginals(pedigree, params: ModelParams,
             f"enumeration cap {cap}"
         )
     pos = pedigree.position
-    mask = _constraint_mask(pedigree, genotype_constraints)
+    mask = _pin_mask(pedigree.individuals)
     prior = genetics.founder_prior(params.q)
     # grid[i] indexes member i's axis, so table[grid[a], grid[b]] broadcasts
     # a factor onto its scope's axes of the joint table
@@ -551,14 +541,15 @@ class MarginalEngine:
 
     Compiles the junction forests of all families into one bucketed
     two-pass schedule (see the module docstring) and evaluates all marginals
-    for new model parameters in a fixed number of vectorized steps.
-    :attr:`stats` reports the schedule's size.
+    for new model parameters in a fixed number of vectorized steps. A record
+    with a ``genotype_pin`` takes only its pinned states. :attr:`stats`
+    reports the schedule's size.
 
     Raises :class:`InferenceError` when a family's largest clique table, or
     all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
     """
 
-    def __init__(self, families, genotype_constraints=None):
+    def __init__(self, families):
         self.families = list(families)
         offsets = []
         total = 0
@@ -569,17 +560,10 @@ class MarginalEngine:
         self.total = total
 
         cov_len = len(self.families[0].individuals[0].covariates) if self.families else 0
-        mask = None
-        for fam, off in zip(self.families, offsets):
-            if fam.covariate_count != cov_len:
-                raise InferenceError(
-                    "families carry different covariate counts; cannot fit jointly"
-                )
-            fam_mask = _constraint_mask(fam, genotype_constraints)
-            if fam_mask is not None:
-                if mask is None:
-                    mask = np.ones((total, N_STATES))
-                mask[off:off + len(fam)] = fam_mask
+        if any(fam.covariate_count != cov_len for fam in self.families):
+            raise InferenceError(
+                "families carry different covariate counts; cannot fit jointly"
+            )
         records = [rec for fam in self.families for rec in fam]
         self._age = np.array([rec.age for rec in records], dtype=float)
         self._status = np.array([rec.status for rec in records], dtype=int)
@@ -590,7 +574,7 @@ class MarginalEngine:
         self._Z = np.array([rec.covariates for rec in records], dtype=float).reshape(
             total, cov_len
         )
-        self._mask = mask
+        self._mask = _pin_mask(records)
         self._static_q = None
         self._static = {}
         self._compile()

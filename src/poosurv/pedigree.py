@@ -20,7 +20,7 @@ import enum
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "Sex",
@@ -30,6 +30,7 @@ __all__ = [
     "Pedigree",
     "parse_ped",
     "format_ped",
+    "pin_genotypes",
     "validate",
 ]
 
@@ -67,6 +68,12 @@ class ValidationWarning:
     individual_id: str | None
     message: str
 
+    def __str__(self):
+        where = f"family {self.family_id}"
+        if self.individual_id is not None:
+            where += f", individual {self.individual_id}"
+        return f"{where}: {self.message}"
+
 
 @dataclass(frozen=True)
 class IndividualRecord:
@@ -74,7 +81,9 @@ class IndividualRecord:
 
     ``phenotype_suppressed`` is an in-memory flag (never serialized) used by
     the proband ascertainment correction: when set, the age/status pair of
-    this record contributes no likelihood information.
+    this record contributes no likelihood information. ``genotype_pin``,
+    also in memory only, is the sorted tuple of ordered-genotype states the
+    record may take (see :func:`pin_genotypes`); ``None`` allows all four.
     """
 
     family_id: str
@@ -88,6 +97,7 @@ class IndividualRecord:
     proband: bool = False
     covariates: tuple[float, ...] = ()
     phenotype_suppressed: bool = field(default=False, compare=False)
+    genotype_pin: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.father_id is None) != (self.mother_id is None):
@@ -393,12 +403,38 @@ def format_ped(families) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate(pedigree: Pedigree, eta: float | None = None) -> list[ValidationWarning]:
+def pin_genotypes(families, pins) -> list[Pedigree]:
+    """Copies of ``families`` whose records carry ``pins``, a map from
+    (family_id, individual_id) to one :class:`genetics.Genotype` state or a
+    collection of them. A key naming no record raises :class:`PedigreeError`.
+    """
+    pending = dict(pins)
+    pinned = []
+    for fam in families:
+        records = []
+        for rec in fam:
+            states = pending.pop((rec.family_id, rec.individual_id), None)
+            if states is not None:
+                states = (states,) if isinstance(states, int) else states
+                rec = replace(rec, genotype_pin=tuple(sorted({int(s) for s in states})))
+            records.append(rec)
+        pinned.append(Pedigree(records))
+    if pending:
+        family_id, individual_id = next(iter(pending))
+        raise PedigreeError(
+            f"genotype pin names unknown individual {individual_id}",
+            family_id=family_id,
+        )
+    return pinned
+
+
+def validate(pedigree: Pedigree, epsilon: float | None = None) -> list[ValidationWarning]:
     """Report non-fatal findings on a successfully parsed family.
 
     An affected individual with a negative gene test is only flagged when
-    ``eta`` (the test false-negative rate) is explicitly 0, since a positive
-    rate makes that combination legitimate. An empty list means clean.
+    ``epsilon`` (the rate at which a carrier tests negative) is explicitly
+    0, since a positive rate makes that combination legitimate. An empty
+    list means clean.
     """
     warnings = []
     probands = [r.individual_id for r in pedigree if r.proband]
@@ -410,7 +446,7 @@ def validate(pedigree: Pedigree, eta: float | None = None) -> list[ValidationWar
                 f"multiple probands: {', '.join(probands)}",
             )
         )
-    if eta == 0:
+    if epsilon == 0:
         for rec in pedigree:
             if rec.status == 1 and rec.gene_test == 0:
                 warnings.append(

@@ -12,7 +12,7 @@ by an independent uniform draw on [15, 80].
 Scenarios control which genotypes are released as (error-free) test
 results: S0 hides all of them, S1 reveals 80% of affected and 10% of
 unaffected individuals, S2 reveals everyone, and Oracle additionally
-reveals each carrier's parent of origin as a hard constraint for fitting.
+pins each individual to its true ordered genotype for fitting.
 
 Randomness uses counter-based (Philox) substreams keyed by family and
 replicate indices, so any subset of the work reproduces identically under
@@ -31,7 +31,6 @@ from .em import EMConfig, EMError, em_fit
 from .genetics import GENOTYPE_LABELS, LABEL_TO_GENOTYPE, Genotype
 from .inference import InferenceError
 from .pedigree import IndividualRecord, Pedigree, Sex
-from .survival import CoxError
 
 __all__ = [
     "Scenario",
@@ -41,7 +40,6 @@ __all__ = [
     "TruthRecord",
     "simulate_families",
     "apply_scenario_mask",
-    "oracle_constraints",
     "format_truth",
     "parse_truth",
     "ReplicateRow",
@@ -252,13 +250,11 @@ def apply_scenario_mask(families, truth, scenario, seed):
     Revealed tests are error-free carrier indicators. S0 reveals nothing;
     S1 reveals each affected individual with probability 0.8 and each
     unaffected individual with probability 0.1; S2 and Oracle reveal
-    everyone. Returns new pedigrees; the truth list is not modified.
+    everyone, and Oracle also sets each record's ``genotype_pin`` to its
+    true genotype. Returns new pedigrees; the truth list is not modified.
     """
     scenario = Scenario(scenario)
-    carrier = {
-        (t.family_id, t.individual_id): t.genotype != Genotype.NON_CARRIER
-        for t in truth
-    }
+    genotype = {(t.family_id, t.individual_id): t.genotype for t in truth}
     mask_seeds = _as_seedseq(seed).spawn(len(families))
     masked = []
     for fam, fam_seed in zip(families, mask_seeds):
@@ -272,15 +268,12 @@ def apply_scenario_mask(families, truth, scenario, seed):
                 observed = rng.random() < p_observe
             else:
                 observed = True
-            value = int(carrier[(fam.family_id, rec.individual_id)]) if observed else None
-            records.append(replace(rec, gene_test=value))
+            state = genotype[(fam.family_id, rec.individual_id)]
+            value = int(state != Genotype.NON_CARRIER) if observed else None
+            pin = (int(state),) if scenario == Scenario.ORACLE else None
+            records.append(replace(rec, gene_test=value, genotype_pin=pin))
         masked.append(Pedigree(records))
     return masked
-
-
-def oracle_constraints(truth) -> dict:
-    """Hard genotype evidence map pinning every individual to its true state."""
-    return {(t.family_id, t.individual_id): t.genotype for t in truth}
 
 
 def format_truth(truth) -> str:
@@ -294,8 +287,8 @@ def format_truth(truth) -> str:
 
 
 def parse_truth(text: str) -> dict:
-    """Read a truth/oracle sidecar back into a genotype constraint map."""
-    constraints = {}
+    """Read a truth/oracle sidecar into a pin map for :func:`pedigree.pin_genotypes`."""
+    pins = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -308,8 +301,8 @@ def parse_truth(text: str) -> dict:
             raise ValueError(
                 f"truth sidecar line {lineno}: unknown genotype {genotype_label!r}"
             )
-        constraints[(family_id, individual_id)] = LABEL_TO_GENOTYPE[genotype_label]
-    return constraints
+        pins[(family_id, individual_id)] = LABEL_TO_GENOTYPE[genotype_label]
+    return pins
 
 
 @dataclass(frozen=True)
@@ -333,19 +326,18 @@ def _case_label(n_families, beta) -> str:
 
 def _run_replicate(args) -> ReplicateRow:
     (master_seed, case_index, n_families, beta, scenario,
-     replicate_index, q, hazard, em_overrides) = args
+     replicate_index, q, em_overrides) = args
     sim_entropy = (master_seed, case_index, replicate_index)
-    families, truth = simulate_families(
-        n_families, beta, q, hazard=hazard, scenario=scenario, seed=sim_entropy
+    families, _ = simulate_families(
+        n_families, beta, q, hazard=DEFAULT_HAZARD, scenario=scenario, seed=sim_entropy
     )
-    constraints = oracle_constraints(truth) if scenario == Scenario.ORACLE else None
     em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
     config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed, **(em_overrides or {}))
     label = _case_label(n_families, beta)
     seed_label = f"{master_seed}-{case_index}-{replicate_index}"
     try:
-        result = em_fit(families, config, genotype_constraints=constraints)
-    except (EMError, CoxError, InferenceError) as err:
+        result = em_fit(families, config)
+    except (EMError, InferenceError) as err:
         return ReplicateRow(
             case=label,
             scenario=scenario.value,
@@ -370,16 +362,15 @@ def _run_replicate(args) -> ReplicateRow:
 
 
 def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
-                    hazard=DEFAULT_HAZARD, em_overrides=None,
-                    jobs: int = 1) -> list[ReplicateRow]:
+                    em_overrides=None, jobs: int = 1) -> list[ReplicateRow]:
     """Simulate and fit every (case, scenario, replicate) combination.
 
-    ``cases`` is a sequence of (n_families, beta) pairs. Within one case and
-    replicate, all scenarios share the same simulated families and differ
-    only in genotype visibility, giving paired comparisons. Fits assume the
-    simulator's error-free tests (epsilon = eta = 0) and known ``q``;
-    ``em_overrides`` may adjust the remaining EM knobs (tol, max_iter,
-    test_ages, ...). Failed replicates become rows carrying the failure
+    ``cases`` is a sequence of (n_families, beta) pairs; onsets follow
+    ``DEFAULT_HAZARD``. Within one case and replicate, all scenarios share
+    the same simulated families and differ only in genotype visibility,
+    giving paired comparisons. Fits assume the simulator's error-free tests
+    (epsilon = eta = 0) and known ``q``; ``em_overrides`` may adjust the
+    remaining EM knobs (tol, max_iter, test_ages, ...). Failed replicates become rows carrying the failure
     reason instead of aborting the study. Output order and content are
     independent of ``jobs``.
     """
@@ -392,8 +383,7 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
             for replicate_index in range(replicates):
                 tasks.append(
                     (seed, case_index, int(n_families), float(beta),
-                     scenario, replicate_index, q, hazard,
-                     dict(em_overrides or {}))
+                     scenario, replicate_index, q, dict(em_overrides or {}))
                 )
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

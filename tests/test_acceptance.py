@@ -281,7 +281,6 @@ def test_fit_estimates_cover_truth_across_seeds(scenario_study):
 def test_wald_null_pvalues_uniform():
     """Under a zero origin effect the Wald p-values are uniform."""
     from poosurv import wald_test
-    from poosurv.simulate import oracle_constraints
 
     pvals = []
     for r in range(50):

@@ -17,6 +17,7 @@ from poosurv import (
     format_ped,
     parse_ped,
     parse_truth,
+    pin_genotypes,
     survival_curve,
 )
 from poosurv.cli import main
@@ -211,12 +212,59 @@ class TestFitCommand:
         plain_betas = json.loads(plain.read_text())["bootstrap"]["beta_hats"]
         pinned_betas = json.loads(pinned.read_text())["bootstrap"]["beta_hats"]
         assert pinned_betas != plain_betas
-        # every replicate's fit sees the sidecar's constraints
-        reps = bootstrap_em(
-            parse_ped((sim / "pedigree.ped").read_text()), EMConfig(q=0.2), B=3,
-            genotype_constraints=parse_truth((sim / "oracle.tsv").read_text()),
+        # every replicate's fit sees the sidecar's pins
+        families = pin_genotypes(
+            parse_ped((sim / "pedigree.ped").read_text()),
+            parse_truth((sim / "oracle.tsv").read_text()),
         )
+        reps = bootstrap_em(families, EMConfig(q=0.2), B=3)
         assert pinned_betas == sorted(r.beta_hat for r in reps)
+
+    def test_poo_file_naming_unknown_individuals_is_validation_error(
+        self, runner, tmp_path
+    ):
+        for n in (20, 40):
+            run_ok(
+                runner,
+                ["simulate", "--families", str(n), "--beta", "-0.6",
+                 "--scenario", "Oracle", "--seed", "4", "--out", str(tmp_path / f"s{n}")],
+            )
+        report_path = tmp_path / "fit.json"
+        result = runner.invoke(
+            main,
+            ["fit", str(tmp_path / "s20" / "pedigree.ped"), "--q", "0.2",
+             "--poo-file", str(tmp_path / "s40" / "oracle.tsv"),
+             "--out", str(report_path)],
+        )
+        assert result.exit_code == 2
+        assert "family F21" in result.output and "unknown individual" in result.output
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("option", [("--bootstrap", "-2"), ("--jobs", "0")])
+    def test_negative_counts_are_usage_errors(self, runner, sim_dir, tmp_path, option):
+        report_path = tmp_path / "fit.json"
+        result = runner.invoke(
+            main,
+            ["fit", str(sim_dir / "pedigree.ped"), "--q", "0.2", *option,
+             "--out", str(report_path)],
+        )
+        assert result.exit_code == 2
+        assert not report_path.exists()
+
+    def test_validation_findings_lead_the_warnings(self, runner, sim_dir, tmp_path):
+        families = parse_ped((sim_dir / "pedigree.ped").read_text())
+        families[0] = Pedigree(
+            [replace(rec, proband=rec.individual_id in ("1", "2")) for rec in families[0]]
+        )
+        ped = tmp_path / "two_probands.ped"
+        ped.write_text(format_ped(families))
+        report_path = tmp_path / "fit.json"
+        run_ok(
+            runner,
+            ["fit", str(ped), "--q", "0.2", "--max-iter", "2", "--out", str(report_path)],
+        )
+        warnings = json.loads(report_path.read_text())["warnings"]
+        assert warnings[0] == "family F1: multiple probands: 1, 2"
 
 
 class TestReplicateCommand:
@@ -359,6 +407,18 @@ class TestCurveCommand:
         result = runner.invoke(main, ["curve", str(stale), "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 2
         assert "'gamma'" in result.output
+
+    @pytest.mark.parametrize("ages", ["0:100:0", "0:100:-1"])
+    def test_non_positive_age_step_is_validation_error(
+        self, runner, fitted_report, tmp_path, ages
+    ):
+        out = tmp_path / "c.csv"
+        result = runner.invoke(
+            main, ["curve", str(fitted_report), "--ages", ages, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "bad age grid" in result.output
+        assert not out.exists()
 
     def test_curve_without_bootstrap_has_empty_bands(self, runner, tmp_path):
         sim = tmp_path / "sim"

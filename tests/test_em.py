@@ -189,14 +189,11 @@ class TestEMFit:
         assert checked > 10
 
     def test_fully_resolved_origins_match_direct_cox_problem(self):
-        # Oracle constraints resolve every origin, so the EM's coefficient
-        # equals a direct Cox fit on the true-label rows
-        from poosurv import oracle_constraints
-
+        # Oracle pins resolve every origin, so the EM's coefficient equals a
+        # direct Cox fit on the true-label rows
         fams, truth = simulate_families(40, beta=-0.6, q=0.2, scenario="Oracle", seed=23)
-        constraints = oracle_constraints(truth)
         config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=1)
-        result = em_fit(fams, config, genotype_constraints=constraints)
+        result = em_fit(fams, config)
         records = {
             (fam.family_id, rec.individual_id): rec for fam in fams for rec in fam
         }
@@ -326,14 +323,13 @@ class TestEMFit:
         assert [r.beta_hat for r in serial] == [r.beta_hat for r in parallel]
         usable = [r for r in serial if r.error is None]
         assert usable, "all bootstrap replicates failed"
+        with pytest.raises(ValueError, match="at least one"):
+            bootstrap_em(fams, config, B=0)
 
-    def test_oracle_constraints_give_degenerate_weights(self):
-        from poosurv import oracle_constraints
-
+    def test_oracle_pins_give_degenerate_weights(self):
         fams, truth = simulate_families(8, beta=-0.6, q=0.2, scenario="Oracle", seed=30)
-        constraints = oracle_constraints(truth)
         config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=4)
-        result = em_fit(fams, config, genotype_constraints=constraints)
+        result = em_fit(fams, config)
         lookup = {(t.family_id, t.individual_id): t.genotype for t in truth}
         for fam, fam_weights in zip(fams, result.weights):
             for rec in fam:

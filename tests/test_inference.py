@@ -22,6 +22,7 @@ from poosurv import (
     brute_force_marginals,
     build_clique_tree,
     parse_ped,
+    pin_genotypes,
     posterior_marginals,
 )
 from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats
@@ -261,14 +262,15 @@ class TestPosteriorMarginals:
         assert plain.weights["c"].w_zero == 0.0
         assert suppressed.weights["c"].w_zero > 0.0
 
-    def test_genotype_constraints_pin_states(self):
-        ped = cousin_marriage_family()
+    def test_genotype_pins_restrict_states(self):
+        (ped,) = pin_genotypes(
+            [cousin_marriage_family()], {("L", "p1"): Genotype.HET_PATERNAL}
+        )
         params = ModelParams(q=0.2, beta=-0.6, baseline=DEFAULT_HAZARD)
-        constraints = {("L", "p1"): Genotype.HET_PATERNAL}
-        result = posterior_marginals(ped, params, genotype_constraints=constraints)
+        result = posterior_marginals(ped, params)
         w = result.weights["p1"]
         assert w.w_pat == 1.0 and w.w_mat == 0.0 and w.w_zero == 0.0
-        brute = brute_force_marginals(ped, params, genotype_constraints=constraints)
+        brute = brute_force_marginals(ped, params)
         np.testing.assert_allclose(result.marginals, brute.marginals, atol=1e-12)
 
     def test_record_order_invariance(self):
@@ -392,7 +394,7 @@ def template_family(rng, family_id, covariates):
 
 @st.composite
 def mixed_cohorts(draw):
-    """Families of every kind the engine batches, with constraints."""
+    """Families of every kind the engine batches, with genotype pins."""
     covariates = draw(st.integers(0, 1))
     families = []
     for index in range(draw(st.integers(1, 6))):
@@ -409,40 +411,35 @@ def mixed_cohorts(draw):
         else:
             ped = random_pedigree(rng, 1, family_id, covariates=covariates)
         families.append(ped)
-    constraints = {}
+    pins = {}
     for ped in families:
         for rec in ped:
             states = draw(st.sets(st.sampled_from(list(Genotype)), max_size=3))
             if states and draw(st.integers(0, 4)) == 0:
-                constraints[(ped.family_id, rec.individual_id)] = tuple(states)
+                pins[(ped.family_id, rec.individual_id)] = tuple(states)
     params = random_params(
         np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), covariates
     )
-    return families, constraints, params, draw(st.booleans())
+    return pin_genotypes(families, pins), params, draw(st.booleans())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(mixed_cohorts(), st.randoms(use_true_random=False))
 def test_engine_matches_brute_force_on_mixed_cohorts(cohort, random):
-    families, constraints, params, suppress = cohort
+    families, params, suppress = cohort
     if suppress:
         families, _ = apply_proband_correction(families)
-    constraints = constraints or None
     expected, impossible = {}, set()
     for ped in families:
         try:
-            expected[ped.family_id] = brute_force_marginals(
-                ped, params, genotype_constraints=constraints
-            )
+            expected[ped.family_id] = brute_force_marginals(ped, params)
         except ZeroEvidenceError:
             impossible.add(ped.family_id)
 
     order = list(range(len(families)))
     runs = []
     for _ in range(2):  # as given, then shuffled
-        engine = MarginalEngine(
-            [families[i] for i in order], genotype_constraints=constraints
-        )
+        engine = MarginalEngine([families[i] for i in order])
         if impossible:
             with pytest.raises(ZeroEvidenceError) as exc:
                 engine.run(params)

@@ -14,6 +14,7 @@ from poosurv import (
     Sex,
     format_ped,
     parse_ped,
+    pin_genotypes,
     validate,
 )
 
@@ -222,14 +223,37 @@ def test_validate_multiple_probands():
     assert "proband" in warnings[0].message
 
 
-def test_validate_affected_negative_test_depends_on_eta():
+def test_validate_affected_negative_test_depends_on_epsilon():
     text = "F1 1 0 0 1 70.0 1 0 0\n"
     fam = parse_ped(text)[0]
     assert validate(fam) == []  # default error model permits it
-    assert validate(fam, eta=0.001) == []
-    warnings = validate(fam, eta=0)
+    assert validate(fam, epsilon=0.001) == []
+    warnings = validate(fam, epsilon=0)
     assert len(warnings) == 1
     assert warnings[0].individual_id == "1"
+
+
+def test_pin_genotypes_stores_sorted_states():
+    families = parse_ped(SMALL_FILE)
+    pinned = pin_genotypes(families, {("F1", "2"): {3, 1, 2}, ("F2", "1"): 0})
+    assert pinned[0].record("2").genotype_pin == (1, 2, 3)
+    assert pinned[1].record("1").genotype_pin == (0,)
+    assert pinned[0].record("1").genotype_pin is None
+    assert families[0].record("2").genotype_pin is None  # input untouched
+    assert pinned == families  # pins are not part of record equality
+
+
+def test_pin_genotypes_rejects_unknown_individual():
+    families = parse_ped(SMALL_FILE)
+    with pytest.raises(PedigreeError, match="unknown individual 9"):
+        pin_genotypes(families, {("F1", "1"): 0, ("F1", "9"): 1})
+
+
+def test_pins_are_not_serialized():
+    pinned = pin_genotypes(parse_ped(SMALL_FILE), {("F1", "3"): (1, 2)})
+    again = parse_ped(format_ped(pinned))
+    assert again == pinned
+    assert all(rec.genotype_pin is None for fam in again for rec in fam)
 
 
 def test_validate_clean_family():

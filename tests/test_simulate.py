@@ -224,13 +224,17 @@ class TestScenarioMasks:
             assert abs(seen / total - p) <= 3 * sigma
 
     def test_oracle_reveals_everyone(self):
-        families, _ = simulate_families(10, beta=-0.6, q=0.2, scenario="Oracle", seed=19)
+        families, truth = simulate_families(10, beta=-0.6, q=0.2, scenario="Oracle", seed=19)
         assert all(rec.gene_test is not None for fam in families for rec in fam)
+        pins = {(rec.family_id, rec.individual_id): rec.genotype_pin
+                for fam in families for rec in fam}
+        assert pins == {(t.family_id, t.individual_id): (int(t.genotype),) for t in truth}
 
     def test_mask_function_standalone(self):
         families, truth = simulate_families(8, beta=-0.6, q=0.2, scenario="S0", seed=20)
         masked = apply_scenario_mask(families, truth, Scenario.S2, seed=0)
         assert all(rec.gene_test is not None for fam in masked for rec in fam)
+        assert all(rec.genotype_pin is None for fam in masked for rec in fam)
         # original families untouched
         assert all(rec.gene_test is None for fam in families for rec in fam)
 
