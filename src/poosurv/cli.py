@@ -191,6 +191,8 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         proband_correction=proband_correction,
     )
     findings = [str(w) for fam in families for w in validate(fam, epsilon=epsilon)]
+    for finding in findings:
+        click.echo(f"warning: {finding}", err=True)
     result = em_fit(families, config)
     z, p = wald_test(result.cox, 0)
     report = {

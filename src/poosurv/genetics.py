@@ -27,6 +27,7 @@ __all__ = [
     "ModelParams",
     "founder_prior",
     "transmission",
+    "TRANSMIT_PROBABILITY",
     "TRANSMISSION",
     "penetrance_factor",
     "test_factor",
@@ -101,20 +102,18 @@ def founder_prior(q: float) -> np.ndarray:
     return np.array([(1.0 - q) ** 2, het, het, q * q])
 
 
+#: P(a parent passes on the mutated allele), indexed by the parent's ordered
+#: genotype; the origin of a heterozygous parent's own allele is irrelevant
+#: to what it passes on.
+TRANSMIT_PROBABILITY = (0.0, 0.5, 0.5, 1.0)
+
+
 def _build_transmission() -> np.ndarray:
-    # P(transmit mutated allele) per parent genotype; the origin of a
-    # heterozygous parent's own allele is irrelevant to what it passes on.
-    transmit = np.array([0.0, 0.5, 0.5, 1.0])
-    table = np.empty((N_STATES, N_STATES, N_STATES))
-    for f in range(N_STATES):
-        for m in range(N_STATES):
-            tp, tm = transmit[f], transmit[m]
-            table[f, m] = [
-                (1.0 - tp) * (1.0 - tm),
-                tp * (1.0 - tm),
-                (1.0 - tp) * tm,
-                tp * tm,
-            ]
+    tp = np.array(TRANSMIT_PROBABILITY)[:, None]  # father, one row per genotype
+    tm = np.array(TRANSMIT_PROBABILITY)[None, :]  # mother, one column per genotype
+    table = np.stack(
+        [(1.0 - tp) * (1.0 - tm), tp * (1.0 - tm), (1.0 - tp) * tm, tp * tm], axis=-1
+    )
     table.setflags(write=False)
     return table
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em import EMConfig, EMError, em_fit
-from .genetics import GENOTYPE_LABELS, LABEL_TO_GENOTYPE, Genotype
+from .genetics import GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype
 from .inference import InferenceError
 from .pedigree import IndividualRecord, Pedigree, Sex
 
@@ -174,9 +174,8 @@ def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
             from_father = rng.random() < q
             from_mother = rng.random() < q
         else:
-            transmit = (0.0, 0.5, 0.5, 1.0)
-            from_father = rng.random() < transmit[genotypes[father]]
-            from_mother = rng.random() < transmit[genotypes[mother]]
+            from_father = rng.random() < TRANSMIT_PROBABILITY[genotypes[father]]
+            from_mother = rng.random() < TRANSMIT_PROBABILITY[genotypes[mother]]
         genotype = Genotype(int(from_father) + 2 * int(from_mother))
         genotypes[individual_id] = genotype
 
@@ -325,14 +324,13 @@ def _case_label(n_families, beta) -> str:
 
 
 def _run_replicate(args) -> ReplicateRow:
-    (master_seed, case_index, n_families, beta, scenario,
-     replicate_index, q, em_overrides) = args
+    master_seed, case_index, n_families, beta, scenario, replicate_index, q = args
     sim_entropy = (master_seed, case_index, replicate_index)
     families, _ = simulate_families(
         n_families, beta, q, hazard=DEFAULT_HAZARD, scenario=scenario, seed=sim_entropy
     )
     em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
-    config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed, **(em_overrides or {}))
+    config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed)
     label = _case_label(n_families, beta)
     seed_label = f"{master_seed}-{case_index}-{replicate_index}"
     try:
@@ -362,17 +360,17 @@ def _run_replicate(args) -> ReplicateRow:
 
 
 def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
-                    em_overrides=None, jobs: int = 1) -> list[ReplicateRow]:
+                    jobs: int = 1) -> list[ReplicateRow]:
     """Simulate and fit every (case, scenario, replicate) combination.
 
     ``cases`` is a sequence of (n_families, beta) pairs; onsets follow
     ``DEFAULT_HAZARD``. Within one case and replicate, all scenarios share
     the same simulated families and differ only in genotype visibility,
     giving paired comparisons. Fits assume the simulator's error-free tests
-    (epsilon = eta = 0) and known ``q``; ``em_overrides`` may adjust the
-    remaining EM knobs (tol, max_iter, test_ages, ...). Failed replicates become rows carrying the failure
-    reason instead of aborting the study. Output order and content are
-    independent of ``jobs``.
+    (epsilon = eta = 0) and known ``q``, with every other EM knob at its
+    ``EMConfig`` default. Failed replicates become rows carrying the
+    failure reason instead of aborting the study. Output order and content
+    are independent of ``jobs``.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -383,7 +381,7 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
             for replicate_index in range(replicates):
                 tasks.append(
                     (seed, case_index, int(n_families), float(beta),
-                     scenario, replicate_index, q, dict(em_overrides or {}))
+                     scenario, replicate_index, q)
                 )
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

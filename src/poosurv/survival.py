@@ -12,10 +12,10 @@ the family bootstrap in :mod:`poosurv.em`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "CoxError",
@@ -320,5 +320,5 @@ def wald_test(fit: CoxFit, index: int = 0) -> tuple[float, float]:
     if variance <= 0:
         raise ValueError(f"coefficient {index} has zero variance")
     z = fit.coefficients[index] / np.sqrt(variance)
-    p = 2.0 * stats.norm.sf(abs(z))
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     return float(z), float(p)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import poosurv
 from poosurv import (
     BaselineHazard,
     EMConfig,
@@ -34,6 +38,20 @@ def run_ok(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter that imports this checkout's poosurv.
+
+    Unlike click's test runner, it keeps stdout and stderr apart and starts
+    from an empty module cache.
+    """
+    src = str(Path(poosurv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 class TestSimulateCommand:
@@ -266,6 +284,28 @@ class TestFitCommand:
         warnings = json.loads(report_path.read_text())["warnings"]
         assert warnings[0] == "family F1: multiple probands: 1, 2"
 
+    def test_zero_evidence_failure_names_the_individual(self, tmp_path):
+        # an affected founder who tests negative is impossible at epsilon 0;
+        # the finding that says so reaches stderr before the fit fails
+        ped = tmp_path / "zero.ped"
+        ped.write_text(
+            "F1 1 0 0 1 50.0 1 0 0\n"
+            "F1 2 0 0 2 48.0 0 -9 0\n"
+            "F1 3 1 2 1 25.0 0 -9 0\n"
+            "F1 4 1 2 2 23.0 0 -9 0\n"
+            "F1 5 0 0 1 49.0 0 -9 0\n"
+        )
+        report_path = tmp_path / "fit.json"
+        result = run_python(
+            ["-m", "poosurv.cli", "fit", str(ped), "--q", "0.2", "--epsilon", "0",
+             "--out", str(report_path)],
+            tmp_path,
+        )
+        assert result.returncode == 3, result.stderr
+        assert "individual 1" in result.stderr and "impossible" in result.stderr
+        assert result.stdout == ""
+        assert not report_path.exists()
+
 
 class TestReplicateCommand:
     def test_small_study_csv(self, runner, tmp_path):
@@ -481,3 +521,28 @@ class TestCurveCommand:
             np.testing.assert_array_equal([float(r[f"survival_{group}"]) for r in rows], point)
             np.testing.assert_array_equal([float(r[f"lower_{group}"]) for r in rows], lower)
             np.testing.assert_array_equal([float(r[f"upper_{group}"]) for r in rows], upper)
+
+
+SCIPY_BLOCKED = """
+import json, math, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from click.testing import CliRunner
+from poosurv.cli import main
+for args in (
+    ["simulate", "--families", "12", "--beta", "-0.6", "--scenario", "S1", "--out", "sim"],
+    ["fit", "sim/pedigree.ped", "--q", "0.2", "--bootstrap", "2", "--jobs", "1",
+     "--out", "fit.json"],
+    ["curve", "fit.json", "--out", "curves.csv"],
+    ["check-oracle", "sim/pedigree.ped", "--q", "0.2", "--beta", "-0.6"],
+):
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, (args, result.output)
+with open("fit.json") as handle:
+    assert math.isfinite(json.load(handle)["p_wald"])
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy and click are the whole runtime; scipy is a test dependency only
+    result = run_python(["-c", SCIPY_BLOCKED], tmp_path)
+    assert result.returncode == 0, result.stderr
