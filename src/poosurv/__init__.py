@@ -39,16 +39,15 @@ from .genetics import (
     transmission,
 )
 from .inference import (
-    CliqueTree,
     InferenceError,
     MarginalEngine,
     MarginalResult,
     PosteriorWeights,
     ZeroEvidenceError,
     brute_force_marginals,
-    build_clique_tree,
     posterior_marginals,
 )
+from .junction import CliqueTree, build_clique_tree
 from .survival import (
     BaselineHazard,
     ConvergenceError,

@@ -84,6 +84,14 @@ def _write_config_echo(path: Path, **resolved):
     path.write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
 
+def _out_path(out: str) -> Path:
+    """The ``--out`` file, with its parent directory made before any work
+    starts, so that a missing directory cannot throw away a finished run."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _parse_hazard(text: str | None) -> HazardSpec:
     if not text:
         return DEFAULT_HAZARD
@@ -177,6 +185,7 @@ def _baseline_from_json(data) -> BaselineHazard:
 def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         proband_correction, poo_file, bootstrap, jobs, out):
     """Fit the origin-effect survival model to a pedigree file."""
+    out_path = _out_path(out)
     families = _load_families(ped)
     if poo_file:
         families = pin_genotypes(families, parse_truth(Path(poo_file).read_text()))
@@ -244,9 +253,6 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
                 for r in usable
             ],
         }
-    out_path = Path(out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_config_echo(Path(out + ".config.json"), test_ages=list(config.test_ages))
     click.echo(
@@ -270,6 +276,7 @@ FULL_DESIGN_CASES = ((100, -0.6), (400, -0.6), (100, -1.2))
 @_guarded
 def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
     """Run the scenario replication study and write its results table."""
+    out_path = _out_path(out)
     if full_design:
         case_list = list(FULL_DESIGN_CASES)
     else:
@@ -288,7 +295,7 @@ def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
     rows = replicate_study(
         case_list, scenario_list, replicates, seed=seed, q=q, jobs=jobs
     )
-    with open(out, "w", newline="", encoding="utf-8") as handle:
+    with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["case", "scenario", "replicate", "beta_hat", "se", "iterations",
@@ -353,6 +360,7 @@ def check_oracle(ped, q, beta, epsilon, eta, hazard, cap):
 @_guarded
 def curve(report, ages, z, out):
     """Export fitted survival curves (with bootstrap bands when available)."""
+    out_path = _out_path(out)
     fitted = json.loads(Path(report).read_text())
     try:
         start, stop, step = (float(v) for v in ages.split(":"))
@@ -386,7 +394,7 @@ def curve(report, ages, z, out):
                 np.minimum(lower, point[group]),
                 np.maximum(upper, point[group]),
             )
-    with open(out, "w", newline="", encoding="utf-8") as handle:
+    with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["age", "survival_pat", "survival_mat", "lower_pat", "upper_pat",

@@ -1,10 +1,9 @@
 """Exact genotype posteriors on pedigrees via clique-tree message passing.
 
-The parent graph is moralized (co-parents connected), triangulated with a
-min-fill elimination heuristic, and its maximal cliques are joined into a
-junction forest by maximum separator weight. Two-pass sum-product over that
-forest yields every individual's posterior genotype distribution, and the
-accumulated message normalizers give the log evidence, in a single sweep.
+Two-pass sum-product over each family's junction forest (built by
+:mod:`poosurv.junction`) yields every individual's posterior genotype
+distribution, and the accumulated message normalizers give the log
+evidence, in a single sweep.
 
 :class:`MarginalEngine` compiles the junction forests of a whole cohort once
 into one schedule, with each tree rooted at its lowest clique. The collect
@@ -19,8 +18,20 @@ pass costs a fixed number of batched numpy operations per bucket however
 many structures the cohort holds. Clique potentials live in one table per
 clique rank and collected messages in one table per separator size, with
 the batch axis last; every index array of the schedule has one entry per
-clique, never per table entry. Founder priors and transmission tables are
-folded into static potentials once per allele frequency, so a run
+clique, never per table entry.
+
+The tables' rows are laid out so that buckets read and write slices. Each
+rank table numbers its rows in collect-bucket order (roots last), and each
+separator table follows it, so a collect bucket's children, its messages
+and a root bucket are contiguous. Between the passes, a rank or separator
+table whose distribute receivers are not already contiguous runs is
+gathered once into distribute-bucket order; a cohort of one structure keeps
+clique-id order throughout and pays no such copy. Only parent sides are
+gathered per bucket; a read-out sums the run of rows that spans its cliques
+and picks their columns from that marginal. A zero total in the collect
+pass spreads NaN through its own family's columns; one check after the
+collect pass names such a family. Founder priors and transmission tables
+are folded into static potentials once per allele frequency, so a run
 multiplies in only the per-individual evidence, and marginals are read from
 each clique's final belief. :func:`posterior_marginals` is the one-family
 case of the same engine.
@@ -38,14 +49,13 @@ import numpy as np
 
 from . import genetics
 from .genetics import N_STATES, Genotype, ModelParams
+from .junction import build_clique_tree
 
 __all__ = [
     "InferenceError",
     "ZeroEvidenceError",
     "PosteriorWeights",
     "MarginalResult",
-    "CliqueTree",
-    "build_clique_tree",
     "posterior_marginals",
     "brute_force_marginals",
     "EngineStats",
@@ -57,7 +67,8 @@ DEFAULT_ENUMERATION_CAP = 12
 
 #: Budget for the clique potential tables, checked before any is allocated:
 #: for a single clique and for the whole cohort. A run holds a few tables of
-#: that size at once (static, with evidence, and the gathered buckets).
+#: that size at once (static, with evidence, its distribute-order copy, and
+#: the gathered buckets).
 MAX_POTENTIAL_BYTES = 2 ** 30
 
 _FLOAT_BYTES = np.dtype(float).itemsize
@@ -103,154 +114,6 @@ class MarginalResult:
     log_evidence: float
 
 
-class CliqueTree:
-    """Junction forest over pedigree member positions.
-
-    ``cliques`` are sorted tuples of record positions; ``edges`` join clique
-    indices. Every family factor's scope fits inside at least one clique and
-    the running intersection property holds.
-    """
-
-    def __init__(self, cliques, edges, n_vars):
-        self.cliques = [tuple(c) for c in cliques]
-        self.edges = [tuple(e) for e in edges]
-        self.n_vars = n_vars
-        self._neighbors = [[] for _ in self.cliques]
-        for i, j in self.edges:
-            self._neighbors[i].append(j)
-            self._neighbors[j].append(i)
-
-    def neighbors(self, idx):
-        return self._neighbors[idx]
-
-    @property
-    def max_clique_size(self):
-        return max(len(c) for c in self.cliques)
-
-    def roots(self):
-        """Lowest clique index of each connected component."""
-        seen = set()
-        roots = []
-        for start in range(len(self.cliques)):
-            if start in seen:
-                continue
-            roots.append(start)
-            stack = [start]
-            seen.add(start)
-            while stack:
-                cur = stack.pop()
-                for nb in self._neighbors[cur]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        return roots
-
-    def check_running_intersection(self) -> bool:
-        """Cliques containing any one variable must form a connected subtree."""
-        for v in range(self.n_vars):
-            holding = [i for i, c in enumerate(self.cliques) if v in c]
-            if not holding:
-                return False
-            reached = {holding[0]}
-            stack = [holding[0]]
-            allowed = set(holding)
-            while stack:
-                cur = stack.pop()
-                for nb in self._neighbors[cur]:
-                    if nb in allowed and nb not in reached:
-                        reached.add(nb)
-                        stack.append(nb)
-            if reached != allowed:
-                return False
-        return True
-
-
-def _moral_adjacency(pedigree) -> list[set[int]]:
-    n = len(pedigree)
-    adj = [set() for _ in range(n)]
-    pos = pedigree.position
-    for rec in pedigree:
-        if rec.is_founder:
-            continue
-        c, f, m = pos(rec.individual_id), pos(rec.father_id), pos(rec.mother_id)
-        for a, b in ((c, f), (c, m), (f, m)):
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
-def _min_fill_cliques(adj) -> list[tuple[int, ...]]:
-    """Elimination cliques from min-fill ordering; ties break on lowest index."""
-    n = len(adj)
-    adj = [set(s) for s in adj]
-    remaining = set(range(n))
-    cliques = []
-    while remaining:
-        best, best_fill = None, None
-        for v in sorted(remaining):
-            nbrs = adj[v]
-            # neighbour pairs minus the edges among them, each seen twice
-            degree = len(nbrs)
-            fill = degree * (degree - 1) // 2 - sum(len(adj[a] & nbrs) for a in nbrs) // 2
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-                if fill == 0:
-                    break
-        nbrs = sorted(adj[best])
-        cliques.append(tuple(sorted([best] + nbrs)))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nbrs:
-            adj[a].discard(best)
-        adj[best].clear()
-        remaining.discard(best)
-    return cliques
-
-
-def build_clique_tree(pedigree) -> CliqueTree:
-    """Junction forest for a pedigree's moral graph.
-
-    Deterministic: min-fill ties break on the lowest record position and the
-    spanning forest prefers larger separators, then lower clique indices.
-    """
-    adj = _moral_adjacency(pedigree)
-    elim = _min_fill_cliques(adj)
-    # Later elimination cliques may be subsets of earlier ones; never the
-    # reverse, since each eliminated vertex vanishes from subsequent cliques.
-    cliques: list[tuple[int, ...]] = []
-    kept: list[set[int]] = []
-    for cand in elim:
-        members = set(cand)
-        if not any(members <= k for k in kept):
-            cliques.append(cand)
-            kept.append(members)
-
-    candidates = []
-    for i, si in enumerate(kept):
-        for j in range(i + 1, len(kept)):
-            weight = len(si & kept[j])
-            if weight:
-                candidates.append((-weight, i, j))
-    candidates.sort()
-    parent = list(range(len(cliques)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for _, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-    return CliqueTree(cliques, edges, len(pedigree))
-
-
 def _axes_shape(axes, rank, batch=()):
     """Reshape target that lays a table's axes on the given clique axes,
     followed by the ``batch`` axes.
@@ -275,18 +138,18 @@ def _pin_mask(records):
     return mask
 
 
+def _weights(marginals) -> list[PosteriorWeights]:
+    """One :class:`PosteriorWeights` per row of (n, 4) marginals."""
+    w_pat = marginals[:, Genotype.HET_PATERNAL].tolist()
+    w_mat = (
+        marginals[:, Genotype.HET_MATERNAL] + marginals[:, Genotype.HOMOZYGOUS]
+    ).tolist()
+    w_zero = marginals[:, Genotype.NON_CARRIER].tolist()
+    return list(map(PosteriorWeights, w_pat, w_mat, w_zero))
+
+
 def _weights_from_marginals(pedigree, marginals) -> dict:
-    out = {}
-    for i, rec in enumerate(pedigree):
-        out[rec.individual_id] = PosteriorWeights(
-            w_pat=float(marginals[i, Genotype.HET_PATERNAL]),
-            w_mat=float(
-                marginals[i, Genotype.HET_MATERNAL]
-                + marginals[i, Genotype.HOMOZYGOUS]
-            ),
-            w_zero=float(marginals[i, Genotype.NON_CARRIER]),
-        )
-    return out
+    return dict(zip((rec.individual_id for rec in pedigree), _weights(marginals)))
 
 
 def posterior_marginals(pedigree, params: ModelParams) -> MarginalResult:
@@ -352,6 +215,11 @@ def brute_force_marginals(pedigree, params: ModelParams,
     )
 
 
+def _lowest(mask):
+    """Position of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
 class _Forest:
     """One structure's junction forest, rooted, with its factors placed.
 
@@ -379,16 +247,12 @@ class _Forest:
                         parent[nb] = node
                         depth[nb] = depth[node] + 1
                         stack.append(nb)
-        children = [[] for _ in range(nc)]
-        for node in order:
-            if parent[node] >= 0:
-                children[parent[node]].append(node)
         height = [0] * nc
         for node in reversed(order):
-            if children[node]:
-                height[node] = 1 + max(height[c] for c in children[node])
-        self.parent, self.children = parent, children
-        self.depth, self.height = depth, height
+            p = parent[node]
+            if p >= 0 and height[p] <= height[node]:
+                height[p] = height[node] + 1
+        self.parent, self.depth, self.height = parent, depth, height
 
         axis_of = [{v: a for a, v in enumerate(c)} for c in cliques]
         # separator with the parent, as axes of the clique and of the parent
@@ -400,23 +264,21 @@ class _Forest:
                 self.sep_in_child[j] = tuple(axis_of[j][v] for v in sep)
                 self.sep_in_parent[j] = tuple(axis_of[p][v] for v in sep)
 
-        holding = [[] for _ in range(tree.n_vars)]
+        holding = [0] * tree.n_vars  # bitset of the cliques holding each member
         for j, clique in enumerate(cliques):
             for v in clique:
-                holding[v].append(j)
-        home = [h[0] for h in holding]
+                holding[v] |= 1 << j
         self.readout = [[] for _ in range(nc)]  # (axis, member) pairs
-        for v, j in enumerate(home):
+        for v, held in enumerate(holding):
+            j = _lowest(held)
             self.readout[j].append((axis_of[j][v], v))
         self.factors = [[] for _ in range(nc)]  # prior (a,) / transmission (f, m, c)
-        pos = template.position
-        for rec in template:
-            i = pos(rec.individual_id)
-            if rec.is_founder:
-                self.factors[home[i]].append((axis_of[home[i]][i],))
+        for i, (f, m) in enumerate(template.structure_key()):
+            if f < 0:
+                j = _lowest(holding[i])
+                self.factors[j].append((axis_of[j][i],))
             else:
-                f, m = pos(rec.father_id), pos(rec.mother_id)
-                j = min(set(holding[f]).intersection(holding[m], holding[i]))
+                j = _lowest(holding[f] & holding[m] & holding[i])
                 self.factors[j].append((axis_of[j][f], axis_of[j][m], axis_of[j][i]))
 
     def steps(self):
@@ -428,19 +290,19 @@ class _Forest:
         the root, a read-out step the clique and the member read out.
         """
         ordinal = {}
+        ranks = self.ranks
         for c, p in enumerate(self.parent):
             if p < 0:
-                yield (_ROOT, 0, 0, self.ranks[c], (), 0, ()), c, 0
+                yield (_ROOT, 0, 0, ranks[c], (), 0, ()), c, 0
                 continue
-            child = (self.ranks[c], self.sep_in_child[c])
-            parent = (self.ranks[p], self.sep_in_parent[c])
-            layout = (self.height[c],) + child + parent
-            n = ordinal[p, layout] = ordinal.get((p, layout), -1) + 1
-            yield (_COLLECT, self.height[c], n) + child + parent, c, p
-            yield (_DISTRIBUTE, self.depth[c], 0) + child + parent, c, p
+            layout = (ranks[c], self.sep_in_child[c], ranks[p], self.sep_in_parent[c])
+            slot = (p, self.height[c], layout)
+            n = ordinal[slot] = ordinal.get(slot, -1) + 1
+            yield (_COLLECT, self.height[c], n) + layout, c, p
+            yield (_DISTRIBUTE, self.depth[c], 0) + layout, c, p
         for j, readout in enumerate(self.readout):
             for axis, member in readout:
-                yield (_READOUT, 0, 0, self.ranks[j], (axis,), 0, ()), j, member
+                yield (_READOUT, 0, 0, ranks[j], (axis,), 0, ()), j, member
 
 
 def _pattern_table(rank, factors, prior):
@@ -462,7 +324,7 @@ class _Side:
     the bucket on their remaining axes."""
 
     rank: int
-    rows: object  # int32 array, or a slice for one ascending run
+    rows: object  # slice for one ascending run of rows, else an index array
     sum_axes: tuple
     shape: tuple
 
@@ -471,15 +333,18 @@ class _Side:
 class _Bucket:
     """One batched schedule step over cliques with a shared layout.
 
-    ``cliques`` are the (child, root or read-out) clique ids. Edge buckets
-    carry the ``child`` and ``parent`` sides and the ``slots`` of the
-    collect messages; read-out buckets carry the member ``targets``.
+    ``child`` holds the (child, root or read-out) cliques. Edge buckets
+    carry the ``parent`` side and the ``slots`` of the collect messages,
+    collect and root buckets the ``norm`` entries of their cliques, and
+    read-out buckets the member ``targets`` and, when their cliques are not
+    one run, the columns to ``pick`` from the marginal of the rows between.
     """
 
-    cliques: np.ndarray
     child: _Side
     parent: _Side | None = None
-    slots: object = None
+    slots: slice | None = None
+    norm: slice | None = None
+    pick: np.ndarray | None = None
     targets: np.ndarray | None = None
 
 
@@ -489,8 +354,9 @@ class EngineStats:
 
     ``collect_buckets`` and ``distribute_buckets`` count the batched steps of
     the two passes, ``readout_buckets`` those that read root totals and
-    marginals from final beliefs, and ``potential_bytes`` the size of one set
-    of clique potential tables.
+    marginals from final beliefs, ``gathered_sides`` the bucket sides that
+    read their cliques through an index array rather than a slice, and
+    ``potential_bytes`` the size of one set of clique potential tables.
     """
 
     families: int
@@ -500,6 +366,7 @@ class EngineStats:
     collect_buckets: int
     distribute_buckets: int
     readout_buckets: int
+    gathered_sides: int
     potential_bytes: int
 
 
@@ -508,8 +375,8 @@ def _index(values):
 
 
 def _slice(index):
-    """``index`` as int32, or as a slice when it is one ascending run, which
-    reads a view instead of gathering a copy."""
+    """``index`` as an index array, or as a slice when it is one ascending
+    run, which reads a view instead of gathering a copy."""
     index = _index(index)
     n = len(index)
     if n and index[-1] - index[0] == n - 1 and (index[1:] - index[:-1] == 1).all():
@@ -517,12 +384,19 @@ def _slice(index):
     return index
 
 
+def _run(index):
+    """``index``, which the schedule lays out as one ascending run, as a slice."""
+    rows = _slice(index)
+    assert isinstance(rows, slice), "schedule rows are not one run"
+    return rows
+
+
 def _columns(table, rows):
     """Batch columns ``rows`` of a batch-last table: a view for a slice, else
     a contiguous copy (``table[..., rows]`` would lay the batch axis first)."""
     if isinstance(rows, slice):
         return table[..., rows]
-    return np.take(table, rows, axis=-1)
+    return table.take(rows, axis=-1)
 
 
 def _scale_columns(table, rows, factor):
@@ -533,7 +407,124 @@ def _scale_columns(table, rows, factor):
     if isinstance(rows, slice):
         table[..., rows] *= factor
     else:
-        table[..., rows] = np.take(table, rows, axis=-1) * factor
+        columns = table.take(rows, axis=-1)
+        columns *= factor
+        table[..., rows] = columns
+
+
+def _positions(order, table_of):
+    """Row of each item within its table when the tables take the items in
+    ``order``, which must list each table's items together."""
+    rows = np.empty(len(table_of), dtype=_INDEX)
+    tables = table_of[order]
+    starts = np.flatnonzero(np.r_[True, tables[1:] != tables[:-1]])
+    rows[order] = np.arange(len(order)) - np.repeat(starts, np.diff(np.r_[starts, len(order)]))
+    return rows
+
+
+def _broken_runs(rows, rank_of, keys, groups):
+    """Mask of the cliques of each rank that has a bucket (``keys`` with
+    their clique ``groups``) whose ``rows`` are not one run."""
+    # a bucket key is (stage, level, ordinal, rank, axes, other rank, other axes)
+    broken = {key[3] for key, group in zip(keys, groups)
+              if not isinstance(_slice(np.sort(rows[group])), slice)}
+    return np.isin(rank_of, list(broken))
+
+
+def _sort_entries(rows, groups, others):
+    """Order each bucket's entries, its cliques ``groups`` and their
+    ``others``, by ascending ``rows``, in place."""
+    for b, group in enumerate(groups):
+        ordered = np.argsort(rows[group], kind="stable")
+        groups[b] = group[ordered]
+        others[b] = others[b][ordered]
+
+
+def _row_orders(rank_of, sep_of, keys, cliques, others):
+    """Row of every clique in its rank and separator tables, in the collect
+    order and in the distribute order, as (rank, distribute rank, separator,
+    distribute separator) rows per clique id.
+
+    ``keys``, ``cliques`` and ``others`` hold each stage's bucket keys and
+    entries; the entries of the collect, distribute and read-out buckets are
+    put in ascending row order, in place.
+    """
+    # Collect order: a rank table keeps clique-id order where that
+    # already makes each of its collect and root buckets one run, as it
+    # does for a cohort of one structure. Otherwise it takes its non-root
+    # cliques bucket by bucket in collect order, then its roots. Collect
+    # buckets are placed by the first distribute bucket they feed, and a
+    # bucket's cliques by their distribute bucket, which keeps each
+    # distribute bucket's receivers together too where the two
+    # partitions nest.
+    collect, distribute, roots = cliques[_COLLECT], cliques[_DISTRIBUTE], cliques[_ROOT]
+
+    def by_distribute():
+        """Each clique's distribute bucket (roots after the last) and its
+        place in that bucket or in its root bucket."""
+        received = np.full(len(rank_of), len(distribute), dtype=_INDEX)
+        place = np.zeros(len(rank_of), dtype=_INDEX)
+        for b, group in enumerate(distribute):
+            received[group] = b
+            place[group] = np.arange(len(group))
+        for group in roots:
+            place[group] = np.arange(len(group))
+        return received, place
+
+    rank_row = _positions(np.argsort(rank_of, kind="stable"), rank_of)
+    redo = _broken_runs(rank_row, rank_of, keys[_COLLECT] + keys[_ROOT], collect + roots)
+    if redo.any():
+        received, place = by_distribute()
+        lead = received.copy()
+        bucket_of = np.zeros(len(rank_of), dtype=_INDEX)
+        for b, group in enumerate(collect):
+            bucket_of[group] = b
+            lead[group] = received[group].min()
+        for b, group in enumerate(roots):
+            bucket_of[group] = len(collect) + b
+        order = np.lexsort((place, received, bucket_of, lead, rank_of))
+        rank_row[redo] = _positions(order, rank_of)[redo]
+    _sort_entries(rank_row, collect, others[_COLLECT])
+    _sort_entries(rank_row, distribute, others[_DISTRIBUTE])
+
+    # Distribute order: a rank table keeps the collect order when each
+    # distribute bucket's receivers already form one run of it, and is
+    # otherwise gathered once, between the passes, into bucket order.
+    dist_row = rank_row
+    redo = _broken_runs(rank_row, rank_of, keys[_DISTRIBUTE], distribute)
+    if redo.any():
+        received, place = by_distribute()
+        order = np.lexsort((rank_row, place, received, rank_of))
+        dist_row = rank_row.copy()
+        dist_row[redo] = _positions(order, rank_of)[redo]
+    _sort_entries(dist_row, cliques[_READOUT], others[_READOUT])
+    sep_row = _sep_rows(rank_row, rank_of, sep_of)
+    sep_dist_row = sep_row if dist_row is rank_row else _sep_rows(dist_row, rank_of, sep_of)
+    return rank_row, dist_row, sep_row, sep_dist_row
+
+
+def _sep_rows(rows, rank_of, sep_of):
+    """Row of each non-root clique in its separator table, which follows the
+    order of the rank tables' ``rows``."""
+    edge = np.flatnonzero(sep_of > 0)
+    sep_rows = np.zeros(len(sep_of), dtype=_INDEX)
+    sep_rows[edge] = _positions(
+        np.lexsort((rows[edge], rank_of[edge], sep_of[edge])), sep_of[edge]
+    )
+    return sep_rows
+
+
+def _boundary(table_of, before, after):
+    """Per table, the gather that takes its rows from the ``before`` to the
+    ``after`` order, for the tables whose order changes."""
+    moves = {}
+    for size in np.unique(table_of):
+        items = np.flatnonzero(table_of == size)
+        if (before[items] != after[items]).any():
+            perm = np.empty(len(items), dtype=_INDEX)
+            perm[after[items]] = before[items]
+            moves[int(size)] = perm
+    return moves
 
 
 class MarginalEngine:
@@ -577,15 +568,18 @@ class MarginalEngine:
         self._mask = _pin_mask(records)
         self._static_q = None
         self._static = {}
+        self._moved = None
         self._compile()
 
     def _compile(self):
         groups: dict[tuple, list[int]] = {}
         for fi, fam in enumerate(self.families):
             groups.setdefault(fam.structure_key(), []).append(fi)
-        drafts: dict[tuple, list] = {}   # bucket key -> [(group, step)]
+        drafts: dict[tuple, tuple] = {}  # bucket key -> (groups, cliques, others)
         patterns: dict[int, dict] = {}   # rank -> {factors: index}
-        rank_of, sep_of, fam_of, pattern_of = [], [], [], []
+        # per clique of each group's forest: rank, separator size, static
+        # pattern and the group's family count; per clique id: the family
+        rank_of, sep_of, pattern_of, repeats, fam_of = [], [], [], [], []
         first, sizes = [], []            # per group: first clique id, families
         largest = (0, None)
         n_cliques = 0
@@ -601,28 +595,32 @@ class MarginalEngine:
                 )
             if k_max > largest[0]:
                 largest = (k_max, template.family_id)
-            # Clique ids run group by group, then clique by clique, so a step
-            # that all families of a group share reads one contiguous range.
-            count = len(members)
+            # Clique ids run group by group, then clique by clique: the order
+            # in which per-family results (the log evidence) are summed.
+            count, nc = len(members), len(forest.ranks)
             first.append(n_cliques)
             sizes.append(count)
-            n_cliques += len(forest.ranks) * count
-            rank_of.append(np.repeat(forest.ranks, count))
-            sep_of.append(np.repeat([len(s) for s in forest.sep_in_child], count))
-            fam_of.append(np.tile(members, len(forest.ranks)))
-            local = []
+            n_cliques += nc * count
+            rank_of += forest.ranks
+            sep_of += map(len, forest.sep_in_child)
+            repeats += [count] * nc
+            fam_of += members * nc
             for rank, factors in zip(forest.ranks, forest.factors):
                 known = patterns.setdefault(rank, {})
-                local.append(known.setdefault(tuple(sorted(factors)), len(known)))
-            pattern_of.append(np.repeat(local, count))
-            for step in forest.steps():
-                drafts.setdefault(step[0], []).append((g, step))
+                pattern_of.append(known.setdefault(tuple(sorted(factors)), len(known)))
+            for key, clique, other in forest.steps():
+                draft = drafts.get(key)
+                if draft is None:
+                    draft = drafts[key] = ([], [], [])
+                draft[0].append(g)
+                draft[1].append(clique)
+                draft[2].append(other)
 
-        def joined(parts):
-            return _index(np.concatenate(parts) if parts else ())
-
-        rank_of, sep_of, pattern_of = joined(rank_of), joined(sep_of), joined(pattern_of)
-        self._clique_family = joined(fam_of)
+        rank_of, sep_of, pattern_of = (
+            np.repeat(np.asarray(v, dtype=_INDEX), repeats)
+            for v in (rank_of, sep_of, pattern_of)
+        )
+        self._clique_family = _index(fam_of)
         potential_bytes = int(np.sum(N_STATES ** rank_of.astype(np.int64))) * _FLOAT_BYTES
         if potential_bytes > MAX_POTENTIAL_BYTES:
             raise InferenceError(
@@ -631,69 +629,95 @@ class MarginalEngine:
                 f"{largest[0]} members, family {largest[1]})"
             )
 
-        def table_rows(table_of):
-            """Row of each clique within its table, and each table's length."""
-            rows = np.zeros(n_cliques, dtype=_INDEX)
-            counts = {}
-            for size in np.unique(table_of):
-                where = np.flatnonzero(table_of == size)
-                rows[where] = np.arange(len(where))
-                counts[int(size)] = len(where)
-            return rows, counts
-
-        rank_row, rank_sizes = table_rows(rank_of)
-        sep_row, self._sep_sizes = table_rows(sep_of)
-        self._sep_sizes.pop(0, None)  # roots have no parent
-        self._patterns = {
-            rank: (list(known), pattern_of[rank_of == rank])
-            for rank, known in patterns.items()
-        }
-
-        def side(cliques, rank, keep):
-            return _Side(rank, _slice(rank_row[cliques]),
-                         tuple(a for a in range(rank) if a not in keep),
-                         _axes_shape(keep, rank, (-1,)))
-
-        grouped = _index([fi for group in groups.values() for fi in group])
-        first, sizes = np.asarray(first, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+        # Expand each bucket to one entry per (step, family of the step's group).
+        grouped = np.asarray([fi for group in groups.values() for fi in group], dtype=_INDEX)
+        first, sizes = np.asarray(first, dtype=_INDEX), np.asarray(sizes, dtype=_INDEX)
         group_start = np.cumsum(sizes) - sizes  # of each group in ``grouped``
-        record_offsets = np.asarray(self.offsets, dtype=np.int64)
-        stages = ([], [], [], [])
-        evidence = {rank: {} for rank in rank_sizes}
+        record_offsets = np.asarray(self.offsets, dtype=_INDEX)
+        keys, cliques, others = ([], [], [], []), ([], [], [], []), ([], [], [], [])
         for key in sorted(drafts):
-            stage, _, _, rank, axes, other_rank, other_axes = key
-            # one row per (step, family of the step's group)
-            g = np.asarray([group for group, _ in drafts[key]])
+            g, local, other = (np.asarray(part, dtype=_INDEX) for part in drafts[key])
             counts = sizes[g]
             row_step = np.repeat(np.arange(len(g)), counts)
             fam = np.arange(len(row_step)) - np.repeat(np.cumsum(counts) - counts, counts)
-            g = g[row_step]
-            local, other = np.asarray([step[1:] for _, step in drafts[key]])[row_step].T
-            cliques = _index(first[g] + local * sizes[g] + fam)
+            g, local, other = g[row_step], local[row_step], other[row_step]
+            stage = key[0]
+            keys[stage].append(key)
+            cliques[stage].append(first[g] + local * sizes[g] + fam)
             if stage in (_COLLECT, _DISTRIBUTE):
-                parents = _index(first[g] + other * sizes[g] + fam)
-                bucket = _Bucket(cliques, side(cliques, rank, axes),
-                                 side(parents, other_rank, other_axes),
-                                 slots=_slice(sep_row[cliques]))
-            elif stage == _ROOT:
-                bucket = _Bucket(cliques, side(cliques, rank, ()))
-            else:
-                targets = _index(record_offsets[grouped[group_start[g] + fam]] + other)
-                evidence[rank].setdefault(axes[0], []).append((rank_row[cliques], targets))
-                bucket = _Bucket(cliques, side(cliques, rank, axes), targets=targets)
-            stages[stage].append(bucket)
+                others[stage].append(first[g] + other * sizes[g] + fam)
+            elif stage == _READOUT:
+                others[stage].append(record_offsets[grouped[group_start[g] + fam]] + other)
+
+        rank_row, dist_row, sep_row, sep_dist_row = _row_orders(
+            rank_of, sep_of, keys, cliques, others
+        )
+        edge = sep_of > 0
+        self._rank_moves = _boundary(rank_of, rank_row, dist_row)
+        self._sep_moves = _boundary(sep_of[edge], sep_row[edge], sep_dist_row[edge])
+
+        # Collect and root buckets write their cliques' totals in bucket
+        # order; log evidence sums them per family in clique-id order.
+        self._norm_of_clique = np.empty(n_cliques, dtype=_INDEX)
+
+        def side(rows, rank, keep):
+            return _Side(rank, rows, tuple(a for a in range(rank) if a not in keep),
+                         _axes_shape(keep, rank, (-1,)))
+
+        stages = ([], [], [], [])
+        evidence = {int(rank): {} for rank in np.unique(rank_of)}
+        start = 0
+        for stage in range(4):
+            for key, group, other in zip(keys[stage], cliques[stage],
+                                         others[stage] or [None] * len(keys[stage])):
+                _, _, _, rank, axes, other_rank, other_axes = key
+                if stage in (_COLLECT, _ROOT):
+                    norm = slice(start, start + len(group))
+                    self._norm_of_clique[group] = np.arange(norm.start, norm.stop)
+                    start = norm.stop
+                if stage == _COLLECT:
+                    bucket = _Bucket(side(_run(rank_row[group]), rank, axes),
+                                     side(_slice(rank_row[other]), other_rank, other_axes),
+                                     slots=_run(sep_row[group]), norm=norm)
+                elif stage == _ROOT:
+                    bucket = _Bucket(side(_run(rank_row[group]), rank, ()), norm=norm)
+                elif stage == _DISTRIBUTE:
+                    bucket = _Bucket(side(_run(dist_row[group]), rank, axes),
+                                     side(_slice(dist_row[other]), other_rank, other_axes),
+                                     slots=_run(sep_dist_row[group]))
+                else:
+                    # A read-out sums the run of rows from its first clique to
+                    # its last and picks its columns from that marginal, which
+                    # is cheaper than gathering the cliques' tables.
+                    targets = _index(other)
+                    evidence[rank].setdefault(axes[0], []).append((rank_row[group], targets))
+                    rows = dist_row[group]
+                    span = slice(int(rows[0]), int(rows[-1]) + 1)
+                    pick = _index(rows - span.start)
+                    if len(rows) == span.stop - span.start:
+                        pick = None
+                    bucket = _Bucket(side(span, rank, axes), pick=pick, targets=targets)
+                stages[stage].append(bucket)
         self._stages = stages
 
         # Each member's evidence sits on its read-out axis; the extra column
         # ``total`` of the evidence table holds ones for every other axis.
-        self._evidence = {}
+        self._evidence, self._patterns = {}, {}
         for rank, by_axis in evidence.items():
+            members = rank_of == rank
+            count = int(members.sum())
             self._evidence[rank] = []
             for axis in sorted(by_axis):
-                index = np.full(rank_sizes[rank], self.total, dtype=_INDEX)
+                index = np.full(count, self.total, dtype=_INDEX)
                 for rows, targets in by_axis[axis]:
                     index[rows] = targets
                 self._evidence[rank].append((axis, index))
+            index = np.empty(count, dtype=_INDEX)
+            index[rank_row[members]] = pattern_of[members]
+            self._patterns[rank] = (list(patterns[rank]), index)
+        self._sep_sizes = {
+            int(size): int(np.sum(sep_of == size)) for size in np.unique(sep_of[edge])
+        }
         self.stats = EngineStats(
             families=len(self.families),
             structures=len(groups),
@@ -702,8 +726,27 @@ class MarginalEngine:
             collect_buckets=len(stages[_COLLECT]),
             distribute_buckets=len(stages[_DISTRIBUTE]),
             readout_buckets=len(stages[_ROOT]) + len(stages[_READOUT]),
+            gathered_sides=sum(
+                not isinstance(s.rows, slice)
+                for buckets in stages for bucket in buckets
+                for s in (bucket.child, bucket.parent) if s is not None
+            ),
             potential_bytes=potential_bytes,
         )
+
+    def _moved_tables(self):
+        """Distribute-order copies of the tables the pass boundary reorders.
+
+        They are allocated once per engine and overwritten by every run: a
+        fresh table of that size would page-fault anew in each run, which
+        cost more than the copy itself.
+        """
+        if self._moved is None:
+            self._moved = tuple(
+                {size: np.empty((N_STATES,) * size + (len(perm),)) for size, perm in moves.items()}
+                for moves in (self._rank_moves, self._sep_moves)
+            )
+        return self._moved
 
     def _potentials(self, q, phi):
         """Fresh clique potentials per rank: cached static tables times evidence."""
@@ -726,14 +769,6 @@ class MarginalEngine:
             pots[rank] = static.copy() if pot is None else pot
         return pots
 
-    def _total(self, table, bucket):
-        """Sum of each batch column of ``table``, which must be positive."""
-        z = table.reshape(-1, len(bucket.cliques)).sum(axis=0)
-        if (z <= 0).any():
-            clique = bucket.cliques[int(np.argmin(z))]
-            raise ZeroEvidenceError(self.families[self._clique_family[clique]].family_id)
-        return z
-
     def run(self, params: ModelParams):
         """Marginals (total, 4) in global record order plus per-family log evidence.
 
@@ -753,49 +788,63 @@ class MarginalEngine:
             size: np.empty((N_STATES,) * size + (count,))
             for size, count in self._sep_sizes.items()
         }
-        norm = np.ones(len(self._clique_family))
+        norm = np.empty(len(self._norm_of_clique))
         collect, roots, distribute, readouts = self._stages
 
         def marginal(side):
             return _columns(pots[side.rank], side.rows).sum(axis=side.sum_axes)
 
-        def absorb(side, msg):
-            _scale_columns(pots[side.rank], side.rows, msg.reshape(side.shape))
-
         # Collect: each child's belief, summed to the separator, multiplies
-        # into its parent's. A root's total is then its tree's evidence.
-        for bucket in collect:
-            msg = marginal(bucket.child)
-            norm[bucket.cliques] = z = self._total(msg, bucket)
-            msg /= z
-            collected[msg.ndim - 1][..., bucket.slots] = msg
-            absorb(bucket.parent, msg)
-        for bucket in roots:
-            norm[bucket.cliques] = self._total(
-                _columns(pots[bucket.child.rank], bucket.child.rows), bucket
-            )
+        # into its parent's. A root's total is then its tree's evidence. A
+        # zero total spreads NaN through its own family's columns only, and
+        # is caught once both stages are done.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for bucket in collect:
+                msg = marginal(bucket.child)
+                norm[bucket.norm] = z = msg.reshape(-1, msg.shape[-1]).sum(axis=0)
+                msg /= z
+                collected[msg.ndim - 1][..., bucket.slots] = msg
+                _scale_columns(pots[bucket.parent.rank], bucket.parent.rows,
+                               msg.reshape(bucket.parent.shape))
+            for bucket in roots:
+                table = pots[bucket.child.rank][..., bucket.child.rows]
+                norm[bucket.norm] = table.reshape(-1, table.shape[-1]).sum(axis=0)
+        failed = ~(norm > 0)
+        if failed.any():
+            clique = np.flatnonzero(self._norm_of_clique == np.argmax(failed))[0]
+            raise ZeroEvidenceError(self.families[self._clique_family[clique]].family_id)
+        moved_pots, moved_collected = self._moved_tables()
+        for tables, moves, moved in ((pots, self._rank_moves, moved_pots),
+                                     (collected, self._sep_moves, moved_collected)):
+            for size, perm in moves.items():
+                tables[size] = np.take(tables[size], perm, axis=-1, out=moved[size],
+                                       mode="clip")
         # Distribute: the parent's final belief on the separator, divided by
         # the message it collected from the child. Where that message is 0,
         # so is the parent's marginal, and the quotient is left at 0; the
         # quotient's total is positive since the parent's total is.
         for bucket in distribute:
             msg = marginal(bucket.parent)
-            sent = _columns(collected[msg.ndim - 1], bucket.slots)
+            sent = collected[msg.ndim - 1][..., bucket.slots]
             np.divide(msg, sent, out=msg, where=sent > 0)
-            msg /= msg.reshape(-1, len(bucket.cliques)).sum(axis=0)
-            absorb(bucket.child, msg)
+            msg /= msg.reshape(-1, msg.shape[-1]).sum(axis=0)
+            pots[bucket.child.rank][..., bucket.child.rows] *= msg.reshape(bucket.child.shape)
         marginals = np.empty((self.total, N_STATES))
         for bucket in readouts:
             marg = marginal(bucket.child)
+            if bucket.pick is not None:
+                marg = marg.take(bucket.pick, axis=-1)
             marginals[bucket.targets] = (marg / marg.sum(axis=0)).T
         log_evidence = np.bincount(
-            self._clique_family, weights=np.log(norm), minlength=len(self.families)
+            self._clique_family, weights=np.log(norm)[self._norm_of_clique],
+            minlength=len(self.families),
         )
         return marginals, log_evidence
 
     def family_weights(self, marginals) -> list[dict]:
         """Split a flat marginal table into per-family weight mappings."""
-        out = []
-        for fam, off in zip(self.families, self.offsets):
-            out.append(_weights_from_marginals(fam, marginals[off:off + len(fam)]))
-        return out
+        weights = _weights(marginals)
+        return [
+            dict(zip((rec.individual_id for rec in fam), weights[off:off + len(fam)]))
+            for fam, off in zip(self.families, self.offsets)
+        ]

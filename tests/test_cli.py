@@ -321,6 +321,17 @@ class TestReplicateCommand:
         assert set(r["scenario"] for r in rows) == {"S1", "S2"}
         assert all(r["case"] == "n6_beta-0.6" for r in rows)
 
+    def test_missing_out_directory_is_made_first(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_ok(
+            runner,
+            ["replicate", "--case", "6:-0.6", "--scenarios", "S1",
+             "--replicates", "1", "--seed", "9", "--out", "nodir/study.csv"],
+        )
+        with open(tmp_path / "nodir" / "study.csv") as handle:
+            assert len(list(csv.DictReader(handle))) == 1
+        assert (tmp_path / "nodir" / "study.csv.config.json").exists()
+
     def test_config_echo_records_every_option(self, runner, tmp_path):
         out = tmp_path / "study.csv"
         run_ok(

@@ -16,6 +16,7 @@ from poosurv import (
     MarginalEngine,
     ModelParams,
     Pedigree,
+    PosteriorWeights,
     Sex,
     ZeroEvidenceError,
     apply_proband_correction,
@@ -121,7 +122,83 @@ def random_params(rng, covariates=0):
     )
 
 
+def reference_clique_tree(pedigree):
+    """(cliques, edges) of the junction forest, built with plain sets.
+
+    The set-based min-fill the bitset build replaced, kept as its oracle:
+    same tie-breaking (lowest fill, then lowest position), same subset
+    filter, same spanning forest (largest separator, then lowest indices).
+    """
+    pos = pedigree.position
+    adj = [set() for _ in range(len(pedigree))]
+    for rec in pedigree:
+        if not rec.is_founder:
+            c, f, m = pos(rec.individual_id), pos(rec.father_id), pos(rec.mother_id)
+            for a, b in ((c, f), (c, m), (f, m)):
+                adj[a].add(b)
+                adj[b].add(a)
+    remaining = set(range(len(adj)))
+    elim = []
+    while remaining:
+        best, best_fill = None, None
+        for v in sorted(remaining):
+            nbrs = adj[v]
+            degree = len(nbrs)
+            fill = degree * (degree - 1) // 2 - sum(len(adj[a] & nbrs) for a in nbrs) // 2
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        nbrs = sorted(adj[best])
+        elim.append(tuple(sorted([best] + nbrs)))
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nbrs:
+            adj[a].discard(best)
+        adj[best].clear()
+        remaining.discard(best)
+    cliques, kept = [], []
+    for cand in elim:
+        if not any(set(cand) <= k for k in kept):
+            cliques.append(cand)
+            kept.append(set(cand))
+    candidates = sorted(
+        (-len(kept[i] & kept[j]), i, j)
+        for i in range(len(kept)) for j in range(i + 1, len(kept))
+        if kept[i] & kept[j]
+    )
+    root = list(range(len(cliques)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    edges = []
+    for _, i, j in candidates:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            root[ri] = rj
+            edges.append((i, j))
+    return cliques, edges
+
+
 class TestCliqueTree:
+    def test_matches_set_based_reference_on_random_pedigrees(self):
+        rng = np.random.default_rng(2024)
+        sizes = []
+        for k in range(960):
+            size = int(rng.integers(1, 41))
+            ped = random_pedigree(rng, max(size, 9) if k % 3 == 0 else size,
+                                  family_id=f"R{k}", with_loop=k % 3 == 0)
+            tree = build_clique_tree(ped)
+            cliques, edges = reference_clique_tree(ped)
+            assert tree.cliques == cliques, ped.family_id
+            assert tree.edges == edges, ped.family_id
+            sizes.append(tree.max_clique_size)
+        # the draw reaches well past trios: wide cliques and forests alike
+        assert max(sizes) >= 8 and min(sizes) == 1
+
     def test_trio_single_clique(self):
         tree = build_clique_tree(trio())
         assert tree.cliques == [(0, 1, 2)]
@@ -330,7 +407,9 @@ class TestMarginalEngine:
         # root. The cousin family's forest has six cliques (one of rank 4)
         # and five edges, each with its own layout, so each pass has five
         # buckets. The roots (all rank 3) form one bucket and the read-outs
-        # one per (rank, axis): (3, 0-2) and (4, 0-1).
+        # one per (rank, axis): (3, 0-2) and (4, 0-1). Every edge bucket
+        # holds one edge and the roots are a run of clique-id order, which
+        # the rank tables keep here, so no parent side is gathered.
         engine = MarginalEngine([trio(), cousin_marriage_family(), renamed(trio(), "T2")])
         assert engine.stats == EngineStats(
             families=3,
@@ -340,8 +419,69 @@ class TestMarginalEngine:
             collect_buckets=5,
             distribute_buckets=5,
             readout_buckets=6,
+            gathered_sides=0,
             potential_bytes=(7 * 4 ** 3 + 4 ** 4) * 8,
         )
+
+    def test_template_cohort_is_slice_addressed(self):
+        rng = np.random.default_rng(8)
+        engine = MarginalEngine([template_family(rng, f"T{i}", 0) for i in range(50)])
+        collect, roots, distribute, readouts = engine._stages
+        for bucket in collect + roots + distribute + readouts:
+            assert isinstance(bucket.child.rows, slice)
+        for bucket in collect + distribute:
+            assert isinstance(bucket.slots, slice)
+        # no rank or separator table is reordered between the passes
+        assert engine._rank_moves == {} and engine._sep_moves == {}
+        assert engine.stats.gathered_sides == sum(
+            not isinstance(b.parent.rows, slice) for b in collect + distribute
+        )
+
+    def test_heterogeneous_cohort_gathers_only_parents(self):
+        rng = np.random.default_rng(9)
+        families = [
+            random_pedigree(rng, int(rng.integers(2, 16)), f"H{i}", with_loop=i % 4 == 0)
+            for i in range(40)
+        ]
+        engine = MarginalEngine(families)
+        collect, roots, distribute, readouts = engine._stages
+        for bucket in collect + roots + distribute + readouts:
+            assert isinstance(bucket.child.rows, slice)
+        for bucket in collect + distribute:
+            assert isinstance(bucket.slots, slice)
+        assert any(bucket.pick is not None for bucket in readouts)
+        gathered = [b for b in collect + distribute if not isinstance(b.parent.rows, slice)]
+        assert engine.stats.gathered_sides == len(gathered) > 0
+        assert engine._rank_moves  # the receivers needed the boundary gather
+        params = random_params(rng)
+        marginals, log_evidence = engine.run(params)
+        for k, (fam, off) in enumerate(zip(families[:10], engine.offsets)):
+            single = posterior_marginals(fam, params)
+            np.testing.assert_allclose(
+                marginals[off:off + len(fam)], single.marginals, rtol=0, atol=1e-14
+            )
+            assert log_evidence[k] == pytest.approx(single.log_evidence, rel=1e-14)
+
+    def test_family_weights_equal_per_record_construction(self):
+        rng = np.random.default_rng(10)
+        families = [random_pedigree(rng, 7, f"W{i}", with_loop=i == 0) for i in range(6)]
+        engine = MarginalEngine(families)
+        marginals, _ = engine.run(random_params(rng))
+        for fam, off, weights in zip(families, engine.offsets, engine.family_weights(marginals)):
+            expected = {
+                rec.individual_id: PosteriorWeights(
+                    w_pat=float(marginals[off + i, Genotype.HET_PATERNAL]),
+                    w_mat=float(marginals[off + i, Genotype.HET_MATERNAL]
+                                + marginals[off + i, Genotype.HOMOZYGOUS]),
+                    w_zero=float(marginals[off + i, Genotype.NON_CARRIER]),
+                )
+                for i, rec in enumerate(fam)
+            }
+            assert list(weights) == list(expected)
+            for key, w in expected.items():
+                got = weights[key]
+                assert type(got.w_pat) is float
+                assert (got.w_pat, got.w_mat, got.w_zero) == (w.w_pat, w.w_mat, w.w_zero)
 
     def test_infeasible_clique_rejected_before_allocation(self):
         rng = np.random.default_rng(0)
