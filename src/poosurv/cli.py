@@ -13,6 +13,8 @@ import dataclasses
 import functools
 import json
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -292,6 +294,7 @@ def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
                     f"bad case {text!r}; expected FAMILIES:BETA like 400:-0.6"
                 ) from None
     scenario_list = [Scenario(s) for s in scenarios.split(",")]
+    started = time.perf_counter()
     rows = replicate_study(
         case_list, scenario_list, replicates, seed=seed, q=q, jobs=jobs
     )
@@ -311,6 +314,12 @@ def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
         Path(out + ".config.json"),
         cases=[[n, b] for n, b in case_list],
         scenarios=[s.value for s in scenario_list],
+    )
+    failures = Counter(row.error.split(":", 1)[0] for row in rows if row.error)
+    click.echo(
+        f"replicate: {len(rows)} rows in {time.perf_counter() - started:.2f} s; failures: "
+        + (", ".join(f"{kind} {n}" for kind, n in sorted(failures.items())) or "none"),
+        err=True,
     )
     click.echo(f"wrote {len(rows)} replicate rows to {out}")
 

@@ -163,11 +163,9 @@ def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
             warnings.append(f"family {fam.family_id} has no proband; left unmodified")
             corrected.append(fam)
             continue
-        records = [
-            replace(rec, phenotype_suppressed=True) if rec.proband else rec
-            for rec in fam
-        ]
-        corrected.append(Pedigree(records))
+        corrected.append(fam.with_values(
+            phenotype_suppressed=[rec.proband or rec.phenotype_suppressed for rec in fam]
+        ))
     return corrected, warnings
 
 

@@ -20,7 +20,7 @@ import enum
 import io
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "Sex",
@@ -126,6 +126,11 @@ class IndividualRecord:
     @property
     def is_founder(self) -> bool:
         return self.father_id is None
+
+
+#: Record fields that :meth:`Pedigree.with_values` may change: none of them
+#: enters a family's links, ids or phenotypes.
+_VALUE_FIELDS = frozenset({"gene_test", "genotype_pin", "phenotype_suppressed"})
 
 
 class Pedigree:
@@ -263,6 +268,50 @@ class Pedigree:
     def topological_order(self) -> tuple[str, ...]:
         """Individual ids ordered so parents always precede children."""
         return self._topo
+
+    def with_values(self, **columns) -> Pedigree:
+        """A copy whose records take new values of non-structural fields.
+
+        Each keyword names ``gene_test``, ``genotype_pin`` or
+        ``phenotype_suppressed`` and gives one value per record, in record
+        order; any other field raises ``ValueError``. Links, sexes,
+        phenotypes and ids stay as they are, so the copy shares this
+        family's validated structure instead of being built again; records
+        whose values do not change are shared too, and a call that changes
+        nothing returns ``self``. Changed records still pass
+        :class:`IndividualRecord`'s checks.
+        """
+        refused = sorted(set(columns) - _VALUE_FIELDS)
+        if refused:
+            raise ValueError(f"cannot change structural field(s): {', '.join(refused)}")
+        for name, values in columns.items():
+            if len(values) != len(self.individuals):
+                raise ValueError(
+                    f"{name}: {len(values)} values for {len(self.individuals)} records"
+                )
+        records = list(self.individuals)
+        changed = False
+        for i, rec in enumerate(records):
+            update = {
+                name: values[i] for name, values in columns.items()
+                if getattr(rec, name) != values[i]
+            }
+            if update:
+                # a field-by-field copy: dataclasses.replace would rerun the
+                # whole constructor, several times the cost on this hot path
+                new = object.__new__(IndividualRecord)
+                new.__dict__.update(rec.__dict__, **update)
+                new.__post_init__()
+                records[i] = new
+                changed = True
+        if not changed:
+            return self
+        copy = object.__new__(Pedigree)
+        copy.family_id = self.family_id
+        copy.individuals = tuple(records)
+        copy._positions = self._positions
+        copy._topo = self._topo
+        return copy
 
     def structure_key(self) -> tuple[tuple[int, int], ...]:
         """Parent positions per record; families with equal keys share a graph."""
@@ -406,19 +455,21 @@ def format_ped(families) -> str:
 def pin_genotypes(families, pins) -> list[Pedigree]:
     """Copies of ``families`` whose records carry ``pins``, a map from
     (family_id, individual_id) to one :class:`genetics.Genotype` state or a
-    collection of them. A key naming no record raises :class:`PedigreeError`.
+    collection of them; a family that gains no pin comes back as it is. A
+    key naming no record raises :class:`PedigreeError`.
     """
     pending = dict(pins)
     pinned = []
     for fam in families:
-        records = []
+        column = []
         for rec in fam:
             states = pending.pop((rec.family_id, rec.individual_id), None)
-            if states is not None:
+            if states is None:
+                column.append(rec.genotype_pin)
+            else:
                 states = (states,) if isinstance(states, int) else states
-                rec = replace(rec, genotype_pin=tuple(sorted({int(s) for s in states})))
-            records.append(rec)
-        pinned.append(Pedigree(records))
+                column.append(tuple(sorted({int(s) for s in states})))
+        pinned.append(fam.with_values(genotype_pin=column))
     if pending:
         family_id, individual_id = next(iter(pending))
         raise PedigreeError(

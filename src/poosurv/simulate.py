@@ -16,7 +16,17 @@ pins each individual to its true ordered genotype for fitting.
 
 Randomness uses counter-based (Philox) substreams keyed by family and
 replicate indices, so any subset of the work reproduces identically under
-any level of concurrency.
+any level of concurrency. A seed splits into a truth root and a mask root;
+seed sequences passed in are never advanced, so the same seed always draws
+the same families and masks.
+
+The replication study runs in (case, replicate) units: a unit simulates
+its families once and derives each scenario's families from them with
+:func:`apply_scenario_mask` and the mask root of the same seed, which gives
+exactly the families a fresh :func:`simulate_families` call for that
+scenario would. Masking copies records through
+:meth:`pedigree.Pedigree.with_values`, which keeps each family's validated
+structure.
 """
 
 from __future__ import annotations
@@ -165,6 +175,24 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _children(seq, n):
+    """What ``seq.spawn(n)`` returns, leaving ``seq``'s spawn counter alone.
+
+    ``spawn`` advances the counter, so a second call on one object would
+    draw new streams; deriving the children keeps every call repeatable.
+    """
+    start = seq.n_children_spawned
+    return [
+        type(seq)(seq.entropy, spawn_key=seq.spawn_key + (i,), pool_size=seq.pool_size)
+        for i in range(start, start + n)
+    ]
+
+
+def _seed_roots(seed):
+    """The (truth, mask) seed roots of one simulation seed."""
+    return _children(_as_seedseq(seed), 2)
+
+
 def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
     genotypes: dict[str, Genotype] = {}
     records = []
@@ -230,9 +258,8 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     if n < 1:
         raise ValueError("need at least one family")
     scenario = Scenario(scenario)
-    root = _as_seedseq(seed)
-    truth_root, mask_root = root.spawn(2)
-    truth_seeds = truth_root.spawn(n)
+    truth_root, mask_root = _seed_roots(seed)
+    truth_seeds = _children(truth_root, n)
     families, truth = [], []
     for k in range(n):
         rng = np.random.Generator(np.random.Philox(truth_seeds[k]))
@@ -250,28 +277,29 @@ def apply_scenario_mask(families, truth, scenario, seed):
     S1 reveals each affected individual with probability 0.8 and each
     unaffected individual with probability 0.1; S2 and Oracle reveal
     everyone, and Oracle also sets each record's ``genotype_pin`` to its
-    true genotype. Returns new pedigrees; the truth list is not modified.
+    true genotype. Any earlier mask is overwritten. Returns new pedigrees;
+    neither the truth list nor ``seed`` is modified, so one seed always
+    draws the same mask.
     """
     scenario = Scenario(scenario)
     genotype = {(t.family_id, t.individual_id): t.genotype for t in truth}
-    mask_seeds = _as_seedseq(seed).spawn(len(families))
+    mask_seeds = _children(_as_seedseq(seed), len(families))
     masked = []
     for fam, fam_seed in zip(families, mask_seeds):
-        rng = np.random.Generator(np.random.Philox(fam_seed))
-        records = []
-        for rec in fam:
-            if scenario == Scenario.S0:
-                observed = False
-            elif scenario == Scenario.S1:
-                p_observe = 0.8 if rec.status == 1 else 0.1
-                observed = rng.random() < p_observe
-            else:
-                observed = True
-            state = genotype[(fam.family_id, rec.individual_id)]
-            value = int(state != Genotype.NON_CARRIER) if observed else None
-            pin = (int(state),) if scenario == Scenario.ORACLE else None
-            records.append(replace(rec, gene_test=value, genotype_pin=pin))
-        masked.append(Pedigree(records))
+        states = [genotype[(fam.family_id, rec.individual_id)] for rec in fam]
+        if scenario == Scenario.S1:
+            rng = np.random.Generator(np.random.Philox(fam_seed))
+            observed = [rng.random() < (0.8 if rec.status == 1 else 0.1) for rec in fam]
+        else:
+            observed = [scenario != Scenario.S0] * len(fam)
+        oracle = scenario == Scenario.ORACLE
+        masked.append(fam.with_values(
+            gene_test=[
+                int(state != Genotype.NON_CARRIER) if seen else None
+                for state, seen in zip(states, observed)
+            ],
+            genotype_pin=[(int(state),) if oracle else None for state in states],
+        ))
     return masked
 
 
@@ -323,21 +351,14 @@ def _case_label(n_families, beta) -> str:
     return f"n{n_families}_beta{beta:g}"
 
 
-def _run_replicate(args) -> ReplicateRow:
-    master_seed, case_index, n_families, beta, scenario, replicate_index, q = args
-    sim_entropy = (master_seed, case_index, replicate_index)
-    families, _ = simulate_families(
-        n_families, beta, q, hazard=DEFAULT_HAZARD, scenario=scenario, seed=sim_entropy
-    )
-    em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
-    config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed)
-    label = _case_label(n_families, beta)
-    seed_label = f"{master_seed}-{case_index}-{replicate_index}"
+def _run_replicate(families, scenario, config, case_label, replicate_index,
+                   seed_label) -> ReplicateRow:
+    """Fit one study row: ``families`` masked for ``scenario``."""
     try:
         result = em_fit(families, config)
     except (EMError, InferenceError) as err:
         return ReplicateRow(
-            case=label,
+            case=case_label,
             scenario=scenario.value,
             replicate=replicate_index,
             beta_hat=float("nan"),
@@ -348,7 +369,7 @@ def _run_replicate(args) -> ReplicateRow:
             error=f"{type(err).__name__}: {err}",
         )
     return ReplicateRow(
-        case=label,
+        case=case_label,
         scenario=scenario.value,
         replicate=replicate_index,
         beta_hat=result.beta_hat,
@@ -359,33 +380,71 @@ def _run_replicate(args) -> ReplicateRow:
     )
 
 
+def _run_unit(args) -> list[ReplicateRow]:
+    """One (case, replicate) unit: simulate once, fit every scenario's mask.
+
+    The first scenario's families come from ``simulate_families``; the
+    others are masked from them with the mask root it derives from the same
+    seed, so each row equals a fresh ``simulate_families`` call for its
+    scenario. Returns one row per scenario, in scenario order.
+    """
+    master_seed, case_index, n_families, beta, scenarios, replicate_index, q = args
+    sim_entropy = (master_seed, case_index, replicate_index)
+    simulated, truth = simulate_families(
+        n_families, beta, q, hazard=DEFAULT_HAZARD, scenario=scenarios[0], seed=sim_entropy
+    )
+    _, mask_root = _seed_roots(sim_entropy)
+    em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
+    config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed)
+    label = _case_label(n_families, beta)
+    seed_label = f"{master_seed}-{case_index}-{replicate_index}"
+    rows = []
+    for i, scenario in enumerate(scenarios):
+        families = (
+            simulated if i == 0
+            else apply_scenario_mask(simulated, truth, scenario, mask_root)
+        )
+        rows.append(
+            _run_replicate(families, scenario, config, label, replicate_index, seed_label)
+        )
+    return rows
+
+
 def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
                     jobs: int = 1) -> list[ReplicateRow]:
     """Simulate and fit every (case, scenario, replicate) combination.
 
     ``cases`` is a sequence of (n_families, beta) pairs; onsets follow
-    ``DEFAULT_HAZARD``. Within one case and replicate, all scenarios share
-    the same simulated families and differ only in genotype visibility,
-    giving paired comparisons. Fits assume the simulator's error-free tests
-    (epsilon = eta = 0) and known ``q``, with every other EM knob at its
-    ``EMConfig`` default. Failed replicates become rows carrying the
-    failure reason instead of aborting the study. Output order and content
-    are independent of ``jobs``.
+    ``DEFAULT_HAZARD``. The work is split into (case, replicate) units: a
+    unit simulates its families once and masks them per scenario, so all
+    scenarios of one case and replicate share the same families and differ
+    only in genotype visibility, giving paired comparisons. Fits assume the
+    simulator's error-free tests (epsilon = eta = 0) and known ``q``, with
+    every other EM knob at its ``EMConfig`` default. Failed replicates
+    become rows carrying the failure reason instead of aborting the study.
+    Rows come in (case, scenario, replicate) order, and order and content
+    are independent of ``jobs``, which sets how many units run at once.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     scenarios = [Scenario(s) for s in scenarios]
-    tasks = []
-    for case_index, (n_families, beta) in enumerate(cases):
-        for scenario in scenarios:
-            for replicate_index in range(replicates):
-                tasks.append(
-                    (seed, case_index, int(n_families), float(beta),
-                     scenario, replicate_index, q)
-                )
+    if not scenarios:
+        raise ValueError("need at least one scenario")
+    units = [
+        (seed, case_index, int(n_families), float(beta), scenarios, replicate_index, q)
+        for case_index, (n_families, beta) in enumerate(cases)
+        for replicate_index in range(replicates)
+    ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_replicate, tasks, chunksize=1))
-    return [_run_replicate(task) for task in tasks]
+            done = list(pool.map(_run_unit, units, chunksize=1))
+    else:
+        done = [_run_unit(unit) for unit in units]
+    return [
+        done[case_index * replicates + replicate_index][s]
+        for case_index in range(len(cases))
+        for s in range(len(scenarios))
+        for replicate_index in range(replicates)
+    ]

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -347,6 +348,27 @@ class TestReplicateCommand:
         assert echo["parameters"]["full_design"] is False
         assert echo["parameters"]["cases"] == [[6, -0.6]]
         assert echo["parameters"]["scenarios"] == ["S2"]
+
+    def test_summary_line_counts_failures_by_type(self, tmp_path):
+        # one-family replicates often have no weighted event, so some rows fail
+        result = run_python(
+            ["-m", "poosurv.cli", "replicate", "--case", "1:-0.6", "--scenarios", "S0",
+             "--replicates", "8", "--seed", "2", "--out", "study.csv"],
+            tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        with open(tmp_path / "study.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        failed = sum(1 for r in rows if r["error"].startswith("EMError:"))
+        assert failed and all(
+            r["error"].startswith("EMError:") for r in rows if r["error"]
+        )
+        (line,) = result.stderr.splitlines()
+        assert re.fullmatch(
+            rf"replicate: 8 rows in \d+\.\d\d s; failures: EMError {failed}", line
+        ), line
+        assert "failures" not in (tmp_path / "study.csv.config.json").read_text()
+        assert result.stdout == "wrote 8 replicate rows to study.csv\n"
 
     def test_case_argument_validation(self, runner, tmp_path):
         result = runner.invoke(

@@ -1,6 +1,7 @@
 """Simulator tests: hazard sampling, Mendelian genotypes, scenario masks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,17 @@ from scipy import stats
 from poosurv import (
     DEFAULT_HAZARD,
     FAMILY_TEMPLATE,
+    EMConfig,
     Genotype,
     HazardSpec,
+    Pedigree,
+    PedigreeError,
     Scenario,
     apply_scenario_mask,
+    em_fit,
     founder_prior,
     replicate_study,
+    simulate,
     simulate_families,
 )
 
@@ -238,6 +244,56 @@ class TestScenarioMasks:
         # original families untouched
         assert all(rec.gene_test is None for fam in families for rec in fam)
 
+    def test_mask_leaves_its_seed_sequence_unspent(self):
+        families, truth = simulate_families(20, beta=-0.6, q=0.2, scenario="S0", seed=22)
+        seed = np.random.SeedSequence(7)
+
+        def tests(masked):
+            return [[rec.gene_test for rec in fam] for fam in masked]
+
+        first = tests(apply_scenario_mask(families, truth, "S1", seed))
+        assert tests(apply_scenario_mask(families, truth, "S1", seed)) == first
+        assert tests(apply_scenario_mask(families, truth, "S1", 7)) == first
+        assert seed.n_children_spawned == 0
+
+    def test_mask_equals_validating_constructor(self):
+        families, truth = simulate_families(6, beta=-0.6, q=0.2, scenario="S1", seed=23)
+        for scenario in Scenario:
+            masked = apply_scenario_mask(families, truth, scenario, seed=4)
+            for fam, copy in zip(families, masked):
+                rebuilt = Pedigree(
+                    replace(rec, gene_test=new.gene_test, genotype_pin=new.genotype_pin)
+                    for rec, new in zip(fam, copy)
+                )
+                assert [vars(r) for r in copy] == [vars(r) for r in rebuilt]
+                assert copy.topological_order() == rebuilt.topological_order()
+                assert copy.structure_key() == rebuilt.structure_key()
+                for rec in fam:
+                    assert copy.position(rec.individual_id) == rebuilt.position(
+                        rec.individual_id
+                    )
+
+    def test_value_copy_refuses_structural_fields(self):
+        (fam,), _ = simulate_families(1, beta=-0.6, q=0.2, scenario="S0", seed=24)
+        for name, value in (("age", 1.0), ("father_id", None), ("proband", True)):
+            with pytest.raises(ValueError, match=f"structural field.*{name}"):
+                fam.with_values(**{name: [value] * len(fam)})
+        with pytest.raises(ValueError, match="values for 10 records"):
+            fam.with_values(gene_test=[1])
+        with pytest.raises(PedigreeError, match="invalid gene_test"):
+            fam.with_values(gene_test=[2] * len(fam))
+
+    def test_value_copy_shares_what_it_keeps(self):
+        (fam,), _ = simulate_families(1, beta=-0.6, q=0.2, scenario="S0", seed=25)
+        assert fam.with_values(gene_test=[None] * len(fam)) is fam
+        tests = [None] * len(fam)
+        tests[2] = 1
+        copy = fam.with_values(gene_test=tests)
+        assert copy.record("3").gene_test == 1 and fam.record("3").gene_test is None
+        assert all(
+            new is old for new, old in zip(copy, fam) if new.individual_id != "3"
+        )
+
     def test_mark_probands_flags_first_affected(self):
         families, _ = simulate_families(
             40, beta=-0.6, q=0.2, scenario="S1", seed=21, mark_probands=True
@@ -267,6 +323,47 @@ class TestReplicateStudy:
         serial = replicate_study([(5, -0.6)], ["S2"], **kwargs, jobs=1)
         parallel = replicate_study([(5, -0.6)], ["S2"], **kwargs, jobs=2)
         assert serial == parallel
+
+    def test_rows_equal_one_simulation_per_row(self):
+        # the reference simulates every row afresh under the row's scenario,
+        # where the study simulates each (case, replicate) once
+        cases, scenarios, replicates, seed, q = [(8, -0.6)], list(Scenario), 2, 3, 0.2
+        rows = iter(replicate_study(cases, scenarios, replicates, seed=seed, q=q))
+        for case_index, (n, beta) in enumerate(cases):
+            for scenario in scenarios:
+                for replicate in range(replicates):
+                    entropy = (seed, case_index, replicate)
+                    families, _ = simulate_families(
+                        n, beta, q, scenario=scenario, seed=entropy
+                    )
+                    em_seed = int(
+                        np.random.SeedSequence(entropy + (1,)).generate_state(1)[0]
+                    )
+                    fit = em_fit(families, EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed))
+                    row = next(rows)
+                    assert (row.case, row.scenario, row.replicate, row.seed, row.error) == (
+                        f"n{n}_beta{beta:g}", scenario.value, replicate,
+                        f"{seed}-{case_index}-{replicate}", "",
+                    )
+                    assert row.beta_hat == fit.beta_hat
+                    assert row.se == float(fit.cox.std_errors[0])
+                    assert row.iterations == fit.iterations
+                    assert row.converged == fit.converged
+        assert next(rows, None) is None
+
+    def test_each_unit_simulates_once(self, monkeypatch):
+        calls = []
+        original = simulate._simulate_family
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(simulate, "_simulate_family", counted)
+        rows = replicate_study([(3, -0.6), (2, -1.2)], list(Scenario), replicates=2, seed=4)
+        assert len(rows) == 2 * 4 * 2
+        # one simulation of each family per (case, replicate) unit
+        assert len(calls) == (3 + 2) * 2
 
     def test_failures_recorded_not_raised(self):
         # a single tiny family often has no informative events: the M-step
