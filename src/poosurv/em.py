@@ -49,7 +49,9 @@ class EMError(RuntimeError):
 class EMConfig:
     """Fixed constants and knobs of one EM run.
 
-    ``q``, ``epsilon``, and ``eta`` are treated as known. Convergence is
+    ``q``, ``epsilon``, and ``eta`` are treated as known; ``q`` must lie
+    strictly between 0 and 1, since at either end the origin effect has no
+    carriers or no non-carriers to contrast. Convergence is
     declared when the baseline survival at every ``test_ages`` entry changes
     by less than ``tol`` for ``STABLE_WINDOW`` consecutive iterations.
     """
@@ -64,6 +66,8 @@ class EMConfig:
     proband_correction: bool = False
 
     def __post_init__(self):
+        if not 0.0 < self.q < 1.0:
+            raise ValueError(f"allele frequency q must be in (0, 1), got {self.q}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         ages = tuple(float(a) for a in self.test_ages)
@@ -220,9 +224,12 @@ def em_fit(families, config: EMConfig) -> FitResult:
     engine = MarginalEngine(families)
     time2, status2, X, rows = _dataset_arrays(families)
     problem = CoxProblem(time2, status2, X)
-    # every affected time is a Breslow jump time: affected rows never lose
-    # their carrier mass
+    # Every affected age is a Breslow jump time, since affected rows never
+    # lose their carrier mass, and there are no others: the jump grid is
+    # fixed for the fit, and so is each affected row's place on it.
     event_times = time2[:rows.size][status2[:rows.size] == 1]
+    jump_grid = np.unique(event_times)
+    jump_of_event = np.searchsorted(jump_grid, event_times)
     test_ages = np.asarray(config.test_ages)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
@@ -257,7 +264,12 @@ def em_fit(families, config: EMConfig) -> FitResult:
         w_pat = marginals[:, 1]
         w_mat = marginals[:, 2] + marginals[:, 3]
         log_evidence = float(log_evidence_fam.sum())
-        jumps = baseline.increments[np.searchsorted(baseline.times, event_times)]
+        if not np.array_equal(baseline.times, jump_grid):
+            raise EMError(
+                f"iteration {iteration}: the Breslow jump times are not the "
+                "affected ages; an affected row lost its carrier mass"
+            )
+        jumps = baseline.increments[jump_of_event]
         log_likelihood = log_evidence + float(np.log(jumps).sum())
 
         change = (

@@ -556,16 +556,23 @@ class MarginalEngine:
                 "families carry different covariate counts; cannot fit jointly"
             )
         records = [rec for fam in self.families for rec in fam]
-        self._age = np.array([rec.age for rec in records], dtype=float)
-        self._status = np.array([rec.status for rec in records], dtype=int)
+        # Evidence inputs in ascending-age order, so that each run's baseline
+        # hazard lookup searches sorted ages; run scatters the result back.
+        age = np.array([rec.age for rec in records], dtype=float)
+        self._by_age = by_age = np.argsort(age, kind="stable")
+        self._age = age[by_age]
+        self._status = np.array([rec.status for rec in records], dtype=int)[by_age]
         self._gtest = np.array(
             [-1 if rec.gene_test is None else rec.gene_test for rec in records], dtype=int
-        )
-        self._suppress = np.array([rec.phenotype_suppressed for rec in records], dtype=bool)
+        )[by_age]
+        self._suppress = np.array(
+            [rec.phenotype_suppressed for rec in records], dtype=bool
+        )[by_age]
         self._Z = np.array([rec.covariates for rec in records], dtype=float).reshape(
             total, cov_len
-        )
-        self._mask = _pin_mask(records)
+        )[by_age]
+        mask = _pin_mask(records)
+        self._mask = None if mask is None else mask[by_age]
         self._static_q = None
         self._static = {}
         self._moved = None
@@ -780,10 +787,13 @@ class MarginalEngine:
             self._gtest, params, suppress=self._suppress,
         )
         if self._mask is not None:
-            phi = phi * self._mask
-        # one column per record, plus column ``total``: no evidence
-        phi = np.ascontiguousarray(np.concatenate((phi, np.ones((1, N_STATES)))).T)
-        pots = self._potentials(params.q, phi)
+            phi *= self._mask
+        # one column per record in global record order, plus column
+        # ``total``: no evidence
+        table = np.empty((N_STATES, self.total + 1))
+        table[:, self._by_age] = phi.T
+        table[:, self.total] = 1.0
+        pots = self._potentials(params.q, table)
         collected = {
             size: np.empty((N_STATES,) * size + (count,))
             for size, count in self._sep_sizes.items()

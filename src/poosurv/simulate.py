@@ -388,14 +388,15 @@ def _run_unit(args) -> list[ReplicateRow]:
     seed, so each row equals a fresh ``simulate_families`` call for its
     scenario. Returns one row per scenario, in scenario order.
     """
-    master_seed, case_index, n_families, beta, scenarios, replicate_index, q = args
+    master_seed, case_index, n_families, beta, scenarios, replicate_index, config = args
     sim_entropy = (master_seed, case_index, replicate_index)
     simulated, truth = simulate_families(
-        n_families, beta, q, hazard=DEFAULT_HAZARD, scenario=scenarios[0], seed=sim_entropy
+        n_families, beta, config.q, hazard=DEFAULT_HAZARD, scenario=scenarios[0],
+        seed=sim_entropy,
     )
     _, mask_root = _seed_roots(sim_entropy)
     em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
-    config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed)
+    config = replace(config, seed=em_seed)
     label = _case_label(n_families, beta)
     seed_label = f"{master_seed}-{case_index}-{replicate_index}"
     rows = []
@@ -430,8 +431,9 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
     scenarios = [Scenario(s) for s in scenarios]
     if not scenarios:
         raise ValueError("need at least one scenario")
+    config = EMConfig(q=q, epsilon=0.0, eta=0.0)
     units = [
-        (seed, case_index, int(n_families), float(beta), scenarios, replicate_index, q)
+        (seed, case_index, int(n_families), float(beta), scenarios, replicate_index, config)
         for case_index, (n_families, beta) in enumerate(cases)
         for replicate_index in range(replicates)
     ]

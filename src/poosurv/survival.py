@@ -4,10 +4,21 @@ The design matrix always carries the parent-of-origin indicator in its
 first column (1 for paternal origin, 0 for maternal); any further columns
 are ordinary covariates. Ties are handled with the Breslow convention,
 which stays well defined when weights are fractional posterior
-probabilities. Reported standard errors come from the inverse observed
-information of the final weighted fit and ignore any uncertainty in the
-weights themselves ("naive" errors); honest intervals are available via
-the family bootstrap in :mod:`poosurv.em`.
+probabilities.
+
+The fit uses that contract. With origin effect ``beta`` and covariate
+effects ``gamma``, the weighted risk-set total at an event time is
+``exp(beta) * A + B``, where ``A`` and ``B`` sum ``w exp(z gamma)`` over the
+paternal and the maternal rows at risk; the first and second moments split
+the same way. :class:`CoxProblem` computes these origin-split sums at the
+event times only, once per weight vector and ``gamma``. Without covariates
+they are computed once per weight vector, and every Newton evaluation and
+the Breslow estimate then cost O(events) rather than O(rows).
+
+Reported standard errors come from the inverse observed information of the
+final weighted fit and ignore any uncertainty in the weights themselves
+("naive" errors); honest intervals are available via the family bootstrap
+in :mod:`poosurv.em`.
 """
 
 from __future__ import annotations
@@ -130,11 +141,26 @@ class CoxFit:
 
 
 class CoxProblem:
-    """Pre-sorted design for repeated weighted partial-likelihood work.
+    """Indexed design for repeated weighted partial-likelihood work.
 
-    Sorting and risk-set bookkeeping depend only on (time, status, X), so an
-    instance can be evaluated many times with different weight vectors; the
-    EM loop exploits this.
+    The first design column must be the 0/1 parent-of-origin flag; the rest
+    are covariates ``z``. Construction sorts the times once, numbers the
+    event blocks (the distinct event times) and gives every row the bin of
+    the origin-split risk sums it enters. Everything after that is cached on
+    content, never on object identity, and recomputed only when its inputs
+    change:
+
+    - per weight vector: each event block's summed event weight and the
+      weighted event total of every design column;
+    - per weight vector and covariate coefficients ``gamma``: the risk sums
+      at the event blocks of positive weight, split by origin: the prefix
+      sums of ``w exp(z gamma)`` times ``(1, z)`` and its outer product over
+      the paternal rows at risk, and the same over the maternal rows.
+
+    A partial-likelihood evaluation, a Newton step or a Breslow estimate
+    then combines the two origins' sums with ``exp(beta)`` in
+    O(events * p**2). Without covariates ``gamma`` is empty, so the risk
+    sums are built once per weight vector; the EM loop exploits this.
     """
 
     def __init__(self, time, status, covariates):
@@ -146,65 +172,120 @@ class CoxProblem:
         n, p = X.shape
         if time.shape != (n,) or status.shape != (n,):
             raise ValueError("time, status, covariates have mismatched lengths")
+        if p == 0:
+            raise ValueError("the design needs the parent-of-origin flag as first column")
+        if not np.all((X[:, 0] == 0.0) | (X[:, 0] == 1.0)):
+            raise ValueError("the first design column must be the 0/1 parent-of-origin flag")
+        if not np.all((status == 0) | (status == 1)):
+            raise ValueError("status must be 0 (censored) or 1 (event)")
         self.n = n
         self.p = p
-        # Descending time, stable: risk set at any event time is a prefix.
-        order = np.lexsort((np.arange(n), -time))
-        self._order = order
-        self._time = time[order]
-        self._status = status[order]
-        self._X = X[order]
-        self._Xouter = self._X[:, :, None] * self._X[:, None, :]
-        if n:
-            changed = np.concatenate(([True], self._time[1:] != self._time[:-1]))
-            self._starts = np.flatnonzero(changed)
-            self._ends = np.concatenate((self._starts[1:], [n])) - 1
-        else:
-            self._starts = np.empty(0, dtype=int)
-            self._ends = np.empty(0, dtype=int)
-        self._block_times = self._time[self._starts] if n else np.empty(0)
+        # Event blocks are numbered from the latest time. A row is at risk at
+        # every event time up to its own, so it enters the prefix sums at
+        # its segment: the number of event times after it. Rows before every
+        # event time fall into a spare last segment. All sums below run in
+        # input row order, so the order of tied times in the sort cannot
+        # change a result.
+        order = np.argsort(time)
+        sorted_time = time[order]
+        new_time = np.ones(n, dtype=bool)
+        new_time[1:] = sorted_time[1:] != sorted_time[:-1]
+        block = np.cumsum(new_time) - 1
+        has_event = np.zeros(int(new_time.sum()), dtype=bool)
+        has_event[block[status[order] == 1]] = True
+        events_up_to = np.cumsum(has_event)
+        self._blocks = int(events_up_to[-1]) if n else 0
+        segment = np.empty(n, dtype=np.intp)
+        segment[order] = self._blocks - events_up_to[block]
+        self._event_times = sorted_time[new_time][has_event][::-1]
+        events = np.flatnonzero(status == 1)
+        self._event_block = segment[events]
+        self._event_rows = events
+        self._event_X = X[events]
+        self._event_paternal = self._event_X[:, 0] == 1.0
+        # Each row's bin of the risk sums: paternal segments, then maternal.
+        self._risk_bin = segment + np.where(X[:, 0] == 1.0, 0, self._blocks + 1)
+        self._Z = X[:, 1:]
+        v = np.column_stack((np.ones(n), self._Z))
+        self._moments = (v[:, :, None] * v[:, None, :]).reshape(n, p * p).T.copy()
+        self._weights = None
+        self._gamma = None
+
+    def _prepare(self, weights, gamma):
+        """Bring the per-weights and per-gamma caches up to date."""
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (self.n,):
+            raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
+        if self._weights is None or not np.array_equal(w, self._weights):
+            self._weights = w.copy()
+            self._gamma = None
+            w_event = w[self._event_rows]
+            d = np.bincount(self._event_block, weights=w_event, minlength=self._blocks)
+            self._kept = np.flatnonzero(d > 0)
+            self._d = d[self._kept]
+            self._d_total = float(self._d.sum())
+            self._event_sum = w_event @ self._event_X
+            self._w_event = w_event
+        if self._gamma is None or not np.array_equal(gamma, self._gamma):
+            self._gamma = gamma.copy()
+            u, self._gamma_shift = self._weights, 0.0
+            if gamma.size and self.n:
+                linear = self._Z @ gamma
+                # exp(z gamma - shift) cannot overflow
+                self._gamma_shift = float(linear.max())
+                u = u * np.exp(linear - self._gamma_shift)
+            segments = self._blocks + 1
+            sums = np.stack([
+                np.bincount(self._risk_bin, weights=u * moment, minlength=2 * segments)
+                for moment in self._moments
+            ]).reshape(self.p, self.p, 2, segments)
+            sums = np.take(np.cumsum(sums, axis=-1), self._kept, axis=-1)
+            self._pat_sums, mat = np.moveaxis(sums, (0, 1), (-2, -1))
+            # A maternal row's design vector is (0, z): its first and second
+            # moments drop the entries of (1, z) that hold the leading 1.
+            mat1 = mat[:, 0, :].copy()
+            mat1[:, 0] = 0.0
+            mat2 = mat.copy()
+            mat2[:, 0, :] = mat2[:, :, 0] = 0.0
+            self._mat_sums = (mat[:, 0, 0], mat1, mat2)
+
+    def _risk(self, beta):
+        """Risk-set sums S0, S1, S2 at the weighted event blocks, scaled.
+
+        Returns them with ``log_scale``: the true sums are the returned ones
+        times exp(log_scale). The shift ``max(beta, 0)`` inside it keeps
+        every exponential here from overflowing.
+        """
+        shift = max(float(beta), 0.0)
+        pat, mat = math.exp(beta - shift), math.exp(-shift)
+        mat0, mat1, mat2 = self._mat_sums
+        s0 = pat * self._pat_sums[:, 0, 0] + mat * mat0
+        s1 = pat * self._pat_sums[:, 0, :] + mat * mat1
+        s2 = pat * self._pat_sums + mat * mat2
+        return s0, s1, s2, shift + self._gamma_shift
 
     def evaluate(self, coefs, weights):
         """Weighted partial log-likelihood with its score and information."""
         coefs = np.asarray(coefs, dtype=float)
-        w = np.asarray(weights, dtype=float)[self._order]
-        eta = self._X @ coefs
-        shift = eta.max() if eta.size else 0.0  # loglik is invariant to this
-        r = w * np.exp(eta - shift)
-        cum0 = np.cumsum(r)
-        cum1 = np.cumsum(r[:, None] * self._X, axis=0)
-        cum2 = np.cumsum(r[:, None, None] * self._Xouter, axis=0)
-        ew = w * self._status
-        d = np.add.reduceat(ew, self._starts) if self._starts.size else np.empty(0)
-        sx = (
-            np.add.reduceat(ew[:, None] * self._X, self._starts, axis=0)
-            if self._starts.size
-            else np.empty((0, self.p))
+        self._prepare(weights, coefs[1:])
+        s0, s1, s2, log_scale = self._risk(coefs[0])
+        d = self._d
+        loglik = float(
+            self._event_sum @ coefs - d @ np.log(s0) - self._d_total * log_scale
         )
-        keep = d > 0
-        s0 = cum0[self._ends][keep]
-        s1 = cum1[self._ends][keep]
-        s2 = cum2[self._ends][keep]
-        d = d[keep]
-        sx = sx[keep]
-
-        loglik = float((ew * (eta - shift)).sum() - (d * np.log(s0)).sum())
         xbar = s1 / s0[:, None]
-        score = (sx - d[:, None] * xbar).sum(axis=0)
+        score = self._event_sum - d @ xbar
         info = (
             d[:, None, None]
             * (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :])
         ).sum(axis=0)
         return loglik, score, info
 
-    def _check_rank(self, weights):
-        w = np.asarray(weights, dtype=float)[self._order]
-        events = (self._status == 1) & (w > 0)
+    def _check_rank(self):
+        events = self._w_event > 0
         if not events.any():
             raise RankDeficiencyError("no events with positive weight")
-        if self.p and not (
-            events[self._X[:, 0] == 1.0].any() and events[self._X[:, 0] == 0.0].any()
-        ):
+        if not (events[self._event_paternal].any() and events[~self._event_paternal].any()):
             raise RankDeficiencyError(
                 "events with positive weight exist in only one parent-of-origin "
                 "group; the origin effect is inestimable"
@@ -219,8 +300,9 @@ class CoxProblem:
         singular information matrix, and :class:`ConvergenceError` when
         Newton fails to converge.
         """
-        self._check_rank(weights)
         coefs = np.zeros(self.p) if init is None else np.asarray(init, dtype=float).copy()
+        self._prepare(weights, coefs[1:])
+        self._check_rank()
         loglik, score, info = self.evaluate(coefs, weights)
         n_steps = 0
         converged = np.max(np.abs(score)) < SCORE_TOL
@@ -268,17 +350,11 @@ class CoxProblem:
         zero-weight rows contribute nothing.
         """
         coefs = np.asarray(coefs, dtype=float)
-        w = np.asarray(weights, dtype=float)[self._order]
-        r = w * np.exp(self._X @ coefs)
-        cum0 = np.cumsum(r)
-        ew = w * self._status
-        d = np.add.reduceat(ew, self._starts) if self._starts.size else np.empty(0)
-        keep = d > 0
-        s0 = cum0[self._ends][keep]
-        times = self._block_times[keep]
-        increments = d[keep] / s0
-        # blocks are in descending time order
-        return BaselineHazard(times[::-1], increments[::-1])
+        self._prepare(weights, coefs[1:])
+        s0, _, _, log_scale = self._risk(coefs[0])
+        increments = self._d / (s0 * math.exp(log_scale))
+        # event blocks are in descending time order
+        return BaselineHazard(self._event_times[self._kept][::-1], increments[::-1])
 
 
 class SurvivalCurve:

@@ -187,6 +187,16 @@ class TestFitCommand:
         )
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_q_at_either_end_is_validation_error(self, runner, sim_dir, tmp_path, q):
+        report_path = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["fit", str(sim_dir / "pedigree.ped"), "--q", q, "--out", str(report_path)]
+        )
+        assert result.exit_code == 2
+        assert "q must be in (0, 1)" in result.output
+        assert not report_path.exists()
+
     def test_infeasible_pedigree_is_numerical_error(self, runner, tmp_path):
         ped = tmp_path / "wide.ped"
         ped.write_text(format_ped([random_pedigree(np.random.default_rng(0), 200, "W")]))
@@ -369,6 +379,15 @@ class TestReplicateCommand:
         ), line
         assert "failures" not in (tmp_path / "study.csv.config.json").read_text()
         assert result.stdout == "wrote 8 replicate rows to study.csv\n"
+
+    def test_q_at_either_end_is_validation_error(self, runner, tmp_path):
+        out = tmp_path / "study.csv"
+        result = runner.invoke(
+            main, ["replicate", "--case", "6:-0.6", "--q", "0", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "q must be in (0, 1)" in result.output
+        assert not out.exists()
 
     def test_case_argument_validation(self, runner, tmp_path):
         result = runner.invoke(

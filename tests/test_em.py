@@ -102,6 +102,44 @@ class TestWeightedDataset:
         np.testing.assert_array_equal(time2, [60.0, 60.0])
 
 
+    def test_design_meets_the_cox_contract(self):
+        # the origin flag leads the design whatever the covariates, and a
+        # cohort whose every record is suppressed still has that column
+        rng = np.random.default_rng(4)
+        fams, _ = simulate_families(
+            5, beta=-0.6, q=0.2, scenario="S1", seed=2, mark_probands=True
+        )
+        for k in (0, 2):
+            with_covariates = [
+                Pedigree([
+                    replace(rec, covariates=tuple(float(z) for z in rng.normal(size=k)))
+                    for rec in fam
+                ])
+                for fam in fams
+            ]
+            for cohort in (with_covariates, apply_proband_correction(with_covariates)[0]):
+                time2, status2, X, rows = _dataset_arrays(cohort)
+                assert X.shape == (2 * rows.size, 1 + k)
+                assert set(np.unique(X[:, 0])) == {0.0, 1.0}
+                CoxProblem(time2, status2, X)
+        suppressed = [fam.with_values(phenotype_suppressed=[True] * len(fam)) for fam in fams]
+        time2, status2, X, rows = _dataset_arrays(suppressed)
+        assert X.shape == (0, 1)
+        CoxProblem(time2, status2, X)
+
+
+class TestEMConfig:
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.5])
+    def test_q_must_lie_strictly_between_0_and_1(self, q):
+        with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
+            EMConfig(q=q)
+
+    def test_model_params_keep_the_closed_interval(self):
+        # brute force and check-oracle evaluate the likelihood at the ends
+        assert ModelParams(q=0.0).q == 0.0
+        assert ModelParams(q=1.0).q == 1.0
+
+
 class TestProbandCorrection:
     def test_marks_probands_and_warns_when_absent(self):
         with_proband = Pedigree(

@@ -61,6 +61,23 @@ def naive_partial_loglik(time, status, X, w, coefs):
     return total
 
 
+def naive_breslow(time, status, X, w, coefs):
+    """Breslow jumps from their definition, one distinct event time at a time.
+
+    The jump at ``t`` is the event weight at ``t`` over the risk-set total of
+    ``w exp(x coefs)``, the risk set being ``time >= t``; times whose events
+    carry no weight have no jump.
+    """
+    risk = w * np.exp(X @ np.asarray(coefs, dtype=float))
+    times, jumps = [], []
+    for t in np.unique(time[status == 1]):
+        d = w[(status == 1) & (time == t)].sum()
+        if d > 0:
+            times.append(t)
+            jumps.append(d / risk[time >= t].sum())
+    return np.array(times), np.array(jumps)
+
+
 class TestDerivatives:
     def test_score_and_information_match_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -222,6 +239,25 @@ class TestBreslow:
         ages = np.linspace(0, 35, 50)
         np.testing.assert_allclose(b2.cumulative(ages), b1.cumulative(ages), atol=1e-12)
 
+    @pytest.mark.parametrize("n_cov", [0, 1, 2])
+    def test_matches_definition(self, n_cov):
+        rng = np.random.default_rng(30 + n_cov)
+        for _ in range(5):
+            time, status, X, w = random_dataset(rng, n=60, n_cov=n_cov)
+            # tied events, an event tied with a censored row, and a tied
+            # event time whose events all carry zero weight (no jump there)
+            # (half-integer times occur nowhere else in the data)
+            time[:6] = [5.5, 5.5, 7.5, 7.5, 9.5, 9.5]
+            status[:6] = [1, 1, 1, 1, 1, 0]
+            w[[0, 1, 4, 5]] = rng.uniform(0.05, 2.0, size=4)
+            w[[2, 3]] = 0.0
+            coefs = rng.normal(scale=0.5, size=X.shape[1])
+            baseline = CoxProblem(time, status, X).breslow(w, coefs)
+            times, jumps = naive_breslow(time, status, X, w, coefs)
+            assert 5.5 in times and 9.5 in times and 7.5 not in times
+            np.testing.assert_array_equal(baseline.times, times)
+            np.testing.assert_allclose(baseline.increments, jumps, rtol=1e-12)
+
     def test_matches_nelson_aalen_at_null_predictor(self):
         rng = np.random.default_rng(13)
         times = rng.uniform(1, 20, size=80)
@@ -236,6 +272,62 @@ class TestBreslow:
             n_at_risk = int(np.sum(times >= t))
             cum += d / n_at_risk
             assert baseline.cumulative(t) == pytest.approx(cum, rel=1e-12)
+
+
+class TestReuseAndContract:
+    @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_weights_mutated_in_place_are_seen(self, n_cov):
+        # a fresh problem is the reference: results must depend on the
+        # weights' content, not on which array object holds them
+        rng = np.random.default_rng(40 + n_cov)
+        time, status, X, w = random_dataset(rng, n=80, n_cov=n_cov, zero_weights=False)
+        coefs = rng.normal(scale=0.3, size=X.shape[1])
+        calls = {
+            "evaluate": lambda problem, weights: problem.evaluate(coefs, weights),
+            "fit": lambda problem, weights: problem.fit(weights)[:3],
+            "breslow": lambda problem, weights: (
+                problem.breslow(weights, coefs).times,
+                problem.breslow(weights, coefs).increments,
+            ),
+        }
+        for name, call in calls.items():
+            problem = CoxProblem(time, status, X)
+            weights = w.copy()
+            call(problem, weights)
+            weights *= 1.5
+            weights[::3] = rng.uniform(0.05, 2.0, size=weights[::3].size)
+            reused = call(problem, weights)
+            fresh = call(CoxProblem(time, status, X), weights)
+            for got, want in zip(reused, fresh):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_covariate_coefficients_change_between_calls(self):
+        rng = np.random.default_rng(44)
+        time, status, X, w = random_dataset(rng, n=80, n_cov=2)
+        problem = CoxProblem(time, status, X)
+        for _ in range(3):
+            coefs = rng.normal(scale=0.5, size=3)
+            for got, want in zip(problem.evaluate(coefs, w),
+                                 CoxProblem(time, status, X).evaluate(coefs, w)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("origin", [[2.0, 0.0], [0.5, 1.0], [-1.0, 0.0], [np.nan, 1.0]])
+    def test_first_column_must_be_the_origin_flag(self, origin):
+        with pytest.raises(ValueError, match="parent-of-origin flag"):
+            CoxProblem([1.0, 2.0], [1, 1], np.column_stack([origin, [0.3, -0.1]]))
+
+    def test_design_without_columns_is_refused(self):
+        with pytest.raises(ValueError, match="parent-of-origin flag"):
+            CoxProblem([1.0, 2.0], [1, 0], np.empty((2, 0)))
+
+    def test_status_must_be_zero_or_one(self):
+        with pytest.raises(ValueError, match="status"):
+            CoxProblem([1.0, 2.0], [2, 0], [[1.0], [0.0]])
+
+    def test_weights_of_the_wrong_length_are_refused(self):
+        problem = CoxProblem([1.0, 2.0], [1, 1], [[1.0], [0.0]])
+        with pytest.raises(ValueError, match="weights"):
+            problem.evaluate([0.0], np.ones(3))
 
 
 class TestCurvesAndWald:
