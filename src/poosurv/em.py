@@ -319,6 +319,17 @@ def em_fit(families, config: EMConfig) -> FitResult:
     )
 
 
+def _fan_out(fn, tasks, jobs):
+    """``[fn(task) for task in tasks]``, run in ``jobs`` worker processes one
+    task at a time when ``jobs > 1``; results keep the order of ``tasks``."""
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks, chunksize=1))
+    return [fn(task) for task in tasks]
+
+
 def _bootstrap_one(args):
     families, config, replicate_index = args
     seed_seq = np.random.SeedSequence((config.seed, replicate_index))
@@ -359,10 +370,4 @@ def bootstrap_em(families, config: EMConfig, B: int = 200,
     if B < 1:
         raise ValueError("need at least one bootstrap replicate")
     families = list(families)
-    tasks = [(families, config, r) for r in range(B)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_bootstrap_one, tasks))
-    return [_bootstrap_one(task) for task in tasks]
+    return _fan_out(_bootstrap_one, [(families, config, r) for r in range(B)], jobs)

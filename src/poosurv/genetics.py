@@ -172,15 +172,16 @@ def test_factor(g, x, epsilon: float, eta: float) -> float:
     raise ValueError(f"gene test must be 0, 1, or None, got {g!r}")
 
 
-def evidence_factor(record, params: ModelParams, suppress_phenotype=False) -> np.ndarray:
+def evidence_factor(record, params: ModelParams) -> np.ndarray:
     """Single-individual evidence table over the four genotype states.
 
-    Combines the phenotype and gene-test likelihoods. With
-    ``suppress_phenotype`` (proband ascertainment correction) the phenotype
-    part is replaced by 1 for every state, keeping only the test factor.
+    Combines the phenotype and gene-test likelihoods. For a record with
+    ``phenotype_suppressed`` set (proband ascertainment correction) the
+    phenotype part is replaced by 1 for every state, keeping only the test
+    factor.
     """
     phi = np.ones(N_STATES)
-    if not suppress_phenotype:
+    if not record.phenotype_suppressed:
         for x in range(N_STATES):
             phi[x] = penetrance_factor(
                 record.age, record.status, x, record.covariates, params

@@ -25,16 +25,16 @@ rank table numbers its rows in collect-bucket order (roots last), and each
 separator table follows it, so a collect bucket's children, its messages
 and a root bucket are contiguous. Between the passes, a rank or separator
 table whose distribute receivers are not already contiguous runs is
-gathered once into distribute-bucket order; a cohort of one structure keeps
-clique-id order throughout and pays no such copy. Only parent sides are
-gathered per bucket; a read-out sums the run of rows that spans its cliques
-and picks their columns from that marginal. A zero total in the collect
-pass spreads NaN through its own family's columns; one check after the
-collect pass names such a family. Founder priors and transmission tables
-are folded into static potentials once per allele frequency, so a run
-multiplies in only the per-individual evidence, and marginals are read from
-each clique's final belief. :func:`posterior_marginals` is the one-family
-case of the same engine.
+gathered once into distribute-bucket order; a cohort of one structure has
+distribute buckets that are already runs, so it needs no such copy. Only
+parent sides are gathered per bucket; a read-out sums the run of rows that
+spans its cliques and picks their columns from that marginal. A zero total
+in the collect pass spreads NaN through its own family's columns; one check
+after the collect pass names such a family. Founder priors and transmission
+tables are folded into static potentials once per allele frequency, so a
+run multiplies in only the per-individual evidence, and marginals are read
+from each clique's final belief. :func:`posterior_marginals` is the
+one-family case of the same engine.
 
 A brute-force enumerator over all 4^n genotype configurations, with its own
 scalar factor construction, serves as an independent oracle for small
@@ -195,9 +195,7 @@ def brute_force_marginals(pedigree, params: ModelParams,
         else:
             father, mother = grid[pos(rec.father_id)], grid[pos(rec.mother_id)]
             joint *= genetics.TRANSMISSION[father, mother, grid[i]]
-        phi = genetics.evidence_factor(
-            rec, params, suppress_phenotype=rec.phenotype_suppressed
-        )
+        phi = genetics.evidence_factor(rec, params)
         if mask is not None:
             phi = phi * mask[i]
         joint *= phi[grid[i]]
@@ -449,41 +447,25 @@ def _row_orders(rank_of, sep_of, keys, cliques, others):
     entries; the entries of the collect, distribute and read-out buckets are
     put in ascending row order, in place.
     """
-    # Collect order: a rank table keeps clique-id order where that
-    # already makes each of its collect and root buckets one run, as it
-    # does for a cohort of one structure. Otherwise it takes its non-root
-    # cliques bucket by bucket in collect order, then its roots. Collect
-    # buckets are placed by the first distribute bucket they feed, and a
-    # bucket's cliques by their distribute bucket, which keeps each
-    # distribute bucket's receivers together too where the two
-    # partitions nest.
+    # Collect order: each rank table takes its non-root cliques bucket by
+    # bucket in collect order, then its roots. Collect buckets are placed by
+    # the first distribute bucket they feed, and a bucket's cliques by their
+    # distribute bucket, which keeps each distribute bucket's receivers
+    # together too where the two partitions nest, as they do for a cohort
+    # of one structure. Ties keep clique-id order, the order of every
+    # bucket's entries.
     collect, distribute, roots = cliques[_COLLECT], cliques[_DISTRIBUTE], cliques[_ROOT]
-
-    def by_distribute():
-        """Each clique's distribute bucket (roots after the last) and its
-        place in that bucket or in its root bucket."""
-        received = np.full(len(rank_of), len(distribute), dtype=_INDEX)
-        place = np.zeros(len(rank_of), dtype=_INDEX)
-        for b, group in enumerate(distribute):
-            received[group] = b
-            place[group] = np.arange(len(group))
-        for group in roots:
-            place[group] = np.arange(len(group))
-        return received, place
-
-    rank_row = _positions(np.argsort(rank_of, kind="stable"), rank_of)
-    redo = _broken_runs(rank_row, rank_of, keys[_COLLECT] + keys[_ROOT], collect + roots)
-    if redo.any():
-        received, place = by_distribute()
-        lead = received.copy()
-        bucket_of = np.zeros(len(rank_of), dtype=_INDEX)
-        for b, group in enumerate(collect):
-            bucket_of[group] = b
-            lead[group] = received[group].min()
-        for b, group in enumerate(roots):
-            bucket_of[group] = len(collect) + b
-        order = np.lexsort((place, received, bucket_of, lead, rank_of))
-        rank_row[redo] = _positions(order, rank_of)[redo]
+    received = np.full(len(rank_of), len(distribute), dtype=_INDEX)  # roots last
+    for b, group in enumerate(distribute):
+        received[group] = b
+    lead = received.copy()
+    bucket_of = np.zeros(len(rank_of), dtype=_INDEX)
+    for b, group in enumerate(collect):
+        bucket_of[group] = b
+        lead[group] = received[group].min()
+    for b, group in enumerate(roots):
+        bucket_of[group] = len(collect) + b
+    rank_row = _positions(np.lexsort((received, bucket_of, lead, rank_of)), rank_of)
     _sort_entries(rank_row, collect, others[_COLLECT])
     _sort_entries(rank_row, distribute, others[_DISTRIBUTE])
 
@@ -493,10 +475,8 @@ def _row_orders(rank_of, sep_of, keys, cliques, others):
     dist_row = rank_row
     redo = _broken_runs(rank_row, rank_of, keys[_DISTRIBUTE], distribute)
     if redo.any():
-        received, place = by_distribute()
-        order = np.lexsort((rank_row, place, received, rank_of))
-        dist_row = rank_row.copy()
-        dist_row[redo] = _positions(order, rank_of)[redo]
+        order = np.lexsort((rank_row, received, rank_of))
+        dist_row = np.where(redo, _positions(order, rank_of), rank_row)
     _sort_entries(dist_row, cliques[_READOUT], others[_READOUT])
     sep_row = _sep_rows(rank_row, rank_of, sep_of)
     sep_dist_row = sep_row if dist_row is rank_row else _sep_rows(dist_row, rank_of, sep_of)
@@ -515,15 +495,21 @@ def _sep_rows(rows, rank_of, sep_of):
 
 
 def _boundary(table_of, before, after):
-    """Per table, the gather that takes its rows from the ``before`` to the
-    ``after`` order, for the tables whose order changes."""
+    """Per table whose order changes, the gather that takes its rows from the
+    ``before`` to the ``after`` order and the buffer it writes, as (perm,
+    buffer).
+
+    Each buffer is allocated once per engine and overwritten by every run: a
+    fresh table of that size would page-fault anew in each run, which cost
+    more than the copy itself.
+    """
     moves = {}
     for size in np.unique(table_of):
         items = np.flatnonzero(table_of == size)
         if (before[items] != after[items]).any():
             perm = np.empty(len(items), dtype=_INDEX)
             perm[after[items]] = before[items]
-            moves[int(size)] = perm
+            moves[int(size)] = perm, np.empty((N_STATES,) * int(size) + (len(items),))
     return moves
 
 
@@ -575,7 +561,6 @@ class MarginalEngine:
         self._mask = None if mask is None else mask[by_age]
         self._static_q = None
         self._static = {}
-        self._moved = None
         self._compile()
 
     def _compile(self):
@@ -741,20 +726,6 @@ class MarginalEngine:
             potential_bytes=potential_bytes,
         )
 
-    def _moved_tables(self):
-        """Distribute-order copies of the tables the pass boundary reorders.
-
-        They are allocated once per engine and overwritten by every run: a
-        fresh table of that size would page-fault anew in each run, which
-        cost more than the copy itself.
-        """
-        if self._moved is None:
-            self._moved = tuple(
-                {size: np.empty((N_STATES,) * size + (len(perm),)) for size, perm in moves.items()}
-                for moves in (self._rank_moves, self._sep_moves)
-            )
-        return self._moved
-
     def _potentials(self, q, phi):
         """Fresh clique potentials per rank: cached static tables times evidence."""
         if q != self._static_q:
@@ -823,12 +794,9 @@ class MarginalEngine:
         if failed.any():
             clique = np.flatnonzero(self._norm_of_clique == np.argmax(failed))[0]
             raise ZeroEvidenceError(self.families[self._clique_family[clique]].family_id)
-        moved_pots, moved_collected = self._moved_tables()
-        for tables, moves, moved in ((pots, self._rank_moves, moved_pots),
-                                     (collected, self._sep_moves, moved_collected)):
-            for size, perm in moves.items():
-                tables[size] = np.take(tables[size], perm, axis=-1, out=moved[size],
-                                       mode="clip")
+        for tables, moves in ((pots, self._rank_moves), (collected, self._sep_moves)):
+            for size, (perm, moved) in moves.items():
+                tables[size] = np.take(tables[size], perm, axis=-1, out=moved, mode="clip")
         # Distribute: the parent's final belief on the separator, divided by
         # the message it collected from the child. Where that message is 0,
         # so is the parent's marginal, and the quotient is left at 0; the

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import EMConfig, EMError, em_fit
+from .em import EMConfig, EMError, _fan_out, em_fit
 from .genetics import GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype
 from .inference import InferenceError
 from .pedigree import IndividualRecord, Pedigree, Sex
@@ -437,13 +437,7 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
         for case_index, (n_families, beta) in enumerate(cases)
         for replicate_index in range(replicates)
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_unit, units, chunksize=1))
-    else:
-        done = [_run_unit(unit) for unit in units]
+    done = _fan_out(_run_unit, units, jobs)
     return [
         done[case_index * replicates + replicate_index][s]
         for case_index in range(len(cases))

@@ -318,7 +318,10 @@ class CoxProblem:
             step = 1.0
             for _ in range(MAX_HALVINGS):
                 candidate = coefs + step * direction
-                cand_ll, cand_score, cand_info = self.evaluate(candidate, weights)
+                # An overshooting step can underflow a risk sum to 0; its -inf
+                # or NaN log-likelihood fails the test below and is halved.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cand_ll, cand_score, cand_info = self.evaluate(candidate, weights)
                 # Relative slack: an absolute one is below an ulp of a large
                 # log-likelihood, and rounding noise would pick the step.
                 if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):

@@ -117,6 +117,31 @@ class TestSimulateCommand:
         assert (out_a / "pedigree.ped").read_bytes() == (out_b / "pedigree.ped").read_bytes()
         assert (out_a / "truth.tsv").read_bytes() == (out_b / "truth.tsv").read_bytes()
 
+    def test_hazard_is_parsed_and_echoed(self, runner, tmp_path):
+        out = tmp_path / "sim"
+        run_ok(
+            runner,
+            ["simulate", "--families", "4", "--beta", "-0.6", "--scenario", "S0",
+             "--hazard", "0:0,20:0.05,60:0.1", "--seed", "2", "--out", str(out)],
+        )
+        echo = json.loads((out / "config.json").read_text())["parameters"]
+        assert echo["hazard"] == {"cuts": [0.0, 20.0, 60.0], "rates": [0.0, 0.05, 0.1]}
+
+    @pytest.mark.parametrize("hazard, message", [
+        ("0:0,20", "bad hazard segment '20'"),
+        ("5:0.1", "first cut point must be 0"),
+    ])
+    def test_bad_hazard_is_validation_error(self, runner, tmp_path, hazard, message):
+        out = tmp_path / "sim"
+        result = runner.invoke(
+            main,
+            ["simulate", "--families", "4", "--beta", "-0.6", "--scenario", "S0",
+             "--hazard", hazard, "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
@@ -394,6 +419,13 @@ class TestReplicateCommand:
             main, ["replicate", "--case", "banana", "--out", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
+
+    def test_no_case_and_no_full_design_is_validation_error(self, runner, tmp_path):
+        out = tmp_path / "study.csv"
+        result = runner.invoke(main, ["replicate", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "provide --case FAMILIES:BETA or --full-design" in result.output
+        assert not out.exists()
 
 
 class TestCheckOracleCommand:

@@ -134,6 +134,20 @@ class TestEMConfig:
         with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
             EMConfig(q=q)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            EMConfig(q=0.2, tol=tol)
+
+    @pytest.mark.parametrize("ages", [(), (40.0, 40.0), (60.0, 40.0)])
+    def test_test_ages_must_be_non_empty_and_increasing(self, ages):
+        with pytest.raises(ValueError, match="test_ages must be non-empty and increasing"):
+            EMConfig(q=0.2, test_ages=ages)
+
+    def test_max_iter_must_be_at_least_1(self):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            EMConfig(q=0.2, max_iter=0)
+
     def test_model_params_keep_the_closed_interval(self):
         # brute force and check-oracle evaluate the likelihood at the ends
         assert ModelParams(q=0.0).q == 0.0
@@ -241,6 +255,10 @@ class TestEMFit:
         problem = CoxProblem([r.age for r in rows], [r.status for r in rows], X)
         beta_hat = problem.fit(np.ones(len(rows)))[0][0]
         assert result.beta_hat == pytest.approx(beta_hat, abs=1e-7)
+
+    def test_no_families_is_refused(self):
+        with pytest.raises(ValueError, match="no families to fit"):
+            em_fit([], EMConfig(q=0.2))
 
     def test_no_events_is_mstep_rank_failure(self):
         fam = Pedigree(

@@ -190,7 +190,7 @@ class TestEvidenceFactor:
     def test_suppressed_proband_keeps_test_only(self):
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.001, baseline=DEFAULT_HAZARD)
         phi = evidence_factor(
-            record(age=45.0, status=1, gene_test=1), params, suppress_phenotype=True
+            record(age=45.0, status=1, gene_test=1, phenotype_suppressed=True), params
         )
         np.testing.assert_allclose(phi, [0.001, 1.0, 1.0, 1.0])
 
@@ -235,9 +235,10 @@ class TestEvidenceMatrix:
                     status=int(rng.integers(0, 2)),
                     gene_test=[None, 0, 1][rng.integers(0, 3)],
                     covariates=tuple(rng.normal(size=2)),
+                    phenotype_suppressed=bool(rng.random() < 0.2),
                 )
             )
-        suppress = rng.random(60) < 0.2
+        suppress = np.array([r.phenotype_suppressed for r in records])
         matrix = evidence_matrix(
             np.array([r.age for r in records]),
             np.array([r.status for r in records]),
@@ -247,5 +248,5 @@ class TestEvidenceMatrix:
             suppress=suppress,
         )
         for i, rec in enumerate(records):
-            expected = evidence_factor(rec, params, suppress_phenotype=suppress[i])
+            expected = evidence_factor(rec, params)
             np.testing.assert_allclose(matrix[i], expected, atol=1e-14)

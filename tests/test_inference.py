@@ -25,6 +25,7 @@ from poosurv import (
     parse_ped,
     pin_genotypes,
     posterior_marginals,
+    simulate_families,
 )
 from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats
 
@@ -408,8 +409,8 @@ class TestMarginalEngine:
         # and five edges, each with its own layout, so each pass has five
         # buckets. The roots (all rank 3) form one bucket and the read-outs
         # one per (rank, axis): (3, 0-2) and (4, 0-1). Every edge bucket
-        # holds one edge and the roots are a run of clique-id order, which
-        # the rank tables keep here, so no parent side is gathered.
+        # holds one edge and the roots are the last run of the rank-3 table's
+        # collect order, so no parent side is gathered.
         engine = MarginalEngine([trio(), cousin_marriage_family(), renamed(trio(), "T2")])
         assert engine.stats == EngineStats(
             families=3,
@@ -436,6 +437,17 @@ class TestMarginalEngine:
         assert engine.stats.gathered_sides == sum(
             not isinstance(b.parent.rows, slice) for b in collect + distribute
         )
+
+    def test_simulated_cohort_gathers_one_parent_side(self):
+        # The simulator's ten-member structure in collect-bucket order: only
+        # the first distribute bucket reads its parents through an index
+        # array, and no table is reordered between the passes.
+        families, _ = simulate_families(50, -0.6, 0.2, seed=8)
+        engine = MarginalEngine(families)
+        distribute = engine._stages[2]
+        assert [i for i, b in enumerate(distribute) if not isinstance(b.parent.rows, slice)] == [0]
+        assert engine.stats.gathered_sides == 1
+        assert engine._rank_moves == {} and engine._sep_moves == {}
 
     def test_heterogeneous_cohort_gathers_only_parents(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 """Weighted Cox fitting tests: analytic derivatives, invariances, baseline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ class TestFit:
         with pytest.raises(MonotoneLikelihoodError):
             problem.fit(w)
 
+    def test_overshooting_step_raises_monotone_without_warnings(self):
+        # Newton overshoots on this monotone likelihood until a risk sum
+        # underflows to 0; the refused candidates must not warn on the way
+        time = np.array([0.8, 0.3, 0.2, 0.7])
+        status = np.array([0, 1, 1, 0])
+        X = np.array([[1.0], [0.0], [1.0], [0.0]])
+        w = np.array([0.0, 0.579, 0.001, 0.461])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MonotoneLikelihoodError):
+                CoxProblem(time, status, X).fit(w)
+
     def test_single_group_events_rank_deficient(self):
         time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 0, "mat"), (3.0, 1, "pat")])
         with pytest.raises(RankDeficiencyError):
@@ -212,6 +225,26 @@ class TestFit:
             beta = problem.fit(w, init=[0.3])[0][0]
             beta_nudged = problem.fit(nudged, init=[0.3])[0][0]
             assert abs(beta - beta_nudged) <= 1e-12, seed
+
+
+class TestBaselineHazard:
+    @pytest.mark.parametrize("times, increments", [
+        ([1.0, 2.0], [0.5]),
+        ([[1.0, 2.0]], [[0.5, 0.5]]),
+    ])
+    def test_shapes_must_be_matching_1d(self, times, increments):
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            BaselineHazard(times, increments)
+
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0]])
+    def test_times_must_be_strictly_increasing(self, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BaselineHazard(times, [0.5, 0.5])
+
+    @pytest.mark.parametrize("increment", [0.0, -0.1])
+    def test_increments_must_be_positive(self, increment):
+        with pytest.raises(ValueError, match="increments must be positive"):
+            BaselineHazard([1.0, 2.0], [0.5, increment])
 
 
 class TestBreslow:
