@@ -8,6 +8,11 @@ weighted Breslow baseline. The E-step then recomputes every individual's
 posterior genotype weights by exact pedigree inference under the updated
 parameters. Iterations stop when the baseline survival probabilities at a
 fixed set of test ages move less than the tolerance.
+
+:func:`_em` is the one EM loop. It runs on a :class:`_Model`, a family list
+compiled once, with a count for each family: ``em_fit`` counts every family
+once, and each bootstrap replicate counts the families as often as it drew
+them.
 """
 
 from __future__ import annotations
@@ -83,9 +88,11 @@ class EMIteration:
     """One row of the EM trace.
 
     ``log_evidence`` is the E-step's log evidence, which leaves out the
-    genotype-independent baseline hazard jump of every affected individual.
-    ``log_likelihood`` adds those jumps back: it is the observed-data log
-    likelihood of the iteration's parameters, which EM never decreases.
+    genotype-independent baseline hazard jump of every affected individual;
+    each family's term is weighted by its count (see :func:`_em`).
+    ``log_likelihood`` adds those jumps back, weighted the same way: it is
+    the observed-data log likelihood of the iteration's parameters, which
+    EM never decreases.
     """
 
     index: int
@@ -206,45 +213,69 @@ def _dataset_arrays(families):
     return time2, status2, X, np.asarray(rows, dtype=int)
 
 
-def em_fit(families, config: EMConfig) -> FitResult:
-    """Estimate the origin effect, covariate effects, and baseline hazard.
+class _Model:
+    """A family list compiled once for any number of EM runs: the E-step
+    engine, the M-step's :class:`CoxProblem` with its record index ``rows``,
+    the family sizes, and each affected row's record index and age."""
 
-    Records with a ``genotype_pin`` (see :func:`pedigree.pin_genotypes`)
-    are restricted to the pinned states. Deterministic given (families,
-    config).
+    def __init__(self, families):
+        if not families:
+            raise ValueError("no families to fit")
+        self.engine = MarginalEngine(families)
+        time2, status2, X, self.rows = _dataset_arrays(families)
+        self.problem = CoxProblem(time2, status2, X)
+        self.sizes = np.array([len(fam) for fam in families])
+        affected = status2[:self.rows.size] == 1
+        self.affected_records = self.rows[affected]
+        self.affected_ages = time2[:self.rows.size][affected]
+
+
+def _em(model: _Model, config: EMConfig, draws) -> FitResult:
+    """The EM loop, on the model's families as often as ``draws`` names each.
+
+    ``em_fit`` draws every family once; a bootstrap replicate draws a
+    resample. A family drawn c times weighs c times in the M-step rows and
+    in the log-likelihood, as c copies of it would, and the random start
+    is the one a fit of the drawn list would take.
     """
-    families = list(families)
-    if not families:
-        raise ValueError("no families to fit")
-    trace = EMTrace()
-    if config.proband_correction:
-        families, warnings = apply_proband_correction(families)
-        trace.warnings.extend(warnings)
+    engine, problem, rows = model.engine, model.problem, model.rows
+    family_counts = np.bincount(draws, minlength=model.sizes.size)
+    record_counts = np.repeat(family_counts, model.sizes)
 
-    engine = MarginalEngine(families)
-    time2, status2, X, rows = _dataset_arrays(families)
-    problem = CoxProblem(time2, status2, X)
-    # Every affected age is a Breslow jump time, since affected rows never
-    # lose their carrier mass, and there are no others: the jump grid is
-    # fixed for the fit, and so is each affected row's place on it.
-    event_times = time2[:rows.size][status2[:rows.size] == 1]
+    # One uniform row per drawn record in draw order, summed into the
+    # original records; for an em_fit this is the uniform table itself.
+    drawn_sizes = model.sizes[draws]
+    first_of_draw = np.cumsum(drawn_sizes) - drawn_sizes
+    drawn_records = np.arange(drawn_sizes.sum()) + np.repeat(
+        np.asarray(engine.offsets)[draws] - first_of_draw, drawn_sizes
+    )
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    u = rng.uniform(size=(drawn_records.size, 3))
+    u /= u.sum(axis=1, keepdims=True)
+    start = np.zeros((engine.total, 3))
+    np.add.at(start, drawn_records, u)
+    weights2n = np.concatenate((start[rows, 0], start[rows, 1]))
+    w_pat, w_mat = weights2n[:rows.size], weights2n[rows.size:]
+    row_counts = record_counts[rows]
+
+    # Every drawn affected age is a Breslow jump time, since affected rows
+    # never lose their carrier mass, and there are no others: the jump grid
+    # is fixed for the run, and so is each affected row's place on it.
+    event_counts = record_counts[model.affected_records]
+    event_times = model.affected_ages[event_counts > 0]
+    event_counts = event_counts[event_counts > 0]
     jump_grid = np.unique(event_times)
     jump_of_event = np.searchsorted(jump_grid, event_times)
     test_ages = np.asarray(config.test_ages)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
-    u = rng.uniform(size=(engine.total, 3))
-    u /= u.sum(axis=1, keepdims=True)
-    w_pat, w_mat = u[:, 0], u[:, 1]
-
-    coefs = np.zeros(X.shape[1])
+    trace = EMTrace()
+    coefs = np.zeros(problem.p)
     prev_survival = None
     prev_log_likelihood = None
     marginals = None
     converged = False
     below_tol_streak = 0
     for iteration in range(1, config.max_iter + 1):
-        weights2n = np.concatenate((w_pat[rows], w_mat[rows]))
         try:
             coefs, covariance, loglik, n_steps = problem.fit(weights2n, init=coefs)
             baseline = problem.breslow(weights2n, coefs)
@@ -261,16 +292,16 @@ def em_fit(families, config: EMConfig) -> FitResult:
             baseline=baseline,
         )
         marginals, log_evidence_fam = engine.run(params)
-        w_pat = marginals[:, 1]
-        w_mat = marginals[:, 2] + marginals[:, 3]
-        log_evidence = float(log_evidence_fam.sum())
+        np.multiply(row_counts, marginals[rows, 1], out=w_pat)
+        np.multiply(row_counts, marginals[rows, 2] + marginals[rows, 3], out=w_mat)
+        log_evidence = float((family_counts * log_evidence_fam).sum())
         if not np.array_equal(baseline.times, jump_grid):
             raise EMError(
                 f"iteration {iteration}: the Breslow jump times are not the "
                 "affected ages; an affected row lost its carrier mass"
             )
         jumps = baseline.increments[jump_of_event]
-        log_likelihood = log_evidence + float(np.log(jumps).sum())
+        log_likelihood = log_evidence + float((event_counts * np.log(jumps)).sum())
 
         change = (
             float(np.max(np.abs(survival - prev_survival)))
@@ -319,55 +350,73 @@ def em_fit(families, config: EMConfig) -> FitResult:
     )
 
 
+def em_fit(families, config: EMConfig) -> FitResult:
+    """Estimate the origin effect, covariate effects, and baseline hazard.
+
+    Records with a ``genotype_pin`` (see :func:`pedigree.pin_genotypes`)
+    are restricted to the pinned states. Deterministic given (families,
+    config).
+    """
+    families = list(families)
+    warnings = []
+    if config.proband_correction:
+        families, warnings = apply_proband_correction(families)
+    result = _em(_Model(families), config, np.arange(len(families)))
+    result.trace.warnings[:0] = warnings
+    return result
+
+
 def _fan_out(fn, tasks, jobs):
-    """``[fn(task) for task in tasks]``, run in ``jobs`` worker processes one
-    task at a time when ``jobs > 1``; results keep the order of ``tasks``."""
-    if jobs > 1:
+    """``[fn(task) for task in tasks]``, run one task at a time in at most
+    ``jobs`` worker processes, never more than there are tasks; results
+    keep the order of ``tasks``."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=1))
     return [fn(task) for task in tasks]
 
 
-def _bootstrap_one(args):
-    families, config, replicate_index = args
+def _bootstrap_one(model, config, replicate_index):
     seed_seq = np.random.SeedSequence((config.seed, replicate_index))
     resample_seed, em_seed = seed_seq.spawn(2)
-    rng = np.random.Generator(np.random.Philox(resample_seed))
-    idx = rng.integers(0, len(families), size=len(families))
-    resampled = [families[i] for i in idx]
+    n = model.sizes.size
+    draws = np.random.Generator(np.random.Philox(resample_seed)).integers(0, n, size=n)
     rep_config = replace(config, seed=int(em_seed.generate_state(1)[0]))
     try:
-        result = em_fit(resampled, rep_config)
+        fit = _em(model, rep_config, draws)
     except EMError as err:
-        return BootstrapReplicate(
-            beta_hat=float("nan"),
-            gamma_hat=(),
-            baseline=None,
-            converged=False,
-            error=str(err),
-        )
-    return BootstrapReplicate(
-        beta_hat=result.beta_hat,
-        gamma_hat=tuple(result.gamma_hat),
-        baseline=result.baseline,
-        converged=result.converged,
-    )
+        return BootstrapReplicate(float("nan"), (), None, False, error=str(err))
+    return BootstrapReplicate(fit.beta_hat, tuple(fit.gamma_hat), fit.baseline, fit.converged)
+
+
+def _bootstrap_chunk(args):
+    families, config, replicates = args
+    model = _Model(families)
+    return [_bootstrap_one(model, config, r) for r in replicates]
 
 
 def bootstrap_em(families, config: EMConfig, B: int = 200,
                  jobs: int = 1) -> list[BootstrapReplicate]:
     """Family-level nonparametric bootstrap of the full EM fit.
 
-    Families are resampled with replacement and the whole EM rerun per
-    replicate; percentile intervals over the replicates give honest
-    uncertainty for the origin effect and the survival curves. Each
-    replicate uses an independent deterministic substream, so results do
-    not depend on ``jobs``. Resampled duplicates of a family are the same
-    :class:`Pedigree`, so they keep its genotype pins.
+    Each replicate resamples the families with replacement and reruns the
+    whole EM; percentile intervals over the replicates give honest
+    uncertainty for the origin effect and the survival curves. A replicate
+    runs on the fit's own compiled families, counting each as often as it
+    was drawn, so it keeps their genotype pins and needs no table the fit
+    did not. Each replicate uses an independent deterministic substream,
+    and ``range(B)`` is split into contiguous chunks, one compiled model
+    per worker, so results do not depend on ``jobs``.
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replicate")
     families = list(families)
-    return _fan_out(_bootstrap_one, [(families, config, r) for r in range(B)], jobs)
+    if config.proband_correction:
+        families, _ = apply_proband_correction(families)
+    chunks = min(jobs, B)
+    tasks = [(families, config, range(B * i // chunks, B * (i + 1) // chunks))
+             for i in range(chunks)]
+    return [rep for done in _fan_out(_bootstrap_chunk, tasks, jobs) for rep in done]

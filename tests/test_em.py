@@ -16,11 +16,13 @@ from poosurv import (
     Pedigree,
     Sex,
     apply_proband_correction,
+    bootstrap_em,
     em_fit,
     posterior_marginals,
     simulate_families,
 )
-from poosurv.em import STABLE_WINDOW, _dataset_arrays
+from poosurv import em, inference
+from poosurv.em import STABLE_WINDOW, _dataset_arrays, _fan_out
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -40,6 +42,35 @@ def informative_family(family_id="F1"):
             make_record(family_id, "c2", "f", "m", Sex.FEMALE, 50.0, 0, 0),
         ]
     )
+
+
+def replicate_key(rep):
+    """Everything a bootstrap replicate reports, comparable with ``==``."""
+    baseline = None if rep.baseline is None else (
+        rep.baseline.times.tobytes(), rep.baseline.increments.tobytes()
+    )
+    return (np.float64(rep.beta_hat).tobytes(), rep.gamma_hat, baseline,
+            rep.converged, rep.error)
+
+
+def sized_family(rng, family_id, children):
+    """Founder couple, ``children`` children each with a married-in spouse
+    and one child of their own; random phenotypes and gene tests."""
+    def record(individual_id, father, mother, sex):
+        return make_record(
+            family_id, individual_id, father, mother, sex,
+            age=float(rng.uniform(20.0, 80.0)), status=int(rng.random() < 0.3),
+            gene_test=[None, None, 0, 1][rng.integers(0, 4)],
+        )
+
+    records = [record("1", None, None, Sex.MALE), record("2", None, None, Sex.FEMALE)]
+    for c in range(children):
+        sex = Sex.MALE if c % 2 else Sex.FEMALE
+        spouse = Sex.FEMALE if c % 2 else Sex.MALE
+        records += [record(f"c{c}", "1", "2", sex), record(f"s{c}", None, None, spouse)]
+        parents = (f"c{c}", f"s{c}") if c % 2 else (f"s{c}", f"c{c}")
+        records.append(record(f"g{c}", *parents, Sex.FEMALE))
+    return Pedigree(records)
 
 
 class TestWeightedDataset:
@@ -370,13 +401,12 @@ class TestEMFit:
         assert abs(result.beta_hat + 0.6) < 4 * result.cox.std_errors[0]
 
     def test_bootstrap_deterministic_across_jobs(self):
-        from poosurv import bootstrap_em
-
         fams, _ = simulate_families(25, beta=-0.6, q=0.2, scenario="S2", seed=50)
         config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=9)
-        serial = bootstrap_em(fams, config, B=6, jobs=1)
-        parallel = bootstrap_em(fams, config, B=6, jobs=2)
-        assert [r.beta_hat for r in serial] == [r.beta_hat for r in parallel]
+        for B, jobs in ((6, 2), (7, 3)):  # an even and an uneven split
+            serial = bootstrap_em(fams, config, B=B, jobs=1)
+            parallel = bootstrap_em(fams, config, B=B, jobs=jobs)
+            assert [replicate_key(r) for r in serial] == [replicate_key(r) for r in parallel]
         usable = [r for r in serial if r.error is None]
         assert usable, "all bootstrap replicates failed"
         with pytest.raises(ValueError, match="at least one"):
@@ -398,3 +428,104 @@ class TestEMFit:
                     Genotype.HOMOZYGOUS: (0.0, 1.0, 0.0),
                 }[state]
                 assert (w.w_pat, w.w_mat, w.w_zero) == expected
+
+
+class TestBootstrap:
+    """Replicates are family counts on the fit's own compiled model."""
+
+    @staticmethod
+    def with_covariate(families, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            Pedigree([replace(rec, covariates=(float(rng.normal()),)) for rec in fam])
+            for fam in families
+        ]
+
+    @pytest.mark.parametrize("cohort", ["S1 proband", "covariate"])
+    def test_replicates_match_fits_of_the_resampled_families(self, cohort):
+        # the resampled family list, fitted on its own, is the oracle
+        if cohort == "S1 proband":
+            fams, _ = simulate_families(
+                40, beta=-0.6, q=0.2, scenario="S1", seed=61, mark_probands=True
+            )
+            config = EMConfig(q=0.2, seed=8, proband_correction=True)
+        else:
+            fams, _ = simulate_families(40, beta=-0.6, q=0.2, scenario="S1", seed=62)
+            fams = self.with_covariate(fams, 62)
+            config = EMConfig(q=0.2, seed=8)
+        reps = bootstrap_em(fams, config, B=4)
+        for r, rep in enumerate(reps):
+            resample_seed, em_seed = np.random.SeedSequence((config.seed, r)).spawn(2)
+            rng = np.random.Generator(np.random.Philox(resample_seed))
+            idx = rng.integers(0, len(fams), size=len(fams))
+            rep_config = replace(config, seed=int(em_seed.generate_state(1)[0]))
+            try:
+                fit = em_fit([fams[i] for i in idx], rep_config)
+            except EMError as err:
+                assert (rep.error, rep.converged) == (str(err), False)
+                continue
+            assert rep.error is None and rep.converged == fit.converged
+            np.testing.assert_allclose(rep.beta_hat, fit.beta_hat, rtol=1e-10)
+            np.testing.assert_allclose(rep.gamma_hat, fit.gamma_hat, rtol=1e-10)
+            np.testing.assert_array_equal(rep.baseline.times, fit.baseline.times)
+            np.testing.assert_allclose(
+                rep.baseline.increments, fit.baseline.increments, rtol=1e-10
+            )
+        assert any(rep.error is None for rep in reps)
+
+    def test_one_engine_for_all_replicates(self, monkeypatch):
+        compiled = []
+
+        class CountingEngine(inference.MarginalEngine):
+            def __init__(self, families):
+                compiled.append(len(families))
+                super().__init__(families)
+
+        monkeypatch.setattr(em, "MarginalEngine", CountingEngine)
+        fams, _ = simulate_families(15, beta=-0.6, q=0.2, scenario="S2", seed=63)
+        reps = bootstrap_em(fams, EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=1), B=5)
+        assert len(reps) == 5
+        assert compiled == [15]
+
+    def test_replicates_need_no_table_the_fit_did_not(self, monkeypatch):
+        # a resample that draws the larger families more often than the
+        # cohort holds them needs more potential bytes than the fit; with the
+        # budget at the fit's own need, every replicate must still run
+        rng = np.random.default_rng(64)
+        fams, _ = simulate_families(8, beta=-0.6, q=0.2, scenario="S1", seed=64)
+        fams += [sized_family(rng, f"B{k}", children) for k, children in enumerate((2, 4, 6, 8))]
+        need = inference.MarginalEngine(fams).stats.potential_bytes
+        monkeypatch.setattr(inference, "MAX_POTENTIAL_BYTES", need)
+        config = EMConfig(q=0.2, seed=3)
+        em_fit(fams, config)
+        reps = bootstrap_em(fams, config, B=6)
+        assert len(reps) == 6
+
+    def test_pool_never_outnumbers_its_tasks(self, monkeypatch):
+        started = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        assert _fan_out(abs, [-1, -2], jobs=8) == [1, 2]
+        assert _fan_out(abs, [-3], jobs=8) == [3]  # one task: no pool at all
+        assert started == [2]
+        fams, _ = simulate_families(10, beta=-0.6, q=0.2, scenario="S2", seed=65)
+        config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=2)
+        pooled = bootstrap_em(fams, config, B=3, jobs=8)
+        assert started == [2, 3]
+        serial = bootstrap_em(fams, config, B=3, jobs=1)
+        assert [replicate_key(r) for r in pooled] == [replicate_key(r) for r in serial]
