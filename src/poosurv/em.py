@@ -18,11 +18,12 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
-from .inference import MarginalEngine, PosteriorWeights
+from .inference import MarginalEngine, PosteriorWeights, family_weights
 from .pedigree import Pedigree
 from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, survival_curve
 
@@ -117,15 +118,23 @@ class EMTrace:
 class FitResult:
     """Final state of an EM run.
 
-    ``weights`` holds one mapping per input family (individual id to
-    posterior weight triple). ``converged`` is False when ``max_iter`` was
+    ``marginals`` is the last E-step's read-only (records, 4) posterior
+    table, in the record order of ``families``, the fitted family list.
+    ``weights`` holds one mapping per family (individual id to posterior
+    weight triple); it is built from ``marginals`` on first access, since
+    no fit needs it. ``converged`` is False when ``max_iter`` was
     exhausted; the result is still usable.
     """
 
     cox: CoxFit
-    weights: list[dict[str, PosteriorWeights]]
     trace: EMTrace
     converged: bool
+    marginals: np.ndarray = field(repr=False)
+    families: list[Pedigree] = field(repr=False)
+
+    @cached_property
+    def weights(self) -> list[dict[str, PosteriorWeights]]:
+        return family_weights(self.families, self.marginals)
 
     @property
     def beta_hat(self) -> float:
@@ -180,8 +189,9 @@ def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
     return corrected, warnings
 
 
-def _dataset_arrays(families):
-    """Static arrays of the 2n-row weighted dataset driving the M-step.
+def _dataset_arrays(engine: MarginalEngine):
+    """Static arrays of the 2n-row weighted dataset driving the M-step,
+    taken from the record columns of the E-step's ``engine``.
 
     For every individual there is one paternal-origin row (first column of
     ``X`` set to 1) and one maternal-origin row; all paternal rows come
@@ -190,27 +200,18 @@ def _dataset_arrays(families):
     individual's rows, so that row weights are ``w_pat[rows]`` followed by
     ``w_mat[rows]``; non-carrier mass appears in no row.
     """
-    times, statuses, covs, rows = [], [], [], []
-    offset = 0
-    for fam in families:
-        for i, rec in enumerate(fam):
-            if not rec.phenotype_suppressed:
-                times.append(rec.age)
-                statuses.append(rec.status)
-                covs.append(rec.covariates)
-                rows.append(offset + i)
-        offset += len(fam)
-    m = len(times)
-    k = len(covs[0]) if m else 0
-    time2 = np.tile(np.asarray(times, dtype=float), 2)
-    status2 = np.tile(np.asarray(statuses, dtype=int), 2)
+    rows = np.flatnonzero(~engine.suppressed)
+    m = rows.size
+    k = engine.covariates.shape[1] if m else 0
+    time2 = np.tile(engine.ages[rows], 2)
+    status2 = np.tile(engine.statuses[rows], 2)
     X = np.zeros((2 * m, 1 + k))
     X[:m, 0] = 1.0  # paternal-origin block
     if k:
-        Z = np.asarray(covs, dtype=float)
+        Z = engine.covariates[rows]
         X[:m, 1:] = Z
         X[m:, 1:] = Z
-    return time2, status2, X, np.asarray(rows, dtype=int)
+    return time2, status2, X, rows
 
 
 class _Model:
@@ -222,7 +223,7 @@ class _Model:
         if not families:
             raise ValueError("no families to fit")
         self.engine = MarginalEngine(families)
-        time2, status2, X, self.rows = _dataset_arrays(families)
+        time2, status2, X, self.rows = _dataset_arrays(self.engine)
         self.problem = CoxProblem(time2, status2, X)
         self.sizes = np.array([len(fam) for fam in families])
         affected = status2[:self.rows.size] == 1
@@ -342,11 +343,10 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
         n_iter=n_steps,
         baseline=baseline,
     )
+    marginals.setflags(write=False)
     return FitResult(
-        cox=fit,
-        weights=engine.family_weights(marginals),
-        trace=trace,
-        converged=converged,
+        cox=fit, trace=trace, converged=converged, marginals=marginals,
+        families=engine.families,
     )
 
 

@@ -192,13 +192,16 @@ def evidence_factor(record, params: ModelParams) -> np.ndarray:
     return phi
 
 
-def evidence_matrix(age, status, covariates, gene_test, params: ModelParams,
+def evidence_matrix(cumulative_hazard, status, covariates, gene_test, params: ModelParams,
                     suppress=None) -> np.ndarray:
     """Vectorized evidence tables for many individuals at once.
 
     Parameters
     ----------
-    age, status : (n,) arrays
+    cumulative_hazard : (n,) array of each individual's baseline cumulative
+        hazard at their age, ``params.cumulative_hazard(age)``; the caller
+        gathers it, so that a fixed jump grid is searched once per fit
+    status : (n,) array
     covariates : (n, k) array or None
     gene_test : (n,) int array with -1 marking untested individuals
     suppress : (n,) bool array or None; True rows keep only the test factor
@@ -208,19 +211,18 @@ def evidence_matrix(age, status, covariates, gene_test, params: ModelParams,
     (n, 4) array of per-individual factors, same convention as
     :func:`evidence_factor`.
     """
-    age = np.asarray(age, dtype=float)
+    lam = np.asarray(cumulative_hazard, dtype=float)
     status = np.asarray(status, dtype=int)
     gene_test = np.asarray(gene_test, dtype=int)
-    n = age.shape[0]
-    if np.any(age < 0) or not np.all(np.isfinite(age)):
-        raise ValueError("ages must be finite and non-negative")
+    n = lam.shape[0]
+    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+        raise ValueError("cumulative hazards must be finite and non-negative")
     k = len(params.gamma)
     if k:
         Z = np.asarray(covariates, dtype=float).reshape(n, k)
         zg = Z @ np.asarray(params.gamma)
     else:
         zg = np.zeros(n)
-    lam = np.asarray(params.cumulative_hazard(age), dtype=float)
     risk_mat = np.exp(zg)
     risk_pat = np.exp(params.beta + zg)
     surv_mat = np.exp(-lam * risk_mat)

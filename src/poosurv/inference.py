@@ -50,6 +50,7 @@ import numpy as np
 from . import genetics
 from .genetics import N_STATES, Genotype, ModelParams
 from .junction import build_clique_tree
+from .survival import BaselineHazard
 
 __all__ = [
     "InferenceError",
@@ -60,15 +61,17 @@ __all__ = [
     "brute_force_marginals",
     "EngineStats",
     "MarginalEngine",
+    "family_weights",
     "MAX_POTENTIAL_BYTES",
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
 
 #: Budget for the clique potential tables, checked before any is allocated:
-#: for a single clique and for the whole cohort. A run holds a few tables of
-#: that size at once (static, with evidence, its distribute-order copy, and
-#: the gathered buckets).
+#: for a single clique and for the whole cohort. An engine holds a few tables
+#: of that size between runs (the static tables, the buffers each run
+#: multiplies the evidence into, and their distribute-order copies), and a
+#: run adds the gathered buckets.
 MAX_POTENTIAL_BYTES = 2 ** 30
 
 _FLOAT_BYTES = np.dtype(float).itemsize
@@ -138,18 +141,21 @@ def _pin_mask(records):
     return mask
 
 
-def _weights(marginals) -> list[PosteriorWeights]:
-    """One :class:`PosteriorWeights` per row of (n, 4) marginals."""
+def family_weights(families, marginals) -> list[dict]:
+    """One mapping per family, individual id to :class:`PosteriorWeights`,
+    from a flat (records, 4) marginal table in the families' record order."""
     w_pat = marginals[:, Genotype.HET_PATERNAL].tolist()
     w_mat = (
         marginals[:, Genotype.HET_MATERNAL] + marginals[:, Genotype.HOMOZYGOUS]
     ).tolist()
     w_zero = marginals[:, Genotype.NON_CARRIER].tolist()
-    return list(map(PosteriorWeights, w_pat, w_mat, w_zero))
-
-
-def _weights_from_marginals(pedigree, marginals) -> dict:
-    return dict(zip((rec.individual_id for rec in pedigree), _weights(marginals)))
+    weights = list(map(PosteriorWeights, w_pat, w_mat, w_zero))
+    mappings, offset = [], 0
+    for fam in families:
+        ids = (rec.individual_id for rec in fam)
+        mappings.append(dict(zip(ids, weights[offset:offset + len(fam)])))
+        offset += len(fam)
+    return mappings
 
 
 def posterior_marginals(pedigree, params: ModelParams) -> MarginalResult:
@@ -162,7 +168,7 @@ def posterior_marginals(pedigree, params: ModelParams) -> MarginalResult:
     engine = MarginalEngine([pedigree])
     marginals, log_evidence = engine.run(params)
     return MarginalResult(
-        weights=_weights_from_marginals(pedigree, marginals),
+        weights=family_weights([pedigree], marginals)[0],
         marginals=marginals,
         log_evidence=float(log_evidence[0]),
     )
@@ -207,7 +213,7 @@ def brute_force_marginals(pedigree, params: ModelParams,
         axes = tuple(ax for ax in range(n) if ax != v)
         marginals[v] = joint.sum(axis=axes) / total
     return MarginalResult(
-        weights=_weights_from_marginals(pedigree, marginals),
+        weights=family_weights([pedigree], marginals)[0],
         marginals=marginals,
         log_evidence=float(np.log(total)),
     )
@@ -520,7 +526,13 @@ class MarginalEngine:
     two-pass schedule (see the module docstring) and evaluates all marginals
     for new model parameters in a fixed number of vectorized steps. A record
     with a ``genotype_pin`` takes only its pinned states. :attr:`stats`
-    reports the schedule's size.
+    reports the schedule's size. ``ages``, ``statuses``, ``covariates`` and
+    ``suppressed`` are the record columns in global record order.
+
+    Work that does not change between the runs of an EM fit is done once: a
+    step baseline's jump grid is searched for the records' ages when its
+    times differ by value from the last grid's, and each run multiplies the
+    potentials into tables allocated with the engine.
 
     Raises :class:`InferenceError` when a family's largest clique table, or
     all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
@@ -542,23 +554,17 @@ class MarginalEngine:
                 "families carry different covariate counts; cannot fit jointly"
             )
         records = [rec for fam in self.families for rec in fam]
-        # Evidence inputs in ascending-age order, so that each run's baseline
-        # hazard lookup searches sorted ages; run scatters the result back.
-        age = np.array([rec.age for rec in records], dtype=float)
-        self._by_age = by_age = np.argsort(age, kind="stable")
-        self._age = age[by_age]
-        self._status = np.array([rec.status for rec in records], dtype=int)[by_age]
+        self.ages = np.array([rec.age for rec in records], dtype=float)
+        self.statuses = np.array([rec.status for rec in records], dtype=int)
         self._gtest = np.array(
             [-1 if rec.gene_test is None else rec.gene_test for rec in records], dtype=int
-        )[by_age]
-        self._suppress = np.array(
-            [rec.phenotype_suppressed for rec in records], dtype=bool
-        )[by_age]
-        self._Z = np.array([rec.covariates for rec in records], dtype=float).reshape(
-            total, cov_len
-        )[by_age]
-        mask = _pin_mask(records)
-        self._mask = None if mask is None else mask[by_age]
+        )
+        self.suppressed = np.array([rec.phenotype_suppressed for rec in records], dtype=bool)
+        self.covariates = np.array(
+            [rec.covariates for rec in records], dtype=float
+        ).reshape(total, cov_len)
+        self._mask = _pin_mask(records)
+        self._grid = self._grid_positions = None
         self._static_q = None
         self._static = {}
         self._compile()
@@ -694,10 +700,11 @@ class MarginalEngine:
 
         # Each member's evidence sits on its read-out axis; the extra column
         # ``total`` of the evidence table holds ones for every other axis.
-        self._evidence, self._patterns = {}, {}
+        self._evidence, self._patterns, self._pots = {}, {}, {}
         for rank, by_axis in evidence.items():
             members = rank_of == rank
             count = int(members.sum())
+            self._pots[rank] = np.empty((N_STATES,) * rank + (count,))
             self._evidence[rank] = []
             for axis in sorted(by_axis):
                 index = np.full(count, self.total, dtype=_INDEX)
@@ -707,8 +714,12 @@ class MarginalEngine:
             index = np.empty(count, dtype=_INDEX)
             index[rank_row[members]] = pattern_of[members]
             self._patterns[rank] = (list(patterns[rank]), index)
-        self._sep_sizes = {
-            int(size): int(np.sum(sep_of == size)) for size in np.unique(sep_of[edge])
+        # Each run writes the evidence table, the potentials (``_pots``) and
+        # the collected messages into these buffers before it reads them.
+        self._phi = np.ones((N_STATES, self.total + 1))
+        self._collected = {
+            int(size): np.empty((N_STATES,) * int(size) + (int(np.sum(sep_of == size)),))
+            for size in np.unique(sep_of[edge])
         }
         self.stats = EngineStats(
             families=len(self.families),
@@ -726,8 +737,23 @@ class MarginalEngine:
             potential_bytes=potential_bytes,
         )
 
-    def _potentials(self, q, phi):
-        """Fresh clique potentials per rank: cached static tables times evidence."""
+    def _cumulative_hazard(self, params):
+        """Each record's baseline cumulative hazard at its age.
+
+        A step baseline's jump-grid positions of the ages are kept while its
+        jump times stay equal by value, as they do within an EM run.
+        """
+        baseline = params.baseline
+        if not isinstance(baseline, BaselineHazard):
+            return params.cumulative_hazard(self.ages)
+        if self._grid is None or not np.array_equal(self._grid, baseline.times):
+            self._grid = baseline.times.copy()
+            self._grid_positions = baseline.grid_positions(self.ages)
+        return baseline.cumulative_at(self._grid_positions)
+
+    def _potentials(self, q):
+        """Clique potentials per rank, the cached static tables times the
+        evidence in ``_phi``, written into the engine's buffers."""
         if q != self._static_q:
             prior = genetics.founder_prior(q)
             self._static = {}
@@ -735,17 +761,17 @@ class MarginalEngine:
                 tables = np.stack([_pattern_table(rank, f, prior) for f in factors], -1)
                 self._static[rank] = np.take(tables, index, axis=-1)
             self._static_q = q
-        pots = {}
         for rank, static in self._static.items():
-            pot = None
+            pot, source = self._pots[rank], static
             for axis, index in self._evidence[rank]:
-                factor = np.take(phi, index, axis=1).reshape(_axes_shape((axis,), rank, (-1,)))
-                if pot is None:
-                    pot = static * factor
-                else:
-                    pot *= factor
-            pots[rank] = static.copy() if pot is None else pot
-        return pots
+                factor = np.take(self._phi, index, axis=1).reshape(
+                    _axes_shape((axis,), rank, (-1,))
+                )
+                np.multiply(source, factor, out=pot)
+                source = pot
+            if source is static:
+                np.copyto(pot, static)
+        return dict(self._pots)
 
     def run(self, params: ModelParams):
         """Marginals (total, 4) in global record order plus per-family log evidence.
@@ -754,21 +780,15 @@ class MarginalEngine:
         observed data has zero probability.
         """
         phi = genetics.evidence_matrix(
-            self._age, self._status, self._Z if self._Z.shape[1] else None,
-            self._gtest, params, suppress=self._suppress,
+            self._cumulative_hazard(params), self.statuses,
+            self.covariates if self.covariates.shape[1] else None,
+            self._gtest, params, suppress=self.suppressed,
         )
         if self._mask is not None:
             phi *= self._mask
-        # one column per record in global record order, plus column
-        # ``total``: no evidence
-        table = np.empty((N_STATES, self.total + 1))
-        table[:, self._by_age] = phi.T
-        table[:, self.total] = 1.0
-        pots = self._potentials(params.q, table)
-        collected = {
-            size: np.empty((N_STATES,) * size + (count,))
-            for size, count in self._sep_sizes.items()
-        }
+        self._phi[:, :self.total] = phi.T
+        pots = self._potentials(params.q)
+        collected = dict(self._collected)
         norm = np.empty(len(self._norm_of_clique))
         collect, roots, distribute, readouts = self._stages
 
@@ -818,11 +838,3 @@ class MarginalEngine:
             minlength=len(self.families),
         )
         return marginals, log_evidence
-
-    def family_weights(self, marginals) -> list[dict]:
-        """Split a flat marginal table into per-family weight mappings."""
-        weights = _weights(marginals)
-        return [
-            dict(zip((rec.individual_id for rec in fam), weights[off:off + len(fam)]))
-            for fam, off in zip(self.families, self.offsets)
-        ]

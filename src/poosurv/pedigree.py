@@ -9,9 +9,9 @@ affected individuals, age at last follow-up otherwise), status is 0
 (censored) or 1 (affected), gene_test is 0 (negative), 1 (positive) or
 -9 / . (not tested), and proband is 0/1. ``0`` in the parent columns marks
 a founder; parents must either both be present or both absent. Any further
-columns are numeric covariates whose count k is constant within a file and
-may be declared up front with a ``# covariates: k`` header. Lines starting
-with ``#`` are comments.
+columns are finite numeric covariates whose count k is constant within a
+file and may be declared up front with a ``# covariates: k`` header. Lines
+starting with ``#`` are comments.
 """
 
 from __future__ import annotations
@@ -120,6 +120,12 @@ class IndividualRecord:
             raise PedigreeError(
                 f"individual {self.individual_id} has invalid gene_test "
                 f"{self.gene_test}",
+                family_id=self.family_id,
+            )
+        if not all(map(math.isfinite, self.covariates)):
+            raise PedigreeError(
+                f"individual {self.individual_id} has non-finite covariates "
+                f"{self.covariates}",
                 family_id=self.family_id,
             )
 

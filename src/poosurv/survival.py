@@ -98,11 +98,18 @@ class BaselineHazard:
 
     def cumulative(self, t):
         """Cumulative hazard at ``t`` (scalar or array)."""
-        idx = np.searchsorted(self.times, t, side="right")
-        out = self._padded_cum[idx]
+        out = self.cumulative_at(self.grid_positions(t))
         if np.isscalar(t):
             return float(out)
         return out
+
+    def grid_positions(self, t):
+        """Position of ``t`` on the jump grid: the number of jumps at or before it."""
+        return np.searchsorted(self.times, t, side="right")
+
+    def cumulative_at(self, positions):
+        """Cumulative hazard at jump-grid ``positions`` from :meth:`grid_positions`."""
+        return self._padded_cum[positions]
 
     def survival(self, t):
         """Baseline survival exp(-cumulative(t))."""

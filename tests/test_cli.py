@@ -342,6 +342,25 @@ class TestFitCommand:
         assert result.stdout == ""
         assert not report_path.exists()
 
+    def test_non_finite_covariate_is_validation_error(self, tmp_path):
+        # rejected while parsing, before any numpy warning or M-step failure
+        ped = tmp_path / "nan.ped"
+        ped.write_text(
+            "# covariates: 1\n"
+            "F1 1 0 0 1 50.0 1 -9 0 0.5\n"
+            "F1 2 0 0 2 48.0 0 -9 0 nan\n"
+            "F1 3 1 2 1 25.0 0 -9 0 -0.5\n"
+        )
+        report_path = tmp_path / "fit.json"
+        result = run_python(
+            ["-m", "poosurv.cli", "fit", str(ped), "--q", "0.2", "--out", str(report_path)],
+            tmp_path,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "family F1, line 3: individual 2 has non-finite covariates" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not report_path.exists()
+
 
 class TestReplicateCommand:
     def test_small_study_csv(self, runner, tmp_path):

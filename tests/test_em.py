@@ -12,8 +12,10 @@ from poosurv import (
     EMError,
     Genotype,
     IndividualRecord,
+    MarginalEngine,
     ModelParams,
     Pedigree,
+    PosteriorWeights,
     Sex,
     apply_proband_correction,
     bootstrap_em,
@@ -23,6 +25,8 @@ from poosurv import (
 )
 from poosurv import em, inference
 from poosurv.em import STABLE_WINDOW, _dataset_arrays, _fan_out
+
+from test_inference import assert_weights_equal, per_record_weights
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -78,7 +82,7 @@ class TestWeightedDataset:
         fams, _ = simulate_families(3, beta=-0.6, q=0.2, scenario="S1", seed=0)
         records = [rec for fam in fams for rec in fam]
         n = len(records)
-        time2, status2, X, rows = _dataset_arrays(fams)
+        time2, status2, X, rows = _dataset_arrays(MarginalEngine(fams))
         assert len(time2) == len(status2) == len(X) == 2 * n
         np.testing.assert_array_equal(rows, np.arange(n))
         # paternal block first, then maternal, each in pedigree order
@@ -95,7 +99,7 @@ class TestWeightedDataset:
             make_record("F", "a", age=40.0, status=1),
             make_record("F", "b", sex=Sex.FEMALE, age=55.0),
         ])
-        time2, status2, X, rows = _dataset_arrays([fam])
+        time2, status2, X, rows = _dataset_arrays(MarginalEngine([fam]))
         np.testing.assert_array_equal(time2, [40.0, 55.0, 40.0, 55.0])
         np.testing.assert_array_equal(status2, [1, 0, 1, 0])
         np.testing.assert_array_equal(X[:, 0], [1.0, 1.0, 0.0, 0.0])
@@ -109,7 +113,7 @@ class TestWeightedDataset:
         tested_negative = np.array([rec.gene_test == 0 for fam in fams for rec in fam])
         w_pat = np.where(tested_negative, 0.0, 0.7)
         w_mat = np.where(tested_negative, 0.0, 0.3)
-        time2, status2, X, rows = _dataset_arrays(fams)
+        time2, status2, X, rows = _dataset_arrays(MarginalEngine(fams))
         weights2n = np.concatenate((w_pat[rows], w_mat[rows]))
         keep = weights2n > 0
         full = CoxProblem(time2, status2, X).fit(weights2n)[0]
@@ -127,7 +131,7 @@ class TestWeightedDataset:
                 )
             ]
         )
-        time2, _, _, rows = _dataset_arrays(corrected)
+        time2, _, _, rows = _dataset_arrays(MarginalEngine(corrected))
         assert len(time2) == 2  # only the non-proband remains, twice
         np.testing.assert_array_equal(rows, [1])
         np.testing.assert_array_equal(time2, [60.0, 60.0])
@@ -149,12 +153,12 @@ class TestWeightedDataset:
                 for fam in fams
             ]
             for cohort in (with_covariates, apply_proband_correction(with_covariates)[0]):
-                time2, status2, X, rows = _dataset_arrays(cohort)
+                time2, status2, X, rows = _dataset_arrays(MarginalEngine(cohort))
                 assert X.shape == (2 * rows.size, 1 + k)
                 assert set(np.unique(X[:, 0])) == {0.0, 1.0}
                 CoxProblem(time2, status2, X)
         suppressed = [fam.with_values(phenotype_suppressed=[True] * len(fam)) for fam in fams]
-        time2, status2, X, rows = _dataset_arrays(suppressed)
+        time2, status2, X, rows = _dataset_arrays(MarginalEngine(suppressed))
         assert X.shape == (0, 1)
         CoxProblem(time2, status2, X)
 
@@ -428,6 +432,47 @@ class TestEMFit:
                     Genotype.HOMOZYGOUS: (0.0, 1.0, 0.0),
                 }[state]
                 assert (w.w_pat, w.w_mat, w.w_zero) == expected
+
+
+class TestWeightsOnDemand:
+    """``FitResult.weights`` is built from the kept marginals when read."""
+
+    @staticmethod
+    def cohort():
+        fams, _ = simulate_families(12, beta=-0.6, q=0.2, scenario="S1", seed=71)
+        return fams, EMConfig(q=0.2, seed=4)
+
+    def test_weights_equal_per_record_construction(self):
+        fams, config = self.cohort()
+        result = em_fit(fams, config)
+        assert_weights_equal(result.weights, per_record_weights(fams, result.marginals))
+
+    def test_fits_build_no_weights_until_read(self, monkeypatch):
+        built = []
+
+        def counted(*fields):
+            built.append(fields)
+            return PosteriorWeights(*fields)
+
+        monkeypatch.setattr(inference, "PosteriorWeights", counted)
+        fams, config = self.cohort()
+        result = em_fit(fams, config)
+        bootstrap_em(fams, config, B=3)
+        assert built == []
+        weights = result.weights
+        assert len(built) == sum(map(len, fams))
+        assert result.weights is weights and len(built) == sum(map(len, fams))
+
+    def test_later_engine_runs_leave_earlier_weights(self):
+        # bootstrap replicates run on the fit's engine after the fit
+        fams, config = self.cohort()
+        model = em._Model(fams)
+        first = em._em(model, config, np.arange(len(fams)))
+        kept = first.marginals.copy()
+        assert not first.marginals.flags.writeable
+        em._em(model, replace(config, seed=9), np.repeat(np.arange(3), 4))
+        assert first.marginals.tobytes() == kept.tobytes()
+        assert_weights_equal(first.weights, per_record_weights(fams, kept))
 
 
 class TestBootstrap:

@@ -240,7 +240,7 @@ class TestEvidenceMatrix:
             )
         suppress = np.array([r.phenotype_suppressed for r in records])
         matrix = evidence_matrix(
-            np.array([r.age for r in records]),
+            params.cumulative_hazard(np.array([r.age for r in records])),
             np.array([r.status for r in records]),
             np.array([r.covariates for r in records]),
             np.array([-1 if r.gene_test is None else r.gene_test for r in records]),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from poosurv import (
     DEFAULT_HAZARD,
+    BaselineHazard,
     Genotype,
     IndividualRecord,
     InferenceError,
@@ -27,7 +28,7 @@ from poosurv import (
     posterior_marginals,
     simulate_families,
 )
-from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats
+from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats, family_weights
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -479,21 +480,34 @@ class TestMarginalEngine:
         families = [random_pedigree(rng, 7, f"W{i}", with_loop=i == 0) for i in range(6)]
         engine = MarginalEngine(families)
         marginals, _ = engine.run(random_params(rng))
-        for fam, off, weights in zip(families, engine.offsets, engine.family_weights(marginals)):
-            expected = {
-                rec.individual_id: PosteriorWeights(
-                    w_pat=float(marginals[off + i, Genotype.HET_PATERNAL]),
-                    w_mat=float(marginals[off + i, Genotype.HET_MATERNAL]
-                                + marginals[off + i, Genotype.HOMOZYGOUS]),
-                    w_zero=float(marginals[off + i, Genotype.NON_CARRIER]),
-                )
-                for i, rec in enumerate(fam)
-            }
-            assert list(weights) == list(expected)
-            for key, w in expected.items():
-                got = weights[key]
-                assert type(got.w_pat) is float
-                assert (got.w_pat, got.w_mat, got.w_zero) == (w.w_pat, w.w_mat, w.w_zero)
+        assert_weights_equal(
+            family_weights(families, marginals), per_record_weights(families, marginals)
+        )
+
+    def test_grid_positions_follow_the_baseline_grid(self):
+        # Bootstrap replicates share one engine but bring their own jump
+        # grids; every run equals a fresh engine's, bit for bit.
+        rng = np.random.default_rng(11)
+        families = [random_pedigree(rng, 6, f"G{i}", with_loop=i == 0) for i in range(8)]
+        ages = np.unique([rec.age for fam in families for rec in fam])
+        grid_a = np.sort(rng.choice(ages, 12, replace=False))  # jumps at record ages
+        grid_b = np.linspace(5.0, 95.0, 7)
+        engine = MarginalEngine(families)
+        baselines = [  # A, A again as an EM run brings it, B, A, parametric
+            BaselineHazard(grid, rng.uniform(0.01, 0.1, grid.size))
+            for grid in (grid_a, grid_a.copy(), grid_b, grid_a.copy())
+        ] + [DEFAULT_HAZARD]
+        positions = []
+        for baseline in baselines:
+            params = ModelParams(q=0.2, beta=-0.5, epsilon=0.01, eta=0.001, baseline=baseline)
+            got, fresh = engine.run(params), MarginalEngine(families).run(params)
+            for mine, theirs in zip(got, fresh):
+                assert mine.tobytes() == theirs.tobytes()
+            positions.append(engine._grid_positions)
+        # searched once per change of grid; a parametric hazard needs none
+        assert positions[1] is positions[0]
+        assert positions[2] is not positions[1] and positions[3] is not positions[2]
+        assert positions[4] is positions[3]
 
     def test_infeasible_clique_rejected_before_allocation(self):
         rng = np.random.default_rng(0)
@@ -519,6 +533,36 @@ class TestMarginalEngine:
         with pytest.raises(ZeroEvidenceError) as exc:
             MarginalEngine([trio(), cousin_marriage_family(), bad]).run(params)
         assert exc.value.family_id == "Z9"
+
+
+def per_record_weights(families, marginals):
+    """Per-family weight mappings built record by record from (records, 4)
+    marginals in the families' record order."""
+    mappings, off = [], 0
+    for fam in families:
+        mappings.append({
+            rec.individual_id: PosteriorWeights(
+                w_pat=float(marginals[off + i, Genotype.HET_PATERNAL]),
+                w_mat=float(marginals[off + i, Genotype.HET_MATERNAL]
+                            + marginals[off + i, Genotype.HOMOZYGOUS]),
+                w_zero=float(marginals[off + i, Genotype.NON_CARRIER]),
+            )
+            for i, rec in enumerate(fam)
+        })
+        off += len(fam)
+    return mappings
+
+
+def assert_weights_equal(got, expected):
+    """Same families, ids in the same order, and equal float weights."""
+    assert len(got) == len(expected)
+    for mine, theirs in zip(got, expected):
+        assert list(mine) == list(theirs)
+        for key, w in theirs.items():
+            assert type(mine[key].w_pat) is float
+            assert (mine[key].w_pat, mine[key].w_mat, mine[key].w_zero) == (
+                w.w_pat, w.w_mat, w.w_zero
+            )
 
 
 TEMPLATE_ROWS = (  # (id, father, mother, sex): three generations, seven members

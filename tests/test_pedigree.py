@@ -120,6 +120,26 @@ def test_covariate_arity_mismatch():
         parse_ped(text)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_covariate_names_family_line_and_individual(token):
+    text = (
+        "# covariates: 2\n"
+        "F1 1 0 0 1 70.0 0 -9 0 1.0 0.5\n"
+        f"F1 2 0 0 2 60.0 1 -9 0 {token} 0.5\n"
+    )
+    with pytest.raises(PedigreeError) as exc:
+        parse_ped(text)
+    assert (exc.value.family_id, exc.value.line) == ("F1", 3)
+    assert "individual 2" in str(exc.value) and "non-finite covariates" in str(exc.value)
+
+
+def test_record_rejects_non_finite_covariates():
+    with pytest.raises(PedigreeError, match="individual a has non-finite covariates"):
+        IndividualRecord(
+            "F", "a", None, None, Sex.MALE, 40.0, 0, covariates=(0.0, float("inf"))
+        )
+
+
 def test_round_trip_identical():
     families = parse_ped(SMALL_FILE)
     again = parse_ped(format_ped(families))
