@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
-from .inference import MarginalEngine, PosteriorWeights, family_weights
+from .inference import InferenceError, MarginalEngine, PosteriorWeights, family_weights
 from .pedigree import Pedigree
 from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, survival_curve
 
@@ -387,7 +387,7 @@ def _bootstrap_one(model, config, replicate_index):
     rep_config = replace(config, seed=int(em_seed.generate_state(1)[0]))
     try:
         fit = _em(model, rep_config, draws)
-    except EMError as err:
+    except (EMError, InferenceError) as err:
         return BootstrapReplicate(float("nan"), (), None, False, error=str(err))
     return BootstrapReplicate(fit.beta_hat, tuple(fit.gamma_hat), fit.baseline, fit.converged)
 

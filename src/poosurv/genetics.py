@@ -32,6 +32,7 @@ __all__ = [
     "penetrance_factor",
     "test_factor",
     "evidence_factor",
+    "FixedEvidence",
     "evidence_matrix",
 ]
 
@@ -192,8 +193,37 @@ def evidence_factor(record, params: ModelParams) -> np.ndarray:
     return phi
 
 
+class FixedEvidence:
+    """The parts of :func:`evidence_matrix` that a new hazard leaves alone.
+
+    For given records and (``epsilon``, ``eta``) they are: the status
+    selections (affected rows take their risk as a factor and rule out the
+    non-carrier state), the suppression of phenotypes (a suppressed row
+    carries no hazard) and, per state, the gene-test factors times the
+    ``pins`` indicator (n, 4) of allowed states, if any. A caller that
+    evaluates the same records many times builds them once.
+    """
+
+    def __init__(self, status, gene_test, epsilon, eta, suppress=None, pins=None):
+        status = np.asarray(status, dtype=int)
+        gene_test = np.asarray(gene_test, dtype=int)
+        live = np.ones(status.shape[0], dtype=bool)
+        if suppress is not None:
+            live = ~np.asarray(suppress, dtype=bool)
+        self.key = (epsilon, eta)
+        self.live = live.astype(float)
+        self.affected = (status == 1) & live
+        factor = np.ones((N_STATES, status.shape[0]))
+        factor[Genotype.NON_CARRIER, self.affected] = 0.0
+        for result, noncarrier, carrier in ((1, eta, 1.0 - epsilon), (0, 1.0 - eta, epsilon)):
+            factor[:, gene_test == result] *= np.array([noncarrier] + [carrier] * 3)[:, None]
+        if pins is not None:
+            factor *= pins.T
+        self.factor = factor
+
+
 def evidence_matrix(cumulative_hazard, status, covariates, gene_test, params: ModelParams,
-                    suppress=None) -> np.ndarray:
+                    suppress=None, *, fixed=None, out=None) -> np.ndarray:
     """Vectorized evidence tables for many individuals at once.
 
     Parameters
@@ -205,49 +235,41 @@ def evidence_matrix(cumulative_hazard, status, covariates, gene_test, params: Mo
     covariates : (n, k) array or None
     gene_test : (n,) int array with -1 marking untested individuals
     suppress : (n,) bool array or None; True rows keep only the test factor
+    fixed : the :class:`FixedEvidence` of ``status``, ``gene_test`` and
+        ``suppress`` under ``params``' (epsilon, eta), which then go unread;
+        built here when None
+    out : (4, n) array or None; the factors are written into it state by
+        state, so that only the hazard-dependent ones are computed
 
     Returns
     -------
     (n, 4) array of per-individual factors, same convention as
-    :func:`evidence_factor`.
+    :func:`evidence_factor` (times ``fixed``'s pins); a transposed view of
+    ``out`` when it is given.
     """
     lam = np.asarray(cumulative_hazard, dtype=float)
-    status = np.asarray(status, dtype=int)
-    gene_test = np.asarray(gene_test, dtype=int)
     n = lam.shape[0]
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("cumulative hazards must be finite and non-negative")
+    if fixed is None:
+        fixed = FixedEvidence(status, gene_test, params.epsilon, params.eta, suppress)
+    elif fixed.key != (params.epsilon, params.eta):
+        raise ValueError("fixed evidence parts were built for another (epsilon, eta)")
+    if out is None:
+        out = np.empty((N_STATES, n))
     k = len(params.gamma)
     if k:
         Z = np.asarray(covariates, dtype=float).reshape(n, k)
         zg = Z @ np.asarray(params.gamma)
     else:
         zg = np.zeros(n)
-    risk_mat = np.exp(zg)
-    risk_pat = np.exp(params.beta + zg)
-    surv_mat = np.exp(-lam * risk_mat)
-    surv_pat = np.exp(-lam * risk_pat)
-
-    phi = np.empty((n, N_STATES))
-    affected = status == 1
-    phi[:, Genotype.NON_CARRIER] = np.where(affected, 0.0, 1.0)
-    phi[:, Genotype.HET_PATERNAL] = np.where(
-        affected, surv_pat * risk_pat, surv_pat
-    )
-    maternal = np.where(affected, surv_mat * risk_mat, surv_mat)
-    phi[:, Genotype.HET_MATERNAL] = maternal
-    phi[:, Genotype.HOMOZYGOUS] = maternal
-    if suppress is not None:
-        phi[np.asarray(suppress, dtype=bool)] = 1.0
-
-    positive = gene_test == 1
-    negative = gene_test == 0
-    if positive.any():
-        phi[positive] *= np.array(
-            [params.eta] + [1.0 - params.epsilon] * 3
-        )
-    if negative.any():
-        phi[negative] *= np.array(
-            [1.0 - params.eta] + [params.epsilon] * 3
-        )
-    return phi
+    lam = lam * fixed.live
+    out[Genotype.NON_CARRIER] = fixed.factor[Genotype.NON_CARRIER]
+    for state, risk in ((Genotype.HET_PATERNAL, np.exp(params.beta + zg)),
+                        (Genotype.HET_MATERNAL, np.exp(zg))):
+        phenotype = np.exp(-lam * risk)
+        np.multiply(phenotype, risk, out=phenotype, where=fixed.affected)
+        np.multiply(phenotype, fixed.factor[state], out=out[state])
+    # the homozygote shares the maternal-origin heterozygote's phenotype
+    np.multiply(phenotype, fixed.factor[Genotype.HOMOZYGOUS], out=out[Genotype.HOMOZYGOUS])
+    return out.T

@@ -26,15 +26,24 @@ separator table follows it, so a collect bucket's children, its messages
 and a root bucket are contiguous. Between the passes, a rank or separator
 table whose distribute receivers are not already contiguous runs is
 gathered once into distribute-bucket order; a cohort of one structure has
-distribute buckets that are already runs, so it needs no such copy. Only
-parent sides are gathered per bucket; a read-out sums the run of rows that
-spans its cliques and picks their columns from that marginal. A zero total
-in the collect pass spreads NaN through its own family's columns; one check
-after the collect pass names such a family. Founder priors and transmission
-tables are folded into static potentials once per allele frequency, so a
-run multiplies in only the per-individual evidence, and marginals are read
-from each clique's final belief. :func:`posterior_marginals` is the
-one-family case of the same engine.
+distribute buckets that are already runs, so it needs no such copy.
+
+Compiling ends in a list of operations, numpy calls with views of the
+engine's buffers bound. A collect bucket sums its children straight into
+their slots of the collected-message table, normalizes them there and
+multiplies them into the parents; distribute buckets and read-outs work in
+scratch buffers that later operations reuse. A run thus makes no per-bucket
+slice, reshape or message array. A gathered collect parent side is taken,
+multiplied and put back; a gathered read (a distribute parent side or a
+read-out) sums the run of rows that it spans and picks its columns when
+that run is at most twice as long as the gather, and gathers first
+otherwise. A zero total in the collect pass spreads NaN through its own
+family's columns; one check after the collect pass names such a family.
+Founder priors and transmission tables are folded into static potentials
+once per allele frequency, and the evidence parts that a new hazard leaves
+alone are built once per (epsilon, eta), so a run computes only the
+hazard-dependent evidence. Marginals are read from each clique's final
+belief. :func:`posterior_marginals` is the one-family case of the same engine.
 
 A brute-force enumerator over all 4^n genotype configurations, with its own
 scalar factor construction, serves as an independent oracle for small
@@ -43,7 +52,9 @@ families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,10 +79,13 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 12
 
 #: Budget for the clique potential tables, checked before any is allocated:
-#: for a single clique and for the whole cohort. An engine holds a few tables
-#: of that size between runs (the static tables, the buffers each run
-#: multiplies the evidence into, and their distribute-order copies), and a
-#: run adds the gathered buckets.
+#: for a single clique and for the whole cohort. Between runs an engine holds
+#: a few tables of that size: the static tables, the potentials each run
+#: multiplies the evidence into, and the distribute-order copies of the
+#: reordered ranks. Beside them it keeps the collected messages, the evidence
+#: with its gather per rank, the normalizers, and scratch buffers the size of
+#: the largest gathered bucket side and message. A run adds only its evidence
+#: temporaries and the tables it returns.
 MAX_POTENTIAL_BYTES = 2 ** 30
 
 _FLOAT_BYTES = np.dtype(float).itemsize
@@ -395,25 +409,67 @@ def _run(index):
     return rows
 
 
-def _columns(table, rows):
-    """Batch columns ``rows`` of a batch-last table: a view for a slice, else
-    a contiguous copy (``table[..., rows]`` would lay the batch axis first)."""
-    if isinstance(rows, slice):
-        return table[..., rows]
-    return table.take(rows, axis=-1)
+def _reduce(table, axes, out):
+    """Op: ``table`` summed over ``axes`` into ``out``."""
+    return partial(np.add.reduce, table, axes, None, out)
 
 
-def _scale_columns(table, rows, factor):
-    """Multiply batch columns ``rows`` of a table by ``factor`` in place.
+def _sums_first(rows):
+    """Whether a read of gathered ``rows`` sums the run of rows from their
+    lowest to their highest first (see :func:`_read`)."""
+    return 1 < int(rows.max()) - int(rows.min()) + 1 <= 2 * len(rows)
 
-    ``rows`` must not repeat a column: only one of the products would stay.
+
+def _read(table, rows, sum_axes, out, scratch):
+    """Ops that write batch columns ``rows`` of a batch-last ``table``,
+    summed over ``sum_axes``, into ``out``.
+
+    A gathered side sums the run of rows from its lowest to its highest and
+    picks its columns from that marginal when the run is at most twice as
+    long as the gather, and gathers its columns first otherwise: a gathered
+    row is copied and then summed, which costs about two summed rows. A run
+    of one row is gathered too: numpy sums a lone column in another order
+    than a batch, which would change the last bits.
     """
     if isinstance(rows, slice):
-        table[..., rows] *= factor
-    else:
-        columns = table.take(rows, axis=-1)
-        columns *= factor
-        table[..., rows] = columns
+        return [_reduce(table[..., rows], sum_axes, out)]
+    if _sums_first(rows):
+        low, high = int(rows.min()), int(rows.max()) + 1
+        summed = scratch(out.shape[:-1] + (high - low,))
+        return [_reduce(table[..., low:high], sum_axes, summed),
+                partial(summed.take, rows - low, -1, out, "clip")]
+    gathered = scratch(table.shape[:-1] + (len(rows),))
+    return [partial(table.take, rows, -1, gathered, "clip"),
+            _reduce(gathered, sum_axes, out)]
+
+
+def _absorb(table, rows, factor, scratch):
+    """Ops that multiply batch columns ``rows`` of a table by ``factor`` in
+    place; gathered ``rows`` must not repeat a column."""
+    if isinstance(rows, slice):
+        view = table[..., rows]
+        return [partial(np.multiply, view, factor, view)]
+    columns = scratch(table.shape[:-1] + (len(rows),))
+    return [partial(table.take, rows, -1, columns, "clip"),
+            partial(np.multiply, columns, factor, columns),
+            partial(table.__setitem__, (Ellipsis, rows), columns)]
+
+
+class _Scratch:
+    """Contiguous views of one flat buffer, reused by ops that run one after
+    another. A binding pass over an empty buffer hands out throwaway arrays
+    and records the largest request, which sizes the buffer of the next."""
+
+    def __init__(self, size=0):
+        self.flat = np.empty(size)
+        self.size = 0
+
+    def __call__(self, shape):
+        size = math.prod(shape)
+        self.size = max(self.size, size)
+        if size > self.flat.size:
+            return np.empty(shape)
+        return self.flat[:size].reshape(shape)
 
 
 def _positions(order, table_of):
@@ -523,16 +579,19 @@ class MarginalEngine:
     """Batched posterior-marginal evaluator reused across EM iterations.
 
     Compiles the junction forests of all families into one bucketed
-    two-pass schedule (see the module docstring) and evaluates all marginals
-    for new model parameters in a fixed number of vectorized steps. A record
-    with a ``genotype_pin`` takes only its pinned states. :attr:`stats`
-    reports the schedule's size. ``ages``, ``statuses``, ``covariates`` and
+    two-pass schedule and binds it into a list of numpy operations on the
+    engine's own buffers (see the module docstring). A record with a
+    ``genotype_pin`` takes only its pinned states. :attr:`stats` reports
+    the schedule's size. ``ages``, ``statuses``, ``covariates`` and
     ``suppressed`` are the record columns in global record order.
 
-    Work that does not change between the runs of an EM fit is done once: a
-    step baseline's jump grid is searched for the records' ages when its
-    times differ by value from the last grid's, and each run multiplies the
-    potentials into tables allocated with the engine.
+    A run computes the hazard-dependent evidence of every record,
+    multiplies it into the static tables, calls the bound operations and
+    returns a fresh marginal table with the per-family log evidence. What
+    does not change between the runs of an EM fit is made once and kept
+    while its inputs stay equal by value: the static tables per ``q``, the
+    fixed evidence parts with the pins per (``epsilon``, ``eta``), and a
+    step baseline's jump-grid positions of the records' ages per grid.
 
     Raises :class:`InferenceError` when a family's largest clique table, or
     all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
@@ -565,8 +624,7 @@ class MarginalEngine:
         ).reshape(total, cov_len)
         self._mask = _pin_mask(records)
         self._grid = self._grid_positions = None
-        self._static_q = None
-        self._static = {}
+        self._static_q = self._fixed = None
         self._compile()
 
     def _compile(self):
@@ -700,11 +758,20 @@ class MarginalEngine:
 
         # Each member's evidence sits on its read-out axis; the extra column
         # ``total`` of the evidence table holds ones for every other axis.
-        self._evidence, self._patterns, self._pots = {}, {}, {}
+        # Each run writes the evidence, its gather per rank (``_gathered``),
+        # the potentials (``_pots``), the collected messages with where they
+        # are positive (``_sent``) and the normalizers into these buffers
+        # before it reads them; the static tables are rewritten when ``q``
+        # changes.
+        self._phi = np.ones((N_STATES, self.total + 1))
+        self._evidence, self._patterns = {}, {}
+        self._pots, self._static, self._gathered = {}, {}, {}
         for rank, by_axis in evidence.items():
             members = rank_of == rank
             count = int(members.sum())
             self._pots[rank] = np.empty((N_STATES,) * rank + (count,))
+            self._static[rank] = np.empty_like(self._pots[rank])
+            self._gathered[rank] = np.empty((N_STATES, count))
             self._evidence[rank] = []
             for axis in sorted(by_axis):
                 index = np.full(count, self.total, dtype=_INDEX)
@@ -714,13 +781,15 @@ class MarginalEngine:
             index = np.empty(count, dtype=_INDEX)
             index[rank_row[members]] = pattern_of[members]
             self._patterns[rank] = (list(patterns[rank]), index)
-        # Each run writes the evidence table, the potentials (``_pots``) and
-        # the collected messages into these buffers before it reads them.
-        self._phi = np.ones((N_STATES, self.total + 1))
         self._collected = {
             int(size): np.empty((N_STATES,) * int(size) + (int(np.sum(sep_of == size)),))
             for size in np.unique(sep_of[edge])
         }
+        self._sent = {size: np.empty(table.shape, bool) for size, table in self._collected.items()}
+        self._norm = np.empty(n_cliques)
+        pools = [_Scratch() for _ in range(3)]
+        self._bind(pools)
+        self._ops = self._bind([_Scratch(p.size) for p in pools])
         self.stats = EngineStats(
             families=len(self.families),
             structures=len(groups),
@@ -751,27 +820,84 @@ class MarginalEngine:
             self._grid_positions = baseline.grid_positions(self.ages)
         return baseline.cumulative_at(self._grid_positions)
 
-    def _potentials(self, q):
-        """Clique potentials per rank, the cached static tables times the
-        evidence in ``_phi``, written into the engine's buffers."""
-        if q != self._static_q:
-            prior = genetics.founder_prior(q)
-            self._static = {}
-            for rank, (factors, index) in self._patterns.items():
-                tables = np.stack([_pattern_table(rank, f, prior) for f in factors], -1)
-                self._static[rank] = np.take(tables, index, axis=-1)
-            self._static_q = q
-        for rank, static in self._static.items():
-            pot, source = self._pots[rank], static
+    def _bind(self, scratch):
+        """The ops of a run, with every view of the engine's buffers bound:
+        the potentials, the collect pass with the roots, the boundary moves
+        with the distribute pass, and per read-out bucket its ops, member
+        rows and marginal. ``scratch`` hands out the temporaries that ops
+        reuse: gathered or summed rows, messages and marginals, and their
+        totals."""
+        rows_of, messages, totals = scratch
+        pots, collected, norm = self._pots, self._collected, self._norm
+        potentials = []
+        for rank, pot in pots.items():
+            gathered, source = self._gathered[rank], self._static[rank]
             for axis, index in self._evidence[rank]:
-                factor = np.take(self._phi, index, axis=1).reshape(
-                    _axes_shape((axis,), rank, (-1,))
-                )
-                np.multiply(source, factor, out=pot)
+                factor = gathered.reshape(_axes_shape((axis,), rank, (-1,)))
+                potentials += [partial(self._phi.take, index, 1, gathered, "clip"),
+                               partial(np.multiply, source, factor, pot)]
                 source = pot
-            if source is static:
-                np.copyto(pot, static)
-        return dict(self._pots)
+            if source is not pot:
+                potentials.append(partial(np.copyto, pot, source))
+
+        collect, roots, distribute, readouts = self._stages
+        collecting = []
+        for bucket in collect:
+            child, parent = bucket.child, bucket.parent
+            slot = collected[child.rank - len(child.sum_axes)][..., bucket.slots]
+            total = norm[bucket.norm]
+            collecting += [
+                _reduce(pots[child.rank][..., child.rows], child.sum_axes, slot),
+                _reduce(slot.reshape(-1, slot.shape[-1]), 0, total),
+                partial(np.divide, slot, total, slot),
+                *_absorb(pots[parent.rank], parent.rows, slot.reshape(parent.shape), rows_of),
+            ]
+        for bucket in roots:
+            table = pots[bucket.child.rank][..., bucket.child.rows]
+            collecting.append(_reduce(table.reshape(-1, table.shape[-1]), 0, norm[bucket.norm]))
+
+        distributing = []
+        pots, collected = dict(pots), dict(collected)  # in distribute order
+        for tables, moves in ((pots, self._rank_moves), (collected, self._sep_moves)):
+            for size, (perm, moved) in moves.items():
+                distributing.append(partial(tables[size].take, perm, -1, moved, "clip"))
+                tables[size] = moved
+        for size, table in collected.items():
+            distributing.append(partial(np.greater, table, 0.0, self._sent[size]))
+        for bucket in distribute:
+            child, parent = bucket.child, bucket.parent
+            size = child.rank - len(child.sum_axes)
+            sent = collected[size][..., bucket.slots]
+            msg, total = messages(sent.shape), totals(sent.shape[-1:])
+            view = pots[child.rank][..., child.rows]
+            distributing += [
+                *_read(pots[parent.rank], parent.rows, parent.sum_axes, msg, rows_of),
+                partial(np.divide, msg, sent, msg, where=self._sent[size][..., bucket.slots]),
+                _reduce(msg.reshape(-1, msg.shape[-1]), 0, total),
+                partial(np.divide, msg, total, msg),
+                partial(np.multiply, view, msg.reshape(child.shape), view),
+            ]
+
+        reading = []
+        for bucket in readouts:
+            child, count = bucket.child, len(bucket.targets)
+            rows = child.rows if bucket.pick is None else child.rows.start + bucket.pick
+            marginal, total = messages((N_STATES, count)), totals((count,))
+            ops = _read(pots[child.rank], rows, child.sum_axes, marginal, rows_of)
+            ops += [_reduce(marginal, 0, total), partial(np.divide, marginal, total, marginal)]
+            reading.append((ops, bucket.targets, marginal.T))
+        return potentials, collecting, distributing, reading
+
+    def _fixed_evidence(self, params):
+        """The records' :class:`genetics.FixedEvidence` with their pins,
+        rebuilt when (epsilon, eta) change by value."""
+        fixed = self._fixed
+        if fixed is None or fixed.key != (params.epsilon, params.eta):
+            fixed = self._fixed = genetics.FixedEvidence(
+                self.statuses, self._gtest, params.epsilon, params.eta,
+                self.suppressed, self._mask,
+            )
+        return fixed
 
     def run(self, params: ModelParams):
         """Marginals (total, 4) in global record order plus per-family log evidence.
@@ -779,60 +905,44 @@ class MarginalEngine:
         Raises :class:`ZeroEvidenceError`, naming the family, when a family's
         observed data has zero probability.
         """
-        phi = genetics.evidence_matrix(
+        genetics.evidence_matrix(
             self._cumulative_hazard(params), self.statuses,
             self.covariates if self.covariates.shape[1] else None,
             self._gtest, params, suppress=self.suppressed,
+            fixed=self._fixed_evidence(params), out=self._phi[:, :self.total],
         )
-        if self._mask is not None:
-            phi *= self._mask
-        self._phi[:, :self.total] = phi.T
-        pots = self._potentials(params.q)
-        collected = dict(self._collected)
-        norm = np.empty(len(self._norm_of_clique))
-        collect, roots, distribute, readouts = self._stages
-
-        def marginal(side):
-            return _columns(pots[side.rank], side.rows).sum(axis=side.sum_axes)
-
+        if params.q != self._static_q:
+            prior = genetics.founder_prior(params.q)
+            for rank, (factors, index) in self._patterns.items():
+                tables = np.stack([_pattern_table(rank, f, prior) for f in factors], -1)
+                np.take(tables, index, axis=-1, out=self._static[rank], mode="clip")
+            self._static_q = params.q
+        potentials, collect, distribute, readouts = self._ops
+        for op in potentials:
+            op()
         # Collect: each child's belief, summed to the separator, multiplies
         # into its parent's. A root's total is then its tree's evidence. A
         # zero total spreads NaN through its own family's columns only, and
         # is caught once both stages are done.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for bucket in collect:
-                msg = marginal(bucket.child)
-                norm[bucket.norm] = z = msg.reshape(-1, msg.shape[-1]).sum(axis=0)
-                msg /= z
-                collected[msg.ndim - 1][..., bucket.slots] = msg
-                _scale_columns(pots[bucket.parent.rank], bucket.parent.rows,
-                               msg.reshape(bucket.parent.shape))
-            for bucket in roots:
-                table = pots[bucket.child.rank][..., bucket.child.rows]
-                norm[bucket.norm] = table.reshape(-1, table.shape[-1]).sum(axis=0)
+            for op in collect:
+                op()
+        norm = self._norm
         failed = ~(norm > 0)
         if failed.any():
             clique = np.flatnonzero(self._norm_of_clique == np.argmax(failed))[0]
             raise ZeroEvidenceError(self.families[self._clique_family[clique]].family_id)
-        for tables, moves in ((pots, self._rank_moves), (collected, self._sep_moves)):
-            for size, (perm, moved) in moves.items():
-                tables[size] = np.take(tables[size], perm, axis=-1, out=moved, mode="clip")
         # Distribute: the parent's final belief on the separator, divided by
         # the message it collected from the child. Where that message is 0,
         # so is the parent's marginal, and the quotient is left at 0; the
         # quotient's total is positive since the parent's total is.
-        for bucket in distribute:
-            msg = marginal(bucket.parent)
-            sent = collected[msg.ndim - 1][..., bucket.slots]
-            np.divide(msg, sent, out=msg, where=sent > 0)
-            msg /= msg.reshape(-1, msg.shape[-1]).sum(axis=0)
-            pots[bucket.child.rank][..., bucket.child.rows] *= msg.reshape(bucket.child.shape)
+        for op in distribute:
+            op()
         marginals = np.empty((self.total, N_STATES))
-        for bucket in readouts:
-            marg = marginal(bucket.child)
-            if bucket.pick is not None:
-                marg = marg.take(bucket.pick, axis=-1)
-            marginals[bucket.targets] = (marg / marg.sum(axis=0)).T
+        for ops, targets, marginal in readouts:
+            for op in ops:
+                op()
+            marginals[targets] = marginal
         log_evidence = np.bincount(
             self._clique_family, weights=np.log(norm)[self._norm_of_clique],
             minlength=len(self.families),

@@ -27,6 +27,7 @@ from poosurv import (
 )
 from poosurv.cli import main
 
+from test_em import fail_replicate
 from test_inference import random_pedigree
 
 
@@ -293,6 +294,19 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert "family F21" in result.output and "unknown individual" in result.output
         assert not report_path.exists()
+
+    def test_replicate_inference_error_counts_as_failed(
+        self, runner, sim_dir, tmp_path, monkeypatch
+    ):
+        # the main fit succeeds, so one replicate's zero evidence is a failed
+        # replicate in the report, not a numerical failure of the command
+        fail_replicate(monkeypatch, 1, "F7")
+        report_path = tmp_path / "fit.json"
+        run_ok(runner, ["fit", str(sim_dir / "pedigree.ped"), "--q", "0.2",
+                        "--bootstrap", "3", "--out", str(report_path)])
+        boot = json.loads(report_path.read_text())["bootstrap"]
+        assert (boot["replicates"], boot["failed"]) == (3, 1)
+        assert len(boot["beta_hats"]) == len(boot["fits"]) == 2
 
     @pytest.mark.parametrize("option", [("--bootstrap", "-2"), ("--jobs", "0")])
     def test_negative_counts_are_usage_errors(self, runner, sim_dir, tmp_path, option):

@@ -57,6 +57,29 @@ def replicate_key(rep):
             rep.converged, rep.error)
 
 
+def fail_replicate(monkeypatch, index, family_id):
+    """Make every E-step run of bootstrap replicate ``index`` raise a
+    :class:`ZeroEvidenceError` naming ``family_id``; replicates must run in
+    this process (``jobs=1``)."""
+    running = []
+    real_one, real_run = em._bootstrap_one, inference.MarginalEngine.run
+
+    def tracked(model, config, replicate_index):
+        running.append(replicate_index)
+        try:
+            return real_one(model, config, replicate_index)
+        finally:
+            running.pop()
+
+    def failing(self, params):
+        if running == [index]:
+            raise inference.ZeroEvidenceError(family_id)
+        return real_run(self, params)
+
+    monkeypatch.setattr(em, "_bootstrap_one", tracked)
+    monkeypatch.setattr(inference.MarginalEngine, "run", failing)
+
+
 def sized_family(rng, family_id, children):
     """Founder couple, ``children`` children each with a married-in spouse
     and one child of their own; random phenotypes and gene tests."""
@@ -545,6 +568,18 @@ class TestBootstrap:
         em_fit(fams, config)
         reps = bootstrap_em(fams, config, B=6)
         assert len(reps) == 6
+
+    def test_inference_error_fails_only_its_replicate(self, monkeypatch):
+        fams, _ = simulate_families(20, beta=-0.6, q=0.2, scenario="S1", seed=66)
+        config = EMConfig(q=0.2, seed=5)
+        clean = bootstrap_em(fams, config, B=3)
+        fail_replicate(monkeypatch, 1, "F7")
+        reps = bootstrap_em(fams, config, B=3)
+        failed = reps[1]
+        assert (failed.error, failed.converged) == (str(inference.ZeroEvidenceError("F7")), False)
+        assert np.isnan(failed.beta_hat) and failed.baseline is None
+        assert [replicate_key(r) for r in reps[::2]] == [replicate_key(r) for r in clean[::2]]
+        assert all(r.error is None for r in clean)
 
     def test_pool_never_outnumbers_its_tasks(self, monkeypatch):
         started = []

@@ -28,7 +28,7 @@ from poosurv import (
     posterior_marginals,
     simulate_families,
 )
-from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats, family_weights
+from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats, _sums_first, family_weights
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -509,6 +509,91 @@ class TestMarginalEngine:
         assert positions[2] is not positions[1] and positions[3] is not positions[2]
         assert positions[4] is positions[3]
 
+    def test_reuse_across_parameter_changes_equals_fresh_engines(self):
+        # One engine through a change of q, then of (epsilon, eta), then of
+        # the step baseline's grid, then to a parametric hazard, on records
+        # with pins and suppressed probands: the static tables and the fixed
+        # evidence parts follow each change, bit for bit.
+        rng = np.random.default_rng(12)
+        families = pinned_cohort(rng, 12)
+        ages = np.unique([rec.age for fam in families for rec in fam])
+        grid_a = np.sort(rng.choice(ages, 10, replace=False))
+        grid_b = np.linspace(5.0, 95.0, 7)
+        first = ModelParams(
+            q=0.2, beta=-0.5, gamma=(0.3,), epsilon=0.01, eta=0.001,
+            baseline=BaselineHazard(grid_a, rng.uniform(0.01, 0.1, grid_a.size)),
+        )
+        new_q = dataclasses.replace(first, q=0.1)
+        new_errors = dataclasses.replace(new_q, epsilon=0.05, eta=0.002)
+        new_grid = dataclasses.replace(
+            new_errors, baseline=BaselineHazard(grid_b, rng.uniform(0.01, 0.1, grid_b.size))
+        )
+        parametric = dataclasses.replace(new_grid, baseline=DEFAULT_HAZARD)
+        engine = MarginalEngine(families)
+        assert engine._mask is not None and engine.suppressed.any()
+        for params in (first, new_q, new_errors, new_grid, parametric):
+            got, fresh = engine.run(params), MarginalEngine(families).run(params)
+            for mine, theirs in zip(got, fresh):
+                assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("kind", ["heterogeneous", "simulated"])
+    def test_read_rule_branches_match_one_family_engines(self, kind):
+        # Each family also appears renamed, so every bucket batches at least
+        # two columns, and so does an engine of the family and its copy:
+        # numpy sums a batch in one order whatever its size (a lone column
+        # pairwise), so the two agree bit for bit, whichever branch of the
+        # read rule a gathered side takes.
+        rng = np.random.default_rng(13)
+        if kind == "heterogeneous":
+            families = [
+                random_pedigree(rng, int(rng.integers(2, 13)), f"H{i}", with_loop=i % 3 == 0)
+                for i in range(40)
+            ]
+        else:
+            families, _ = simulate_families(6, -0.6, 0.2, scenario="S1", seed=13)
+        engine = MarginalEngine(families + [renamed(fam, f"{fam.family_id}b") for fam in families])
+        collect, roots, distribute, readouts = engine._stages
+        branches = {
+            _sums_first(b.parent.rows) for b in distribute if not isinstance(b.parent.rows, slice)
+        }
+        assert branches == ({True, False} if kind == "heterogeneous" else {True})
+        assert kind == "simulated" or any(b.pick is not None for b in readouts)
+        params = random_params(rng)
+        marginals, log_evidence = engine.run(params)
+        for k, fam in enumerate(families):
+            own = marginals[engine.offsets[k]:engine.offsets[k] + len(fam)]
+            pair, pair_log = MarginalEngine([fam, renamed(fam, "copy")]).run(params)
+            assert own.tobytes() == pair[:len(fam)].tobytes()
+            assert log_evidence[k] == pair_log[0]
+            np.testing.assert_allclose(
+                own, posterior_marginals(fam, params).marginals, rtol=0, atol=1e-14
+            )
+            if len(fam) <= 12:
+                np.testing.assert_allclose(
+                    own, brute_force_marginals(fam, params).marginals, rtol=0, atol=1e-10
+                )
+
+    def test_run_peak_memory_stays_below_its_tables(self):
+        # A run writes its messages, gathers and evidence into the engine's
+        # buffers: its traced peak, the returned tables included, stays far
+        # below one set of potential tables.
+        families, _ = simulate_families(2000, -0.6, 0.2, seed=14)
+        engine = MarginalEngine(families)
+        grid = np.linspace(20.0, 80.0, 40)
+        params = ModelParams(q=0.2, beta=-0.6, epsilon=0.01, eta=0.001,
+                             baseline=BaselineHazard(grid, np.full(grid.size, 0.01)))
+        engine.run(params)
+        tracemalloc.start()
+        try:
+            engine.run(dataclasses.replace(
+                params, baseline=BaselineHazard(grid, np.full(grid.size, 0.02))
+            ))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine.stats.potential_bytes == 6_144_000
+        assert peak < 2.5 * 2 ** 20
+
     def test_infeasible_clique_rejected_before_allocation(self):
         rng = np.random.default_rng(0)
         ped = random_pedigree(rng, 200, family_id="BIG")
@@ -533,6 +618,27 @@ class TestMarginalEngine:
         with pytest.raises(ZeroEvidenceError) as exc:
             MarginalEngine([trio(), cousin_marriage_family(), bad]).run(params)
         assert exc.value.family_id == "Z9"
+
+
+def pinned_cohort(rng, count):
+    """Loopy, random and template families with one covariate, genotype
+    pins of two states and suppressed probands."""
+    families = []
+    for i in range(count):
+        if i % 3 == 0:
+            size = int(rng.integers(9, 14))
+            families.append(random_pedigree(rng, size, f"L{i}", with_loop=True, covariates=1))
+        elif i % 3 == 1:
+            size = int(rng.integers(2, 10))
+            families.append(random_pedigree(rng, size, f"R{i}", covariates=1))
+        else:
+            families.append(template_family(rng, f"T{i}", 1))
+    pins = {
+        (fam.family_id, rec.individual_id): tuple(int(g) for g in rng.choice(4, 2, replace=False))
+        for fam in families for rec in fam if rng.random() < 0.15
+    }
+    families, _ = apply_proband_correction(pin_genotypes(families, pins))
+    return families
 
 
 def per_record_weights(families, marginals):
