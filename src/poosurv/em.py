@@ -17,6 +17,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -74,9 +75,11 @@ class EMConfig:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"allele frequency q must be in (0, 1), got {self.q}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         ages = tuple(float(a) for a in self.test_ages)
+        if not all(map(math.isfinite, ages)):
+            raise ValueError(f"test_ages must be finite, got {ages}")
         if not ages or any(b <= a for a, b in zip(ages, ages[1:])):
             raise ValueError("test_ages must be non-empty and increasing")
         object.__setattr__(self, "test_ages", ages)

@@ -15,7 +15,11 @@ Hugin-style division a step's layout does not depend on how many
 neighbours a clique has. The messages of all families are bucketed by (pass, level,
 layout), the layout being the rank and separator axes of both cliques, so a
 pass costs a fixed number of batched numpy operations per bucket however
-many structures the cohort holds. Clique potentials live in one table per
+many structures the cohort holds. Compiling builds each structure's tree
+and roots it in Python, then finds the separators, places the factors and
+read-outs and keys every step for all structures at once with numpy, and
+expands the sorted steps to every family of their structure in one pass.
+Clique potentials live in one table per
 clique rank and collected messages in one table per separator size, with
 the batch axis last; every index array of the schedule has one entry per
 clique, never per table entry.
@@ -55,12 +59,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from . import genetics
 from .genetics import N_STATES, Genotype, ModelParams
-from .junction import build_clique_tree
+from .junction import clique_tree
 from .survival import BaselineHazard
 
 __all__ = [
@@ -145,13 +150,14 @@ def _axes_shape(axes, rank, batch=()):
 
 def _pin_mask(records):
     """Indicator table (n, 4) of each record's pinned states, or ``None``."""
-    if all(rec.genotype_pin is None for rec in records):
+    pins = [rec.genotype_pin for rec in records]
+    pinned = [i for i, pin in enumerate(pins) if pin is not None]
+    if not pinned:
         return None
     mask = np.ones((len(records), N_STATES))
-    for i, rec in enumerate(records):
-        if rec.genotype_pin is not None:
-            mask[i] = 0.0
-            mask[i, list(rec.genotype_pin)] = 1.0
+    mask[pinned] = 0.0
+    states = [pins[i] for i in pinned]
+    mask[np.repeat(pinned, list(map(len, states))), list(chain.from_iterable(states))] = 1.0
     return mask
 
 
@@ -233,35 +239,29 @@ def brute_force_marginals(pedigree, params: ModelParams,
     )
 
 
-def _lowest(mask):
-    """Position of the lowest set bit of a nonzero ``mask``."""
-    return (mask & -mask).bit_length() - 1
-
-
 class _Forest:
-    """One structure's junction forest, rooted, with its factors placed.
+    """One structure's junction forest, each tree rooted at its lowest
+    clique, built from a structure key (see :meth:`Pedigree.structure_key`).
+    :class:`_Forests` places the factors of a whole cohort's forests."""
 
-    Each tree is rooted at its lowest clique. Every member's founder prior
-    or transmission table goes to the lowest clique holding its scope, and
-    its evidence and marginal read-out to the lowest clique holding the
-    member (for a root, all of its members).
-    """
-
-    def __init__(self, template):
-        tree = build_clique_tree(template)
-        cliques = tree.cliques
-        nc = len(cliques)
-        self.ranks = [len(c) for c in cliques]
-        parent = [-1] * nc
-        depth = [0] * nc
-        order = []
-        for root in tree.roots():
+    def __init__(self, key):
+        tree = clique_tree(key)
+        self.cliques = tree.cliques
+        nc = len(self.cliques)
+        self.ranks = [len(c) for c in self.cliques]
+        parent, depth, order = [-1] * nc, [0] * nc, []
+        seen = [False] * nc
+        for root in range(nc):
+            if seen[root]:
+                continue
+            seen[root] = True
             stack = [root]
             while stack:
                 node = stack.pop()
                 order.append(node)
                 for nb in tree.neighbors(node):
-                    if nb != parent[node]:
+                    if not seen[nb]:
+                        seen[nb] = True
                         parent[nb] = node
                         depth[nb] = depth[node] + 1
                         stack.append(nb)
@@ -271,56 +271,6 @@ class _Forest:
             if p >= 0 and height[p] <= height[node]:
                 height[p] = height[node] + 1
         self.parent, self.depth, self.height = parent, depth, height
-
-        axis_of = [{v: a for a, v in enumerate(c)} for c in cliques]
-        # separator with the parent, as axes of the clique and of the parent
-        self.sep_in_child = [()] * nc
-        self.sep_in_parent = [()] * nc
-        for j, p in enumerate(parent):
-            if p >= 0:
-                sep = [v for v in cliques[j] if v in axis_of[p]]
-                self.sep_in_child[j] = tuple(axis_of[j][v] for v in sep)
-                self.sep_in_parent[j] = tuple(axis_of[p][v] for v in sep)
-
-        holding = [0] * tree.n_vars  # bitset of the cliques holding each member
-        for j, clique in enumerate(cliques):
-            for v in clique:
-                holding[v] |= 1 << j
-        self.readout = [[] for _ in range(nc)]  # (axis, member) pairs
-        for v, held in enumerate(holding):
-            j = _lowest(held)
-            self.readout[j].append((axis_of[j][v], v))
-        self.factors = [[] for _ in range(nc)]  # prior (a,) / transmission (f, m, c)
-        for i, (f, m) in enumerate(template.structure_key()):
-            if f < 0:
-                j = _lowest(holding[i])
-                self.factors[j].append((axis_of[j][i],))
-            else:
-                j = _lowest(holding[f] & holding[m] & holding[i])
-                self.factors[j].append((axis_of[j][f], axis_of[j][m], axis_of[j][i]))
-
-    def steps(self):
-        """Every schedule step of this forest as (bucket key, clique, other).
-
-        A collect or distribute step carries the edge's child clique and its
-        parent; ``ordinal`` splits siblings with equal keys, so that no
-        collect bucket multiplies into one parent twice. A root step carries
-        the root, a read-out step the clique and the member read out.
-        """
-        ordinal = {}
-        ranks = self.ranks
-        for c, p in enumerate(self.parent):
-            if p < 0:
-                yield (_ROOT, 0, 0, ranks[c], (), 0, ()), c, 0
-                continue
-            layout = (ranks[c], self.sep_in_child[c], ranks[p], self.sep_in_parent[c])
-            slot = (p, self.height[c], layout)
-            n = ordinal[slot] = ordinal.get(slot, -1) + 1
-            yield (_COLLECT, self.height[c], n) + layout, c, p
-            yield (_DISTRIBUTE, self.depth[c], 0) + layout, c, p
-        for j, readout in enumerate(self.readout):
-            for axis, member in readout:
-                yield (_READOUT, 0, 0, ranks[j], (axis,), 0, ()), j, member
 
 
 def _pattern_table(rank, factors, prior):
@@ -388,25 +338,25 @@ class EngineStats:
     potential_bytes: int
 
 
-def _index(values):
-    return np.asarray(values, dtype=_INDEX)
+def _sides(rows, bounds):
+    """Each bucket's ``rows``, those between its ``bounds``: a slice when they
+    are one ascending run, which reads a view instead of gathering a copy,
+    and otherwise an index array."""
+    breaks = np.concatenate(([0], np.cumsum(rows[1:] - rows[:-1] != 1)))
+    starts, ends = bounds[:-1], bounds[1:]
+    runs = (breaks[ends - 1] == breaks[starts]).tolist()
+    firsts = rows[starts].tolist()
+    return [
+        slice(first, first + end - start) if run else rows[start:end]
+        for first, run, start, end in zip(firsts, runs, starts.tolist(), ends.tolist())
+    ]
 
 
-def _slice(index):
-    """``index`` as an index array, or as a slice when it is one ascending
-    run, which reads a view instead of gathering a copy."""
-    index = _index(index)
-    n = len(index)
-    if n and index[-1] - index[0] == n - 1 and (index[1:] - index[:-1] == 1).all():
-        return slice(int(index[0]), int(index[0]) + n)
-    return index
-
-
-def _run(index):
-    """``index``, which the schedule lays out as one ascending run, as a slice."""
-    rows = _slice(index)
-    assert isinstance(rows, slice), "schedule rows are not one run"
-    return rows
+def _runs(rows, bounds):
+    """:func:`_sides` of rows that the schedule lays out as one run per bucket."""
+    sides = _sides(rows, bounds)
+    assert all(isinstance(rows, slice) for rows in sides), "schedule rows are not one run"
+    return sides
 
 
 def _reduce(table, axes, out):
@@ -482,67 +432,287 @@ def _positions(order, table_of):
     return rows
 
 
-def _broken_runs(rows, rank_of, keys, groups):
-    """Mask of the cliques of each rank that has a bucket (``keys`` with
-    their clique ``groups``) whose ``rows`` are not one run."""
-    # a bucket key is (stage, level, ordinal, rank, axes, other rank, other axes)
-    broken = {key[3] for key, group in zip(keys, groups)
-              if not isinstance(_slice(np.sort(rows[group])), slice)}
-    return np.isin(rank_of, list(broken))
+@dataclass
+class _Entries:
+    """The buckets of one schedule stage, in bucket order: each bucket's
+    layout, (rank, axes, other rank, other axes), and the clique and the
+    other (parent clique or read-out record) of every entry, bucket by
+    bucket; bucket ``b`` holds the entries from ``bounds[b]`` to
+    ``bounds[b + 1]``."""
+
+    layouts: list
+    cliques: np.ndarray
+    others: np.ndarray
+    bounds: np.ndarray
+
+    def bucket_of(self):
+        """The bucket of each entry."""
+        return np.repeat(np.arange(len(self.layouts), dtype=_INDEX), np.diff(self.bounds))
+
+    def sort(self, rows):
+        """Order each bucket's entries by the ``rows`` of their cliques, in place."""
+        order = np.lexsort((rows[self.cliques], self.bucket_of()))
+        self.cliques, self.others = self.cliques[order], self.others[order]
 
 
-def _sort_entries(rows, groups, others):
-    """Order each bucket's entries, its cliques ``groups`` and their
-    ``others``, by ascending ``rows``, in place."""
-    for b, group in enumerate(groups):
-        ordered = np.argsort(rows[group], kind="stable")
-        groups[b] = group[ordered]
-        others[b] = others[b][ordered]
-
-
-def _row_orders(rank_of, sep_of, keys, cliques, others):
+def _row_orders(rank_of, sep_of, stages):
     """Row of every clique in its rank and separator tables, in the collect
     order and in the distribute order, as (rank, distribute rank, separator,
     distribute separator) rows per clique id.
 
-    ``keys``, ``cliques`` and ``others`` hold each stage's bucket keys and
-    entries; the entries of the collect, distribute and read-out buckets are
-    put in ascending row order, in place.
+    ``stages`` holds each stage's :class:`_Entries`; the entries of the
+    collect, distribute and read-out buckets are put in ascending row order.
     """
     # Collect order: each rank table takes its non-root cliques bucket by
     # bucket in collect order, then its roots. Collect buckets are placed by
     # the first distribute bucket they feed, and a bucket's cliques by their
     # distribute bucket, which keeps each distribute bucket's receivers
     # together too where the two partitions nest, as they do for a cohort
-    # of one structure. Ties keep clique-id order, the order of every
-    # bucket's entries.
-    collect, distribute, roots = cliques[_COLLECT], cliques[_DISTRIBUTE], cliques[_ROOT]
-    received = np.full(len(rank_of), len(distribute), dtype=_INDEX)  # roots last
-    for b, group in enumerate(distribute):
-        received[group] = b
+    # of one structure. Ties keep clique-id order.
+    collect, roots, distribute, readout = stages
+    received = np.full(len(rank_of), len(distribute.layouts), dtype=_INDEX)  # roots last
+    received[distribute.cliques] = distribute.bucket_of()
     lead = received.copy()
     bucket_of = np.zeros(len(rank_of), dtype=_INDEX)
-    for b, group in enumerate(collect):
-        bucket_of[group] = b
-        lead[group] = received[group].min()
-    for b, group in enumerate(roots):
-        bucket_of[group] = len(collect) + b
+    in_collect = collect.bucket_of()
+    bucket_of[collect.cliques] = in_collect
+    lead[collect.cliques] = np.minimum.reduceat(
+        received[collect.cliques], collect.bounds[:-1]
+    )[in_collect]
+    bucket_of[roots.cliques] = len(collect.layouts) + roots.bucket_of()
     rank_row = _positions(np.lexsort((received, bucket_of, lead, rank_of)), rank_of)
-    _sort_entries(rank_row, collect, others[_COLLECT])
-    _sort_entries(rank_row, distribute, others[_DISTRIBUTE])
+    collect.sort(rank_row)
+    distribute.sort(rank_row)
 
     # Distribute order: a rank table keeps the collect order when each
     # distribute bucket's receivers already form one run of it, and is
     # otherwise gathered once, between the passes, into bucket order.
     dist_row = rank_row
-    redo = _broken_runs(rank_row, rank_of, keys[_DISTRIBUTE], distribute)
+    rows = rank_row[distribute.cliques]
+    starts, ends = distribute.bounds[:-1], distribute.bounds[1:]
+    broken = np.flatnonzero(rows[ends - 1] - rows[starts] != ends - starts - 1)
+    redo = np.isin(rank_of, [distribute.layouts[b][0] for b in broken.tolist()])
     if redo.any():
         order = np.lexsort((rank_row, received, rank_of))
         dist_row = np.where(redo, _positions(order, rank_of), rank_row)
-    _sort_entries(dist_row, cliques[_READOUT], others[_READOUT])
+    readout.sort(dist_row)
     sep_row = _sep_rows(rank_row, rank_of, sep_of)
     sep_dist_row = sep_row if dist_row is rank_row else _sep_rows(dist_row, rank_of, sep_of)
     return rank_row, dist_row, sep_row, sep_dist_row
+
+
+def _find(codes, queries):
+    """Position of each of the ``queries`` in the ascending ``codes``, and
+    whether it is there."""
+    at = np.minimum(np.searchsorted(codes, queries), len(codes) - 1)
+    return at, codes[at] == queries
+
+
+class _Forests:
+    """The forests of a cohort's structure groups, laid end to end, with
+    their factors placed.
+
+    Per clique of each group's forest, group by group: its ``rank``, its
+    ``parent`` (an index into these arrays, -1 for a root), ``depth`` and
+    ``height``, the masks of its separator with the parent (``inside`` over
+    its own axes, ``outside`` over the parent's, both empty for a root), and
+    its static ``pattern``, an index into ``patterns[rank]``. Per member of
+    each group's structure, group by group: the clique and the axis it is
+    read out from (``read_clique``, ``read_axis``), the lowest clique
+    holding it; the clique holding its founder prior or transmission table
+    (``factor_clique``), the lowest clique holding its scope; and that
+    factor's axes, (a, -1, -1) or (father, mother, child). ``groups`` maps
+    each structure key to its families and ``forests`` holds each group's
+    :class:`_Forest`.
+    """
+
+    def __init__(self, groups, forests):
+        keys = list(groups)
+        cliques_per = np.array([len(forest.ranks) for forest in forests], dtype=_INDEX)
+        n_cliques = int(cliques_per.sum())
+        self.sizes = np.asarray([len(families) for families in groups.values()], dtype=_INDEX)
+        self.grouped = np.asarray([fi for families in groups.values() for fi in families],
+                                  dtype=_INDEX)
+        self.group = np.repeat(np.arange(len(keys), dtype=_INDEX), cliques_per)
+        start = np.cumsum(cliques_per, dtype=_INDEX) - cliques_per  # of each group
+        self.local = np.arange(n_cliques, dtype=_INDEX) - start[self.group]
+        ids = self.sizes * cliques_per  # clique ids per group
+        self.first = np.cumsum(ids) - ids
+
+        def column(values, count):
+            return np.fromiter(chain.from_iterable(values), _INDEX, count)
+
+        self.rank = column((forest.ranks for forest in forests), n_cliques)
+        self.depth = column((forest.depth for forest in forests), n_cliques)
+        self.height = column((forest.height for forest in forests), n_cliques)
+        parent = column((forest.parent for forest in forests), n_cliques)
+        self.parent = np.where(parent < 0, -1, parent + start[self.group])
+        self.width = width = int(self.rank.max(initial=0))
+
+        # Every (clique, member) pair, clique by clique; members are numbered
+        # group by group, so the pairs' codes ascend.
+        member_count = np.array([len(key) for key in keys], dtype=_INDEX)
+        n_members = int(member_count.sum())
+        member_start = np.cumsum(member_count) - member_count
+        member_group = np.repeat(np.arange(len(keys)), member_count)
+        self.read_member = np.arange(n_members, dtype=_INDEX) - member_start[member_group]
+        rows = np.repeat(np.arange(n_cliques), self.rank)
+        slots = np.arange(len(rows)) - (np.cumsum(self.rank) - self.rank)[rows]
+        held = column((chain.from_iterable(forest.cliques) for forest in forests), len(rows))
+        held = held + member_start[self.group[rows]]
+        codes = rows * n_members + held
+
+        # the separator with the parent: the members a clique shares with it
+        at, shared = _find(codes, self.parent[rows].astype(np.int64) * n_members + held)
+        self.inside = np.zeros((n_cliques, width), dtype=bool)
+        self.inside[rows, slots] = shared
+        self.outside = np.zeros((n_cliques, width), dtype=bool)
+        self.outside[rows[shared], slots[at[shared]]] = True
+
+        by_member = np.lexsort((rows, held))  # each member's cliques, lowest first
+        lowest = by_member[np.flatnonzero(np.diff(held[by_member], prepend=-1))]
+        self.read_clique = rows[lowest].astype(_INDEX)
+        self.read_axis = slots[lowest].astype(_INDEX)
+
+        parents = column(chain.from_iterable(keys), 2 * n_members).reshape(-1, 2)
+        child = parents[:, 0] >= 0
+        parents = parents + member_start[member_group, None]
+        self.factor_clique = self.read_clique.copy()
+        self.factor_axes = np.full((n_members, 3), -1, dtype=_INDEX)
+        self.factor_axes[:, 0] = self.read_axis
+        # a child's cliques, lowest first, that hold both its parents too
+        pairs = by_member[child[held[by_member]]]
+        at_f, has_f = _find(codes, rows[pairs] * n_members + parents[held[pairs], 0])
+        at_m, has_m = _find(codes, rows[pairs] * n_members + parents[held[pairs], 1])
+        keep = np.flatnonzero(has_f & has_m)
+        keep = keep[np.flatnonzero(np.diff(held[pairs[keep]], prepend=-1))]
+        self.factor_clique[child] = rows[pairs[keep]]
+        self.factor_axes[child] = np.stack(
+            [slots[at_f[keep]], slots[at_m[keep]], slots[pairs[keep]]], axis=1
+        )
+
+        # Each clique's factors as sorted codes whose order is the order of
+        # the axes tuples, one row per clique; equal (rank, row) pairs share
+        # a pattern, numbered per rank in order of first appearance.
+        base = width + 1
+        code = (self.factor_axes[:, 0] * base + self.factor_axes[:, 1] + 1) * base
+        code += self.factor_axes[:, 2] + 1
+        order = np.lexsort((code, self.factor_clique))
+        clique = self.factor_clique[order]
+        placed = np.full((n_cliques, width + 1), -1, dtype=np.int64)
+        placed[:, 0] = self.rank
+        counts = np.bincount(clique, minlength=n_cliques)
+        placed[clique, np.arange(len(clique)) + 1 - (np.cumsum(counts) - counts)[clique]] = (
+            code[order]
+        )
+        order = np.lexsort(placed.T[::-1])
+        placed = placed[order]
+        new = np.diff(placed, axis=0, prepend=-1).any(1)
+        heads = np.flatnonzero(new)
+        which = np.empty(n_cliques, dtype=np.intp)
+        which[order] = np.cumsum(new) - 1
+        index = np.empty(len(heads), dtype=_INDEX)
+        self.patterns: dict[int, list] = {}
+        first = np.minimum.reduceat(order, heads) if len(heads) else heads
+        for u in np.argsort(first).tolist():
+            rank, *factors = placed[heads[u]].tolist()
+            known = self.patterns.setdefault(rank, [])
+            index[u] = len(known)
+            known.append(tuple(
+                (c // base // base,) if c // base % base == 0
+                else (c // base // base, c // base % base - 1, c % base - 1)
+                for c in factors if c >= 0
+            ))
+        self.pattern = index[which]
+
+    def _layouts(self, edges):
+        """Each edge's layout, (rank, axes, other rank, other axes), as its
+        rank among the distinct layouts, and those layouts in order."""
+        width = self.width
+        bits = 1 << np.arange(width, dtype=np.int64)
+        parent = self.parent[edges]
+        code = self.rank[edges].astype(np.int64)
+        for part in ((self.inside[edges] * bits).sum(1), self.rank[parent],
+                     (self.outside[edges] * bits).sum(1)):
+            code = code << width + 1 | part
+        distinct, which = np.unique(code, return_inverse=True)
+        mask = (1 << width + 1) - 1
+        layouts = [
+            (c >> 3 * width + 3, tuple(a for a in range(width) if c >> 2 * width + 2 + a & 1),
+             c >> width + 1 & mask, tuple(a for a in range(width) if c >> a & 1))
+            for c in distinct.tolist()
+        ]
+        order = sorted(range(len(layouts)), key=layouts.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank[which.reshape(-1)], [layouts[i] for i in order]
+
+    def entries(self, record_offsets):
+        """The :class:`_Entries` of the four stages, in stage order.
+
+        A bucket key is (stage, level, ordinal, layout). A collect or
+        distribute step carries an edge's child clique and its parent, at
+        the child's height or depth; ``ordinal`` splits siblings with equal
+        keys, so that no collect bucket multiplies into one parent twice. A
+        root step carries the root, a read-out step the clique and the
+        member read out. Buckets run in key order, the layout compared by
+        value, each step once per family of its group; ``record_offsets``
+        holds each family's first record.
+        """
+        edges = np.flatnonzero(self.parent >= 0)
+        roots = np.flatnonzero(self.parent < 0)
+        parent = self.parent[edges]
+        height = self.height[edges]
+        layout, layouts = self._layouts(edges)
+        # the ordinal of each edge among the lower edges of its (parent,
+        # height, layout)
+        slot = (parent.astype(np.int64) * (len(self.rank) + 1) + height) * len(layouts) + layout
+        ordinal = _positions(np.argsort(slot, kind="stable"), slot)
+        width = self.width
+        edge_zeros, root_zeros = np.zeros_like(edges), np.zeros_like(roots)
+        read_zeros = np.zeros_like(self.read_clique)
+        steps = np.concatenate([  # stage, level, ordinal, layout, clique, other
+            np.stack([edge_zeros + _COLLECT, height, ordinal, layout, edges, parent]),
+            np.stack([root_zeros + _ROOT, root_zeros, root_zeros, self.rank[roots], roots, roots]),
+            np.stack([edge_zeros + _DISTRIBUTE, self.depth[edges], edge_zeros, layout, edges,
+                      parent]),
+            np.stack([read_zeros + _READOUT, read_zeros, read_zeros,
+                      self.rank[self.read_clique] * width + self.read_axis, self.read_clique,
+                      self.read_member]),
+        ], axis=1)
+        steps = steps[:, np.lexsort(steps[3::-1])]
+        heads = np.flatnonzero(np.diff(steps[:4], prepend=-1).any(0))  # each bucket's first step
+
+        # One entry per (step, family of the step's group): in the ``k``-th
+        # family of group ``g``, clique ``c`` of the forest is clique id
+        # ``first[g] + c * sizes[g] + k``.
+        group = self.group[steps[4]]
+        counts = self.sizes[group]
+        starts = np.cumsum(counts) - counts
+        fam = np.arange(int(counts.sum())) - np.repeat(starts, counts)
+        first = self.first[group]
+        cliques = np.repeat(first + self.local[steps[4]] * counts, counts) + fam
+        bounds = np.append(starts[heads], len(fam))
+        step_bounds = np.append(heads, len(counts))
+        stage_of = np.searchsorted(steps[0][heads], np.arange(5))  # first bucket of each stage
+        keys = steps[3][heads].tolist()
+        entries = []
+        for stage in range(4):
+            b, end = stage_of[stage], stage_of[stage + 1]
+            lo, hi = bounds[b], bounds[end]
+            part = slice(step_bounds[b], step_bounds[end])
+            other, repeats = steps[5][part], counts[part]
+            if stage == _READOUT:
+                group_start = np.cumsum(self.sizes) - self.sizes  # of each group in ``grouped``
+                families = self.grouped[np.repeat(group_start[group[part]], repeats) + fam[lo:hi]]
+                others = record_offsets[families] + np.repeat(other.astype(_INDEX), repeats)
+                layouts_of = [(k // width, (k % width,), 0, ()) for k in keys[b:end]]
+            else:
+                others = np.repeat(first[part] + self.local[other] * repeats, repeats) + fam[lo:hi]
+                layouts_of = ([(k, (), 0, ()) for k in keys[b:end]] if stage == _ROOT
+                              else [layouts[k] for k in keys[b:end]])
+            entries.append(_Entries(layouts_of, cliques[lo:hi], others, bounds[b:end + 1] - lo))
+        return entries
 
 
 def _sep_rows(rows, rank_of, sep_of):
@@ -631,52 +801,31 @@ class MarginalEngine:
         groups: dict[tuple, list[int]] = {}
         for fi, fam in enumerate(self.families):
             groups.setdefault(fam.structure_key(), []).append(fi)
-        drafts: dict[tuple, tuple] = {}  # bucket key -> (groups, cliques, others)
-        patterns: dict[int, dict] = {}   # rank -> {factors: index}
-        # per clique of each group's forest: rank, separator size, static
-        # pattern and the group's family count; per clique id: the family
-        rank_of, sep_of, pattern_of, repeats, fam_of = [], [], [], [], []
-        first, sizes = [], []            # per group: first clique id, families
-        largest = (0, None)
-        n_cliques = 0
-        for g, members in enumerate(groups.values()):
-            template = self.families[members[0]]
-            forest = _Forest(template)
+        forests, fam_of, largest = [], [], (0, None)  # fam_of: the family of each clique id
+        for structure, group in groups.items():
+            forest = _Forest(structure)
             k_max = max(forest.ranks)
             if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
                 raise InferenceError(
-                    f"family {template.family_id}: its junction tree has a clique "
-                    f"of {k_max} members, whose {N_STATES}^{k_max}-entry table "
+                    f"family {self.families[group[0]].family_id}: its junction tree has a "
+                    f"clique of {k_max} members, whose {N_STATES}^{k_max}-entry table "
                     f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
                 )
             if k_max > largest[0]:
-                largest = (k_max, template.family_id)
-            # Clique ids run group by group, then clique by clique: the order
-            # in which per-family results (the log evidence) are summed.
-            count, nc = len(members), len(forest.ranks)
-            first.append(n_cliques)
-            sizes.append(count)
-            n_cliques += nc * count
-            rank_of += forest.ranks
-            sep_of += map(len, forest.sep_in_child)
-            repeats += [count] * nc
-            fam_of += members * nc
-            for rank, factors in zip(forest.ranks, forest.factors):
-                known = patterns.setdefault(rank, {})
-                pattern_of.append(known.setdefault(tuple(sorted(factors)), len(known)))
-            for key, clique, other in forest.steps():
-                draft = drafts.get(key)
-                if draft is None:
-                    draft = drafts[key] = ([], [], [])
-                draft[0].append(g)
-                draft[1].append(clique)
-                draft[2].append(other)
+                largest = (k_max, self.families[group[0]].family_id)
+            forests.append(forest)
+            fam_of += group * len(forest.ranks)
+        forests = _Forests(groups, forests)
 
+        # Clique ids run group by group, then clique by clique: the order in
+        # which per-family results (the log evidence) are summed.
+        repeats = forests.sizes[forests.group]
         rank_of, sep_of, pattern_of = (
-            np.repeat(np.asarray(v, dtype=_INDEX), repeats)
-            for v in (rank_of, sep_of, pattern_of)
+            np.repeat(v.astype(_INDEX), repeats)
+            for v in (forests.rank, forests.inside.sum(1), forests.pattern)
         )
-        self._clique_family = _index(fam_of)
+        n_cliques = len(rank_of)
+        self._clique_family = np.asarray(fam_of, dtype=_INDEX)
         potential_bytes = int(np.sum(N_STATES ** rank_of.astype(np.int64))) * _FLOAT_BYTES
         if potential_bytes > MAX_POTENTIAL_BYTES:
             raise InferenceError(
@@ -684,76 +833,65 @@ class MarginalEngine:
                 f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
                 f"{largest[0]} members, family {largest[1]})"
             )
-
-        # Expand each bucket to one entry per (step, family of the step's group).
-        grouped = np.asarray([fi for group in groups.values() for fi in group], dtype=_INDEX)
-        first, sizes = np.asarray(first, dtype=_INDEX), np.asarray(sizes, dtype=_INDEX)
-        group_start = np.cumsum(sizes) - sizes  # of each group in ``grouped``
-        record_offsets = np.asarray(self.offsets, dtype=_INDEX)
-        keys, cliques, others = ([], [], [], []), ([], [], [], []), ([], [], [], [])
-        for key in sorted(drafts):
-            g, local, other = (np.asarray(part, dtype=_INDEX) for part in drafts[key])
-            counts = sizes[g]
-            row_step = np.repeat(np.arange(len(g)), counts)
-            fam = np.arange(len(row_step)) - np.repeat(np.cumsum(counts) - counts, counts)
-            g, local, other = g[row_step], local[row_step], other[row_step]
-            stage = key[0]
-            keys[stage].append(key)
-            cliques[stage].append(first[g] + local * sizes[g] + fam)
-            if stage in (_COLLECT, _DISTRIBUTE):
-                others[stage].append(first[g] + other * sizes[g] + fam)
-            elif stage == _READOUT:
-                others[stage].append(record_offsets[grouped[group_start[g] + fam]] + other)
-
-        rank_row, dist_row, sep_row, sep_dist_row = _row_orders(
-            rank_of, sep_of, keys, cliques, others
-        )
+        entries = forests.entries(np.asarray(self.offsets, dtype=_INDEX))
+        rank_row, dist_row, sep_row, sep_dist_row = _row_orders(rank_of, sep_of, entries)
         edge = sep_of > 0
         self._rank_moves = _boundary(rank_of, rank_row, dist_row)
         self._sep_moves = _boundary(sep_of[edge], sep_row[edge], sep_dist_row[edge])
 
         # Collect and root buckets write their cliques' totals in bucket
         # order; log evidence sums them per family in clique-id order.
+        collect, roots, distribute, readout = entries
         self._norm_of_clique = np.empty(n_cliques, dtype=_INDEX)
+        self._norm_of_clique[np.concatenate((collect.cliques, roots.cliques))] = np.arange(
+            n_cliques, dtype=_INDEX
+        )
+        kept: dict[tuple, tuple] = {}  # (rank, kept axes) -> (summed axes, separator shape)
 
         def side(rows, rank, keep):
-            return _Side(rank, rows, tuple(a for a in range(rank) if a not in keep),
-                         _axes_shape(keep, rank, (-1,)))
+            if (rank, keep) not in kept:
+                kept[rank, keep] = (tuple(a for a in range(rank) if a not in keep),
+                                    _axes_shape(keep, rank, (-1,)))
+            return _Side(rank, rows, *kept[rank, keep])
+
+        def spans(part):
+            return zip(part.layouts, part.bounds[:-1].tolist(), part.bounds[1:].tolist())
 
         stages = ([], [], [], [])
+        for ((rank, axes, other_rank, other_axes), lo, hi), child, parent, slots in zip(
+            spans(collect), _runs(rank_row[collect.cliques], collect.bounds),
+            _sides(rank_row[collect.others], collect.bounds),
+            _runs(sep_row[collect.cliques], collect.bounds),
+        ):
+            stages[_COLLECT].append(_Bucket(side(child, rank, axes),
+                                            side(parent, other_rank, other_axes),
+                                            slots=slots, norm=slice(lo, hi)))
+        start = len(collect.cliques)
+        for ((rank, *_), lo, hi), child in zip(
+            spans(roots), _runs(rank_row[roots.cliques], roots.bounds)
+        ):
+            stages[_ROOT].append(_Bucket(side(child, rank, ()),
+                                         norm=slice(start + lo, start + hi)))
+        for ((rank, axes, other_rank, other_axes), _, _), child, parent, slots in zip(
+            spans(distribute), _runs(dist_row[distribute.cliques], distribute.bounds),
+            _sides(dist_row[distribute.others], distribute.bounds),
+            _runs(sep_dist_row[distribute.cliques], distribute.bounds),
+        ):
+            stages[_DISTRIBUTE].append(_Bucket(side(child, rank, axes),
+                                               side(parent, other_rank, other_axes),
+                                               slots=slots))
+        # A read-out sums the run of rows from its first clique to its last
+        # and picks its columns from that marginal, which is cheaper than
+        # gathering the cliques' tables.
         evidence = {int(rank): {} for rank in np.unique(rank_of)}
-        start = 0
-        for stage in range(4):
-            for key, group, other in zip(keys[stage], cliques[stage],
-                                         others[stage] or [None] * len(keys[stage])):
-                _, _, _, rank, axes, other_rank, other_axes = key
-                if stage in (_COLLECT, _ROOT):
-                    norm = slice(start, start + len(group))
-                    self._norm_of_clique[group] = np.arange(norm.start, norm.stop)
-                    start = norm.stop
-                if stage == _COLLECT:
-                    bucket = _Bucket(side(_run(rank_row[group]), rank, axes),
-                                     side(_slice(rank_row[other]), other_rank, other_axes),
-                                     slots=_run(sep_row[group]), norm=norm)
-                elif stage == _ROOT:
-                    bucket = _Bucket(side(_run(rank_row[group]), rank, ()), norm=norm)
-                elif stage == _DISTRIBUTE:
-                    bucket = _Bucket(side(_run(dist_row[group]), rank, axes),
-                                     side(_slice(dist_row[other]), other_rank, other_axes),
-                                     slots=_run(sep_dist_row[group]))
-                else:
-                    # A read-out sums the run of rows from its first clique to
-                    # its last and picks its columns from that marginal, which
-                    # is cheaper than gathering the cliques' tables.
-                    targets = _index(other)
-                    evidence[rank].setdefault(axes[0], []).append((rank_row[group], targets))
-                    rows = dist_row[group]
-                    span = slice(int(rows[0]), int(rows[-1]) + 1)
-                    pick = _index(rows - span.start)
-                    if len(rows) == span.stop - span.start:
-                        pick = None
-                    bucket = _Bucket(side(span, rank, axes), pick=pick, targets=targets)
-                stages[stage].append(bucket)
+        rows, read_rows = dist_row[readout.cliques], rank_row[readout.cliques]
+        for (rank, axes, _, _), lo, hi in spans(readout):
+            targets = readout.others[lo:hi]
+            evidence[rank].setdefault(axes[0], []).append((read_rows[lo:hi], targets))
+            low, high = int(rows[lo]), int(rows[hi - 1]) + 1
+            pick = None if hi - lo == high - low else rows[lo:hi] - low
+            stages[_READOUT].append(_Bucket(side(slice(low, high), rank, axes),
+                                            pick=pick, targets=targets))
         self._stages = stages
 
         # Each member's evidence sits on its read-out axis; the extra column
@@ -780,7 +918,7 @@ class MarginalEngine:
                 self._evidence[rank].append((axis, index))
             index = np.empty(count, dtype=_INDEX)
             index[rank_row[members]] = pattern_of[members]
-            self._patterns[rank] = (list(patterns[rank]), index)
+            self._patterns[rank] = (forests.patterns[rank], index)
         self._collected = {
             int(size): np.empty((N_STATES,) * int(size) + (int(np.sum(sep_of == size)),))
             for size in np.unique(sep_of[edge])

@@ -11,7 +11,10 @@ forest.
 
 from __future__ import annotations
 
-__all__ = ["CliqueTree", "build_clique_tree"]
+from bisect import insort
+from heapq import heappop, heappush
+
+__all__ = ["CliqueTree", "build_clique_tree", "clique_tree"]
 
 
 class CliqueTree:
@@ -86,15 +89,15 @@ def _bits(mask):
     return out
 
 
-def _moral_adjacency(pedigree) -> list[int]:
+def _moral_adjacency(parents) -> list[int]:
     """Moral graph as one neighbour bitset per record position."""
-    adj = [0] * len(pedigree)
-    for c, (f, m) in enumerate(pedigree.structure_key()):
-        if f < 0:
-            continue
-        adj[c] |= (1 << f) | (1 << m)
-        adj[f] |= (1 << c) | (1 << m)
-        adj[m] |= (1 << c) | (1 << f)
+    adj = [0] * len(parents)
+    for c, (f, m) in enumerate(parents):
+        if f >= 0:
+            child, father, mother = 1 << c, 1 << f, 1 << m
+            adj[c] |= father | mother
+            adj[f] |= child | mother
+            adj[m] |= child | father
     return adj
 
 
@@ -111,95 +114,102 @@ def _fill(adj, v):
     return degree * (degree - 1) // 2 - links // 2
 
 
-def _min_fill_cliques(adj) -> list[int]:
-    """Elimination cliques, as bitsets, from min-fill ordering; ties break on
-    the lowest index.
-
-    A vertex's fill is counted when first needed and kept up to date after:
-    eliminating a vertex changes the fill of its neighbours alone when it
-    adds no edge, and of its neighbours and their neighbours otherwise.
-    """
-    adj = list(adj)
-    fill = [None] * len(adj)
-    remaining = list(range(len(adj)))
-    cliques = []
-    while remaining:
-        best, best_fill = None, None
-        for v in remaining:
-            count = fill[v]
-            if count is None:
-                count = fill[v] = _fill(adj, v)
-            if best_fill is None or count < best_fill:
-                best, best_fill = v, count
-                if count == 0:
-                    break
-        nbrs, bit = adj[best], 1 << best
-        cliques.append(nbrs | bit)
-        adj[best] = 0
-        remaining.remove(best)
-        if best_fill == 0:
-            # No edge is added: a neighbour only loses the pairs of ``best``
-            # with its neighbours outside the clique.
-            for a in _bits(nbrs):
-                if fill[a] is not None:
-                    fill[a] -= (adj[a] & ~nbrs & ~bit).bit_count()
-                adj[a] &= ~bit
-            continue
-        touched = nbrs
-        for a in _bits(nbrs):
-            adj[a] = (adj[a] | nbrs) & ~(1 << a) & ~bit
-            touched |= adj[a]
-        for v in _bits(touched):
-            fill[v] = None
-    return cliques
-
-
 def build_clique_tree(pedigree) -> CliqueTree:
-    """Junction forest for a pedigree's moral graph.
+    """Junction forest for a pedigree's moral graph (see :func:`clique_tree`)."""
+    return clique_tree(pedigree.structure_key())
+
+
+def clique_tree(parents) -> CliqueTree:
+    """Junction forest for the moral graph of a structure key: the (father,
+    mother) positions of each record, (-1, -1) for a founder.
 
     Deterministic: min-fill ties break on the lowest record position and the
     spanning forest prefers larger separators, then lower clique indices.
-    Vertex and clique sets are held as int bitsets.
     """
+    # Min-fill elimination. Every vertex's fill is kept exact: eliminating a
+    # vertex changes the fill of its neighbours alone when it adds no edge,
+    # and of its neighbours and their neighbours otherwise. The vertices of
+    # fill 0 wait in a heap, so the common elimination, of the lowest of
+    # them, needs no scan.
+    n = len(parents)
+    adj = _moral_adjacency(parents)
+    fill = [_fill(adj, v) for v in range(n)]
+    simplicial = [v for v in range(n) if not fill[v]]  # ascending, so a heap
+    alive = [True] * n
     # Later elimination cliques may be subsets of earlier ones; never the
     # reverse, since each eliminated vertex vanishes from subsequent cliques.
     # ``holding[v]`` is the bitset of the kept cliques that hold ``v``, so a
-    # candidate lies inside a kept clique when its members' sets intersect.
-    holding = [0] * len(pedigree)
-    kept: list[int] = []
-    cliques = []
-    for cand in _min_fill_cliques(_moral_adjacency(pedigree)):
-        members = _bits(cand)
-        common = -1
+    # candidate lies inside a kept clique when its members' sets intersect,
+    # and shares a member with the kept cliques in their union. Each such
+    # pair of kept cliques is one int whose order is Kruskal's: larger
+    # separators first, then lower indices.
+    holding = [0] * n
+    kept, cliques, pairs = [], [], []
+    shift, size = n.bit_length(), n + 1
+    components = 0
+    for _ in range(n):
+        while simplicial:  # entries whose fill has risen since are skipped
+            best = heappop(simplicial)
+            if alive[best] and not fill[best]:
+                break
+        else:
+            best = min((v for v in range(n) if alive[v]), key=fill.__getitem__)
+        nbrs, bit = adj[best], 1 << best
+        adj[best] = 0
+        alive[best] = False
+        members = _bits(nbrs)
+        if not fill[best]:
+            # No edge is added: a neighbour only loses the pairs of ``best``
+            # with its neighbours outside the clique.
+            for a in members:
+                count = fill[a] = fill[a] - (adj[a] & ~nbrs & ~bit).bit_count()
+                adj[a] &= ~bit
+                if not count:
+                    heappush(simplicial, a)
+        else:
+            touched = nbrs
+            for a in members:
+                adj[a] = (adj[a] | nbrs) & ~(1 << a) & ~bit
+                touched |= adj[a]
+            for v in _bits(touched):
+                count = fill[v] = _fill(adj, v)
+                if not count:
+                    heappush(simplicial, v)
+        if not nbrs:  # the last vertex of its component
+            components += 1
+        common = near = holding[best]
         for v in members:
             common &= holding[v]
-        if not common:
-            for v in members:
-                holding[v] |= 1 << len(kept)
-            kept.append(cand)
-            cliques.append(members)
-
-    candidates = []  # every pair of cliques that share a member
-    for i, members in enumerate(cliques):
-        near = 0
-        for v in members:
             near |= holding[v]
-        for j in _bits(near >> (i + 1)):
-            j += i + 1
-            candidates.append((-(kept[i] & kept[j]).bit_count(), i, j))
-    candidates.sort()
-    parent = list(range(len(cliques)))
+        if common:
+            continue
+        clique, j = nbrs | bit, len(kept)
+        while near:
+            low = near & -near
+            i = low.bit_length() - 1
+            pairs.append(((size - (kept[i] & clique).bit_count()) << shift | i) << shift | j)
+            near ^= low
+        insort(members, best)
+        bit = 1 << j
+        for v in members:
+            holding[v] |= bit
+        kept.append(clique)
+        cliques.append(tuple(members))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for _, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-    return CliqueTree(cliques, edges, len(pedigree))
+    # Kruskal, until the forest spans every component.
+    pairs.sort()
+    mask = (1 << shift) - 1
+    root = list(range(len(cliques)))
+    edges, needed = [], len(cliques) - components
+    for code in pairs if needed else ():
+        i, j = first, second = code >> shift & mask, code & mask
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i != j:
+            root[i] = j
+            edges.append((first, second))
+            if len(edges) == needed:
+                break
+    return CliqueTree(cliques, edges, n)

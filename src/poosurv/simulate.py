@@ -257,6 +257,8 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     """
     if n < 1:
         raise ValueError("need at least one family")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     scenario = Scenario(scenario)
     truth_root, mask_root = _seed_roots(seed)
     truth_seeds = _children(truth_root, n)
@@ -431,6 +433,11 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
     scenarios = [Scenario(s) for s in scenarios]
     if not scenarios:
         raise ValueError("need at least one scenario")
+    for n_families, beta in cases:
+        if int(n_families) < 1 or not math.isfinite(beta):
+            raise ValueError(
+                f"bad case {n_families}:{beta}; need at least one family and a finite beta"
+            )
     config = EMConfig(q=q, epsilon=0.0, eta=0.0)
     units = [
         (seed, case_index, int(n_families), float(beta), scenarios, replicate_index, config)

@@ -143,6 +143,17 @@ class TestSimulateCommand:
         assert message in result.output
         assert not out.exists()
 
+    def test_non_finite_beta_is_validation_error(self, runner, tmp_path):
+        out = tmp_path / "sim"
+        result = runner.invoke(
+            main,
+            ["simulate", "--families", "4", "--beta", "nan", "--scenario", "S0",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "beta must be finite" in result.output
+        assert not (out / "pedigree.ped").exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
@@ -308,6 +319,24 @@ class TestFitCommand:
         assert (boot["replicates"], boot["failed"]) == (3, 1)
         assert len(boot["beta_hats"]) == len(boot["fits"]) == 2
 
+    @pytest.mark.parametrize("option, message", [
+        (("--tol", "nan"), "tol must be positive and finite"),
+        (("--tol", "inf"), "tol must be positive and finite"),
+        (("--test-ages", "20,nan"), "test_ages must be finite"),
+        (("--test-ages", "20,inf"), "test_ages must be finite"),
+    ])
+    def test_non_finite_numbers_are_validation_errors(self, runner, sim_dir, tmp_path,
+                                                      option, message):
+        report_path = tmp_path / "report.json"
+        result = runner.invoke(
+            main,
+            ["fit", str(sim_dir / "pedigree.ped"), "--q", "0.2", *option,
+             "--out", str(report_path)],
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not report_path.exists()
+
     @pytest.mark.parametrize("option", [("--bootstrap", "-2"), ("--jobs", "0")])
     def test_negative_counts_are_usage_errors(self, runner, sim_dir, tmp_path, option):
         report_path = tmp_path / "fit.json"
@@ -400,6 +429,19 @@ class TestReplicateCommand:
         with open(tmp_path / "nodir" / "study.csv") as handle:
             assert len(list(csv.DictReader(handle))) == 1
         assert (tmp_path / "nodir" / "study.csv.config.json").exists()
+
+    @pytest.mark.parametrize("case", ["10:nan", "10:inf", "0:-0.6"])
+    def test_invalid_case_is_validation_error(self, runner, tmp_path, case):
+        # checked before any unit runs: no row is written for the valid case
+        out = tmp_path / "study.csv"
+        result = runner.invoke(
+            main,
+            ["replicate", "--case", "6:-0.6", "--case", case, "--scenarios", "S1",
+             "--replicates", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert f"bad case {case}" in result.output
+        assert not out.exists()
 
     def test_config_echo_records_every_option(self, runner, tmp_path):
         out = tmp_path / "study.csv"

@@ -192,7 +192,7 @@ class TestEMConfig:
         with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
             EMConfig(q=q)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-4])
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             EMConfig(q=0.2, tol=tol)
@@ -200,6 +200,11 @@ class TestEMConfig:
     @pytest.mark.parametrize("ages", [(), (40.0, 40.0), (60.0, 40.0)])
     def test_test_ages_must_be_non_empty_and_increasing(self, ages):
         with pytest.raises(ValueError, match="test_ages must be non-empty and increasing"):
+            EMConfig(q=0.2, test_ages=ages)
+
+    @pytest.mark.parametrize("ages", [(20.0, float("nan")), (20.0, float("inf"))])
+    def test_test_ages_must_be_finite(self, ages):
+        with pytest.raises(ValueError, match="test_ages must be finite"):
             EMConfig(q=0.2, test_ages=ages)
 
     def test_max_iter_must_be_at_least_1(self):

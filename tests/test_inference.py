@@ -28,7 +28,14 @@ from poosurv import (
     posterior_marginals,
     simulate_families,
 )
-from poosurv.inference import MAX_POTENTIAL_BYTES, EngineStats, _sums_first, family_weights
+from poosurv.inference import (
+    MAX_POTENTIAL_BYTES,
+    EngineStats,
+    _Forest,
+    _Forests,
+    _sums_first,
+    family_weights,
+)
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -220,6 +227,63 @@ class TestCliqueTree:
         tree = build_clique_tree(ped)
         assert tree.max_clique_size >= 3
         assert tree.check_running_intersection()
+
+    def test_rooted_forest_placement_rules_on_random_pedigrees(self):
+        # The pedigrees of the set-based reference test. Each tree is rooted
+        # at its lowest clique; every founder prior and transmission table
+        # sits on the lowest clique holding its scope, every member is read
+        # out from the lowest clique holding it, and the separator axes of
+        # an edge name the same members in the child and in the parent.
+        rng = np.random.default_rng(2024)
+        for k in range(960):
+            size = int(rng.integers(1, 41))
+            ped = random_pedigree(rng, max(size, 9) if k % 3 == 0 else size,
+                                  family_id=f"R{k}", with_loop=k % 3 == 0)
+            tree = build_clique_tree(ped)
+            cliques = tree.cliques
+            forest = _Forest(ped.structure_key())
+            placed = _Forests({ped.structure_key(): [0]}, [forest])
+            nc = len(cliques)
+
+            def lowest(scope):
+                return min(j for j, c in enumerate(cliques) if set(scope) <= set(c))
+
+            assert forest.cliques == cliques
+            edges = {(min(j, p), max(j, p)) for j, p in enumerate(forest.parent) if p >= 0}
+            assert edges == set(tree.edges)
+            assert sorted(j for j, p in enumerate(forest.parent) if p < 0) == tree.roots()
+            children = [[] for _ in range(nc)]
+            for j, p in enumerate(forest.parent):
+                inside = [cliques[j][a] for a in np.flatnonzero(placed.inside[j])]
+                if p < 0:
+                    assert forest.depth[j] == 0
+                    assert inside == [] and not placed.outside[j].any()
+                    continue
+                children[p].append(j)
+                assert forest.depth[j] == forest.depth[p] + 1
+                assert inside == sorted(set(cliques[j]) & set(cliques[p]))
+                assert [cliques[p][a] for a in np.flatnonzero(placed.outside[j])] == inside
+            for j in range(nc):
+                assert forest.height[j] == max(
+                    (forest.height[c] + 1 for c in children[j]), default=0
+                )
+
+            factors = [[] for _ in range(nc)]
+            for i, rec in enumerate(ped):
+                j, axes = int(placed.factor_clique[i]), placed.factor_axes[i].tolist()
+                if rec.is_founder:
+                    scope, axes = (i,), axes[:1]
+                    assert placed.factor_axes[i, 1:].tolist() == [-1, -1]
+                else:
+                    scope = (ped.position(rec.father_id), ped.position(rec.mother_id), i)
+                assert tuple(cliques[j][a] for a in axes) == scope
+                assert j == lowest(scope), ped.family_id
+                factors[j].append(tuple(axes))
+                j, axis = int(placed.read_clique[i]), int(placed.read_axis[i])
+                assert cliques[j][axis] == i and j == lowest((i,)), ped.family_id
+            for j in range(nc):  # the static pattern of each clique is its factors
+                pattern = placed.patterns[len(cliques[j])][placed.pattern[j]]
+                assert pattern == tuple(sorted(factors[j]))
 
     def test_factor_scopes_covered_on_random_pedigrees(self):
         rng = np.random.default_rng(77)
@@ -424,6 +488,37 @@ class TestMarginalEngine:
             gathered_sides=0,
             potential_bytes=(7 * 4 ** 3 + 4 ** 4) * 8,
         )
+
+    def test_stats_on_seeded_heterogeneous_cohort(self):
+        # Random families, every fourth with a loop, some sharing a
+        # structure by chance or as renamed copies, and three template
+        # families: the counts pin how the schedule groups its buckets.
+        rng = np.random.default_rng(41)
+        families = [
+            random_pedigree(rng, int(rng.integers(2, 25)), f"S{i}", with_loop=i % 4 == 0)
+            for i in range(48)
+        ]
+        families += [renamed(fam, f"{fam.family_id}b") for fam in families[::5]]
+        families += [template_family(rng, f"T{i}", 0) for i in range(3)]
+        engine = MarginalEngine(families)
+        assert engine.stats == EngineStats(
+            families=61,
+            structures=45,
+            cliques=575,
+            max_clique_size=6,
+            collect_buckets=150,
+            distribute_buckets=168,
+            readout_buckets=15,
+            gathered_sides=106,
+            potential_bytes=680416,
+        )
+        assert engine._rank_moves and engine._sep_moves
+
+    def test_empty_cohort_compiles_to_an_empty_schedule(self):
+        engine = MarginalEngine([])
+        assert engine.stats == EngineStats(0, 0, 0, 0, 0, 0, 0, 0, 0)
+        marginals, log_evidence = engine.run(random_params(np.random.default_rng(0)))
+        assert marginals.shape == (0, 4) and log_evidence.shape == (0,)
 
     def test_template_cohort_is_slice_addressed(self):
         rng = np.random.default_rng(8)
