@@ -28,6 +28,7 @@ from .genetics import (
     DEFAULT_EPSILON,
     DEFAULT_ETA,
     GENOTYPE_LABELS,
+    FixedEvidence,
     Genotype,
     ModelParams,
     TRANSMISSION,
@@ -92,9 +93,10 @@ __all__ = [
     "IndividualRecord", "Pedigree", "PedigreeError", "Sex", "ValidationWarning",
     "format_ped", "parse_ped", "pin_genotypes", "validate",
     # genetics
-    "DEFAULT_EPSILON", "DEFAULT_ETA", "GENOTYPE_LABELS", "Genotype",
-    "ModelParams", "TRANSMISSION", "evidence_factor", "evidence_matrix",
-    "founder_prior", "penetrance_factor", "test_factor", "transmission",
+    "DEFAULT_EPSILON", "DEFAULT_ETA", "FixedEvidence", "GENOTYPE_LABELS",
+    "Genotype", "ModelParams", "TRANSMISSION", "evidence_factor",
+    "evidence_matrix", "founder_prior", "penetrance_factor", "test_factor",
+    "transmission",
     # inference
     "CliqueTree", "InferenceError", "MarginalEngine", "MarginalResult",
     "PosteriorWeights", "ZeroEvidenceError", "brute_force_marginals",

@@ -222,8 +222,8 @@ class FixedEvidence:
         self.factor = factor
 
 
-def evidence_matrix(cumulative_hazard, status, covariates, gene_test, params: ModelParams,
-                    suppress=None, *, fixed=None, out=None) -> np.ndarray:
+def evidence_matrix(cumulative_hazard, covariates, params: ModelParams,
+                    fixed: FixedEvidence, *, out=None) -> np.ndarray:
     """Vectorized evidence tables for many individuals at once.
 
     Parameters
@@ -231,13 +231,9 @@ def evidence_matrix(cumulative_hazard, status, covariates, gene_test, params: Mo
     cumulative_hazard : (n,) array of each individual's baseline cumulative
         hazard at their age, ``params.cumulative_hazard(age)``; the caller
         gathers it, so that a fixed jump grid is searched once per fit
-    status : (n,) array
     covariates : (n, k) array or None
-    gene_test : (n,) int array with -1 marking untested individuals
-    suppress : (n,) bool array or None; True rows keep only the test factor
-    fixed : the :class:`FixedEvidence` of ``status``, ``gene_test`` and
-        ``suppress`` under ``params``' (epsilon, eta), which then go unread;
-        built here when None
+    fixed : the individuals' :class:`FixedEvidence` (statuses, gene tests,
+        suppressed phenotypes, pins) under ``params``' (epsilon, eta)
     out : (4, n) array or None; the factors are written into it state by
         state, so that only the hazard-dependent ones are computed
 
@@ -251,9 +247,7 @@ def evidence_matrix(cumulative_hazard, status, covariates, gene_test, params: Mo
     n = lam.shape[0]
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("cumulative hazards must be finite and non-negative")
-    if fixed is None:
-        fixed = FixedEvidence(status, gene_test, params.epsilon, params.eta, suppress)
-    elif fixed.key != (params.epsilon, params.eta):
+    if fixed.key != (params.epsilon, params.eta):
         raise ValueError("fixed evidence parts were built for another (epsilon, eta)")
     if out is None:
         out = np.empty((N_STATES, n))

@@ -24,25 +24,29 @@ clique rank and collected messages in one table per separator size, with
 the batch axis last; every index array of the schedule has one entry per
 clique, never per table entry.
 
-The tables' rows are laid out so that buckets read and write slices. Each
+The tables have one row order, used by both passes and the read-outs. Each
 rank table numbers its rows in collect-bucket order (roots last), and each
 separator table follows it, so a collect bucket's children, its messages
-and a root bucket are contiguous. Between the passes, a rank or separator
-table whose distribute receivers are not already contiguous runs is
-gathered once into distribute-bucket order; a cohort of one structure has
-distribute buckets that are already runs, so it needs no such copy.
+and a root bucket are contiguous slices. Collect buckets are placed by the
+first distribute bucket they feed, so that distribute buckets are slices
+too where the two partitions nest, as they do for a cohort of one
+structure. Any other bucket side, collected-message slots included, is read
+through an index array.
 
 Compiling ends in a list of operations, numpy calls with views of the
 engine's buffers bound. A collect bucket sums its children straight into
 their slots of the collected-message table, normalizes them there and
 multiplies them into the parents; distribute buckets and read-outs work in
 scratch buffers that later operations reuse. A run thus makes no per-bucket
-slice, reshape or message array. A gathered collect parent side is taken,
-multiplied and put back; a gathered read (a distribute parent side or a
-read-out) sums the run of rows that it spans and picks its columns when
+slice, reshape or message array. A gathered side that a bucket multiplies
+into (a collect parent or a distribute child) is taken, multiplied and put
+back, and gathered slots are taken; a gathered read (a distribute parent or
+a read-out) sums the run of rows that it spans and picks its columns when
 that run is at most twice as long as the gather, and gathers first
 otherwise. A zero total in the collect pass spreads NaN through its own
 family's columns; one check after the collect pass names such a family.
+The distribute pass divides by the collected messages after setting their
+exact zeros to 1, which leaves the quotient as it is there.
 Founder priors and transmission tables are folded into static potentials
 once per allele frequency, and the evidence parts that a new hazard leaves
 alone are built once per (epsilon, eta), so a run computes only the
@@ -85,12 +89,12 @@ DEFAULT_ENUMERATION_CAP = 12
 
 #: Budget for the clique potential tables, checked before any is allocated:
 #: for a single clique and for the whole cohort. Between runs an engine holds
-#: a few tables of that size: the static tables, the potentials each run
-#: multiplies the evidence into, and the distribute-order copies of the
-#: reordered ranks. Beside them it keeps the collected messages, the evidence
-#: with its gather per rank, the normalizers, and scratch buffers the size of
-#: the largest gathered bucket side and message. A run adds only its evidence
-#: temporaries and the tables it returns.
+#: two tables of that size: the static tables and the potentials each run
+#: multiplies the evidence into. Beside them it keeps the collected messages,
+#: the evidence with its gather per rank, the normalizers, and scratch
+#: buffers the size of the largest gathered bucket side and message. A run
+#: adds only its evidence temporaries, the zero mask of one collected-message
+#: table at a time, and the tables it returns.
 MAX_POTENTIAL_BYTES = 2 ** 30
 
 _FLOAT_BYTES = np.dtype(float).itemsize
@@ -184,6 +188,11 @@ def posterior_marginals(pedigree, params: ModelParams) -> MarginalResult:
     Returns the per-individual weights, the full (n, 4) marginal table in
     record order, and the log evidence of the observed data (up to the
     genotype-independent hazard factor omitted from affected penetrance).
+
+    A lone family's buckets hold one column each, which numpy sums in
+    another order than a batch, so the last bits may differ from those a
+    :class:`MarginalEngine` of a larger cohort gives the same family, by up
+    to about 3.3e-16.
     """
     engine = MarginalEngine([pedigree])
     marginals, log_evidence = engine.run(params)
@@ -304,15 +313,13 @@ class _Bucket:
     ``child`` holds the (child, root or read-out) cliques. Edge buckets
     carry the ``parent`` side and the ``slots`` of the collect messages,
     collect and root buckets the ``norm`` entries of their cliques, and
-    read-out buckets the member ``targets`` and, when their cliques are not
-    one run, the columns to ``pick`` from the marginal of the rows between.
+    read-out buckets the member ``targets``.
     """
 
     child: _Side
     parent: _Side | None = None
-    slots: slice | None = None
+    slots: object = None  # as ``_Side.rows``
     norm: slice | None = None
-    pick: np.ndarray | None = None
     targets: np.ndarray | None = None
 
 
@@ -322,8 +329,9 @@ class EngineStats:
 
     ``collect_buckets`` and ``distribute_buckets`` count the batched steps of
     the two passes, ``readout_buckets`` those that read root totals and
-    marginals from final beliefs, ``gathered_sides`` the bucket sides that
-    read their cliques through an index array rather than a slice, and
+    marginals from final beliefs, ``gathered_sides`` the bucket sides (the
+    children and parents of both passes, and the read-outs) that address
+    their cliques through an index array rather than a slice, and
     ``potential_bytes`` the size of one set of clique potential tables.
     """
 
@@ -381,28 +389,39 @@ def _read(table, rows, sum_axes, out, scratch):
     of one row is gathered too: numpy sums a lone column in another order
     than a batch, which would change the last bits.
     """
-    if isinstance(rows, slice):
-        return [_reduce(table[..., rows], sum_axes, out)]
-    if _sums_first(rows):
+    if not isinstance(rows, slice) and _sums_first(rows):
         low, high = int(rows.min()), int(rows.max()) + 1
         summed = scratch(out.shape[:-1] + (high - low,))
         return [_reduce(table[..., low:high], sum_axes, summed),
                 partial(summed.take, rows - low, -1, out, "clip")]
-    gathered = scratch(table.shape[:-1] + (len(rows),))
-    return [partial(table.take, rows, -1, gathered, "clip"),
-            _reduce(gathered, sum_axes, out)]
+    columns, ops = _columns(table, rows, scratch)
+    return ops + [_reduce(columns, sum_axes, out)]
+
+
+def _columns(table, rows, scratch):
+    """Batch columns ``rows`` of a batch-last ``table`` and the ops that
+    fetch them: a view for a slice, which needs none, and otherwise a
+    scratch array that they are taken into."""
+    if isinstance(rows, slice):
+        return table[..., rows], []
+    columns = scratch(table.shape[:-1] + (len(rows),))
+    return columns, [partial(table.take, rows, -1, columns, "clip")]
 
 
 def _absorb(table, rows, factor, scratch):
     """Ops that multiply batch columns ``rows`` of a table by ``factor`` in
     place; gathered ``rows`` must not repeat a column."""
-    if isinstance(rows, slice):
-        view = table[..., rows]
-        return [partial(np.multiply, view, factor, view)]
-    columns = scratch(table.shape[:-1] + (len(rows),))
-    return [partial(table.take, rows, -1, columns, "clip"),
-            partial(np.multiply, columns, factor, columns),
-            partial(table.__setitem__, (Ellipsis, rows), columns)]
+    columns, ops = _columns(table, rows, scratch)
+    ops.append(partial(np.multiply, columns, factor, columns))
+    if not isinstance(rows, slice):
+        ops.append(partial(table.__setitem__, (Ellipsis, rows), columns))
+    return ops
+
+
+def _ones_for_zeros(table):
+    """Op: each exact zero of ``table`` set to 1, so that a division by the
+    table leaves the numerator as it is there."""
+    return lambda: np.copyto(table, 1.0, where=table == 0.0)
 
 
 class _Scratch:
@@ -456,19 +475,19 @@ class _Entries:
 
 
 def _row_orders(rank_of, sep_of, stages):
-    """Row of every clique in its rank and separator tables, in the collect
-    order and in the distribute order, as (rank, distribute rank, separator,
-    distribute separator) rows per clique id.
+    """Row of every clique in its rank and separator tables, one order for
+    both passes and the read-outs, as (rank, separator) rows per clique id.
 
     ``stages`` holds each stage's :class:`_Entries`; the entries of the
     collect, distribute and read-out buckets are put in ascending row order.
     """
-    # Collect order: each rank table takes its non-root cliques bucket by
-    # bucket in collect order, then its roots. Collect buckets are placed by
-    # the first distribute bucket they feed, and a bucket's cliques by their
+    # Each rank table takes its non-root cliques bucket by bucket in collect
+    # order, then its roots. Collect buckets are placed by the first
+    # distribute bucket they feed, and a bucket's cliques by their
     # distribute bucket, which keeps each distribute bucket's receivers
     # together too where the two partitions nest, as they do for a cohort
-    # of one structure. Ties keep clique-id order.
+    # of one structure; elsewhere a distribute bucket gathers them. Ties
+    # keep clique-id order.
     collect, roots, distribute, readout = stages
     received = np.full(len(rank_of), len(distribute.layouts), dtype=_INDEX)  # roots last
     received[distribute.cliques] = distribute.bucket_of()
@@ -481,24 +500,15 @@ def _row_orders(rank_of, sep_of, stages):
     )[in_collect]
     bucket_of[roots.cliques] = len(collect.layouts) + roots.bucket_of()
     rank_row = _positions(np.lexsort((received, bucket_of, lead, rank_of)), rank_of)
-    collect.sort(rank_row)
-    distribute.sort(rank_row)
-
-    # Distribute order: a rank table keeps the collect order when each
-    # distribute bucket's receivers already form one run of it, and is
-    # otherwise gathered once, between the passes, into bucket order.
-    dist_row = rank_row
-    rows = rank_row[distribute.cliques]
-    starts, ends = distribute.bounds[:-1], distribute.bounds[1:]
-    broken = np.flatnonzero(rows[ends - 1] - rows[starts] != ends - starts - 1)
-    redo = np.isin(rank_of, [distribute.layouts[b][0] for b in broken.tolist()])
-    if redo.any():
-        order = np.lexsort((rank_row, received, rank_of))
-        dist_row = np.where(redo, _positions(order, rank_of), rank_row)
-    readout.sort(dist_row)
-    sep_row = _sep_rows(rank_row, rank_of, sep_of)
-    sep_dist_row = sep_row if dist_row is rank_row else _sep_rows(dist_row, rank_of, sep_of)
-    return rank_row, dist_row, sep_row, sep_dist_row
+    for part in (collect, distribute, readout):
+        part.sort(rank_row)
+    # each separator table follows the rank tables' order
+    edge = np.flatnonzero(sep_of > 0)
+    sep_row = np.zeros(len(sep_of), dtype=_INDEX)
+    sep_row[edge] = _positions(
+        np.lexsort((rank_row[edge], rank_of[edge], sep_of[edge])), sep_of[edge]
+    )
+    return rank_row, sep_row
 
 
 def _find(codes, queries):
@@ -715,36 +725,6 @@ class _Forests:
         return entries
 
 
-def _sep_rows(rows, rank_of, sep_of):
-    """Row of each non-root clique in its separator table, which follows the
-    order of the rank tables' ``rows``."""
-    edge = np.flatnonzero(sep_of > 0)
-    sep_rows = np.zeros(len(sep_of), dtype=_INDEX)
-    sep_rows[edge] = _positions(
-        np.lexsort((rows[edge], rank_of[edge], sep_of[edge])), sep_of[edge]
-    )
-    return sep_rows
-
-
-def _boundary(table_of, before, after):
-    """Per table whose order changes, the gather that takes its rows from the
-    ``before`` to the ``after`` order and the buffer it writes, as (perm,
-    buffer).
-
-    Each buffer is allocated once per engine and overwritten by every run: a
-    fresh table of that size would page-fault anew in each run, which cost
-    more than the copy itself.
-    """
-    moves = {}
-    for size in np.unique(table_of):
-        items = np.flatnonzero(table_of == size)
-        if (before[items] != after[items]).any():
-            perm = np.empty(len(items), dtype=_INDEX)
-            perm[after[items]] = before[items]
-            moves[int(size)] = perm, np.empty((N_STATES,) * int(size) + (len(items),))
-    return moves
-
-
 class MarginalEngine:
     """Batched posterior-marginal evaluator reused across EM iterations.
 
@@ -834,10 +814,7 @@ class MarginalEngine:
                 f"{largest[0]} members, family {largest[1]})"
             )
         entries = forests.entries(np.asarray(self.offsets, dtype=_INDEX))
-        rank_row, dist_row, sep_row, sep_dist_row = _row_orders(rank_of, sep_of, entries)
-        edge = sep_of > 0
-        self._rank_moves = _boundary(rank_of, rank_row, dist_row)
-        self._sep_moves = _boundary(sep_of[edge], sep_row[edge], sep_dist_row[edge])
+        rank_row, sep_row = _row_orders(rank_of, sep_of, entries)
 
         # Collect and root buckets write their cliques' totals in bucket
         # order; log evidence sums them per family in clique-id order.
@@ -873,34 +850,29 @@ class MarginalEngine:
             stages[_ROOT].append(_Bucket(side(child, rank, ()),
                                          norm=slice(start + lo, start + hi)))
         for ((rank, axes, other_rank, other_axes), _, _), child, parent, slots in zip(
-            spans(distribute), _runs(dist_row[distribute.cliques], distribute.bounds),
-            _sides(dist_row[distribute.others], distribute.bounds),
-            _runs(sep_dist_row[distribute.cliques], distribute.bounds),
+            spans(distribute), _sides(rank_row[distribute.cliques], distribute.bounds),
+            _sides(rank_row[distribute.others], distribute.bounds),
+            _sides(sep_row[distribute.cliques], distribute.bounds),
         ):
             stages[_DISTRIBUTE].append(_Bucket(side(child, rank, axes),
                                                side(parent, other_rank, other_axes),
                                                slots=slots))
-        # A read-out sums the run of rows from its first clique to its last
-        # and picks its columns from that marginal, which is cheaper than
-        # gathering the cliques' tables.
         evidence = {int(rank): {} for rank in np.unique(rank_of)}
-        rows, read_rows = dist_row[readout.cliques], rank_row[readout.cliques]
-        for (rank, axes, _, _), lo, hi in spans(readout):
+        rows = rank_row[readout.cliques]
+        for ((rank, axes, _, _), lo, hi), child in zip(
+            spans(readout), _sides(rows, readout.bounds)
+        ):
             targets = readout.others[lo:hi]
-            evidence[rank].setdefault(axes[0], []).append((read_rows[lo:hi], targets))
-            low, high = int(rows[lo]), int(rows[hi - 1]) + 1
-            pick = None if hi - lo == high - low else rows[lo:hi] - low
-            stages[_READOUT].append(_Bucket(side(slice(low, high), rank, axes),
-                                            pick=pick, targets=targets))
+            evidence[rank].setdefault(axes[0], []).append((rows[lo:hi], targets))
+            stages[_READOUT].append(_Bucket(side(child, rank, axes), targets=targets))
         self._stages = stages
 
         # Each member's evidence sits on its read-out axis; the extra column
         # ``total`` of the evidence table holds ones for every other axis.
         # Each run writes the evidence, its gather per rank (``_gathered``),
-        # the potentials (``_pots``), the collected messages with where they
-        # are positive (``_sent``) and the normalizers into these buffers
-        # before it reads them; the static tables are rewritten when ``q``
-        # changes.
+        # the potentials (``_pots``), the collected messages and the
+        # normalizers into these buffers before it reads them; the static
+        # tables are rewritten when ``q`` changes.
         self._phi = np.ones((N_STATES, self.total + 1))
         self._evidence, self._patterns = {}, {}
         self._pots, self._static, self._gathered = {}, {}, {}
@@ -921,9 +893,8 @@ class MarginalEngine:
             self._patterns[rank] = (forests.patterns[rank], index)
         self._collected = {
             int(size): np.empty((N_STATES,) * int(size) + (int(np.sum(sep_of == size)),))
-            for size in np.unique(sep_of[edge])
+            for size in np.unique(sep_of[sep_of > 0])
         }
-        self._sent = {size: np.empty(table.shape, bool) for size, table in self._collected.items()}
         self._norm = np.empty(n_cliques)
         pools = [_Scratch() for _ in range(3)]
         self._bind(pools)
@@ -960,11 +931,11 @@ class MarginalEngine:
 
     def _bind(self, scratch):
         """The ops of a run, with every view of the engine's buffers bound:
-        the potentials, the collect pass with the roots, the boundary moves
-        with the distribute pass, and per read-out bucket its ops, member
-        rows and marginal. ``scratch`` hands out the temporaries that ops
-        reuse: gathered or summed rows, messages and marginals, and their
-        totals."""
+        the potentials, the collect pass with the roots, the distribute pass,
+        and per read-out bucket its ops, member rows and marginal.
+        ``scratch`` hands out the temporaries that ops reuse: gathered or
+        summed rows, messages and marginals, and their totals; a gathered
+        row temporary is dead before the next one is written."""
         rows_of, messages, totals = scratch
         pots, collected, norm = self._pots, self._collected, self._norm
         potentials = []
@@ -994,34 +965,26 @@ class MarginalEngine:
             table = pots[bucket.child.rank][..., bucket.child.rows]
             collecting.append(_reduce(table.reshape(-1, table.shape[-1]), 0, norm[bucket.norm]))
 
-        distributing = []
-        pots, collected = dict(pots), dict(collected)  # in distribute order
-        for tables, moves in ((pots, self._rank_moves), (collected, self._sep_moves)):
-            for size, (perm, moved) in moves.items():
-                distributing.append(partial(tables[size].take, perm, -1, moved, "clip"))
-                tables[size] = moved
-        for size, table in collected.items():
-            distributing.append(partial(np.greater, table, 0.0, self._sent[size]))
+        distributing = [_ones_for_zeros(table) for table in collected.values()]
         for bucket in distribute:
             child, parent = bucket.child, bucket.parent
-            size = child.rank - len(child.sum_axes)
-            sent = collected[size][..., bucket.slots]
+            table = collected[child.rank - len(child.sum_axes)]
+            sent, fetch = _columns(table, bucket.slots, rows_of)
             msg, total = messages(sent.shape), totals(sent.shape[-1:])
-            view = pots[child.rank][..., child.rows]
             distributing += [
                 *_read(pots[parent.rank], parent.rows, parent.sum_axes, msg, rows_of),
-                partial(np.divide, msg, sent, msg, where=self._sent[size][..., bucket.slots]),
+                *fetch,
+                partial(np.divide, msg, sent, msg),
                 _reduce(msg.reshape(-1, msg.shape[-1]), 0, total),
                 partial(np.divide, msg, total, msg),
-                partial(np.multiply, view, msg.reshape(child.shape), view),
+                *_absorb(pots[child.rank], child.rows, msg.reshape(child.shape), rows_of),
             ]
 
         reading = []
         for bucket in readouts:
             child, count = bucket.child, len(bucket.targets)
-            rows = child.rows if bucket.pick is None else child.rows.start + bucket.pick
             marginal, total = messages((N_STATES, count)), totals((count,))
-            ops = _read(pots[child.rank], rows, child.sum_axes, marginal, rows_of)
+            ops = _read(pots[child.rank], child.rows, child.sum_axes, marginal, rows_of)
             ops += [_reduce(marginal, 0, total), partial(np.divide, marginal, total, marginal)]
             reading.append((ops, bucket.targets, marginal.T))
         return potentials, collecting, distributing, reading
@@ -1044,10 +1007,9 @@ class MarginalEngine:
         observed data has zero probability.
         """
         genetics.evidence_matrix(
-            self._cumulative_hazard(params), self.statuses,
+            self._cumulative_hazard(params),
             self.covariates if self.covariates.shape[1] else None,
-            self._gtest, params, suppress=self.suppressed,
-            fixed=self._fixed_evidence(params), out=self._phi[:, :self.total],
+            params, self._fixed_evidence(params), out=self._phi[:, :self.total],
         )
         if params.q != self._static_q:
             prior = genetics.founder_prior(params.q)
@@ -1072,8 +1034,9 @@ class MarginalEngine:
             raise ZeroEvidenceError(self.families[self._clique_family[clique]].family_id)
         # Distribute: the parent's final belief on the separator, divided by
         # the message it collected from the child. Where that message is 0,
-        # so is the parent's marginal, and the quotient is left at 0; the
-        # quotient's total is positive since the parent's total is.
+        # so is the parent's marginal; the pass first sets those zeros to 1,
+        # so the quotient is left at 0 there. The quotient's total is
+        # positive since the parent's total is.
         for op in distribute:
             op()
         marginals = np.empty((self.total, N_STATES))

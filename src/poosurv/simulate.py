@@ -84,6 +84,8 @@ class HazardSpec:
         rates = tuple(float(r) for r in rates)
         if len(cuts) != len(rates) or not cuts:
             raise ValueError("need one rate per cut point")
+        if not all(map(math.isfinite, cuts + rates)):
+            raise ValueError("cut points and rates must be finite")
         if cuts[0] != 0.0:
             raise ValueError("first cut point must be 0")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
@@ -259,6 +261,8 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
         raise ValueError("need at least one family")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"allele frequency q must be in [0, 1], got {q}")
     scenario = Scenario(scenario)
     truth_root, mask_root = _seed_roots(seed)
     truth_seeds = _children(truth_root, n)

@@ -143,6 +143,25 @@ class TestSimulateCommand:
         assert message in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--q", "1.5", "q must be in [0, 1]"),
+        ("--q", "-0.2", "q must be in [0, 1]"),
+        ("--q", "nan", "q must be in [0, 1]"),
+        ("--hazard", "0:nan", "must be finite"),
+        ("--hazard", "0:inf", "must be finite"),
+        ("--hazard", "0:0,nan:0.1", "must be finite"),
+    ])
+    def test_impossible_input_writes_nothing(self, runner, tmp_path, option, value, message):
+        out = tmp_path / "sim"
+        result = runner.invoke(
+            main,
+            ["simulate", "--families", "4", "--beta", "-0.6", "--scenario", "S0",
+             option, value, "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
     def test_non_finite_beta_is_validation_error(self, runner, tmp_path):
         out = tmp_path / "sim"
         result = runner.invoke(

@@ -9,6 +9,7 @@ import pytest
 from poosurv import test_factor as gene_test_factor
 from poosurv import (
     DEFAULT_HAZARD,
+    FixedEvidence,
     Genotype,
     IndividualRecord,
     ModelParams,
@@ -238,14 +239,17 @@ class TestEvidenceMatrix:
                     phenotype_suppressed=bool(rng.random() < 0.2),
                 )
             )
-        suppress = np.array([r.phenotype_suppressed for r in records])
+        fixed = FixedEvidence(
+            np.array([r.status for r in records]),
+            np.array([-1 if r.gene_test is None else r.gene_test for r in records]),
+            params.epsilon, params.eta,
+            np.array([r.phenotype_suppressed for r in records]),
+        )
         matrix = evidence_matrix(
             params.cumulative_hazard(np.array([r.age for r in records])),
-            np.array([r.status for r in records]),
             np.array([r.covariates for r in records]),
-            np.array([-1 if r.gene_test is None else r.gene_test for r in records]),
             params,
-            suppress=suppress,
+            fixed,
         )
         for i, rec in enumerate(records):
             expected = evidence_factor(rec, params)

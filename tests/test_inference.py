@@ -509,10 +509,12 @@ class TestMarginalEngine:
             collect_buckets=150,
             distribute_buckets=168,
             readout_buckets=15,
-            gathered_sides=106,
+            gathered_sides=147,
             potential_bytes=680416,
         )
-        assert engine._rank_moves and engine._sep_moves
+        # 46 collect and 60 distribute parent sides, 32 distribute children
+        # and 9 read-outs
+        assert any(not isinstance(b.child.rows, slice) for b in engine._stages[2])
 
     def test_empty_cohort_compiles_to_an_empty_schedule(self):
         engine = MarginalEngine([])
@@ -524,26 +526,26 @@ class TestMarginalEngine:
         rng = np.random.default_rng(8)
         engine = MarginalEngine([template_family(rng, f"T{i}", 0) for i in range(50)])
         collect, roots, distribute, readouts = engine._stages
-        for bucket in collect + roots + distribute + readouts:
+        for bucket in collect + roots + distribute:
             assert isinstance(bucket.child.rows, slice)
         for bucket in collect + distribute:
             assert isinstance(bucket.slots, slice)
-        # no rank or separator table is reordered between the passes
-        assert engine._rank_moves == {} and engine._sep_moves == {}
+        # the one gathered side is a read-out whose cliques are not one run
         assert engine.stats.gathered_sides == sum(
             not isinstance(b.parent.rows, slice) for b in collect + distribute
-        )
+        ) + sum(not isinstance(b.child.rows, slice) for b in readouts) == 1
 
     def test_simulated_cohort_gathers_one_parent_side(self):
         # The simulator's ten-member structure in collect-bucket order: only
         # the first distribute bucket reads its parents through an index
-        # array, and no table is reordered between the passes.
+        # array, no distribute child is gathered, and two read-outs are.
         families, _ = simulate_families(50, -0.6, 0.2, seed=8)
         engine = MarginalEngine(families)
-        distribute = engine._stages[2]
+        distribute, readouts = engine._stages[2:]
         assert [i for i, b in enumerate(distribute) if not isinstance(b.parent.rows, slice)] == [0]
-        assert engine.stats.gathered_sides == 1
-        assert engine._rank_moves == {} and engine._sep_moves == {}
+        assert all(isinstance(b.child.rows, slice) for b in distribute)
+        assert sum(not isinstance(b.child.rows, slice) for b in readouts) == 2
+        assert engine.stats.gathered_sides == 3
 
     def test_heterogeneous_cohort_gathers_only_parents(self):
         rng = np.random.default_rng(9)
@@ -552,15 +554,18 @@ class TestMarginalEngine:
             for i in range(40)
         ]
         engine = MarginalEngine(families)
+        # the collect pass gathers only parents; distribute children and
+        # read-outs whose cliques are not one run of rows are gathered too
         collect, roots, distribute, readouts = engine._stages
-        for bucket in collect + roots + distribute + readouts:
+        for bucket in collect + roots:
             assert isinstance(bucket.child.rows, slice)
-        for bucket in collect + distribute:
+        for bucket in collect:
             assert isinstance(bucket.slots, slice)
-        assert any(bucket.pick is not None for bucket in readouts)
+        assert any(not isinstance(bucket.child.rows, slice) for bucket in readouts)
+        assert any(not isinstance(bucket.child.rows, slice) for bucket in distribute)
         gathered = [b for b in collect + distribute if not isinstance(b.parent.rows, slice)]
+        gathered += [b for b in distribute + readouts if not isinstance(b.child.rows, slice)]
         assert engine.stats.gathered_sides == len(gathered) > 0
-        assert engine._rank_moves  # the receivers needed the boundary gather
         params = random_params(rng)
         marginals, log_evidence = engine.run(params)
         for k, (fam, off) in enumerate(zip(families[:10], engine.offsets)):
@@ -652,7 +657,7 @@ class TestMarginalEngine:
             _sums_first(b.parent.rows) for b in distribute if not isinstance(b.parent.rows, slice)
         }
         assert branches == ({True, False} if kind == "heterogeneous" else {True})
-        assert kind == "simulated" or any(b.pick is not None for b in readouts)
+        assert any(not isinstance(b.child.rows, slice) for b in readouts)
         params = random_params(rng)
         marginals, log_evidence = engine.run(params)
         for k, fam in enumerate(families):
@@ -663,6 +668,46 @@ class TestMarginalEngine:
             np.testing.assert_allclose(
                 own, posterior_marginals(fam, params).marginals, rtol=0, atol=1e-14
             )
+            if len(fam) <= 12:
+                np.testing.assert_allclose(
+                    own, brute_force_marginals(fam, params).marginals, rtol=0, atol=1e-10
+                )
+
+    def test_gathered_distribute_children_meet_zero_messages(self):
+        # Looped heterogeneous families and their renamed copies, with
+        # affected members and error-free tests: an affected member rules
+        # out the non-carrier state, so some collected messages are exactly
+        # 0, and the distribute pass reads some of them through gathered
+        # slots while it gathers the children they go back to.
+        rng = np.random.default_rng(16)
+        families = [
+            Pedigree([dataclasses.replace(rec, gene_test=None) for rec in random_pedigree(
+                rng, int(rng.integers(2, 13)), f"Z{i}", with_loop=i % 3 == 0
+            )])
+            for i in range(40)
+        ]
+        engine = MarginalEngine(families + [renamed(fam, f"{fam.family_id}b") for fam in families])
+        params = dataclasses.replace(random_params(rng), epsilon=0.0, eta=0.0)
+        marginals, log_evidence = engine.run(params)
+        gathered = [
+            b for b in engine._stages[2]
+            if not isinstance(b.child.rows, slice) and not isinstance(b.slots, slice)
+        ]
+        assert gathered
+        # the collect pass again, for the messages as the distribute pass
+        # meets them, before it sets their zeros to 1
+        potentials, collect, _, _ = engine._ops
+        for op in potentials + collect:
+            op()
+        assert any(
+            (engine._collected[b.child.rank - len(b.child.sum_axes)][..., b.slots] == 0.0).any()
+            for b in gathered
+        )
+        for k, fam in enumerate(families):
+            own = marginals[engine.offsets[k]:engine.offsets[k] + len(fam)]
+            pair, pair_log = MarginalEngine([fam, renamed(fam, "copy")]).run(params)
+            assert own.tobytes() == pair[:len(fam)].tobytes()
+            assert log_evidence[k] == pair_log[0]
             if len(fam) <= 12:
                 np.testing.assert_allclose(
                     own, brute_force_marginals(fam, params).marginals, rtol=0, atol=1e-10

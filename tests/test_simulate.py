@@ -52,6 +52,14 @@ class TestHazardSpec:
             HazardSpec((0.0, 10.0), (0.1, -0.2))
         with pytest.raises(ValueError):
             HazardSpec((0.0, 10.0, 5.0), (0.1, 0.2, 0.3))
+        for cuts, rates in (((0.0,), (math.nan,)), ((0.0,), (math.inf,)),
+                            ((0.0, math.nan), (0.0, 0.1)), ((0.0, math.inf), (0.0, 0.1))):
+            with pytest.raises(ValueError, match="finite"):
+                HazardSpec(cuts, rates)
+        # and the allele frequency a simulation draws founders with
+        for q in (1.5, -0.2, math.nan):
+            with pytest.raises(ValueError, match=r"q must be in \[0, 1\]"):
+                simulate_families(2, beta=-0.6, q=q, hazard=DEFAULT_HAZARD)
 
 
 class TestFamilyStructure:
