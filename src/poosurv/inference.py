@@ -53,6 +53,26 @@ alone are built once per (epsilon, eta), so a run computes only the
 hazard-dependent evidence. Marginals are read from each clique's final
 belief. :func:`posterior_marginals` is the one-family case of the same engine.
 
+A cohort whose potential tables exceed ``SHARD_POTENTIAL_BYTES`` is
+compiled as two shards: contiguous ranges of families of about equal table
+size, each with its own buckets, tables, scratch and ops, built from the
+structures' forests that the shards share. A run computes the evidence once
+on the calling thread, then runs the first shard's ops there while a
+helper thread runs the second's; numpy releases the GIL inside each
+operation, so the shards use two CPUs. A helper that has not started by the
+time the first shard is done leaves the second to the calling thread. Both
+write their own rows of one marginal table and one log-evidence vector, in
+place. With one usable CPU, and in the
+workers of a process pool (``--jobs``), which keep the CPUs busy already,
+the shards run one after the other. The shard plan depends on the cohort
+alone, so results do not depend on the CPU count. On a cohort of one
+structure two shards give a one-shard engine's bits; elsewhere a bucket may
+batch fewer columns in a shard, which may move the last bits within the
+bound documented on :func:`posterior_marginals`. The threshold sits at the
+measured break-even: on template cohorts a sharded E-step took as long as
+one schedule at about 1.8 MB of tables (600 ten-member families) and was
+faster above it, by about a quarter at 6.1 MB (2000 families).
+
 A brute-force enumerator over all 4^n genotype configurations, with its own
 scalar factor construction, serves as an independent oracle for small
 families.
@@ -60,7 +80,9 @@ families.
 
 from __future__ import annotations
 
+import _thread
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -83,6 +105,7 @@ __all__ = [
     "MarginalEngine",
     "family_weights",
     "MAX_POTENTIAL_BYTES",
+    "SHARD_POTENTIAL_BYTES",
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -91,11 +114,17 @@ DEFAULT_ENUMERATION_CAP = 12
 #: for a single clique and for the whole cohort. Between runs an engine holds
 #: two tables of that size: the static tables and the potentials each run
 #: multiplies the evidence into. Beside them it keeps the collected messages,
-#: the evidence with its gather per rank, the normalizers, and scratch
-#: buffers the size of the largest gathered bucket side and message. A run
-#: adds only its evidence temporaries, the zero mask of one collected-message
-#: table at a time, and the tables it returns.
+#: the evidence with its gather per rank, the normalizers, and per shard
+#: scratch buffers the size of its largest gathered bucket side and message.
+#: A run adds only its evidence temporaries, per shard the zero mask of one
+#: collected-message table at a time, and the tables it returns.
 MAX_POTENTIAL_BYTES = 2 ** 30
+
+#: Size of the potential tables above which a cohort is compiled as two
+#: shards, which a run can put on two CPUs (see the module docstring for
+#: how it was measured). Below it the second schedule and the thread cost
+#: more than they gain.
+SHARD_POTENTIAL_BYTES = 2 ** 21
 
 _FLOAT_BYTES = np.dtype(float).itemsize
 _INDEX = np.int32
@@ -331,8 +360,11 @@ class EngineStats:
     the two passes, ``readout_buckets`` those that read root totals and
     marginals from final beliefs, ``gathered_sides`` the bucket sides (the
     children and parents of both passes, and the read-outs) that address
-    their cliques through an index array rather than a slice, and
-    ``potential_bytes`` the size of one set of clique potential tables.
+    their cliques through an index array rather than a slice,
+    ``potential_bytes`` the size of one set of clique potential tables, and
+    ``shards`` the number of schedules the cohort is compiled into (see
+    :class:`MarginalEngine`). ``structures`` counts the cohort's distinct
+    structures; the clique and bucket counts sum over the shards.
     """
 
     families: int
@@ -344,6 +376,7 @@ class EngineStats:
     readout_buckets: int
     gathered_sides: int
     potential_bytes: int
+    shards: int = 1
 
 
 def _sides(rows, bounds):
@@ -424,21 +457,30 @@ def _ones_for_zeros(table):
     return lambda: np.copyto(table, 1.0, where=table == 0.0)
 
 
-class _Scratch:
-    """Contiguous views of one flat buffer, reused by ops that run one after
-    another. A binding pass over an empty buffer hands out throwaway arrays
-    and records the largest request, which sizes the buffer of the next."""
+def _count(rows):
+    """Number of batch columns ``rows`` names."""
+    return rows.stop - rows.start if isinstance(rows, slice) else len(rows)
 
-    def __init__(self, size=0):
-        self.flat = np.empty(size)
-        self.size = 0
 
-    def __call__(self, shape):
-        size = math.prod(shape)
-        self.size = max(self.size, size)
-        if size > self.flat.size:
-            return np.empty(shape)
-        return self.flat[:size].reshape(shape)
+def _gather_size(rank, rows):
+    """Entries of the scratch array that :func:`_columns` takes batch columns
+    ``rows`` of a rank-``rank`` table into: none for a slice."""
+    return 0 if isinstance(rows, slice) else N_STATES ** rank * len(rows)
+
+
+def _read_size(rank, rows, kept):
+    """Entries of the scratch array that :func:`_read` needs to read batch
+    columns ``rows`` of a rank-``rank`` table down to ``kept`` axes."""
+    if not isinstance(rows, slice) and _sums_first(rows):
+        return N_STATES ** kept * (int(rows.max()) - int(rows.min()) + 1)
+    return _gather_size(rank, rows)
+
+
+def _scratch(size):
+    """A pool of contiguous views of one flat buffer of ``size`` entries,
+    reused by ops that run one after another."""
+    flat = np.empty(size)
+    return lambda shape: flat[:math.prod(shape)].reshape(shape)
 
 
 def _positions(order, table_of):
@@ -725,95 +767,105 @@ class _Forests:
         return entries
 
 
-class MarginalEngine:
-    """Batched posterior-marginal evaluator reused across EM iterations.
+#: Whether a run may put a second shard on a helper thread. The workers of
+#: a process pool turn it off (:func:`_serial_shards`): the pool keeps the
+#: CPUs busy already, and a thread per worker would make runs slower.
+_threaded = True
 
-    Compiles the junction forests of all families into one bucketed
-    two-pass schedule and binds it into a list of numpy operations on the
-    engine's own buffers (see the module docstring). A record with a
-    ``genotype_pin`` takes only its pinned states. :attr:`stats` reports
-    the schedule's size. ``ages``, ``statuses``, ``covariates`` and
-    ``suppressed`` are the record columns in global record order.
 
-    A run computes the hazard-dependent evidence of every record,
-    multiplies it into the static tables, calls the bound operations and
-    returns a fresh marginal table with the per-family log evidence. What
-    does not change between the runs of an EM fit is made once and kept
-    while its inputs stay equal by value: the static tables per ``q``, the
-    fixed evidence parts with the pins per (``epsilon``, ``eta``), and a
-    step baseline's jump-grid positions of the records' ages per grid.
+def _serial_shards():
+    """Run shards one after the other in this process: the initializer of
+    process-pool workers."""
+    global _threaded
+    _threaded = False
 
-    Raises :class:`InferenceError` when a family's largest clique table, or
-    all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_claimed(shard, args, claim, done, failed):
+    """The helper thread of :func:`_run_shards`: run ``shard`` unless the
+    calling thread has claimed it, and release ``done`` after."""
+    if not claim.acquire(blocking=False):
+        return
+    try:
+        shard.run(*args)
+    except BaseException as err:  # re-raised on the calling thread
+        failed.append(err)
+    finally:
+        done.release()
+
+
+def _run_shards(shards, *args):
+    """``shard.run(*args)`` for each shard.
+
+    With two CPUs usable outside a process pool, a helper thread is started
+    for the second shard while the calling thread runs the first, and the
+    second goes to whichever thread claims it first: the calling thread does
+    not wait for the helper to start, so a helper that starts late costs a
+    run no more than running the shards one after the other. Otherwise they
+    run one after the other. A shard's error is raised once no shard runs;
+    when both fail, the first shard's error wins.
+    """
+    if len(shards) == 1 or not _threaded or _usable_cpus() < 2:
+        for shard in shards:
+            shard.run(*args)
+        return
+    first, second = shards
+    claim, done, failed = _thread.allocate_lock(), _thread.allocate_lock(), []
+    done.acquire()
+    _thread.start_new_thread(_run_claimed, (second, args, claim, done, failed))
+    try:
+        first.run(*args)
+    finally:
+        helped = not claim.acquire(blocking=False)
+        if helped:  # wait for the helper to finish the second shard
+            done.acquire()
+    if not helped:
+        second.run(*args)
+    elif failed:
+        raise failed[0]
+
+
+class _Shard:
+    """A contiguous range of a cohort's families compiled into its own
+    schedule: buckets, potential and message tables, scratch pools and bound
+    ops (see the module docstring).
+
+    ``families`` are the shard's, with their ``structures`` (indices into
+    the cohort's structure ``keys`` and their ``forests``) and first records
+    ``offsets`` in the cohort, and ``first`` is the cohort index of the
+    first. Its ops read evidence columns of the cohort's ``phi`` and write
+    the shard's own rows of the cohort's marginal table and log evidence, so
+    that shards can run at once.
     """
 
-    def __init__(self, families):
-        self.families = list(families)
-        offsets = []
-        total = 0
-        for fam in self.families:
-            offsets.append(total)
-            total += len(fam)
-        self.offsets = offsets
-        self.total = total
-
-        cov_len = len(self.families[0].individuals[0].covariates) if self.families else 0
-        if any(fam.covariate_count != cov_len for fam in self.families):
-            raise InferenceError(
-                "families carry different covariate counts; cannot fit jointly"
-            )
-        records = [rec for fam in self.families for rec in fam]
-        self.ages = np.array([rec.age for rec in records], dtype=float)
-        self.statuses = np.array([rec.status for rec in records], dtype=int)
-        self._gtest = np.array(
-            [-1 if rec.gene_test is None else rec.gene_test for rec in records], dtype=int
-        )
-        self.suppressed = np.array([rec.phenotype_suppressed for rec in records], dtype=bool)
-        self.covariates = np.array(
-            [rec.covariates for rec in records], dtype=float
-        ).reshape(total, cov_len)
-        self._mask = _pin_mask(records)
-        self._grid = self._grid_positions = None
-        self._static_q = self._fixed = None
-        self._compile()
-
-    def _compile(self):
-        groups: dict[tuple, list[int]] = {}
-        for fi, fam in enumerate(self.families):
-            groups.setdefault(fam.structure_key(), []).append(fi)
-        forests, fam_of, largest = [], [], (0, None)  # fam_of: the family of each clique id
-        for structure, group in groups.items():
-            forest = _Forest(structure)
-            k_max = max(forest.ranks)
-            if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
-                raise InferenceError(
-                    f"family {self.families[group[0]].family_id}: its junction tree has a "
-                    f"clique of {k_max} members, whose {N_STATES}^{k_max}-entry table "
-                    f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
-                )
-            if k_max > largest[0]:
-                largest = (k_max, self.families[group[0]].family_id)
-            forests.append(forest)
-            fam_of += group * len(forest.ranks)
-        forests = _Forests(groups, forests)
+    def __init__(self, families, structures, keys, forests, offsets, first, phi):
+        self.families, self.first, self._phi = families, first, phi
+        groups: dict[int, list[int]] = {}  # the shard's families of each structure
+        for fi, s in enumerate(structures.tolist()):
+            groups.setdefault(s, []).append(fi)
+        fam_of = []  # the family of each clique id
+        for s, group in groups.items():
+            fam_of += group * len(forests[s].ranks)
+        cohort = _Forests({keys[s]: group for s, group in groups.items()},
+                          [forests[s] for s in groups])
 
         # Clique ids run group by group, then clique by clique: the order in
         # which per-family results (the log evidence) are summed.
-        repeats = forests.sizes[forests.group]
+        repeats = cohort.sizes[cohort.group]
         rank_of, sep_of, pattern_of = (
             np.repeat(v.astype(_INDEX), repeats)
-            for v in (forests.rank, forests.inside.sum(1), forests.pattern)
+            for v in (cohort.rank, cohort.inside.sum(1), cohort.pattern)
         )
         n_cliques = len(rank_of)
         self._clique_family = np.asarray(fam_of, dtype=_INDEX)
-        potential_bytes = int(np.sum(N_STATES ** rank_of.astype(np.int64))) * _FLOAT_BYTES
-        if potential_bytes > MAX_POTENTIAL_BYTES:
-            raise InferenceError(
-                f"the cohort's clique potential tables need {potential_bytes} bytes, "
-                f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
-                f"{largest[0]} members, family {largest[1]})"
-            )
-        entries = forests.entries(np.asarray(self.offsets, dtype=_INDEX))
+        entries = cohort.entries(offsets)
         rank_row, sep_row = _row_orders(rank_of, sep_of, entries)
 
         # Collect and root buckets write their cliques' totals in bucket
@@ -867,13 +919,13 @@ class MarginalEngine:
             stages[_READOUT].append(_Bucket(side(child, rank, axes), targets=targets))
         self._stages = stages
 
-        # Each member's evidence sits on its read-out axis; the extra column
-        # ``total`` of the evidence table holds ones for every other axis.
-        # Each run writes the evidence, its gather per rank (``_gathered``),
-        # the potentials (``_pots``), the collected messages and the
-        # normalizers into these buffers before it reads them; the static
-        # tables are rewritten when ``q`` changes.
-        self._phi = np.ones((N_STATES, self.total + 1))
+        # Each member's evidence sits on its read-out axis; the last column
+        # of ``phi`` holds ones for every other axis. Each run writes the
+        # evidence's gather per rank (``_gathered``), the potentials
+        # (``_pots``), the collected messages and the normalizers into these
+        # buffers before it reads them; the static tables are rewritten when
+        # ``q`` changes.
+        ones = phi.shape[1] - 1
         self._evidence, self._patterns = {}, {}
         self._pots, self._static, self._gathered = {}, {}, {}
         for rank, by_axis in evidence.items():
@@ -884,53 +936,54 @@ class MarginalEngine:
             self._gathered[rank] = np.empty((N_STATES, count))
             self._evidence[rank] = []
             for axis in sorted(by_axis):
-                index = np.full(count, self.total, dtype=_INDEX)
+                index = np.full(count, ones, dtype=_INDEX)
                 for rows, targets in by_axis[axis]:
                     index[rows] = targets
                 self._evidence[rank].append((axis, index))
             index = np.empty(count, dtype=_INDEX)
             index[rank_row[members]] = pattern_of[members]
-            self._patterns[rank] = (forests.patterns[rank], index)
+            self._patterns[rank] = (cohort.patterns[rank], index)
+        self._static_q = None
         self._collected = {
             int(size): np.empty((N_STATES,) * int(size) + (int(np.sum(sep_of == size)),))
             for size in np.unique(sep_of[sep_of > 0])
         }
         self._norm = np.empty(n_cliques)
-        pools = [_Scratch() for _ in range(3)]
-        self._bind(pools)
-        self._ops = self._bind([_Scratch(p.size) for p in pools])
-        self.stats = EngineStats(
-            families=len(self.families),
-            structures=len(groups),
-            cliques=n_cliques,
-            max_clique_size=largest[0],
-            collect_buckets=len(stages[_COLLECT]),
-            distribute_buckets=len(stages[_DISTRIBUTE]),
-            readout_buckets=len(stages[_ROOT]) + len(stages[_READOUT]),
-            gathered_sides=sum(
+        self._ops = self._bind([_scratch(size) for size in self._pool_sizes()])
+        self.counts = (  # as the EngineStats fields of the same names
+            n_cliques,
+            len(stages[_COLLECT]),
+            len(stages[_DISTRIBUTE]),
+            len(stages[_ROOT]) + len(stages[_READOUT]),
+            sum(
                 not isinstance(s.rows, slice)
                 for buckets in stages for bucket in buckets
                 for s in (bucket.child, bucket.parent) if s is not None
             ),
-            potential_bytes=potential_bytes,
         )
 
-    def _cumulative_hazard(self, params):
-        """Each record's baseline cumulative hazard at its age.
-
-        A step baseline's jump-grid positions of the ages are kept while its
-        jump times stay equal by value, as they do within an EM run.
-        """
-        baseline = params.baseline
-        if not isinstance(baseline, BaselineHazard):
-            return params.cumulative_hazard(self.ages)
-        if self._grid is None or not np.array_equal(self._grid, baseline.times):
-            self._grid = baseline.times.copy()
-            self._grid_positions = baseline.grid_positions(self.ages)
-        return baseline.cumulative_at(self._grid_positions)
+    def _pool_sizes(self):
+        """The largest request that :meth:`_bind` makes of each of its
+        scratch pools, in its order, found from the stages."""
+        collect, _, distribute, readouts = self._stages
+        rows_of = [_gather_size(b.parent.rank, b.parent.rows) for b in collect]
+        messages, totals = [0], [0]
+        for bucket in distribute:
+            child, parent = bucket.child, bucket.parent
+            sep, count = child.rank - len(child.sum_axes), _count(bucket.slots)
+            rows_of += [_gather_size(sep, bucket.slots), _read_size(parent.rank, parent.rows, sep),
+                        _gather_size(child.rank, child.rows)]
+            messages.append(N_STATES ** sep * count)
+            totals.append(count)
+        for bucket in readouts:
+            count = len(bucket.targets)
+            rows_of.append(_read_size(bucket.child.rank, bucket.child.rows, 1))
+            messages.append(N_STATES * count)
+            totals.append(count)
+        return max(rows_of, default=0), max(messages), max(totals)
 
     def _bind(self, scratch):
-        """The ops of a run, with every view of the engine's buffers bound:
+        """The ops of a run, with every view of the shard's buffers bound:
         the potentials, the collect pass with the roots, the distribute pass,
         and per read-out bucket its ops, member rows and marginal.
         ``scratch`` hands out the temporaries that ops reuse: gathered or
@@ -989,34 +1042,17 @@ class MarginalEngine:
             reading.append((ops, bucket.targets, marginal.T))
         return potentials, collecting, distributing, reading
 
-    def _fixed_evidence(self, params):
-        """The records' :class:`genetics.FixedEvidence` with their pins,
-        rebuilt when (epsilon, eta) change by value."""
-        fixed = self._fixed
-        if fixed is None or fixed.key != (params.epsilon, params.eta):
-            fixed = self._fixed = genetics.FixedEvidence(
-                self.statuses, self._gtest, params.epsilon, params.eta,
-                self.suppressed, self._mask,
-            )
-        return fixed
-
-    def run(self, params: ModelParams):
-        """Marginals (total, 4) in global record order plus per-family log evidence.
-
-        Raises :class:`ZeroEvidenceError`, naming the family, when a family's
-        observed data has zero probability.
-        """
-        genetics.evidence_matrix(
-            self._cumulative_hazard(params),
-            self.covariates if self.covariates.shape[1] else None,
-            params, self._fixed_evidence(params), out=self._phi[:, :self.total],
-        )
-        if params.q != self._static_q:
-            prior = genetics.founder_prior(params.q)
+    def run(self, q, marginals, log_evidence):
+        """The two passes over the shard's families, the evidence already in
+        ``phi``: their rows of ``marginals`` and ``log_evidence`` are
+        written. Raises :class:`ZeroEvidenceError` like
+        :meth:`MarginalEngine.run`."""
+        if q != self._static_q:
+            prior = genetics.founder_prior(q)
             for rank, (factors, index) in self._patterns.items():
                 tables = np.stack([_pattern_table(rank, f, prior) for f in factors], -1)
                 np.take(tables, index, axis=-1, out=self._static[rank], mode="clip")
-            self._static_q = params.q
+            self._static_q = q
         potentials, collect, distribute, readouts = self._ops
         for op in potentials:
             op()
@@ -1039,13 +1075,172 @@ class MarginalEngine:
         # positive since the parent's total is.
         for op in distribute:
             op()
-        marginals = np.empty((self.total, N_STATES))
         for ops, targets, marginal in readouts:
             for op in ops:
                 op()
             marginals[targets] = marginal
-        log_evidence = np.bincount(
+        log_evidence[self.first:self.first + len(self.families)] = np.bincount(
             self._clique_family, weights=np.log(norm)[self._norm_of_clique],
             minlength=len(self.families),
         )
+
+
+class MarginalEngine:
+    """Batched posterior-marginal evaluator reused across EM iterations.
+
+    Compiles the junction forests of all families into a bucketed two-pass
+    schedule and binds it into a list of numpy operations on the engine's
+    own buffers (see the module docstring). A cohort whose potential tables
+    exceed ``SHARD_POTENTIAL_BYTES`` is compiled as two shards, contiguous
+    ranges of families of about equal table size, each with its own
+    schedule; a run computes the evidence once and then runs the shards on
+    two threads, or one after the other when one CPU is usable. The shard
+    plan depends on the cohort alone. A record with a ``genotype_pin``
+    takes only its pinned states. :attr:`stats` reports the schedule's size.
+    ``ages``, ``statuses``, ``covariates`` and ``suppressed`` are the record
+    columns in global record order.
+
+    A run computes the hazard-dependent evidence of every record,
+    multiplies it into the static tables, calls the bound operations and
+    returns a fresh marginal table with the per-family log evidence. What
+    does not change between the runs of an EM fit is made once and kept
+    while its inputs stay equal by value: the static tables per ``q``, the
+    fixed evidence parts with the pins per (``epsilon``, ``eta``), and a
+    step baseline's jump-grid positions of the records' ages per grid.
+
+    Raises :class:`InferenceError` when a family's largest clique table, or
+    all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
+    """
+
+    def __init__(self, families):
+        self.families = list(families)
+        offsets = []
+        total = 0
+        for fam in self.families:
+            offsets.append(total)
+            total += len(fam)
+        self.offsets = offsets
+        self.total = total
+
+        cov_len = len(self.families[0].individuals[0].covariates) if self.families else 0
+        if any(fam.covariate_count != cov_len for fam in self.families):
+            raise InferenceError(
+                "families carry different covariate counts; cannot fit jointly"
+            )
+        records = [rec for fam in self.families for rec in fam]
+        self.ages = np.array([rec.age for rec in records], dtype=float)
+        self.statuses = np.array([rec.status for rec in records], dtype=int)
+        self._gtest = np.array(
+            [-1 if rec.gene_test is None else rec.gene_test for rec in records], dtype=int
+        )
+        self.suppressed = np.array([rec.phenotype_suppressed for rec in records], dtype=bool)
+        self.covariates = np.array(
+            [rec.covariates for rec in records], dtype=float
+        ).reshape(total, cov_len)
+        self._mask = _pin_mask(records)
+        self._grid = self._grid_positions = None
+        self._fixed = None
+        self._compile()
+
+    def _compile(self):
+        # each structure's key and forest, and the structure of each family
+        index, keys, forests, largest = {}, [], [], (0, None)
+        structure_of = np.empty(len(self.families), dtype=_INDEX)
+        for fi, fam in enumerate(self.families):
+            key = fam.structure_key()
+            structure_of[fi] = s = index.setdefault(key, len(keys))
+            if s < len(keys):
+                continue
+            forest = _Forest(key)
+            k_max = max(forest.ranks)
+            if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
+                raise InferenceError(
+                    f"family {fam.family_id}: its junction tree has a "
+                    f"clique of {k_max} members, whose {N_STATES}^{k_max}-entry table "
+                    f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
+                )
+            if k_max > largest[0]:
+                largest = (k_max, fam.family_id)
+            keys.append(key)
+            forests.append(forest)
+        table_bytes = np.array(
+            [sum(N_STATES ** rank for rank in forest.ranks) for forest in forests], dtype=np.int64
+        ) * _FLOAT_BYTES
+        cumulative = np.cumsum(table_bytes[structure_of])
+        potential_bytes = int(cumulative[-1]) if len(cumulative) else 0
+        if potential_bytes > MAX_POTENTIAL_BYTES:
+            raise InferenceError(
+                f"the cohort's clique potential tables need {potential_bytes} bytes, "
+                f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
+                f"{largest[0]} members, family {largest[1]})"
+            )
+        # Two shards of about equal table size, split between families.
+        bounds = [0, len(self.families)]
+        if potential_bytes > SHARD_POTENTIAL_BYTES and len(self.families) > 1:
+            half = int(np.searchsorted(cumulative, potential_bytes / 2)) + 1
+            bounds.insert(1, min(half, len(self.families) - 1))
+
+        # the evidence of every record, and a last column of ones
+        self._phi = np.ones((N_STATES, self.total + 1))
+        offsets = np.asarray(self.offsets, dtype=_INDEX)
+        self._shards = [
+            _Shard(self.families[lo:hi], structure_of[lo:hi], keys, forests, offsets[lo:hi], lo,
+                   self._phi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        cliques, collect, distribute, readout, gathered = map(
+            sum, zip(*(shard.counts for shard in self._shards))
+        )
+        self.stats = EngineStats(
+            families=len(self.families),
+            structures=len(forests),
+            cliques=cliques,
+            max_clique_size=largest[0],
+            collect_buckets=collect,
+            distribute_buckets=distribute,
+            readout_buckets=readout,
+            gathered_sides=gathered,
+            potential_bytes=potential_bytes,
+            shards=len(self._shards),
+        )
+
+    def _cumulative_hazard(self, params):
+        """Each record's baseline cumulative hazard at its age.
+
+        A step baseline's jump-grid positions of the ages are kept while its
+        jump times stay equal by value, as they do within an EM run.
+        """
+        baseline = params.baseline
+        if not isinstance(baseline, BaselineHazard):
+            return params.cumulative_hazard(self.ages)
+        if self._grid is None or not np.array_equal(self._grid, baseline.times):
+            self._grid = baseline.times.copy()
+            self._grid_positions = baseline.grid_positions(self.ages)
+        return baseline.cumulative_at(self._grid_positions)
+
+    def _fixed_evidence(self, params):
+        """The records' :class:`genetics.FixedEvidence` with their pins,
+        rebuilt when (epsilon, eta) change by value."""
+        fixed = self._fixed
+        if fixed is None or fixed.key != (params.epsilon, params.eta):
+            fixed = self._fixed = genetics.FixedEvidence(
+                self.statuses, self._gtest, params.epsilon, params.eta,
+                self.suppressed, self._mask,
+            )
+        return fixed
+
+    def run(self, params: ModelParams):
+        """Marginals (total, 4) in global record order plus per-family log evidence.
+
+        Raises :class:`ZeroEvidenceError`, naming the family, when a family's
+        observed data has zero probability.
+        """
+        genetics.evidence_matrix(
+            self._cumulative_hazard(params),
+            self.covariates if self.covariates.shape[1] else None,
+            params, self._fixed_evidence(params), out=self._phi[:, :self.total],
+        )
+        marginals = np.empty((self.total, N_STATES))
+        log_evidence = np.empty(len(self.families))
+        _run_shards(self._shards, params.q, marginals, log_evidence)
         return marginals, log_evidence

@@ -289,11 +289,14 @@ def apply_scenario_mask(families, truth, scenario, seed):
     """
     scenario = Scenario(scenario)
     genotype = {(t.family_id, t.individual_id): t.genotype for t in truth}
-    mask_seeds = _children(_as_seedseq(seed), len(families))
+    root = _as_seedseq(seed)
+    # only S1 draws, each family from its own substream
+    draws = scenario == Scenario.S1
+    mask_seeds = _children(root, len(families)) if draws else [None] * len(families)
     masked = []
     for fam, fam_seed in zip(families, mask_seeds):
         states = [genotype[(fam.family_id, rec.individual_id)] for rec in fam]
-        if scenario == Scenario.S1:
+        if draws:
             rng = np.random.Generator(np.random.Philox(fam_seed))
             observed = [rng.random() < (0.8 if rec.status == 1 else 0.1) for rec in fam]
         else:

@@ -590,8 +590,9 @@ class TestBootstrap:
         started = []
 
         class InlineExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 started.append(max_workers)
+                assert initializer is inference._serial_shards
 
             def __enter__(self):
                 return self

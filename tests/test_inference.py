@@ -1,6 +1,7 @@
 """Clique-tree inference tests against the brute-force enumeration oracle."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from poosurv import (
     DEFAULT_HAZARD,
     BaselineHazard,
+    EMConfig,
     Genotype,
     IndividualRecord,
     InferenceError,
@@ -23,11 +25,13 @@ from poosurv import (
     apply_proband_correction,
     brute_force_marginals,
     build_clique_tree,
+    em_fit,
     parse_ped,
     pin_genotypes,
     posterior_marginals,
     simulate_families,
 )
+from poosurv import inference
 from poosurv.inference import (
     MAX_POTENTIAL_BYTES,
     EngineStats,
@@ -461,6 +465,12 @@ F1 4 1 2 2 50.0 0 0 0
     np.testing.assert_allclose(exact.marginals, brute.marginals, atol=1e-12)
 
 
+def only_shard(engine):
+    """The schedule of an engine compiled as one shard."""
+    (shard,) = engine._shards
+    return shard
+
+
 def renamed(pedigree, family_id):
     return Pedigree(
         [dataclasses.replace(rec, family_id=family_id) for rec in pedigree]
@@ -514,7 +524,7 @@ class TestMarginalEngine:
         )
         # 46 collect and 60 distribute parent sides, 32 distribute children
         # and 9 read-outs
-        assert any(not isinstance(b.child.rows, slice) for b in engine._stages[2])
+        assert any(not isinstance(b.child.rows, slice) for b in only_shard(engine)._stages[2])
 
     def test_empty_cohort_compiles_to_an_empty_schedule(self):
         engine = MarginalEngine([])
@@ -525,7 +535,7 @@ class TestMarginalEngine:
     def test_template_cohort_is_slice_addressed(self):
         rng = np.random.default_rng(8)
         engine = MarginalEngine([template_family(rng, f"T{i}", 0) for i in range(50)])
-        collect, roots, distribute, readouts = engine._stages
+        collect, roots, distribute, readouts = only_shard(engine)._stages
         for bucket in collect + roots + distribute:
             assert isinstance(bucket.child.rows, slice)
         for bucket in collect + distribute:
@@ -541,7 +551,7 @@ class TestMarginalEngine:
         # array, no distribute child is gathered, and two read-outs are.
         families, _ = simulate_families(50, -0.6, 0.2, seed=8)
         engine = MarginalEngine(families)
-        distribute, readouts = engine._stages[2:]
+        distribute, readouts = only_shard(engine)._stages[2:]
         assert [i for i, b in enumerate(distribute) if not isinstance(b.parent.rows, slice)] == [0]
         assert all(isinstance(b.child.rows, slice) for b in distribute)
         assert sum(not isinstance(b.child.rows, slice) for b in readouts) == 2
@@ -556,7 +566,7 @@ class TestMarginalEngine:
         engine = MarginalEngine(families)
         # the collect pass gathers only parents; distribute children and
         # read-outs whose cliques are not one run of rows are gathered too
-        collect, roots, distribute, readouts = engine._stages
+        collect, roots, distribute, readouts = only_shard(engine)._stages
         for bucket in collect + roots:
             assert isinstance(bucket.child.rows, slice)
         for bucket in collect:
@@ -652,7 +662,7 @@ class TestMarginalEngine:
         else:
             families, _ = simulate_families(6, -0.6, 0.2, scenario="S1", seed=13)
         engine = MarginalEngine(families + [renamed(fam, f"{fam.family_id}b") for fam in families])
-        collect, roots, distribute, readouts = engine._stages
+        collect, roots, distribute, readouts = only_shard(engine)._stages
         branches = {
             _sums_first(b.parent.rows) for b in distribute if not isinstance(b.parent.rows, slice)
         }
@@ -690,17 +700,17 @@ class TestMarginalEngine:
         params = dataclasses.replace(random_params(rng), epsilon=0.0, eta=0.0)
         marginals, log_evidence = engine.run(params)
         gathered = [
-            b for b in engine._stages[2]
+            b for b in only_shard(engine)._stages[2]
             if not isinstance(b.child.rows, slice) and not isinstance(b.slots, slice)
         ]
         assert gathered
         # the collect pass again, for the messages as the distribute pass
         # meets them, before it sets their zeros to 1
-        potentials, collect, _, _ = engine._ops
+        potentials, collect, _, _ = only_shard(engine)._ops
         for op in potentials + collect:
             op()
         assert any(
-            (engine._collected[b.child.rank - len(b.child.sum_axes)][..., b.slots] == 0.0).any()
+            (only_shard(engine)._collected[b.child.rank - len(b.child.sum_axes)][..., b.slots] == 0.0).any()
             for b in gathered
         )
         for k, fam in enumerate(families):
@@ -758,6 +768,192 @@ class TestMarginalEngine:
         with pytest.raises(ZeroEvidenceError) as exc:
             MarginalEngine([trio(), cousin_marriage_family(), bad]).run(params)
         assert exc.value.family_id == "Z9"
+
+
+def impossible_family(family_id):
+    """One affected member with a negative gene test: probability 0 when
+    epsilon = eta = 0."""
+    return Pedigree(
+        [make_record(family_id, "x", sex=Sex.MALE, age=50.0, status=1, gene_test=0)]
+    )
+
+
+def one_shard(monkeypatch):
+    """Compile every cohort as one shard while the test runs."""
+    monkeypatch.setattr(inference, "SHARD_POTENTIAL_BYTES", 2 ** 62)
+
+
+def two_shards(monkeypatch):
+    """Compile every cohort of two or more families as two shards."""
+    monkeypatch.setattr(inference, "SHARD_POTENTIAL_BYTES", 0)
+
+
+def helper_runs_second_shard(monkeypatch, started):
+    """Make each threaded run wait, once it has started its helper thread,
+    until the helper has claimed the second shard; ``started`` collects
+    the helpers."""
+    real_start = inference._thread.start_new_thread
+
+    def start(function, args):
+        started.append(function)
+        real_start(function, args)
+        claim, deadline = args[2], time.monotonic() + 30
+        while not claim.locked():
+            assert time.monotonic() < deadline, "the helper thread did not start"
+            time.sleep(1e-4)
+
+    monkeypatch.setattr(inference._thread, "start_new_thread", start)
+
+
+def run_bytes(engine, params):
+    return tuple(table.tobytes() for table in engine.run(params))
+
+
+class TestShards:
+    def test_template_cohort_above_threshold_equals_one_shard(self, monkeypatch):
+        # One structure: every bucket of either shard batches many columns,
+        # which numpy sums in one order whatever their number, so the shards
+        # give the one-shard engine's bits, run by run and through a fit.
+        families, _ = simulate_families(700, -0.6, 0.2, scenario="S1", seed=17)
+        sharded = MarginalEngine(families)
+        assert sharded.stats.potential_bytes > inference.SHARD_POTENTIAL_BYTES
+        config = EMConfig(q=0.2, seed=4)
+        fit = em_fit(families, config)
+        one_shard(monkeypatch)
+        single = MarginalEngine(families)
+        assert (sharded.stats.shards, single.stats.shards) == (2, 1)
+        assert [s.first for s in sharded._shards] == [0, 350]
+        assert sharded.stats == dataclasses.replace(
+            single.stats, shards=2, collect_buckets=2 * single.stats.collect_buckets,
+            distribute_buckets=2 * single.stats.distribute_buckets,
+            readout_buckets=2 * single.stats.readout_buckets,
+            gathered_sides=2 * single.stats.gathered_sides,
+        )
+        rng = np.random.default_rng(17)
+        for params in (random_params(rng),
+                       ModelParams(q=0.2, beta=fit.beta_hat, baseline=fit.baseline)):
+            assert run_bytes(sharded, params) == run_bytes(single, params)
+        reference = em_fit(families, config)
+        assert reference.trace == fit.trace
+        assert reference.marginals.tobytes() == fit.marginals.tobytes()
+
+    def test_looped_heterogeneous_cohort_in_two_shards(self, monkeypatch):
+        # Shards of many structures: a bucket may batch one column in a
+        # shard where it batched two in the cohort, which moves last bits
+        # within the bound documented on posterior_marginals.
+        rng = np.random.default_rng(18)
+        families = [
+            random_pedigree(rng, int(rng.integers(2, 13)), f"H{i}", with_loop=i % 3 == 0)
+            for i in range(40)
+        ]
+        params = random_params(rng)
+        one_shard(monkeypatch)
+        single, single_log = MarginalEngine(families).run(params)
+        two_shards(monkeypatch)
+        engine = MarginalEngine(families)
+        assert engine.stats.shards == 2
+        first = engine._shards[1].first
+        assert [len(s.families) for s in engine._shards] == [first, 40 - first]
+        marginals, log_evidence = engine.run(params)
+        np.testing.assert_allclose(marginals, single, rtol=0, atol=3.3e-16)
+        np.testing.assert_allclose(log_evidence, single_log, rtol=1e-14)
+        for k, fam in enumerate(families):
+            if len(fam) <= 12:
+                own = marginals[engine.offsets[k]:engine.offsets[k] + len(fam)]
+                brute = brute_force_marginals(fam, params)
+                np.testing.assert_allclose(own, brute.marginals, rtol=0, atol=1e-10)
+                assert log_evidence[k] == pytest.approx(brute.log_evidence, rel=1e-10)
+
+    @pytest.mark.parametrize("path", ["serial", "threads", "late helper"])
+    def test_zero_evidence_in_either_shard_names_its_family(self, monkeypatch, path):
+        two_shards(monkeypatch)
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 1 if path == "serial" else 2)
+        if path == "threads":
+            helper_runs_second_shard(monkeypatch, [])
+        elif path == "late helper":  # the calling thread runs both shards
+            monkeypatch.setattr(inference._thread, "start_new_thread", lambda function, args: None)
+        params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
+        good = [trio(), cousin_marriage_family(), renamed(trio(), "T2")]
+        for families, named in (
+            (good + [impossible_family("Z1")], "Z1"),  # in the second shard
+            ([impossible_family("Z0")] + good + [impossible_family("Z1")], "Z0"),  # in both
+        ):
+            engine = MarginalEngine(families)
+            assert engine.stats.shards == 2
+            assert engine._shards[1].families[-1].family_id == "Z1"
+            with pytest.raises(ZeroEvidenceError) as exc:
+                engine.run(params)
+            assert exc.value.family_id == named
+            # the engine runs again once the data is possible
+            marginals, _ = engine.run(dataclasses.replace(params, epsilon=0.01))
+            assert np.isfinite(marginals).all()
+
+    def test_serial_path_equals_threaded_path(self, monkeypatch):
+        # pins, suppressed probands and a covariate, on a cohort whose data
+        # is possible (random pins may contradict each other)
+        families = pinned_cohort(np.random.default_rng(12), 12)
+        params = ModelParams(q=0.2, beta=-0.5, gamma=(0.3,), epsilon=0.01, eta=0.001,
+                             baseline=DEFAULT_HAZARD)
+        two_shards(monkeypatch)
+        engine = MarginalEngine(families)
+        started = []
+        helper_runs_second_shard(monkeypatch, started)
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
+        threaded = run_bytes(engine, params)
+        assert len(started) == 1
+        start = inference._thread.start_new_thread
+        # a helper that starts only after the run leaves the second shard to
+        # the calling thread, and then finds it claimed
+        late = []
+        monkeypatch.setattr(inference._thread, "start_new_thread",
+                            lambda function, args: late.append((function, args)))
+        assert run_bytes(engine, params) == threaded
+        ((function, args),) = late
+        function(*args)
+        _, _, _, done, failed = args
+        assert done.locked() and failed == []
+        monkeypatch.setattr(inference._thread, "start_new_thread", start)
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
+        assert run_bytes(engine, params) == threaded and len(started) == 1
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(inference, "_threaded", True)
+        inference._serial_shards()  # as in a process-pool worker
+        assert run_bytes(engine, params) == threaded and len(started) == 1
+        assert run_bytes(MarginalEngine(families), params) == threaded
+
+    def test_small_cohorts_compile_to_one_shard(self):
+        families, _ = simulate_families(100, -0.6, 0.2, scenario="S1", seed=20)
+        engine = MarginalEngine(families)
+        assert engine.stats.potential_bytes < inference.SHARD_POTENTIAL_BYTES
+        assert engine.stats.shards == 1 and len(engine._shards) == 1
+        assert MarginalEngine([]).stats.shards == 1
+
+    @pytest.mark.parametrize("kind", ["heterogeneous", "simulated"])
+    def test_scratch_pools_fit_the_largest_request(self, monkeypatch, kind):
+        # Each pool is sized from the stages to the largest request the
+        # binding makes of it, no more.
+        class Recorder:
+            size = 0
+
+            def __call__(self, shape):
+                self.size = max(self.size, int(np.prod(shape)))
+                return np.empty(shape)
+
+        rng = np.random.default_rng(21)
+        if kind == "heterogeneous":
+            families = [
+                random_pedigree(rng, int(rng.integers(2, 16)), f"H{i}", with_loop=i % 4 == 0)
+                for i in range(40)
+            ]
+            families += [renamed(fam, f"{fam.family_id}b") for fam in families[::3]]
+        else:
+            families, _ = simulate_families(50, -0.6, 0.2, scenario="S1", seed=21)
+        two_shards(monkeypatch)
+        for shard in MarginalEngine(families)._shards:
+            pools = [Recorder() for _ in range(3)]
+            shard._bind(pools)
+            assert shard._pool_sizes() == tuple(pool.size for pool in pools)
+            assert min(pool.size for pool in pools) > 0
 
 
 def pinned_cohort(rng, count):
