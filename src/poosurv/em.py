@@ -24,13 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
-from .inference import (
-    InferenceError,
-    MarginalEngine,
-    PosteriorWeights,
-    _serial_shards,
-    family_weights,
-)
+from .inference import InferenceError, MarginalEngine, PosteriorWeights, family_weights
 from .pedigree import Pedigree
 from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, survival_curve
 
@@ -378,13 +372,12 @@ def em_fit(families, config: EMConfig) -> FitResult:
 def _fan_out(fn, tasks, jobs):
     """``[fn(task) for task in tasks]``, run one task at a time in at most
     ``jobs`` worker processes, never more than there are tasks; results
-    keep the order of ``tasks``. Workers run an engine's shards one after
-    the other, as the pool keeps the CPUs busy already."""
+    keep the order of ``tasks``."""
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_serial_shards) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=1))
     return [fn(task) for task in tasks]
 

@@ -53,25 +53,34 @@ alone are built once per (epsilon, eta), so a run computes only the
 hazard-dependent evidence. Marginals are read from each clique's final
 belief. :func:`posterior_marginals` is the one-family case of the same engine.
 
-A cohort whose potential tables exceed ``SHARD_POTENTIAL_BYTES`` is
-compiled as two shards: contiguous ranges of families of about equal table
-size, each with its own buckets, tables, scratch and ops, built from the
-structures' forests that the shards share. A run computes the evidence once
-on the calling thread, then runs the first shard's ops there while a
-helper thread runs the second's; numpy releases the GIL inside each
-operation, so the shards use two CPUs. A helper that has not started by the
-time the first shard is done leaves the second to the calling thread. Both
-write their own rows of one marginal table and one log-evidence vector, in
-place. With one usable CPU, and in the
-workers of a process pool (``--jobs``), which keep the CPUs busy already,
-the shards run one after the other. The shard plan depends on the cohort
-alone, so results do not depend on the CPU count. On a cohort of one
+A cohort is compiled as two shards when its potential tables come to more
+than ``SHARD_BUCKET_BYTES`` per bucket of its one-shard schedule: contiguous
+ranges of families of about equal table size, each with its own buckets,
+tables, scratch and ops, laid out from the structures' forests that the
+shards share. A run computes the evidence once on the calling thread, then
+runs the first shard's ops there while a helper thread runs the second's;
+numpy releases the GIL inside each operation, so the shards use two CPUs.
+A helper that has not started by the time the first shard is done leaves
+the second to the calling thread. Both write their own rows of one marginal
+table and one log-evidence vector, in place. With one usable CPU, and in
+the workers of a process pool (``--jobs``), which keep the CPUs busy
+already, the shards run one after the other. The shard plan depends on the
+cohort alone, so results do not depend on the CPU count. On a cohort of one
 structure two shards give a one-shard engine's bits; elsewhere a bucket may
 batch fewer columns in a shard, which may move the last bits within the
-bound documented on :func:`posterior_marginals`. The threshold sits at the
-measured break-even: on template cohorts a sharded E-step took as long as
-one schedule at about 1.8 MB of tables (600 ten-member families) and was
-faster above it, by about a quarter at 6.1 MB (2000 families).
+bound documented on :func:`posterior_marginals`.
+
+The threshold is per bucket because a second schedule repeats every
+bucket's operations, whose cost grows with the bucket count, while the
+second CPU takes half of the work, which grows with the table size. Timed
+on 2 CPUs, a two-shard E-step broke even at about 137 KiB per bucket on
+cohorts of one ten-member template (1.6 MiB of tables in 12 buckets, 550
+families) and was a third faster at 2000 families; on cohorts of
+heterogeneous looped families it broke even at about 38 KiB per bucket
+(4.3 MiB in some 115 buckets, 550 families) and was 45% faster at 2000
+families. The threshold sits above the larger break-even, so sharding makes
+neither kind slower; heterogeneous cohorts are split only from about 2500
+families.
 
 A brute-force enumerator over all 4^n genotype configurations, with its own
 scalar factor construction, serves as an independent oracle for small
@@ -83,8 +92,9 @@ from __future__ import annotations
 import _thread
 import math
 import os
+import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -105,7 +115,7 @@ __all__ = [
     "MarginalEngine",
     "family_weights",
     "MAX_POTENTIAL_BYTES",
-    "SHARD_POTENTIAL_BYTES",
+    "SHARD_BUCKET_BYTES",
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -115,16 +125,25 @@ DEFAULT_ENUMERATION_CAP = 12
 #: two tables of that size: the static tables and the potentials each run
 #: multiplies the evidence into. Beside them it keeps the collected messages,
 #: the evidence with its gather per rank, the normalizers, and per shard
-#: scratch buffers the size of its largest gathered bucket side and message.
+#: scratch pools, each under four times its largest request: a pool doubles
+#: when a request outgrows it, and ops bound before keep the smaller buffers.
 #: A run adds only its evidence temporaries, per shard the zero mask of one
 #: collected-message table at a time, and the tables it returns.
 MAX_POTENTIAL_BYTES = 2 ** 30
 
-#: Size of the potential tables above which a cohort is compiled as two
-#: shards, which a run can put on two CPUs (see the module docstring for
-#: how it was measured). Below it the second schedule and the thread cost
-#: more than they gain.
-SHARD_POTENTIAL_BYTES = 2 ** 21
+#: Potential-table bytes per bucket of a cohort's schedule above which the
+#: cohort is compiled as two shards, which a run can put on two CPUs (see
+#: the module docstring for how it was measured). Below it the second
+#: schedule's operations and the thread cost more than they gain.
+SHARD_BUCKET_BYTES = 160 * 2 ** 10
+
+#: numpy's ufunc buffer size, in entries, while a shard's ops run. At the
+#: default of 8192, numpy copies a strided operand of a broadcast operation
+#: through its buffers when the batch axis holds at most a quarter of that,
+#: which made the in-place products of buckets of up to 2048 columns about
+#: three times slower per entry; at 1024 only buckets of up to 256 columns
+#: take that path. Reductions, products and quotients give the same bits.
+_BUFSIZE = 1024
 
 _FLOAT_BYTES = np.dtype(float).itemsize
 _INDEX = np.int32
@@ -457,30 +476,20 @@ def _ones_for_zeros(table):
     return lambda: np.copyto(table, 1.0, where=table == 0.0)
 
 
-def _count(rows):
-    """Number of batch columns ``rows`` names."""
-    return rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+def _scratch():
+    """A pool of contiguous views of one flat buffer, reused by ops that run
+    one after another. A request larger than the buffer moves the pool to a
+    new one at least twice as large; views handed out before keep the old."""
+    flat = np.empty(0)
 
+    def view(shape):
+        nonlocal flat
+        size = math.prod(shape)
+        if size > flat.size:
+            flat = np.empty(max(2 * flat.size, size))
+        return flat[:size].reshape(shape)
 
-def _gather_size(rank, rows):
-    """Entries of the scratch array that :func:`_columns` takes batch columns
-    ``rows`` of a rank-``rank`` table into: none for a slice."""
-    return 0 if isinstance(rows, slice) else N_STATES ** rank * len(rows)
-
-
-def _read_size(rank, rows, kept):
-    """Entries of the scratch array that :func:`_read` needs to read batch
-    columns ``rows`` of a rank-``rank`` table down to ``kept`` axes."""
-    if not isinstance(rows, slice) and _sums_first(rows):
-        return N_STATES ** kept * (int(rows.max()) - int(rows.min()) + 1)
-    return _gather_size(rank, rows)
-
-
-def _scratch(size):
-    """A pool of contiguous views of one flat buffer of ``size`` entries,
-    reused by ops that run one after another."""
-    flat = np.empty(size)
-    return lambda shape: flat[:math.prod(shape)].reshape(shape)
+    return view
 
 
 def _positions(order, table_of):
@@ -561,8 +570,9 @@ def _find(codes, queries):
 
 
 class _Forests:
-    """The forests of a cohort's structure groups, laid end to end, with
-    their factors placed.
+    """The forests of a cohort's structures, laid end to end, with their
+    factors placed; the shards of the cohort share them, each laying its own
+    families out with :meth:`entries`.
 
     Per clique of each group's forest, group by group: its ``rank``, its
     ``parent`` (an index into these arrays, -1 for a root), ``depth`` and
@@ -573,23 +583,19 @@ class _Forests:
     read out from (``read_clique``, ``read_axis``), the lowest clique
     holding it; the clique holding its founder prior or transmission table
     (``factor_clique``), the lowest clique holding its scope; and that
-    factor's axes, (a, -1, -1) or (father, mother, child). ``groups`` maps
-    each structure key to its families and ``forests`` holds each group's
+    factor's axes, (a, -1, -1) or (father, mother, child). A group is a
+    structure: ``keys`` holds their structure keys and ``forests`` their
     :class:`_Forest`.
     """
 
-    def __init__(self, groups, forests):
-        keys = list(groups)
-        cliques_per = np.array([len(forest.ranks) for forest in forests], dtype=_INDEX)
+    def __init__(self, keys, forests):
+        self.forests = forests
+        self.cliques_per = cliques_per = np.array([len(forest.ranks) for forest in forests],
+                                                  dtype=_INDEX)
         n_cliques = int(cliques_per.sum())
-        self.sizes = np.asarray([len(families) for families in groups.values()], dtype=_INDEX)
-        self.grouped = np.asarray([fi for families in groups.values() for fi in families],
-                                  dtype=_INDEX)
         self.group = np.repeat(np.arange(len(keys), dtype=_INDEX), cliques_per)
         start = np.cumsum(cliques_per, dtype=_INDEX) - cliques_per  # of each group
         self.local = np.arange(n_cliques, dtype=_INDEX) - start[self.group]
-        ids = self.sizes * cliques_per  # clique ids per group
-        self.first = np.cumsum(ids) - ids
 
         def column(values, count):
             return np.fromiter(chain.from_iterable(values), _INDEX, count)
@@ -699,8 +705,10 @@ class _Forests:
         rank[order] = np.arange(len(order))
         return rank[which.reshape(-1)], [layouts[i] for i in order]
 
-    def entries(self, record_offsets):
-        """The :class:`_Entries` of the four stages, in stage order.
+    @cached_property
+    def _steps(self):
+        """The schedule steps of every group in bucket order, with the
+        layouts.
 
         A bucket key is (stage, level, ordinal, layout). A collect or
         distribute step carries an edge's child clique and its parent, at
@@ -708,8 +716,7 @@ class _Forests:
         keys, so that no collect bucket multiplies into one parent twice. A
         root step carries the root, a read-out step the clique and the
         member read out. Buckets run in key order, the layout compared by
-        value, each step once per family of its group; ``record_offsets``
-        holds each family's first record.
+        value.
         """
         edges = np.flatnonzero(self.parent >= 0)
         roots = np.flatnonzero(self.parent < 0)
@@ -732,17 +739,35 @@ class _Forests:
                       self.rank[self.read_clique] * width + self.read_axis, self.read_clique,
                       self.read_member]),
         ], axis=1)
-        steps = steps[:, np.lexsort(steps[3::-1])]
+        return steps[:, np.lexsort(steps[3::-1])], layouts
+
+    def bucket_count(self):
+        """How many buckets a schedule of every group has."""
+        steps = self._steps[0]
+        return int(np.diff(steps[:4], prepend=-1).any(0).sum())
+
+    def entries(self, groups, record_offsets):
+        """The :class:`_Entries` of the four stages, in stage order, of a
+        schedule of the families ``groups`` holds per group: each step once
+        per family of its group (see :meth:`_steps`). ``record_offsets``
+        holds each family's first record.
+        """
+        sizes = np.array([len(families) for families in groups], dtype=_INDEX)
+        steps, layouts = self._steps
+        if not sizes.all():
+            steps = steps[:, sizes[self.group[steps[4]]] > 0]
         heads = np.flatnonzero(np.diff(steps[:4], prepend=-1).any(0))  # each bucket's first step
+        width = self.width
 
         # One entry per (step, family of the step's group): in the ``k``-th
         # family of group ``g``, clique ``c`` of the forest is clique id
         # ``first[g] + c * sizes[g] + k``.
         group = self.group[steps[4]]
-        counts = self.sizes[group]
+        counts = sizes[group]
         starts = np.cumsum(counts) - counts
         fam = np.arange(int(counts.sum())) - np.repeat(starts, counts)
-        first = self.first[group]
+        ids = sizes * self.cliques_per  # clique ids per group
+        first = (np.cumsum(ids) - ids)[group]
         cliques = np.repeat(first + self.local[steps[4]] * counts, counts) + fam
         bounds = np.append(starts[heads], len(fam))
         step_bounds = np.append(heads, len(counts))
@@ -755,8 +780,9 @@ class _Forests:
             part = slice(step_bounds[b], step_bounds[end])
             other, repeats = steps[5][part], counts[part]
             if stage == _READOUT:
-                group_start = np.cumsum(self.sizes) - self.sizes  # of each group in ``grouped``
-                families = self.grouped[np.repeat(group_start[group[part]], repeats) + fam[lo:hi]]
+                grouped = np.fromiter(chain.from_iterable(groups), _INDEX, int(sizes.sum()))
+                group_start = np.cumsum(sizes) - sizes  # of each group in ``grouped``
+                families = grouped[np.repeat(group_start[group[part]], repeats) + fam[lo:hi]]
                 others = record_offsets[families] + np.repeat(other.astype(_INDEX), repeats)
                 layouts_of = [(k // width, (k % width,), 0, ()) for k in keys[b:end]]
             else:
@@ -767,25 +793,20 @@ class _Forests:
         return entries
 
 
-#: Whether a run may put a second shard on a helper thread. The workers of
-#: a process pool turn it off (:func:`_serial_shards`): the pool keeps the
-#: CPUs busy already, and a thread per worker would make runs slower.
-_threaded = True
-
-
-def _serial_shards():
-    """Run shards one after the other in this process: the initializer of
-    process-pool workers."""
-    global _threaded
-    _threaded = False
-
-
 def _usable_cpus():
     """How many CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
+
+
+def _in_worker():
+    """Whether this process is a worker started by :mod:`multiprocessing`,
+    which such a worker has imported; other processes are spared the
+    import."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    return multiprocessing is not None and multiprocessing.parent_process() is not None
 
 
 def _run_claimed(shard, args, claim, done, failed):
@@ -809,10 +830,11 @@ def _run_shards(shards, *args):
     second goes to whichever thread claims it first: the calling thread does
     not wait for the helper to start, so a helper that starts late costs a
     run no more than running the shards one after the other. Otherwise they
-    run one after the other. A shard's error is raised once no shard runs;
-    when both fail, the first shard's error wins.
+    run one after the other: the workers of a process pool keep the CPUs
+    busy already. A shard's error is raised once no shard runs; when both
+    fail, the first shard's error wins.
     """
-    if len(shards) == 1 or not _threaded or _usable_cpus() < 2:
+    if len(shards) == 1 or _usable_cpus() < 2 or _in_worker():
         for shard in shards:
             shard.run(*args)
         return
@@ -838,34 +860,32 @@ class _Shard:
     ops (see the module docstring).
 
     ``families`` are the shard's, with their ``structures`` (indices into
-    the cohort's structure ``keys`` and their ``forests``) and first records
+    the groups of the ``cohort``'s :class:`_Forests`) and first records
     ``offsets`` in the cohort, and ``first`` is the cohort index of the
     first. Its ops read evidence columns of the cohort's ``phi`` and write
     the shard's own rows of the cohort's marginal table and log evidence, so
     that shards can run at once.
     """
 
-    def __init__(self, families, structures, keys, forests, offsets, first, phi):
+    def __init__(self, families, structures, cohort, offsets, first, phi):
         self.families, self.first, self._phi = families, first, phi
-        groups: dict[int, list[int]] = {}  # the shard's families of each structure
+        groups = [[] for _ in cohort.forests]  # the shard's families of each structure
         for fi, s in enumerate(structures.tolist()):
-            groups.setdefault(s, []).append(fi)
+            groups[s].append(fi)
         fam_of = []  # the family of each clique id
-        for s, group in groups.items():
-            fam_of += group * len(forests[s].ranks)
-        cohort = _Forests({keys[s]: group for s, group in groups.items()},
-                          [forests[s] for s in groups])
+        for forest, group in zip(cohort.forests, groups):
+            fam_of += group * len(forest.ranks)
 
         # Clique ids run group by group, then clique by clique: the order in
         # which per-family results (the log evidence) are summed.
-        repeats = cohort.sizes[cohort.group]
+        repeats = np.array([len(group) for group in groups], dtype=_INDEX)[cohort.group]
         rank_of, sep_of, pattern_of = (
             np.repeat(v.astype(_INDEX), repeats)
             for v in (cohort.rank, cohort.inside.sum(1), cohort.pattern)
         )
         n_cliques = len(rank_of)
         self._clique_family = np.asarray(fam_of, dtype=_INDEX)
-        entries = cohort.entries(offsets)
+        entries = cohort.entries(groups, offsets)
         rank_row, sep_row = _row_orders(rank_of, sep_of, entries)
 
         # Collect and root buckets write their cliques' totals in bucket
@@ -949,7 +969,7 @@ class _Shard:
             for size in np.unique(sep_of[sep_of > 0])
         }
         self._norm = np.empty(n_cliques)
-        self._ops = self._bind([_scratch(size) for size in self._pool_sizes()])
+        self._ops = self._bind([_scratch() for _ in range(3)])
         self.counts = (  # as the EngineStats fields of the same names
             n_cliques,
             len(stages[_COLLECT]),
@@ -961,26 +981,6 @@ class _Shard:
                 for s in (bucket.child, bucket.parent) if s is not None
             ),
         )
-
-    def _pool_sizes(self):
-        """The largest request that :meth:`_bind` makes of each of its
-        scratch pools, in its order, found from the stages."""
-        collect, _, distribute, readouts = self._stages
-        rows_of = [_gather_size(b.parent.rank, b.parent.rows) for b in collect]
-        messages, totals = [0], [0]
-        for bucket in distribute:
-            child, parent = bucket.child, bucket.parent
-            sep, count = child.rank - len(child.sum_axes), _count(bucket.slots)
-            rows_of += [_gather_size(sep, bucket.slots), _read_size(parent.rank, parent.rows, sep),
-                        _gather_size(child.rank, child.rows)]
-            messages.append(N_STATES ** sep * count)
-            totals.append(count)
-        for bucket in readouts:
-            count = len(bucket.targets)
-            rows_of.append(_read_size(bucket.child.rank, bucket.child.rows, 1))
-            messages.append(N_STATES * count)
-            totals.append(count)
-        return max(rows_of, default=0), max(messages), max(totals)
 
     def _bind(self, scratch):
         """The ops of a run, with every view of the shard's buffers bound:
@@ -1045,8 +1045,15 @@ class _Shard:
     def run(self, q, marginals, log_evidence):
         """The two passes over the shard's families, the evidence already in
         ``phi``: their rows of ``marginals`` and ``log_evidence`` are
-        written. Raises :class:`ZeroEvidenceError` like
-        :meth:`MarginalEngine.run`."""
+        written, with numpy's buffer size at ``_BUFSIZE`` on this thread.
+        Raises :class:`ZeroEvidenceError` like :meth:`MarginalEngine.run`."""
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            self._run(q, marginals, log_evidence)
+        finally:
+            np.setbufsize(bufsize)
+
+    def _run(self, q, marginals, log_evidence):
         if q != self._static_q:
             prior = genetics.founder_prior(q)
             for rank, (factors, index) in self._patterns.items():
@@ -1091,11 +1098,12 @@ class MarginalEngine:
     Compiles the junction forests of all families into a bucketed two-pass
     schedule and binds it into a list of numpy operations on the engine's
     own buffers (see the module docstring). A cohort whose potential tables
-    exceed ``SHARD_POTENTIAL_BYTES`` is compiled as two shards, contiguous
-    ranges of families of about equal table size, each with its own
-    schedule; a run computes the evidence once and then runs the shards on
-    two threads, or one after the other when one CPU is usable. The shard
-    plan depends on the cohort alone. A record with a ``genotype_pin``
+    come to more than ``SHARD_BUCKET_BYTES`` per bucket is compiled as two
+    shards, contiguous ranges of families of about equal table size, each
+    with its own schedule; a run computes the evidence once and then runs
+    the shards on two threads, or one after the other when one CPU is
+    usable or in a process-pool worker. The shard plan depends on the
+    cohort alone. A record with a ``genotype_pin``
     takes only its pinned states. :attr:`stats` reports the schedule's size.
     ``ages``, ``statuses``, ``covariates`` and ``suppressed`` are the record
     columns in global record order.
@@ -1174,9 +1182,12 @@ class MarginalEngine:
                 f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
                 f"{largest[0]} members, family {largest[1]})"
             )
-        # Two shards of about equal table size, split between families.
+        # Two shards of about equal table size, split between families, when
+        # the tables are large for the buckets (see SHARD_BUCKET_BYTES).
+        cohort = _Forests(keys, forests)
         bounds = [0, len(self.families)]
-        if potential_bytes > SHARD_POTENTIAL_BYTES and len(self.families) > 1:
+        if (len(self.families) > 1
+                and potential_bytes > SHARD_BUCKET_BYTES * cohort.bucket_count()):
             half = int(np.searchsorted(cumulative, potential_bytes / 2)) + 1
             bounds.insert(1, min(half, len(self.families) - 1))
 
@@ -1184,7 +1195,7 @@ class MarginalEngine:
         self._phi = np.ones((N_STATES, self.total + 1))
         offsets = np.asarray(self.offsets, dtype=_INDEX)
         self._shards = [
-            _Shard(self.families[lo:hi], structure_of[lo:hi], keys, forests, offsets[lo:hi], lo,
+            _Shard(self.families[lo:hi], structure_of[lo:hi], cohort, offsets[lo:hi], lo,
                    self._phi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]

@@ -3,6 +3,7 @@
 import dataclasses
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -780,12 +781,12 @@ def impossible_family(family_id):
 
 def one_shard(monkeypatch):
     """Compile every cohort as one shard while the test runs."""
-    monkeypatch.setattr(inference, "SHARD_POTENTIAL_BYTES", 2 ** 62)
+    monkeypatch.setattr(inference, "SHARD_BUCKET_BYTES", 2 ** 62)
 
 
 def two_shards(monkeypatch):
     """Compile every cohort of two or more families as two shards."""
-    monkeypatch.setattr(inference, "SHARD_POTENTIAL_BYTES", 0)
+    monkeypatch.setattr(inference, "SHARD_BUCKET_BYTES", 0)
 
 
 def helper_runs_second_shard(monkeypatch, started):
@@ -805,6 +806,12 @@ def helper_runs_second_shard(monkeypatch, started):
     monkeypatch.setattr(inference._thread, "start_new_thread", start)
 
 
+def buckets(engine):
+    """All buckets of ``engine``'s schedules, roots included."""
+    stats = engine.stats
+    return stats.collect_buckets + stats.distribute_buckets + stats.readout_buckets
+
+
 def run_bytes(engine, params):
     return tuple(table.tobytes() for table in engine.run(params))
 
@@ -816,11 +823,12 @@ class TestShards:
         # give the one-shard engine's bits, run by run and through a fit.
         families, _ = simulate_families(700, -0.6, 0.2, scenario="S1", seed=17)
         sharded = MarginalEngine(families)
-        assert sharded.stats.potential_bytes > inference.SHARD_POTENTIAL_BYTES
+        threshold = inference.SHARD_BUCKET_BYTES
         config = EMConfig(q=0.2, seed=4)
         fit = em_fit(families, config)
         one_shard(monkeypatch)
         single = MarginalEngine(families)
+        assert single.stats.potential_bytes > threshold * buckets(single)
         assert (sharded.stats.shards, single.stats.shards) == (2, 1)
         assert [s.first for s in sharded._shards] == [0, 350]
         assert sharded.stats == dataclasses.replace(
@@ -916,44 +924,67 @@ class TestShards:
         monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
         assert run_bytes(engine, params) == threaded and len(started) == 1
         monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(inference, "_threaded", True)
-        inference._serial_shards()  # as in a process-pool worker
+        monkeypatch.setattr(inference, "_in_worker", lambda: True)
         assert run_bytes(engine, params) == threaded and len(started) == 1
         assert run_bytes(MarginalEngine(families), params) == threaded
+
+    def test_process_pool_workers_know_they_are_workers(self):
+        assert not inference._in_worker()
+        with ProcessPoolExecutor(1) as pool:
+            assert pool.submit(inference._in_worker).result()
 
     def test_small_cohorts_compile_to_one_shard(self):
         families, _ = simulate_families(100, -0.6, 0.2, scenario="S1", seed=20)
         engine = MarginalEngine(families)
-        assert engine.stats.potential_bytes < inference.SHARD_POTENTIAL_BYTES
+        assert engine.stats.potential_bytes < inference.SHARD_BUCKET_BYTES * buckets(engine)
         assert engine.stats.shards == 1 and len(engine._shards) == 1
         assert MarginalEngine([]).stats.shards == 1
 
-    @pytest.mark.parametrize("kind", ["heterogeneous", "simulated"])
-    def test_scratch_pools_fit_the_largest_request(self, monkeypatch, kind):
-        # Each pool is sized from the stages to the largest request the
-        # binding makes of it, no more.
-        class Recorder:
-            size = 0
+    def test_shards_follow_table_bytes_per_bucket(self, monkeypatch):
+        # A cohort of many structures has many more buckets than a template
+        # cohort, each batching fewer columns: at a larger table size it
+        # stays one shard where the template cohort is split.
+        rng = np.random.default_rng(22)
+        mixed = [
+            random_pedigree(rng, int(rng.integers(6, 14)), f"H{i}", with_loop=i % 3 == 0)
+            for i in range(40)
+        ]
+        template, _ = simulate_families(50, -0.6, 0.2, scenario="S1", seed=22)
+        one_shard(monkeypatch)
+        mixed_one, template_one = MarginalEngine(mixed), MarginalEngine(template)
+        assert mixed_one.stats.potential_bytes > template_one.stats.potential_bytes
+        per_bucket = [engine.stats.potential_bytes / buckets(engine)
+                      for engine in (mixed_one, template_one)]
+        assert per_bucket[0] < per_bucket[1]
+        monkeypatch.setattr(inference, "SHARD_BUCKET_BYTES", int(sum(per_bucket) / 2))
+        assert MarginalEngine(mixed).stats.shards == 1
+        assert MarginalEngine(template).stats.shards == 2
 
-            def __call__(self, shape):
-                self.size = max(self.size, int(np.prod(shape)))
-                return np.empty(shape)
+    def test_shards_run_with_the_small_buffer_and_restore_it(self):
+        params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
+        engine = MarginalEngine([trio(), cousin_marriage_family()])
+        seen = []
+        engine._shards[0]._ops[0].append(lambda: seen.append(np.getbufsize()))
+        before = np.setbufsize(4096)
+        try:
+            engine.run(params)
+            assert seen == [inference._BUFSIZE] and np.getbufsize() == 4096
+            with pytest.raises(ZeroEvidenceError):
+                MarginalEngine([trio(), impossible_family("Z0")]).run(params)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(before)
 
-        rng = np.random.default_rng(21)
-        if kind == "heterogeneous":
-            families = [
-                random_pedigree(rng, int(rng.integers(2, 16)), f"H{i}", with_loop=i % 4 == 0)
-                for i in range(40)
-            ]
-            families += [renamed(fam, f"{fam.family_id}b") for fam in families[::3]]
-        else:
-            families, _ = simulate_families(50, -0.6, 0.2, scenario="S1", seed=21)
-        two_shards(monkeypatch)
-        for shard in MarginalEngine(families)._shards:
-            pools = [Recorder() for _ in range(3)]
-            shard._bind(pools)
-            assert shard._pool_sizes() == tuple(pool.size for pool in pools)
-            assert min(pool.size for pool in pools) > 0
+    def test_scratch_pool_grows_and_keeps_earlier_views(self):
+        view = inference._scratch()
+        first = view((2, 3))
+        first[:] = 1.0
+        assert np.shares_memory(first, view((4,)))
+        larger = view((5, 4))  # a new buffer: the views before keep the old
+        assert not np.shares_memory(first, larger) and larger.shape == (5, 4)
+        larger[:] = 2.0
+        assert (first == 1.0).all()
+        assert np.shares_memory(larger, view((3, 2)))
 
 
 def pinned_cohort(rng, count):
