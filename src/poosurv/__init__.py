@@ -37,7 +37,6 @@ from .genetics import (
     founder_prior,
     penetrance_factor,
     test_factor,
-    transmission,
 )
 from .inference import (
     InferenceError,
@@ -96,7 +95,6 @@ __all__ = [
     "DEFAULT_EPSILON", "DEFAULT_ETA", "FixedEvidence", "GENOTYPE_LABELS",
     "Genotype", "ModelParams", "TRANSMISSION", "evidence_factor",
     "evidence_matrix", "founder_prior", "penetrance_factor", "test_factor",
-    "transmission",
     # inference
     "CliqueTree", "InferenceError", "MarginalEngine", "MarginalResult",
     "PosteriorWeights", "ZeroEvidenceError", "brute_force_marginals",

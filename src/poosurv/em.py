@@ -1,9 +1,9 @@
 """EM loop: posterior genotype weights alternating with weighted Cox fits.
 
 Each iteration runs the M-step first (the initial weights are random, so no
-baseline hazard exists before the first fit): a weighted Cox fit on an
-artificial dataset holding two rows per individual (one per candidate
-parent of origin, weighted by the current posterior mass), followed by a
+baseline hazard exists before the first fit): a weighted Cox fit on the
+individuals' records, each weighted twice, by its current posterior mass
+of a paternal-origin and of a maternal-origin mutation, followed by a
 weighted Breslow baseline. The E-step then recomputes every individual's
 posterior genotype weights by exact pedigree inference under the updated
 parameters. Iterations stop when the baseline survival probabilities at a
@@ -175,8 +175,8 @@ def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
     """Suppress proband phenotypes for ascertainment correction.
 
     Probands keep their pedigree links, sex, covariates, and gene test, but
-    their age/status pair stops contributing evidence and their rows are
-    excluded from the M-step dataset. Families without a proband pass
+    their age/status pair stops contributing evidence and their records are
+    left out of the M-step. Families without a proband pass
     through unmodified and produce a warning.
     """
     corrected = []
@@ -192,53 +192,30 @@ def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
     return corrected, warnings
 
 
-def _dataset_arrays(engine: MarginalEngine):
-    """Static arrays of the 2n-row weighted dataset driving the M-step,
-    taken from the record columns of the E-step's ``engine``.
-
-    For every individual there is one paternal-origin row (first column of
-    ``X`` set to 1) and one maternal-origin row; all paternal rows come
-    first, each block in pedigree order. Phenotype-suppressed individuals
-    are left out entirely. Also returns the global record index of each
-    individual's rows, so that row weights are ``w_pat[rows]`` followed by
-    ``w_mat[rows]``; non-carrier mass appears in no row.
-    """
-    rows = np.flatnonzero(~engine.suppressed)
-    m = rows.size
-    k = engine.covariates.shape[1] if m else 0
-    time2 = np.tile(engine.ages[rows], 2)
-    status2 = np.tile(engine.statuses[rows], 2)
-    X = np.zeros((2 * m, 1 + k))
-    X[:m, 0] = 1.0  # paternal-origin block
-    if k:
-        Z = engine.covariates[rows]
-        X[:m, 1:] = Z
-        X[m:, 1:] = Z
-    return time2, status2, X, rows
-
-
 class _Model:
     """A family list compiled once for any number of EM runs: the E-step
-    engine, the M-step's :class:`CoxProblem` with its record index ``rows``,
-    the family sizes, and each affected row's record index and age."""
+    engine, the M-step's :class:`CoxProblem` on the records at index
+    ``rows`` (those whose phenotype is not suppressed), the family sizes,
+    and the record index and age of each affected one of them."""
 
     def __init__(self, families):
         if not families:
             raise ValueError("no families to fit")
-        self.engine = MarginalEngine(families)
-        time2, status2, X, self.rows = _dataset_arrays(self.engine)
-        self.problem = CoxProblem(time2, status2, X)
+        engine = self.engine = MarginalEngine(families)
+        self.rows = np.flatnonzero(~engine.suppressed)
+        ages, statuses = engine.ages[self.rows], engine.statuses[self.rows]
+        self.problem = CoxProblem(ages, statuses, engine.covariates[self.rows])
         self.sizes = np.array([len(fam) for fam in families])
-        affected = status2[:self.rows.size] == 1
+        affected = statuses == 1
         self.affected_records = self.rows[affected]
-        self.affected_ages = time2[:self.rows.size][affected]
+        self.affected_ages = ages[affected]
 
 
 def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     """The EM loop, on the model's families as often as ``draws`` names each.
 
     ``em_fit`` draws every family once; a bootstrap replicate draws a
-    resample. A family drawn c times weighs c times in the M-step rows and
+    resample. A family drawn c times weighs c times in the M-step weights and
     in the log-likelihood, as c copies of it would, and the random start
     is the one a fit of the drawn list would take.
     """
@@ -258,13 +235,14 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     u /= u.sum(axis=1, keepdims=True)
     start = np.zeros((engine.total, 3))
     np.add.at(start, drawn_records, u)
-    weights2n = np.concatenate((start[rows, 0], start[rows, 1]))
-    w_pat, w_mat = weights2n[:rows.size], weights2n[rows.size:]
-    row_counts = record_counts[rows]
+    # The M-step's weight table: each record's paternal-origin weight in
+    # row 0, its maternal-origin weight in row 1; non-carrier mass has none.
+    weights = np.stack((start[rows, 0], start[rows, 1]))
+    counts = record_counts[rows]
 
-    # Every drawn affected age is a Breslow jump time, since affected rows
+    # Every drawn affected age is a Breslow jump time, since affected records
     # never lose their carrier mass, and there are no others: the jump grid
-    # is fixed for the run, and so is each affected row's place on it.
+    # is fixed for the run, and so is each affected record's place on it.
     event_counts = record_counts[model.affected_records]
     event_times = model.affected_ages[event_counts > 0]
     event_counts = event_counts[event_counts > 0]
@@ -281,8 +259,8 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     below_tol_streak = 0
     for iteration in range(1, config.max_iter + 1):
         try:
-            coefs, covariance, loglik, n_steps = problem.fit(weights2n, init=coefs)
-            baseline = problem.breslow(weights2n, coefs)
+            coefs, covariance, loglik, n_steps = problem.fit(weights, init=coefs)
+            baseline = problem.breslow(weights, coefs)
         except CoxError as err:
             raise EMError(f"M-step failed at iteration {iteration}: {err}") from err
         survival = np.exp(-baseline.cumulative(test_ages))
@@ -296,13 +274,13 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
             baseline=baseline,
         )
         marginals, log_evidence_fam = engine.run(params)
-        np.multiply(row_counts, marginals[rows, 1], out=w_pat)
-        np.multiply(row_counts, marginals[rows, 2] + marginals[rows, 3], out=w_mat)
+        np.multiply(counts, marginals[rows, 1], out=weights[0])
+        np.multiply(counts, marginals[rows, 2] + marginals[rows, 3], out=weights[1])
         log_evidence = float((family_counts * log_evidence_fam).sum())
         if not np.array_equal(baseline.times, jump_grid):
             raise EMError(
                 f"iteration {iteration}: the Breslow jump times are not the "
-                "affected ages; an affected row lost its carrier mass"
+                "affected ages; an affected record lost its carrier mass"
             )
         jumps = baseline.increments[jump_of_event]
         log_likelihood = log_evidence + float((event_counts * np.log(jumps)).sum())

@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_ETA",
     "ModelParams",
     "founder_prior",
-    "transmission",
     "TRANSMIT_PROBABILITY",
     "TRANSMISSION",
     "penetrance_factor",
@@ -121,11 +120,6 @@ def _build_transmission() -> np.ndarray:
 
 #: Mendelian transmission table indexed [father, mother, child].
 TRANSMISSION = _build_transmission()
-
-
-def transmission(father, mother) -> np.ndarray:
-    """Child genotype distribution given the parents' ordered genotypes."""
-    return TRANSMISSION[int(father), int(mother)]
 
 
 def penetrance_factor(t, delta, x, z, params: ModelParams) -> float:

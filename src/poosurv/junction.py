@@ -25,10 +25,9 @@ class CliqueTree:
     the running intersection property holds.
     """
 
-    def __init__(self, cliques, edges, n_vars):
+    def __init__(self, cliques, edges):
         self.cliques = [tuple(c) for c in cliques]
         self.edges = [tuple(e) for e in edges]
-        self.n_vars = n_vars
         self._neighbors = [[] for _ in self.cliques]
         for i, j in self.edges:
             self._neighbors[i].append(j)
@@ -40,43 +39,6 @@ class CliqueTree:
     @property
     def max_clique_size(self):
         return max(len(c) for c in self.cliques)
-
-    def roots(self):
-        """Lowest clique index of each connected component."""
-        seen = set()
-        roots = []
-        for start in range(len(self.cliques)):
-            if start in seen:
-                continue
-            roots.append(start)
-            stack = [start]
-            seen.add(start)
-            while stack:
-                cur = stack.pop()
-                for nb in self._neighbors[cur]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        return roots
-
-    def check_running_intersection(self) -> bool:
-        """Cliques containing any one variable must form a connected subtree."""
-        for v in range(self.n_vars):
-            holding = [i for i, c in enumerate(self.cliques) if v in c]
-            if not holding:
-                return False
-            reached = {holding[0]}
-            stack = [holding[0]]
-            allowed = set(holding)
-            while stack:
-                cur = stack.pop()
-                for nb in self._neighbors[cur]:
-                    if nb in allowed and nb not in reached:
-                        reached.add(nb)
-                        stack.append(nb)
-            if reached != allowed:
-                return False
-        return True
 
 
 def _bits(mask):
@@ -212,4 +174,4 @@ def clique_tree(parents) -> CliqueTree:
             edges.append((first, second))
             if len(edges) == needed:
                 break
-    return CliqueTree(cliques, edges, n)
+    return CliqueTree(cliques, edges)

@@ -1,19 +1,20 @@
 """Weighted Cox proportional-hazards fitting and baseline hazard estimation.
 
-The design matrix always carries the parent-of-origin indicator in its
-first column (1 for paternal origin, 0 for maternal); any further columns
-are ordinary covariates. Ties are handled with the Breslow convention,
-which stays well defined when weights are fractional posterior
-probabilities.
+The M-step's data are records with a time, a status, covariates ``z`` and
+two weights, the posterior masses of a paternal-origin and a
+maternal-origin mutation: a weighted row ``(1, z)`` and a weighted row
+``(0, z)`` of one Cox model whose first coefficient is the origin effect.
+Ties are handled with the Breslow convention, which stays well defined when
+weights are fractional posterior probabilities.
 
-The fit uses that contract. With origin effect ``beta`` and covariate
-effects ``gamma``, the weighted risk-set total at an event time is
-``exp(beta) * A + B``, where ``A`` and ``B`` sum ``w exp(z gamma)`` over the
-paternal and the maternal rows at risk; the first and second moments split
-the same way. :class:`CoxProblem` computes these origin-split sums at the
-event times only, once per weight vector and ``gamma``. Without covariates
-they are computed once per weight vector, and every Newton evaluation and
-the Breslow estimate then cost O(events) rather than O(rows).
+With origin effect ``beta`` and covariate effects ``gamma``, the weighted
+risk-set total at an event time is ``exp(beta) * A + B``, where ``A`` and
+``B`` sum ``w exp(z gamma)`` over the paternal and the maternal weights of
+the records at risk; the first and second moments split the same way.
+:class:`CoxProblem` computes these origin-split sums at the event times
+only, once per weight table and ``gamma``. Without covariates they are
+computed once per weight table, and every Newton evaluation and the Breslow
+estimate then cost O(events) rather than O(records).
 
 Reported standard errors come from the inverse observed information of the
 final weighted fit and ignore any uncertainty in the weights themselves
@@ -84,6 +85,8 @@ class BaselineHazard:
         increments = np.asarray(increments, dtype=float)
         if times.shape != increments.shape or times.ndim != 1:
             raise ValueError("times and increments must be matching 1-d arrays")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(increments))):
+            raise ValueError("jump times and increments must be finite")
         if times.size and np.any(np.diff(times) <= 0):
             raise ValueError("jump times must be strictly increasing")
         if np.any(increments <= 0):
@@ -148,50 +151,50 @@ class CoxFit:
 
 
 class CoxProblem:
-    """Indexed design for repeated weighted partial-likelihood work.
+    """Indexed records for repeated weighted partial-likelihood work.
 
-    The first design column must be the 0/1 parent-of-origin flag; the rest
-    are covariates ``z``. Construction sorts the times once, numbers the
-    event blocks (the distinct event times) and gives every row the bin of
-    the origin-split risk sums it enters. Everything after that is cached on
-    content, never on object identity, and recomputed only when its inputs
-    change:
+    Each record has a time, a status and covariates ``z`` (one row of the
+    ``(n, k)`` array, ``k`` possibly 0). The weights of every call are a
+    ``(2, n)`` table: row 0 holds each record's paternal-origin weight,
+    row 1 its maternal-origin weight. Construction sorts the times once,
+    numbers the event blocks (the distinct event times) and gives every
+    record its segment of the origin-split risk sums. Everything after that
+    is cached on content, never on object identity, and recomputed only
+    when its inputs change:
 
-    - per weight vector: each event block's summed event weight and the
-      weighted event total of every design column;
-    - per weight vector and covariate coefficients ``gamma``: the risk sums
+    - per weight table: each event block's summed event weight and the
+      weighted event total of every coefficient's column;
+    - per weight table and covariate coefficients ``gamma``: the risk sums
       at the event blocks of positive weight, split by origin: the prefix
       sums of ``w exp(z gamma)`` times ``(1, z)`` and its outer product over
-      the paternal rows at risk, and the same over the maternal rows.
+      the paternal weights at risk, and the same over the maternal weights.
 
     A partial-likelihood evaluation, a Newton step or a Breslow estimate
     then combines the two origins' sums with ``exp(beta)`` in
-    O(events * p**2). Without covariates ``gamma`` is empty, so the risk
-    sums are built once per weight vector; the EM loop exploits this.
+    O(events * p**2), where ``p = 1 + k`` counts ``beta`` and ``gamma``.
+    Without covariates ``gamma`` is empty, so the risk sums are built once
+    per weight table; the EM loop exploits this.
     """
 
     def __init__(self, time, status, covariates):
         time = np.asarray(time, dtype=float)
         status = np.asarray(status, dtype=int)
-        X = np.asarray(covariates, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("covariates must be 2-d (rows x coefficients)")
-        n, p = X.shape
+        Z = np.asarray(covariates, dtype=float)
+        if Z.ndim != 2:
+            raise ValueError("covariates must be 2-d (records x covariates)")
+        n, k = Z.shape
         if time.shape != (n,) or status.shape != (n,):
             raise ValueError("time, status, covariates have mismatched lengths")
-        if p == 0:
-            raise ValueError("the design needs the parent-of-origin flag as first column")
-        if not np.all((X[:, 0] == 0.0) | (X[:, 0] == 1.0)):
-            raise ValueError("the first design column must be the 0/1 parent-of-origin flag")
         if not np.all((status == 0) | (status == 1)):
             raise ValueError("status must be 0 (censored) or 1 (event)")
         self.n = n
-        self.p = p
-        # Event blocks are numbered from the latest time. A row is at risk at
-        # every event time up to its own, so it enters the prefix sums at
-        # its segment: the number of event times after it. Rows before every
-        # event time fall into a spare last segment. All sums below run in
-        # input row order, so the order of tied times in the sort cannot
+        self.p = p = 1 + k
+        # Event blocks are numbered from the latest time. A record is at risk
+        # at every event time up to its own, so it enters the prefix sums at
+        # its segment: the number of event times after it. Records before
+        # every event time fall into a spare last segment. All sums below
+        # run in weight-table order (every paternal weight, then every
+        # maternal one), so the order of tied times in the sort cannot
         # change a result.
         order = np.argsort(time)
         sorted_time = time[order]
@@ -206,14 +209,17 @@ class CoxProblem:
         segment[order] = self._blocks - events_up_to[block]
         self._event_times = sorted_time[new_time][has_event][::-1]
         events = np.flatnonzero(status == 1)
-        self._event_block = segment[events]
-        self._event_rows = events
-        self._event_X = X[events]
-        self._event_paternal = self._event_X[:, 0] == 1.0
-        # Each row's bin of the risk sums: paternal segments, then maternal.
-        self._risk_bin = segment + np.where(X[:, 0] == 1.0, 0, self._blocks + 1)
-        self._Z = X[:, 1:]
-        v = np.column_stack((np.ones(n), self._Z))
+        # The event records' places in the flattened weight table and their
+        # design, both paternal over maternal: rows (1, z) over rows (0, z).
+        self._event_weights = np.concatenate((events, events + n))
+        self._event_block = np.tile(segment[events], 2)
+        self._event_X = np.column_stack(
+            (np.repeat([1.0, 0.0], events.size), np.tile(Z[events], (2, 1)))
+        )
+        # Each weight's bin of the risk sums: paternal segments, then maternal.
+        self._risk_bin = np.concatenate((segment, segment + self._blocks + 1))
+        self._Z = Z
+        v = np.column_stack((np.ones(n), Z))
         self._moments = (v[:, :, None] * v[:, None, :]).reshape(n, p * p).T.copy()
         self._weights = None
         self._gamma = None
@@ -221,18 +227,18 @@ class CoxProblem:
     def _prepare(self, weights, gamma):
         """Bring the per-weights and per-gamma caches up to date."""
         w = np.asarray(weights, dtype=float)
-        if w.shape != (self.n,):
-            raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
+        if w.shape != (2, self.n):
+            raise ValueError(f"weights must have shape (2, {self.n}), got {w.shape}")
         if self._weights is None or not np.array_equal(w, self._weights):
             self._weights = w.copy()
             self._gamma = None
-            w_event = w[self._event_rows]
+            w_event = w.ravel()[self._event_weights]
             d = np.bincount(self._event_block, weights=w_event, minlength=self._blocks)
             self._kept = np.flatnonzero(d > 0)
             self._d = d[self._kept]
             self._d_total = float(self._d.sum())
             self._event_sum = w_event @ self._event_X
-            self._w_event = w_event
+            self._w_event = w_event.reshape(2, -1)
         if self._gamma is None or not np.array_equal(gamma, self._gamma):
             self._gamma = gamma.copy()
             u, self._gamma_shift = self._weights, 0.0
@@ -243,13 +249,14 @@ class CoxProblem:
                 u = u * np.exp(linear - self._gamma_shift)
             segments = self._blocks + 1
             sums = np.stack([
-                np.bincount(self._risk_bin, weights=u * moment, minlength=2 * segments)
+                np.bincount(self._risk_bin, weights=(u * moment).ravel(),
+                            minlength=2 * segments)
                 for moment in self._moments
             ]).reshape(self.p, self.p, 2, segments)
             sums = np.take(np.cumsum(sums, axis=-1), self._kept, axis=-1)
             self._pat_sums, mat = np.moveaxis(sums, (0, 1), (-2, -1))
-            # A maternal row's design vector is (0, z): its first and second
-            # moments drop the entries of (1, z) that hold the leading 1.
+            # A maternal weight's design vector is (0, z): its first and
+            # second moments drop the entries of (1, z) that hold the leading 1.
             mat1 = mat[:, 0, :].copy()
             mat1[:, 0] = 0.0
             mat2 = mat.copy()
@@ -289,10 +296,10 @@ class CoxProblem:
         return loglik, score, info
 
     def _check_rank(self):
-        events = self._w_event > 0
-        if not events.any():
+        pat, mat = (self._w_event > 0).any(axis=1)
+        if not (pat or mat):
             raise RankDeficiencyError("no events with positive weight")
-        if not (events[self._event_paternal].any() and events[~self._event_paternal].any()):
+        if not (pat and mat):
             raise RankDeficiencyError(
                 "events with positive weight exist in only one parent-of-origin "
                 "group; the origin effect is inestimable"
@@ -357,7 +364,7 @@ class CoxProblem:
 
         At each distinct event time the jump equals the summed event weight
         divided by the weighted risk-set total of exp(linear predictor);
-        zero-weight rows contribute nothing.
+        zero weights contribute nothing.
         """
         coefs = np.asarray(coefs, dtype=float)
         self._prepare(weights, coefs[1:])
@@ -390,6 +397,8 @@ def survival_curve(baseline, beta=0.0, gamma=(), group="mat", z=()) -> SurvivalC
     z = np.asarray(z, dtype=float)
     if gamma.shape != z.shape:
         raise ValueError("gamma and z must have matching lengths")
+    if not (math.isfinite(beta) and np.all(np.isfinite(gamma)) and np.all(np.isfinite(z))):
+        raise ValueError("beta, gamma and z must be finite")
     log_risk = beta if group == "pat" else 0.0
     if gamma.size:
         log_risk += float(z @ gamma)

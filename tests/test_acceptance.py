@@ -28,7 +28,7 @@ from poosurv.cli import main as cli_main
 from poosurv.em import EMConfig, em_fit
 
 from test_inference import random_pedigree, random_params
-from test_survival import fit_cox, random_dataset
+from test_survival import fit_cox, random_dataset, split
 
 MASTER_SEED = 202
 TRUE_BETA = -0.6
@@ -99,7 +99,8 @@ def test_criterion_2_cox_correctness():
         time_arr, status, X, w = random_dataset(
             rng, n=int(rng.integers(25, 70)), n_cov=int(rng.integers(0, 3))
         )
-        problem = CoxProblem(time_arr, status, X)
+        Z, w = split(X, w)
+        problem = CoxProblem(time_arr, status, Z)
         coefs = rng.normal(scale=0.5, size=X.shape[1])
         _, score, info = problem.evaluate(coefs, w)
         fd_score = np.empty_like(score)

@@ -638,6 +638,28 @@ class TestCurveCommand:
         assert "bad age grid" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("corrupt", [
+        "nan_increment", "inf_beta_hat", "nan_in_bootstrap_baseline",
+    ])
+    def test_non_finite_report_is_validation_error(
+        self, runner, fitted_report, tmp_path, corrupt
+    ):
+        report = json.loads(Path(fitted_report).read_text())
+        if corrupt == "nan_increment":
+            report["baseline"]["increments"][3] = float("nan")
+        elif corrupt == "inf_beta_hat":
+            report["beta_hat"] = float("inf")
+        else:
+            report["bootstrap"]["fits"][2]["baseline"]["times"][1] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report))
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, ["curve", str(bad), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
+        assert not out.exists()
+        assert not (tmp_path / "c.csv.config.json").exists()
+
     def test_curve_without_bootstrap_has_empty_bands(self, runner, tmp_path):
         sim = tmp_path / "sim"
         run_ok(

@@ -1,4 +1,4 @@
-"""EM loop tests: dataset construction, proband correction, determinism."""
+"""EM loop tests: M-step records, proband correction, determinism."""
 
 from dataclasses import replace
 
@@ -12,7 +12,6 @@ from poosurv import (
     EMError,
     Genotype,
     IndividualRecord,
-    MarginalEngine,
     ModelParams,
     Pedigree,
     PosteriorWeights,
@@ -24,7 +23,7 @@ from poosurv import (
     simulate_families,
 )
 from poosurv import em, inference
-from poosurv.em import STABLE_WINDOW, _dataset_arrays, _fan_out
+from poosurv.em import STABLE_WINDOW, _fan_out, _Model
 
 from test_inference import assert_weights_equal, per_record_weights
 
@@ -101,68 +100,57 @@ def sized_family(rng, family_id, children):
 
 
 class TestWeightedDataset:
-    def test_two_rows_per_individual_block_layout(self):
-        fams, _ = simulate_families(3, beta=-0.6, q=0.2, scenario="S1", seed=0)
-        records = [rec for fam in fams for rec in fam]
-        n = len(records)
-        time2, status2, X, rows = _dataset_arrays(MarginalEngine(fams))
-        assert len(time2) == len(status2) == len(X) == 2 * n
-        np.testing.assert_array_equal(rows, np.arange(n))
-        # paternal block first, then maternal, each in pedigree order
-        np.testing.assert_array_equal(X[:n, 0], 1.0)
-        np.testing.assert_array_equal(X[n:, 0], 0.0)
-        np.testing.assert_array_equal(time2[:n], [rec.age for rec in records])
-        np.testing.assert_array_equal(status2[:n], [rec.status for rec in records])
-        # pat and mat rows aligned
-        np.testing.assert_array_equal(time2[:n], time2[n:])
-        np.testing.assert_array_equal(status2[:n], status2[n:])
+    """The M-step's records: one per individual whose phenotype counts,
+    weighted by a (2, records) table of origin weights."""
 
-    def test_weights_map_to_rows_and_zero_mass_dropped(self):
-        fam = Pedigree([
-            make_record("F", "a", age=40.0, status=1),
-            make_record("F", "b", sex=Sex.FEMALE, age=55.0),
-        ])
-        time2, status2, X, rows = _dataset_arrays(MarginalEngine([fam]))
-        np.testing.assert_array_equal(time2, [40.0, 55.0, 40.0, 55.0])
-        np.testing.assert_array_equal(status2, [1, 0, 1, 0])
-        np.testing.assert_array_equal(X[:, 0], [1.0, 1.0, 0.0, 0.0])
-        # two rows per individual: the non-carrier mass has none
-        w_pat, w_mat = np.array([0.3, 0.1]), np.array([0.5, 0.2])
-        weights2n = np.concatenate((w_pat[rows], w_mat[rows]))
-        np.testing.assert_array_equal(weights2n, [0.3, 0.1, 0.5, 0.2])
+    def test_suppressed_records_excluded(self):
+        rng = np.random.default_rng(3)
+        fams, _ = simulate_families(
+            6, beta=-0.6, q=0.2, scenario="S1", seed=2, mark_probands=True
+        )
+        fams = [
+            Pedigree([replace(rec, covariates=(float(rng.normal()),)) for rec in fam])
+            for fam in fams
+        ]
+        corrected, _ = apply_proband_correction(fams)
+        model = _Model(corrected)
+        records = [rec for fam in corrected for rec in fam]
+        kept = [i for i, rec in enumerate(records) if not rec.phenotype_suppressed]
+        assert 0 < len(kept) < len(records)
+        np.testing.assert_array_equal(model.rows, kept)
+        affected = [i for i in kept if records[i].status == 1]
+        np.testing.assert_array_equal(model.affected_records, affected)
+        np.testing.assert_array_equal(model.affected_ages, [records[i].age for i in affected])
+        np.testing.assert_array_equal(model.sizes, [len(fam) for fam in corrected])
+        # the problem holds exactly the kept records, in record order
+        direct = CoxProblem(
+            [records[i].age for i in kept], [records[i].status for i in kept],
+            [records[i].covariates for i in kept],
+        )
+        weights = rng.uniform(0.05, 1.0, size=(2, len(kept)))
+        coefs = np.array([-0.4, 0.3])
+        for got, want in zip(model.problem.evaluate(coefs, weights),
+                             direct.evaluate(coefs, weights)):
+            np.testing.assert_array_equal(got, want)
 
     def test_zero_weight_row_does_not_change_fit(self):
         fams = [informative_family("A"), informative_family("B")]
+        model = _Model(fams)
         tested_negative = np.array([rec.gene_test == 0 for fam in fams for rec in fam])
-        w_pat = np.where(tested_negative, 0.0, 0.7)
-        w_mat = np.where(tested_negative, 0.0, 0.3)
-        time2, status2, X, rows = _dataset_arrays(MarginalEngine(fams))
-        weights2n = np.concatenate((w_pat[rows], w_mat[rows]))
-        keep = weights2n > 0
-        full = CoxProblem(time2, status2, X).fit(weights2n)[0]
-        trimmed = CoxProblem(time2[keep], status2[keep], X[keep]).fit(weights2n[keep])[0]
+        weights = np.stack((np.where(tested_negative, 0.0, 0.7),
+                            np.where(tested_negative, 0.0, 0.3)))[:, model.rows]
+        keep = weights.sum(axis=0) > 0
+        ages = model.engine.ages[model.rows]
+        statuses = model.engine.statuses[model.rows]
+        full = model.problem.fit(weights)[0]
+        trimmed = CoxProblem(ages[keep], statuses[keep], np.empty((keep.sum(), 0))).fit(
+            weights[:, keep]
+        )[0]
         assert full[0] == pytest.approx(trimmed[0], abs=1e-12)
 
-    def test_suppressed_records_excluded(self):
-        corrected, _ = apply_proband_correction(
-            [
-                Pedigree(
-                    [
-                        make_record("F", "p", age=40.0, status=1, proband=True),
-                        make_record("F", "q", sex=Sex.FEMALE, age=60.0),
-                    ]
-                )
-            ]
-        )
-        time2, _, _, rows = _dataset_arrays(MarginalEngine(corrected))
-        assert len(time2) == 2  # only the non-proband remains, twice
-        np.testing.assert_array_equal(rows, [1])
-        np.testing.assert_array_equal(time2, [60.0, 60.0])
-
-
     def test_design_meets_the_cox_contract(self):
-        # the origin flag leads the design whatever the covariates, and a
-        # cohort whose every record is suppressed still has that column
+        # one coefficient for the origin effect and one per covariate,
+        # whatever the covariates, also when every record is suppressed
         rng = np.random.default_rng(4)
         fams, _ = simulate_families(
             5, beta=-0.6, q=0.2, scenario="S1", seed=2, mark_probands=True
@@ -176,14 +164,13 @@ class TestWeightedDataset:
                 for fam in fams
             ]
             for cohort in (with_covariates, apply_proband_correction(with_covariates)[0]):
-                time2, status2, X, rows = _dataset_arrays(MarginalEngine(cohort))
-                assert X.shape == (2 * rows.size, 1 + k)
-                assert set(np.unique(X[:, 0])) == {0.0, 1.0}
-                CoxProblem(time2, status2, X)
-        suppressed = [fam.with_values(phenotype_suppressed=[True] * len(fam)) for fam in fams]
-        time2, status2, X, rows = _dataset_arrays(MarginalEngine(suppressed))
-        assert X.shape == (0, 1)
-        CoxProblem(time2, status2, X)
+                model = _Model(cohort)
+                assert (model.problem.n, model.problem.p) == (model.rows.size, 1 + k)
+            suppressed = _Model([
+                fam.with_values(phenotype_suppressed=[True] * len(fam))
+                for fam in with_covariates
+            ])
+            assert (suppressed.problem.n, suppressed.problem.p) == (0, 1 + k)
 
 
 class TestEMConfig:
@@ -314,9 +301,11 @@ class TestEMFit:
         }
         carriers = [t for t in truth if t.genotype != Genotype.NON_CARRIER]
         rows = [records[(t.family_id, t.individual_id)] for t in carriers]
-        X = np.array([[float(t.genotype == Genotype.HET_PATERNAL)] for t in carriers])
-        problem = CoxProblem([r.age for r in rows], [r.status for r in rows], X)
-        beta_hat = problem.fit(np.ones(len(rows)))[0][0]
+        paternal = np.array([float(t.genotype == Genotype.HET_PATERNAL) for t in carriers])
+        problem = CoxProblem(
+            [r.age for r in rows], [r.status for r in rows], np.empty((len(rows), 0))
+        )
+        beta_hat = problem.fit(np.stack((paternal, 1.0 - paternal)))[0][0]
         assert result.beta_hat == pytest.approx(beta_hat, abs=1e-7)
 
     def test_no_families_is_refused(self):

@@ -14,11 +14,11 @@ from poosurv import (
     IndividualRecord,
     ModelParams,
     Sex,
+    TRANSMISSION,
     evidence_factor,
     evidence_matrix,
     founder_prior,
     penetrance_factor,
-    transmission,
 )
 
 G0 = Genotype.NON_CARRIER
@@ -52,6 +52,11 @@ class TestFounderPrior:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             founder_prior(1.5)
+
+
+def transmission(father, mother):
+    """Child genotype distribution given the parents' ordered genotypes."""
+    return TRANSMISSION[int(father), int(mother)]
 
 
 def _transmission_by_enumeration(father, mother):

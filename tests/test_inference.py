@@ -136,6 +136,42 @@ def random_params(rng, covariates=0):
     )
 
 
+def clique_roots(tree):
+    """Lowest clique index of each connected component of ``tree``."""
+    seen, roots = set(), []
+    for start in range(len(tree.cliques)):
+        if start in seen:
+            continue
+        roots.append(start)
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for nb in tree.neighbors(stack.pop()):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return roots
+
+
+def running_intersection_holds(tree, n_vars):
+    """Whether the cliques holding each of ``n_vars`` variables are present
+    and form a connected subtree of ``tree``."""
+    for v in range(n_vars):
+        holding = {i for i, c in enumerate(tree.cliques) if v in c}
+        if not holding:
+            return False
+        start = min(holding)
+        reached, stack = {start}, [start]
+        while stack:
+            for nb in tree.neighbors(stack.pop()):
+                if nb in holding and nb not in reached:
+                    reached.add(nb)
+                    stack.append(nb)
+        if reached != holding:
+            return False
+    return True
+
+
 def reference_clique_tree(pedigree):
     """(cliques, edges) of the junction forest, built with plain sets.
 
@@ -225,13 +261,13 @@ class TestCliqueTree:
         tree = build_clique_tree(ped)
         assert sorted(tree.cliques) == [(0,), (1,)]
         assert tree.edges == []
-        assert len(tree.roots()) == 2
+        assert len(clique_roots(tree)) == 2
 
     def test_cousin_marriage_tree_properties(self):
         ped = cousin_marriage_family()
         tree = build_clique_tree(ped)
         assert tree.max_clique_size >= 3
-        assert tree.check_running_intersection()
+        assert running_intersection_holds(tree, len(ped))
 
     def test_rooted_forest_placement_rules_on_random_pedigrees(self):
         # The pedigrees of the set-based reference test. Each tree is rooted
@@ -256,7 +292,7 @@ class TestCliqueTree:
             assert forest.cliques == cliques
             edges = {(min(j, p), max(j, p)) for j, p in enumerate(forest.parent) if p >= 0}
             assert edges == set(tree.edges)
-            assert sorted(j for j, p in enumerate(forest.parent) if p < 0) == tree.roots()
+            assert sorted(j for j, p in enumerate(forest.parent) if p < 0) == clique_roots(tree)
             children = [[] for _ in range(nc)]
             for j, p in enumerate(forest.parent):
                 inside = [cliques[j][a] for a in np.flatnonzero(placed.inside[j])]
@@ -295,7 +331,7 @@ class TestCliqueTree:
         for k in range(25):
             ped = random_pedigree(rng, size=int(rng.integers(3, 13)), with_loop=k % 3 == 0)
             tree = build_clique_tree(ped)
-            assert tree.check_running_intersection()
+            assert running_intersection_holds(tree, len(ped))
             for rec in ped:
                 if not rec.is_founder:
                     scope = {

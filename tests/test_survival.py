@@ -1,4 +1,11 @@
-"""Weighted Cox fitting tests: analytic derivatives, invariances, baseline."""
+"""Weighted Cox fitting tests: analytic derivatives, invariances, baseline.
+
+Most datasets here are flagged designs: one row per weight, with the 0/1
+parent-of-origin flag as the first column of ``X``. The reference
+computations (``naive_partial_loglik``, ``naive_breslow``) read them as
+they are; :func:`split` turns them into the records and ``(2, n)`` weight
+table that :class:`CoxProblem` takes.
+"""
 
 import math
 import warnings
@@ -32,8 +39,22 @@ def random_dataset(rng, n=60, n_cov=1, with_ties=True, zero_weights=True):
     return times, status, np.column_stack([pat, covs]), weights
 
 
+def split(X, w):
+    """Covariates and weight table of a flagged design ``X`` with weights ``w``.
+
+    Row i becomes a record with covariates ``X[i, 1:]`` whose weight ``w[i]``
+    sits in row 0 of the table (paternal) if its flag is 1, else in row 1
+    (maternal); the record's other weight is 0.
+    """
+    X = np.asarray(X, dtype=float)
+    w = np.asarray(w, dtype=float)
+    paternal = X[:, 0] == 1.0
+    return X[:, 1:], np.stack((np.where(paternal, w, 0.0), np.where(paternal, 0.0, w)))
+
+
 def fit_cox(time, status, X, w, init=None) -> CoxFit:
-    coefs, covariance, loglik, n_steps = CoxProblem(time, status, X).fit(w, init=init)
+    Z, W = split(X, w)
+    coefs, covariance, loglik, n_steps = CoxProblem(time, status, Z).fit(W, init=init)
     return CoxFit(float(coefs[0]), coefs[1:], covariance, loglik, n_steps)
 
 
@@ -85,7 +106,8 @@ class TestDerivatives:
         h_score, h_info = 1e-5, 1e-5
         for _ in range(10):
             time, status, X, w = random_dataset(rng, n=50, n_cov=rng.integers(0, 3))
-            problem = CoxProblem(time, status, X)
+            Z, w = split(X, w)
+            problem = CoxProblem(time, status, Z)
             coefs = rng.normal(scale=0.5, size=X.shape[1])
             loglik, score, info = problem.evaluate(coefs, w)
 
@@ -113,9 +135,9 @@ class TestDerivatives:
         rng = np.random.default_rng(9)
         for _ in range(5):
             time, status, X, w = random_dataset(rng, n=30, n_cov=1)
-            problem = CoxProblem(time, status, X)
+            Z, W = split(X, w)
             coefs = rng.normal(scale=0.5, size=2)
-            loglik, _, _ = problem.evaluate(coefs, w)
+            loglik, _, _ = CoxProblem(time, status, Z).evaluate(coefs, W)
             expected = naive_partial_loglik(time, status, X, w, coefs)
             assert loglik == pytest.approx(expected, rel=1e-10)
 
@@ -125,7 +147,8 @@ class TestFit:
         # events in both groups but perfectly separated in time: the partial
         # likelihood is beta - log(exp(beta) + 1), monotone increasing
         time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 1, "mat")])
-        problem = CoxProblem(time, status, X)
+        Z, w = split(X, w)
+        problem = CoxProblem(time, status, Z)
         for b in (-1.0, 0.0, 0.7, 2.5):
             ll, _, _ = problem.evaluate(np.array([b]), w)
             assert ll == pytest.approx(b - math.log(math.exp(b) + 1.0), rel=1e-12)
@@ -138,22 +161,22 @@ class TestFit:
         time = np.array([0.8, 0.3, 0.2, 0.7])
         status = np.array([0, 1, 1, 0])
         X = np.array([[1.0], [0.0], [1.0], [0.0]])
-        w = np.array([0.0, 0.579, 0.001, 0.461])
+        Z, w = split(X, [0.0, 0.579, 0.001, 0.461])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MonotoneLikelihoodError):
-                CoxProblem(time, status, X).fit(w)
+                CoxProblem(time, status, Z).fit(w)
 
     def test_single_group_events_rank_deficient(self):
         time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 0, "mat"), (3.0, 1, "pat")])
         with pytest.raises(RankDeficiencyError):
-            CoxProblem(time, status, X).fit(w)
+            fit_cox(time, status, X, w)
 
     def test_zero_weight_events_do_not_count_for_rank(self):
         time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 1, "mat"), (3.0, 0, "mat")])
         w[1] = 0.0
         with pytest.raises(RankDeficiencyError):
-            CoxProblem(time, status, X).fit(w)
+            fit_cox(time, status, X, w)
 
     def test_recovers_generator_within_3_se_and_score_small(self):
         rng = np.random.default_rng(2024)
@@ -170,8 +193,8 @@ class TestFit:
         fit = fit_cox(time, status, X, w)
         se = fit.std_errors[0]
         assert abs(fit.beta_hat - beta_true) < 3 * se
-        problem = CoxProblem(time, status, X)
-        _, score, _ = problem.evaluate(fit.coefficients, w)
+        Z, W = split(X, w)
+        _, score, _ = CoxProblem(time, status, Z).evaluate(fit.coefficients, W)
         assert np.max(np.abs(score)) < 1e-8
         # independent grid-search maximizer over the naive likelihood; the
         # 3-se check above justifies bracketing the search around beta_hat
@@ -187,9 +210,10 @@ class TestFit:
         assert fit2.beta_hat == pytest.approx(fit1.beta_hat, abs=1e-10)
         np.testing.assert_allclose(fit2.gamma_hat, fit1.gamma_hat, atol=1e-10)
         np.testing.assert_allclose(fit2.covariance, fit1.covariance / c, rtol=1e-8)
-        problem = CoxProblem(time, status, X)
-        b1 = problem.breslow(w, fit1.coefficients)
-        b2 = problem.breslow(w * c, fit2.coefficients)
+        Z, W = split(X, w)
+        problem = CoxProblem(time, status, Z)
+        b1 = problem.breslow(W, fit1.coefficients)
+        b2 = problem.breslow(W * c, fit2.coefficients)
         ages = np.linspace(0, 30, 40)
         np.testing.assert_allclose(b2.cumulative(ages), b1.cumulative(ages), atol=1e-10)
 
@@ -215,13 +239,11 @@ class TestFit:
         n = 4000
         for seed in range(40):
             rng = np.random.default_rng(seed)
-            time = np.tile(rng.uniform(20.0, 80.0, size=n), 2)
-            status = np.tile((rng.random(n) < 0.5).astype(int), 2)
-            X = np.zeros((2 * n, 1))
-            X[:n, 0] = 1.0
-            w = rng.uniform(0.0, 1.0, size=2 * n)
-            nudged = w * (1.0 + rng.integers(-1, 2, size=2 * n) * 2.2e-16)
-            problem = CoxProblem(time, status, X)
+            time = rng.uniform(20.0, 80.0, size=n)
+            status = (rng.random(n) < 0.5).astype(int)
+            w = rng.uniform(0.0, 1.0, size=(2, n))
+            nudged = w * (1.0 + rng.integers(-1, 2, size=(2, n)) * 2.2e-16)
+            problem = CoxProblem(time, status, np.empty((n, 0)))
             beta = problem.fit(w, init=[0.3])[0][0]
             beta_nudged = problem.fit(nudged, init=[0.3])[0][0]
             assert abs(beta - beta_nudged) <= 1e-12, seed
@@ -246,16 +268,27 @@ class TestBaselineHazard:
         with pytest.raises(ValueError, match="increments must be positive"):
             BaselineHazard([1.0, 2.0], [0.5, increment])
 
+    @pytest.mark.parametrize("times, increments", [
+        ([1.0, np.nan], [0.5, 0.5]),
+        ([1.0, np.inf], [0.5, 0.5]),
+        ([1.0, 2.0], [0.5, np.nan]),
+        ([1.0, 2.0], [0.5, np.inf]),
+    ])
+    def test_jumps_must_be_finite(self, times, increments):
+        with pytest.raises(ValueError, match="must be finite"):
+            BaselineHazard(times, increments)
+
 
 class TestBreslow:
     def test_single_event_unit_jump(self):
-        baseline = CoxProblem([5.0], [1], [[0.0]]).breslow(np.array([1.0]), np.array([0.0]))
+        baseline = CoxProblem([5.0], [1], np.empty((1, 0))).breslow([[0.0], [1.0]], [0.0])
         np.testing.assert_array_equal(baseline.times, [5.0])
         np.testing.assert_allclose(baseline.increments, [1.0])
 
     def test_event_plus_censored_half_jump(self):
         time, status, X, w = two_group([(5.0, 1, "mat"), (7.0, 0, "mat")])
-        baseline = CoxProblem(time, status, X).breslow(w, np.zeros(1))
+        Z, w = split(X, w)
+        baseline = CoxProblem(time, status, Z).breslow(w, np.zeros(1))
         np.testing.assert_array_equal(baseline.times, [5.0])
         np.testing.assert_allclose(baseline.increments, [0.5])
 
@@ -263,12 +296,10 @@ class TestBreslow:
         rng = np.random.default_rng(8)
         time, status, X, w = random_dataset(rng, n=40, zero_weights=False)
         fit = fit_cox(time, status, X, w)
-        b1 = CoxProblem(time, status, X).breslow(w, fit.coefficients)
-        extra = CoxProblem(
-            np.append(time, 4.321), np.append(status, 1),
-            np.vstack([X, [1.0, *X[0, 1:]]]),
-        )
-        b2 = extra.breslow(np.append(w, 0.0), fit.coefficients)
+        Z, W = split(X, w)
+        b1 = CoxProblem(time, status, Z).breslow(W, fit.coefficients)
+        extra = CoxProblem(np.append(time, 4.321), np.append(status, 1), np.vstack([Z, Z[0]]))
+        b2 = extra.breslow(np.column_stack((W, [0.0, 0.0])), fit.coefficients)
         ages = np.linspace(0, 35, 50)
         np.testing.assert_allclose(b2.cumulative(ages), b1.cumulative(ages), atol=1e-12)
 
@@ -285,7 +316,8 @@ class TestBreslow:
             w[[0, 1, 4, 5]] = rng.uniform(0.05, 2.0, size=4)
             w[[2, 3]] = 0.0
             coefs = rng.normal(scale=0.5, size=X.shape[1])
-            baseline = CoxProblem(time, status, X).breslow(w, coefs)
+            Z, W = split(X, w)
+            baseline = CoxProblem(time, status, Z).breslow(W, coefs)
             times, jumps = naive_breslow(time, status, X, w, coefs)
             assert 5.5 in times and 9.5 in times and 7.5 not in times
             np.testing.assert_array_equal(baseline.times, times)
@@ -295,9 +327,8 @@ class TestBreslow:
         rng = np.random.default_rng(13)
         times = rng.uniform(1, 20, size=80)
         status = (rng.random(80) < 0.5).astype(int)
-        baseline = CoxProblem(times, status, np.zeros((80, 1))).breslow(
-            np.ones(80), np.zeros(1)
-        )
+        Z, w = split(np.zeros((80, 1)), np.ones(80))
+        baseline = CoxProblem(times, status, Z).breslow(w, np.zeros(1))
         # straight Nelson-Aalen: d_i / n_i at each distinct event time
         cum = 0.0
         for t in sorted(set(times[status == 1])):
@@ -314,6 +345,7 @@ class TestReuseAndContract:
         # weights' content, not on which array object holds them
         rng = np.random.default_rng(40 + n_cov)
         time, status, X, w = random_dataset(rng, n=80, n_cov=n_cov, zero_weights=False)
+        Z, w = split(X, w)
         coefs = rng.normal(scale=0.3, size=X.shape[1])
         calls = {
             "evaluate": lambda problem, weights: problem.evaluate(coefs, weights),
@@ -324,43 +356,69 @@ class TestReuseAndContract:
             ),
         }
         for name, call in calls.items():
-            problem = CoxProblem(time, status, X)
+            problem = CoxProblem(time, status, Z)
             weights = w.copy()
             call(problem, weights)
             weights *= 1.5
-            weights[::3] = rng.uniform(0.05, 2.0, size=weights[::3].size)
+            weights[:, ::3] = rng.uniform(0.05, 2.0, size=weights[:, ::3].shape)
             reused = call(problem, weights)
-            fresh = call(CoxProblem(time, status, X), weights)
+            fresh = call(CoxProblem(time, status, Z), weights)
             for got, want in zip(reused, fresh):
                 np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_one_record_with_both_weights_equals_two_flagged_rows(self, n_cov):
+        # The reference is the expanded design: every record as a paternal
+        # row (1, z) and a maternal row (0, z), each with one of its weights.
+        rng = np.random.default_rng(50 + n_cov)
+        n = 60
+        time, status, X, _ = random_dataset(rng, n=n, n_cov=n_cov)
+        Z = X[:, 1:]
+        W = rng.uniform(0.05, 2.0, size=(2, n))
+        W[0, :6] = W[1, 6:12] = 0.0
+        time2, status2 = np.tile(time, 2), np.tile(status, 2)
+        X2 = np.block([[np.ones((n, 1)), Z], [np.zeros((n, 1)), Z]])
+        w2 = W.ravel()
+        records = CoxProblem(time, status, Z)
+        rows = CoxProblem(time2, status2, split(X2, w2)[0])
+        W2 = split(X2, w2)[1]
+        coefs = rng.normal(scale=0.5, size=1 + n_cov)
+        for got, want in zip(records.evaluate(coefs, W), rows.evaluate(coefs, W2)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert records.evaluate(coefs, W)[0] == pytest.approx(
+            naive_partial_loglik(time2, status2, X2, w2, coefs), rel=1e-10
+        )
+        baseline = records.breslow(W, coefs)
+        times, jumps = naive_breslow(time2, status2, X2, w2, coefs)
+        np.testing.assert_array_equal(baseline.times, times)
+        np.testing.assert_allclose(baseline.increments, jumps, rtol=1e-12)
+        np.testing.assert_allclose(records.fit(W)[0], rows.fit(W2)[0], atol=1e-10)
 
     def test_covariate_coefficients_change_between_calls(self):
         rng = np.random.default_rng(44)
         time, status, X, w = random_dataset(rng, n=80, n_cov=2)
-        problem = CoxProblem(time, status, X)
+        Z, w = split(X, w)
+        problem = CoxProblem(time, status, Z)
         for _ in range(3):
             coefs = rng.normal(scale=0.5, size=3)
             for got, want in zip(problem.evaluate(coefs, w),
-                                 CoxProblem(time, status, X).evaluate(coefs, w)):
+                                 CoxProblem(time, status, Z).evaluate(coefs, w)):
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("origin", [[2.0, 0.0], [0.5, 1.0], [-1.0, 0.0], [np.nan, 1.0]])
-    def test_first_column_must_be_the_origin_flag(self, origin):
-        with pytest.raises(ValueError, match="parent-of-origin flag"):
-            CoxProblem([1.0, 2.0], [1, 1], np.column_stack([origin, [0.3, -0.1]]))
-
-    def test_design_without_columns_is_refused(self):
-        with pytest.raises(ValueError, match="parent-of-origin flag"):
-            CoxProblem([1.0, 2.0], [1, 0], np.empty((2, 0)))
+    @pytest.mark.parametrize("covariates", [[0.3, -0.1], [[[0.3]], [[-0.1]]]])
+    def test_covariates_must_be_2d(self, covariates):
+        with pytest.raises(ValueError, match="covariates must be 2-d"):
+            CoxProblem([1.0, 2.0], [1, 1], covariates)
 
     def test_status_must_be_zero_or_one(self):
         with pytest.raises(ValueError, match="status"):
-            CoxProblem([1.0, 2.0], [2, 0], [[1.0], [0.0]])
+            CoxProblem([1.0, 2.0], [2, 0], np.empty((2, 0)))
 
     def test_weights_of_the_wrong_length_are_refused(self):
-        problem = CoxProblem([1.0, 2.0], [1, 1], [[1.0], [0.0]])
-        with pytest.raises(ValueError, match="weights"):
-            problem.evaluate([0.0], np.ones(3))
+        problem = CoxProblem([1.0, 2.0], [1, 1], np.empty((2, 0)))
+        for shape in [(2, 3), (4,), (1, 2), (2, 2, 1)]:
+            with pytest.raises(ValueError, match="weights"):
+                problem.evaluate([0.0], np.ones(shape))
 
 
 class TestCurvesAndWald:
@@ -389,6 +447,17 @@ class TestCurvesAndWald:
         values = curve(ages)
         assert values[0] == 1.0
         assert np.all(np.diff(values) <= 1e-15)
+
+    @pytest.mark.parametrize("beta, gamma, z", [
+        (np.nan, (), ()),
+        (np.inf, (), ()),
+        (0.3, (np.nan,), (1.0,)),
+        (0.3, (0.5,), (-np.inf,)),
+    ])
+    def test_non_finite_coefficients_are_refused(self, beta, gamma, z):
+        baseline = BaselineHazard([10.0, 20.0], [0.3, 0.2])
+        with pytest.raises(ValueError, match="must be finite"):
+            survival_curve(baseline, beta=beta, gamma=gamma, group="pat", z=z)
 
     def test_wald_zero_coefficient(self):
         fit = fit_cox(
