@@ -165,10 +165,6 @@ def _baseline_to_json(baseline: BaselineHazard):
     }
 
 
-def _baseline_from_json(data) -> BaselineHazard:
-    return BaselineHazard(data["times"], data["increments"])
-
-
 @main.command()
 @click.argument("ped", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", type=float, required=True, help="Disease allele frequency.")
@@ -382,17 +378,34 @@ def curve(report, ages, z, out):
     grid = np.arange(start, stop + step / 2, step)
     z_values = tuple(float(v) for v in z.split(",")) if z else ()
 
+    def stale(what):
+        return ValueError(f"{report} is not a fit report of this version: {what}")
+
+    def number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
     def curve_of(f, group):
+        if not (isinstance(f, dict) and isinstance(f.get("baseline", {}), dict)):
+            raise stale("a fit or its 'baseline' is not an object")
         try:
-            baseline = _baseline_from_json(f["baseline"])
-            beta, gamma = f["beta_hat"], tuple(f["gamma"])
+            times, increments = f["baseline"]["times"], f["baseline"]["increments"]
+            beta, gamma = f["beta_hat"], f["gamma"]
         except KeyError as err:
-            raise ValueError(f"{report} is not a fit report of this version: no {err}") from None
-        return survival_curve(baseline, beta, gamma, group=group, z=z_values)(grid)
+            raise stale(f"no {err}") from None
+        if not number(beta):
+            raise stale("'beta_hat' is not a number")
+        for name, values in (("gamma", gamma), ("times", times), ("increments", increments)):
+            if not (isinstance(values, list) and all(map(number, values))):
+                raise stale(f"{name!r} is not a list of numbers")
+        baseline = BaselineHazard(times, increments)
+        return survival_curve(baseline, beta, tuple(gamma), group=group, z=z_values)(grid)
 
     point = {group: curve_of(fitted, group) for group in ("pat", "mat")}
     bands = {}
-    fits = (fitted.get("bootstrap") or {}).get("fits") or []
+    boot = fitted.get("bootstrap") or {}
+    fits = (boot.get("fits") if isinstance(boot, dict) else boot) or []
+    if not isinstance(fits, list):
+        raise stale("'bootstrap' is not an object with a list of fits")
     if fits:
         for group in ("pat", "mat"):
             curves = np.stack([curve_of(f, group) for f in fits])

@@ -10,9 +10,9 @@ parameters. Iterations stop when the baseline survival probabilities at a
 fixed set of test ages move less than the tolerance.
 
 :func:`_em` is the one EM loop. It runs on a :class:`_Model`, a family list
-compiled once, with a count for each family: ``em_fit`` counts every family
-once, and each bootstrap replicate counts the families as often as it drew
-them.
+compiled once for a config's fixed constants, with a count for each family:
+``em_fit`` counts every family once, and each bootstrap replicate counts the
+families as often as it drew them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
+from .genetics import DEFAULT_EPSILON, DEFAULT_ETA
 from .inference import InferenceError, MarginalEngine, PosteriorWeights, family_weights
 from .pedigree import Pedigree
 from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, survival_curve
@@ -193,15 +193,21 @@ def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
 
 
 class _Model:
-    """A family list compiled once for any number of EM runs: the E-step
-    engine, the M-step's :class:`CoxProblem` on the records at index
-    ``rows`` (those whose phenotype is not suppressed), the family sizes,
-    and the record index and age of each affected one of them."""
+    """A family list compiled once for any number of EM runs, the one place
+    a fit's fixed inputs are prepared: the probands' phenotypes suppressed
+    under ``config.proband_correction`` (with the ``warnings``), the E-step
+    engine compiled at ``config``'s (q, epsilon, eta), the M-step's
+    :class:`CoxProblem` on the records at index ``rows`` (those whose
+    phenotype is not suppressed), the family sizes, and the record index and
+    age of each affected one of them."""
 
-    def __init__(self, families):
+    def __init__(self, families, config: EMConfig):
+        families, self.warnings = list(families), []
         if not families:
             raise ValueError("no families to fit")
-        engine = self.engine = MarginalEngine(families)
+        if config.proband_correction:
+            families, self.warnings = apply_proband_correction(families)
+        engine = self.engine = MarginalEngine(families, config.q, config.epsilon, config.eta)
         self.rows = np.flatnonzero(~engine.suppressed)
         ages, statuses = engine.ages[self.rows], engine.statuses[self.rows]
         self.problem = CoxProblem(ages, statuses, engine.covariates[self.rows])
@@ -217,7 +223,9 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     ``em_fit`` draws every family once; a bootstrap replicate draws a
     resample. A family drawn c times weighs c times in the M-step weights and
     in the log-likelihood, as c copies of it would, and the random start
-    is the one a fit of the drawn list would take.
+    is the one a fit of the drawn list would take. ``config`` gives the
+    seed and the stopping rule; its ``q``, ``epsilon`` and ``eta`` are the
+    model's.
     """
     engine, problem, rows = model.engine, model.problem, model.rows
     family_counts = np.bincount(draws, minlength=model.sizes.size)
@@ -242,13 +250,15 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
 
     # Every drawn affected age is a Breslow jump time, since affected records
     # never lose their carrier mass, and there are no others: the jump grid
-    # is fixed for the run, and so is each affected record's place on it.
+    # is fixed for the run, and so is each record's place on it, found with
+    # the first baseline and checked on every one.
     event_counts = record_counts[model.affected_records]
     event_times = model.affected_ages[event_counts > 0]
     event_counts = event_counts[event_counts > 0]
     jump_grid = np.unique(event_times)
     jump_of_event = np.searchsorted(jump_grid, event_times)
     test_ages = np.asarray(config.test_ages)
+    positions = None
 
     trace = EMTrace()
     coefs = np.zeros(problem.p)
@@ -264,24 +274,20 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
         except CoxError as err:
             raise EMError(f"M-step failed at iteration {iteration}: {err}") from err
         survival = np.exp(-baseline.cumulative(test_ages))
-
-        params = ModelParams(
-            q=config.q,
-            beta=float(coefs[0]),
-            gamma=tuple(coefs[1:]),
-            epsilon=config.epsilon,
-            eta=config.eta,
-            baseline=baseline,
-        )
-        marginals, log_evidence_fam = engine.run(params)
-        np.multiply(counts, marginals[rows, 1], out=weights[0])
-        np.multiply(counts, marginals[rows, 2] + marginals[rows, 3], out=weights[1])
-        log_evidence = float((family_counts * log_evidence_fam).sum())
         if not np.array_equal(baseline.times, jump_grid):
             raise EMError(
                 f"iteration {iteration}: the Breslow jump times are not the "
                 "affected ages; an affected record lost its carrier mass"
             )
+        if positions is None:
+            positions = baseline.grid_positions(engine.ages)
+
+        marginals, log_evidence_fam = engine.run(
+            coefs[0], coefs[1:], baseline.cumulative_at(positions)
+        )
+        np.multiply(counts, marginals[rows, 1], out=weights[0])
+        np.multiply(counts, marginals[rows, 2] + marginals[rows, 3], out=weights[1])
+        log_evidence = float((family_counts * log_evidence_fam).sum())
         jumps = baseline.increments[jump_of_event]
         log_likelihood = log_evidence + float((event_counts * np.log(jumps)).sum())
 
@@ -338,12 +344,9 @@ def em_fit(families, config: EMConfig) -> FitResult:
     are restricted to the pinned states. Deterministic given (families,
     config).
     """
-    families = list(families)
-    warnings = []
-    if config.proband_correction:
-        families, warnings = apply_proband_correction(families)
-    result = _em(_Model(families), config, np.arange(len(families)))
-    result.trace.warnings[:0] = warnings
+    model = _Model(families, config)
+    result = _em(model, config, np.arange(model.sizes.size))
+    result.trace.warnings[:0] = model.warnings
     return result
 
 
@@ -375,7 +378,7 @@ def _bootstrap_one(model, config, replicate_index):
 
 def _bootstrap_chunk(args):
     families, config, replicates = args
-    model = _Model(families)
+    model = _Model(families, config)
     return [_bootstrap_one(model, config, r) for r in replicates]
 
 
@@ -395,8 +398,6 @@ def bootstrap_em(families, config: EMConfig, B: int = 200,
     if B < 1:
         raise ValueError("need at least one bootstrap replicate")
     families = list(families)
-    if config.proband_correction:
-        families, _ = apply_proband_correction(families)
     chunks = min(jobs, B)
     tasks = [(families, config, range(B * i // chunks, B * (i + 1) // chunks))
              for i in range(chunks)]

@@ -58,6 +58,13 @@ GENOTYPE_LABELS = {
 LABEL_TO_GENOTYPE = {label: g for g, label in GENOTYPE_LABELS.items()}
 
 
+def _check_error_rates(epsilon, eta):
+    """Raise ``ValueError`` unless both gene-test error rates lie in [0, 1)."""
+    for name, rate in (("epsilon", epsilon), ("eta", eta)):
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {rate}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Fixed and fitted quantities entering the likelihood factors.
@@ -78,10 +85,7 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"allele frequency q must be in [0, 1], got {self.q}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must be in [0, 1), got {self.eta}")
+        _check_error_rates(self.epsilon, self.eta)
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
 
     def cumulative_hazard(self, t):
@@ -190,21 +194,23 @@ def evidence_factor(record, params: ModelParams) -> np.ndarray:
 class FixedEvidence:
     """The parts of :func:`evidence_matrix` that a new hazard leaves alone.
 
-    For given records and (``epsilon``, ``eta``) they are: the status
+    For given records and gene-test error rates ``epsilon`` and ``eta``,
+    each in [0, 1) (``ValueError`` otherwise), they are: the status
     selections (affected rows take their risk as a factor and rule out the
     non-carrier state), the suppression of phenotypes (a suppressed row
     carries no hazard) and, per state, the gene-test factors times the
     ``pins`` indicator (n, 4) of allowed states, if any. A caller that
-    evaluates the same records many times builds them once.
+    evaluates the same records under the same error rates many times builds
+    them once.
     """
 
     def __init__(self, status, gene_test, epsilon, eta, suppress=None, pins=None):
+        _check_error_rates(epsilon, eta)
         status = np.asarray(status, dtype=int)
         gene_test = np.asarray(gene_test, dtype=int)
         live = np.ones(status.shape[0], dtype=bool)
         if suppress is not None:
             live = ~np.asarray(suppress, dtype=bool)
-        self.key = (epsilon, eta)
         self.live = live.astype(float)
         self.affected = (status == 1) & live
         factor = np.ones((N_STATES, status.shape[0]))
@@ -216,18 +222,19 @@ class FixedEvidence:
         self.factor = factor
 
 
-def evidence_matrix(cumulative_hazard, covariates, params: ModelParams,
-                    fixed: FixedEvidence, *, out=None) -> np.ndarray:
+def evidence_matrix(cumulative_hazard, covariates, beta, gamma, fixed: FixedEvidence,
+                    *, out=None) -> np.ndarray:
     """Vectorized evidence tables for many individuals at once.
 
     Parameters
     ----------
     cumulative_hazard : (n,) array of each individual's baseline cumulative
-        hazard at their age, ``params.cumulative_hazard(age)``; the caller
-        gathers it, so that a fixed jump grid is searched once per fit
+        hazard at their age, ``ModelParams.cumulative_hazard(age)``; the
+        caller gathers it, so that a fixed jump grid is searched once per fit
     covariates : (n, k) array or None
-    fixed : the individuals' :class:`FixedEvidence` (statuses, gene tests,
-        suppressed phenotypes, pins) under ``params``' (epsilon, eta)
+    beta, gamma : the origin effect and the k covariate effects
+    fixed : the individuals' :class:`FixedEvidence` (statuses, gene tests
+        under the error rates, suppressed phenotypes, pins)
     out : (4, n) array or None; the factors are written into it state by
         state, so that only the hazard-dependent ones are computed
 
@@ -241,19 +248,17 @@ def evidence_matrix(cumulative_hazard, covariates, params: ModelParams,
     n = lam.shape[0]
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("cumulative hazards must be finite and non-negative")
-    if fixed.key != (params.epsilon, params.eta):
-        raise ValueError("fixed evidence parts were built for another (epsilon, eta)")
     if out is None:
         out = np.empty((N_STATES, n))
-    k = len(params.gamma)
+    k = len(gamma)
     if k:
         Z = np.asarray(covariates, dtype=float).reshape(n, k)
-        zg = Z @ np.asarray(params.gamma)
+        zg = Z @ np.asarray(gamma, dtype=float)
     else:
         zg = np.zeros(n)
     lam = lam * fixed.live
     out[Genotype.NON_CARRIER] = fixed.factor[Genotype.NON_CARRIER]
-    for state, risk in ((Genotype.HET_PATERNAL, np.exp(params.beta + zg)),
+    for state, risk in ((Genotype.HET_PATERNAL, np.exp(beta + zg)),
                         (Genotype.HET_MATERNAL, np.exp(zg))):
         phenotype = np.exp(-lam * risk)
         np.multiply(phenotype, risk, out=phenotype, where=fixed.affected)

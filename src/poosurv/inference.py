@@ -47,11 +47,13 @@ otherwise. A zero total in the collect pass spreads NaN through its own
 family's columns; one check after the collect pass names such a family.
 The distribute pass divides by the collected messages after setting their
 exact zeros to 1, which leaves the quotient as it is there.
-Founder priors and transmission tables are folded into static potentials
-once per allele frequency, and the evidence parts that a new hazard leaves
-alone are built once per (epsilon, eta), so a run computes only the
-hazard-dependent evidence. Marginals are read from each clique's final
-belief. :func:`posterior_marginals` is the one-family case of the same engine.
+An engine is compiled for one allele frequency and one pair of gene-test
+error rates: its static potentials fold in the founder priors and
+transmission tables, and the evidence parts that a new hazard leaves alone
+are built with it, so a run, given the origin and covariate effects and
+each record's cumulative hazard, computes only the hazard-dependent
+evidence. Marginals are read from each clique's final belief.
+:func:`posterior_marginals` is the one-family case of the same engine.
 
 A cohort is compiled as two shards when its potential tables come to more
 than ``SHARD_BUCKET_BYTES`` per bucket of its one-shard schedule: contiguous
@@ -102,7 +104,6 @@ import numpy as np
 from . import genetics
 from .genetics import N_STATES, Genotype, ModelParams
 from .junction import clique_tree
-from .survival import BaselineHazard
 
 __all__ = [
     "InferenceError",
@@ -242,8 +243,10 @@ def posterior_marginals(pedigree, params: ModelParams) -> MarginalResult:
     :class:`MarginalEngine` of a larger cohort gives the same family, by up
     to about 3.3e-16.
     """
-    engine = MarginalEngine([pedigree])
-    marginals, log_evidence = engine.run(params)
+    engine = MarginalEngine([pedigree], params.q, params.epsilon, params.eta)
+    marginals, log_evidence = engine.run(
+        params.beta, params.gamma, params.cumulative_hazard(engine.ages)
+    )
     return MarginalResult(
         weights=family_weights([pedigree], marginals)[0],
         marginals=marginals,
@@ -862,12 +865,13 @@ class _Shard:
     ``families`` are the shard's, with their ``structures`` (indices into
     the groups of the ``cohort``'s :class:`_Forests`) and first records
     ``offsets`` in the cohort, and ``first`` is the cohort index of the
-    first. Its ops read evidence columns of the cohort's ``phi`` and write
-    the shard's own rows of the cohort's marginal table and log evidence, so
-    that shards can run at once.
+    first. Its static tables fold in the founder ``prior``. Its ops read
+    evidence columns of the cohort's ``phi`` and write the shard's own rows
+    of the cohort's marginal table and log evidence, so that shards can run
+    at once.
     """
 
-    def __init__(self, families, structures, cohort, offsets, first, phi):
+    def __init__(self, families, structures, cohort, offsets, first, phi, prior):
         self.families, self.first, self._phi = families, first, phi
         groups = [[] for _ in cohort.forests]  # the shard's families of each structure
         for fi, s in enumerate(structures.tolist()):
@@ -943,16 +947,14 @@ class _Shard:
         # of ``phi`` holds ones for every other axis. Each run writes the
         # evidence's gather per rank (``_gathered``), the potentials
         # (``_pots``), the collected messages and the normalizers into these
-        # buffers before it reads them; the static tables are rewritten when
-        # ``q`` changes.
+        # buffers before it reads them. The static tables hold each clique's
+        # founder priors and transmission tables.
         ones = phi.shape[1] - 1
-        self._evidence, self._patterns = {}, {}
-        self._pots, self._static, self._gathered = {}, {}, {}
+        self._evidence, self._pots, self._static, self._gathered = {}, {}, {}, {}
         for rank, by_axis in evidence.items():
             members = rank_of == rank
             count = int(members.sum())
             self._pots[rank] = np.empty((N_STATES,) * rank + (count,))
-            self._static[rank] = np.empty_like(self._pots[rank])
             self._gathered[rank] = np.empty((N_STATES, count))
             self._evidence[rank] = []
             for axis in sorted(by_axis):
@@ -962,8 +964,8 @@ class _Shard:
                 self._evidence[rank].append((axis, index))
             index = np.empty(count, dtype=_INDEX)
             index[rank_row[members]] = pattern_of[members]
-            self._patterns[rank] = (cohort.patterns[rank], index)
-        self._static_q = None
+            tables = np.stack([_pattern_table(rank, f, prior) for f in cohort.patterns[rank]], -1)
+            self._static[rank] = np.take(tables, index, axis=-1)
         self._collected = {
             int(size): np.empty((N_STATES,) * int(size) + (int(np.sum(sep_of == size)),))
             for size in np.unique(sep_of[sep_of > 0])
@@ -1042,24 +1044,18 @@ class _Shard:
             reading.append((ops, bucket.targets, marginal.T))
         return potentials, collecting, distributing, reading
 
-    def run(self, q, marginals, log_evidence):
+    def run(self, marginals, log_evidence):
         """The two passes over the shard's families, the evidence already in
         ``phi``: their rows of ``marginals`` and ``log_evidence`` are
         written, with numpy's buffer size at ``_BUFSIZE`` on this thread.
         Raises :class:`ZeroEvidenceError` like :meth:`MarginalEngine.run`."""
         bufsize = np.setbufsize(_BUFSIZE)
         try:
-            self._run(q, marginals, log_evidence)
+            self._run(marginals, log_evidence)
         finally:
             np.setbufsize(bufsize)
 
-    def _run(self, q, marginals, log_evidence):
-        if q != self._static_q:
-            prior = genetics.founder_prior(q)
-            for rank, (factors, index) in self._patterns.items():
-                tables = np.stack([_pattern_table(rank, f, prior) for f in factors], -1)
-                np.take(tables, index, axis=-1, out=self._static[rank], mode="clip")
-            self._static_q = q
+    def _run(self, marginals, log_evidence):
         potentials, collect, distribute, readouts = self._ops
         for op in potentials:
             op()
@@ -1093,7 +1089,12 @@ class _Shard:
 
 
 class MarginalEngine:
-    """Batched posterior-marginal evaluator reused across EM iterations.
+    """Batched posterior-marginal evaluator reused across EM iterations,
+    compiled for one model: the allele frequency ``q`` and the gene-test
+    error rates ``epsilon`` and ``eta``, which a fit treats as known, go
+    into the static tables and the records' :class:`genetics.FixedEvidence`
+    when it is built (``ValueError`` when ``q`` lies outside [0, 1] or a
+    rate outside [0, 1)), so that a run takes only what EM estimates.
 
     Compiles the junction forests of all families into a bucketed two-pass
     schedule and binds it into a list of numpy operations on the engine's
@@ -1108,19 +1109,11 @@ class MarginalEngine:
     ``ages``, ``statuses``, ``covariates`` and ``suppressed`` are the record
     columns in global record order.
 
-    A run computes the hazard-dependent evidence of every record,
-    multiplies it into the static tables, calls the bound operations and
-    returns a fresh marginal table with the per-family log evidence. What
-    does not change between the runs of an EM fit is made once and kept
-    while its inputs stay equal by value: the static tables per ``q``, the
-    fixed evidence parts with the pins per (``epsilon``, ``eta``), and a
-    step baseline's jump-grid positions of the records' ages per grid.
-
     Raises :class:`InferenceError` when a family's largest clique table, or
     all potential tables together, would exceed ``MAX_POTENTIAL_BYTES``.
     """
 
-    def __init__(self, families):
+    def __init__(self, families, q, epsilon, eta):
         self.families = list(families)
         offsets = []
         total = 0
@@ -1138,19 +1131,17 @@ class MarginalEngine:
         records = [rec for fam in self.families for rec in fam]
         self.ages = np.array([rec.age for rec in records], dtype=float)
         self.statuses = np.array([rec.status for rec in records], dtype=int)
-        self._gtest = np.array(
-            [-1 if rec.gene_test is None else rec.gene_test for rec in records], dtype=int
-        )
+        gene_test = [-1 if rec.gene_test is None else rec.gene_test for rec in records]
         self.suppressed = np.array([rec.phenotype_suppressed for rec in records], dtype=bool)
         self.covariates = np.array(
             [rec.covariates for rec in records], dtype=float
         ).reshape(total, cov_len)
-        self._mask = _pin_mask(records)
-        self._grid = self._grid_positions = None
-        self._fixed = None
-        self._compile()
+        self._fixed = genetics.FixedEvidence(
+            self.statuses, gene_test, epsilon, eta, self.suppressed, _pin_mask(records)
+        )
+        self._compile(genetics.founder_prior(q))
 
-    def _compile(self):
+    def _compile(self, prior):
         # each structure's key and forest, and the structure of each family
         index, keys, forests, largest = {}, [], [], (0, None)
         structure_of = np.empty(len(self.families), dtype=_INDEX)
@@ -1196,7 +1187,7 @@ class MarginalEngine:
         offsets = np.asarray(self.offsets, dtype=_INDEX)
         self._shards = [
             _Shard(self.families[lo:hi], structure_of[lo:hi], cohort, offsets[lo:hi], lo,
-                   self._phi)
+                   self._phi, prior)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         cliques, collect, distribute, readout, gathered = map(
@@ -1215,43 +1206,19 @@ class MarginalEngine:
             shards=len(self._shards),
         )
 
-    def _cumulative_hazard(self, params):
-        """Each record's baseline cumulative hazard at its age.
-
-        A step baseline's jump-grid positions of the ages are kept while its
-        jump times stay equal by value, as they do within an EM run.
-        """
-        baseline = params.baseline
-        if not isinstance(baseline, BaselineHazard):
-            return params.cumulative_hazard(self.ages)
-        if self._grid is None or not np.array_equal(self._grid, baseline.times):
-            self._grid = baseline.times.copy()
-            self._grid_positions = baseline.grid_positions(self.ages)
-        return baseline.cumulative_at(self._grid_positions)
-
-    def _fixed_evidence(self, params):
-        """The records' :class:`genetics.FixedEvidence` with their pins,
-        rebuilt when (epsilon, eta) change by value."""
-        fixed = self._fixed
-        if fixed is None or fixed.key != (params.epsilon, params.eta):
-            fixed = self._fixed = genetics.FixedEvidence(
-                self.statuses, self._gtest, params.epsilon, params.eta,
-                self.suppressed, self._mask,
-            )
-        return fixed
-
-    def run(self, params: ModelParams):
-        """Marginals (total, 4) in global record order plus per-family log evidence.
+    def run(self, beta, gamma, cumulative_hazard):
+        """Marginals (total, 4) in global record order plus per-family log
+        evidence, at origin effect ``beta``, covariate effects ``gamma`` and
+        each record's baseline ``cumulative_hazard`` at its age.
 
         Raises :class:`ZeroEvidenceError`, naming the family, when a family's
         observed data has zero probability.
         """
         genetics.evidence_matrix(
-            self._cumulative_hazard(params),
-            self.covariates if self.covariates.shape[1] else None,
-            params, self._fixed_evidence(params), out=self._phi[:, :self.total],
+            cumulative_hazard, self.covariates if self.covariates.shape[1] else None,
+            beta, gamma, self._fixed, out=self._phi[:, :self.total],
         )
         marginals = np.empty((self.total, N_STATES))
         log_evidence = np.empty(len(self.families))
-        _run_shards(self._shards, params.q, marginals, log_evidence)
+        _run_shards(self._shards, marginals, log_evidence)
         return marginals, log_evidence

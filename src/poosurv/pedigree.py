@@ -209,6 +209,7 @@ class Pedigree:
         self.individuals = records
         self._positions = positions
         self._topo = self._topological_order(lines)
+        self._structure_key = None
 
     def _topological_order(self, lines):
         # Kahn's algorithm over parent -> child edges; file order breaks ties.
@@ -284,7 +285,8 @@ class Pedigree:
         phenotypes and ids stay as they are, so the copy shares this
         family's validated structure instead of being built again; records
         whose values do not change are shared too, and a call that changes
-        nothing returns ``self``. Changed records still pass
+        nothing returns ``self``. The copy shares the :meth:`structure_key`,
+        computed here first if needed. Changed records still pass
         :class:`IndividualRecord`'s checks.
         """
         refused = sorted(set(columns) - _VALUE_FIELDS)
@@ -317,17 +319,20 @@ class Pedigree:
         copy.individuals = tuple(records)
         copy._positions = self._positions
         copy._topo = self._topo
+        copy._structure_key = self.structure_key()
         return copy
 
     def structure_key(self) -> tuple[tuple[int, int], ...]:
-        """Parent positions per record; families with equal keys share a graph."""
-        key = []
-        for rec in self.individuals:
-            if rec.is_founder:
-                key.append((-1, -1))
-            else:
-                key.append((self._positions[rec.father_id], self._positions[rec.mother_id]))
-        return tuple(key)
+        """Parent positions per record, computed once; families with equal
+        keys share a graph."""
+        if self._structure_key is None:
+            positions = self._positions
+            self._structure_key = tuple(
+                (-1, -1) if rec.is_founder
+                else (positions[rec.father_id], positions[rec.mother_id])
+                for rec in self.individuals
+            )
+        return self._structure_key
 
 
 def _parse_row(fields, lineno, n_cov):

@@ -356,6 +356,24 @@ class TestFitCommand:
         assert message in result.output
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("option, message", [
+        (("--epsilon", "1.5"), "epsilon must be in [0, 1), got 1.5"),
+        (("--epsilon", "nan"), "epsilon must be in [0, 1), got nan"),
+        (("--eta", "-1"), "eta must be in [0, 1), got -1.0"),
+    ])
+    def test_out_of_range_error_rate_is_validation_error(self, runner, sim_dir, tmp_path,
+                                                         option, message):
+        report_path = tmp_path / "report.json"
+        result = runner.invoke(
+            main,
+            ["fit", str(sim_dir / "pedigree.ped"), "--q", "0.2", *option,
+             "--out", str(report_path)],
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not report_path.exists()
+        assert not (tmp_path / "report.json.config.json").exists()
+
     @pytest.mark.parametrize("option", [("--bootstrap", "-2"), ("--jobs", "0")])
     def test_negative_counts_are_usage_errors(self, runner, sim_dir, tmp_path, option):
         report_path = tmp_path / "fit.json"
@@ -640,23 +658,37 @@ class TestCurveCommand:
 
     @pytest.mark.parametrize("corrupt", [
         "nan_increment", "inf_beta_hat", "nan_in_bootstrap_baseline",
+        "null_beta_hat", "string_baseline", "null_gamma", "list_report",
+        "string_beta_hat_in_bootstrap",
     ])
     def test_non_finite_report_is_validation_error(
         self, runner, fitted_report, tmp_path, corrupt
     ):
         report = json.loads(Path(fitted_report).read_text())
+        message = "must be finite"
         if corrupt == "nan_increment":
             report["baseline"]["increments"][3] = float("nan")
         elif corrupt == "inf_beta_hat":
             report["beta_hat"] = float("inf")
-        else:
+        elif corrupt == "nan_in_bootstrap_baseline":
             report["bootstrap"]["fits"][2]["baseline"]["times"][1] = float("nan")
+        elif corrupt == "null_beta_hat":
+            report["beta_hat"], message = None, "'beta_hat' is not a number"
+        elif corrupt == "string_baseline":
+            report["baseline"], message = "x", "'baseline' is not an object"
+        elif corrupt == "null_gamma":
+            report["gamma"], message = None, "'gamma' is not a list of numbers"
+        elif corrupt == "list_report":
+            report, message = [report], "is not an object"
+        else:
+            report["bootstrap"]["fits"][1]["beta_hat"] = "-0.5"
+            message = "'beta_hat' is not a number"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(report))
         out = tmp_path / "c.csv"
         result = runner.invoke(main, ["curve", str(bad), "--out", str(out)])
         assert result.exit_code == 2
-        assert "must be finite" in result.output
+        assert message in result.output
         assert not out.exists()
         assert not (tmp_path / "c.csv.config.json").exists()
 

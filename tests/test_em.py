@@ -70,10 +70,10 @@ def fail_replicate(monkeypatch, index, family_id):
         finally:
             running.pop()
 
-    def failing(self, params):
+    def failing(self, *args):
         if running == [index]:
             raise inference.ZeroEvidenceError(family_id)
-        return real_run(self, params)
+        return real_run(self, *args)
 
     monkeypatch.setattr(em, "_bootstrap_one", tracked)
     monkeypatch.setattr(inference.MarginalEngine, "run", failing)
@@ -113,7 +113,8 @@ class TestWeightedDataset:
             for fam in fams
         ]
         corrected, _ = apply_proband_correction(fams)
-        model = _Model(corrected)
+        model = _Model(fams, EMConfig(q=0.2, proband_correction=True))
+        assert model.engine.families == corrected
         records = [rec for fam in corrected for rec in fam]
         kept = [i for i, rec in enumerate(records) if not rec.phenotype_suppressed]
         assert 0 < len(kept) < len(records)
@@ -135,7 +136,7 @@ class TestWeightedDataset:
 
     def test_zero_weight_row_does_not_change_fit(self):
         fams = [informative_family("A"), informative_family("B")]
-        model = _Model(fams)
+        model = _Model(fams, EMConfig(q=0.2))
         tested_negative = np.array([rec.gene_test == 0 for fam in fams for rec in fam])
         weights = np.stack((np.where(tested_negative, 0.0, 0.7),
                             np.where(tested_negative, 0.0, 0.3)))[:, model.rows]
@@ -163,13 +164,13 @@ class TestWeightedDataset:
                 ])
                 for fam in fams
             ]
-            for cohort in (with_covariates, apply_proband_correction(with_covariates)[0]):
-                model = _Model(cohort)
+            for correction in (False, True):
+                model = _Model(with_covariates, EMConfig(q=0.2, proband_correction=correction))
                 assert (model.problem.n, model.problem.p) == (model.rows.size, 1 + k)
             suppressed = _Model([
                 fam.with_values(phenotype_suppressed=[True] * len(fam))
                 for fam in with_covariates
-            ])
+            ], EMConfig(q=0.2))
             assert (suppressed.problem.n, suppressed.problem.p) == (0, 1 + k)
 
 
@@ -483,13 +484,48 @@ class TestWeightsOnDemand:
     def test_later_engine_runs_leave_earlier_weights(self):
         # bootstrap replicates run on the fit's engine after the fit
         fams, config = self.cohort()
-        model = em._Model(fams)
+        model = em._Model(fams, config)
         first = em._em(model, config, np.arange(len(fams)))
         kept = first.marginals.copy()
         assert not first.marginals.flags.writeable
         em._em(model, replace(config, seed=9), np.repeat(np.arange(3), 4))
         assert first.marginals.tobytes() == kept.tobytes()
         assert_weights_equal(first.weights, per_record_weights(fams, kept))
+
+
+class TestGatheredHazard:
+    """EM gathers each record's cumulative hazard at its place on the run's
+    jump grid; a fresh engine run at the baseline's own lookup gives the
+    same marginals, bit for bit."""
+
+    @staticmethod
+    def fresh_run(fit, config):
+        engine = inference.MarginalEngine(fit.families, config.q, config.epsilon, config.eta)
+        hazard = fit.baseline.cumulative(engine.ages)
+        return engine.run(fit.beta_hat, fit.gamma_hat, hazard)[0]
+
+    @pytest.mark.parametrize("cohort", ["S1 proband", "covariate"])
+    def test_fit_marginals_are_the_fitted_models(self, cohort):
+        fams, _ = simulate_families(
+            40, beta=-0.6, q=0.2, scenario="S1", seed=67, mark_probands=True
+        )
+        if cohort == "covariate":
+            fams = TestBootstrap.with_covariate(fams, 67)
+        config = EMConfig(q=0.2, seed=2, proband_correction=cohort == "S1 proband")
+        fit = em_fit(fams, config)
+        assert fit.marginals.tobytes() == self.fresh_run(fit, config).tobytes()
+
+    def test_bootstrap_draw_marginals_are_its_models(self):
+        # a resample's jump grid is its own: the drawn affected ages
+        fams, _ = simulate_families(40, beta=-0.6, q=0.2, scenario="S1", seed=68)
+        fams = TestBootstrap.with_covariate(fams, 68)
+        config = EMConfig(q=0.2, seed=3)
+        model = _Model(fams, config)
+        fit = em._em(model, config, np.arange(len(fams)))
+        draws = np.random.default_rng(68).integers(0, len(fams), size=len(fams))
+        replicate = em._em(model, replace(config, seed=4), draws)
+        assert not np.array_equal(replicate.baseline.times, fit.baseline.times)
+        assert replicate.marginals.tobytes() == self.fresh_run(replicate, config).tobytes()
 
 
 class TestBootstrap:
@@ -539,9 +575,9 @@ class TestBootstrap:
         compiled = []
 
         class CountingEngine(inference.MarginalEngine):
-            def __init__(self, families):
+            def __init__(self, families, *model):
                 compiled.append(len(families))
-                super().__init__(families)
+                super().__init__(families, *model)
 
         monkeypatch.setattr(em, "MarginalEngine", CountingEngine)
         fams, _ = simulate_families(15, beta=-0.6, q=0.2, scenario="S2", seed=63)
@@ -556,9 +592,9 @@ class TestBootstrap:
         rng = np.random.default_rng(64)
         fams, _ = simulate_families(8, beta=-0.6, q=0.2, scenario="S1", seed=64)
         fams += [sized_family(rng, f"B{k}", children) for k, children in enumerate((2, 4, 6, 8))]
-        need = inference.MarginalEngine(fams).stats.potential_bytes
-        monkeypatch.setattr(inference, "MAX_POTENTIAL_BYTES", need)
         config = EMConfig(q=0.2, seed=3)
+        need = _Model(fams, config).engine.stats.potential_bytes
+        monkeypatch.setattr(inference, "MAX_POTENTIAL_BYTES", need)
         em_fit(fams, config)
         reps = bootstrap_em(fams, config, B=6)
         assert len(reps) == 6

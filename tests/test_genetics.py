@@ -227,6 +227,18 @@ class TestEvidenceFactor:
 
 
 class TestEvidenceMatrix:
+    @pytest.mark.parametrize("epsilon, eta, message", [
+        (1.5, 0.0, "epsilon must be in [0, 1), got 1.5"),
+        (float("nan"), 0.0, "epsilon must be in [0, 1), got nan"),
+        (0.01, -1.0, "eta must be in [0, 1), got -1.0"),
+    ])
+    def test_out_of_range_error_rates_are_rejected(self, epsilon, eta, message):
+        for build in (lambda: FixedEvidence([0], [1], epsilon, eta),
+                      lambda: ModelParams(q=0.2, epsilon=epsilon, eta=eta)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(3)
         params = ModelParams(
@@ -253,7 +265,8 @@ class TestEvidenceMatrix:
         matrix = evidence_matrix(
             params.cumulative_hazard(np.array([r.age for r in records])),
             np.array([r.covariates for r in records]),
-            params,
+            params.beta,
+            params.gamma,
             fixed,
         )
         for i, rec in enumerate(records):

@@ -302,6 +302,18 @@ class TestScenarioMasks:
             new is old for new, old in zip(copy, fam) if new.individual_id != "3"
         )
 
+    def test_value_copy_shares_the_structure_key(self):
+        # the key is computed once, on the first call or the first copy,
+        # and every copy returns that same object
+        (fam,), _ = simulate_families(1, beta=-0.6, q=0.2, scenario="S0", seed=26)
+        tests = [None] * len(fam)
+        tests[0] = 0
+        copy = fam.with_values(gene_test=tests)
+        key = fam.structure_key()
+        assert fam.structure_key() is key and copy.structure_key() is key
+        assert copy.with_values(phenotype_suppressed=[True] * len(fam)).structure_key() is key
+        assert key == Pedigree(list(fam)).structure_key()
+
     def test_mark_probands_flags_first_affected(self):
         families, _ = simulate_families(
             40, beta=-0.6, q=0.2, scenario="S1", seed=21, mark_probands=True
