@@ -52,7 +52,6 @@ from .survival import (
     BaselineHazard,
     ConvergenceError,
     CoxError,
-    CoxFit,
     CoxProblem,
     MonotoneLikelihoodError,
     RankDeficiencyError,
@@ -100,7 +99,7 @@ __all__ = [
     "PosteriorWeights", "ZeroEvidenceError", "brute_force_marginals",
     "build_clique_tree", "posterior_marginals",
     # survival
-    "BaselineHazard", "ConvergenceError", "CoxError", "CoxFit", "CoxProblem",
+    "BaselineHazard", "ConvergenceError", "CoxError", "CoxProblem",
     "MonotoneLikelihoodError", "RankDeficiencyError", "SingularInformationError",
     "SurvivalCurve", "survival_curve", "wald_test",
     # em

@@ -201,14 +201,15 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
     for finding in findings:
         click.echo(f"warning: {finding}", err=True)
     result = em_fit(families, config)
-    z, p = wald_test(result.cox, 0)
+    z, p = wald_test(result.beta_hat, result.covariance[0, 0])
+    std_errors = result.std_errors
     report = {
         "beta_hat": result.beta_hat,
-        "se_naive": float(result.cox.std_errors[0]),
+        "se_naive": float(std_errors[0]),
         "wald_z": z,
         "p_wald": p,
         "gamma": [float(g) for g in result.gamma_hat],
-        "gamma_se": [float(s) for s in result.cox.std_errors[1:]],
+        "gamma_se": [float(s) for s in std_errors[1:]],
         "baseline": _baseline_to_json(result.baseline),
         "converged": result.converged,
         "iterations": result.iterations,

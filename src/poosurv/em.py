@@ -23,10 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .genetics import DEFAULT_EPSILON, DEFAULT_ETA
+from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, origin_weights
 from .inference import InferenceError, MarginalEngine, PosteriorWeights, family_weights
 from .pedigree import Pedigree
-from .survival import BaselineHazard, CoxError, CoxFit, CoxProblem, survival_curve
+from .survival import BaselineHazard, CoxError, CoxProblem, survival_curve
 
 __all__ = [
     "EMError",
@@ -121,6 +121,16 @@ class EMTrace:
 class FitResult:
     """Final state of an EM run.
 
+    ``beta_hat``, ``gamma_hat``, ``covariance`` and ``baseline`` come from
+    the last M-step: the parent-of-origin log hazard ratio (paternal versus
+    maternal), the covariate effects, the covariance of
+    ``(beta_hat, *gamma_hat)`` (the inverse observed information of that
+    weighted Cox fit, which ignores the uncertainty of the weights) and the
+    Breslow baseline hazard. ``std_errors`` are the "naive" standard errors
+    from ``covariance``; :func:`poosurv.survival.wald_test` takes an
+    estimate and its variance, such as ``covariance[0, 0]``, and the family
+    bootstrap gives honest intervals.
+
     ``marginals`` is the last E-step's read-only (records, 4) posterior
     table, in the record order of ``families``, the fitted family list.
     ``weights`` holds one mapping per family (individual id to posterior
@@ -129,7 +139,10 @@ class FitResult:
     exhausted; the result is still usable.
     """
 
-    cox: CoxFit
+    beta_hat: float
+    gamma_hat: np.ndarray
+    covariance: np.ndarray
+    baseline: BaselineHazard
     trace: EMTrace
     converged: bool
     marginals: np.ndarray = field(repr=False)
@@ -140,16 +153,9 @@ class FitResult:
         return family_weights(self.families, self.marginals)
 
     @property
-    def beta_hat(self) -> float:
-        return self.cox.beta_hat
-
-    @property
-    def gamma_hat(self) -> np.ndarray:
-        return self.cox.gamma_hat
-
-    @property
-    def baseline(self) -> BaselineHazard:
-        return self.cox.baseline
+    def std_errors(self) -> np.ndarray:
+        """Square roots of the ``covariance`` diagonal, in its order."""
+        return np.sqrt(np.diag(self.covariance))
 
     @property
     def iterations(self) -> int:
@@ -269,7 +275,7 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     below_tol_streak = 0
     for iteration in range(1, config.max_iter + 1):
         try:
-            coefs, covariance, loglik, n_steps = problem.fit(weights, init=coefs)
+            coefs, covariance, _, _ = problem.fit(weights, init=coefs)
             baseline = problem.breslow(weights, coefs)
         except CoxError as err:
             raise EMError(f"M-step failed at iteration {iteration}: {err}") from err
@@ -285,8 +291,7 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
         marginals, log_evidence_fam = engine.run(
             coefs[0], coefs[1:], baseline.cumulative_at(positions)
         )
-        np.multiply(counts, marginals[rows, 1], out=weights[0])
-        np.multiply(counts, marginals[rows, 2] + marginals[rows, 3], out=weights[1])
+        weights = counts * origin_weights(marginals.take(rows, axis=0))
         log_evidence = float((family_counts * log_evidence_fam).sum())
         jumps = baseline.increments[jump_of_event]
         log_likelihood = log_evidence + float((event_counts * np.log(jumps)).sum())
@@ -322,17 +327,10 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
             converged = True
             break
 
-    fit = CoxFit(
-        beta_hat=float(coefs[0]),
-        gamma_hat=coefs[1:],
-        covariance=covariance,
-        log_partial_likelihood=loglik,
-        n_iter=n_steps,
-        baseline=baseline,
-    )
     marginals.setflags(write=False)
     return FitResult(
-        cox=fit, trace=trace, converged=converged, marginals=marginals,
+        beta_hat=float(coefs[0]), gamma_hat=coefs[1:], covariance=covariance,
+        baseline=baseline, trace=trace, converged=converged, marginals=marginals,
         families=engine.families,
     )
 

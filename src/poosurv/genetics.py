@@ -33,6 +33,7 @@ __all__ = [
     "evidence_factor",
     "FixedEvidence",
     "evidence_matrix",
+    "origin_weights",
 ]
 
 N_STATES = 4
@@ -266,3 +267,17 @@ def evidence_matrix(cumulative_hazard, covariates, beta, gamma, fixed: FixedEvid
     # the homozygote shares the maternal-origin heterozygote's phenotype
     np.multiply(phenotype, fixed.factor[Genotype.HOMOZYGOUS], out=out[Genotype.HOMOZYGOUS])
     return out.T
+
+
+def origin_weights(marginals) -> np.ndarray:
+    """The (2, n) origin split of an (n, 4) posterior marginal table.
+
+    Row 0 is each individual's paternal-origin mass (``HET_PATERNAL``), row 1
+    its maternal-origin mass (``HET_MATERNAL`` plus ``HOMOZYGOUS``, whose
+    phenotype follows the maternal-origin hazard); non-carrier mass has no
+    row. These are the weights of the M-step's records.
+    """
+    return np.stack((
+        marginals[:, Genotype.HET_PATERNAL],
+        marginals[:, Genotype.HET_MATERNAL] + marginals[:, Genotype.HOMOZYGOUS],
+    ))

@@ -217,10 +217,7 @@ def _pin_mask(records):
 def family_weights(families, marginals) -> list[dict]:
     """One mapping per family, individual id to :class:`PosteriorWeights`,
     from a flat (records, 4) marginal table in the families' record order."""
-    w_pat = marginals[:, Genotype.HET_PATERNAL].tolist()
-    w_mat = (
-        marginals[:, Genotype.HET_MATERNAL] + marginals[:, Genotype.HOMOZYGOUS]
-    ).tolist()
+    w_pat, w_mat = genetics.origin_weights(marginals).tolist()
     w_zero = marginals[:, Genotype.NON_CARRIER].tolist()
     weights = list(map(PosteriorWeights, w_pat, w_mat, w_zero))
     mappings, offset = [], 0

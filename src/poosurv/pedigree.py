@@ -208,11 +208,12 @@ class Pedigree:
         self.family_id = family_id
         self.individuals = records
         self._positions = positions
-        self._topo = self._topological_order(lines)
+        self._check_acyclic(lines)
         self._structure_key = None
 
-    def _topological_order(self, lines):
-        # Kahn's algorithm over parent -> child edges; file order breaks ties.
+    def _check_acyclic(self, lines):
+        # Kahn's algorithm over parent -> child edges: a record whose
+        # parents are never both reached sits on or below a cycle.
         children: dict[str, list[str]] = {r.individual_id: [] for r in self.individuals}
         pending = {}
         for rec in self.individuals:
@@ -222,23 +223,19 @@ class Pedigree:
                 pending[rec.individual_id] = 2
                 children[rec.father_id].append(rec.individual_id)
                 children[rec.mother_id].append(rec.individual_id)
-        order = []
-        ready = [r.individual_id for r in self.individuals if pending[r.individual_id] == 0]
+        ready = [i for i, n in pending.items() if n == 0]
         while ready:
-            nxt = ready.pop(0)
-            order.append(nxt)
-            for child in children[nxt]:
+            for child in children[ready.pop()]:
                 pending[child] -= 1
                 if pending[child] == 0:
                     ready.append(child)
-        if len(order) != len(self.individuals):
-            stuck = [i for i, n in pending.items() if n > 0]
+        stuck = [i for i, n in pending.items() if n > 0]
+        if stuck:
             raise PedigreeError(
                 f"cycle in parent graph involving {', '.join(sorted(stuck))}",
                 family_id=self.family_id,
                 line=min((lines[i] for i in stuck if i in lines), default=None),
             )
-        return tuple(order)
 
     def __len__(self) -> int:
         return len(self.individuals)
@@ -251,10 +248,6 @@ class Pedigree:
 
     def __repr__(self):
         return f"Pedigree({self.family_id!r}, n={len(self)})"
-
-    @property
-    def founders(self) -> tuple[str, ...]:
-        return tuple(r.individual_id for r in self.individuals if r.is_founder)
 
     @property
     def covariate_count(self) -> int:
@@ -271,10 +264,6 @@ class Pedigree:
         if rec.is_founder:
             return None
         return rec.father_id, rec.mother_id
-
-    def topological_order(self) -> tuple[str, ...]:
-        """Individual ids ordered so parents always precede children."""
-        return self._topo
 
     def with_values(self, **columns) -> Pedigree:
         """A copy whose records take new values of non-structural fields.
@@ -318,7 +307,6 @@ class Pedigree:
         copy.family_id = self.family_id
         copy.individuals = tuple(records)
         copy._positions = self._positions
-        copy._topo = self._topo
         copy._structure_key = self.structure_key()
         return copy
 

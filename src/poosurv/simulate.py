@@ -382,7 +382,7 @@ def _run_replicate(families, scenario, config, case_label, replicate_index,
         scenario=scenario.value,
         replicate=replicate_index,
         beta_hat=result.beta_hat,
-        se=float(result.cox.std_errors[0]),
+        se=float(result.std_errors[0]),
         iterations=result.iterations,
         converged=result.converged,
         seed=seed_label,

@@ -16,16 +16,18 @@ only, once per weight table and ``gamma``. Without covariates they are
 computed once per weight table, and every Newton evaluation and the Breslow
 estimate then cost O(events) rather than O(records).
 
-Reported standard errors come from the inverse observed information of the
-final weighted fit and ignore any uncertainty in the weights themselves
-("naive" errors); honest intervals are available via the family bootstrap
-in :mod:`poosurv.em`.
+:meth:`CoxProblem.fit` returns the coefficients with their covariance, the
+inverse observed information of the weighted fit. An EM fit keeps the last
+one as :attr:`poosurv.em.FitResult.covariance`, and its
+:attr:`~poosurv.em.FitResult.std_errors` ignore any uncertainty in the
+weights themselves ("naive" errors); honest intervals are available via the
+family bootstrap in :mod:`poosurv.em`. :func:`wald_test` turns one estimate
+and its variance into a z statistic and a two-sided p-value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +38,6 @@ __all__ = [
     "MonotoneLikelihoodError",
     "ConvergenceError",
     "BaselineHazard",
-    "CoxFit",
     "CoxProblem",
     "SurvivalCurve",
     "survival_curve",
@@ -95,10 +96,6 @@ class BaselineHazard:
         self.increments = increments
         self._padded_cum = np.concatenate(([0.0], np.cumsum(increments)))
 
-    @classmethod
-    def zero(cls) -> "BaselineHazard":
-        return cls([], [])
-
     def cumulative(self, t):
         """Cumulative hazard at ``t`` (scalar or array)."""
         out = self.cumulative_at(self.grid_positions(t))
@@ -124,30 +121,6 @@ class BaselineHazard:
     def __repr__(self):
         total = self._padded_cum[-1]
         return f"BaselineHazard(jumps={self.times.size}, total={total:.4g})"
-
-
-@dataclass
-class CoxFit:
-    """Result of a weighted Cox fit.
-
-    ``beta_hat`` is the parent-of-origin log hazard ratio (paternal versus
-    maternal baseline); ``gamma_hat`` holds the covariate coefficients.
-    """
-
-    beta_hat: float
-    gamma_hat: np.ndarray
-    covariance: np.ndarray
-    log_partial_likelihood: float
-    n_iter: int
-    baseline: BaselineHazard | None = field(default=None)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.concatenate(([self.beta_hat], self.gamma_hat))
-
-    @property
-    def std_errors(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.covariance))
 
 
 class CoxProblem:
@@ -405,15 +378,16 @@ def survival_curve(baseline, beta=0.0, gamma=(), group="mat", z=()) -> SurvivalC
     return SurvivalCurve(baseline, log_risk)
 
 
-def wald_test(fit: CoxFit, index: int = 0) -> tuple[float, float]:
-    """Wald z statistic and two-sided p-value for one coefficient.
+def wald_test(estimate: float, variance: float) -> tuple[float, float]:
+    """Wald z statistic and two-sided p-value of one estimate and its variance.
 
-    ``index`` addresses the combined coefficient vector: 0 is the
-    parent-of-origin effect, 1.. the covariates.
+    For the origin effect of an EM fit this is
+    ``wald_test(result.beta_hat, result.covariance[0, 0])``; any other
+    variance of the estimate, a profile-likelihood one say, fits the same
+    way. A variance that is not positive raises ``ValueError``.
     """
-    variance = fit.covariance[index, index]
     if variance <= 0:
-        raise ValueError(f"coefficient {index} has zero variance")
-    z = fit.coefficients[index] / np.sqrt(variance)
+        raise ValueError(f"variance must be positive, got {variance}")
+    z = estimate / np.sqrt(variance)
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return float(z), float(p)

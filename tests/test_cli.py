@@ -19,11 +19,14 @@ from poosurv import (
     EMConfig,
     Pedigree,
     bootstrap_em,
+    em_fit,
     format_ped,
     parse_ped,
     parse_truth,
     pin_genotypes,
+    simulate_families,
     survival_curve,
+    wald_test,
 )
 from poosurv.cli import main
 
@@ -221,6 +224,27 @@ class TestFitCommand:
         echo = json.loads((tmp_path / "r.json.config.json").read_text())
         assert echo["parameters"]["q"] == 0.04
         assert echo["parameters"]["proband_correction"] is True
+
+    def test_uncertainty_fields_come_from_the_fit_covariance(self, runner, tmp_path):
+        families, _ = simulate_families(40, beta=-0.6, q=0.2, scenario="S1", seed=71)
+        rng = np.random.default_rng(71)
+        families = [
+            Pedigree([replace(rec, covariates=(float(rng.normal()),)) for rec in fam])
+            for fam in families
+        ]
+        ped = tmp_path / "covariate.ped"
+        ped.write_text(format_ped(families))
+        report_path = tmp_path / "report.json"
+        run_ok(runner, ["fit", str(ped), "--q", "0.2", "--seed", "5", "--out", str(report_path)])
+        report = json.loads(report_path.read_text())
+        result = em_fit(parse_ped(ped.read_text()), EMConfig(q=0.2, seed=5))
+        variance = result.covariance[0, 0]
+        assert result.covariance.shape == (2, 2)
+        assert report["beta_hat"] == result.beta_hat
+        assert report["se_naive"] == float(np.sqrt(variance))
+        assert report["gamma_se"] == result.std_errors[1:].tolist()
+        assert len(report["gamma_se"]) == 1
+        assert (report["wald_z"], report["p_wald"]) == wald_test(result.beta_hat, variance)
 
     def test_missing_input_no_partial_outputs(self, runner, tmp_path):
         report_path = tmp_path / "missing.json"

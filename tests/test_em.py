@@ -418,9 +418,9 @@ class TestEMFit:
         result = em_fit(with_cov, config)
         assert result.converged
         assert result.gamma_hat.shape == (1,)
-        gamma_se = result.cox.std_errors[1]
+        gamma_se = result.std_errors[1]
         assert abs(result.gamma_hat[0]) < 3 * gamma_se
-        assert abs(result.beta_hat + 0.6) < 4 * result.cox.std_errors[0]
+        assert abs(result.beta_hat + 0.6) < 4 * result.std_errors[0]
 
     def test_bootstrap_deterministic_across_jobs(self):
         fams, _ = simulate_families(25, beta=-0.6, q=0.2, scenario="S2", seed=50)

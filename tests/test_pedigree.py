@@ -108,10 +108,21 @@ def test_sex_inconsistent_parent():
 
 
 def test_cycle_detected():
-    text = "F1 1 2 3 1 70.0 0 -9 0\nF1 2 1 3 1 60.0 0 -9 0\nF1 3 0 0 2 50.0 0 -9 0\n"
+    # 1 and 2 are each other's fathers; 4, their descendant listed first, is
+    # never reached either, while 6 below the founders 5 and 3 is
+    text = (
+        "# covariates: 0\n"
+        "F1 4 1 3 1 20.0 0 -9 0\n"
+        "F1 3 0 0 2 50.0 0 -9 0\n"
+        "F1 1 2 3 1 70.0 0 -9 0\n"
+        "F1 2 1 3 1 60.0 0 -9 0\n"
+        "F1 5 0 0 1 50.0 0 -9 0\n"
+        "F1 6 5 3 1 20.0 0 -9 0\n"
+    )
     with pytest.raises(PedigreeError) as exc:
         parse_ped(text)
-    assert "cycle" in str(exc.value)
+    assert str(exc.value) == "family F1, line 2: cycle in parent graph involving 1, 2, 4"
+    assert (exc.value.family_id, exc.value.line) == ("F1", 2)
 
 
 def test_covariate_arity_mismatch():
@@ -207,32 +218,11 @@ def test_round_trip_property(families):
 
 def test_founder_set_matches_absent_parents():
     families = parse_ped(SMALL_FILE)
+    founders = [[r.individual_id for r in fam if r.is_founder] for fam in families]
+    assert founders == [["1", "2"], ["1"]]
     for fam in families:
-        expected = tuple(
-            r.individual_id for r in fam if r.father_id is None and r.mother_id is None
-        )
-        assert fam.founders == expected
-
-
-def test_topological_order_respects_parentage():
-    text = "\n".join(
-        [
-            "F1 5 1 2 1 30.0 0 -9 0",  # child listed first
-            "F1 1 0 0 1 70.0 0 -9 0",
-            "F1 2 0 0 2 65.0 0 -9 0",
-            "F1 6 5 4 2 10.0 0 -9 0",
-            "F1 4 0 0 2 40.0 0 -9 0",
-        ]
-    )
-    fam = parse_ped(text)[0]
-    order = fam.topological_order()
-    seen = set()
-    for individual_id in order:
-        rec = fam.record(individual_id)
-        if not rec.is_founder:
-            assert rec.father_id in seen and rec.mother_id in seen
-        seen.add(individual_id)
-    assert len(order) == len(fam)
+        for r in fam:
+            assert r.is_founder == (r.father_id is None and r.mother_id is None)
 
 
 def test_validate_multiple_probands():
@@ -315,4 +305,4 @@ def test_pedigree_direct_construction_validates():
         Pedigree([])
     rec = IndividualRecord("F", "1", None, None, Sex.MALE, 50.0, 0)
     ped = Pedigree([rec])
-    assert ped.founders == ("1",)
+    assert ped.individuals == (rec,) and ped.record("1").is_founder

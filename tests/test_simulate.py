@@ -274,7 +274,6 @@ class TestScenarioMasks:
                     for rec, new in zip(fam, copy)
                 )
                 assert [vars(r) for r in copy] == [vars(r) for r in rebuilt]
-                assert copy.topological_order() == rebuilt.topological_order()
                 assert copy.structure_key() == rebuilt.structure_key()
                 for rec in fam:
                     assert copy.position(rec.individual_id) == rebuilt.position(
@@ -366,7 +365,7 @@ class TestReplicateStudy:
                         f"{seed}-{case_index}-{replicate}", "",
                     )
                     assert row.beta_hat == fit.beta_hat
-                    assert row.se == float(fit.cox.std_errors[0])
+                    assert row.se == float(fit.std_errors[0])
                     assert row.iterations == fit.iterations
                     assert row.converged == fit.converged
         assert next(rows, None) is None
