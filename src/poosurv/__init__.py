@@ -19,6 +19,7 @@ from .pedigree import (
     PedigreeError,
     Sex,
     ValidationWarning,
+    apply_proband_correction,
     format_ped,
     parse_ped,
     pin_genotypes,
@@ -67,7 +68,6 @@ from .em import (
     EMIteration,
     EMTrace,
     FitResult,
-    apply_proband_correction,
     bootstrap_em,
     em_fit,
 )
@@ -89,7 +89,8 @@ __all__ = [
     "__version__",
     # pedigree
     "IndividualRecord", "Pedigree", "PedigreeError", "Sex", "ValidationWarning",
-    "format_ped", "parse_ped", "pin_genotypes", "validate",
+    "apply_proband_correction", "format_ped", "parse_ped", "pin_genotypes",
+    "validate",
     # genetics
     "DEFAULT_EPSILON", "DEFAULT_ETA", "FixedEvidence", "GENOTYPE_LABELS",
     "Genotype", "ModelParams", "TRANSMISSION", "evidence_factor",
@@ -104,7 +105,7 @@ __all__ = [
     "SurvivalCurve", "survival_curve", "wald_test",
     # em
     "BootstrapReplicate", "EMConfig", "EMError", "EMIteration", "EMTrace",
-    "FitResult", "apply_proband_correction", "bootstrap_em", "em_fit",
+    "FitResult", "bootstrap_em", "em_fit",
     # simulate
     "DEFAULT_HAZARD", "FAMILY_TEMPLATE", "HazardSpec", "ReplicateRow",
     "Scenario", "TruthRecord", "apply_scenario_mask", "format_truth",

@@ -24,12 +24,14 @@ from . import __version__
 from .em import EMConfig, EMError, bootstrap_em, em_fit
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, ModelParams
 from .inference import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     InferenceError,
     brute_force_marginals,
     posterior_marginals,
 )
-from .pedigree import PedigreeError, format_ped, parse_ped, pin_genotypes, validate
+from .pedigree import (
+    PedigreeError, apply_proband_correction, format_ped, parse_ped, pin_genotypes, validate,
+)
 from .simulate import (
     DEFAULT_HAZARD,
     DEFAULT_Q,
@@ -187,6 +189,9 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
     families = _load_families(ped)
     if poo_file:
         families = pin_genotypes(families, parse_truth(Path(poo_file).read_text()))
+    corrections = []
+    if proband_correction:
+        families, corrections = apply_proband_correction(families)
     config = EMConfig(
         q=q,
         epsilon=epsilon,
@@ -195,7 +200,6 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         tol=tol,
         max_iter=max_iter,
         seed=seed,
-        proband_correction=proband_correction,
     )
     findings = [str(w) for fam in families for w in validate(fam, epsilon=epsilon)]
     for finding in findings:
@@ -217,7 +221,7 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
         "log_evidence": result.trace.iterations[-1].log_evidence,
         "n_families": len(families),
         "n_individuals": sum(len(f) for f in families),
-        "warnings": findings + result.trace.warnings,
+        "warnings": findings + corrections + result.trace.warnings,
         "trace": [
             {
                 "iteration": row.index,
@@ -328,16 +332,15 @@ def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
 @click.option("--epsilon", type=float, default=DEFAULT_EPSILON, show_default=True)
 @click.option("--eta", type=float, default=DEFAULT_ETA, show_default=True)
 @click.option("--hazard", default=None, help="Baseline hazard as start:rate,...")
-@click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True, help="Enumeration cap on family size.")
 @_guarded
-def check_oracle(ped, q, beta, epsilon, eta, hazard, cap):
+def check_oracle(ped, q, beta, epsilon, eta, hazard):
     """Compare clique-tree marginals against brute-force enumeration."""
     families = _load_families(ped)
     for fam in families:
-        if len(fam) > cap:
+        if len(fam) > ENUMERATION_CAP:
             raise ValueError(
                 f"family {fam.family_id} has {len(fam)} members, above the "
-                f"enumeration cap {cap}"
+                f"enumeration cap {ENUMERATION_CAP}"
             )
     params = ModelParams(
         q=q, beta=beta, epsilon=epsilon, eta=eta, baseline=_parse_hazard(hazard)
@@ -345,7 +348,7 @@ def check_oracle(ped, q, beta, epsilon, eta, hazard, cap):
     worst = 0.0
     for fam in families:
         exact = posterior_marginals(fam, params)
-        brute = brute_force_marginals(fam, params, cap=cap)
+        brute = brute_force_marginals(fam, params)
         deviation = float(np.max(np.abs(exact.marginals - brute.marginals)))
         logev_gap = abs(exact.log_evidence - brute.log_evidence)
         worst = max(worst, deviation)

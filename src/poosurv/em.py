@@ -12,7 +12,8 @@ fixed set of test ages move less than the tolerance.
 :func:`_em` is the one EM loop. It runs on a :class:`_Model`, a family list
 compiled once for a config's fixed constants, with a count for each family:
 ``em_fit`` counts every family once, and each bootstrap replicate counts the
-families as often as it drew them.
+families as often as it drew them. Suppressed phenotypes and genotype pins
+are record data, set before the fit (see :mod:`poosurv.pedigree`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "EMTrace",
     "FitResult",
     "BootstrapReplicate",
-    "apply_proband_correction",
     "em_fit",
     "bootstrap_em",
 ]
@@ -70,7 +70,6 @@ class EMConfig:
     tol: float = 3e-4
     max_iter: int = 1000
     seed: int = 0
-    proband_correction: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
@@ -177,42 +176,17 @@ class BootstrapReplicate:
     error: str | None = None
 
 
-def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
-    """Suppress proband phenotypes for ascertainment correction.
-
-    Probands keep their pedigree links, sex, covariates, and gene test, but
-    their age/status pair stops contributing evidence and their records are
-    left out of the M-step. Families without a proband pass
-    through unmodified and produce a warning.
-    """
-    corrected = []
-    warnings = []
-    for fam in families:
-        if not any(rec.proband for rec in fam):
-            warnings.append(f"family {fam.family_id} has no proband; left unmodified")
-            corrected.append(fam)
-            continue
-        corrected.append(fam.with_values(
-            phenotype_suppressed=[rec.proband or rec.phenotype_suppressed for rec in fam]
-        ))
-    return corrected, warnings
-
-
 class _Model:
-    """A family list compiled once for any number of EM runs, the one place
-    a fit's fixed inputs are prepared: the probands' phenotypes suppressed
-    under ``config.proband_correction`` (with the ``warnings``), the E-step
+    """A family list compiled once for any number of EM runs: the E-step
     engine compiled at ``config``'s (q, epsilon, eta), the M-step's
     :class:`CoxProblem` on the records at index ``rows`` (those whose
     phenotype is not suppressed), the family sizes, and the record index and
     age of each affected one of them."""
 
     def __init__(self, families, config: EMConfig):
-        families, self.warnings = list(families), []
+        families = list(families)
         if not families:
             raise ValueError("no families to fit")
-        if config.proband_correction:
-            families, self.warnings = apply_proband_correction(families)
         engine = self.engine = MarginalEngine(families, config.q, config.epsilon, config.eta)
         self.rows = np.flatnonzero(~engine.suppressed)
         ages, statuses = engine.ages[self.rows], engine.statuses[self.rows]
@@ -343,9 +317,7 @@ def em_fit(families, config: EMConfig) -> FitResult:
     config).
     """
     model = _Model(families, config)
-    result = _em(model, config, np.arange(model.sizes.size))
-    result.trace.warnings[:0] = model.warnings
-    return result
+    return _em(model, config, np.arange(model.sizes.size))
 
 
 def _fan_out(fn, tasks, jobs):
@@ -388,10 +360,11 @@ def bootstrap_em(families, config: EMConfig, B: int = 200,
     whole EM; percentile intervals over the replicates give honest
     uncertainty for the origin effect and the survival curves. A replicate
     runs on the fit's own compiled families, counting each as often as it
-    was drawn, so it keeps their genotype pins and needs no table the fit
-    did not. Each replicate uses an independent deterministic substream,
-    and ``range(B)`` is split into contiguous chunks, one compiled model
-    per worker, so results do not depend on ``jobs``.
+    was drawn, so it keeps their genotype pins and suppressed phenotypes and
+    needs no table the fit did not. Each replicate uses an independent
+    deterministic substream, and ``range(B)`` is split into contiguous
+    chunks, one compiled model per worker, so results do not depend on
+    ``jobs``.
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replicate")

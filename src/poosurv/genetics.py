@@ -199,16 +199,19 @@ class FixedEvidence:
     each in [0, 1) (``ValueError`` otherwise), they are: the status
     selections (affected rows take their risk as a factor and rule out the
     non-carrier state), the suppression of phenotypes (a suppressed row
-    carries no hazard) and, per state, the gene-test factors times the
-    ``pins`` indicator (n, 4) of allowed states, if any. A caller that
-    evaluates the same records under the same error rates many times builds
-    them once.
+    carries no hazard), the records' (n, k) ``covariates``, k possibly 0,
+    which fix how many covariate effects a run takes, and, per state, the
+    gene-test factors times the ``pins`` indicator (n, 4) of allowed states,
+    if any. A caller that evaluates the same records under the same error
+    rates many times builds them once.
     """
 
-    def __init__(self, status, gene_test, epsilon, eta, suppress=None, pins=None):
+    def __init__(self, status, gene_test, covariates, epsilon, eta, suppress=None,
+                 pins=None):
         _check_error_rates(epsilon, eta)
         status = np.asarray(status, dtype=int)
         gene_test = np.asarray(gene_test, dtype=int)
+        self.covariates = np.asarray(covariates, dtype=float)
         live = np.ones(status.shape[0], dtype=bool)
         if suppress is not None:
             live = ~np.asarray(suppress, dtype=bool)
@@ -223,7 +226,7 @@ class FixedEvidence:
         self.factor = factor
 
 
-def evidence_matrix(cumulative_hazard, covariates, beta, gamma, fixed: FixedEvidence,
+def evidence_matrix(cumulative_hazard, beta, gamma, fixed: FixedEvidence,
                     *, out=None) -> np.ndarray:
     """Vectorized evidence tables for many individuals at once.
 
@@ -232,10 +235,11 @@ def evidence_matrix(cumulative_hazard, covariates, beta, gamma, fixed: FixedEvid
     cumulative_hazard : (n,) array of each individual's baseline cumulative
         hazard at their age, ``ModelParams.cumulative_hazard(age)``; the
         caller gathers it, so that a fixed jump grid is searched once per fit
-    covariates : (n, k) array or None
-    beta, gamma : the origin effect and the k covariate effects
+    beta, gamma : the origin effect and the k covariate effects, one per
+        column of ``fixed.covariates`` (``ValueError`` naming both counts
+        otherwise)
     fixed : the individuals' :class:`FixedEvidence` (statuses, gene tests
-        under the error rates, suppressed phenotypes, pins)
+        under the error rates, suppressed phenotypes, covariates, pins)
     out : (4, n) array or None; the factors are written into it state by
         state, so that only the hazard-dependent ones are computed
 
@@ -245,18 +249,17 @@ def evidence_matrix(cumulative_hazard, covariates, beta, gamma, fixed: FixedEvid
     :func:`evidence_factor` (times ``fixed``'s pins); a transposed view of
     ``out`` when it is given.
     """
+    k = fixed.covariates.shape[1]
+    if len(gamma) != k:
+        raise ValueError("gamma must hold one effect per covariate: the records have "
+                         f"{k}, gamma has {len(gamma)}")
     lam = np.asarray(cumulative_hazard, dtype=float)
     n = lam.shape[0]
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("cumulative hazards must be finite and non-negative")
     if out is None:
         out = np.empty((N_STATES, n))
-    k = len(gamma)
-    if k:
-        Z = np.asarray(covariates, dtype=float).reshape(n, k)
-        zg = Z @ np.asarray(gamma, dtype=float)
-    else:
-        zg = np.zeros(n)
+    zg = fixed.covariates @ np.asarray(gamma, dtype=float) if k else np.zeros(n)
     lam = lam * fixed.live
     out[Genotype.NON_CARRIER] = fixed.factor[Genotype.NON_CARRIER]
     for state, risk in ((Genotype.HET_PATERNAL, np.exp(beta + zg)),

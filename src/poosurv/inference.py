@@ -50,9 +50,11 @@ exact zeros to 1, which leaves the quotient as it is there.
 An engine is compiled for one allele frequency and one pair of gene-test
 error rates: its static potentials fold in the founder priors and
 transmission tables, and the evidence parts that a new hazard leaves alone
-are built with it, so a run, given the origin and covariate effects and
-each record's cumulative hazard, computes only the hazard-dependent
-evidence. Marginals are read from each clique's final belief.
+are built with it: the status selections, the suppressed phenotypes, the
+gene-test factors, the genotype pins and the covariates. A run, given the
+origin and covariate effects and each record's cumulative hazard, thus
+computes only the hazard-dependent evidence. Marginals are read from each
+clique's final belief.
 :func:`posterior_marginals` is the one-family case of the same engine.
 
 A cohort is compiled as two shards when its potential tables come to more
@@ -119,7 +121,8 @@ __all__ = [
     "SHARD_BUCKET_BYTES",
 ]
 
-DEFAULT_ENUMERATION_CAP = 12
+#: Largest family, in members, that :func:`brute_force_marginals` enumerates.
+ENUMERATION_CAP = 12
 
 #: Budget for the clique potential tables, checked before any is allocated:
 #: for a single clique and for the whole cohort. Between runs an engine holds
@@ -251,19 +254,18 @@ def posterior_marginals(pedigree, params: ModelParams) -> MarginalResult:
     )
 
 
-def brute_force_marginals(pedigree, params: ModelParams,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> MarginalResult:
+def brute_force_marginals(pedigree, params: ModelParams) -> MarginalResult:
     """Oracle marginals by enumerating all 4^n genotype configurations.
 
     Independent of the clique-tree machinery, down to its factors: evidence
     comes from the scalar :func:`genetics.evidence_factor`. Cost grows as
-    4^n, so families larger than ``cap`` members are rejected.
+    4^n, so families larger than ``ENUMERATION_CAP`` members are rejected.
     """
     n = len(pedigree)
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise InferenceError(
             f"family {pedigree.family_id} has {n} members, above the "
-            f"enumeration cap {cap}"
+            f"enumeration cap {ENUMERATION_CAP}"
         )
     pos = pedigree.position
     mask = _pin_mask(pedigree.individuals)
@@ -1134,7 +1136,8 @@ class MarginalEngine:
             [rec.covariates for rec in records], dtype=float
         ).reshape(total, cov_len)
         self._fixed = genetics.FixedEvidence(
-            self.statuses, gene_test, epsilon, eta, self.suppressed, _pin_mask(records)
+            self.statuses, gene_test, self.covariates, epsilon, eta, self.suppressed,
+            _pin_mask(records),
         )
         self._compile(genetics.founder_prior(q))
 
@@ -1208,12 +1211,12 @@ class MarginalEngine:
         evidence, at origin effect ``beta``, covariate effects ``gamma`` and
         each record's baseline ``cumulative_hazard`` at its age.
 
-        Raises :class:`ZeroEvidenceError`, naming the family, when a family's
-        observed data has zero probability.
+        Raises ``ValueError`` when ``gamma`` does not hold one effect per
+        covariate of the records, and :class:`ZeroEvidenceError`, naming the
+        family, when a family's observed data has zero probability.
         """
         genetics.evidence_matrix(
-            cumulative_hazard, self.covariates if self.covariates.shape[1] else None,
-            beta, gamma, self._fixed, out=self._phi[:, :self.total],
+            cumulative_hazard, beta, gamma, self._fixed, out=self._phi[:, :self.total]
         )
         marginals = np.empty((self.total, N_STATES))
         log_evidence = np.empty(len(self.families))

@@ -31,6 +31,7 @@ __all__ = [
     "parse_ped",
     "format_ped",
     "pin_genotypes",
+    "apply_proband_correction",
     "validate",
 ]
 
@@ -79,11 +80,11 @@ class ValidationWarning:
 class IndividualRecord:
     """One pedigree member with phenotype, test result, and covariates.
 
-    ``phenotype_suppressed`` is an in-memory flag (never serialized) used by
-    the proband ascertainment correction: when set, the age/status pair of
-    this record contributes no likelihood information. ``genotype_pin``,
-    also in memory only, is the sorted tuple of ordered-genotype states the
-    record may take (see :func:`pin_genotypes`); ``None`` allows all four.
+    ``phenotype_suppressed`` is an in-memory flag (never serialized) set by
+    :func:`apply_proband_correction`: the age/status pair of this record
+    then contributes no likelihood information. ``genotype_pin``, also in
+    memory only, is the sorted non-empty tuple of the states 0-3 the record
+    may take (see :func:`pin_genotypes`); ``None`` allows all four.
     """
 
     family_id: str
@@ -126,6 +127,13 @@ class IndividualRecord:
             raise PedigreeError(
                 f"individual {self.individual_id} has non-finite covariates "
                 f"{self.covariates}",
+                family_id=self.family_id,
+            )
+        pin = self.genotype_pin
+        if pin is not None and not (pin and {0, 1, 2, 3}.issuperset(pin)):
+            raise PedigreeError(
+                f"individual {self.individual_id} has invalid genotype pin {pin}; "
+                "expected one or more of the states 0, 1, 2, 3",
                 family_id=self.family_id,
             )
 
@@ -476,6 +484,24 @@ def pin_genotypes(families, pins) -> list[Pedigree]:
             family_id=family_id,
         )
     return pinned
+
+
+def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
+    """Suppress proband phenotypes for ascertainment correction.
+
+    Probands keep their pedigree links, sex, covariates, and gene test, but
+    their age/status pair stops contributing evidence and their records are
+    left out of the M-step. Families without a proband come back as they
+    are, each with a warning.
+    """
+    corrected, warnings = [], []
+    for fam in families:
+        if not any(rec.proband for rec in fam):
+            warnings.append(f"family {fam.family_id} has no proband; left unmodified")
+        corrected.append(fam.with_values(
+            phenotype_suppressed=[rec.proband or rec.phenotype_suppressed for rec in fam]
+        ))
+    return corrected, warnings
 
 
 def validate(pedigree: Pedigree, epsilon: float | None = None) -> list[ValidationWarning]:

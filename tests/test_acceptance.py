@@ -19,6 +19,7 @@ from poosurv import (
     DEFAULT_HAZARD,
     CoxProblem,
     ModelParams,
+    apply_proband_correction,
     brute_force_marginals,
     posterior_marginals,
     replicate_study,
@@ -229,9 +230,9 @@ def test_criterion_8_proband_correction_bias():
                 200, beta=TRUE_BETA, q=0.2, scenario="S1",
                 seed=(MASTER_SEED, 8, r), mark_probands=True,
             )
-            config = EMConfig(
-                q=0.2, epsilon=0.0, eta=0.0, seed=r, proband_correction=corrected
-            )
+            if corrected:
+                families, _ = apply_proband_correction(families)
+            config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=r)
             estimates.append(em_fit(families, config).beta_hat)
         biases[corrected] = abs(np.mean(estimates) - TRUE_BETA)
     passed = biases[True] <= biases[False] + 0.1

@@ -18,6 +18,7 @@ from poosurv import (
     BaselineHazard,
     EMConfig,
     Pedigree,
+    apply_proband_correction,
     bootstrap_em,
     em_fit,
     format_ped,
@@ -224,6 +225,47 @@ class TestFitCommand:
         echo = json.loads((tmp_path / "r.json.config.json").read_text())
         assert echo["parameters"]["q"] == 0.04
         assert echo["parameters"]["proband_correction"] is True
+
+    def test_proband_correction_is_applied_to_the_families_before_the_fit(
+        self, runner, tmp_path, monkeypatch
+    ):
+        families, _ = simulate_families(
+            30, beta=-0.6, q=0.2, scenario="S1", seed=1, mark_probands=True
+        )
+        # a second proband in the first family that has one: a validation finding
+        first = next(i for i, fam in enumerate(families) if any(r.proband for r in fam))
+        second = next(r.individual_id for r in families[first] if not r.proband)
+        families[first] = Pedigree([
+            replace(r, proband=r.proband or r.individual_id == second)
+            for r in families[first]
+        ])
+        ped = tmp_path / "probands.ped"
+        ped.write_text(format_ped(families))
+        # with a slack of -inf every iteration after the first warns, so the
+        # EM's own warnings are not empty
+        monkeypatch.setattr(poosurv.em, "LOG_LIKELIHOOD_SLACK", float("-inf"))
+        report_path = tmp_path / "report.json"
+        run_ok(runner, ["fit", str(ped), "--q", "0.2", "--seed", "4", "--proband-correction",
+                        "--out", str(report_path)])
+        report = json.loads(report_path.read_text())
+
+        parsed = parse_ped(ped.read_text())
+        corrected, notes = apply_proband_correction(parsed)
+        result = em_fit(corrected, EMConfig(q=0.2, seed=4))
+        probands = [r.individual_id for r in parsed[first] if r.proband]
+        finding = f"family {parsed[first].family_id}: multiple probands: {', '.join(probands)}"
+        no_proband = [
+            f"family {fam.family_id} has no proband; left unmodified"
+            for fam in parsed if not any(r.proband for r in fam)
+        ]
+        assert notes == no_proband and no_proband and result.trace.warnings
+        assert report["warnings"] == [finding, *no_proband, *result.trace.warnings]
+        assert report["beta_hat"] == result.beta_hat
+        assert report["trace"] == [
+            {"iteration": row.index, "beta": row.beta, "survival": list(row.survival),
+             "log_evidence": row.log_evidence, "log_likelihood": row.log_likelihood}
+            for row in result.trace.iterations
+        ]
 
     def test_uncertainty_fields_come_from_the_fit_covariance(self, runner, tmp_path):
         families, _ = simulate_families(40, beta=-0.6, q=0.2, scenario="S1", seed=71)
@@ -597,6 +639,17 @@ class TestCheckOracleCommand:
             + "\n"
         )
         run_ok(runner, ["check-oracle", str(ped), "--q", "0.2", "--beta", "-0.4"])
+
+    def test_covariate_file_is_a_validation_error(self, runner, tmp_path):
+        # check-oracle fits no covariate effects, so it evaluates gamma=()
+        ped = tmp_path / "covariate.ped"
+        ped.write_text(format_ped([random_pedigree(np.random.default_rng(2), 5, covariates=1)]))
+        result = runner.invoke(main, ["check-oracle", str(ped), "--q", "0.2"])
+        assert result.exit_code == 2
+        assert (
+            "error: gamma must hold one effect per covariate: the records have 1, gamma has 0"
+            in result.output
+        )
 
     def test_cap_exceeded(self, runner, tmp_path):
         rows = ["C 1 0 0 1 60.0 0 -9 0", "C 2 0 0 2 58.0 0 -9 0"]

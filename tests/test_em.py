@@ -113,7 +113,7 @@ class TestWeightedDataset:
             for fam in fams
         ]
         corrected, _ = apply_proband_correction(fams)
-        model = _Model(fams, EMConfig(q=0.2, proband_correction=True))
+        model = _Model(corrected, EMConfig(q=0.2))
         assert model.engine.families == corrected
         records = [rec for fam in corrected for rec in fam]
         kept = [i for i, rec in enumerate(records) if not rec.phenotype_suppressed]
@@ -164,8 +164,8 @@ class TestWeightedDataset:
                 ])
                 for fam in fams
             ]
-            for correction in (False, True):
-                model = _Model(with_covariates, EMConfig(q=0.2, proband_correction=correction))
+            for families in (with_covariates, apply_proband_correction(with_covariates)[0]):
+                model = _Model(families, EMConfig(q=0.2))
                 assert (model.problem.n, model.problem.p) == (model.rows.size, 1 + k)
             suppressed = _Model([
                 fam.with_values(phenotype_suppressed=[True] * len(fam))
@@ -320,9 +320,9 @@ class TestEMFit:
                 make_record("F", "s", sex=Sex.FEMALE, age=50.0, status=0),
             ]
         )
-        config = EMConfig(q=0.2, proband_correction=True, seed=0)
+        config = EMConfig(q=0.2, seed=0)
         with pytest.raises(EMError) as exc:
-            em_fit([fam], config)
+            em_fit(apply_proband_correction([fam])[0], config)
         assert "iteration 1" in str(exc.value)
 
     def test_determinism(self):
@@ -385,7 +385,9 @@ class TestEMFit:
         fams, _ = simulate_families(
             100, beta=-0.6, q=0.2, scenario=scenario, seed=31, mark_probands=correction
         )
-        config = EMConfig(q=0.2, seed=5, proband_correction=correction)
+        if correction:
+            fams, _ = apply_proband_correction(fams)
+        config = EMConfig(q=0.2, seed=5)
         result = em_fit(fams, config)
         steps = np.diff([row.log_likelihood for row in result.trace.iterations])
         assert result.iterations > 5
@@ -511,7 +513,9 @@ class TestGatheredHazard:
         )
         if cohort == "covariate":
             fams = TestBootstrap.with_covariate(fams, 67)
-        config = EMConfig(q=0.2, seed=2, proband_correction=cohort == "S1 proband")
+        else:
+            fams, _ = apply_proband_correction(fams)
+        config = EMConfig(q=0.2, seed=2)
         fit = em_fit(fams, config)
         assert fit.marginals.tobytes() == self.fresh_run(fit, config).tobytes()
 
@@ -546,7 +550,8 @@ class TestBootstrap:
             fams, _ = simulate_families(
                 40, beta=-0.6, q=0.2, scenario="S1", seed=61, mark_probands=True
             )
-            config = EMConfig(q=0.2, seed=8, proband_correction=True)
+            fams, _ = apply_proband_correction(fams)
+            config = EMConfig(q=0.2, seed=8)
         else:
             fams, _ = simulate_families(40, beta=-0.6, q=0.2, scenario="S1", seed=62)
             fams = self.with_covariate(fams, 62)

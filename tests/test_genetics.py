@@ -233,7 +233,7 @@ class TestEvidenceMatrix:
         (0.01, -1.0, "eta must be in [0, 1), got -1.0"),
     ])
     def test_out_of_range_error_rates_are_rejected(self, epsilon, eta, message):
-        for build in (lambda: FixedEvidence([0], [1], epsilon, eta),
+        for build in (lambda: FixedEvidence([0], [1], np.empty((1, 0)), epsilon, eta),
                       lambda: ModelParams(q=0.2, epsilon=epsilon, eta=eta)):
             with pytest.raises(ValueError) as exc:
                 build()
@@ -259,12 +259,12 @@ class TestEvidenceMatrix:
         fixed = FixedEvidence(
             np.array([r.status for r in records]),
             np.array([-1 if r.gene_test is None else r.gene_test for r in records]),
+            np.array([r.covariates for r in records]),
             params.epsilon, params.eta,
             np.array([r.phenotype_suppressed for r in records]),
         )
         matrix = evidence_matrix(
             params.cumulative_hazard(np.array([r.age for r in records])),
-            np.array([r.covariates for r in records]),
             params.beta,
             params.gamma,
             fixed,

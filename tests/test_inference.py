@@ -490,7 +490,7 @@ class TestBruteForce:
         rng = np.random.default_rng(1)
         ped = random_pedigree(rng, size=13)
         with pytest.raises(InferenceError):
-            brute_force_marginals(ped, ModelParams(q=0.2), cap=12)
+            brute_force_marginals(ped, ModelParams(q=0.2))
 
     def test_single_founder_prior(self):
         ped = Pedigree([make_record("B", "x", sex=Sex.FEMALE, age=0.0)])
@@ -825,6 +825,23 @@ class TestMarginalEngine:
         for families in ([trio()], []):
             with pytest.raises(ValueError) as exc:
                 MarginalEngine(families, q, epsilon, eta)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("covariates, gamma", [(1, ()), (0, (0.3,)), (2, (0.3,))])
+    def test_gamma_must_match_the_covariate_count(self, covariates, gamma):
+        # the records' covariates are compiled into the engine; a gamma of
+        # another length is refused, not run without the covariate effect
+        rng = np.random.default_rng(5)
+        families = [random_pedigree(rng, 6, f"R{i}", covariates=covariates) for i in range(3)]
+        params = dataclasses.replace(random_params(rng, covariates), gamma=gamma)
+        message = (
+            f"gamma must hold one effect per covariate: the records have {covariates}, "
+            f"gamma has {len(gamma)}"
+        )
+        for evaluate in (lambda: run(engine_at(families, params), params),
+                         lambda: posterior_marginals(families[0], params)):
+            with pytest.raises(ValueError) as exc:
+                evaluate()
             assert str(exc.value) == message
 
     def test_zero_evidence_names_the_failing_family(self):

@@ -259,6 +259,24 @@ def test_pin_genotypes_rejects_unknown_individual():
         pin_genotypes(families, {("F1", "1"): 0, ("F1", "9"): 1})
 
 
+@pytest.mark.parametrize("states, pin", [(-1, (-1,)), (4, (4,)), ((), ())],
+                         ids=["negative", "above-3", "empty"])
+def test_pin_outside_the_four_states_is_refused(states, pin):
+    # -1 would index the homozygote's column, 4 no column at all, and an
+    # empty pin would rule out every state of the record
+    families = parse_ped(SMALL_FILE)
+    message = (
+        f"family F1: individual 3 has invalid genotype pin {pin}; "
+        "expected one or more of the states 0, 1, 2, 3"
+    )
+    with pytest.raises(PedigreeError) as exc:
+        pin_genotypes(families, {("F1", "3"): states})
+    assert str(exc.value) == message
+    with pytest.raises(PedigreeError) as exc:
+        families[0].with_values(genotype_pin=[None, None, pin])
+    assert str(exc.value) == message
+
+
 def test_pins_are_not_serialized():
     pinned = pin_genotypes(parse_ped(SMALL_FILE), {("F1", "3"): (1, 2)})
     again = parse_ped(format_ped(pinned))
