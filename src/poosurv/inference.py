@@ -204,13 +204,12 @@ def _axes_shape(axes, rank, batch=()):
     return tuple(shape) + tuple(batch)
 
 
-def _pin_mask(records):
-    """Indicator table (n, 4) of each record's pinned states, or ``None``."""
-    pins = [rec.genotype_pin for rec in records]
+def _pin_mask(pins):
+    """Indicator table (n, 4) of the states each ``genotype_pin`` allows, or ``None``."""
     pinned = [i for i, pin in enumerate(pins) if pin is not None]
     if not pinned:
         return None
-    mask = np.ones((len(records), N_STATES))
+    mask = np.ones((len(pins), N_STATES))
     mask[pinned] = 0.0
     states = [pins[i] for i in pinned]
     mask[np.repeat(pinned, list(map(len, states))), list(chain.from_iterable(states))] = 1.0
@@ -225,8 +224,8 @@ def family_weights(families, marginals) -> list[dict]:
     weights = list(map(PosteriorWeights, w_pat, w_mat, w_zero))
     mappings, offset = [], 0
     for fam in families:
-        ids = (rec.individual_id for rec in fam)
-        mappings.append(dict(zip(ids, weights[offset:offset + len(fam)])))
+        ids = fam.column("individual_id")
+        mappings.append(dict(zip(ids, weights[offset:offset + len(ids)])))
         offset += len(fam)
     return mappings
 
@@ -268,7 +267,7 @@ def brute_force_marginals(pedigree, params: ModelParams) -> MarginalResult:
             f"enumeration cap {ENUMERATION_CAP}"
         )
     pos = pedigree.position
-    mask = _pin_mask(pedigree.individuals)
+    mask = _pin_mask(pedigree.column("genotype_pin"))
     prior = genetics.founder_prior(params.q)
     # grid[i] indexes member i's axis, so table[grid[a], grid[b]] broadcasts
     # a factor onto its scope's axes of the joint table
@@ -1122,22 +1121,23 @@ class MarginalEngine:
         self.offsets = offsets
         self.total = total
 
-        cov_len = len(self.families[0].individuals[0].covariates) if self.families else 0
+        cov_len = self.families[0].covariate_count if self.families else 0
         if any(fam.covariate_count != cov_len for fam in self.families):
             raise InferenceError(
                 "families carry different covariate counts; cannot fit jointly"
             )
-        records = [rec for fam in self.families for rec in fam]
-        self.ages = np.array([rec.age for rec in records], dtype=float)
-        self.statuses = np.array([rec.status for rec in records], dtype=int)
-        gene_test = [-1 if rec.gene_test is None else rec.gene_test for rec in records]
-        self.suppressed = np.array([rec.phenotype_suppressed for rec in records], dtype=bool)
-        self.covariates = np.array(
-            [rec.covariates for rec in records], dtype=float
-        ).reshape(total, cov_len)
+
+        def column(name):
+            return list(chain.from_iterable(fam.column(name) for fam in self.families))
+
+        self.ages = np.array(column("age"), dtype=float)
+        self.statuses = np.array(column("status"), dtype=int)
+        gene_test = [-1 if test is None else test for test in column("gene_test")]
+        self.suppressed = np.array(column("phenotype_suppressed"), dtype=bool)
+        self.covariates = np.array(column("covariates"), dtype=float).reshape(total, cov_len)
         self._fixed = genetics.FixedEvidence(
             self.statuses, gene_test, self.covariates, epsilon, eta, self.suppressed,
-            _pin_mask(records),
+            _pin_mask(column("genotype_pin")),
         )
         self._compile(genetics.founder_prior(q))
 

@@ -12,15 +12,26 @@ a founder; parents must either both be present or both absent. Any further
 columns are finite numeric covariates whose count k is constant within a
 file and may be declared up front with a ``# covariates: k`` header. Lines
 starting with ``#`` are comments.
+
+A :class:`Pedigree` stores its members in columns, one tuple per
+:class:`IndividualRecord` field, plus the parent positions of its
+:meth:`~Pedigree.structure_key`. ``IndividualRecord`` stays the public row
+type: :attr:`Pedigree.individuals` and iteration build the records on first
+access and keep them. :func:`parse_ped` checks a whole file column by column
+with numpy and builds no record; when any check fails it parses the file
+again row by row, which names the first bad row, its family and its line.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+
+import numpy as np
 
 __all__ = [
     "Sex",
@@ -35,14 +46,21 @@ __all__ = [
     "validate",
 ]
 
-MISSING_TEST_TOKENS = ("-9", ".")
-
 _COVARIATE_HEADER = re.compile(r"#\s*covariates\s*:\s*(\d+)")
 
 
 class Sex(enum.IntEnum):
     MALE = 1
     FEMALE = 2
+
+
+#: The accepted tokens of the coded PED columns and the values they stand for.
+TOKENS = {
+    "sex": {"1": Sex.MALE, "2": Sex.FEMALE},
+    "status": {"0": 0, "1": 1},
+    "gene_test": {"0": 0, "1": 1, "-9": None, ".": None},
+    "proband": {"0": False, "1": True},
+}
 
 
 class PedigreeError(ValueError):
@@ -117,44 +135,64 @@ class IndividualRecord:
                 f"individual {self.individual_id} has invalid status {self.status}",
                 family_id=self.family_id,
             )
-        if self.gene_test not in (None, 0, 1):
-            raise PedigreeError(
-                f"individual {self.individual_id} has invalid gene_test "
-                f"{self.gene_test}",
-                family_id=self.family_id,
-            )
+        _check_value(self.family_id, self.individual_id, "gene_test", self.gene_test)
         if not all(map(math.isfinite, self.covariates)):
             raise PedigreeError(
                 f"individual {self.individual_id} has non-finite covariates "
                 f"{self.covariates}",
                 family_id=self.family_id,
             )
-        pin = self.genotype_pin
-        if pin is not None and not (pin and {0, 1, 2, 3}.issuperset(pin)):
-            raise PedigreeError(
-                f"individual {self.individual_id} has invalid genotype pin {pin}; "
-                "expected one or more of the states 0, 1, 2, 3",
-                family_id=self.family_id,
-            )
+        _check_value(self.family_id, self.individual_id, "genotype_pin", self.genotype_pin)
 
     @property
     def is_founder(self) -> bool:
         return self.father_id is None
 
 
+def _check_value(family_id, individual_id, name, value):
+    """Refuse a ``gene_test`` or ``genotype_pin`` value a record may not hold."""
+    if name == "gene_test" and value not in (None, 0, 1):
+        problem = f"invalid gene_test {value}"
+    elif name == "genotype_pin" and value is not None and not (
+        value and {0, 1, 2, 3}.issuperset(value)
+    ):
+        problem = (
+            f"invalid genotype pin {value}; expected one or more of the states 0, 1, 2, 3"
+        )
+    else:
+        return
+    raise PedigreeError(f"individual {individual_id} has {problem}", family_id=family_id)
+
+
 #: Record fields that :meth:`Pedigree.with_values` may change: none of them
 #: enters a family's links, ids or phenotypes.
 _VALUE_FIELDS = frozenset({"gene_test", "genotype_pin", "phenotype_suppressed"})
 
+#: A :class:`Pedigree`'s columns: every record field but the family id, in
+#: field order. Record equality compares the columns before the in-memory flags.
+_COLUMNS = tuple(f.name for f in fields(IndividualRecord))[1:]
+_COLUMN = {name: i for i, name in enumerate(_COLUMNS)}
+_COMPARED = _COLUMN["phenotype_suppressed"]
+_ROW = operator.attrgetter("family_id", *_COLUMNS)
+
+
+def _record(family_id, values):
+    """A record of values already checked, built without rerunning the checks."""
+    record = object.__new__(IndividualRecord)
+    record.__dict__.update(zip(("family_id", *_COLUMNS), (family_id, *values)))
+    return record
+
 
 class Pedigree:
-    """One family: an ordered tuple of records with resolved parent links.
+    """One family: its members' columns with resolved parent links.
 
-    Construction validates structural invariants (parents resolve within the
-    family, referenced fathers are male and mothers female, the parent graph
-    is acyclic, covariate vectors have uniform length) and raises
-    :class:`PedigreeError` on violation. Instances are immutable and safe to
-    share across threads.
+    Construction from records validates structural invariants (parents
+    resolve within the family, referenced fathers are male and mothers
+    female, the parent graph is acyclic, covariate vectors have uniform
+    length) and raises :class:`PedigreeError` on violation. The members are
+    stored as columns (see :meth:`column`); :attr:`individuals` builds their
+    records on first access and keeps them. Instances are immutable and safe
+    to share across threads.
     """
 
     def __init__(self, records, lines=None):
@@ -163,172 +201,220 @@ class Pedigree:
             raise PedigreeError("family has no members")
         lines = dict(lines or {})
         family_id = records[0].family_id
-        positions: dict[str, int] = {}
-        for i, rec in enumerate(records):
-            if rec.family_id != family_id:
-                raise PedigreeError(
-                    f"record {rec.individual_id} belongs to family "
-                    f"{rec.family_id}, not {family_id}",
-                    family_id=family_id,
-                    line=lines.get(rec.individual_id),
-                )
-            if rec.individual_id in positions:
-                raise PedigreeError(
-                    f"duplicate individual id {rec.individual_id}",
-                    family_id=family_id,
-                    line=lines.get(rec.individual_id),
-                )
-            positions[rec.individual_id] = i
+        family_ids, *columns = zip(*map(_ROW, records))
+        ids, fathers, mothers, sexes = columns[:4]
+        positions = dict(zip(ids, range(len(ids))))
+        if (len(positions) < len(ids) or family_ids.count(family_id) < len(ids)
+                or len(set(map(len, columns[_COLUMN["covariates"]]))) > 1):
+            _refuse_members(records, family_id, lines)
 
-        arity = len(records[0].covariates)
-        for rec in records:
-            if len(rec.covariates) != arity:
-                raise PedigreeError(
-                    f"individual {rec.individual_id} has {len(rec.covariates)} "
-                    f"covariates, expected {arity}",
-                    family_id=family_id,
-                    line=lines.get(rec.individual_id),
-                )
-
-        for rec in records:
-            if rec.is_founder:
+        key, ordered = [], True
+        for i, (father, mother) in enumerate(zip(fathers, mothers)):
+            if father is None:
+                key.append((-1, -1))
                 continue
-            for parent_id, want_sex, label in (
-                (rec.father_id, Sex.MALE, "father"),
-                (rec.mother_id, Sex.FEMALE, "mother"),
-            ):
-                if parent_id not in positions:
-                    raise PedigreeError(
-                        f"individual {rec.individual_id} references unknown "
-                        f"{label} {parent_id}",
-                        family_id=family_id,
-                        line=lines.get(rec.individual_id),
-                    )
-                parent = records[positions[parent_id]]
-                if parent.sex != want_sex:
-                    raise PedigreeError(
-                        f"{label} {parent_id} of {rec.individual_id} is not "
-                        f"{'male' if want_sex == Sex.MALE else 'female'}",
-                        family_id=family_id,
-                        line=lines.get(rec.individual_id),
-                    )
+            f, m = positions.get(father), positions.get(mother)
+            if f is None or m is None or sexes[f] != Sex.MALE or sexes[m] != Sex.FEMALE:
+                _refuse_parents(records[i], positions, sexes, lines)
+            key.append((f, m))
+            ordered = ordered and f < i and m < i
+        if not ordered:
+            _check_acyclic(family_id, ids, key, lines)
+        self._set(family_id, tuple(columns), tuple(key), positions, records)
 
+    @classmethod
+    def _of_columns(cls, family_id, columns, key, positions=None):
+        """A family of checked columns and their structure key."""
+        pedigree = object.__new__(cls)
+        pedigree._set(family_id, columns, key, positions, None)
+        return pedigree
+
+    def _set(self, family_id, columns, key, positions, records):
         self.family_id = family_id
-        self.individuals = records
+        self._columns = columns
+        self._key = key
         self._positions = positions
-        self._check_acyclic(lines)
-        self._structure_key = None
-
-    def _check_acyclic(self, lines):
-        # Kahn's algorithm over parent -> child edges: a record whose
-        # parents are never both reached sits on or below a cycle.
-        children: dict[str, list[str]] = {r.individual_id: [] for r in self.individuals}
-        pending = {}
-        for rec in self.individuals:
-            if rec.is_founder:
-                pending[rec.individual_id] = 0
-            else:
-                pending[rec.individual_id] = 2
-                children[rec.father_id].append(rec.individual_id)
-                children[rec.mother_id].append(rec.individual_id)
-        ready = [i for i, n in pending.items() if n == 0]
-        while ready:
-            for child in children[ready.pop()]:
-                pending[child] -= 1
-                if pending[child] == 0:
-                    ready.append(child)
-        stuck = [i for i, n in pending.items() if n > 0]
-        if stuck:
-            raise PedigreeError(
-                f"cycle in parent graph involving {', '.join(sorted(stuck))}",
-                family_id=self.family_id,
-                line=min((lines[i] for i in stuck if i in lines), default=None),
-            )
+        # the members' records as far as built; None where not yet built
+        self._records = records
 
     def __len__(self) -> int:
-        return len(self.individuals)
+        return len(self._columns[0])
 
     def __iter__(self):
         return iter(self.individuals)
 
     def __eq__(self, other):
-        return isinstance(other, Pedigree) and self.individuals == other.individuals
+        return (
+            isinstance(other, Pedigree)
+            and self.family_id == other.family_id
+            and self._columns[:_COMPARED] == other._columns[:_COMPARED]
+        )
 
     def __repr__(self):
         return f"Pedigree({self.family_id!r}, n={len(self)})"
 
     @property
+    def individuals(self) -> tuple[IndividualRecord, ...]:
+        """The members' records in member order, built on first access."""
+        records = self._records
+        if records is None or None in records:
+            records = self._records = tuple(
+                record or _record(self.family_id, values)
+                for record, values in zip(records or repeat(None), zip(*self._columns))
+            )
+        return records
+
+    def column(self, name: str) -> tuple:
+        """The members' values of record field ``name``, in member order."""
+        return self._columns[_COLUMN[name]]
+
+    @property
     def covariate_count(self) -> int:
-        return len(self.individuals[0].covariates)
+        return len(self.column("covariates")[0])
 
     def record(self, individual_id: str) -> IndividualRecord:
-        return self.individuals[self._positions[individual_id]]
+        return self.individuals[self.position(individual_id)]
 
     def position(self, individual_id: str) -> int:
+        if self._positions is None:
+            ids = self._columns[0]
+            self._positions = dict(zip(ids, range(len(ids))))
         return self._positions[individual_id]
 
     def parents(self, individual_id: str) -> tuple[str, str] | None:
-        rec = self.record(individual_id)
-        if rec.is_founder:
+        i = self.position(individual_id)
+        father = self.column("father_id")[i]
+        if father is None:
             return None
-        return rec.father_id, rec.mother_id
+        return father, self.column("mother_id")[i]
 
     def with_values(self, **columns) -> Pedigree:
-        """A copy whose records take new values of non-structural fields.
+        """A copy whose members take new values of non-structural fields.
 
         Each keyword names ``gene_test``, ``genotype_pin`` or
-        ``phenotype_suppressed`` and gives one value per record, in record
+        ``phenotype_suppressed`` and gives one value per member, in member
         order; any other field raises ``ValueError``. Links, sexes,
         phenotypes and ids stay as they are, so the copy shares this
-        family's validated structure instead of being built again; records
-        whose values do not change are shared too, and a call that changes
-        nothing returns ``self``. The copy shares the :meth:`structure_key`,
-        computed here first if needed. Changed records still pass
+        family's validated structure and :meth:`structure_key` instead of
+        being built again; records this family has built are shared for
+        members whose values do not change, and a call that changes nothing
+        returns ``self``. A changed value still passes
         :class:`IndividualRecord`'s checks.
         """
         refused = sorted(set(columns) - _VALUE_FIELDS)
         if refused:
             raise ValueError(f"cannot change structural field(s): {', '.join(refused)}")
+        n = len(self)
         for name, values in columns.items():
-            if len(values) != len(self.individuals):
-                raise ValueError(
-                    f"{name}: {len(values)} values for {len(self.individuals)} records"
+            if len(values) != n:
+                raise ValueError(f"{name}: {len(values)} values for {n} records")
+        new = list(self._columns)
+        kept = [True] * n
+        changed = {}
+        for name, values in columns.items():
+            old = new[_COLUMN[name]]
+            differs = list(map(operator.ne, old, values))
+            if any(differs):
+                new[_COLUMN[name]] = changed[name] = tuple(
+                    value if differ else was for was, value, differ in zip(old, values, differs)
                 )
-        records = list(self.individuals)
-        changed = False
-        for i, rec in enumerate(records):
-            update = {
-                name: values[i] for name, values in columns.items()
-                if getattr(rec, name) != values[i]
-            }
-            if update:
-                # a field-by-field copy: dataclasses.replace would rerun the
-                # whole constructor, several times the cost on this hot path
-                new = object.__new__(IndividualRecord)
-                new.__dict__.update(rec.__dict__, **update)
-                new.__post_init__()
-                records[i] = new
-                changed = True
+                kept = [keep and not differ for keep, differ in zip(kept, differs)]
         if not changed:
             return self
-        copy = object.__new__(Pedigree)
-        copy.family_id = self.family_id
-        copy.individuals = tuple(records)
-        copy._positions = self._positions
-        copy._structure_key = self.structure_key()
+        checked = [(name, changed[name]) for name in ("gene_test", "genotype_pin")
+                   if name in changed]
+        for i, (individual_id, keep) in enumerate(zip(self._columns[0], kept)):
+            if not keep:
+                for name, values in checked:
+                    _check_value(self.family_id, individual_id, name, values[i])
+        copy = Pedigree._of_columns(self.family_id, tuple(new), self._key, self._positions)
+        if self._records is not None:
+            copy._records = tuple(
+                record if keep else None for record, keep in zip(self._records, kept)
+            )
         return copy
 
     def structure_key(self) -> tuple[tuple[int, int], ...]:
-        """Parent positions per record, computed once; families with equal
-        keys share a graph."""
-        if self._structure_key is None:
-            positions = self._positions
-            self._structure_key = tuple(
-                (-1, -1) if rec.is_founder
-                else (positions[rec.father_id], positions[rec.mother_id])
-                for rec in self.individuals
+        """Parent positions per member, ``(-1, -1)`` for a founder; families
+        with equal keys share a graph."""
+        return self._key
+
+
+def _refuse_members(records, family_id, lines):
+    """Raise for the first record of another family, duplicate id or
+    covariate count unlike the first record's."""
+    seen = set()
+    for rec in records:
+        if rec.family_id != family_id:
+            raise PedigreeError(
+                f"record {rec.individual_id} belongs to family "
+                f"{rec.family_id}, not {family_id}",
+                family_id=family_id,
+                line=lines.get(rec.individual_id),
             )
-        return self._structure_key
+        if rec.individual_id in seen:
+            raise PedigreeError(
+                f"duplicate individual id {rec.individual_id}",
+                family_id=family_id,
+                line=lines.get(rec.individual_id),
+            )
+        seen.add(rec.individual_id)
+    arity = len(records[0].covariates)
+    for rec in records:
+        if len(rec.covariates) != arity:
+            raise PedigreeError(
+                f"individual {rec.individual_id} has {len(rec.covariates)} "
+                f"covariates, expected {arity}",
+                family_id=family_id,
+                line=lines.get(rec.individual_id),
+            )
+
+
+def _refuse_parents(rec, positions, sexes, lines):
+    """Raise for the first of ``rec``'s parents that is unknown or of the wrong sex."""
+    for parent_id, want_sex, label in (
+        (rec.father_id, Sex.MALE, "father"),
+        (rec.mother_id, Sex.FEMALE, "mother"),
+    ):
+        if parent_id not in positions:
+            raise PedigreeError(
+                f"individual {rec.individual_id} references unknown "
+                f"{label} {parent_id}",
+                family_id=rec.family_id,
+                line=lines.get(rec.individual_id),
+            )
+        if sexes[positions[parent_id]] != want_sex:
+            raise PedigreeError(
+                f"{label} {parent_id} of {rec.individual_id} is not "
+                f"{'male' if want_sex == Sex.MALE else 'female'}",
+                family_id=rec.family_id,
+                line=lines.get(rec.individual_id),
+            )
+
+
+def _check_acyclic(family_id, ids, key, lines):
+    # Kahn's algorithm over parent -> child edges: a member whose parents
+    # are never both reached sits on or below a cycle.
+    children = [[] for _ in key]
+    pending = [0] * len(key)
+    for i, (father, mother) in enumerate(key):
+        if father >= 0:
+            pending[i] = 2
+            children[father].append(i)
+            children[mother].append(i)
+    ready = [i for i, n in enumerate(pending) if n == 0]
+    while ready:
+        for child in children[ready.pop()]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                ready.append(child)
+    stuck = [ids[i] for i, n in enumerate(pending) if n > 0]
+    if stuck:
+        raise PedigreeError(
+            f"cycle in parent graph involving {', '.join(sorted(stuck))}",
+            family_id=family_id,
+            line=min((lines[i] for i in stuck if i in lines), default=None),
+        )
 
 
 def _parse_row(fields, lineno, n_cov):
@@ -345,24 +431,20 @@ def _parse_row(fields, lineno, n_cov):
             line=lineno,
         )
 
-    if fields[4] not in ("1", "2"):
-        raise bad("sex", fields[4])
-    sex = Sex(int(fields[4]))
+    def coded(what, token):
+        try:
+            return TOKENS[what][token]
+        except KeyError:
+            raise bad(what, token) from None
+
+    sex = coded("sex", fields[4])
     try:
         age = float(fields[5])
     except ValueError:
         raise bad("age", fields[5]) from None
-    if fields[6] not in ("0", "1"):
-        raise bad("status", fields[6])
-    status = int(fields[6])
-    if fields[7] in MISSING_TEST_TOKENS:
-        gene_test = None
-    elif fields[7] in ("0", "1"):
-        gene_test = int(fields[7])
-    else:
-        raise bad("gene_test", fields[7])
-    if fields[8] not in ("0", "1"):
-        raise bad("proband", fields[8])
+    status = coded("status", fields[6])
+    gene_test = coded("gene_test", fields[7])
+    proband = coded("proband", fields[8])
     try:
         covariates = tuple(float(v) for v in fields[9:])
     except ValueError:
@@ -378,7 +460,7 @@ def _parse_row(fields, lineno, n_cov):
             age=age,
             status=status,
             gene_test=gene_test,
-            proband=fields[8] == "1",
+            proband=proband,
             covariates=covariates,
         )
     except PedigreeError as err:
@@ -386,22 +468,14 @@ def _parse_row(fields, lineno, n_cov):
     return record
 
 
-def parse_ped(source) -> list[Pedigree]:
-    """Parse a PED phenotype file into one :class:`Pedigree` per family.
-
-    ``source`` may be a string or a readable text stream. Families come out
-    in order of first appearance; records keep file order. Malformed rows,
-    dangling parent references, sex-inconsistent parents, parent-graph
-    cycles, and inconsistent covariate arity all raise
-    :class:`PedigreeError` naming the family, line, and reason.
-    """
-    if isinstance(source, str):
-        source = io.StringIO(source)
+def _parse_rows(lines) -> list[Pedigree]:
+    """Parse ``lines`` one checked record per row, then one :class:`Pedigree`
+    per family; the first bad row or link raises, naming family and line."""
     declared_cov: int | None = None
     n_cov: int | None = None
     families: dict[str, list[IndividualRecord]] = {}
-    lines: dict[str, dict[str, int]] = {}
-    for lineno, raw in enumerate(source, start=1):
+    line_of: dict[str, dict[str, int]] = {}
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -422,11 +496,160 @@ def parse_ped(source) -> list[Pedigree]:
             n_cov = max(len(fields) - 9, 0)
         record = _parse_row(fields, lineno, n_cov)
         families.setdefault(record.family_id, []).append(record)
-        lines.setdefault(record.family_id, {})[record.individual_id] = lineno
+        line_of.setdefault(record.family_id, {})[record.individual_id] = lineno
 
     return [
-        Pedigree(records, lines=lines[fam]) for fam, records in families.items()
+        Pedigree(records, lines=line_of[fam]) for fam, records in families.items()
     ]
+
+
+#: Rows the column parse converts at a time, which bounds the token strings
+#: alive at once.
+_BLOCK_ROWS = 1024
+
+#: ``_NO_PARENT.get(token, token)``: ``None`` for the founder token ``0``,
+#: else the token itself.
+_NO_PARENT = {"0": None}
+
+
+def _parse_columns(lines) -> list[Pedigree] | None:
+    """Parse ``lines`` column by column, building no record; ``None`` when
+    any check fails, for :func:`_parse_rows` to name the error.
+
+    Takes exactly the rows and links the row parse takes and gives equal
+    families: each row's tokens are converted as that parse converts them,
+    and the checks run over the whole file at once.
+    """
+    n_cov = None
+    block = []
+    family_code = {}  # family id -> number, in order of first appearance
+    families, ids, fathers, mothers, sexes, ages = [], [], [], [], [], []
+    statuses, tests, probands, covariates = [], [], [], []
+
+    def convert():
+        family, ident, father, mother, sex, age, status, test, proband, *cov = zip(*block)
+        for family_id in dict.fromkeys(family):
+            family_code.setdefault(family_id, len(family_code))
+        families.extend(map(family_code.__getitem__, family))
+        ids.extend(ident)
+        fathers.extend(map(_NO_PARENT.get, father, father))
+        mothers.extend(map(_NO_PARENT.get, mother, mother))
+        sexes.extend(map(TOKENS["sex"].__getitem__, sex))
+        ages.extend(map(float, age))
+        statuses.extend(map(TOKENS["status"].__getitem__, status))
+        tests.extend(map(TOKENS["gene_test"].__getitem__, test))
+        probands.extend(map(TOKENS["proband"].__getitem__, proband))
+        covariates.extend(zip(*(map(float, values) for values in cov)) if cov
+                          else repeat((), len(block)))
+        block.clear()
+
+    try:
+        for raw in lines:
+            tokens = raw.split()
+            if not tokens:
+                continue
+            if tokens[0][0] == "#":
+                header = _COVARIATE_HEADER.match(raw.strip())
+                if header:
+                    declared = int(header.group(1))
+                    if n_cov not in (None, declared):
+                        return None
+                    n_cov = declared
+                continue
+            if n_cov is None:
+                n_cov = max(len(tokens) - 9, 0)
+            if len(tokens) != 9 + n_cov:
+                return None
+            block.append(tokens)
+            if len(block) == _BLOCK_ROWS:
+                convert()
+        if block:
+            convert()
+    except (KeyError, ValueError):  # a token outside TOKENS or not a float
+        return None
+    n = len(ids)
+    if not n:
+        return []
+
+    age = np.array(ages)
+    if not ((age >= 0) & (age < math.inf)).all():  # NaN fails both
+        return None
+    if n_cov and not np.isfinite(np.array(covariates)).all():
+        return None
+    # members by (family, id) number, for the rows of parents
+    id_code = {ident: i for i, ident in enumerate(dict.fromkeys(ids))}
+    family_of = np.array(families, dtype=np.intp)
+    member = family_of * len(id_code) + np.fromiter(map(id_code.__getitem__, ids), np.intp, n)
+    by_member = np.argsort(member, kind="stable")
+    member = member[by_member]
+    if (member[1:] == member[:-1]).any():  # a duplicate id
+        return None
+
+    def rows_of(parents):
+        code = np.fromiter(map(id_code.get, parents, repeat(-1)), np.intp, n)
+        wanted = family_of * len(id_code) + code
+        at = np.minimum(np.searchsorted(member, wanted), n - 1)
+        return np.where((code >= 0) & (member[at] == wanted), by_member[at], -1)
+
+    child = np.fromiter(map(operator.is_not, fathers, repeat(None)), bool, n)
+    if (child != np.fromiter(map(operator.is_not, mothers, repeat(None)), bool, n)).any():
+        return None  # one parent
+    father, mother = rows_of(fathers), rows_of(mothers)
+    if (father[child] < 0).any() or (mother[child] < 0).any():
+        return None  # an unknown parent
+    sex = np.fromiter(sexes, np.int8, n)
+    if (sex[father[child]] != Sex.MALE).any() or (sex[mother[child]] != Sex.FEMALE).any():
+        return None
+    placed = ~child  # the founders, then each generation whose parents are placed
+    while not placed.all():
+        grown = placed | (placed[father] & placed[mother])
+        if (grown == placed).all():
+            return None  # a cycle: the members on and below it are never placed
+        placed = grown
+
+    # families in order of first appearance, members in file order
+    columns = [ids, fathers, mothers, sexes, ages, statuses, tests, probands, covariates]
+    if (family_of[1:] < family_of[:-1]).any():  # interleaved families
+        rows = np.argsort(family_of, kind="stable")
+        rank = np.empty(n, np.intp)
+        rank[rows] = np.arange(n)
+        father, mother = rank[father][rows], rank[mother][rows]
+        child, family_of = child[rows], family_of[rows]
+        take = rows.tolist()
+        columns = [list(map(column.__getitem__, take)) for column in columns]
+    sizes = np.bincount(family_of)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    first = np.repeat(starts[:-1], sizes)
+    father = np.where(child, father - first, -1).tolist()
+    mother = np.where(child, mother - first, -1).tolist()
+    # one object for equal keys, and for the flag and pin columns of each size
+    keys, blanks, pedigrees = {}, {}, []
+    bounds = starts.tolist()
+    for family_id, lo, hi in zip(family_code, bounds, bounds[1:]):
+        key = tuple(zip(father[lo:hi], mother[lo:hi]))
+        blank = blanks.setdefault(hi - lo, ((False,) * (hi - lo), (None,) * (hi - lo)))
+        pedigrees.append(Pedigree._of_columns(
+            family_id,
+            tuple(tuple(column[lo:hi]) for column in columns) + blank,
+            keys.setdefault(key, key),
+        ))
+    return pedigrees
+
+
+def parse_ped(source) -> list[Pedigree]:
+    """Parse a PED phenotype file into one :class:`Pedigree` per family.
+
+    ``source`` may be a string or a readable text stream. Families come out
+    in order of first appearance; records keep file order. Malformed rows,
+    dangling parent references, sex-inconsistent parents, parent-graph
+    cycles, and inconsistent covariate arity all raise
+    :class:`PedigreeError` naming the family, line, and reason. Lines are
+    numbered as iterating the stream numbers them; a string is split at
+    ``"\\n"`` alone.
+    """
+    lines = source.split("\n") if isinstance(source, str) else list(source)
+    families = _parse_columns(lines)
+    return _parse_rows(lines) if families is None else families
 
 
 def _format_float(x: float) -> str:
@@ -442,19 +665,23 @@ def format_ped(families) -> str:
     n_cov = families[0].covariate_count if families else 0
     out = [f"# covariates: {n_cov}"]
     for fam in families:
-        for rec in fam:
+        rows = zip(*map(fam.column, (
+            "individual_id", "father_id", "mother_id", "sex", "age", "status", "gene_test",
+            "proband", "covariates",
+        )))
+        for individual_id, father, mother, sex, age, status, gene_test, proband, cov in rows:
             cells = [
-                rec.family_id,
-                rec.individual_id,
-                rec.father_id or "0",
-                rec.mother_id or "0",
-                str(int(rec.sex)),
-                _format_float(rec.age),
-                str(rec.status),
-                "-9" if rec.gene_test is None else str(rec.gene_test),
-                "1" if rec.proband else "0",
+                fam.family_id,
+                individual_id,
+                father or "0",
+                mother or "0",
+                str(int(sex)),
+                _format_float(age),
+                str(status),
+                "-9" if gene_test is None else str(gene_test),
+                "1" if proband else "0",
             ]
-            cells.extend(_format_float(c) for c in rec.covariates)
+            cells.extend(_format_float(c) for c in cov)
             out.append(" ".join(cells))
     return "\n".join(out) + "\n"
 
@@ -469,10 +696,10 @@ def pin_genotypes(families, pins) -> list[Pedigree]:
     pinned = []
     for fam in families:
         column = []
-        for rec in fam:
-            states = pending.pop((rec.family_id, rec.individual_id), None)
+        for individual_id, pin in zip(fam.column("individual_id"), fam.column("genotype_pin")):
+            states = pending.pop((fam.family_id, individual_id), None)
             if states is None:
-                column.append(rec.genotype_pin)
+                column.append(pin)
             else:
                 states = (states,) if isinstance(states, int) else states
                 column.append(tuple(sorted({int(s) for s in states})))
@@ -496,11 +723,13 @@ def apply_proband_correction(families) -> tuple[list[Pedigree], list[str]]:
     """
     corrected, warnings = [], []
     for fam in families:
-        if not any(rec.proband for rec in fam):
+        probands = fam.column("proband")
+        if not any(probands):
             warnings.append(f"family {fam.family_id} has no proband; left unmodified")
-        corrected.append(fam.with_values(
-            phenotype_suppressed=[rec.proband or rec.phenotype_suppressed for rec in fam]
-        ))
+        corrected.append(fam.with_values(phenotype_suppressed=[
+            proband or suppressed
+            for proband, suppressed in zip(probands, fam.column("phenotype_suppressed"))
+        ]))
     return corrected, warnings
 
 
@@ -513,7 +742,8 @@ def validate(pedigree: Pedigree, epsilon: float | None = None) -> list[Validatio
     list means clean.
     """
     warnings = []
-    probands = [r.individual_id for r in pedigree if r.proband]
+    ids = pedigree.column("individual_id")
+    probands = [i for i, proband in zip(ids, pedigree.column("proband")) if proband]
     if len(probands) > 1:
         warnings.append(
             ValidationWarning(
@@ -523,12 +753,14 @@ def validate(pedigree: Pedigree, epsilon: float | None = None) -> list[Validatio
             )
         )
     if epsilon == 0:
-        for rec in pedigree:
-            if rec.status == 1 and rec.gene_test == 0:
+        for individual_id, status, gene_test in zip(
+            ids, pedigree.column("status"), pedigree.column("gene_test")
+        ):
+            if status == 1 and gene_test == 0:
                 warnings.append(
                     ValidationWarning(
                         pedigree.family_id,
-                        rec.individual_id,
+                        individual_id,
                         "affected individual with negative gene test is "
                         "impossible when the false-negative rate is 0",
                     )

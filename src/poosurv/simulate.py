@@ -295,10 +295,11 @@ def apply_scenario_mask(families, truth, scenario, seed):
     mask_seeds = _children(root, len(families)) if draws else [None] * len(families)
     masked = []
     for fam, fam_seed in zip(families, mask_seeds):
-        states = [genotype[(fam.family_id, rec.individual_id)] for rec in fam]
+        states = [genotype[(fam.family_id, i)] for i in fam.column("individual_id")]
         if draws:
             rng = np.random.Generator(np.random.Philox(fam_seed))
-            observed = [rng.random() < (0.8 if rec.status == 1 else 0.1) for rec in fam]
+            observed = [rng.random() < (0.8 if status == 1 else 0.1)
+                        for status in fam.column("status")]
         else:
             observed = [scenario != Scenario.S0] * len(fam)
         oracle = scenario == Scenario.ORACLE

@@ -19,10 +19,12 @@ from poosurv import (
     apply_proband_correction,
     bootstrap_em,
     em_fit,
+    format_ped,
+    parse_ped,
     posterior_marginals,
     simulate_families,
 )
-from poosurv import em, inference
+from poosurv import em, inference, pedigree
 from poosurv.em import STABLE_WINDOW, _fan_out, _Model
 
 from test_inference import assert_weights_equal, per_record_weights
@@ -482,6 +484,19 @@ class TestWeightsOnDemand:
         weights = result.weights
         assert len(built) == sum(map(len, fams))
         assert result.weights is weights and len(built) == sum(map(len, fams))
+
+    def test_fits_on_parsed_families_build_no_records(self, monkeypatch):
+        # the engine and the weights read the members' columns
+        families, _ = simulate_families(200, beta=-0.6, q=0.2, scenario="S1", seed=72)
+        text = format_ped(families)
+        built = []
+        monkeypatch.setattr(pedigree, "_record", lambda *values: built.append(values))
+        monkeypatch.setattr(IndividualRecord, "__post_init__", lambda rec: built.append(rec))
+        parsed = parse_ped(text)
+        weights = em_fit(parsed, EMConfig(q=0.2, seed=4)).weights
+        assert built == []
+        assert [list(w) for w in weights] == [list(f.column("individual_id")) for f in parsed]
+        assert all(isinstance(w, PosteriorWeights) for fam in weights for w in fam.values())
 
     def test_later_engine_runs_leave_earlier_weights(self):
         # bootstrap replicates run on the fit's engine after the fit

@@ -2,6 +2,7 @@
 
 import io
 import string
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from poosurv import (
     pin_genotypes,
     validate,
 )
+from poosurv.pedigree import _parse_columns, _parse_rows
 
 SMALL_FILE = """\
 # covariates: 0
@@ -324,3 +326,120 @@ def test_pedigree_direct_construction_validates():
     rec = IndividualRecord("F", "1", None, None, Sex.MALE, 50.0, 0)
     ped = Pedigree([rec])
     assert ped.individuals == (rec,) and ped.record("1").is_founder
+
+
+def _typed(families):
+    """Every family's id, structure key and members' fields with their types."""
+    return [
+        (fam.family_id, fam.structure_key(), [
+            [(type(getattr(rec, f.name)), repr(getattr(rec, f.name))) for f in fields(rec)]
+            for rec in fam
+        ])
+        for fam in families
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ped_cohorts(), st.randoms(use_true_random=False))
+def test_column_parse_equals_row_parse(families, rng):
+    # rows of all families shuffled together: families interleave and each
+    # family's records come in another order
+    header, *rows = format_ped(families).rstrip("\n").split("\n")
+    rng.shuffle(rows)
+    lines = [header, *rows]
+    parsed = _parse_columns(lines)
+    assert parsed is not None, "a valid file left the column parse"
+    assert _typed(parsed) == _typed(_parse_rows(lines))
+
+
+MUTATION_BASE = """\
+# covariates: 1
+F1 1 0 0 1 70.0 0 -9 0 0.5
+F1 2 0 0 2 65.0 1 1 1 -0.5
+F2 1 0 0 1 60.0 0 -9 0 0.0
+F1 3 1 2 1 45.0 1 . 0 1.5
+F2 2 0 0 2 58.0 0 0 0 2.0
+F2 3 1 2 2 30.0 0 -9 1 0.25
+F1 4 3 5 2 20.0 0 -9 0 0.0
+F1 5 0 0 2 44.0 0 -9 0 0.0
+"""
+
+
+def _mutated(edits, append=""):
+    """MUTATION_BASE with token ``column`` of line ``lineno`` replaced, for
+    each (lineno, column, token) edit; a token of None drops the column."""
+    lines = MUTATION_BASE.splitlines()
+    for lineno, column, token in edits:
+        tokens = lines[lineno - 1].split()
+        if token is None:
+            del tokens[column]
+        else:
+            tokens[column] = token
+        lines[lineno - 1] = " ".join(tokens)
+    return "\n".join(lines) + "\n" + append
+
+
+@pytest.mark.parametrize("text", [
+    _mutated([(3, 4, "3")]),
+    _mutated([(5, 6, "2")]),
+    _mutated([(6, 7, "2")]),
+    _mutated([(7, 8, "x")]),
+    _mutated([(4, 5, "nan")]),
+    _mutated([(8, 5, "-1")]),
+    _mutated([(9, 5, "inf")]),
+    _mutated([(2, 9, "nan")]),
+    _mutated([(6, 9, None)]),
+    _mutated([(5, 3, "0")]),
+    _mutated([(5, 2, "0")]),
+    _mutated([(6, 1, "1")]),
+    _mutated([(7, 2, "9")]),
+    _mutated([(7, 3, "9")]),
+    _mutated([(7, 2, "2"), (7, 3, "1")]),
+    _mutated([(2, 2, "3"), (2, 3, "5")]),
+    _mutated([(3, 4, "3")], append="# covariates: 2\n"),
+    _mutated([], append="# covariates: 2\n"),
+], ids=[
+    "sex", "status", "gene-test", "proband", "age-nan", "age-negative", "age-inf",
+    "covariate-nan", "column-count", "father-only", "mother-only", "duplicate-id",
+    "dangling-father", "dangling-mother", "parent-sex", "cycle", "header-after-bad-row",
+    "header-mismatch",
+])
+def test_column_parse_refuses_what_the_row_parse_refuses(text):
+    lines = text.split("\n")
+    assert _parse_columns(lines) is None
+    with pytest.raises(PedigreeError) as rows:
+        _parse_rows(lines)
+    with pytest.raises(PedigreeError) as parsed:
+        parse_ped(text)
+    assert (str(parsed.value), parsed.value.line) == (str(rows.value), rows.value.line)
+
+
+def test_column_parse_takes_what_the_row_parse_takes():
+    # float() reads "1_0" as 10.0 on both paths
+    lines = _mutated([(4, 5, "1_0")]).split("\n")
+    parsed = _parse_columns(lines)
+    assert parsed is not None and parsed[1].record("1").age == 10.0
+    assert _typed(parsed) == _typed(_parse_rows(lines))
+
+
+def test_lines_are_numbered_at_newlines_alone(tmp_path):
+    # "\x0c", "\x1c" and "\u2028" end lines for str.splitlines, which would
+    # put the bad row on line 8; a stream ends lines at newlines alone
+    text = (
+        "# covariates: 0\r\n"
+        "# page\x0cbreak, group\x1cseparator, line\u2028separator\r\n"
+        "F1 1 0 0 1 70.0 0 -9 0\r\n"
+        "F1 2 0 0 2 65.0 1 -9 0\r\n"
+        "F1 3 1 2 1 45.0 2 -9 0\r\n"
+    )
+    assert len(text.splitlines()) == 8
+    message = "family F1, line 5: invalid status '2' for individual 3"
+    path = tmp_path / "crlf.ped"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as stream:
+        for source in (text, io.StringIO(text), stream):
+            with pytest.raises(PedigreeError) as exc:
+                parse_ped(source)
+            assert (str(exc.value), exc.value.line) == (message, 5)
+    good = text.replace(" 2 -9 0\r\n", " 1 -9 0\r\n")
+    assert parse_ped(good) == parse_ped(good.replace("\r\n", "\n"))
