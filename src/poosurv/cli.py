@@ -406,8 +406,8 @@ def curve(report, ages, z, out):
 
     point = {group: curve_of(fitted, group) for group in ("pat", "mat")}
     bands = {}
-    boot = fitted.get("bootstrap") or {}
-    fits = (boot.get("fits") if isinstance(boot, dict) else boot) or []
+    boot = fitted.get("bootstrap", {})
+    fits = (boot.get("fits") or []) if isinstance(boot, dict) else None
     if not isinstance(fits, list):
         raise stale("'bootstrap' is not an object with a list of fits")
     if fits:

@@ -17,9 +17,10 @@ A :class:`Pedigree` stores its members in columns, one tuple per
 :class:`IndividualRecord` field, plus the parent positions of its
 :meth:`~Pedigree.structure_key`. ``IndividualRecord`` stays the public row
 type: :attr:`Pedigree.individuals` and iteration build the records on first
-access and keep them. :func:`parse_ped` checks a whole file column by column
-with numpy and builds no record; when any check fails it parses the file
-again row by row, which names the first bad row, its family and its line.
+access and keep them. :func:`parse_ped` and :func:`simulate.simulate_families`
+check a cohort's columns all at once with numpy and build no record; when a
+check of a file fails, :func:`parse_ped` parses it again row by row, which
+names the first bad row, its family and its line.
 """
 
 from __future__ import annotations
@@ -189,10 +190,10 @@ class Pedigree:
     Construction from records validates structural invariants (parents
     resolve within the family, referenced fathers are male and mothers
     female, the parent graph is acyclic, covariate vectors have uniform
-    length) and raises :class:`PedigreeError` on violation. The members are
-    stored as columns (see :meth:`column`); :attr:`individuals` builds their
-    records on first access and keeps them. Instances are immutable and safe
-    to share across threads.
+    length) and raises :class:`PedigreeError` on the first violation. The
+    members are stored as columns (see :meth:`column`); :attr:`individuals`
+    builds their records on first access and keeps them. Instances are
+    immutable and safe to share across threads.
     """
 
     def __init__(self, records, lines=None):
@@ -201,26 +202,17 @@ class Pedigree:
             raise PedigreeError("family has no members")
         lines = dict(lines or {})
         family_id = records[0].family_id
-        family_ids, *columns = zip(*map(_ROW, records))
-        ids, fathers, mothers, sexes = columns[:4]
+        _refuse_members(records, family_id, lines)
+        columns = tuple(zip(*map(_ROW, records)))[1:]
+        ids, sexes = columns[0], columns[_COLUMN["sex"]]
         positions = dict(zip(ids, range(len(ids))))
-        if (len(positions) < len(ids) or family_ids.count(family_id) < len(ids)
-                or len(set(map(len, columns[_COLUMN["covariates"]]))) > 1):
-            _refuse_members(records, family_id, lines)
-
-        key, ordered = [], True
-        for i, (father, mother) in enumerate(zip(fathers, mothers)):
-            if father is None:
-                key.append((-1, -1))
-                continue
-            f, m = positions.get(father), positions.get(mother)
-            if f is None or m is None or sexes[f] != Sex.MALE or sexes[m] != Sex.FEMALE:
-                _refuse_parents(records[i], positions, sexes, lines)
-            key.append((f, m))
-            ordered = ordered and f < i and m < i
-        if not ordered:
-            _check_acyclic(family_id, ids, key, lines)
-        self._set(family_id, tuple(columns), tuple(key), positions, records)
+        key = []
+        for rec in records:
+            if not rec.is_founder:
+                _refuse_parents(rec, positions, sexes, lines)
+            key.append((positions.get(rec.father_id, -1), positions.get(rec.mother_id, -1)))
+        _check_acyclic(family_id, ids, key, lines)
+        self._set(family_id, columns, tuple(key), positions, records)
 
     @classmethod
     def _of_columns(cls, family_id, columns, key, positions=None):
@@ -234,7 +226,7 @@ class Pedigree:
         self._columns = columns
         self._key = key
         self._positions = positions
-        # the members' records as far as built; None where not yet built
+        # the members' records; None until first built
         self._records = records
 
     def __len__(self) -> int:
@@ -256,13 +248,11 @@ class Pedigree:
     @property
     def individuals(self) -> tuple[IndividualRecord, ...]:
         """The members' records in member order, built on first access."""
-        records = self._records
-        if records is None or None in records:
-            records = self._records = tuple(
-                record or _record(self.family_id, values)
-                for record, values in zip(records or repeat(None), zip(*self._columns))
+        if self._records is None:
+            self._records = tuple(
+                _record(self.family_id, values) for values in zip(*self._columns)
             )
-        return records
+        return self._records
 
     def column(self, name: str) -> tuple:
         """The members' values of record field ``name``, in member order."""
@@ -296,10 +286,9 @@ class Pedigree:
         order; any other field raises ``ValueError``. Links, sexes,
         phenotypes and ids stay as they are, so the copy shares this
         family's validated structure and :meth:`structure_key` instead of
-        being built again; records this family has built are shared for
-        members whose values do not change, and a call that changes nothing
-        returns ``self``. A changed value still passes
-        :class:`IndividualRecord`'s checks.
+        being built again, and builds its own records only when they are
+        read. A call that changes nothing returns ``self``. A changed value
+        still passes :class:`IndividualRecord`'s checks.
         """
         refused = sorted(set(columns) - _VALUE_FIELDS)
         if refused:
@@ -309,30 +298,22 @@ class Pedigree:
             if len(values) != n:
                 raise ValueError(f"{name}: {len(values)} values for {n} records")
         new = list(self._columns)
-        kept = [True] * n
         changed = {}
         for name, values in columns.items():
             old = new[_COLUMN[name]]
             differs = list(map(operator.ne, old, values))
             if any(differs):
-                new[_COLUMN[name]] = changed[name] = tuple(
+                new[_COLUMN[name]] = tuple(
                     value if differ else was for was, value, differ in zip(old, values, differs)
                 )
-                kept = [keep and not differ for keep, differ in zip(kept, differs)]
+                changed[name] = differs
         if not changed:
             return self
-        checked = [(name, changed[name]) for name in ("gene_test", "genotype_pin")
-                   if name in changed]
-        for i, (individual_id, keep) in enumerate(zip(self._columns[0], kept)):
-            if not keep:
-                for name, values in checked:
-                    _check_value(self.family_id, individual_id, name, values[i])
-        copy = Pedigree._of_columns(self.family_id, tuple(new), self._key, self._positions)
-        if self._records is not None:
-            copy._records = tuple(
-                record if keep else None for record, keep in zip(self._records, kept)
-            )
-        return copy
+        for i, individual_id in enumerate(self._columns[0]):
+            for name in ("gene_test", "genotype_pin"):
+                if name in changed and changed[name][i]:
+                    _check_value(self.family_id, individual_id, name, new[_COLUMN[name]][i])
+        return Pedigree._of_columns(self.family_id, tuple(new), self._key, self._positions)
 
     def structure_key(self) -> tuple[tuple[int, int], ...]:
         """Parent positions per member, ``(-1, -1)`` for a founder; families
@@ -512,25 +493,25 @@ _BLOCK_ROWS = 1024
 _NO_PARENT = {"0": None}
 
 
-def _parse_columns(lines) -> list[Pedigree] | None:
-    """Parse ``lines`` column by column, building no record; ``None`` when
-    any check fails, for :func:`_parse_rows` to name the error.
+class _Refused(Exception):
+    """A check of the column parse failed; the row parse names the error."""
 
-    Takes exactly the rows and links the row parse takes and gives equal
-    families: each row's tokens are converted as that parse converts them,
-    and the checks run over the whole file at once.
-    """
+
+def _read_columns(lines):
+    """The family ids of ``lines`` in order of first appearance, each row's
+    index into them, and the nine PED columns, each token converted as the
+    row parse converts it; :class:`_Refused` for a row it cannot convert."""
     n_cov = None
     block = []
     family_code = {}  # family id -> number, in order of first appearance
-    families, ids, fathers, mothers, sexes, ages = [], [], [], [], [], []
+    family_of, ids, fathers, mothers, sexes, ages = [], [], [], [], [], []
     statuses, tests, probands, covariates = [], [], [], []
 
     def convert():
         family, ident, father, mother, sex, age, status, test, proband, *cov = zip(*block)
         for family_id in dict.fromkeys(family):
             family_code.setdefault(family_id, len(family_code))
-        families.extend(map(family_code.__getitem__, family))
+        family_of.extend(map(family_code.__getitem__, family))
         ids.extend(ident)
         fathers.extend(map(_NO_PARENT.get, father, father))
         mothers.extend(map(_NO_PARENT.get, mother, mother))
@@ -553,37 +534,45 @@ def _parse_columns(lines) -> list[Pedigree] | None:
                 if header:
                     declared = int(header.group(1))
                     if n_cov not in (None, declared):
-                        return None
+                        raise _Refused("covariate header unlike the rows")
                     n_cov = declared
                 continue
             if n_cov is None:
                 n_cov = max(len(tokens) - 9, 0)
             if len(tokens) != 9 + n_cov:
-                return None
+                raise _Refused("column count")
             block.append(tokens)
             if len(block) == _BLOCK_ROWS:
                 convert()
         if block:
             convert()
-    except (KeyError, ValueError):  # a token outside TOKENS or not a float
-        return None
+    except (KeyError, ValueError):
+        raise _Refused("a token outside TOKENS or not a float") from None
+    columns = [ids, fathers, mothers, sexes, ages, statuses, tests, probands, covariates]
+    return list(family_code), family_of, columns
+
+
+def _families(family_ids, family_of, columns):
+    """One :class:`Pedigree` per entry of ``family_ids`` from a cohort's nine
+    PED columns and each row's index into ``family_ids``; :class:`_Refused`
+    when a check the row parse makes fails, all rows checked at once."""
+    ids, fathers, mothers, sexes, ages, *_, covariates = columns
     n = len(ids)
     if not n:
         return []
-
     age = np.array(ages)
     if not ((age >= 0) & (age < math.inf)).all():  # NaN fails both
-        return None
-    if n_cov and not np.isfinite(np.array(covariates)).all():
-        return None
+        raise _Refused("an age not finite and non-negative")
+    if covariates[0] and not np.isfinite(np.array(covariates)).all():
+        raise _Refused("a non-finite covariate")
     # members by (family, id) number, for the rows of parents
     id_code = {ident: i for i, ident in enumerate(dict.fromkeys(ids))}
-    family_of = np.array(families, dtype=np.intp)
+    family_of = np.asarray(family_of, dtype=np.intp)
     member = family_of * len(id_code) + np.fromiter(map(id_code.__getitem__, ids), np.intp, n)
     by_member = np.argsort(member, kind="stable")
     member = member[by_member]
-    if (member[1:] == member[:-1]).any():  # a duplicate id
-        return None
+    if (member[1:] == member[:-1]).any():
+        raise _Refused("a duplicate id")
 
     def rows_of(parents):
         code = np.fromiter(map(id_code.get, parents, repeat(-1)), np.intp, n)
@@ -593,22 +582,21 @@ def _parse_columns(lines) -> list[Pedigree] | None:
 
     child = np.fromiter(map(operator.is_not, fathers, repeat(None)), bool, n)
     if (child != np.fromiter(map(operator.is_not, mothers, repeat(None)), bool, n)).any():
-        return None  # one parent
+        raise _Refused("one parent")
     father, mother = rows_of(fathers), rows_of(mothers)
     if (father[child] < 0).any() or (mother[child] < 0).any():
-        return None  # an unknown parent
+        raise _Refused("an unknown parent")
     sex = np.fromiter(sexes, np.int8, n)
     if (sex[father[child]] != Sex.MALE).any() or (sex[mother[child]] != Sex.FEMALE).any():
-        return None
+        raise _Refused("a parent of the wrong sex")
     placed = ~child  # the founders, then each generation whose parents are placed
     while not placed.all():
         grown = placed | (placed[father] & placed[mother])
-        if (grown == placed).all():
-            return None  # a cycle: the members on and below it are never placed
+        if (grown == placed).all():  # the members on and below a cycle
+            raise _Refused("a cycle")
         placed = grown
 
-    # families in order of first appearance, members in file order
-    columns = [ids, fathers, mothers, sexes, ages, statuses, tests, probands, covariates]
+    # families in order of first appearance, members in row order
     if (family_of[1:] < family_of[:-1]).any():  # interleaved families
         rows = np.argsort(family_of, kind="stable")
         rank = np.empty(n, np.intp)
@@ -625,7 +613,7 @@ def _parse_columns(lines) -> list[Pedigree] | None:
     # one object for equal keys, and for the flag and pin columns of each size
     keys, blanks, pedigrees = {}, {}, []
     bounds = starts.tolist()
-    for family_id, lo, hi in zip(family_code, bounds, bounds[1:]):
+    for family_id, lo, hi in zip(family_ids, bounds, bounds[1:]):
         key = tuple(zip(father[lo:hi], mother[lo:hi]))
         blank = blanks.setdefault(hi - lo, ((False,) * (hi - lo), (None,) * (hi - lo)))
         pedigrees.append(Pedigree._of_columns(
@@ -648,8 +636,10 @@ def parse_ped(source) -> list[Pedigree]:
     ``"\\n"`` alone.
     """
     lines = source.split("\n") if isinstance(source, str) else list(source)
-    families = _parse_columns(lines)
-    return _parse_rows(lines) if families is None else families
+    try:
+        return _families(*_read_columns(lines))
+    except _Refused:
+        return _parse_rows(lines)
 
 
 def _format_float(x: float) -> str:

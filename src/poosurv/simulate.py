@@ -24,23 +24,24 @@ The replication study runs in (case, replicate) units: a unit simulates
 its families once and derives each scenario's families from them with
 :func:`apply_scenario_mask` and the mask root of the same seed, which gives
 exactly the families a fresh :func:`simulate_families` call for that
-scenario would. Masking copies records through
-:meth:`pedigree.Pedigree.with_values`, which keeps each family's validated
-structure.
+scenario would. Families are built from the cohort's columns, as
+:func:`pedigree.parse_ped` builds a file's, with no record per member;
+masking copies them through :meth:`pedigree.Pedigree.with_values`, which
+keeps each family's validated structure.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .em import EMConfig, EMError, _fan_out, em_fit
 from .genetics import GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype
 from .inference import InferenceError
-from .pedigree import IndividualRecord, Pedigree, Sex
+from .pedigree import Sex, _families
 
 __all__ = [
     "Scenario",
@@ -196,10 +197,10 @@ def _seed_roots(seed):
 
 
 def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
+    """One family's ages, statuses, proband flags and truth records, in template order."""
     genotypes: dict[str, Genotype] = {}
-    records = []
-    truth = []
-    for individual_id, father, mother, sex in FAMILY_TEMPLATE:
+    ages, statuses, truth = [], [], []
+    for individual_id, father, mother, _ in FAMILY_TEMPLATE:
         if father is None:
             from_father = rng.random() < q
             from_mother = rng.random() < q
@@ -216,18 +217,8 @@ def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
             event_time = hazard.inverse(rng.exponential(1.0) / scale)
         censor_time = rng.uniform(CENSOR_LOW, CENSOR_HIGH)
         affected = event_time <= censor_time
-        records.append(
-            IndividualRecord(
-                family_id=family_id,
-                individual_id=individual_id,
-                father_id=father,
-                mother_id=mother,
-                sex=sex,
-                age=event_time if affected else censor_time,
-                status=1 if affected else 0,
-                gene_test=None,
-            )
-        )
+        ages.append(event_time if affected else censor_time)
+        statuses.append(1 if affected else 0)
         truth.append(
             TruthRecord(
                 family_id=family_id,
@@ -238,12 +229,10 @@ def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
                 censor_time=censor_time,
             )
         )
-    if mark_probands:
-        for i, rec in enumerate(records):
-            if rec.status == 1:
-                records[i] = replace(rec, proband=True)
-                break
-    return Pedigree(records), truth
+    probands = [False] * len(FAMILY_TEMPLATE)
+    if mark_probands and 1 in statuses:
+        probands[statuses.index(1)] = True
+    return ages, statuses, probands, truth
 
 
 def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
@@ -266,14 +255,20 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     scenario = Scenario(scenario)
     truth_root, mask_root = _seed_roots(seed)
     truth_seeds = _children(truth_root, n)
-    families, truth = [], []
-    for k in range(n):
-        rng = np.random.Generator(np.random.Philox(truth_seeds[k]))
-        fam, fam_truth = _simulate_family(f"F{k + 1}", rng, beta, q, hazard, mark_probands)
-        families.append(fam)
-        truth.extend(fam_truth)
-    families = apply_scenario_mask(families, truth, scenario, mask_root)
-    return families, truth
+    family_ids = [f"F{k + 1}" for k in range(n)]
+    ages, statuses, probands, truth = [], [], [], []
+    for family_id, family_seed in zip(family_ids, truth_seeds):
+        rng = np.random.Generator(np.random.Philox(family_seed))
+        drawn = _simulate_family(family_id, rng, beta, q, hazard, mark_probands)
+        for column, values in zip((ages, statuses, probands, truth), drawn):
+            column.extend(values)
+    template = [column * n for column in zip(*FAMILY_TEMPLATE)]
+    families = _families(
+        family_ids,
+        np.repeat(np.arange(n), len(FAMILY_TEMPLATE)),
+        [*template, ages, statuses, [None] * len(ages), probands, [()] * len(ages)],
+    )
+    return apply_scenario_mask(families, truth, scenario, mask_root), truth
 
 
 def apply_scenario_mask(families, truth, scenario, seed):
@@ -326,7 +321,7 @@ def format_truth(truth) -> str:
 def parse_truth(text: str) -> dict:
     """Read a truth/oracle sidecar into a pin map for :func:`pedigree.pin_genotypes`."""
     pins = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -398,15 +393,13 @@ def _run_unit(args) -> list[ReplicateRow]:
     seed, so each row equals a fresh ``simulate_families`` call for its
     scenario. Returns one row per scenario, in scenario order.
     """
-    master_seed, case_index, n_families, beta, scenarios, replicate_index, config = args
-    sim_entropy = (master_seed, case_index, replicate_index)
+    sim_entropy, n_families, beta, scenarios, config = args
+    master_seed, case_index, replicate_index = sim_entropy
     simulated, truth = simulate_families(
         n_families, beta, config.q, hazard=DEFAULT_HAZARD, scenario=scenarios[0],
         seed=sim_entropy,
     )
     _, mask_root = _seed_roots(sim_entropy)
-    em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
-    config = replace(config, seed=em_seed)
     label = _case_label(n_families, beta)
     seed_label = f"{master_seed}-{case_index}-{replicate_index}"
     rows = []
@@ -446,12 +439,13 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
             raise ValueError(
                 f"bad case {n_families}:{beta}; need at least one family and a finite beta"
             )
-    config = EMConfig(q=q, epsilon=0.0, eta=0.0)
-    units = [
-        (seed, case_index, int(n_families), float(beta), scenarios, replicate_index, config)
-        for case_index, (n_families, beta) in enumerate(cases)
-        for replicate_index in range(replicates)
-    ]
+    units = []
+    for case_index, (n_families, beta) in enumerate(cases):
+        for replicate_index in range(replicates):
+            sim_entropy = (seed, case_index, replicate_index)
+            em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
+            config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed)
+            units.append((sim_entropy, int(n_families), float(beta), scenarios, config))
     done = _fan_out(_run_unit, units, jobs)
     return [
         done[case_index * replicates + replicate_index][s]

@@ -348,6 +348,19 @@ class TestFitCommand:
         report = json.loads(report_path.read_text())
         assert report["converged"]
         assert report["iterations"] <= 6  # hard evidence pins the weights
+        # a form feed ends a line for str.splitlines but not in the sidecar:
+        # the comment stays one line
+        header, rest = (runner_out / "oracle.tsv").read_text().split("\n", 1)
+        paged = tmp_path / "paged.tsv"
+        paged.write_text(f"{header}\n# note\x0cpage\n{rest}")
+        paged_path = tmp_path / "paged_fit.json"
+        run_ok(
+            runner,
+            ["fit", str(runner_out / "pedigree.ped"), "--q", "0.2",
+             "--epsilon", "0", "--eta", "0", "--poo-file", str(paged),
+             "--out", str(paged_path)],
+        )
+        assert paged_path.read_bytes() == report_path.read_bytes()
 
     def test_poo_file_constrains_bootstrap(self, runner, tmp_path):
         sim = tmp_path / "oracle_sim"
@@ -736,7 +749,7 @@ class TestCurveCommand:
     @pytest.mark.parametrize("corrupt", [
         "nan_increment", "inf_beta_hat", "nan_in_bootstrap_baseline",
         "null_beta_hat", "string_baseline", "null_gamma", "list_report",
-        "string_beta_hat_in_bootstrap",
+        "string_beta_hat_in_bootstrap", "list_bootstrap",
     ])
     def test_non_finite_report_is_validation_error(
         self, runner, fitted_report, tmp_path, corrupt
@@ -757,6 +770,9 @@ class TestCurveCommand:
             report["gamma"], message = None, "'gamma' is not a list of numbers"
         elif corrupt == "list_report":
             report, message = [report], "is not an object"
+        elif corrupt == "list_bootstrap":
+            report["bootstrap"] = report["bootstrap"]["fits"]
+            message = "'bootstrap' is not an object"
         else:
             report["bootstrap"]["fits"][1]["beta_hat"] = "-0.5"
             message = "'beta_hat' is not a number"

@@ -15,6 +15,7 @@ from poosurv import (
     ModelParams,
     Pedigree,
     PosteriorWeights,
+    Scenario,
     Sex,
     apply_proband_correction,
     bootstrap_em,
@@ -22,6 +23,7 @@ from poosurv import (
     format_ped,
     parse_ped,
     posterior_marginals,
+    replicate_study,
     simulate_families,
 )
 from poosurv import em, inference, pedigree
@@ -497,6 +499,13 @@ class TestWeightsOnDemand:
         assert built == []
         assert [list(w) for w in weights] == [list(f.column("individual_id")) for f in parsed]
         assert all(isinstance(w, PosteriorWeights) for fam in weights for w in fam.values())
+        # nor does the simulator, in any scenario and in a study unit
+        for scenario in Scenario:
+            simulate_families(
+                30, beta=-0.6, q=0.2, scenario=scenario, seed=73, mark_probands=True
+            )
+        replicate_study([(30, -0.6)], list(Scenario), replicates=1, seed=74)
+        assert built == []
 
     def test_later_engine_runs_leave_earlier_weights(self):
         # bootstrap replicates run on the fit's engine after the fit

@@ -1,6 +1,7 @@
 """Parsing, validation, and round-trip tests for the PED phenotype format."""
 
 import io
+import re
 import string
 from dataclasses import fields
 
@@ -18,7 +19,7 @@ from poosurv import (
     pin_genotypes,
     validate,
 )
-from poosurv.pedigree import _parse_columns, _parse_rows
+from poosurv.pedigree import _families, _parse_rows, _read_columns, _Refused
 
 SMALL_FILE = """\
 # covariates: 0
@@ -327,6 +328,44 @@ def test_pedigree_direct_construction_validates():
     ped = Pedigree([rec])
     assert ped.individuals == (rec,) and ped.record("1").is_founder
 
+    def member(individual_id, father, mother, sex, family_id="F", covariates=()):
+        return IndividualRecord(
+            family_id, individual_id, father, mother, sex, 30.0, 0, covariates=covariates
+        )
+
+    # two faults each: the members' checks come first, then each child's
+    # parents in member order, then the cycle check
+    male, female = Sex.MALE, Sex.FEMALE
+    for records, message in (
+        ([member("1", None, None, male), member("2", None, None, female),
+          member("3", "1", "9", male), member("2", None, None, female)],
+         "family F, line 4: duplicate individual id 2"),
+        ([member("1", None, None, male, covariates=(1.0,)),
+          member("2", None, None, female), member("3", None, None, male, "G")],
+         "family F, line 3: record 3 belongs to family G, not F"),
+        ([member("x", "y", "z", female), member("y", "x", "z", male),
+          member("z", None, None, female)],
+         "family F, line 2: father x of y is not male"),
+        ([member("a", "b", "c", male), member("b", "a", "c", male),
+          member("c", None, None, female), member("d", "a", "q", male)],
+         "family F, line 4: individual d references unknown mother q"),
+    ):
+        lines = {rec.individual_id: i for i, rec in enumerate(records, start=1)}
+        with pytest.raises(PedigreeError) as exc:
+            Pedigree(records, lines=lines)
+        assert str(exc.value) == message
+
+    # a copy checks its changed values in member order, gene_test first
+    fam = parse_ped(SMALL_FILE)[0]
+    for columns, message in (
+        (dict(gene_test=[0, 1, 3], genotype_pin=[None, (5,), None]),
+         "family F1: individual 2 has invalid genotype pin (5,)"),
+        (dict(gene_test=[0, 7, None], genotype_pin=[None, (), None]),
+         "family F1: individual 2 has invalid gene_test 7"),
+    ):
+        with pytest.raises(PedigreeError, match=re.escape(message)):
+            fam.with_values(**columns)
+
 
 def _typed(families):
     """Every family's id, structure key and members' fields with their types."""
@@ -339,6 +378,11 @@ def _typed(families):
     ]
 
 
+def _parse_columns(lines):
+    """The column parse alone: the token reader, then the cohort checks."""
+    return _families(*_read_columns(lines))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(ped_cohorts(), st.randoms(use_true_random=False))
 def test_column_parse_equals_row_parse(families, rng):
@@ -347,9 +391,7 @@ def test_column_parse_equals_row_parse(families, rng):
     header, *rows = format_ped(families).rstrip("\n").split("\n")
     rng.shuffle(rows)
     lines = [header, *rows]
-    parsed = _parse_columns(lines)
-    assert parsed is not None, "a valid file left the column parse"
-    assert _typed(parsed) == _typed(_parse_rows(lines))
+    assert _typed(_parse_columns(lines)) == _typed(_parse_rows(lines))
 
 
 MUTATION_BASE = """\
@@ -406,7 +448,8 @@ def _mutated(edits, append=""):
 ])
 def test_column_parse_refuses_what_the_row_parse_refuses(text):
     lines = text.split("\n")
-    assert _parse_columns(lines) is None
+    with pytest.raises(_Refused):
+        _parse_columns(lines)
     with pytest.raises(PedigreeError) as rows:
         _parse_rows(lines)
     with pytest.raises(PedigreeError) as parsed:
@@ -418,7 +461,7 @@ def test_column_parse_takes_what_the_row_parse_takes():
     # float() reads "1_0" as 10.0 on both paths
     lines = _mutated([(4, 5, "1_0")]).split("\n")
     parsed = _parse_columns(lines)
-    assert parsed is not None and parsed[1].record("1").age == 10.0
+    assert parsed[1].record("1").age == 10.0
     assert _typed(parsed) == _typed(_parse_rows(lines))
 
 

@@ -1,7 +1,6 @@
 """Simulator tests: hazard sampling, Mendelian genotypes, scenario masks."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from poosurv import (
     EMConfig,
     Genotype,
     HazardSpec,
+    IndividualRecord,
     Pedigree,
     PedigreeError,
     Scenario,
@@ -23,6 +23,8 @@ from poosurv import (
     simulate,
     simulate_families,
 )
+
+from test_pedigree import _typed
 
 
 class TestHazardSpec:
@@ -265,20 +267,33 @@ class TestScenarioMasks:
         assert seed.n_children_spawned == 0
 
     def test_mask_equals_validating_constructor(self):
-        families, truth = simulate_families(6, beta=-0.6, q=0.2, scenario="S1", seed=23)
-        for scenario in Scenario:
-            masked = apply_scenario_mask(families, truth, scenario, seed=4)
-            for fam, copy in zip(families, masked):
-                rebuilt = Pedigree(
-                    replace(rec, gene_test=new.gene_test, genotype_pin=new.genotype_pin)
-                    for rec, new in zip(fam, copy)
-                )
-                assert [vars(r) for r in copy] == [vars(r) for r in rebuilt]
-                assert copy.structure_key() == rebuilt.structure_key()
-                for rec in fam:
-                    assert copy.position(rec.individual_id) == rebuilt.position(
-                        rec.individual_id
+        # the simulator's families, built from the cohort's columns, equal
+        # families of records with the template's ids, links and sexes and
+        # the drawn values, checked one record at a time
+        for mark_probands in (False, True):
+            families, truth = simulate_families(
+                6, beta=-0.6, q=0.2, scenario="S1", seed=23, mark_probands=mark_probands
+            )
+            assert any(rec.proband for fam in families for rec in fam) == mark_probands
+            for scenario in Scenario:
+                masked = apply_scenario_mask(families, truth, scenario, seed=4)
+                rebuilt = [
+                    Pedigree(
+                        IndividualRecord(
+                            fam.family_id, *row, age=rec.age, status=rec.status,
+                            gene_test=new.gene_test, proband=rec.proband,
+                            genotype_pin=new.genotype_pin,
+                        )
+                        for row, rec, new in zip(FAMILY_TEMPLATE, fam, copy)
                     )
+                    for fam, copy in zip(families, masked)
+                ]
+                assert _typed(masked) == _typed(rebuilt)
+                for copy, fam in zip(masked, rebuilt):
+                    for rec in fam:
+                        assert copy.position(rec.individual_id) == fam.position(
+                            rec.individual_id
+                        )
 
     def test_value_copy_refuses_structural_fields(self):
         (fam,), _ = simulate_families(1, beta=-0.6, q=0.2, scenario="S0", seed=24)
@@ -297,9 +312,9 @@ class TestScenarioMasks:
         tests[2] = 1
         copy = fam.with_values(gene_test=tests)
         assert copy.record("3").gene_test == 1 and fam.record("3").gene_test is None
-        assert all(
-            new is old for new, old in zip(copy, fam) if new.individual_id != "3"
-        )
+        assert [vars(new) for new in copy if new.individual_id != "3"] == [
+            vars(old) for old in fam if old.individual_id != "3"
+        ]
 
     def test_value_copy_shares_the_structure_key(self):
         # the key is computed once, on the first call or the first copy,
