@@ -19,6 +19,7 @@ are record data, set before the fit (see :mod:`poosurv.pedigree`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -82,6 +83,8 @@ class EMConfig:
         if not ages or any(b <= a for a, b in zip(ages, ages[1:])):
             raise ValueError("test_ages must be non-empty and increasing")
         object.__setattr__(self, "test_ages", ages)
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -265,7 +268,8 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
         marginals, log_evidence_fam = engine.run(
             coefs[0], coefs[1:], baseline.cumulative_at(positions)
         )
-        weights = counts * origin_weights(marginals.take(rows, axis=0))
+        weights = origin_weights(marginals.take(rows, axis=0))
+        weights *= counts
         log_evidence = float((family_counts * log_evidence_fam).sum())
         jumps = baseline.increments[jump_of_event]
         log_likelihood = log_evidence + float((event_counts * np.log(jumps)).sum())

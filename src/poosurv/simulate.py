@@ -120,7 +120,7 @@ class HazardSpec:
                 self._cum_at_cuts[i + 1] if i + 1 < len(self.cuts) else math.inf
             )
             if rate > 0 and target <= upper:
-                return self.cuts[i] + (target - self._cum_at_cuts[i]) / rate
+                return float(self.cuts[i] + (target - self._cum_at_cuts[i]) / rate)
         return math.inf
 
 

@@ -11,10 +11,10 @@ With origin effect ``beta`` and covariate effects ``gamma``, the weighted
 risk-set total at an event time is ``exp(beta) * A + B``, where ``A`` and
 ``B`` sum ``w exp(z gamma)`` over the paternal and the maternal weights of
 the records at risk; the first and second moments split the same way.
-:class:`CoxProblem` computes these origin-split sums at the event times
-only, once per weight table and ``gamma``. Without covariates they are
-computed once per weight table, and every Newton evaluation and the Breslow
-estimate then cost O(events) rather than O(records).
+:class:`CoxProblem` validates and prepares a weight table once and sums
+``A`` and ``B`` at the event times once per table and ``gamma``: without
+covariates every Newton evaluation and the Breslow estimate then cost
+O(event times), not O(records).
 
 :meth:`CoxProblem.fit` returns the coefficients with their covariance, the
 inverse observed information of the weighted fit. An EM fit keeps the last
@@ -86,11 +86,11 @@ class BaselineHazard:
         increments = np.asarray(increments, dtype=float)
         if times.shape != increments.shape or times.ndim != 1:
             raise ValueError("times and increments must be matching 1-d arrays")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(increments))):
+        if not (np.isfinite(times).all() and np.isfinite(increments).all()):
             raise ValueError("jump times and increments must be finite")
-        if times.size and np.any(np.diff(times) <= 0):
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("jump times must be strictly increasing")
-        if np.any(increments <= 0):
+        if (increments <= 0).any():
             raise ValueError("increments must be positive")
         self.times = times
         self.increments = increments
@@ -131,22 +131,18 @@ class CoxProblem:
     ``(2, n)`` table: row 0 holds each record's paternal-origin weight,
     row 1 its maternal-origin weight. Construction sorts the times once,
     numbers the event blocks (the distinct event times) and gives every
-    record its segment of the origin-split risk sums. Everything after that
-    is cached on content, never on object identity, and recomputed only
-    when its inputs change:
+    record its segment of the origin-split risk sums.
 
-    - per weight table: each event block's summed event weight and the
-      weighted event total of every coefficient's column;
-    - per weight table and covariate coefficients ``gamma``: the risk sums
-      at the event blocks of positive weight, split by origin: the prefix
-      sums of ``w exp(z gamma)`` times ``(1, z)`` and its outer product over
-      the paternal weights at risk, and the same over the maternal weights.
-
-    A partial-likelihood evaluation, a Newton step or a Breslow estimate
-    then combines the two origins' sums with ``exp(beta)`` in
-    O(events * p**2), where ``p = 1 + k`` counts ``beta`` and ``gamma``.
-    Without covariates ``gamma`` is empty, so the risk sums are built once
-    per weight table; the EM loop exploits this.
+    A new table is validated (a negative or non-finite weight raises
+    ``ValueError``) and prepared once: a private copy, each event block's
+    summed event weight and the weighted event totals. Each new ``gamma``
+    costs one more O(records) step, the origin-split risk sums S0, S1, S2
+    at the weighted event blocks; without covariates, one per table. An
+    evaluation, a Newton step or a Breslow estimate then costs
+    O(event blocks * p**2), ``p = 1 + k``, and a Breslow estimate at the
+    last evaluation's coefficients reuses its risk totals. Newton's
+    candidates pass the private copy and skip the comparison any other
+    table gets, so results depend on a table's content, not on its array.
     """
 
     def __init__(self, time, status, covariates):
@@ -192,28 +188,39 @@ class CoxProblem:
         # Each weight's bin of the risk sums: paternal segments, then maternal.
         self._risk_bin = np.concatenate((segment, segment + self._blocks + 1))
         self._Z = Z
+        # The products v_i v_j of the design v = (1, z) but 1 * 1, the one each
+        # row of the stacked risk sums (S0, S1, S2 flattened) reads, and the
+        # rows that the maternal design (0, z) keeps: all but its leading 0's.
         v = np.column_stack((np.ones(n), Z))
-        self._moments = (v[:, :, None] * v[:, None, :]).reshape(n, p * p).T.copy()
+        self._moments = (v[:, :, None] * v[:, None, :]).reshape(n, p * p).T[1:].copy()
+        self._stacked = np.concatenate(([0], np.arange(p), np.arange(p * p)))
+        has_z = np.arange(p) > 0
+        self._maternal_rows = np.concatenate(([True], has_z, np.outer(has_z, has_z).ravel()))
         self._weights = None
-        self._gamma = None
 
     def _prepare(self, weights, gamma):
-        """Bring the per-weights and per-gamma caches up to date."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (2, self.n):
-            raise ValueError(f"weights must have shape (2, {self.n}), got {w.shape}")
-        if self._weights is None or not np.array_equal(w, self._weights):
-            self._weights = w.copy()
-            self._gamma = None
-            w_event = w.ravel()[self._event_weights]
-            d = np.bincount(self._event_block, weights=w_event, minlength=self._blocks)
-            self._kept = np.flatnonzero(d > 0)
-            self._d = d[self._kept]
-            self._d_total = float(self._d.sum())
-            self._event_sum = w_event @ self._event_X
-            self._w_event = w_event.reshape(2, -1)
-        if self._gamma is None or not np.array_equal(gamma, self._gamma):
-            self._gamma = gamma.copy()
+        """Bring the per-table, per-gamma and per-beta caches up to date."""
+        if weights is not self._weights:
+            w = np.asarray(weights, dtype=float)
+            if w.shape != (2, self.n):
+                raise ValueError(f"weights must have shape (2, {self.n}), got {w.shape}")
+            if self._weights is None or not np.array_equal(w, self._weights):
+                if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < math.inf):
+                    bad = w[~(np.isfinite(w) & (w >= 0.0))][0]
+                    raise ValueError(f"weights must be finite and non-negative, got {bad}")
+                self._weights = w = w.copy()
+                w.flags.writeable = False
+                self._gamma = None
+                w_event = w.ravel()[self._event_weights]
+                d = np.bincount(self._event_block, weights=w_event, minlength=self._blocks)
+                self._kept = kept = np.flatnonzero(d > 0)
+                self._d = d[kept]
+                self._d_total = float(self._d.sum())
+                self._event_sum = w_event @ self._event_X
+                self._w_event = w_event.reshape(2, -1)
+        key = gamma.tobytes()
+        if key != self._gamma:
+            self._gamma, self._beta = key, None
             u, self._gamma_shift = self._weights, 0.0
             if gamma.size and self.n:
                 linear = self._Z @ gamma
@@ -221,35 +228,33 @@ class CoxProblem:
                 self._gamma_shift = float(linear.max())
                 u = u * np.exp(linear - self._gamma_shift)
             segments = self._blocks + 1
-            sums = np.stack([
-                np.bincount(self._risk_bin, weights=(u * moment).ravel(),
-                            minlength=2 * segments)
-                for moment in self._moments
-            ]).reshape(self.p, self.p, 2, segments)
-            sums = np.take(np.cumsum(sums, axis=-1), self._kept, axis=-1)
-            self._pat_sums, mat = np.moveaxis(sums, (0, 1), (-2, -1))
-            # A maternal weight's design vector is (0, z): its first and
-            # second moments drop the entries of (1, z) that hold the leading 1.
-            mat1 = mat[:, 0, :].copy()
-            mat1[:, 0] = 0.0
-            mat2 = mat.copy()
-            mat2[:, 0, :] = mat2[:, :, 0] = 0.0
-            self._mat_sums = (mat[:, 0, 0], mat1, mat2)
+            sums = np.array([
+                np.bincount(self._risk_bin, weights=flat, minlength=2 * segments)
+                for flat in [u.ravel()] + [(u * moment).ravel() for moment in self._moments]
+            ]).reshape(-1, 2, segments)
+            kept = np.take(np.cumsum(sums, axis=-1), self._kept, axis=-1)
+            # (origin, stacked row, weighted event block)
+            self._sums = np.take(kept, self._stacked, axis=0).swapaxes(0, 1)
+            self._sums[1] *= self._maternal_rows[:, None]
 
     def _risk(self, beta):
         """Risk-set sums S0, S1, S2 at the weighted event blocks, scaled.
 
         Returns them with ``log_scale``: the true sums are the returned ones
         times exp(log_scale). The shift ``max(beta, 0)`` inside it keeps
-        every exponential here from overflowing.
+        every exponential here from overflowing. The last ``beta``'s sums
+        are kept until the table or ``gamma`` changes.
         """
-        shift = max(float(beta), 0.0)
-        pat, mat = math.exp(beta - shift), math.exp(-shift)
-        mat0, mat1, mat2 = self._mat_sums
-        s0 = pat * self._pat_sums[:, 0, 0] + mat * mat0
-        s1 = pat * self._pat_sums[:, 0, :] + mat * mat1
-        s2 = pat * self._pat_sums + mat * mat2
-        return s0, s1, s2, shift + self._gamma_shift
+        beta = float(beta)
+        if beta != self._beta:
+            shift = max(beta, 0.0)
+            pat, mat = self._sums
+            self._beta, self._risk_sums = beta, (
+                math.exp(beta - shift) * pat + math.exp(-shift) * mat, shift + self._gamma_shift
+            )
+        sums, log_scale = self._risk_sums
+        p = self.p
+        return sums[0], sums[1:p + 1].T, sums[p + 1:].T.reshape(-1, p, p), log_scale
 
     def evaluate(self, coefs, weights):
         """Weighted partial log-likelihood with its score and information."""
@@ -257,15 +262,13 @@ class CoxProblem:
         self._prepare(weights, coefs[1:])
         s0, s1, s2, log_scale = self._risk(coefs[0])
         d = self._d
-        loglik = float(
-            self._event_sum @ coefs - d @ np.log(s0) - self._d_total * log_scale
-        )
-        xbar = s1 / s0[:, None]
+        loglik = float(self._event_sum @ coefs - d @ np.log(s0) - self._d_total * log_scale)
+        # C order fixes the order in which the sums over blocks below add up
+        xbar = np.divide(s1, s0[:, None], order="C")
         score = self._event_sum - d @ xbar
-        info = (
-            d[:, None, None]
-            * (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :])
-        ).sum(axis=0)
+        outer = xbar[:, :, None] * xbar[:, None, :]
+        ratio = np.divide(s2, s0[:, None, None], order="C")
+        info = (d[:, None, None] * (ratio - outer)).sum(axis=0)
         return loglik, score, info
 
     def _check_rank(self):
@@ -290,42 +293,39 @@ class CoxProblem:
         coefs = np.zeros(self.p) if init is None else np.asarray(init, dtype=float).copy()
         self._prepare(weights, coefs[1:])
         self._check_rank()
-        loglik, score, info = self.evaluate(coefs, weights)
+        loglik, score, info = self.evaluate(coefs, self._weights)
         n_steps = 0
-        converged = np.max(np.abs(score)) < SCORE_TOL
-        while not converged:
-            if n_steps >= MAX_NEWTON_STEPS:
-                raise ConvergenceError(
-                    f"no convergence after {MAX_NEWTON_STEPS} Newton steps"
-                )
-            try:
-                direction = np.linalg.solve(info, score)
-            except np.linalg.LinAlgError:
-                raise SingularInformationError("information matrix is singular") from None
-            step = 1.0
-            for _ in range(MAX_HALVINGS):
-                candidate = coefs + step * direction
-                # An overshooting step can underflow a risk sum to 0; its -inf
-                # or NaN log-likelihood fails the test below and is halved.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cand_ll, cand_score, cand_info = self.evaluate(candidate, weights)
-                # Relative slack: an absolute one is below an ulp of a large
-                # log-likelihood, and rounding noise would pick the step.
-                if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
-                    break
-                step /= 2.0
-            else:
-                raise ConvergenceError("step halving failed to improve the likelihood")
-            n_steps += 1
-            if np.max(np.abs(candidate)) > COEF_BOUND:
-                raise MonotoneLikelihoodError(
-                    f"coefficient magnitude exceeded {COEF_BOUND}; the partial "
-                    "likelihood appears monotone"
-                )
-            rel_change = abs(cand_ll - loglik) / (abs(loglik) + 1.0)
-            coefs, loglik, score, info = candidate, cand_ll, cand_score, cand_info
-            if np.max(np.abs(score)) < SCORE_TOL or rel_change < LOGLIK_RTOL:
-                converged = True
+        converged = np.abs(score).max() < SCORE_TOL
+        # An overshooting step can underflow a risk sum to 0; its -inf or
+        # NaN log-likelihood fails the step test below and is halved.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while not converged:
+                if n_steps >= MAX_NEWTON_STEPS:
+                    raise ConvergenceError(f"no convergence after {n_steps} Newton steps")
+                try:
+                    direction = np.linalg.solve(info, score)
+                except np.linalg.LinAlgError:
+                    raise SingularInformationError("information matrix is singular") from None
+                step = 1.0
+                for _ in range(MAX_HALVINGS):
+                    candidate = coefs + step * direction
+                    cand_ll, cand_score, cand_info = self.evaluate(candidate, self._weights)
+                    # Relative slack: an absolute one is below an ulp of a large
+                    # log-likelihood, and rounding noise would pick the step.
+                    if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
+                        break
+                    step /= 2.0
+                else:
+                    raise ConvergenceError("step halving failed to improve the likelihood")
+                n_steps += 1
+                if np.abs(candidate).max() > COEF_BOUND:
+                    raise MonotoneLikelihoodError(
+                        f"coefficient magnitude exceeded {COEF_BOUND}; the partial "
+                        "likelihood appears monotone"
+                    )
+                rel_change = abs(cand_ll - loglik) / (abs(loglik) + 1.0)
+                coefs, loglik, score, info = candidate, cand_ll, cand_score, cand_info
+                converged = np.abs(score).max() < SCORE_TOL or rel_change < LOGLIK_RTOL
         try:
             covariance = np.linalg.inv(info)
         except np.linalg.LinAlgError:

@@ -203,6 +203,12 @@ class TestEMConfig:
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             EMConfig(q=0.2, max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            EMConfig(q=0.2, max_iter=max_iter)
+        assert EMConfig(q=0.2, max_iter=np.int64(3)).max_iter == 3
+
     def test_model_params_keep_the_closed_interval(self):
         # brute force and check-oracle evaluate the likelihood at the ends
         assert ModelParams(q=0.0).q == 0.0

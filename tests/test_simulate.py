@@ -42,6 +42,12 @@ class TestHazardSpec:
             t = DEFAULT_HAZARD.inverse(e)
             assert DEFAULT_HAZARD.cumulative(t) == pytest.approx(e, rel=1e-12)
 
+    def test_inverse_returns_a_python_float(self):
+        assert type(DEFAULT_HAZARD.inverse(0.7)) is float
+        families, truth = simulate_families(30, -0.6, 0.2, seed=1)
+        assert all(type(age) is float for fam in families for age in fam.column("age"))
+        assert all(type(rec.event_time) is float for rec in truth)
+
     def test_inverse_beyond_mass_is_infinite(self):
         finite = HazardSpec((0.0, 10.0), (0.1, 0.0))
         assert finite.inverse(0.5) == pytest.approx(5.0)

@@ -365,6 +365,36 @@ class TestReuseAndContract:
                 np.testing.assert_array_equal(got, want, err_msg=name)
 
     @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_breslow_after_fit_equals_a_fresh_problem(self, n_cov):
+        # the Breslow estimate at the fitted coefficients reuses the last
+        # Newton evaluation's risk totals; a fresh problem computes them anew
+        rng = np.random.default_rng(60 + n_cov)
+        time, status, X, w = random_dataset(rng, n=80, n_cov=n_cov)
+        Z, W = split(X, w)
+        problem = CoxProblem(time, status, Z)
+        coefs = problem.fit(W)[0]
+        reused = problem.breslow(W, coefs)
+        fresh = CoxProblem(time, status, Z).breslow(W, coefs)
+        np.testing.assert_array_equal(reused.times, fresh.times)
+        np.testing.assert_array_equal(reused.increments, fresh.increments)
+
+    @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_weights_mutated_between_fit_and_breslow_are_seen(self, n_cov):
+        rng = np.random.default_rng(70 + n_cov)
+        time, status, X, w = random_dataset(rng, n=80, n_cov=n_cov, zero_weights=False)
+        Z, weights = split(X, w)
+        problem = CoxProblem(time, status, Z)
+        coefs = problem.fit(weights)[0]
+        weights[:, ::4] *= 3.0
+        reused = problem.breslow(weights, coefs)
+        fresh = CoxProblem(time, status, Z).breslow(weights, coefs)
+        np.testing.assert_array_equal(reused.increments, fresh.increments)
+        np.testing.assert_array_equal(
+            problem.evaluate(coefs, weights)[1],
+            CoxProblem(time, status, Z).evaluate(coefs, weights)[1],
+        )
+
+    @pytest.mark.parametrize("n_cov", [0, 2])
     def test_one_record_with_both_weights_equals_two_flagged_rows(self, n_cov):
         # The reference is the expanded design: every record as a paternal
         # row (1, z) and a maternal row (0, z), each with one of its weights.
@@ -417,6 +447,29 @@ class TestReuseAndContract:
         for shape in [(2, 3), (4,), (1, 2), (2, 2, 1)]:
             with pytest.raises(ValueError, match="weights"):
                 problem.evaluate([0.0], np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [-0.5, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("method", ["fit", "evaluate", "breslow"])
+    def test_negative_or_non_finite_weights_are_refused(self, method, bad):
+        rng = np.random.default_rng(9)
+        time, status, X, w = random_dataset(rng, n=40, n_cov=1)
+        Z, W = split(X, w)
+        problem = CoxProblem(time, status, Z)
+        good = problem.evaluate([0.1, 0.2], W)
+        W_bad = W.copy()
+        W_bad[1, 7] = bad
+        calls = {
+            "fit": lambda weights: problem.fit(weights),
+            "evaluate": lambda weights: problem.evaluate([0.1, 0.2], weights),
+            "breslow": lambda weights: problem.breslow(weights, [0.1, 0.2]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+                calls[method](W_bad)
+        # the refused table left the prepared one in place
+        for got, want in zip(problem.evaluate([0.1, 0.2], W), good):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCurvesAndWald:
