@@ -1,5 +1,6 @@
 """Simulator tests: hazard sampling, Mendelian genotypes, scenario masks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from poosurv import (
     Scenario,
     apply_scenario_mask,
     em_fit,
+    format_ped,
+    format_truth,
     founder_prior,
     replicate_study,
     simulate,
@@ -25,6 +28,36 @@ from poosurv import (
 )
 
 from test_pedigree import _typed
+
+
+#: SHA-256 of ``format_ped`` + ``format_truth`` of
+#: ``simulate_families(40, -0.6, 0.2, scenario=s, seed=11, mark_probands=p)``.
+#: S2 and Oracle write the same files; Oracle's pins are checked beside them.
+GOLDEN_SIMULATION = {
+    ("S0", False): "9ddbabf3912a94799738d458f92bde9ab1ff394942768d8da33cdf1fb8d9ad34",
+    ("S0", True): "5f6b7299b3c10800a623bdfd5b97905ddb6dab83477008484b3056ae8e4cb194",
+    ("S1", False): "48b59e47c5a7f37f624c972a0680c77c6bf16214723807b54d25790bf09dea07",
+    ("S1", True): "14958eb00254d26fca315749a69f421380d1ad2c17b80e80dab6aa97e44ba0c4",
+    ("S2", False): "9043463ff0d8abd7b6b41c5b378383ae6aafd26542878cead452141f8e1bde45",
+    ("S2", True): "9ddec8fad223ae5016d3f366e4861b22442b7e15451e818a0772c196958a9f7e",
+    ("Oracle", False): "9043463ff0d8abd7b6b41c5b378383ae6aafd26542878cead452141f8e1bde45",
+    ("Oracle", True): "9ddec8fad223ae5016d3f366e4861b22442b7e15451e818a0772c196958a9f7e",
+}
+
+
+@pytest.mark.parametrize("scenario, mark_probands", sorted(GOLDEN_SIMULATION))
+def test_seeded_simulation_output_is_pinned(scenario, mark_probands):
+    # seeded simulator output is part of the study's reproducibility: the
+    # same seed writes the same files from one version to the next
+    families, truth = simulate_families(
+        40, -0.6, 0.2, scenario=scenario, seed=11, mark_probands=mark_probands
+    )
+    text = format_ped(families) + format_truth(truth)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_SIMULATION[(scenario, mark_probands)]
+    pins = [pin for fam in families for pin in fam.column("genotype_pin")]
+    oracle = scenario == "Oracle"
+    assert pins == [(int(t.genotype),) if oracle else None for t in truth]
 
 
 class TestHazardSpec:
