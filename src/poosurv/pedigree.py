@@ -297,13 +297,12 @@ class Pedigree:
         for name, values in columns.items():
             if len(values) != n:
                 raise ValueError(f"{name}: {len(values)} values for {n} records")
-        new = list(self._columns)
-        changed = {}
+        new, changed = {}, {}
         for name, values in columns.items():
-            old = new[_COLUMN[name]]
+            old = self.column(name)
             differs = list(map(operator.ne, old, values))
             if any(differs):
-                new[_COLUMN[name]] = tuple(
+                new[name] = tuple(
                     value if differ else was for was, value, differ in zip(old, values, differs)
                 )
                 changed[name] = differs
@@ -312,7 +311,16 @@ class Pedigree:
         for i, individual_id in enumerate(self._columns[0]):
             for name in ("gene_test", "genotype_pin"):
                 if name in changed and changed[name][i]:
-                    _check_value(self.family_id, individual_id, name, new[_COLUMN[name]][i])
+                    _check_value(self.family_id, individual_id, name, new[name][i])
+        return self._with_columns(**new)
+
+    def _with_columns(self, **columns):
+        """A copy whose named value columns are replaced by the given tuples,
+        which must already pass the records' checks; it shares this family's
+        structure key and positions."""
+        new = list(self._columns)
+        for name, values in columns.items():
+            new[_COLUMN[name]] = values
         return Pedigree._of_columns(self.family_id, tuple(new), self._key, self._positions)
 
     def structure_key(self) -> tuple[tuple[int, int], ...]:
@@ -552,11 +560,15 @@ def _read_columns(lines):
     return list(family_code), family_of, columns
 
 
-def _families(family_ids, family_of, columns):
+def _families(family_ids, family_of, columns, pins=None):
     """One :class:`Pedigree` per entry of ``family_ids`` from a cohort's nine
     PED columns and each row's index into ``family_ids``; :class:`_Refused`
-    when a check the row parse makes fails, all rows checked at once."""
+    when a check the row parse makes fails, all rows checked at once.
+    ``pins``, when given, is a ``genotype_pin`` column of checked values in
+    row order; without it no member is pinned."""
     ids, fathers, mothers, sexes, ages, *_, covariates = columns
+    if pins is not None:
+        columns = [*columns, pins]
     n = len(ids)
     if not n:
         return []
@@ -615,12 +627,12 @@ def _families(family_ids, family_of, columns):
     bounds = starts.tolist()
     for family_id, lo, hi in zip(family_ids, bounds, bounds[1:]):
         key = tuple(zip(father[lo:hi], mother[lo:hi]))
-        blank = blanks.setdefault(hi - lo, ((False,) * (hi - lo), (None,) * (hi - lo)))
-        pedigrees.append(Pedigree._of_columns(
-            family_id,
-            tuple(tuple(column[lo:hi]) for column in columns) + blank,
-            keys.setdefault(key, key),
-        ))
+        flags, no_pins = blanks.setdefault(hi - lo, ((False,) * (hi - lo), (None,) * (hi - lo)))
+        family = [tuple(column[lo:hi]) for column in columns]
+        family.insert(_COLUMN["phenotype_suppressed"], flags)
+        if pins is None:
+            family.append(no_pins)
+        pedigrees.append(Pedigree._of_columns(family_id, tuple(family), keys.setdefault(key, key)))
     return pedigrees
 
 

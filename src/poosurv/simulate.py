@@ -24,17 +24,22 @@ The replication study runs in (case, replicate) units: a unit simulates
 its families once and derives each scenario's families from them with
 :func:`apply_scenario_mask` and the mask root of the same seed, which gives
 exactly the families a fresh :func:`simulate_families` call for that
-scenario would. Families are built from the cohort's columns, as
-:func:`pedigree.parse_ped` builds a file's, with no record per member;
-masking copies them through :meth:`pedigree.Pedigree.with_values`, which
-keeps each family's validated structure.
+scenario would. Both draw a scenario's mask with one function, for the
+whole cohort at once. Families are built from the cohort's columns, as
+:func:`pedigree.parse_ped` builds a file's, with no record per member:
+:func:`simulate_families` builds each family once, already masked, and
+masking builds each changed family once more, sharing its validated
+structure.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -101,6 +106,8 @@ class HazardSpec:
         self._cum_at_cuts = np.asarray(cumulative)
         self._cuts_arr = np.asarray(cuts)
         self._rates_arr = np.asarray(rates)
+        # (cut, rate, cumulative at the cut, cumulative at the next cut) as floats
+        self._pieces = tuple(zip(cuts, rates, cumulative, cumulative[1:] + [math.inf]))
 
     def cumulative(self, t):
         """Cumulative hazard at ``t`` (scalar or array)."""
@@ -115,12 +122,9 @@ class HazardSpec:
         """Smallest t with cumulative(t) = target, or inf beyond the total mass."""
         if target <= 0:
             raise ValueError("target must be positive")
-        for i, rate in enumerate(self.rates):
-            upper = (
-                self._cum_at_cuts[i + 1] if i + 1 < len(self.cuts) else math.inf
-            )
+        for cut, rate, low, upper in self._pieces:
             if rate > 0 and target <= upper:
-                return float(self.cuts[i] + (target - self._cum_at_cuts[i]) / rate)
+                return float(cut + (target - low) / rate)
         return math.inf
 
 
@@ -145,12 +149,23 @@ FAMILY_TEMPLATE = (
     ("10", "7", "4", Sex.MALE),
 )
 
-_POO_LABEL = {
-    Genotype.NON_CARRIER: "none",
-    Genotype.HET_PATERNAL: "pat",
-    Genotype.HET_MATERNAL: "mat",
-    Genotype.HOMOZYGOUS: "both",
-}
+_TEMPLATE_POSITION = {row[0]: i for i, row in enumerate(FAMILY_TEMPLATE)}
+#: Parent positions of the template's members, ``(-1, -1)`` for a founder.
+_TEMPLATE_PARENTS = tuple(
+    (_TEMPLATE_POSITION.get(father, -1), _TEMPLATE_POSITION.get(mother, -1))
+    for _, father, mother, _ in FAMILY_TEMPLATE
+)
+
+#: By genotype code: the state, its origin label and its Oracle pin.
+_GENOTYPES = tuple(Genotype)
+_POO_LABEL = ("none", "pat", "mat", "both")
+_PIN = tuple((int(state),) for state in Genotype)
+
+#: A member's ``gene_test`` by mask code: untested, non-carrier, carrier.
+_GENE_TEST = (None, 0, 1)
+
+_GENOTYPE = operator.attrgetter("genotype")
+_TRUTH_KEY = operator.attrgetter("family_id", "individual_id")
 
 CENSOR_LOW, CENSOR_HIGH = 15.0, 80.0
 
@@ -198,41 +213,44 @@ def _seed_roots(seed):
 
 def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
     """One family's ages, statuses, proband flags and truth records, in template order."""
-    genotypes: dict[str, Genotype] = {}
-    ages, statuses, truth = [], [], []
-    for individual_id, father, mother, _ in FAMILY_TEMPLATE:
-        if father is None:
-            from_father = rng.random() < q
-            from_mother = rng.random() < q
+    random, exponential, uniform, inverse = rng.random, rng.exponential, rng.uniform, hazard.inverse
+    paternal_scale = math.exp(beta)
+    states, ages, statuses, truth = [], [], [], []
+    for (individual_id, *_), (father, mother) in zip(FAMILY_TEMPLATE, _TEMPLATE_PARENTS):
+        if father < 0:
+            from_father = random() < q
+            from_mother = random() < q
         else:
-            from_father = rng.random() < TRANSMIT_PROBABILITY[genotypes[father]]
-            from_mother = rng.random() < TRANSMIT_PROBABILITY[genotypes[mother]]
-        genotype = Genotype(int(from_father) + 2 * int(from_mother))
-        genotypes[individual_id] = genotype
+            from_father = random() < TRANSMIT_PROBABILITY[states[father]]
+            from_mother = random() < TRANSMIT_PROBABILITY[states[mother]]
+        state = from_father + 2 * from_mother
+        states.append(state)
 
-        if genotype == Genotype.NON_CARRIER:
+        if state == Genotype.NON_CARRIER:
             event_time = math.inf
+        elif state == Genotype.HET_PATERNAL:
+            event_time = inverse(exponential(1.0) / paternal_scale)
         else:
-            scale = math.exp(beta) if genotype == Genotype.HET_PATERNAL else 1.0
-            event_time = hazard.inverse(rng.exponential(1.0) / scale)
-        censor_time = rng.uniform(CENSOR_LOW, CENSOR_HIGH)
+            event_time = inverse(exponential(1.0))
+        censor_time = uniform(CENSOR_LOW, CENSOR_HIGH)
         affected = event_time <= censor_time
         ages.append(event_time if affected else censor_time)
         statuses.append(1 if affected else 0)
-        truth.append(
-            TruthRecord(
-                family_id=family_id,
-                individual_id=individual_id,
-                genotype=genotype,
-                poo=_POO_LABEL[genotype],
-                event_time=event_time,
-                censor_time=censor_time,
-            )
-        )
+        truth.append(TruthRecord(
+            family_id, individual_id, _GENOTYPES[state], _POO_LABEL[state], event_time,
+            censor_time,
+        ))
     probands = [False] * len(FAMILY_TEMPLATE)
     if mark_probands and 1 in statuses:
         probands[statuses.index(1)] = True
     return ages, statuses, probands, truth
+
+
+def _family_count(n):
+    """``n`` as an ``int``; ``ValueError`` for a bool or a number of another type."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"the number of families must be an integer, got {n!r}")
+    return int(n)
 
 
 def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
@@ -243,9 +261,12 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     :class:`TruthRecord`. The genotype/onset draws depend only on
     (seed, family index), so different scenarios with the same seed share
     identical underlying families and differ purely in genotype visibility.
-    With ``mark_probands`` the first affected member of each family is
-    flagged as its proband.
+    The scenario's mask is drawn for the whole cohort, as
+    :func:`apply_scenario_mask` draws it, and each family is built once,
+    already masked. With ``mark_probands`` the first affected member of each
+    family is flagged as its proband.
     """
+    n = _family_count(n)
     if n < 1:
         raise ValueError("need at least one family")
     if not math.isfinite(beta):
@@ -262,13 +283,44 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
         drawn = _simulate_family(family_id, rng, beta, q, hazard, mark_probands)
         for column, values in zip((ages, statuses, probands, truth), drawn):
             column.extend(values)
+    size = len(FAMILY_TEMPLATE)
+    gene_tests, pins = _mask_columns(
+        scenario, list(map(_GENOTYPE, truth)), statuses, [size] * n, mask_root
+    )
     template = [column * n for column in zip(*FAMILY_TEMPLATE)]
     families = _families(
         family_ids,
-        np.repeat(np.arange(n), len(FAMILY_TEMPLATE)),
-        [*template, ages, statuses, [None] * len(ages), probands, [()] * len(ages)],
+        np.repeat(np.arange(n), size),
+        [*template, ages, statuses, gene_tests, probands, [()] * len(ages)],
+        pins,
     )
-    return apply_scenario_mask(families, truth, scenario, mask_root), truth
+    return families, truth
+
+
+def _mask_columns(scenario, states, statuses, sizes, root):
+    """A scenario's ``gene_test`` and ``genotype_pin`` columns for a cohort.
+
+    ``states`` and ``statuses`` hold the members' true genotypes and their
+    statuses in record order, and ``sizes`` the family sizes in family
+    order. S1 draws family k's uniforms, one per member in member order,
+    from child k of the seed sequence ``root``. The pin column is ``None``
+    when the scenario pins no one.
+    """
+    n = len(states)
+    if scenario == Scenario.S0:
+        return [None] * n, None
+    states = np.fromiter(states, np.intp, n)
+    code = (states != Genotype.NON_CARRIER) + 1
+    if scenario == Scenario.S1:
+        draws = np.concatenate([
+            np.random.Generator(np.random.Philox(family_seed)).random(size)
+            for family_seed, size in zip(_children(root, len(sizes)), sizes)
+        ])
+        code *= draws < np.where(np.fromiter(statuses, np.intp, n) == 1, 0.8, 0.1)
+    gene_tests = list(map(_GENE_TEST.__getitem__, code.tolist()))
+    if scenario != Scenario.ORACLE:
+        return gene_tests, None
+    return gene_tests, list(map(_PIN.__getitem__, states.tolist()))
 
 
 def apply_scenario_mask(families, truth, scenario, seed):
@@ -278,33 +330,41 @@ def apply_scenario_mask(families, truth, scenario, seed):
     S1 reveals each affected individual with probability 0.8 and each
     unaffected individual with probability 0.1; S2 and Oracle reveal
     everyone, and Oracle also sets each record's ``genotype_pin`` to its
-    true genotype. Any earlier mask is overwritten. Returns new pedigrees;
-    neither the truth list nor ``seed`` is modified, so one seed always
-    draws the same mask.
+    true genotype. Any earlier mask is overwritten. The mask is drawn for
+    the whole cohort at once, as :func:`simulate_families` draws it, and
+    S1 draws each family from its own substream of ``seed``. Returns new
+    pedigrees, each built once and sharing its family's structure; a family
+    the mask leaves unchanged comes back as the same object. Neither the
+    truth list nor ``seed`` is modified, so one seed always draws the same
+    mask. A member without a truth record raises ``ValueError``.
     """
     scenario = Scenario(scenario)
-    genotype = {(t.family_id, t.individual_id): t.genotype for t in truth}
-    root = _as_seedseq(seed)
-    # only S1 draws, each family from its own substream
-    draws = scenario == Scenario.S1
-    mask_seeds = _children(root, len(families)) if draws else [None] * len(families)
-    masked = []
-    for fam, fam_seed in zip(families, mask_seeds):
-        states = [genotype[(fam.family_id, i)] for i in fam.column("individual_id")]
-        if draws:
-            rng = np.random.Generator(np.random.Philox(fam_seed))
-            observed = [rng.random() < (0.8 if status == 1 else 0.1)
-                        for status in fam.column("status")]
+    genotype = dict(zip(map(_TRUTH_KEY, truth), map(_GENOTYPE, truth)))
+    states, statuses, sizes = [], [], []
+    for fam in families:
+        ids = fam.column("individual_id")
+        found = list(map(genotype.get, zip(repeat(fam.family_id), ids)))
+        if None in found:
+            raise ValueError(
+                f"family {fam.family_id}: individual {ids[found.index(None)]} "
+                "has no truth record"
+            )
+        states += found
+        statuses += fam.column("status")
+        sizes.append(len(ids))
+    if not sizes:
+        return []
+    gene_tests, pins = _mask_columns(scenario, states, statuses, sizes, _as_seedseq(seed))
+    masked, lo = [], 0
+    for fam, size in zip(families, sizes):
+        hi = lo + size
+        new_tests = tuple(gene_tests[lo:hi])
+        new_pins = (None,) * size if pins is None else tuple(pins[lo:hi])
+        if new_tests == fam.column("gene_test") and new_pins == fam.column("genotype_pin"):
+            masked.append(fam)
         else:
-            observed = [scenario != Scenario.S0] * len(fam)
-        oracle = scenario == Scenario.ORACLE
-        masked.append(fam.with_values(
-            gene_test=[
-                int(state != Genotype.NON_CARRIER) if seen else None
-                for state, seen in zip(states, observed)
-            ],
-            genotype_pin=[(int(state),) if oracle else None for state in states],
-        ))
+            masked.append(fam._with_columns(gene_test=new_tests, genotype_pin=new_pins))
+        lo = hi
     return masked
 
 
@@ -434,8 +494,9 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
     scenarios = [Scenario(s) for s in scenarios]
     if not scenarios:
         raise ValueError("need at least one scenario")
+    cases = [(_family_count(n_families), beta) for n_families, beta in cases]
     for n_families, beta in cases:
-        if int(n_families) < 1 or not math.isfinite(beta):
+        if n_families < 1 or not math.isfinite(beta):
             raise ValueError(
                 f"bad case {n_families}:{beta}; need at least one family and a finite beta"
             )
@@ -445,7 +506,7 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
             sim_entropy = (seed, case_index, replicate_index)
             em_seed = int(np.random.SeedSequence(sim_entropy + (1,)).generate_state(1)[0])
             config = EMConfig(q=q, epsilon=0.0, eta=0.0, seed=em_seed)
-            units.append((sim_entropy, int(n_families), float(beta), scenarios, config))
+            units.append((sim_entropy, n_families, float(beta), scenarios, config))
     done = _fan_out(_run_unit, units, jobs)
     return [
         done[case_index * replicates + replicate_index][s]

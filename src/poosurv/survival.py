@@ -123,6 +123,24 @@ class BaselineHazard:
         return f"BaselineHazard(jumps={self.times.size}, total={total:.4g})"
 
 
+def _solve(info, rhs=None):
+    """``info``'s inverse times ``rhs``, or the inverse itself without ``rhs``.
+
+    A 1 x 1 system is one division, the quotient LAPACK's solve returns for
+    it, without the cost of numpy's ``linalg`` wrappers; a zero or
+    non-finite information is singular.
+    """
+    if info.shape == (1, 1):
+        pivot = float(info[0, 0])
+        if pivot == 0.0 or not math.isfinite(pivot):
+            raise SingularInformationError("information matrix is singular")
+        return 1.0 / info if rhs is None else rhs / pivot
+    try:
+        return np.linalg.inv(info) if rhs is None else np.linalg.solve(info, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularInformationError("information matrix is singular") from None
+
+
 class CoxProblem:
     """Indexed records for repeated weighted partial-likelihood work.
 
@@ -302,10 +320,7 @@ class CoxProblem:
             while not converged:
                 if n_steps >= MAX_NEWTON_STEPS:
                     raise ConvergenceError(f"no convergence after {n_steps} Newton steps")
-                try:
-                    direction = np.linalg.solve(info, score)
-                except np.linalg.LinAlgError:
-                    raise SingularInformationError("information matrix is singular") from None
+                direction = _solve(info, score)
                 step = 1.0
                 for _ in range(MAX_HALVINGS):
                     candidate = coefs + step * direction
@@ -326,11 +341,7 @@ class CoxProblem:
                 rel_change = abs(cand_ll - loglik) / (abs(loglik) + 1.0)
                 coefs, loglik, score, info = candidate, cand_ll, cand_score, cand_info
                 converged = np.abs(score).max() < SCORE_TOL or rel_change < LOGLIK_RTOL
-        try:
-            covariance = np.linalg.inv(info)
-        except np.linalg.LinAlgError:
-            raise SingularInformationError("information matrix is singular") from None
-        return coefs, covariance, loglik, n_steps
+        return coefs, _solve(info), loglik, n_steps
 
     def breslow(self, weights, coefs) -> BaselineHazard:
         """Weighted Breslow estimate of the cumulative baseline hazard.

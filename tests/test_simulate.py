@@ -22,6 +22,8 @@ from poosurv import (
     format_ped,
     format_truth,
     founder_prior,
+    parse_ped,
+    pin_genotypes,
     replicate_study,
     simulate,
     simulate_families,
@@ -367,6 +369,13 @@ class TestScenarioMasks:
         assert copy.with_values(phenotype_suppressed=[True] * len(fam)).structure_key() is key
         assert key == Pedigree(list(fam)).structure_key()
 
+    def test_member_without_truth_is_named(self):
+        families, truth = simulate_families(5, beta=-0.6, q=0.2, scenario="S0", seed=27)
+        partial = [t for t in truth if (t.family_id, t.individual_id) != ("F4", "1")]
+        for scenario in Scenario:
+            with pytest.raises(ValueError, match="family F4: individual 1 has no truth record"):
+                apply_scenario_mask(families, partial, scenario, seed=0)
+
     def test_mark_probands_flags_first_affected(self):
         families, _ = simulate_families(
             40, beta=-0.6, q=0.2, scenario="S1", seed=21, mark_probands=True
@@ -379,6 +388,120 @@ class TestScenarioMasks:
                 assert probands[0].individual_id == affected[0].individual_id
             else:
                 assert not probands
+
+
+def _reference_mask(families, truth, scenario, seed):
+    """The mask one family at a time: per-member draws and ``with_values``."""
+    scenario = Scenario(scenario)
+    genotype = {(t.family_id, t.individual_id): t.genotype for t in truth}
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    fresh = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key,
+                                   pool_size=root.pool_size)
+    draws = scenario == Scenario.S1
+    mask_seeds = fresh.spawn(len(families)) if draws else [None] * len(families)
+    masked = []
+    for fam, fam_seed in zip(families, mask_seeds):
+        states = [genotype[(fam.family_id, i)] for i in fam.column("individual_id")]
+        if draws:
+            rng = np.random.Generator(np.random.Philox(fam_seed))
+            observed = [rng.random() < (0.8 if status == 1 else 0.1)
+                        for status in fam.column("status")]
+        else:
+            observed = [scenario != Scenario.S0] * len(fam)
+        oracle = scenario == Scenario.ORACLE
+        masked.append(fam.with_values(
+            gene_test=[
+                int(state != Genotype.NON_CARRIER) if seen else None
+                for state, seen in zip(states, observed)
+            ],
+            genotype_pin=[(int(state),) if oracle else None for state in states],
+        ))
+    return masked
+
+
+class TestCohortMask:
+    """The cohort-wide mask against the per-family reference above."""
+
+    @staticmethod
+    def _assert_as_reference(families, truth, scenario, seed):
+        masked = apply_scenario_mask(families, truth, scenario, seed)
+        expected = _reference_mask(families, truth, scenario, seed)
+        assert _typed(masked) == _typed(expected)
+        for fam, new, old in zip(families, masked, expected):
+            assert (new is fam) == (old is fam)
+            assert new.structure_key() is fam.structure_key()
+        return masked
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_simulated_cohorts(self, scenario):
+        _, mask_root = simulate._seed_roots(29)
+        for drawn_as in Scenario:
+            families, truth = simulate_families(
+                30, beta=-0.6, q=0.2, scenario=drawn_as, seed=29, mark_probands=True
+            )
+            for seed in (mask_root, 3, np.random.SeedSequence(8)):
+                self._assert_as_reference(families, truth, scenario, seed)
+            # the simulator draws with the same root: masking its own
+            # scenario again changes no family
+            if scenario == drawn_as:
+                masked = apply_scenario_mask(families, truth, scenario, mask_root)
+                assert all(new is fam for new, fam in zip(masked, families))
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_parsed_cohorts_with_tests_and_pins(self, scenario):
+        # families of 7 to 10 members, interleaved in the file, some already
+        # tested (S1) and some members pinned, all overwritten by the mask
+        families, truth = simulate_families(24, beta=-0.6, q=0.2, scenario="S1", seed=30)
+        lines = format_ped(families).splitlines()
+        kept = [line for line in lines[1:]
+                if not (int(line.split()[0][1:]) % 3 and line.split()[1] in ("9", "10", "5"))]
+        kept = kept[1::2] + kept[::2]
+        parsed = parse_ped("\n".join(lines[:1] + kept) + "\n")
+        assert len({len(fam) for fam in parsed}) > 1
+        genotype = {(t.family_id, t.individual_id): t.genotype for t in truth}
+        members = [(fam.family_id, i) for fam in parsed for i in fam.column("individual_id")]
+        pins = {member: genotype[member] for member in members[::7]}
+        cohorts = (parsed, pin_genotypes(parsed, pins))
+        for cohort in cohorts:
+            for seed in (0, 5):
+                self._assert_as_reference(cohort, truth, scenario, seed)
+
+    def test_unchanged_family_is_the_same_object(self):
+        families, truth = simulate_families(6, beta=-0.6, q=0.2, scenario="S2", seed=31)
+        tests = list(families[2].column("gene_test"))
+        tests[0] = None
+        families[2] = families[2].with_values(gene_test=tests)
+        masked = apply_scenario_mask(families, truth, "S2", seed=0)
+        assert [new is fam for new, fam in zip(masked, families)] == [
+            True, True, False, True, True, True
+        ]
+        assert masked[2].column("gene_test") == tuple(
+            int(t.genotype != Genotype.NON_CARRIER) for t in truth[20:30]
+        )
+
+    def test_empty_cohort(self):
+        assert apply_scenario_mask([], [], "S1", seed=0) == []
+
+
+class TestFamilyCounts:
+    @pytest.mark.parametrize("n", [10.0, 2.7, True, False, "3", None])
+    def test_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="number of families must be an integer"):
+            simulate_families(n, -0.6, 0.2)
+        with pytest.raises(ValueError, match="number of families must be an integer"):
+            replicate_study([(n, -0.6)], ["S0"], replicates=1)
+
+    def test_numpy_integers_are_counts(self):
+        families, _ = simulate_families(np.int64(3), -0.6, 0.2)
+        assert len(families) == 3
+        (row,) = replicate_study([(np.int32(6), -0.6)], ["S2"], replicates=1, seed=1)
+        assert row.case == "n6_beta-0.6"
+
+    def test_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="need at least one family"):
+            simulate_families(0, -0.6, 0.2)
+        with pytest.raises(ValueError, match="bad case 0:-0.6"):
+            replicate_study([(0, -0.6)], ["S0"], replicates=1)
 
 
 class TestReplicateStudy:

@@ -18,6 +18,7 @@ from poosurv import (
     CoxProblem,
     MonotoneLikelihoodError,
     RankDeficiencyError,
+    SingularInformationError,
     survival_curve,
     wald_test,
 )
@@ -165,6 +166,40 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(MonotoneLikelihoodError):
                 CoxProblem(time, status, Z).fit(w)
+
+    def test_vanished_origin_contrast_is_singular(self):
+        # at beta = 800 the maternal risk sums underflow to 0, every risk set
+        # looks paternal-only and the 1 x 1 information is exactly 0
+        rng = np.random.default_rng(3)
+        time, status = rng.uniform(1.0, 30.0, 30), (rng.random(30) < 0.6).astype(int)
+        w = rng.uniform(0.1, 1.0, (2, 30))
+        problem = CoxProblem(time, status, np.empty((30, 0)))
+        assert problem.evaluate(np.array([800.0]), w)[2][0, 0] == 0.0
+        with pytest.raises(SingularInformationError):
+            problem.fit(w, init=[800.0])
+
+    @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("at_optimum", [False, True])
+    def test_zero_or_non_finite_information_is_singular(self, scale, at_optimum):
+        # the Newton direction (away from the optimum) and the covariance
+        # (at it) of a 1 x 1 system both refuse such an information
+        rng = np.random.default_rng(4)
+        time, status = rng.uniform(1.0, 30.0, 40), (rng.random(40) < 0.6).astype(int)
+        w = rng.uniform(0.1, 1.0, (2, 40))
+        problem = CoxProblem(time, status, np.empty((40, 0)))
+        init = problem.fit(w)[0] if at_optimum else None
+        evaluate = problem.evaluate
+
+        def scaled(coefs, weights):
+            loglik, score, info = evaluate(coefs, weights)
+            with np.errstate(invalid="ignore"):
+                return loglik, score, info * scale
+
+        problem.evaluate = scaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInformationError):
+                problem.fit(w, init=init)
 
     def test_single_group_events_rank_deficient(self):
         time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 0, "mat"), (3.0, 1, "pat")])
