@@ -339,6 +339,7 @@ def apply_scenario_mask(families, truth, scenario, seed):
     mask. A member without a truth record raises ``ValueError``.
     """
     scenario = Scenario(scenario)
+    families = list(families)
     genotype = dict(zip(map(_TRUTH_KEY, truth), map(_GENOTYPE, truth)))
     states, statuses, sizes = [], [], []
     for fam in families:
