@@ -361,8 +361,14 @@ def bootstrap_em(families, config: EMConfig, B: int = 200,
     """Family-level nonparametric bootstrap of the full EM fit.
 
     Each replicate resamples the families with replacement and reruns the
-    whole EM; percentile intervals over the replicates give honest
-    uncertainty for the origin effect and the survival curves. A replicate
+    whole EM; percentile intervals over the replicates give the uncertainty
+    of the origin effect and the survival curves that the naive standard
+    errors leave out. Their coverage falls a few points short of nominal:
+    over 200 simulated cohorts of 200 families per scenario, at B = 100,
+    the 95% percentile interval of beta covered the truth in 0.93, 0.92
+    and 0.90 of the cohorts under S0, S1 and S2, and that of the maternal
+    survival at age 60 in 0.90, 0.91 and 0.90, where the naive Wald
+    interval of beta covered 0.61 to 0.77. A replicate
     runs on the fit's own compiled families, counting each as often as it
     was drawn, so it keeps their genotype pins and suppressed phenotypes and
     needs no table the fit did not. Each replicate uses an independent

@@ -33,11 +33,12 @@ too where the two partitions nest, as they do for a cohort of one
 structure. Any other bucket side, collected-message slots included, is read
 through an index array.
 
-Compiling ends in a list of operations, numpy calls with views of the
-engine's buffers bound. A collect bucket sums its children straight into
-their slots of the collected-message table, normalizes them there and
-multiplies them into the parents; distribute buckets and read-outs work in
-scratch buffers that later operations reuse. A run thus makes no per-bucket
+Compiling ends in a schedule, which an engine binds into a list of
+operations, numpy calls with views of the engine's buffers bound. A collect
+bucket sums its children straight into their slots of the collected-message
+table, normalizes them there and multiplies them into the parents;
+distribute buckets and read-outs work in scratch buffers that later
+operations reuse. A run thus makes no per-bucket
 slice, reshape or message array. A gathered side that a bucket multiplies
 into (a collect parent or a distribute child) is taken, multiplied and put
 back, and gathered slots are taken; a gathered read (a distribute parent or
@@ -56,6 +57,24 @@ origin and covariate effects and each record's cumulative hazard, thus
 computes only the hazard-dependent evidence. Marginals are read from each
 clique's final belief.
 :func:`posterior_marginals` is the one-family case of the same engine.
+
+Engines of one design share its compiled schedule. The schedule holds the
+buckets with their index arrays, the evidence gathers, the static tables,
+the per-clique family and normalizer indices and the :class:`EngineStats`,
+all read-only. Each engine holds its own families (to name one in a
+:class:`ZeroEvidenceError`), fixed evidence, evidence table, potential and
+message tables, normalizers, scratch pools and bound operations, so two
+live engines share no buffer and can run on two threads at once. The
+module keeps the last compiled schedule, keyed by everything the compile
+reads: the cohort's distinct structure keys and the structure of each
+family, the founder prior (that is, ``q``), ``SHARD_BUCKET_BYTES`` and
+``MAX_POTENTIAL_BYTES``. An engine whose key matches skips the compile. That
+happens for the fits of a study case, whose cohorts all repeat one family
+template, and for repeated library fits of one design, such as a fit and
+then its bootstrap on one process. It misses for the first engine of a
+design, so a CLI ``fit`` compiles its point fit, and in a cycle of cohorts
+of distinct designs, such as heterogeneous cohorts fitted in turn. A reused
+schedule is the one a compile would give, so no output depends on the cache.
 
 A cohort is compiled as two shards when its potential tables come to more
 than ``SHARD_BUCKET_BYTES`` per bucket of its one-shard schedule: contiguous
@@ -153,6 +172,12 @@ _FLOAT_BYTES = np.dtype(float).itemsize
 _INDEX = np.int32
 # schedule stages, in the order they run
 _COLLECT, _ROOT, _DISTRIBUTE, _READOUT = range(4)
+
+# The last compiled :class:`_Schedule` and the design it was compiled for:
+# (SHARD_BUCKET_BYTES, MAX_POTENTIAL_BYTES, founder prior bytes, structure
+# of each family as bytes, distinct structure keys). It holds no family,
+# evidence or buffer.
+_last_schedule = (None, None)
 
 
 class InferenceError(RuntimeError):
@@ -402,7 +427,8 @@ class EngineStats:
 def _sides(rows, bounds):
     """Each bucket's ``rows``, those between its ``bounds``: a slice when they
     are one ascending run, which reads a view instead of gathering a copy,
-    and otherwise an index array."""
+    and otherwise an index array, a read-only view of ``rows``."""
+    rows.flags.writeable = False
     breaks = np.concatenate(([0], np.cumsum(rows[1:] - rows[:-1] != 1)))
     starts, ends = bounds[:-1], bounds[1:]
     runs = (breaks[ends - 1] == breaks[starts]).tolist()
@@ -855,22 +881,22 @@ def _run_shards(shards, *args):
         raise failed[0]
 
 
-class _Shard:
-    """A contiguous range of a cohort's families compiled into its own
-    schedule: buckets, potential and message tables, scratch pools and bound
-    ops (see the module docstring).
+class _ShardSchedule:
+    """The compiled schedule of a contiguous range of a cohort's families,
+    ``first`` to ``stop``: its buckets, the evidence gather of each rank, the
+    static tables, and the sizes of the buffers that a :class:`_Shard`
+    binds it to (see the module docstring). Every array it holds is
+    read-only, so that any number of engines can share it.
 
-    ``families`` are the shard's, with their ``structures`` (indices into
-    the groups of the ``cohort``'s :class:`_Forests`) and first records
-    ``offsets`` in the cohort, and ``first`` is the cohort index of the
-    first. Its static tables fold in the founder ``prior``. Its ops read
-    evidence columns of the cohort's ``phi`` and write the shard's own rows
-    of the cohort's marginal table and log evidence, so that shards can run
-    at once.
+    ``structures`` holds the families' indices into the groups of the
+    ``cohort``'s :class:`_Forests` and ``offsets`` their first records in the
+    cohort. Its static tables fold in the founder ``prior``. Its evidence
+    gathers read columns of a cohort's evidence table whose last column,
+    ``ones``, holds ones.
     """
 
-    def __init__(self, families, structures, cohort, offsets, first, phi, prior):
-        self.families, self.first, self._phi = families, first, phi
+    def __init__(self, structures, cohort, offsets, first, ones, prior):
+        self.first, self.stop = first, first + len(structures)
         groups = [[] for _ in cohort.forests]  # the shard's families of each structure
         for fi, s in enumerate(structures.tolist()):
             groups[s].append(fi)
@@ -885,18 +911,19 @@ class _Shard:
             np.repeat(v.astype(_INDEX), repeats)
             for v in (cohort.rank, cohort.inside.sum(1), cohort.pattern)
         )
-        n_cliques = len(rank_of)
-        self._clique_family = np.asarray(fam_of, dtype=_INDEX)
+        self.cliques = n_cliques = len(rank_of)
+        self.clique_family = np.asarray(fam_of, dtype=_INDEX)
         entries = cohort.entries(groups, offsets)
         rank_row, sep_row = _row_orders(rank_of, sep_of, entries)
 
         # Collect and root buckets write their cliques' totals in bucket
         # order; log evidence sums them per family in clique-id order.
         collect, roots, distribute, readout = entries
-        self._norm_of_clique = np.empty(n_cliques, dtype=_INDEX)
-        self._norm_of_clique[np.concatenate((collect.cliques, roots.cliques))] = np.arange(
+        self.norm_of_clique = np.empty(n_cliques, dtype=_INDEX)
+        self.norm_of_clique[np.concatenate((collect.cliques, roots.cliques))] = np.arange(
             n_cliques, dtype=_INDEX
         )
+        self.clique_family.flags.writeable = self.norm_of_clique.flags.writeable = False
         kept: dict[tuple, tuple] = {}  # (rank, kept axes) -> (summed axes, separator shape)
 
         def side(rows, rank, keep):
@@ -933,43 +960,37 @@ class _Shard:
                                                slots=slots))
         evidence = {int(rank): {} for rank in np.unique(rank_of)}
         rows = rank_row[readout.cliques]
+        readout.others.flags.writeable = False  # the targets are its views
         for ((rank, axes, _, _), lo, hi), child in zip(
             spans(readout), _sides(rows, readout.bounds)
         ):
             targets = readout.others[lo:hi]
             evidence[rank].setdefault(axes[0], []).append((rows[lo:hi], targets))
             stages[_READOUT].append(_Bucket(side(child, rank, axes), targets=targets))
-        self._stages = stages
+        self.stages = stages
 
-        # Each member's evidence sits on its read-out axis; the last column
-        # of ``phi`` holds ones for every other axis. Each run writes the
-        # evidence's gather per rank (``_gathered``), the potentials
-        # (``_pots``), the collected messages and the normalizers into these
-        # buffers before it reads them. The static tables hold each clique's
-        # founder priors and transmission tables.
-        ones = phi.shape[1] - 1
-        self._evidence, self._pots, self._static, self._gathered = {}, {}, {}, {}
+        # Each member's evidence sits on its read-out axis; the ``ones``
+        # column of the evidence table serves every other axis. The static
+        # tables hold each clique's founder priors and transmission tables.
+        self.evidence, self.static = {}, {}
         for rank, by_axis in evidence.items():
             members = rank_of == rank
             count = int(members.sum())
-            self._pots[rank] = np.empty((N_STATES,) * rank + (count,))
-            self._gathered[rank] = np.empty((N_STATES, count))
-            self._evidence[rank] = []
+            self.evidence[rank] = []
             for axis in sorted(by_axis):
                 index = np.full(count, ones, dtype=_INDEX)
                 for rows, targets in by_axis[axis]:
                     index[rows] = targets
-                self._evidence[rank].append((axis, index))
+                self.evidence[rank].append((axis, index))
+                index.flags.writeable = False
             index = np.empty(count, dtype=_INDEX)
             index[rank_row[members]] = pattern_of[members]
             tables = np.stack([_pattern_table(rank, f, prior) for f in cohort.patterns[rank]], -1)
-            self._static[rank] = np.take(tables, index, axis=-1)
-        self._collected = {
-            int(size): np.empty((N_STATES,) * int(size) + (int(np.sum(sep_of == size)),))
-            for size in np.unique(sep_of[sep_of > 0])
+            self.static[rank] = np.take(tables, index, axis=-1)
+            self.static[rank].flags.writeable = False
+        self.separators = {  # collected messages per separator size
+            int(size): int(np.sum(sep_of == size)) for size in np.unique(sep_of[sep_of > 0])
         }
-        self._norm = np.empty(n_cliques)
-        self._ops = self._bind([_scratch() for _ in range(3)])
         self.counts = (  # as the EngineStats fields of the same names
             n_cliques,
             len(stages[_COLLECT]),
@@ -982,6 +1003,98 @@ class _Shard:
             ),
         )
 
+
+class _Schedule:
+    """A cohort's compiled schedule: its :class:`_ShardSchedule` per shard
+    and its :class:`EngineStats`, which engines of one design share.
+
+    ``keys`` holds the cohort's distinct structure keys, in order of first
+    appearance, ``family_ids`` the first family of each (named when its
+    tables exceed the budget) and ``structure_of`` each family's index into
+    ``keys``. The static tables fold in the founder ``prior``.
+    """
+
+    def __init__(self, keys, family_ids, structure_of, prior):
+        forests, largest = [], (0, None)
+        for key, family_id in zip(keys, family_ids):
+            forest = _Forest(key)
+            k_max = max(forest.ranks)
+            if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
+                raise InferenceError(
+                    f"family {family_id}: its junction tree has a "
+                    f"clique of {k_max} members, whose {N_STATES}^{k_max}-entry table "
+                    f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
+                )
+            if k_max > largest[0]:
+                largest = (k_max, family_id)
+            forests.append(forest)
+        table_bytes = np.array(
+            [sum(N_STATES ** rank for rank in forest.ranks) for forest in forests], dtype=np.int64
+        ) * _FLOAT_BYTES
+        cumulative = np.cumsum(table_bytes[structure_of])
+        potential_bytes = int(cumulative[-1]) if len(cumulative) else 0
+        if potential_bytes > MAX_POTENTIAL_BYTES:
+            raise InferenceError(
+                f"the cohort's clique potential tables need {potential_bytes} bytes, "
+                f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
+                f"{largest[0]} members, family {largest[1]})"
+            )
+        # Two shards of about equal table size, split between families, when
+        # the tables are large for the buckets (see SHARD_BUCKET_BYTES).
+        cohort = _Forests(keys, forests)
+        n_families = len(structure_of)
+        bounds = [0, n_families]
+        if n_families > 1 and potential_bytes > SHARD_BUCKET_BYTES * cohort.bucket_count():
+            half = int(np.searchsorted(cumulative, potential_bytes / 2)) + 1
+            bounds.insert(1, min(half, n_families - 1))
+        sizes = np.array([len(key) for key in keys], dtype=_INDEX)[structure_of]
+        offsets = (np.cumsum(sizes) - sizes).astype(_INDEX)
+        ones = int(sizes.sum())  # the evidence table's column of ones
+        self.shards = tuple(
+            _ShardSchedule(structure_of[lo:hi], cohort, offsets[lo:hi], lo, ones, prior)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
+        cliques, collect, distribute, readout, gathered = map(
+            sum, zip(*(shard.counts for shard in self.shards))
+        )
+        self.stats = EngineStats(
+            families=n_families,
+            structures=len(forests),
+            cliques=cliques,
+            max_clique_size=largest[0],
+            collect_buckets=collect,
+            distribute_buckets=distribute,
+            readout_buckets=readout,
+            gathered_sides=gathered,
+            potential_bytes=potential_bytes,
+            shards=len(self.shards),
+        )
+
+
+class _Shard:
+    """One engine's binding of a :class:`_ShardSchedule`: the shard's
+    ``families``, its own potential and message tables, scratch pools and
+    bound ops. Its ops read evidence columns of the engine's ``phi`` and
+    write the shard's own rows of the engine's marginal table and log
+    evidence, so that shards can run at once.
+    """
+
+    def __init__(self, schedule, families, phi):
+        self.schedule, self.families, self._phi = schedule, families, phi
+        # Each run writes the evidence's gather per rank, the potentials,
+        # the collected messages and the normalizers into these buffers
+        # before it reads them.
+        self._pots, self._gathered = {}, {}
+        for rank, table in schedule.static.items():
+            self._pots[rank] = np.empty(table.shape)
+            self._gathered[rank] = np.empty((N_STATES, table.shape[-1]))
+        self._collected = {
+            size: np.empty((N_STATES,) * size + (count,))
+            for size, count in schedule.separators.items()
+        }
+        self._norm = np.empty(schedule.cliques)
+        self._ops = self._bind([_scratch() for _ in range(3)])
+
     def _bind(self, scratch):
         """The ops of a run, with every view of the shard's buffers bound:
         the potentials, the collect pass with the roots, the distribute pass,
@@ -991,10 +1104,11 @@ class _Shard:
         row temporary is dead before the next one is written."""
         rows_of, messages, totals = scratch
         pots, collected, norm = self._pots, self._collected, self._norm
+        schedule = self.schedule
         potentials = []
         for rank, pot in pots.items():
-            gathered, source = self._gathered[rank], self._static[rank]
-            for axis, index in self._evidence[rank]:
+            gathered, source = self._gathered[rank], schedule.static[rank]
+            for axis, index in schedule.evidence[rank]:
                 factor = gathered.reshape(_axes_shape((axis,), rank, (-1,)))
                 potentials += [partial(self._phi.take, index, 1, gathered, "clip"),
                                partial(np.multiply, source, factor, pot)]
@@ -1002,7 +1116,7 @@ class _Shard:
             if source is not pot:
                 potentials.append(partial(np.copyto, pot, source))
 
-        collect, roots, distribute, readouts = self._stages
+        collect, roots, distribute, readouts = schedule.stages
         collecting = []
         for bucket in collect:
             child, parent = bucket.child, bucket.parent
@@ -1064,11 +1178,11 @@ class _Shard:
         with np.errstate(divide="ignore", invalid="ignore"):
             for op in collect:
                 op()
-        norm = self._norm
+        norm, schedule = self._norm, self.schedule
         failed = ~(norm > 0)
         if failed.any():
-            clique = np.flatnonzero(self._norm_of_clique == np.argmax(failed))[0]
-            raise ZeroEvidenceError(self.families[self._clique_family[clique]].family_id)
+            clique = np.flatnonzero(schedule.norm_of_clique == np.argmax(failed))[0]
+            raise ZeroEvidenceError(self.families[schedule.clique_family[clique]].family_id)
         # Distribute: the parent's final belief on the separator, divided by
         # the message it collected from the child. Where that message is 0,
         # so is the parent's marginal; the pass first sets those zeros to 1,
@@ -1080,8 +1194,8 @@ class _Shard:
             for op in ops:
                 op()
             marginals[targets] = marginal
-        log_evidence[self.first:self.first + len(self.families)] = np.bincount(
-            self._clique_family, weights=np.log(norm)[self._norm_of_clique],
+        log_evidence[schedule.first:schedule.stop] = np.bincount(
+            schedule.clique_family, weights=np.log(norm)[schedule.norm_of_clique],
             minlength=len(self.families),
         )
 
@@ -1104,6 +1218,14 @@ class MarginalEngine:
     usable or in a process-pool worker. The shard plan depends on the
     cohort alone. A record with a ``genotype_pin``
     takes only its pinned states. :attr:`stats` reports the schedule's size.
+
+    The module keeps the last compiled schedule, which holds no family,
+    evidence or buffer, keyed by the cohort's structures, ``q`` and the two
+    byte constants. An engine of the same design reuses it and only binds
+    it to buffers of its own: the fits of a study case and repeated library
+    fits of one design hit, while a CLI ``fit`` and a cycle of cohorts of
+    distinct designs (the ``hetero_fit`` benchmark) compile each engine.
+    Results do not depend on whether the schedule was reused.
     ``ages``, ``statuses``, ``covariates`` and ``suppressed`` are the record
     columns in global record order.
 
@@ -1142,69 +1264,31 @@ class MarginalEngine:
         self._compile(genetics.founder_prior(q))
 
     def _compile(self, prior):
-        # each structure's key and forest, and the structure of each family
-        index, keys, forests, largest = {}, [], [], (0, None)
+        global _last_schedule
+        # each structure's key and first family, and the structure of each family
+        index, keys, family_ids = {}, [], []
         structure_of = np.empty(len(self.families), dtype=_INDEX)
         for fi, fam in enumerate(self.families):
             key = fam.structure_key()
             structure_of[fi] = s = index.setdefault(key, len(keys))
-            if s < len(keys):
-                continue
-            forest = _Forest(key)
-            k_max = max(forest.ranks)
-            if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
-                raise InferenceError(
-                    f"family {fam.family_id}: its junction tree has a "
-                    f"clique of {k_max} members, whose {N_STATES}^{k_max}-entry table "
-                    f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
-                )
-            if k_max > largest[0]:
-                largest = (k_max, fam.family_id)
-            keys.append(key)
-            forests.append(forest)
-        table_bytes = np.array(
-            [sum(N_STATES ** rank for rank in forest.ranks) for forest in forests], dtype=np.int64
-        ) * _FLOAT_BYTES
-        cumulative = np.cumsum(table_bytes[structure_of])
-        potential_bytes = int(cumulative[-1]) if len(cumulative) else 0
-        if potential_bytes > MAX_POTENTIAL_BYTES:
-            raise InferenceError(
-                f"the cohort's clique potential tables need {potential_bytes} bytes, "
-                f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
-                f"{largest[0]} members, family {largest[1]})"
-            )
-        # Two shards of about equal table size, split between families, when
-        # the tables are large for the buckets (see SHARD_BUCKET_BYTES).
-        cohort = _Forests(keys, forests)
-        bounds = [0, len(self.families)]
-        if (len(self.families) > 1
-                and potential_bytes > SHARD_BUCKET_BYTES * cohort.bucket_count()):
-            half = int(np.searchsorted(cumulative, potential_bytes / 2)) + 1
-            bounds.insert(1, min(half, len(self.families) - 1))
-
+            if s == len(keys):
+                keys.append(key)
+                family_ids.append(fam.family_id)
+        # everything the compile reads
+        design = (SHARD_BUCKET_BYTES, MAX_POTENTIAL_BYTES, prior.tobytes(),
+                  structure_of.tobytes(), keys)
+        compiled, schedule = _last_schedule
+        if compiled != design:
+            _last_schedule = (None, None)  # the last schedule goes before this one is built
+            schedule = _Schedule(keys, family_ids, structure_of, prior)
+            _last_schedule = (design, schedule)
+        self.stats = schedule.stats
         # the evidence of every record, and a last column of ones
         self._phi = np.ones((N_STATES, self.total + 1))
-        offsets = np.asarray(self.offsets, dtype=_INDEX)
         self._shards = [
-            _Shard(self.families[lo:hi], structure_of[lo:hi], cohort, offsets[lo:hi], lo,
-                   self._phi, prior)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
+            _Shard(shard, self.families[shard.first:shard.stop], self._phi)
+            for shard in schedule.shards
         ]
-        cliques, collect, distribute, readout, gathered = map(
-            sum, zip(*(shard.counts for shard in self._shards))
-        )
-        self.stats = EngineStats(
-            families=len(self.families),
-            structures=len(forests),
-            cliques=cliques,
-            max_clique_size=largest[0],
-            collect_buckets=collect,
-            distribute_buckets=distribute,
-            readout_buckets=readout,
-            gathered_sides=gathered,
-            potential_bytes=potential_bytes,
-            shards=len(self._shards),
-        )
 
     def run(self, beta, gamma, cumulative_hazard):
         """Marginals (total, 4) in global record order plus per-family log

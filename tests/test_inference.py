@@ -1,9 +1,12 @@
 """Clique-tree inference tests against the brute-force enumeration oracle."""
 
 import dataclasses
+import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -516,7 +519,7 @@ F1 4 1 2 2 50.0 0 0 0
 
 
 def only_shard(engine):
-    """The schedule of an engine compiled as one shard."""
+    """The one shard of an engine compiled as one shard."""
     (shard,) = engine._shards
     return shard
 
@@ -574,7 +577,8 @@ class TestMarginalEngine:
         )
         # 46 collect and 60 distribute parent sides, 32 distribute children
         # and 9 read-outs
-        assert any(not isinstance(b.child.rows, slice) for b in only_shard(engine)._stages[2])
+        distribute = only_shard(engine).schedule.stages[2]
+        assert any(not isinstance(b.child.rows, slice) for b in distribute)
 
     def test_empty_cohort_compiles_to_an_empty_schedule(self):
         params = random_params(np.random.default_rng(0))
@@ -586,7 +590,7 @@ class TestMarginalEngine:
     def test_template_cohort_is_slice_addressed(self):
         rng = np.random.default_rng(8)
         engine = engine_at([template_family(rng, f"T{i}", 0) for i in range(50)])
-        collect, roots, distribute, readouts = only_shard(engine)._stages
+        collect, roots, distribute, readouts = only_shard(engine).schedule.stages
         for bucket in collect + roots + distribute:
             assert isinstance(bucket.child.rows, slice)
         for bucket in collect + distribute:
@@ -602,7 +606,7 @@ class TestMarginalEngine:
         # array, no distribute child is gathered, and two read-outs are.
         families, _ = simulate_families(50, -0.6, 0.2, seed=8)
         engine = engine_at(families)
-        distribute, readouts = only_shard(engine)._stages[2:]
+        distribute, readouts = only_shard(engine).schedule.stages[2:]
         assert [i for i, b in enumerate(distribute) if not isinstance(b.parent.rows, slice)] == [0]
         assert all(isinstance(b.child.rows, slice) for b in distribute)
         assert sum(not isinstance(b.child.rows, slice) for b in readouts) == 2
@@ -618,7 +622,7 @@ class TestMarginalEngine:
         engine = engine_at(families, params)
         # the collect pass gathers only parents; distribute children and
         # read-outs whose cliques are not one run of rows are gathered too
-        collect, roots, distribute, readouts = only_shard(engine)._stages
+        collect, roots, distribute, readouts = only_shard(engine).schedule.stages
         for bucket in collect + roots:
             assert isinstance(bucket.child.rows, slice)
         for bucket in collect:
@@ -715,7 +719,7 @@ class TestMarginalEngine:
         params = random_params(rng)
         engine = engine_at(families + [renamed(fam, f"{fam.family_id}b") for fam in families],
                            params)
-        collect, roots, distribute, readouts = only_shard(engine)._stages
+        collect, roots, distribute, readouts = only_shard(engine).schedule.stages
         branches = {
             _sums_first(b.parent.rows) for b in distribute if not isinstance(b.parent.rows, slice)
         }
@@ -753,7 +757,7 @@ class TestMarginalEngine:
                            params)
         marginals, log_evidence = run(engine, params)
         gathered = [
-            b for b in only_shard(engine)._stages[2]
+            b for b in only_shard(engine).schedule.stages[2]
             if not isinstance(b.child.rows, slice) and not isinstance(b.slots, slice)
         ]
         assert gathered
@@ -915,7 +919,7 @@ class TestShards:
         single = [engine_at(families, params) for params in models]
         assert single[0].stats.potential_bytes > threshold * buckets(single[0])
         assert (sharded[0].stats.shards, single[0].stats.shards) == (2, 1)
-        assert [s.first for s in sharded[0]._shards] == [0, 350]
+        assert [s.schedule.first for s in sharded[0]._shards] == [0, 350]
         assert sharded[0].stats == dataclasses.replace(
             single[0].stats, shards=2, collect_buckets=2 * single[0].stats.collect_buckets,
             distribute_buckets=2 * single[0].stats.distribute_buckets,
@@ -943,7 +947,7 @@ class TestShards:
         two_shards(monkeypatch)
         engine = engine_at(families, params)
         assert engine.stats.shards == 2
-        first = engine._shards[1].first
+        first = engine._shards[1].schedule.first
         assert [len(s.families) for s in engine._shards] == [first, 40 - first]
         marginals, log_evidence = run(engine, params)
         np.testing.assert_allclose(marginals, single, rtol=0, atol=3.3e-16)
@@ -1066,6 +1070,218 @@ class TestShards:
         larger[:] = 2.0
         assert (first == 1.0).all()
         assert np.shares_memory(larger, view((3, 2)))
+
+
+def compiles(monkeypatch):
+    """The structure keys of each schedule compiled while the test runs."""
+    compiled, real = [], inference._Schedule
+
+    def counting(keys, *args):
+        compiled.append(keys)
+        return real(keys, *args)
+
+    monkeypatch.setattr(inference, "_Schedule", counting)
+    return compiled
+
+
+def cold(monkeypatch, build):
+    """``build()`` with no schedule kept, so that its engine compiles afresh."""
+    monkeypatch.setattr(inference, "_last_schedule", (None, None))
+    return build()
+
+
+def schedule_of(engine):
+    """The compiled schedule of each of an engine's shards."""
+    return tuple(shard.schedule for shard in engine._shards)
+
+
+def writable_arrays(ops):
+    """The writable arrays that bound ``ops`` hold: as partial arguments or
+    bound-method owners, in closures, and in nested lists and tuples."""
+    found, stack = [], [ops]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            if item.flags.writeable:
+                found.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack += item
+        elif isinstance(item, partial):
+            stack += [getattr(item.func, "__self__", None), *item.args]
+        elif callable(item) and getattr(item, "__closure__", None):
+            stack += [cell.cell_contents for cell in item.__closure__]
+    return found
+
+
+def engine_bytes(engine, params):
+    """What an engine reports: its stats and a run's tables, as bytes."""
+    return engine.stats, run_bytes(engine, params)
+
+
+def fit_bytes(fit):
+    """Everything an ``em_fit`` result holds, floats as bytes."""
+    return (
+        fit.beta_hat, fit.gamma_hat.tobytes(), fit.covariance.tobytes(), fit.trace,
+        fit.converged, fit.marginals.tobytes(), fit.baseline.times.tobytes(),
+        fit.baseline.increments.tobytes(),
+    )
+
+
+def with_covariate(families, seed):
+    """Copies of ``families`` with one random covariate per record."""
+    rng = np.random.default_rng(seed)
+    return [
+        Pedigree([dataclasses.replace(rec, covariates=(float(rng.normal()),)) for rec in fam])
+        for fam in families
+    ]
+
+
+class TestSharedSchedule:
+    """Engines of one design share one compiled schedule, which gives the
+    bits a compile of their own would."""
+
+    def assert_reuse_is_cold(self, monkeypatch, cohorts, params, config):
+        # each cohort's engine and fit compiled afresh, then again with
+        # every engine reusing the schedule the cohort before compiled
+        expected = [
+            (cold(monkeypatch, lambda: engine_bytes(engine_at(families, params), params)),
+             cold(monkeypatch, lambda: fit_bytes(em_fit(families, config))))
+            for families in cohorts
+        ]
+        compiled = compiles(monkeypatch)
+        engines = [engine_at(families, params) for families in cohorts]
+        assert compiled == []
+        assert len({schedule_of(engine) for engine in engines}) == 1
+        for engine, families, (engine_expected, fit_expected) in zip(engines, cohorts, expected):
+            assert engine_bytes(engine, params) == engine_expected
+            assert fit_bytes(em_fit(families, config)) == fit_expected
+        assert compiled == []
+        return engines
+
+    def test_scenario_cohorts_of_a_study_unit(self, monkeypatch):
+        cohorts = [
+            simulate_families(40, -0.6, 0.2, scenario=scenario, seed=(5, 0, 0))[0]
+            for scenario in ("S0", "S1", "S2", "Oracle")
+        ]
+        params = ModelParams(q=0.2, beta=-0.4, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
+        config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=3)
+        engines = self.assert_reuse_is_cold(monkeypatch, cohorts, params, config)
+        assert engines[0].stats.shards == 1
+        assert any(rec.genotype_pin for rec in cohorts[3][0])
+
+    def test_two_shard_template_cohorts(self, monkeypatch):
+        two_shards(monkeypatch)
+        cohorts = [simulate_families(30, -0.6, 0.2, scenario="S1", seed=seed)[0]
+                   for seed in (23, 24)]
+        params = ModelParams(q=0.2, beta=-0.6, epsilon=0.01, eta=0.001, baseline=DEFAULT_HAZARD)
+        engines = self.assert_reuse_is_cold(monkeypatch, cohorts, params, EMConfig(q=0.2, seed=2))
+        assert engines[0].stats.shards == 2
+
+    def test_covariate_cohorts(self, monkeypatch):
+        cohorts = [
+            with_covariate(simulate_families(30, -0.6, 0.2, scenario="S1", seed=seed)[0], seed)
+            for seed in (25, 26)
+        ]
+        params = ModelParams(q=0.2, beta=-0.6, gamma=(0.3,), epsilon=0.01, eta=0.001,
+                             baseline=DEFAULT_HAZARD)
+        engines = self.assert_reuse_is_cold(monkeypatch, cohorts, params, EMConfig(q=0.2, seed=4))
+        assert engines[0].covariates.shape == (300, 1)
+
+    def test_what_the_compile_reads_keys_the_schedule(self, monkeypatch):
+        families, _ = simulate_families(20, -0.6, 0.2, scenario="S1", seed=27)
+        more, _ = simulate_families(21, -0.6, 0.2, scenario="S1", seed=27)
+        engine_at(families)
+        compiled = compiles(monkeypatch)
+        engine_at(families, ModelParams(q=0.2, epsilon=0.0, eta=0.0))  # the error rates
+        assert compiled == []  # are compiled into each engine's own evidence
+        engine_at(families, ModelParams(q=0.3))
+        engine_at(families)
+        engine_at(more)
+        engine_at(families[:10] + [trio()] + families[10:19])  # as many families
+        assert len(compiled) == 4
+        for constant in ("SHARD_BUCKET_BYTES", "MAX_POTENTIAL_BYTES"):
+            monkeypatch.setattr(inference, constant, getattr(inference, constant) + 1)
+            engine_at(families)
+        assert len(compiled) == 6
+        one_shard(monkeypatch)
+        engine = engine_at(families)
+        two_shards(monkeypatch)
+        sharded = engine_at(families)
+        assert len(compiled) == 8
+        assert (engine.stats.shards, sharded.stats.shards) == (1, 2)
+
+    def test_live_engines_of_one_design_keep_their_own_buffers(self, monkeypatch):
+        cohorts = [simulate_families(30, -0.6, 0.2, scenario="S1", seed=seed)[0]
+                   for seed in (28, 29)]
+        params = [ModelParams(q=0.2, beta=beta, epsilon=0.01, eta=0.001, baseline=DEFAULT_HAZARD)
+                  for beta in (-0.6, 0.4)]
+        expected = [cold(monkeypatch, lambda: run_bytes(engine_at(families, p), p))
+                    for families, p in zip(cohorts, params)]
+        engines = [engine_at(families, p) for families, p in zip(cohorts, params)]
+        assert schedule_of(engines[0]) == schedule_of(engines[1])
+        for _ in range(3):  # interleaved
+            for engine, p, want in zip(engines, params, expected):
+                assert run_bytes(engine, p) == want
+        results, errors = [[], []], []
+
+        def runs(k):
+            try:
+                for _ in range(20):
+                    results[k].append(run_bytes(engines[k], params[k]))
+            except BaseException as err:
+                errors.append(err)
+
+        # a thread switch every microsecond, so that the runs interleave
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=runs, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        for got, want in zip(results, expected):
+            assert got == [want] * 20
+        # and no array that one engine's ops write is the other's
+        mine, theirs = (writable_arrays(engine._shards[0]._ops) for engine in engines)
+        assert mine and theirs
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_shared_schedule_arrays_are_read_only(self):
+        families, _ = simulate_families(30, -0.6, 0.2, scenario="S1", seed=30)
+        rng = np.random.default_rng(30)
+        mixed = [random_pedigree(rng, int(rng.integers(2, 12)), f"H{i}", with_loop=i % 3 == 0)
+                 for i in range(20)]
+        for cohort in (families, mixed):
+            (schedule,) = schedule_of(engine_at(cohort))
+            held = [b.child.rows for buckets in schedule.stages for b in buckets]
+            held += [b.parent.rows for buckets in schedule.stages for b in buckets if b.parent]
+            held += [b.slots for buckets in schedule.stages for b in buckets]
+            held += [b.targets for b in schedule.stages[3]]
+            arrays = [a for a in held if isinstance(a, np.ndarray)]
+            assert len(arrays) > len(schedule.stages[3])  # gathered sides among them
+            arrays += [schedule.clique_family, schedule.norm_of_clique]
+            arrays += list(schedule.static.values())
+            arrays += [index for gathers in schedule.evidence.values() for _, index in gathers]
+            for array in arrays:
+                while isinstance(array, np.ndarray):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
+                    array = array.base
+
+    def test_zero_evidence_names_a_family_of_the_engines_own_cohort(self):
+        params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
+        first = engine_at([trio(), impossible_family("Z0"), cousin_marriage_family()], params)
+        second = engine_at([trio(), impossible_family("Z1"), cousin_marriage_family()], params)
+        assert schedule_of(first) == schedule_of(second)
+        for engine, named in ((second, "Z1"), (first, "Z0"), (second, "Z1")):
+            with pytest.raises(ZeroEvidenceError) as exc:
+                run(engine, params)
+            assert exc.value.family_id == named
 
 
 def pinned_cohort(rng, count):

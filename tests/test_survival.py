@@ -414,6 +414,26 @@ class TestReuseAndContract:
         np.testing.assert_array_equal(reused.increments, fresh.increments)
 
     @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_breslow_of_an_equal_table_keeps_the_fits_risk_sums(self, n_cov):
+        # EM passes Breslow the table it passed the fit, which the fit
+        # copied: the comparison with that copy finds them equal, so the
+        # Breslow estimate reads the fit's prepared table and risk sums
+        # rather than preparing the table again
+        rng = np.random.default_rng(80 + n_cov)
+        time, status, X, w = random_dataset(rng, n=80, n_cov=n_cov)
+        Z, W = split(X, w)
+        problem = CoxProblem(time, status, Z)
+        coefs = problem.fit(W)[0]
+        prepared = problem._weights, problem._sums, problem._risk_sums
+        assert prepared[0] is not W
+        reused = problem.breslow(W.copy(), coefs)
+        assert all(mine is theirs for mine, theirs in zip(
+            (problem._weights, problem._sums, problem._risk_sums), prepared
+        ))
+        fresh = CoxProblem(time, status, Z).breslow(W, coefs)
+        np.testing.assert_array_equal(reused.increments, fresh.increments)
+
+    @pytest.mark.parametrize("n_cov", [0, 2])
     def test_weights_mutated_between_fit_and_breslow_are_seen(self, n_cov):
         rng = np.random.default_rng(70 + n_cov)
         time, status, X, w = random_dataset(rng, n=80, n_cov=n_cov, zero_weights=False)
