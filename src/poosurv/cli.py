@@ -334,7 +334,11 @@ def replicate(cases, full_design, scenarios, replicates, q, seed, jobs, out):
 @click.option("--hazard", default=None, help="Baseline hazard as start:rate,...")
 @_guarded
 def check_oracle(ped, q, beta, epsilon, eta, hazard):
-    """Compare clique-tree marginals against brute-force enumeration."""
+    """Compare clique-tree marginals against brute-force enumeration.
+
+    Covariate effects are not an option: a file with covariates is compared
+    at gamma = 0, one zero per covariate column.
+    """
     families = _load_families(ped)
     for fam in families:
         if len(fam) > ENUMERATION_CAP:
@@ -343,7 +347,8 @@ def check_oracle(ped, q, beta, epsilon, eta, hazard):
                 f"enumeration cap {ENUMERATION_CAP}"
             )
     params = ModelParams(
-        q=q, beta=beta, epsilon=epsilon, eta=eta, baseline=_parse_hazard(hazard)
+        q=q, beta=beta, gamma=(0.0,) * (families[0].covariate_count if families else 0),
+        epsilon=epsilon, eta=eta, baseline=_parse_hazard(hazard),
     )
     worst = 0.0
     for fam in families:

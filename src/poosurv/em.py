@@ -229,7 +229,11 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     # The M-step's weight table: each record's paternal-origin weight in
     # row 0, its maternal-origin weight in row 1; non-carrier mass has none.
     weights = np.stack((start[rows, 0], start[rows, 1]))
-    counts = record_counts[rows]
+    # Later tables come straight from the marginals when every record is
+    # fitted, and are weighed by the counts only when some family is not
+    # drawn once, as in a bootstrap replicate.
+    every_record = rows.size == engine.total
+    counts = record_counts[rows] if (family_counts != 1).any() else None
 
     # Every drawn affected age is a Breslow jump time, since affected records
     # never lose their carrier mass, and there are no others: the jump grid
@@ -268,8 +272,9 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
         marginals, log_evidence_fam = engine.run(
             coefs[0], coefs[1:], baseline.cumulative_at(positions)
         )
-        weights = origin_weights(marginals.take(rows, axis=0))
-        weights *= counts
+        weights = origin_weights(marginals if every_record else marginals.take(rows, axis=0))
+        if counts is not None:
+            weights *= counts
         log_evidence = float((family_counts * log_evidence_fam).sum())
         jumps = baseline.increments[jump_of_event]
         log_likelihood = log_evidence + float((event_counts * np.log(jumps)).sum())

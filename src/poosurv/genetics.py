@@ -203,7 +203,8 @@ class FixedEvidence:
     which fix how many covariate effects a run takes, and, per state, the
     gene-test factors times the ``pins`` indicator (n, 4) of allowed states,
     if any. A caller that evaluates the same records under the same error
-    rates many times builds them once.
+    rates many times builds them once. Its arrays are read-only, and so are
+    those of :meth:`records`, so that threads may share them.
     """
 
     def __init__(self, status, gene_test, covariates, epsilon, eta, suppress=None,
@@ -211,7 +212,7 @@ class FixedEvidence:
         _check_error_rates(epsilon, eta)
         status = np.asarray(status, dtype=int)
         gene_test = np.asarray(gene_test, dtype=int)
-        self.covariates = np.asarray(covariates, dtype=float)
+        self.covariates = np.array(covariates, dtype=float)
         live = np.ones(status.shape[0], dtype=bool)
         if suppress is not None:
             live = ~np.asarray(suppress, dtype=bool)
@@ -224,6 +225,47 @@ class FixedEvidence:
         if pins is not None:
             factor *= pins.T
         self.factor = factor
+        for array in (self.covariates, self.live, self.affected, self.factor):
+            array.flags.writeable = False
+
+    def records(self, start, stop):
+        """The fixed parts of records ``start`` to ``stop``, as views."""
+        view = object.__new__(FixedEvidence)
+        view.covariates = self.covariates[start:stop]
+        view.live, view.affected = self.live[start:stop], self.affected[start:stop]
+        view.factor = self.factor[:, start:stop]
+        return view
+
+    def hazards(self, cumulative_hazard, gamma):
+        """The records' ``cumulative_hazard``, 0 where the phenotype is
+        suppressed, once ``gamma`` holds one effect per covariate and the
+        hazards are finite and non-negative (``ValueError`` otherwise)."""
+        k = self.covariates.shape[1]
+        if len(gamma) != k:
+            raise ValueError("gamma must hold one effect per covariate: the records have "
+                             f"{k}, gamma has {len(gamma)}")
+        lam = np.asarray(cumulative_hazard, dtype=float)
+        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+            raise ValueError("cumulative hazards must be finite and non-negative")
+        return lam * self.live
+
+    def fill(self, hazards, beta, gamma, out=None):
+        """:func:`evidence_matrix` of checked ``hazards`` (see :meth:`hazards`)."""
+        if out is None:
+            out = np.empty((N_STATES, hazards.shape[0]))
+        if self.covariates.shape[1]:
+            zg = self.covariates @ np.asarray(gamma, dtype=float)
+            risks = (np.exp(beta + zg), np.exp(zg))
+        else:  # exp(beta + 0) is exp(beta) and exp(0) is 1, so the bits are the same
+            risks = (np.exp(beta), 1.0)
+        out[Genotype.NON_CARRIER] = self.factor[Genotype.NON_CARRIER]
+        for state, risk in zip((Genotype.HET_PATERNAL, Genotype.HET_MATERNAL), risks):
+            phenotype = np.exp(-hazards * risk)
+            np.multiply(phenotype, risk, out=phenotype, where=self.affected)
+            np.multiply(phenotype, self.factor[state], out=out[state])
+        # the homozygote shares the maternal-origin heterozygote's phenotype
+        np.multiply(phenotype, self.factor[Genotype.HOMOZYGOUS], out=out[Genotype.HOMOZYGOUS])
+        return out.T
 
 
 def evidence_matrix(cumulative_hazard, beta, gamma, fixed: FixedEvidence,
@@ -237,7 +279,8 @@ def evidence_matrix(cumulative_hazard, beta, gamma, fixed: FixedEvidence,
         caller gathers it, so that a fixed jump grid is searched once per fit
     beta, gamma : the origin effect and the k covariate effects, one per
         column of ``fixed.covariates`` (``ValueError`` naming both counts
-        otherwise)
+        otherwise); with no covariates each risk is one scalar, not a
+        per-record array
     fixed : the individuals' :class:`FixedEvidence` (statuses, gene tests
         under the error rates, suppressed phenotypes, covariates, pins)
     out : (4, n) array or None; the factors are written into it state by
@@ -249,27 +292,7 @@ def evidence_matrix(cumulative_hazard, beta, gamma, fixed: FixedEvidence,
     :func:`evidence_factor` (times ``fixed``'s pins); a transposed view of
     ``out`` when it is given.
     """
-    k = fixed.covariates.shape[1]
-    if len(gamma) != k:
-        raise ValueError("gamma must hold one effect per covariate: the records have "
-                         f"{k}, gamma has {len(gamma)}")
-    lam = np.asarray(cumulative_hazard, dtype=float)
-    n = lam.shape[0]
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-        raise ValueError("cumulative hazards must be finite and non-negative")
-    if out is None:
-        out = np.empty((N_STATES, n))
-    zg = fixed.covariates @ np.asarray(gamma, dtype=float) if k else np.zeros(n)
-    lam = lam * fixed.live
-    out[Genotype.NON_CARRIER] = fixed.factor[Genotype.NON_CARRIER]
-    for state, risk in ((Genotype.HET_PATERNAL, np.exp(beta + zg)),
-                        (Genotype.HET_MATERNAL, np.exp(zg))):
-        phenotype = np.exp(-lam * risk)
-        np.multiply(phenotype, risk, out=phenotype, where=fixed.affected)
-        np.multiply(phenotype, fixed.factor[state], out=out[state])
-    # the homozygote shares the maternal-origin heterozygote's phenotype
-    np.multiply(phenotype, fixed.factor[Genotype.HOMOZYGOUS], out=out[Genotype.HOMOZYGOUS])
-    return out.T
+    return fixed.fill(fixed.hazards(cumulative_hazard, gamma), beta, gamma, out)
 
 
 def origin_weights(marginals) -> np.ndarray:

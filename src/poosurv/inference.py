@@ -80,9 +80,14 @@ A cohort is compiled as two shards when its potential tables come to more
 than ``SHARD_BUCKET_BYTES`` per bucket of its one-shard schedule: contiguous
 ranges of families of about equal table size, each with its own buckets,
 tables, scratch and ops, laid out from the structures' forests that the
-shards share. A run computes the evidence once on the calling thread, then
-runs the first shard's ops there while a helper thread runs the second's;
-numpy releases the GIL inside each operation, so the shards use two CPUs.
+shards share. A run checks ``gamma`` and the cumulative hazards of the
+whole cohort on the calling thread, so that an input error comes before
+any shard runs, then runs the first shard there while a helper thread runs
+the second; numpy releases the GIL inside each operation, so the shards use
+two CPUs. Each shard first computes the evidence of its own contiguous
+range of records into their columns of the evidence table, through a
+read-only view of the engine's :class:`genetics.FixedEvidence`, and then
+runs its passes, which read only those columns.
 A helper that has not started by the time the first shard is done leaves
 the second to the calling thread. Both write their own rows of one marginal
 table and one log-evidence vector, in place. With one usable CPU, and in
@@ -96,14 +101,15 @@ bound documented on :func:`posterior_marginals`.
 The threshold is per bucket because a second schedule repeats every
 bucket's operations, whose cost grows with the bucket count, while the
 second CPU takes half of the work, which grows with the table size. Timed
-on 2 CPUs, a two-shard E-step broke even at about 137 KiB per bucket on
-cohorts of one ten-member template (1.6 MiB of tables in 12 buckets, 550
-families) and was a third faster at 2000 families; on cohorts of
-heterogeneous looped families it broke even at about 38 KiB per bucket
-(4.3 MiB in some 115 buckets, 550 families) and was 45% faster at 2000
-families. The threshold sits above the larger break-even, so sharding makes
-neither kind slower; heterogeneous cohorts are split only from about 2500
-families.
+on 2 CPUs while a run still computed the whole cohort's evidence on the
+calling thread before the shards started, a two-shard E-step broke even at
+about 137 KiB per bucket on cohorts of one ten-member template (1.6 MiB of
+tables in 12 buckets, 550 families) and was a third faster at 2000
+families; on cohorts of heterogeneous looped families it broke even at
+about 38 KiB per bucket (4.3 MiB in some 115 buckets, 550 families) and was
+45% faster at 2000 families. The threshold sits above the larger
+break-even, so sharding makes neither kind slower; heterogeneous cohorts
+are split only from about 2500 families.
 
 A brute-force enumerator over all 4^n genotype configurations, with its own
 scalar factor construction, serves as an independent oracle for small
@@ -118,7 +124,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -231,12 +237,12 @@ def _axes_shape(axes, rank, batch=()):
 
 def _pin_mask(pins):
     """Indicator table (n, 4) of the states each ``genotype_pin`` allows, or ``None``."""
-    pinned = [i for i, pin in enumerate(pins) if pin is not None]
+    pinned = list(compress(range(len(pins)), pins))  # a pin is a non-empty tuple
     if not pinned:
         return None
     mask = np.ones((len(pins), N_STATES))
     mask[pinned] = 0.0
-    states = [pins[i] for i in pinned]
+    states = list(compress(pins, pins))
     mask[np.repeat(pinned, list(map(len, states))), list(chain.from_iterable(states))] = 1.0
     return mask
 
@@ -1073,14 +1079,18 @@ class _Schedule:
 
 class _Shard:
     """One engine's binding of a :class:`_ShardSchedule`: the shard's
-    ``families``, its own potential and message tables, scratch pools and
-    bound ops. Its ops read evidence columns of the engine's ``phi`` and
-    write the shard's own rows of the engine's marginal table and log
-    evidence, so that shards can run at once.
+    ``families``, the range of their ``records``, the engine's ``fixed``
+    evidence of those records, its own potential and message tables, scratch
+    pools and bound ops. A run writes the evidence of the shard's records
+    into their columns of the engine's ``phi``, which its ops read with the
+    column of ones, and writes the shard's own rows of the engine's marginal
+    table and log evidence, so that shards can run at once.
     """
 
-    def __init__(self, schedule, families, phi):
+    def __init__(self, schedule, families, phi, fixed, records):
         self.schedule, self.families, self._phi = schedule, families, phi
+        self._records, self._evidence = records, phi[:, records]
+        self._fixed = fixed.records(records.start, records.stop)
         # Each run writes the evidence's gather per rank, the potentials,
         # the collected messages and the normalizers into these buffers
         # before it reads them.
@@ -1156,13 +1166,16 @@ class _Shard:
             reading.append((ops, bucket.targets, marginal.T))
         return potentials, collecting, distributing, reading
 
-    def run(self, marginals, log_evidence):
-        """The two passes over the shard's families, the evidence already in
-        ``phi``: their rows of ``marginals`` and ``log_evidence`` are
-        written, with numpy's buffer size at ``_BUFSIZE`` on this thread.
-        Raises :class:`ZeroEvidenceError` like :meth:`MarginalEngine.run`."""
+    def run(self, beta, gamma, hazards, marginals, log_evidence):
+        """The evidence of the shard's records at ``beta``, ``gamma`` and the
+        cohort's checked ``hazards``, written into their columns of ``phi``,
+        then the two passes over the shard's families: their rows of
+        ``marginals`` and ``log_evidence`` are written, with numpy's buffer
+        size at ``_BUFSIZE`` on this thread. Raises
+        :class:`ZeroEvidenceError` like :meth:`MarginalEngine.run`."""
         bufsize = np.setbufsize(_BUFSIZE)
         try:
+            self._fixed.fill(hazards[self._records], beta, gamma, self._evidence)
             self._run(marginals, log_evidence)
         finally:
             np.setbufsize(bufsize)
@@ -1213,11 +1226,12 @@ class MarginalEngine:
     own buffers (see the module docstring). A cohort whose potential tables
     come to more than ``SHARD_BUCKET_BYTES`` per bucket is compiled as two
     shards, contiguous ranges of families of about equal table size, each
-    with its own schedule; a run computes the evidence once and then runs
-    the shards on two threads, or one after the other when one CPU is
-    usable or in a process-pool worker. The shard plan depends on the
-    cohort alone. A record with a ``genotype_pin``
-    takes only its pinned states. :attr:`stats` reports the schedule's size.
+    with its own schedule; a run checks its inputs for the whole cohort and
+    then runs the shards on two threads, or one after the other when one
+    CPU is usable or in a process-pool worker, each shard computing the
+    evidence of its own records on its own thread before its passes. The
+    shard plan depends on the cohort alone. A record with a
+    ``genotype_pin`` takes only its pinned states. :attr:`stats` reports the schedule's size.
 
     The module keeps the last compiled schedule, which holds no family,
     evidence or buffer, keyed by the cohort's structures, ``q`` and the two
@@ -1235,12 +1249,7 @@ class MarginalEngine:
 
     def __init__(self, families, q, epsilon, eta):
         self.families = list(families)
-        offsets = []
-        total = 0
-        for fam in self.families:
-            offsets.append(total)
-            total += len(fam)
-        self.offsets = offsets
+        *self.offsets, total = accumulate(map(len, self.families), initial=0)
         self.total = total
 
         cov_len = self.families[0].covariate_count if self.families else 0
@@ -1249,17 +1258,24 @@ class MarginalEngine:
                 "families carry different covariate counts; cannot fit jointly"
             )
 
-        def column(name):
-            return list(chain.from_iterable(fam.column(name) for fam in self.families))
+        def values(name):
+            return chain.from_iterable(fam.column(name) for fam in self.families)
 
-        self.ages = np.array(column("age"), dtype=float)
-        self.statuses = np.array(column("status"), dtype=int)
-        gene_test = [-1 if test is None else test for test in column("gene_test")]
-        self.suppressed = np.array(column("phenotype_suppressed"), dtype=bool)
-        self.covariates = np.array(column("covariates"), dtype=float).reshape(total, cov_len)
+        self.ages = np.fromiter(values("age"), float, total)
+        self.statuses = np.fromiter(values("status"), int, total)
+        self.suppressed = np.fromiter(values("phenotype_suppressed"), bool, total)
+        self.covariates = np.fromiter(  # reads no record when there are no covariates
+            chain.from_iterable(values("covariates")), float, total * cov_len
+        ).reshape(total, cov_len)
+        tests = list(values("gene_test"))
+        untested = tests.count(None)
+        if untested in (0, total):  # all tested or none: no per-record loop
+            gene_test = np.array(tests, dtype=int) if untested == 0 else np.full(total, -1)
+        else:
+            gene_test = [-1 if test is None else test for test in tests]
         self._fixed = genetics.FixedEvidence(
             self.statuses, gene_test, self.covariates, epsilon, eta, self.suppressed,
-            _pin_mask(column("genotype_pin")),
+            _pin_mask(list(values("genotype_pin"))),
         )
         self._compile(genetics.founder_prior(q))
 
@@ -1285,8 +1301,10 @@ class MarginalEngine:
         self.stats = schedule.stats
         # the evidence of every record, and a last column of ones
         self._phi = np.ones((N_STATES, self.total + 1))
+        starts = [*self.offsets, self.total]  # each family's first record, and the end
         self._shards = [
-            _Shard(shard, self.families[shard.first:shard.stop], self._phi)
+            _Shard(shard, self.families[shard.first:shard.stop], self._phi, self._fixed,
+                   slice(starts[shard.first], starts[shard.stop]))
             for shard in schedule.shards
         ]
 
@@ -1296,13 +1314,12 @@ class MarginalEngine:
         each record's baseline ``cumulative_hazard`` at its age.
 
         Raises ``ValueError`` when ``gamma`` does not hold one effect per
-        covariate of the records, and :class:`ZeroEvidenceError`, naming the
+        covariate of the records or a hazard is negative or not finite,
+        before any shard runs, and :class:`ZeroEvidenceError`, naming the
         family, when a family's observed data has zero probability.
         """
-        genetics.evidence_matrix(
-            cumulative_hazard, beta, gamma, self._fixed, out=self._phi[:, :self.total]
-        )
+        hazards = self._fixed.hazards(cumulative_hazard, gamma)
         marginals = np.empty((self.total, N_STATES))
         log_evidence = np.empty(len(self.families))
-        _run_shards(self._shards, marginals, log_evidence)
+        _run_shards(self._shards, beta, gamma, hazards, marginals, log_evidence)
         return marginals, log_evidence

@@ -653,16 +653,14 @@ class TestCheckOracleCommand:
         )
         run_ok(runner, ["check-oracle", str(ped), "--q", "0.2", "--beta", "-0.4"])
 
-    def test_covariate_file_is_a_validation_error(self, runner, tmp_path):
-        # check-oracle fits no covariate effects, so it evaluates gamma=()
+    def test_covariate_file_is_compared_at_zero_effects(self, runner, tmp_path):
+        # check-oracle takes no covariate effects: a one-covariate file is
+        # compared at gamma = (0,)
         ped = tmp_path / "covariate.ped"
         ped.write_text(format_ped([random_pedigree(np.random.default_rng(2), 5, covariates=1)]))
-        result = runner.invoke(main, ["check-oracle", str(ped), "--q", "0.2"])
-        assert result.exit_code == 2
-        assert (
-            "error: gamma must hold one effect per covariate: the records have 1, gamma has 0"
-            in result.output
-        )
+        result = runner.invoke(main, ["check-oracle", str(ped), "--q", "0.2", "--beta", "-0.4"])
+        assert result.exit_code == 0, result.output
+        assert "oracle check passed" in result.output
 
     def test_cap_exceeded(self, runner, tmp_path):
         rows = ["C 1 0 0 1 60.0 0 -9 0", "C 2 0 0 2 58.0 0 -9 0"]

@@ -562,6 +562,52 @@ class TestGatheredHazard:
         assert replicate.marginals.tobytes() == self.fresh_run(replicate, config).tobytes()
 
 
+class TestWeightTables:
+    """Each iteration hands the M-step the origin split of the fitted
+    records' marginals times their draw counts: the marginals themselves
+    when every record is fitted, without the product when every family is
+    drawn once, and the same bits as a row take and a product by the
+    counts otherwise."""
+
+    @pytest.mark.parametrize("suppressed", [False, True])
+    @pytest.mark.parametrize("drawn", ["once each", "bootstrap"])
+    def test_tables_are_the_fitted_rows_times_their_counts(self, suppressed, drawn):
+        fams, _ = simulate_families(
+            30, beta=-0.6, q=0.2, scenario="S1", seed=76, mark_probands=True
+        )
+        if suppressed:
+            fams, _ = apply_proband_correction(fams)
+        config = EMConfig(q=0.2, seed=6)
+        model = _Model(fams, config)
+        assert (model.rows.size < model.engine.total) == suppressed
+        draws = (np.arange(len(fams)) if drawn == "once each"
+                 else np.random.default_rng(76).integers(0, len(fams), size=len(fams)))
+        family_counts = np.bincount(draws, minlength=len(fams))
+        assert (family_counts == 1).all() == (drawn == "once each")
+        counts = np.repeat(family_counts, model.sizes)[model.rows]
+        tables, marginals = [], []
+        engine_run, problem_fit = model.engine.run, model.problem.fit
+
+        def run(*args):
+            result = engine_run(*args)
+            marginals.append(result[0])
+            return result
+
+        def fit(weights, **kwargs):
+            tables.append(weights.copy())
+            return problem_fit(weights, **kwargs)
+
+        model.engine.run, model.problem.fit = run, fit
+        result = em._em(model, config, draws)
+        assert len(tables) == result.iterations > 1
+        for table, m in zip(tables[1:], marginals):
+            rows = m.take(model.rows, axis=0)
+            expected = np.stack((rows[:, Genotype.HET_PATERNAL],
+                                 rows[:, Genotype.HET_MATERNAL] + rows[:, Genotype.HOMOZYGOUS]))
+            expected *= counts
+            assert table.tobytes() == expected.tobytes()
+
+
 class TestBootstrap:
     """Replicates are family counts on the fit's own compiled model."""
 

@@ -272,3 +272,48 @@ class TestEvidenceMatrix:
         for i, rec in enumerate(records):
             expected = evidence_factor(rec, params)
             np.testing.assert_allclose(matrix[i], expected, atol=1e-14)
+
+    @staticmethod
+    def fixed_parts(rng, n, covariates):
+        """Random statuses, gene tests and suppressed phenotypes of ``n``
+        records with the given (n, k) covariates, affected and suppressed
+        records among them."""
+        status = rng.integers(0, 2, size=n)
+        status[:2] = (1, 1)
+        suppress = rng.random(n) < 0.25
+        suppress[:2] = (False, True)
+        return status, rng.integers(-1, 2, size=n), covariates, 0.02, 0.005, suppress
+
+    def test_covariate_free_risk_is_the_general_path_bit_for_bit(self):
+        # without covariates each risk is a scalar; a zero covariate column
+        # takes the per-record path and gives the same bits, also at -0.0
+        rng = np.random.default_rng(11)
+        n = 80
+        hazard = rng.exponential(0.5, size=n)
+        hazard[:5] = 0.0
+        status, tests, _, epsilon, eta, suppress = self.fixed_parts(rng, n, None)
+        scalar = FixedEvidence(status, tests, np.empty((n, 0)), epsilon, eta, suppress)
+        zeros = FixedEvidence(status, tests, np.zeros((n, 1)), epsilon, eta, suppress)
+        assert scalar.affected.any() and (scalar.live == 0).any()
+        for beta in (-0.0, 0.0, -0.6, *rng.normal(scale=2.0, size=300).tolist()):
+            got = evidence_matrix(hazard, beta, (), scalar)
+            expected = evidence_matrix(hazard, beta, (0.0,), zeros)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_arrays_and_record_views_are_read_only(self):
+        rng = np.random.default_rng(12)
+        n = 30
+        covariates = rng.normal(size=(n, 1))
+        fixed = FixedEvidence(*self.fixed_parts(rng, n, covariates))
+        assert not np.shares_memory(fixed.covariates, covariates)  # a copy, not the caller's
+        view = fixed.records(10, 25)
+        for parts in (fixed, view):
+            for array in (parts.covariates, parts.live, parts.affected, parts.factor):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        assert view.factor.shape == (4, 15) and view.covariates.shape == (15, 1)
+        # a range's evidence is its columns of the whole table
+        hazard = rng.exponential(0.5, size=n)
+        whole = evidence_matrix(hazard, -0.4, (0.3,), fixed)
+        part = evidence_matrix(hazard[10:25], -0.4, (0.3,), view)
+        assert part.tobytes() == whole[10:25].tobytes()

@@ -35,7 +35,7 @@ from poosurv import (
     posterior_marginals,
     simulate_families,
 )
-from poosurv import inference
+from poosurv import genetics, inference
 from poosurv.inference import (
     MAX_POTENTIAL_BYTES,
     EngineStats,
@@ -584,6 +584,7 @@ class TestMarginalEngine:
         params = random_params(np.random.default_rng(0))
         engine = engine_at([], params)
         assert engine.stats == EngineStats(0, 0, 0, 0, 0, 0, 0, 0, 0)
+        assert only_shard(engine)._records == slice(0, 0)
         marginals, log_evidence = run(engine, params)
         assert marginals.shape == (0, 4) and log_evidence.shape == (0,)
 
@@ -1070,6 +1071,101 @@ class TestShards:
         larger[:] = 2.0
         assert (first == 1.0).all()
         assert np.shares_memory(larger, view((3, 2)))
+
+
+def threaded(monkeypatch):
+    """Run the second shard of each two-shard run on a helper thread."""
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
+    helper_runs_second_shard(monkeypatch, [])
+
+
+class TestShardEvidence:
+    """Each shard computes the evidence of its own records, on the thread
+    that then runs its passes, after the run has checked the inputs of the
+    whole cohort."""
+
+    @staticmethod
+    def cohort(kind, covariates):
+        if kind == "template":
+            families, _ = simulate_families(60, -0.6, 0.2, scenario="S1", seed=31)
+        else:
+            rng = np.random.default_rng(32)
+            families = [
+                random_pedigree(rng, int(rng.integers(2, 13)), f"H{i}", with_loop=i % 3 == 0)
+                for i in range(40)
+            ]
+        return with_covariate(families, 33) if covariates else families
+
+    @pytest.mark.parametrize("covariates", [0, 1])
+    @pytest.mark.parametrize("kind", ["template", "looped"])
+    def test_shards_fill_the_whole_cohorts_evidence(self, monkeypatch, kind, covariates):
+        families = self.cohort(kind, covariates)
+        params = ModelParams(q=0.2, beta=-0.6, gamma=(0.3,) * covariates, epsilon=0.01,
+                             eta=0.001, baseline=DEFAULT_HAZARD)
+        two_shards(monkeypatch)
+        engine = engine_at(families, params)
+        assert engine.stats.shards == 2
+        first, second = (shard._records for shard in engine._shards)
+        assert (first.start, first.stop, second.stop) == (0, second.start, engine.total)
+        hazard = params.cumulative_hazard(engine.ages)
+        whole = genetics.evidence_matrix(hazard, params.beta, params.gamma, engine._fixed)
+        results = []
+        for cpus in (2, 1):  # on a helper thread, then one shard after the other
+            if cpus == 2:
+                threaded(monkeypatch)
+            else:
+                monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
+            engine._phi[:, :engine.total] = 0.0
+            results.append(run_bytes(engine, params))
+            assert engine._phi[:, :engine.total].tobytes() == whole.T.tobytes()
+            assert (engine._phi[:, engine.total] == 1.0).all()
+        assert results[0] == results[1]
+        if kind == "template":  # one structure: a one-shard engine's bits
+            one_shard(monkeypatch)
+            single = engine_at(families, params)
+            assert single.stats.shards == 1
+            assert run_bytes(single, params) == results[0]
+
+    @pytest.mark.parametrize("path", ["serial", "threads"])
+    def test_input_errors_come_before_any_shard(self, monkeypatch, path):
+        # a wrong gamma, and a bad hazard among the second shard's records
+        # only, raise as before, also over a zero-evidence family in the
+        # first shard, and no shard writes any evidence
+        two_shards(monkeypatch)
+        monkeypatch.setattr(inference, "_usable_cpus", lambda: 1 if path == "serial" else 2)
+        if path == "threads":
+            helper_runs_second_shard(monkeypatch, [])
+        ran, real = [], inference._Shard.run
+        monkeypatch.setattr(inference._Shard, "run",
+                            lambda shard, *args: ran.append(shard) or real(shard, *args))
+        params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
+        good = [trio(), cousin_marriage_family(), renamed(trio(), "T2")]
+        hazard_message = "cumulative hazards must be finite and non-negative"
+        for head, failure in (([], None), ([impossible_family("Z0")], ZeroEvidenceError)):
+            engine = engine_at(head + good, params)
+            assert engine.stats.shards == 2 and engine._shards[0].families[0] is (head + good)[0]
+            second = engine._shards[1]._records
+            hazard = params.cumulative_hazard(engine.ages)
+            negative, missing = hazard.copy(), hazard.copy()
+            negative[second.start] = -1e-3
+            missing[second.stop - 1] = np.nan
+            for gamma, hazards, message in (
+                ((0.3,), hazard,
+                 "gamma must hold one effect per covariate: the records have 0, gamma has 1"),
+                ((), negative, hazard_message),
+                ((), missing, hazard_message),
+            ):
+                with pytest.raises(ValueError) as exc:
+                    engine.run(-0.6, gamma, hazards)
+                assert str(exc.value) == message
+            assert ran == [] and (engine._phi == 1.0).all()
+            if failure is None:
+                run(engine, params)
+            else:
+                with pytest.raises(failure):
+                    run(engine, params)
+            assert ran
+            ran.clear()
 
 
 def compiles(monkeypatch):
