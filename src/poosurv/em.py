@@ -208,24 +208,31 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     in the log-likelihood, as c copies of it would, and the random start
     is the one a fit of the drawn list would take. ``config`` gives the
     seed and the stopping rule; its ``q``, ``epsilon`` and ``eta`` are the
-    model's.
+    model's. ``draws=None`` is ``em_fit``'s draw: every family once, in order.
     """
     engine, problem, rows = model.engine, model.problem, model.rows
-    family_counts = np.bincount(draws, minlength=model.sizes.size)
+    n = model.sizes.size
+    family_counts = np.ones(n, dtype=np.intp) if draws is None else np.bincount(draws, minlength=n)
     record_counts = np.repeat(family_counts, model.sizes)
 
     # One uniform row per drawn record in draw order, summed into the
-    # original records; for an em_fit this is the uniform table itself.
-    drawn_sizes = model.sizes[draws]
-    first_of_draw = np.cumsum(drawn_sizes) - drawn_sizes
-    drawn_records = np.arange(drawn_sizes.sum()) + np.repeat(
-        np.asarray(engine.offsets)[draws] - first_of_draw, drawn_sizes
-    )
+    # original records. For em_fit's draw that sum is the uniform table
+    # itself (0.0 + u is u); a draw that takes every family once in another
+    # order still needs the sum.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
-    u = rng.uniform(size=(drawn_records.size, 3))
-    u /= u.sum(axis=1, keepdims=True)
-    start = np.zeros((engine.total, 3))
-    np.add.at(start, drawn_records, u)
+    if draws is None:
+        start = rng.uniform(size=(engine.total, 3))
+        start /= start.sum(axis=1, keepdims=True)
+    else:
+        drawn_sizes = model.sizes[draws]
+        first_of_draw = np.cumsum(drawn_sizes) - drawn_sizes
+        drawn_records = np.arange(drawn_sizes.sum()) + np.repeat(
+            np.asarray(engine.offsets)[draws] - first_of_draw, drawn_sizes
+        )
+        u = rng.uniform(size=(drawn_records.size, 3))
+        u /= u.sum(axis=1, keepdims=True)
+        start = np.zeros((engine.total, 3))
+        np.add.at(start, drawn_records, u)
     # The M-step's weight table: each record's paternal-origin weight in
     # row 0, its maternal-origin weight in row 1; non-carrier mass has none.
     weights = np.stack((start[rows, 0], start[rows, 1]))
@@ -237,15 +244,15 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
 
     # Every drawn affected age is a Breslow jump time, since affected records
     # never lose their carrier mass, and there are no others: the jump grid
-    # is fixed for the run, and so is each record's place on it, found with
-    # the first baseline and checked on every one.
+    # is fixed for the run (each baseline is checked against it), and so
+    # are the places of the records and of the test ages on it, found here.
     event_counts = record_counts[model.affected_records]
     event_times = model.affected_ages[event_counts > 0]
     event_counts = event_counts[event_counts > 0]
     jump_grid = np.unique(event_times)
     jump_of_event = np.searchsorted(jump_grid, event_times)
-    test_ages = np.asarray(config.test_ages)
-    positions = None
+    positions = np.searchsorted(jump_grid, engine.ages, side="right")
+    test_positions = np.searchsorted(jump_grid, config.test_ages, side="right")
 
     trace = EMTrace()
     coefs = np.zeros(problem.p)
@@ -260,14 +267,12 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
             baseline = problem.breslow(weights, coefs)
         except CoxError as err:
             raise EMError(f"M-step failed at iteration {iteration}: {err}") from err
-        survival = np.exp(-baseline.cumulative(test_ages))
         if not np.array_equal(baseline.times, jump_grid):
             raise EMError(
                 f"iteration {iteration}: the Breslow jump times are not the "
                 "affected ages; an affected record lost its carrier mass"
             )
-        if positions is None:
-            positions = baseline.grid_positions(engine.ages)
+        survival = np.exp(-baseline.cumulative_at(test_positions))
 
         marginals, log_evidence_fam = engine.run(
             coefs[0], coefs[1:], baseline.cumulative_at(positions)
@@ -326,7 +331,7 @@ def em_fit(families, config: EMConfig) -> FitResult:
     config).
     """
     model = _Model(families, config)
-    return _em(model, config, np.arange(model.sizes.size))
+    return _em(model, config, None)
 
 
 def _fan_out(fn, tasks, jobs):

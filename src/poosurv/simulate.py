@@ -7,7 +7,7 @@ follow Hardy-Weinberg equilibrium, children receive alleles by Mendelian
 transmission, and carriers draw an age at onset from a piecewise-constant
 hazard scaled by exp(beta) when the mutation came from the father.
 Homozygous carriers follow the maternal-origin hazard. Everyone is censored
-by an independent uniform draw on [15, 80].
+by an independent uniform draw on [15, 80).
 
 Scenarios control which genotypes are released as (error-free) test
 results: S0 hides all of them, S1 reveals 80% of affected and 10% of
@@ -21,15 +21,17 @@ seed sequences passed in are never advanced, so the same seed always draws
 the same families and masks.
 
 The replication study runs in (case, replicate) units: a unit simulates
-its families once and derives each scenario's families from them with
-:func:`apply_scenario_mask` and the mask root of the same seed, which gives
-exactly the families a fresh :func:`simulate_families` call for that
-scenario would. Both draw a scenario's mask with one function, for the
-whole cohort at once. Families are built from the cohort's columns, as
-:func:`pedigree.parse_ped` builds a file's, with no record per member:
-:func:`simulate_families` builds each family once, already masked, and
-masking builds each changed family once more, sharing its validated
-structure.
+its families once and masks each later scenario from the columns of that
+simulation (its members' true states and statuses) with the mask root of
+the same seed, which gives exactly the families a fresh
+:func:`simulate_families` call for that scenario would. One mask core
+serves every caller: :func:`_mask_columns` draws a scenario's columns for
+the whole cohort at once, and :func:`_mask_families` builds each family
+they change once more, sharing its validated structure;
+:func:`apply_scenario_mask` first looks the states up in a truth list.
+Families are built from the cohort's columns, as :func:`pedigree.parse_ped`
+builds a file's, with no record per member: :func:`simulate_families`
+builds each family once, already masked.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import enum
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -187,6 +189,18 @@ class TruthRecord:
     censor_time: float
 
 
+#: The keywords :func:`_simulate_family` writes into a ``TruthRecord``'s
+#: ``__dict__`` in place of its ``__init__``. A field or ``__post_init__``
+#: added to the dataclass fails the import here instead of being skipped for
+#: every simulated member.
+_TRUTH_FIELDS = ("family_id", "individual_id", "genotype", "poo", "event_time", "censor_time")
+if (
+    tuple(f.name for f in fields(TruthRecord)) != _TRUTH_FIELDS
+    or hasattr(TruthRecord, "__post_init__")
+):
+    raise TypeError("TruthRecord changed: _simulate_family builds it field by field")
+
+
 def _as_seedseq(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -212,9 +226,15 @@ def _seed_roots(seed):
 
 
 def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
-    """One family's ages, statuses, proband flags and truth records, in template order."""
-    random, exponential, uniform, inverse = rng.random, rng.exponential, rng.uniform, hazard.inverse
+    """One family's ages, statuses, proband flags and truth records, in template order.
+
+    A censoring age takes the one double ``uniform`` would, rounded twice
+    (product, then sum) on every platform; truth records skip the frozen
+    dataclass's per-field ``__init__``, as :func:`pedigree._record` does.
+    """
+    random, exponential, inverse = rng.random, rng.exponential, hazard.inverse
     paternal_scale = math.exp(beta)
+    width = CENSOR_HIGH - CENSOR_LOW
     states, ages, statuses, truth = [], [], [], []
     for (individual_id, *_), (father, mother) in zip(FAMILY_TEMPLATE, _TEMPLATE_PARENTS):
         if father < 0:
@@ -232,14 +252,16 @@ def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
             event_time = inverse(exponential(1.0) / paternal_scale)
         else:
             event_time = inverse(exponential(1.0))
-        censor_time = uniform(CENSOR_LOW, CENSOR_HIGH)
+        censor_time = CENSOR_LOW + width * random()
         affected = event_time <= censor_time
         ages.append(event_time if affected else censor_time)
         statuses.append(1 if affected else 0)
-        truth.append(TruthRecord(
-            family_id, individual_id, _GENOTYPES[state], _POO_LABEL[state], event_time,
-            censor_time,
-        ))
+        record = object.__new__(TruthRecord)
+        record.__dict__.update(
+            family_id=family_id, individual_id=individual_id, genotype=_GENOTYPES[state],
+            poo=_POO_LABEL[state], event_time=event_time, censor_time=censor_time,
+        )
+        truth.append(record)
     probands = [False] * len(FAMILY_TEMPLATE)
     if mark_probands and 1 in statuses:
         probands[statuses.index(1)] = True
@@ -251,6 +273,21 @@ def _family_count(n):
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"the number of families must be an integer, got {n!r}")
     return int(n)
+
+
+def _check_beta(beta):
+    """``ValueError`` unless ``beta`` is finite and exp(beta), the paternal
+    hazard scale, is a positive finite float: about -745 < beta < 709.78."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    try:
+        scale = math.exp(beta)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"beta {beta} is out of range: exp(beta) must be positive and finite"
+        )
 
 
 def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
@@ -269,8 +306,7 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     n = _family_count(n)
     if n < 1:
         raise ValueError("need at least one family")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    _check_beta(beta)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"allele frequency q must be in [0, 1], got {q}")
     scenario = Scenario(scenario)
@@ -337,6 +373,10 @@ def apply_scenario_mask(families, truth, scenario, seed):
     the mask leaves unchanged comes back as the same object. Neither the
     truth list nor ``seed`` is modified, so one seed always draws the same
     mask. A member without a truth record raises ``ValueError``.
+
+    The members' true states come from the truth list, looked up by
+    (family, individual); the mask itself is :func:`_mask_families`, which
+    a study unit applies to the columns of its own simulation.
     """
     scenario = Scenario(scenario)
     families = list(families)
@@ -355,7 +395,18 @@ def apply_scenario_mask(families, truth, scenario, seed):
         sizes.append(len(ids))
     if not sizes:
         return []
-    gene_tests, pins = _mask_columns(scenario, states, statuses, sizes, _as_seedseq(seed))
+    return _mask_families(families, scenario, states, statuses, sizes, _as_seedseq(seed))
+
+
+def _mask_families(families, scenario, states, statuses, sizes, root):
+    """``families`` masked for ``scenario`` from their members' columns.
+
+    ``states``, ``statuses``, ``sizes`` and ``root`` are those of
+    :func:`_mask_columns`, for ``families`` in their order. Each family the
+    mask changes is built once more, sharing its structure; the others come
+    back as the same object.
+    """
+    gene_tests, pins = _mask_columns(scenario, states, statuses, sizes, root)
     masked, lo = [], 0
     for fam, size in zip(families, sizes):
         hi = lo + size
@@ -450,7 +501,8 @@ def _run_unit(args) -> list[ReplicateRow]:
     """One (case, replicate) unit: simulate once, fit every scenario's mask.
 
     The first scenario's families come from ``simulate_families``; the
-    others are masked from them with the mask root it derives from the same
+    others are masked from its columns (the truth list holds every member's
+    state in record order) with the mask root it derives from the same
     seed, so each row equals a fresh ``simulate_families`` call for its
     scenario. Returns one row per scenario, in scenario order.
     """
@@ -461,13 +513,16 @@ def _run_unit(args) -> list[ReplicateRow]:
         seed=sim_entropy,
     )
     _, mask_root = _seed_roots(sim_entropy)
+    states = list(map(_GENOTYPE, truth))
+    statuses = [status for fam in simulated for status in fam.column("status")]
+    sizes = [len(FAMILY_TEMPLATE)] * n_families
     label = _case_label(n_families, beta)
     seed_label = f"{master_seed}-{case_index}-{replicate_index}"
     rows = []
     for i, scenario in enumerate(scenarios):
         families = (
             simulated if i == 0
-            else apply_scenario_mask(simulated, truth, scenario, mask_root)
+            else _mask_families(simulated, scenario, states, statuses, sizes, mask_root)
         )
         rows.append(
             _run_replicate(families, scenario, config, label, replicate_index, seed_label)
@@ -497,10 +552,12 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
         raise ValueError("need at least one scenario")
     cases = [(_family_count(n_families), beta) for n_families, beta in cases]
     for n_families, beta in cases:
-        if n_families < 1 or not math.isfinite(beta):
-            raise ValueError(
-                f"bad case {n_families}:{beta}; need at least one family and a finite beta"
-            )
+        try:
+            if n_families < 1:
+                raise ValueError("need at least one family")
+            _check_beta(beta)
+        except ValueError as err:
+            raise ValueError(f"bad case {n_families}:{beta}; {err}") from None
     units = []
     for case_index, (n_families, beta) in enumerate(cases):
         for replicate_index in range(replicates):

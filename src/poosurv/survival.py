@@ -147,9 +147,10 @@ class CoxProblem:
     Each record has a time, a status and covariates ``z`` (one row of the
     ``(n, k)`` array, ``k`` possibly 0). The weights of every call are a
     ``(2, n)`` table: row 0 holds each record's paternal-origin weight,
-    row 1 its maternal-origin weight. Construction sorts the times once,
-    numbers the event blocks (the distinct event times) and gives every
-    record its segment of the origin-split risk sums.
+    row 1 its maternal-origin weight. Construction refuses a non-finite
+    time or covariate and a status other than 0 or 1 with ``ValueError``,
+    sorts the times once, numbers the event blocks (the distinct event
+    times) and gives every record its segment of the origin-split risk sums.
 
     A new table is validated (a negative or non-finite weight raises
     ``ValueError``) and prepared once: a private copy, each event block's
@@ -174,6 +175,10 @@ class CoxProblem:
             raise ValueError("time, status, covariates have mismatched lengths")
         if not np.all((status == 0) | (status == 1)):
             raise ValueError("status must be 0 (censored) or 1 (event)")
+        if not np.isfinite(time).all():
+            raise ValueError("times must be finite")
+        if not np.isfinite(Z).all():
+            raise ValueError("covariates must be finite")
         self.n = n
         self.p = p = 1 + k
         # Event blocks are numbered from the latest time. A record is at risk

@@ -177,6 +177,19 @@ class TestSimulateCommand:
         assert "beta must be finite" in result.output
         assert not (out / "pedigree.ped").exists()
 
+    @pytest.mark.parametrize("beta", ["710", "800", "-746", "-800"])
+    def test_extreme_beta_is_validation_error(self, runner, tmp_path, beta):
+        # exp(beta) overflows, or underflows to 0: refused before any draw
+        out = tmp_path / "sim"
+        result = runner.invoke(
+            main,
+            ["simulate", "--families", "4", "--beta", beta, "--scenario", "S0",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert f"beta {float(beta)} is out of range" in result.output
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
@@ -546,7 +559,7 @@ class TestReplicateCommand:
             assert len(list(csv.DictReader(handle))) == 1
         assert (tmp_path / "nodir" / "study.csv.config.json").exists()
 
-    @pytest.mark.parametrize("case", ["10:nan", "10:inf", "0:-0.6"])
+    @pytest.mark.parametrize("case", ["10:nan", "10:inf", "0:-0.6", "20:-800", "20:800"])
     def test_invalid_case_is_validation_error(self, runner, tmp_path, case):
         # checked before any unit runs: no row is written for the valid case
         out = tmp_path / "study.csv"

@@ -608,6 +608,46 @@ class TestWeightTables:
             assert table.tobytes() == expected.tobytes()
 
 
+class TestRunConstants:
+    """What a run fixes before its first iteration: the random start, in
+    draw order, and the places of the test ages on the jump grid."""
+
+    def test_permuted_draw_starts_in_draw_order(self):
+        # every family drawn once, in another order: the fit of the permuted
+        # list is the oracle, and the record-order start gives another fit
+        fams, _ = simulate_families(40, beta=-0.6, q=0.2, scenario="S1", seed=81)
+        config = EMConfig(q=0.2, seed=5)
+        draws = np.random.default_rng(81).permutation(len(fams))
+        assert (np.bincount(draws) == 1).all()
+        result = em._em(_Model(fams, config), config, draws)
+        permuted = em_fit([fams[i] for i in draws], config)
+        np.testing.assert_allclose(result.beta_hat, permuted.beta_hat, rtol=0, atol=1e-10)
+        record_order = em_fit(fams, config)
+        assert abs(result.beta_hat - record_order.beta_hat) > 1e-6
+
+    def test_em_fit_start_is_the_identity_draws(self):
+        # em_fit's draws=None starts from the uniform table itself; the
+        # identity draw sums that table into zeros, which changes no bit
+        fams, _ = simulate_families(30, beta=-0.6, q=0.2, scenario="S1", seed=83)
+        config = EMConfig(q=0.2, seed=6)
+        model = _Model(fams, config)
+        fit = em._em(model, config, None)
+        drawn = em._em(model, config, np.arange(len(fams)))
+        assert fit.trace.iterations == drawn.trace.iterations
+        assert fit.marginals.tobytes() == drawn.marginals.tobytes()
+
+    @pytest.mark.parametrize("drawn", ["once each", "bootstrap"])
+    def test_survival_is_the_baselines_at_the_test_ages(self, drawn):
+        fams, _ = simulate_families(30, beta=-0.6, q=0.2, scenario="S1", seed=82)
+        config = EMConfig(q=0.2, seed=7, test_ages=(10.0, 25.0, 47.5, 60.0, 95.0))
+        draws = (np.arange(len(fams)) if drawn == "once each"
+                 else np.random.default_rng(82).integers(0, len(fams), size=len(fams)))
+        result = em._em(_Model(fams, config), config, draws)
+        last = np.array(result.trace.iterations[-1].survival)
+        expected = np.exp(-result.baseline.cumulative(config.test_ages))
+        assert last.tobytes() == expected.tobytes()
+
+
 class TestBootstrap:
     """Replicates are family counts on the fit's own compiled model."""
 

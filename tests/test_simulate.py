@@ -1,5 +1,6 @@
 """Simulator tests: hazard sampling, Mendelian genotypes, scenario masks."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -17,6 +18,7 @@ from poosurv import (
     Pedigree,
     PedigreeError,
     Scenario,
+    TruthRecord,
     apply_scenario_mask,
     em_fit,
     format_ped,
@@ -226,6 +228,11 @@ class TestEventTimes:
         _, p = stats.kstest(censor, "uniform", args=(15.0, 65.0))
         assert p > 0.01
 
+    def test_censoring_ages_lie_in_the_half_open_window(self, big_truth):
+        # 15 + 65 * U with U in [0, 1) never reaches 80
+        censor = np.array([t.censor_time for t in big_truth])
+        assert ((censor >= 15.0) & (censor < 80.0)).all()
+
     def test_observed_age_is_min_and_status_indicator(self):
         families, truth = simulate_families(30, beta=-0.6, q=0.2, scenario="S0", seed=15)
         lookup = {(t.family_id, t.individual_id): t for t in truth}
@@ -234,6 +241,22 @@ class TestEventTimes:
                 t = lookup[(fam.family_id, rec.individual_id)]
                 assert rec.age == pytest.approx(min(t.event_time, t.censor_time))
                 assert rec.status == int(t.event_time <= t.censor_time)
+
+
+class TestTruthRecords:
+    def test_simulated_records_are_dataclass_records(self):
+        _, truth = simulate_families(4, beta=-0.6, q=0.2, scenario="S0", seed=16)
+        for record in truth:
+            built = TruthRecord(
+                record.family_id, record.individual_id, record.genotype, record.poo,
+                record.event_time, record.censor_time,
+            )
+            assert type(record) is TruthRecord
+            assert record == built and hash(record) == hash(built)
+            assert repr(record) == repr(built) and vars(record) == vars(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.poo = "pat"
+        assert len(set(truth)) == len(truth)
 
 
 class TestScenarioLookup:
@@ -561,6 +584,41 @@ class TestReplicateStudy:
         # one simulation of each family per (case, replicate) unit
         assert len(calls) == (3 + 2) * 2
 
+    @pytest.mark.parametrize("order", [
+        ("S0", "S1", "S2", "Oracle"),
+        ("Oracle", "S2", "S1", "S0"),
+        ("S1", "Oracle", "S0", "S2"),
+    ])
+    def test_units_mask_as_apply_scenario_mask(self, monkeypatch, order):
+        # a unit masks from its own simulation's columns; the truth lookup
+        # of apply_scenario_mask on the same simulation is the reference
+        simulated, fitted = [], []
+        original_simulate = simulate.simulate_families
+
+        def recorded_simulate(*args, **kwargs):
+            simulated.append(original_simulate(*args, **kwargs))
+            return simulated[-1]
+
+        def recorded_fit(families, scenario, *args):
+            fitted.append((families, scenario))
+            return None
+
+        monkeypatch.setattr(simulate, "simulate_families", recorded_simulate)
+        monkeypatch.setattr(simulate, "_run_replicate", recorded_fit)
+        replicate_study([(12, -0.6), (5, -1.2)], order, replicates=2, seed=34)
+        assert len(simulated) == 4 and len(fitted) == 4 * len(order)
+        for unit, (families, truth) in enumerate(simulated):
+            entropy = (34, unit // 2, unit % 2)
+            _, mask_root = simulate._seed_roots(entropy)
+            for masked, scenario in fitted[unit * len(order):(unit + 1) * len(order)]:
+                expected = apply_scenario_mask(families, truth, scenario, mask_root)
+                assert len(masked) == len(expected) == len(families)
+                for got, want, fam in zip(masked, expected, families):
+                    assert got.column("gene_test") == want.column("gene_test")
+                    assert got.column("genotype_pin") == want.column("genotype_pin")
+                    assert (got is fam) == (want is fam)
+                    assert got.structure_key() is fam.structure_key()
+
     def test_failures_recorded_not_raised(self):
         # a single tiny family often has no informative events: the M-step
         # rank check fails and the row must carry the reason
@@ -574,3 +632,26 @@ class TestReplicateStudy:
             assert math.isnan(r.beta_hat)
             assert not r.converged
         assert all(math.isfinite(r.beta_hat) for r in rows if not r.error)
+
+
+class TestOriginEffectRange:
+    """exp(beta) scales the paternal hazard: a beta whose exponential
+    overflows or underflows to 0 is refused before anything is drawn."""
+
+    @pytest.mark.parametrize("beta", [710.0, 800.0, -746.0, -800.0])
+    def test_simulation_refuses_it(self, beta):
+        with pytest.raises(ValueError, match=f"beta {beta} is out of range"):
+            simulate_families(3, beta, 0.2)
+
+    @pytest.mark.parametrize("beta", [709.0, -745.0])
+    def test_representable_scales_are_simulated(self, beta):
+        families, truth = simulate_families(3, beta, 0.2, seed=35)
+        assert len(families) == 3 and len(truth) == 30
+
+    @pytest.mark.parametrize("beta", [800.0, -800.0])
+    def test_study_refuses_it_before_any_unit(self, monkeypatch, beta):
+        units = []
+        monkeypatch.setattr(simulate, "_run_unit", units.append)
+        with pytest.raises(ValueError, match=f"bad case 20:{beta}; beta {beta} is out of range"):
+            replicate_study([(6, -0.6), (20, beta)], ["S1"], replicates=1)
+        assert units == []

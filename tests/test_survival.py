@@ -497,6 +497,18 @@ class TestReuseAndContract:
         with pytest.raises(ValueError, match="status"):
             CoxProblem([1.0, 2.0], [2, 0], np.empty((2, 0)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_are_refused(self, bad):
+        # a NaN time would otherwise be fitted as if it were an age
+        with pytest.raises(ValueError, match="times must be finite"):
+            CoxProblem([1.0, bad, 3.0], [1, 0, 1], np.empty((3, 0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariates_are_refused(self, bad):
+        # a NaN covariate would otherwise end in ConvergenceError
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            CoxProblem([1.0, 2.0, 3.0], [1, 0, 1], [[0.5], [bad], [-0.5]])
+
     def test_weights_of_the_wrong_length_are_refused(self):
         problem = CoxProblem([1.0, 2.0], [1, 1], np.empty((2, 0)))
         for shape in [(2, 3), (4,), (1, 2), (2, 2, 1)]:
