@@ -17,20 +17,21 @@ A :class:`Pedigree` stores its members in columns, one tuple per
 :class:`IndividualRecord` field, plus the parent positions of its
 :meth:`~Pedigree.structure_key`. ``IndividualRecord`` stays the public row
 type: :attr:`Pedigree.individuals` and iteration build the records on first
-access and keep them. :func:`parse_ped` and :func:`simulate.simulate_families`
-check a cohort's columns all at once with numpy and build no record; when a
-check of a file fails, :func:`parse_ped` parses it again row by row, which
-names the first bad row, its family and its line.
+access and keep them. One function checks every cohort: :func:`parse_ped`,
+:func:`simulate.simulate_families` and ``Pedigree(records)`` turn their rows
+into columns, which are checked all at once with numpy, and the first
+failed check names its row, family and line. No record is built per row.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -126,6 +127,11 @@ class IndividualRecord:
                 "founders must have neither",
                 family_id=self.family_id,
             )
+        if self.sex not in (Sex.MALE, Sex.FEMALE):
+            raise PedigreeError(
+                f"individual {self.individual_id} has invalid sex {self.sex}",
+                family_id=self.family_id,
+            )
         if not (math.isfinite(self.age) and self.age >= 0):
             raise PedigreeError(
                 f"individual {self.individual_id} has invalid age {self.age}",
@@ -187,13 +193,14 @@ def _record(family_id, values):
 class Pedigree:
     """One family: its members' columns with resolved parent links.
 
-    Construction from records validates structural invariants (parents
-    resolve within the family, referenced fathers are male and mothers
-    female, the parent graph is acyclic, covariate vectors have uniform
-    length) and raises :class:`PedigreeError` on the first violation. The
-    members are stored as columns (see :meth:`column`); :attr:`individuals`
-    builds their records on first access and keeps them. Instances are
-    immutable and safe to share across threads.
+    Construction from records checks them as :func:`parse_ped` checks a
+    file, and also that they all belong to the first record's family and
+    carry one covariate count; the first violation raises
+    :class:`PedigreeError`, with the line that ``lines`` (a map from
+    individual ids to line numbers) gives. The members are stored as
+    columns (see :meth:`column`); :attr:`individuals` builds their records
+    on first access and keeps them. Instances are immutable and safe to
+    share across threads.
     """
 
     def __init__(self, records, lines=None):
@@ -201,18 +208,31 @@ class Pedigree:
         if not records:
             raise PedigreeError("family has no members")
         lines = dict(lines or {})
-        family_id = records[0].family_id
-        _refuse_members(records, family_id, lines)
-        columns = tuple(zip(*map(_ROW, records)))[1:]
-        ids, sexes = columns[0], columns[_COLUMN["sex"]]
-        positions = dict(zip(ids, range(len(ids))))
-        key = []
-        for rec in records:
-            if not rec.is_founder:
-                _refuse_parents(rec, positions, sexes, lines)
-            key.append((positions.get(rec.father_id, -1), positions.get(rec.mother_id, -1)))
-        _check_acyclic(family_id, ids, key, lines)
-        self._set(family_id, columns, tuple(key), positions, records)
+        owners, *columns = zip(*map(_ROW, records))
+        family_id, ids, covariates = owners[0], columns[0], columns[_COLUMN["covariates"]]
+        # member faults come first, in member order: a record of another
+        # family or a duplicate id (which _check names), then a covariate
+        # count unlike the first record's
+        seen = set()
+        for owner, ident in zip(owners, ids):
+            if owner != family_id:
+                reason = f"record {ident} belongs to family {owner}, not {family_id}"
+                raise PedigreeError(reason, family_id, lines.get(ident))
+            if ident in seen:
+                break
+            seen.add(ident)
+        else:
+            arity = len(covariates[0])
+            for ident, cov in zip(ids, covariates):
+                if len(cov) != arity:
+                    reason = f"individual {ident} has {len(cov)} covariates, expected {arity}"
+                    raise PedigreeError(reason, family_id, lines.get(ident))
+        father, mother = _check(
+            [family_id], np.zeros(len(ids), np.intp), columns[:9],
+            lambda rows: [lines.get(ids[row]) for row in rows],
+        )
+        key = tuple(zip(father.tolist(), mother.tolist()))
+        self._set(family_id, tuple(columns), key, None, records)
 
     @classmethod
     def _of_columns(cls, family_id, columns, key, positions=None):
@@ -329,169 +349,6 @@ class Pedigree:
         return self._key
 
 
-def _refuse_members(records, family_id, lines):
-    """Raise for the first record of another family, duplicate id or
-    covariate count unlike the first record's."""
-    seen = set()
-    for rec in records:
-        if rec.family_id != family_id:
-            raise PedigreeError(
-                f"record {rec.individual_id} belongs to family "
-                f"{rec.family_id}, not {family_id}",
-                family_id=family_id,
-                line=lines.get(rec.individual_id),
-            )
-        if rec.individual_id in seen:
-            raise PedigreeError(
-                f"duplicate individual id {rec.individual_id}",
-                family_id=family_id,
-                line=lines.get(rec.individual_id),
-            )
-        seen.add(rec.individual_id)
-    arity = len(records[0].covariates)
-    for rec in records:
-        if len(rec.covariates) != arity:
-            raise PedigreeError(
-                f"individual {rec.individual_id} has {len(rec.covariates)} "
-                f"covariates, expected {arity}",
-                family_id=family_id,
-                line=lines.get(rec.individual_id),
-            )
-
-
-def _refuse_parents(rec, positions, sexes, lines):
-    """Raise for the first of ``rec``'s parents that is unknown or of the wrong sex."""
-    for parent_id, want_sex, label in (
-        (rec.father_id, Sex.MALE, "father"),
-        (rec.mother_id, Sex.FEMALE, "mother"),
-    ):
-        if parent_id not in positions:
-            raise PedigreeError(
-                f"individual {rec.individual_id} references unknown "
-                f"{label} {parent_id}",
-                family_id=rec.family_id,
-                line=lines.get(rec.individual_id),
-            )
-        if sexes[positions[parent_id]] != want_sex:
-            raise PedigreeError(
-                f"{label} {parent_id} of {rec.individual_id} is not "
-                f"{'male' if want_sex == Sex.MALE else 'female'}",
-                family_id=rec.family_id,
-                line=lines.get(rec.individual_id),
-            )
-
-
-def _check_acyclic(family_id, ids, key, lines):
-    # Kahn's algorithm over parent -> child edges: a member whose parents
-    # are never both reached sits on or below a cycle.
-    children = [[] for _ in key]
-    pending = [0] * len(key)
-    for i, (father, mother) in enumerate(key):
-        if father >= 0:
-            pending[i] = 2
-            children[father].append(i)
-            children[mother].append(i)
-    ready = [i for i, n in enumerate(pending) if n == 0]
-    while ready:
-        for child in children[ready.pop()]:
-            pending[child] -= 1
-            if pending[child] == 0:
-                ready.append(child)
-    stuck = [ids[i] for i, n in enumerate(pending) if n > 0]
-    if stuck:
-        raise PedigreeError(
-            f"cycle in parent graph involving {', '.join(sorted(stuck))}",
-            family_id=family_id,
-            line=min((lines[i] for i in stuck if i in lines), default=None),
-        )
-
-
-def _parse_row(fields, lineno, n_cov):
-    if len(fields) != 9 + n_cov:
-        raise PedigreeError(
-            f"expected {9 + n_cov} columns, found {len(fields)}", line=lineno
-        )
-    family_id, individual_id, father, mother = fields[:4]
-
-    def bad(what, value):
-        return PedigreeError(
-            f"invalid {what} {value!r} for individual {individual_id}",
-            family_id=family_id,
-            line=lineno,
-        )
-
-    def coded(what, token):
-        try:
-            return TOKENS[what][token]
-        except KeyError:
-            raise bad(what, token) from None
-
-    sex = coded("sex", fields[4])
-    try:
-        age = float(fields[5])
-    except ValueError:
-        raise bad("age", fields[5]) from None
-    status = coded("status", fields[6])
-    gene_test = coded("gene_test", fields[7])
-    proband = coded("proband", fields[8])
-    try:
-        covariates = tuple(float(v) for v in fields[9:])
-    except ValueError:
-        raise bad("covariate", " ".join(fields[9:])) from None
-
-    try:
-        record = IndividualRecord(
-            family_id=family_id,
-            individual_id=individual_id,
-            father_id=None if father == "0" else father,
-            mother_id=None if mother == "0" else mother,
-            sex=sex,
-            age=age,
-            status=status,
-            gene_test=gene_test,
-            proband=proband,
-            covariates=covariates,
-        )
-    except PedigreeError as err:
-        raise PedigreeError(err.reason, family_id=family_id, line=lineno) from None
-    return record
-
-
-def _parse_rows(lines) -> list[Pedigree]:
-    """Parse ``lines`` one checked record per row, then one :class:`Pedigree`
-    per family; the first bad row or link raises, naming family and line."""
-    declared_cov: int | None = None
-    n_cov: int | None = None
-    families: dict[str, list[IndividualRecord]] = {}
-    line_of: dict[str, dict[str, int]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            m = _COVARIATE_HEADER.match(stripped)
-            if m:
-                declared_cov = int(m.group(1))
-                if n_cov is not None and n_cov != declared_cov:
-                    raise PedigreeError(
-                        f"covariate header declares {declared_cov} but rows "
-                        f"have {n_cov}",
-                        line=lineno,
-                    )
-                n_cov = declared_cov
-            continue
-        fields = stripped.split()
-        if n_cov is None:
-            n_cov = max(len(fields) - 9, 0)
-        record = _parse_row(fields, lineno, n_cov)
-        families.setdefault(record.family_id, []).append(record)
-        line_of.setdefault(record.family_id, {})[record.individual_id] = lineno
-
-    return [
-        Pedigree(records, lines=line_of[fam]) for fam, records in families.items()
-    ]
-
-
 #: Rows the column parse converts at a time, which bounds the token strings
 #: alive at once.
 _BLOCK_ROWS = 1024
@@ -500,113 +357,231 @@ _BLOCK_ROWS = 1024
 #: else the token itself.
 _NO_PARENT = {"0": None}
 
+#: The PED fields after the four ids, in field order, with the function
+#: that converts a field's token (the covariates' tokens joined by spaces).
+_CONVERTERS = (
+    ("sex", TOKENS["sex"].__getitem__),
+    ("age", float),
+    ("status", TOKENS["status"].__getitem__),
+    ("gene_test", TOKENS["gene_test"].__getitem__),
+    ("proband", TOKENS["proband"].__getitem__),
+    ("covariate", lambda text: [*map(float, text.split())]),
+)
 
-class _Refused(Exception):
-    """A check of the column parse failed; the row parse names the error."""
+
+def _bad_token(tokens):
+    """The first field of a data row whose token does not convert, and that
+    token; ``None`` when all convert."""
+    for (what, convert), token in zip(_CONVERTERS, [*tokens[4:9], " ".join(tokens[9:])]):
+        try:
+            convert(token)
+        except (KeyError, ValueError):
+            return what, token
+
+
+def _data_lines(lines):
+    """A function from data-row indices of ``lines`` to their line numbers.
+    It scans ``lines`` when called, which is only to name a fault."""
+
+    def lines_of(rows):
+        numbers = [n for n, raw in enumerate(lines, start=1) if raw.lstrip()[:1] not in ("", "#")]
+        return [numbers[row] for row in rows]
+
+    return lines_of
 
 
 def _read_columns(lines):
-    """The family ids of ``lines`` in order of first appearance, each row's
-    index into them, and the nine PED columns, each token converted as the
-    row parse converts it; :class:`_Refused` for a row it cannot convert."""
+    """The family ids of ``lines`` in order of first appearance, each data
+    row's index into them, and the nine PED columns, each token converted
+    as :class:`IndividualRecord` holds it.
+
+    A row with the wrong column count, a covariate header unlike the rows,
+    or a token outside :data:`TOKENS` or not a float raises
+    :class:`PedigreeError`, unless a record of an earlier row fails
+    :func:`_refuse_records` first: faults are named in line order.
+    """
     n_cov = None
     block = []
     family_code = {}  # family id -> number, in order of first appearance
-    family_of, ids, fathers, mothers, sexes, ages = [], [], [], [], [], []
-    statuses, tests, probands, covariates = [], [], [], []
+    family_of, columns = [], [[] for _ in range(9)]
+    ids, fathers, mothers, *_, covariates = columns
+    lines_of = _data_lines(lines)
 
-    def convert():
-        family, ident, father, mother, sex, age, status, test, proband, *cov = zip(*block)
+    def convert(rows):
+        if not rows:
+            return
+        family, ident, father, mother, *coded = zip(*rows)
         for family_id in dict.fromkeys(family):
             family_code.setdefault(family_id, len(family_code))
         family_of.extend(map(family_code.__getitem__, family))
         ids.extend(ident)
         fathers.extend(map(_NO_PARENT.get, father, father))
         mothers.extend(map(_NO_PARENT.get, mother, mother))
-        sexes.extend(map(TOKENS["sex"].__getitem__, sex))
-        ages.extend(map(float, age))
-        statuses.extend(map(TOKENS["status"].__getitem__, status))
-        tests.extend(map(TOKENS["gene_test"].__getitem__, test))
-        probands.extend(map(TOKENS["proband"].__getitem__, proband))
-        covariates.extend(zip(*(map(float, values) for values in cov)) if cov
-                          else repeat((), len(block)))
-        block.clear()
+        for column, (_, parse), tokens in zip(columns[3:8], _CONVERTERS, coded):
+            column.extend(map(parse, tokens))
+        covariates.extend(zip(*(map(float, values) for values in coded[5:])) if n_cov
+                          else repeat((), len(rows)))
 
-    try:
-        for raw in lines:
-            tokens = raw.split()
-            if not tokens:
-                continue
-            if tokens[0][0] == "#":
-                header = _COVARIATE_HEADER.match(raw.strip())
-                if header:
-                    declared = int(header.group(1))
-                    if n_cov not in (None, declared):
-                        raise _Refused("covariate header unlike the rows")
-                    n_cov = declared
-                continue
-            if n_cov is None:
-                n_cov = max(len(tokens) - 9, 0)
-            if len(tokens) != 9 + n_cov:
-                raise _Refused("column count")
-            block.append(tokens)
-            if len(block) == _BLOCK_ROWS:
-                convert()
-        if block:
-            convert()
-    except (KeyError, ValueError):
-        raise _Refused("a token outside TOKENS or not a float") from None
-    columns = [ids, fathers, mothers, sexes, ages, statuses, tests, probands, covariates]
+    def read(fault=None):
+        """Convert the rows of ``block``, then raise the first fault of the
+        rows read so far, else ``fault`` when one is given."""
+        done = len(ids)
+        try:
+            convert(block)
+        except (KeyError, ValueError):
+            for column in (family_of, *columns):
+                del column[done:]
+            row, (what, token) = next(
+                (row, bad) for row, tokens in enumerate(block) if (bad := _bad_token(tokens))
+            )
+            convert(block[:row])
+            fault = PedigreeError(
+                f"invalid {what} {token!r} for individual {block[row][1]}",
+                block[row][0], lines_of([done + row])[0],
+            )
+        block.clear()
+        if fault is not None:
+            _refuse_records(list(family_code), family_of, columns, lines_of)
+            raise fault
+
+    for raw in lines:
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if tokens[0][0] == "#":
+            header = _COVARIATE_HEADER.match(raw.strip())
+            if header:
+                declared = int(header.group(1))
+                if n_cov not in (None, declared):
+                    # an earlier line like this one would have declared n_cov
+                    read(PedigreeError(
+                        f"covariate header declares {declared} but rows have {n_cov}",
+                        line=lines.index(raw) + 1,
+                    ))
+                n_cov = declared
+            continue
+        if n_cov is None:
+            n_cov = max(len(tokens) - 9, 0)
+        if len(tokens) != 9 + n_cov:
+            read(PedigreeError(
+                f"expected {9 + n_cov} columns, found {len(tokens)}",
+                line=lines_of([len(ids) + len(block)])[0],
+            ))
+        block.append(tokens)
+        if len(block) == _BLOCK_ROWS:
+            read()
+    read()
     return list(family_code), family_of, columns
 
 
-def _families(family_ids, family_of, columns, pins=None):
-    """One :class:`Pedigree` per entry of ``family_ids`` from a cohort's nine
-    PED columns and each row's index into ``family_ids``; :class:`_Refused`
-    when a check the row parse makes fails, all rows checked at once.
-    ``pins``, when given, is a ``genotype_pin`` column of checked values in
-    row order; without it no member is pinned."""
+def _refuse_records(family_ids, family_of, columns, lines_of):
+    """Raise for the first row whose record :class:`IndividualRecord`
+    refuses, all rows checked at once: one parent, an age that is not
+    finite and non-negative, or a non-finite covariate (a converted token
+    holds a valid sex, status and gene test). Return which rows have
+    parents."""
     ids, fathers, mothers, sexes, ages, *_, covariates = columns
-    if pins is not None:
-        columns = [*columns, pins]
     n = len(ids)
-    if not n:
-        return []
-    age = np.array(ages)
-    if not ((age >= 0) & (age < math.inf)).all():  # NaN fails both
-        raise _Refused("an age not finite and non-negative")
-    if covariates[0] and not np.isfinite(np.array(covariates)).all():
-        raise _Refused("a non-finite covariate")
+    child = np.fromiter(map(operator.is_not, fathers, repeat(None)), bool, n)
+    age = np.array(ages, dtype=float)
+    bad = child != np.fromiter(map(operator.is_not, mothers, repeat(None)), bool, n)
+    bad |= ~((age >= 0) & (age < math.inf))  # NaN fails both
+    if n and covariates[0] and not np.isfinite([*chain.from_iterable(covariates)]).all():
+        bad |= [not all(map(math.isfinite, cov)) for cov in covariates]
+    if bad.any():
+        row = int(bad.argmax())
+        try:
+            IndividualRecord(family_ids[family_of[row]], *(column[row] for column in columns))
+        except PedigreeError as err:
+            raise PedigreeError(err.reason, err.family_id, lines_of([row])[0]) from None
+    return child
+
+
+def _check(family_ids, family_of, columns, lines_of):
+    """Each row's father and mother rows, -1 for a founder, once a cohort's
+    nine PED columns pass every check, all rows at once.
+
+    ``family_of`` is each row's index into ``family_ids``, as an array, and
+    ``lines_of`` maps a list of rows to their lines (``None`` for no line).
+    The first fault raises :class:`PedigreeError`, named as a file is read:
+    first the records, in row order (:func:`_refuse_records`); then family
+    by family, in the order of ``family_ids``, a duplicate id, then each
+    child's parents in member order (an unknown father, the father's sex,
+    an unknown mother, the mother's sex), then a cycle.
+    """
+    child = _refuse_records(family_ids, family_of, columns, lines_of)
+    ids, fathers, mothers, sexes = columns[:4]
+    n = len(ids)
     # members by (family, id) number, for the rows of parents
     id_code = {ident: i for i, ident in enumerate(dict.fromkeys(ids))}
-    family_of = np.asarray(family_of, dtype=np.intp)
     member = family_of * len(id_code) + np.fromiter(map(id_code.__getitem__, ids), np.intp, n)
     by_member = np.argsort(member, kind="stable")
-    member = member[by_member]
-    if (member[1:] == member[:-1]).any():
-        raise _Refused("a duplicate id")
+    ordered = member[by_member]
+    repeated = ordered[1:] == ordered[:-1]
 
     def rows_of(parents):
         code = np.fromiter(map(id_code.get, parents, repeat(-1)), np.intp, n)
         wanted = family_of * len(id_code) + code
-        at = np.minimum(np.searchsorted(member, wanted), n - 1)
-        return np.where((code >= 0) & (member[at] == wanted), by_member[at], -1)
+        at = np.minimum(np.searchsorted(ordered, wanted), n - 1)
+        return np.where((code >= 0) & (ordered[at] == wanted), by_member[at], -1)
 
-    child = np.fromiter(map(operator.is_not, fathers, repeat(None)), bool, n)
-    if (child != np.fromiter(map(operator.is_not, mothers, repeat(None)), bool, n)).any():
-        raise _Refused("one parent")
     father, mother = rows_of(fathers), rows_of(mothers)
-    if (father[child] < 0).any() or (mother[child] < 0).any():
-        raise _Refused("an unknown parent")
     sex = np.fromiter(sexes, np.int8, n)
-    if (sex[father[child]] != Sex.MALE).any() or (sex[mother[child]] != Sex.FEMALE).any():
-        raise _Refused("a parent of the wrong sex")
+    misplaced = child & (
+        (father < 0) | (sex[father] != Sex.MALE) | (mother < 0) | (sex[mother] != Sex.FEMALE)
+    )
     placed = ~child  # the founders, then each generation whose parents are placed
     while not placed.all():
         grown = placed | (placed[father] & placed[mother])
         if (grown == placed).all():  # the members on and below a cycle
-            raise _Refused("a cycle")
+            break
         placed = grown
+    if not (repeated.any() or misplaced.any() or not placed.all()):
+        return father, mother
+
+    duplicate = np.zeros(n, bool)
+    duplicate[by_member[1:][repeated]] = True
+    family = family_of[duplicate | misplaced | ~placed].min()
+    ours = family_of == family
+
+    def fault(reason, rows):
+        line = min((line for line in lines_of(rows) if line is not None), default=None)
+        return PedigreeError(reason, family_ids[family], line)
+
+    if (ours & duplicate).any():
+        row = int((ours & duplicate).argmax())
+        # the line of the id's last row, as a map from ids to lines keeps it
+        last = by_member[np.searchsorted(ordered, member[row], side="right") - 1]
+        raise fault(f"duplicate individual id {ids[row]}", [last])
+    if (ours & misplaced).any():
+        row = int((ours & misplaced).argmax())
+        for label, parent, parent_id, want in (
+            ("father", father[row], fathers[row], Sex.MALE),
+            ("mother", mother[row], mothers[row], Sex.FEMALE),
+        ):
+            if parent < 0:
+                raise fault(f"individual {ids[row]} references unknown {label} {parent_id}", [row])
+            if sex[parent] != want:
+                raise fault(f"{label} {parent_id} of {ids[row]} is not {want.name.lower()}", [row])
+    rows = np.flatnonzero(ours & ~placed).tolist()
+    stuck = ", ".join(sorted(ids[row] for row in rows))
+    raise fault(f"cycle in parent graph involving {stuck}", rows)
+
+
+def _families(family_ids, family_of, columns, pins=None, lines_of=lambda rows: [None] * len(rows)):
+    """One :class:`Pedigree` per entry of ``family_ids`` from a cohort's nine
+    PED columns and each row's index into ``family_ids``, checked by
+    :func:`_check`, whose errors name a line only by ``lines_of``.
+    ``pins``, when given, is a ``genotype_pin`` column of checked values in
+    row order; without it no member is pinned."""
+    if pins is not None:
+        columns = [*columns, pins]
+    n = len(columns[0])
+    if not n:
+        return []
+    family_of = np.asarray(family_of, dtype=np.intp)
+    father, mother = _check(family_ids, family_of, columns[:9], lines_of)
+    child = father >= 0
 
     # families in order of first appearance, members in row order
     if (family_of[1:] < family_of[:-1]).any():  # interleaved families
@@ -643,15 +618,12 @@ def parse_ped(source) -> list[Pedigree]:
     in order of first appearance; records keep file order. Malformed rows,
     dangling parent references, sex-inconsistent parents, parent-graph
     cycles, and inconsistent covariate arity all raise
-    :class:`PedigreeError` naming the family, line, and reason. Lines are
-    numbered as iterating the stream numbers them; a string is split at
-    ``"\\n"`` alone.
+    :class:`PedigreeError` naming the family, line, and reason of the first
+    fault (see :func:`_check`). Lines are numbered as iterating the stream
+    numbers them; a string is split at ``"\\n"`` alone.
     """
     lines = source.split("\n") if isinstance(source, str) else list(source)
-    try:
-        return _families(*_read_columns(lines))
-    except _Refused:
-        return _parse_rows(lines)
+    return _families(*_read_columns(lines), lines_of=_data_lines(lines))
 
 
 def _format_float(x: float) -> str:
@@ -661,10 +633,18 @@ def _format_float(x: float) -> str:
 def format_ped(families) -> str:
     """Serialize pedigrees back to the PED phenotype format.
 
-    Re-parsing the output yields field-identical structures.
+    Re-parsing the output yields field-identical structures. The families
+    must have one covariate count, which the file's header declares;
+    ``ValueError`` names the first family with another.
     """
     families = list(families)
     n_cov = families[0].covariate_count if families else 0
+    odd = next((fam for fam in families if fam.covariate_count != n_cov), None)
+    if odd is not None:
+        raise ValueError(
+            f"family {odd.family_id} has {odd.covariate_count} covariates, "
+            f"family {families[0].family_id} {n_cov}; a PED file has one count"
+        )
     out = [f"# covariates: {n_cov}"]
     for fam in families:
         rows = zip(*map(fam.column, (
@@ -692,7 +672,8 @@ def pin_genotypes(families, pins) -> list[Pedigree]:
     """Copies of ``families`` whose records carry ``pins``, a map from
     (family_id, individual_id) to one :class:`genetics.Genotype` state or a
     collection of them; a family that gains no pin comes back as it is. A
-    key naming no record raises :class:`PedigreeError`.
+    key naming no record, or a value that is neither an integer nor a
+    collection of integers, raises :class:`PedigreeError`.
     """
     pending = dict(pins)
     pinned = []
@@ -703,8 +684,15 @@ def pin_genotypes(families, pins) -> list[Pedigree]:
             if states is None:
                 column.append(pin)
             else:
-                states = (states,) if isinstance(states, int) else states
-                column.append(tuple(sorted({int(s) for s in states})))
+                states = (states,) if isinstance(states, numbers.Integral) else states
+                try:
+                    column.append(tuple(sorted(set(map(operator.index, states)))))
+                except TypeError:
+                    raise PedigreeError(
+                        f"individual {individual_id} has invalid genotype pin {states!r}; "
+                        "expected one or more of the states 0, 1, 2, 3",
+                        family_id=fam.family_id,
+                    ) from None
         pinned.append(fam.with_values(genotype_pin=column))
     if pending:
         family_id, individual_id = next(iter(pending))

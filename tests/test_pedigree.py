@@ -1,10 +1,13 @@
 """Parsing, validation, and round-trip tests for the PED phenotype format."""
 
+import functools
 import io
+import random
 import re
 import string
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +20,10 @@ from poosurv import (
     format_ped,
     parse_ped,
     pin_genotypes,
+    simulate_families,
     validate,
 )
-from poosurv.pedigree import _families, _parse_rows, _read_columns, _Refused
+from poosurv.pedigree import _BLOCK_ROWS, TOKENS
 
 SMALL_FILE = """\
 # covariates: 0
@@ -378,9 +382,160 @@ def _typed(families):
     ]
 
 
-def _parse_columns(lines):
-    """The column parse alone: the token reader, then the cohort checks."""
-    return _families(*_read_columns(lines))
+# The row parser that named every parse error before the column checks did,
+# kept as their reference: one checked record per row, then each family's
+# members, parents and parent graph, in Python.
+
+
+def _reference_row(fields, lineno, n_cov):
+    if len(fields) != 9 + n_cov:
+        raise PedigreeError(f"expected {9 + n_cov} columns, found {len(fields)}", line=lineno)
+    family_id, individual_id, father, mother = fields[:4]
+
+    def bad(what, value):
+        return PedigreeError(
+            f"invalid {what} {value!r} for individual {individual_id}",
+            family_id=family_id,
+            line=lineno,
+        )
+
+    def coded(what, token):
+        try:
+            return TOKENS[what][token]
+        except KeyError:
+            raise bad(what, token) from None
+
+    sex = coded("sex", fields[4])
+    try:
+        age = float(fields[5])
+    except ValueError:
+        raise bad("age", fields[5]) from None
+    status = coded("status", fields[6])
+    gene_test = coded("gene_test", fields[7])
+    proband = coded("proband", fields[8])
+    try:
+        covariates = tuple(float(v) for v in fields[9:])
+    except ValueError:
+        raise bad("covariate", " ".join(fields[9:])) from None
+    try:
+        return IndividualRecord(
+            family_id, individual_id, None if father == "0" else father,
+            None if mother == "0" else mother, sex, age, status, gene_test, proband, covariates,
+        )
+    except PedigreeError as err:
+        raise PedigreeError(err.reason, family_id=family_id, line=lineno) from None
+
+
+def _reference_records(lines):
+    """Each family's checked records in file order, and each family's map
+    from ids to lines; the first bad row raises, naming family and line."""
+    n_cov = None
+    families, line_of = {}, {}
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            m = re.match(r"#\s*covariates\s*:\s*(\d+)", stripped)
+            if m:
+                declared = int(m.group(1))
+                if n_cov is not None and n_cov != declared:
+                    raise PedigreeError(
+                        f"covariate header declares {declared} but rows have {n_cov}",
+                        line=lineno,
+                    )
+                n_cov = declared
+            continue
+        fields = stripped.split()
+        if n_cov is None:
+            n_cov = max(len(fields) - 9, 0)
+        record = _reference_row(fields, lineno, n_cov)
+        families.setdefault(record.family_id, []).append(record)
+        line_of.setdefault(record.family_id, {})[record.individual_id] = lineno
+    return families, line_of
+
+
+def _reference_pedigree(records, lines=None):
+    """``Pedigree(records, lines)`` once the records pass the reference's
+    member, parent and cycle checks, in that order."""
+    records = tuple(records)
+    lines = dict(lines or {})
+    family_id = records[0].family_id
+    seen = set()
+    for rec in records:
+        if rec.family_id != family_id:
+            raise PedigreeError(
+                f"record {rec.individual_id} belongs to family {rec.family_id}, not {family_id}",
+                family_id=family_id, line=lines.get(rec.individual_id),
+            )
+        if rec.individual_id in seen:
+            raise PedigreeError(
+                f"duplicate individual id {rec.individual_id}",
+                family_id=family_id, line=lines.get(rec.individual_id),
+            )
+        seen.add(rec.individual_id)
+    arity = len(records[0].covariates)
+    for rec in records:
+        if len(rec.covariates) != arity:
+            raise PedigreeError(
+                f"individual {rec.individual_id} has {len(rec.covariates)} covariates, "
+                f"expected {arity}",
+                family_id=family_id, line=lines.get(rec.individual_id),
+            )
+    sexes = {rec.individual_id: rec.sex for rec in records}
+    for rec in records:
+        if rec.is_founder:
+            continue
+        for parent_id, want, label in (
+            (rec.father_id, Sex.MALE, "father"), (rec.mother_id, Sex.FEMALE, "mother"),
+        ):
+            if parent_id not in sexes:
+                raise PedigreeError(
+                    f"individual {rec.individual_id} references unknown {label} {parent_id}",
+                    family_id=family_id, line=lines.get(rec.individual_id),
+                )
+            if sexes[parent_id] != want:
+                raise PedigreeError(
+                    f"{label} {parent_id} of {rec.individual_id} is not "
+                    f"{'male' if want == Sex.MALE else 'female'}",
+                    family_id=family_id, line=lines.get(rec.individual_id),
+                )
+    # Kahn's algorithm over parent -> child edges: a member whose parents
+    # are never both reached sits on or below a cycle
+    pending = {rec.individual_id: 0 if rec.is_founder else 2 for rec in records}
+    children = {ident: [] for ident in pending}
+    for rec in records:
+        if not rec.is_founder:
+            children[rec.father_id].append(rec.individual_id)
+            children[rec.mother_id].append(rec.individual_id)
+    ready = [ident for ident, count in pending.items() if count == 0]
+    while ready:
+        for child in children[ready.pop()]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                ready.append(child)
+    stuck = [ident for ident, count in pending.items() if count > 0]
+    if stuck:
+        raise PedigreeError(
+            f"cycle in parent graph involving {', '.join(sorted(stuck))}",
+            family_id=family_id,
+            line=min((lines[i] for i in stuck if i in lines), default=None),
+        )
+    return Pedigree(records)
+
+
+def _reference_parse(lines):
+    families, line_of = _reference_records(lines)
+    return [_reference_pedigree(records, line_of[fam]) for fam, records in families.items()]
+
+
+def _outcome(parse, *args):
+    """The typed families ``parse(*args)`` returns, or its error's message,
+    family and line."""
+    try:
+        return _typed(parse(*args))
+    except PedigreeError as err:
+        return str(err), err.family_id, err.line
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -391,7 +546,7 @@ def test_column_parse_equals_row_parse(families, rng):
     header, *rows = format_ped(families).rstrip("\n").split("\n")
     rng.shuffle(rows)
     lines = [header, *rows]
-    assert _typed(_parse_columns(lines)) == _typed(_parse_rows(lines))
+    assert _outcome(parse_ped, lines) == _outcome(_reference_parse, lines)
 
 
 MUTATION_BASE = """\
@@ -448,21 +603,174 @@ def _mutated(edits, append=""):
 ])
 def test_column_parse_refuses_what_the_row_parse_refuses(text):
     lines = text.split("\n")
-    with pytest.raises(_Refused):
-        _parse_columns(lines)
     with pytest.raises(PedigreeError) as rows:
-        _parse_rows(lines)
+        _reference_parse(lines)
     with pytest.raises(PedigreeError) as parsed:
         parse_ped(text)
-    assert (str(parsed.value), parsed.value.line) == (str(rows.value), rows.value.line)
+    assert (str(parsed.value), parsed.value.family_id, parsed.value.line) == (
+        str(rows.value), rows.value.family_id, rows.value.line
+    )
 
 
 def test_column_parse_takes_what_the_row_parse_takes():
     # float() reads "1_0" as 10.0 on both paths
     lines = _mutated([(4, 5, "1_0")]).split("\n")
-    parsed = _parse_columns(lines)
+    parsed = parse_ped(lines)
     assert parsed[1].record("1").age == 10.0
-    assert _typed(parsed) == _typed(_parse_rows(lines))
+    assert _typed(parsed) == _typed(_reference_parse(lines))
+
+
+#: One fault of each kind a file can hold, as edits of MUTATION_BASE and
+#: lines appended to it (see :func:`_mutated`).
+FAULTS = {
+    "column-count": ([(6, 9, None)], ""),
+    "extra-column": ([(4, 9, "0.5 1.0")], ""),
+    "header-mismatch": ([], "# covariates: 2\n"),
+    "sex": ([(3, 4, "3")], ""),
+    "age-token": ([(5, 5, "old")], ""),
+    "status": ([(5, 6, "2")], ""),
+    "gene-test": ([(6, 7, "2")], ""),
+    "proband": ([(7, 8, "x")], ""),
+    "covariate-token": ([(8, 9, "high")], ""),
+    "father-only": ([(5, 3, "0")], ""),
+    "mother-only": ([(7, 2, "0")], ""),
+    "age-nan": ([(4, 5, "nan")], ""),
+    "age-negative": ([(8, 5, "-1")], ""),
+    "age-inf": ([(9, 5, "inf")], ""),
+    "covariate-nan": ([(2, 9, "nan")], ""),
+    "covariate-inf": ([(6, 9, "-inf")], ""),
+    "duplicate-id": ([(6, 1, "1")], ""),
+    "triplicate-id": ([(4, 1, "3"), (6, 1, "3")], ""),
+    "dangling-father": ([(7, 2, "9")], ""),
+    "dangling-mother": ([(8, 3, "9")], ""),
+    "father-sex": ([(5, 2, "2")], ""),
+    "mother-sex": ([(7, 3, "1")], ""),
+    "self-parent": ([(5, 2, "3")], ""),
+    "cycle": ([(2, 2, "3"), (2, 3, "5")], ""),
+}
+
+#: Comment lines that str.splitlines would break: a form feed, a file
+#: separator, a Unicode line separator and a next-line character.
+_BREAKS = ["# page\x0cbreak", "# group\x1cseparator", "# line\u2028separator", "# next\x85line"]
+
+
+def _corpus():
+    """The files of the mutation corpus, by name, each a list of lines."""
+    files = {}
+    for first, (edits, append) in FAULTS.items():
+        files[first] = _mutated(edits, append)
+        for second, (more, extra) in FAULTS.items():
+            if first != second and not {e[:2] for e in edits} & {e[:2] for e in more}:
+                files[f"{first}+{second}"] = _mutated(edits + more, append + extra)
+    corpus = {}
+    for name, text in files.items():
+        lines = text.split("\n")
+        corpus[name] = lines
+        corpus[f"{name} crlf"] = [line + "\r" for line in lines[:-1]] + [""]
+        corpus[f"{name} breaks"] = [lines[0], _BREAKS[0], *lines[1:4], *_BREAKS[1:], *lines[4:]]
+    return corpus
+
+
+def _records_and_lines(lines):
+    """The reference's records and id-to-line maps of each family of a file
+    whose rows pass, or nothing."""
+    try:
+        families, line_of = _reference_records(lines)
+    except PedigreeError:
+        return []
+    return [(records, line_of[family]) for family, records in families.items()]
+
+
+def test_mutation_corpus_names_the_faults_the_row_parse_names():
+    corpus = _corpus()
+    named = set()
+    for name, lines in corpus.items():
+        expected = _outcome(_reference_parse, lines)
+        assert _outcome(parse_ped, lines) == expected, name
+        assert _outcome(parse_ped, "\n".join(lines)) == expected, name
+        named.add(expected[0] if isinstance(expected[0], str) else None)
+    # every file is refused, with more than one message per fault kind
+    assert None not in named and len(named) > 2 * len(FAULTS)
+
+
+def test_mutation_corpus_direct_construction_names_the_reference_faults():
+    # the records of each family whose rows pass, and copies with a record
+    # of the other family or another covariate count at each place
+    calls = 0
+    for name, lines in _corpus().items():
+        families = _records_and_lines(lines)
+        for (records, line_of), (others, _) in zip(families, families[::-1]):
+            stranger = others[-1]
+            variants = [records]
+            for k in range(len(records) + 1):
+                variants.append([*records[:k], stranger, *records[k:]])
+            for k in range(len(records)):
+                odd = replace(records[k], covariates=(1.0, 2.0))
+                variants.append([*records[:k], odd, *records[k + 1:]])
+                variants.append([*records[:k], odd, *records[k + 1:], stranger])
+            partial = dict(list(line_of.items())[::2])
+            for variant in variants:
+                for lines_given in (line_of, partial, None):
+                    expected = _outcome(lambda: [_reference_pedigree(variant, lines_given)])
+                    got = _outcome(lambda: [Pedigree(variant, lines_given)])
+                    assert got == expected, (name, variant, lines_given)
+                    calls += 1
+    assert calls > 10_000
+
+
+@functools.lru_cache
+def _long_file(seed):
+    """A simulated file of 2,500 rows, with probands, as a list of lines."""
+    families, _ = simulate_families(250, -0.6, 0.2, scenario="S1", seed=seed, mark_probands=True)
+    return tuple(format_ped(families).split("\n"))
+
+
+#: Faults of a long file's data rows, as functions of a row's tokens. A
+#: founder's parents name the first member of its family, 1, a father.
+_ROW_FAULTS = {
+    "sex": lambda t: t[:4] + ["0"] + t[5:],
+    "age-token": lambda t: t[:5] + ["?"] + t[6:],
+    "proband": lambda t: t[:8] + ["y"],
+    "column-count": lambda t: t[:8],
+    "age-nan": lambda t: t[:5] + ["nan"] + t[6:],
+    "one-parent": lambda t: t[:2] + (["0", t[3]] if t[2] != "0" else ["1", "0"]) + t[4:],
+    "duplicate-id": lambda t: t[:1] + ["1"] + t[2:],
+    "dangling-mother": lambda t: t[:3] + ["zz"] + t[4:],
+    "mother-sex": lambda t: t[:3] + ["1"] + t[4:],
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("age-nan", "sex"), ("one-parent", "age-token"), ("one-parent", "column-count"),
+    ("sex", "age-nan"), ("duplicate-id", "proband"), ("mother-sex", "dangling-mother"),
+    ("dangling-mother", "duplicate-id"), ("age-nan", "one-parent"),
+])
+def test_long_files_name_the_first_fault_across_blocks(first, second):
+    assert _BLOCK_ROWS < len(_long_file(1)) - 1 < 3 * _BLOCK_ROWS
+    rng = random.Random(f"{first} {second}")
+    for trial in range(12):
+        lines = _long_file(trial % 3 + 1)
+        header, body = [lines[0]], list(lines[1:-1])
+        if trial % 2:  # families interleave
+            rng.shuffle(body)
+        # the first fault in block 1, the second in a later block; every
+        # third trial puts them the other way round, or beside a boundary
+        near = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS]
+        a, b = rng.randrange(1, _BLOCK_ROWS), rng.randrange(_BLOCK_ROWS, len(body))
+        if trial % 3 == 1:
+            a, b = b, a
+        elif trial % 3 == 2:
+            a, b = rng.sample(near, 2)
+        for row, fault in ((a, first), (b, second)):
+            body[row] = " ".join(_ROW_FAULTS[fault](body[row].split()))
+        if trial % 4 == 3:
+            body.insert(rng.randrange(len(body)), "# covariates: 1")
+        lines = header + body + [""]
+        expected = _outcome(_reference_parse, lines)
+        assert isinstance(expected[0], str)
+        assert _outcome(parse_ped, lines) == expected
+        crlf = [line + "\r" for line in lines]
+        assert _outcome(parse_ped, crlf) == _outcome(_reference_parse, crlf)
 
 
 def test_lines_are_numbered_at_newlines_alone(tmp_path):
@@ -486,3 +794,41 @@ def test_lines_are_numbered_at_newlines_alone(tmp_path):
             assert (str(exc.value), exc.value.line) == (message, 5)
     good = text.replace(" 2 -9 0\r\n", " 1 -9 0\r\n")
     assert parse_ped(good) == parse_ped(good.replace("\r\n", "\n"))
+
+
+def test_pin_genotypes_takes_numpy_integers():
+    families = parse_ped(SMALL_FILE)
+    for states, pin in (
+        (np.int64(1), (1,)), (np.array([3, 1]), (1, 3)), ([np.int64(1), np.int64(3)], (1, 3)),
+    ):
+        pinned = pin_genotypes(families, {("F1", "3"): states})
+        assert pinned[0].record("3").genotype_pin == pin
+        assert all(type(state) is int for state in pinned[0].record("3").genotype_pin)
+
+
+@pytest.mark.parametrize("states", [1.0, np.float64(1.0), [1.0, 2.0], "1"],
+                         ids=["float", "numpy-float", "floats", "string"])
+def test_pin_that_is_not_integral_is_refused(states):
+    families = parse_ped(SMALL_FILE)
+    with pytest.raises(PedigreeError) as exc:
+        pin_genotypes(families, {("F1", "3"): states})
+    assert str(exc.value) == (
+        f"family F1: individual 3 has invalid genotype pin {states!r}; "
+        "expected one or more of the states 0, 1, 2, 3"
+    )
+
+
+def test_format_ped_refuses_families_of_different_covariate_counts():
+    # the file's header declares one count, so a family with another would
+    # not parse back
+    families = parse_ped("# covariates: 1\nF1 1 0 0 1 50.0 0 -9 0 0.5\n")
+    families += parse_ped("F2 1 0 0 2 40.0 0 -9 0\n")
+    with pytest.raises(ValueError, match="^family F2 has 0 covariates, family F1 1;"):
+        format_ped(families)
+
+
+@pytest.mark.parametrize("sex", [3, 0, "1"])
+def test_record_refuses_invalid_sex(sex):
+    with pytest.raises(PedigreeError) as exc:
+        Pedigree([IndividualRecord("C", "1", None, None, sex, 50.0, 0)])
+    assert str(exc.value) == f"family C: individual 1 has invalid sex {sex}"
