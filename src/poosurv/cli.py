@@ -117,8 +117,15 @@ def _parse_ages(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+def _open_text(path: str):
+    """``path`` opened for reading with its line endings untranslated, so
+    that lines end at "\\n" alone, as in a parsed string: a lone "\\r"
+    stays inside its line, and a CRLF line ends in "\\r\\n"."""
+    return open(path, "r", encoding="utf-8", newline="\n")
+
+
 def _load_families(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         return parse_ped(handle)
 
 
@@ -188,7 +195,8 @@ def fit(ped, q, epsilon, eta, test_ages, tol, max_iter, seed,
     out_path = _out_path(out)
     families = _load_families(ped)
     if poo_file:
-        families = pin_genotypes(families, parse_truth(Path(poo_file).read_text()))
+        with _open_text(poo_file) as handle:
+            families = pin_genotypes(families, parse_truth(handle.read()))
     corrections = []
     if proband_correction:
         families, corrections = apply_proband_correction(families)

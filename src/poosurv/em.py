@@ -237,8 +237,9 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     # row 0, its maternal-origin weight in row 1; non-carrier mass has none.
     weights = np.stack((start[rows, 0], start[rows, 1]))
     # Later tables come straight from the marginals when every record is
-    # fitted, and are weighed by the counts only when some family is not
-    # drawn once, as in a bootstrap replicate.
+    # fitted. The tables, the log evidence and the jump terms are weighed by
+    # the counts only when some family is not drawn once, as in a bootstrap
+    # replicate: 1 * x is x.
     every_record = rows.size == engine.total
     counts = record_counts[rows] if (family_counts != 1).any() else None
 
@@ -272,20 +273,23 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
                 f"iteration {iteration}: the Breslow jump times are not the "
                 "affected ages; an affected record lost its carrier mass"
             )
-        survival = np.exp(-baseline.cumulative_at(test_positions))
+        # a handful of floats: the change below is cheaper on them than on arrays
+        survival = np.exp(-baseline.cumulative_at(test_positions)).tolist()
 
         marginals, log_evidence_fam = engine.run(
             coefs[0], coefs[1:], baseline.cumulative_at(positions)
         )
         weights = origin_weights(marginals if every_record else marginals.take(rows, axis=0))
+        log_jumps = np.log(baseline.increments[jump_of_event])
         if counts is not None:
             weights *= counts
-        log_evidence = float((family_counts * log_evidence_fam).sum())
-        jumps = baseline.increments[jump_of_event]
-        log_likelihood = log_evidence + float((event_counts * np.log(jumps)).sum())
+            log_evidence_fam = family_counts * log_evidence_fam
+            log_jumps *= event_counts
+        log_evidence = float(log_evidence_fam.sum())
+        log_likelihood = log_evidence + float(log_jumps.sum())
 
         change = (
-            float(np.max(np.abs(survival - prev_survival)))
+            max(abs(now - before) for now, before in zip(survival, prev_survival))
             if prev_survival is not None
             else float("inf")
         )

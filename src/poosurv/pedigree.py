@@ -137,7 +137,7 @@ class IndividualRecord:
                 f"individual {self.individual_id} has invalid age {self.age}",
                 family_id=self.family_id,
             )
-        if self.status not in (0, 1):
+        if not _is_flag(self.status):
             raise PedigreeError(
                 f"individual {self.individual_id} has invalid status {self.status}",
                 family_id=self.family_id,
@@ -156,9 +156,18 @@ class IndividualRecord:
         return self.father_id is None
 
 
+def _is_flag(value):
+    """Whether ``value`` is the integer 0 or 1, a numpy integer included.
+
+    A bool or a float that equals one of them is not: ``format_ped`` would
+    write it as ``True`` or ``1.0``, which ``parse_ped`` refuses.
+    """
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in (0, 1)
+
+
 def _check_value(family_id, individual_id, name, value):
     """Refuse a ``gene_test`` or ``genotype_pin`` value a record may not hold."""
-    if name == "gene_test" and value not in (None, 0, 1):
+    if name == "gene_test" and not (value is None or _is_flag(value)):
         problem = f"invalid gene_test {value}"
     elif name == "genotype_pin" and value is not None and not (
         value and {0, 1, 2, 3}.issuperset(value)

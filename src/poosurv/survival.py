@@ -11,10 +11,17 @@ With origin effect ``beta`` and covariate effects ``gamma``, the weighted
 risk-set total at an event time is ``exp(beta) * A + B``, where ``A`` and
 ``B`` sum ``w exp(z gamma)`` over the paternal and the maternal weights of
 the records at risk; the first and second moments split the same way.
-:class:`CoxProblem` validates and prepares a weight table once and sums
-``A`` and ``B`` at the event times once per table and ``gamma``: without
-covariates every Newton evaluation and the Breslow estimate then cost
-O(event times), not O(records).
+:class:`CoxProblem` validates and prepares a weight table once, with
+O(records) work, and then runs one of two arms. Without covariates, as in
+the paper's simulated fits, it sums ``A`` and ``B`` at the event times with
+the table, and Newton runs on a float ``beta``: an evaluation is a handful
+of O(event times) vector operations (about 11 us at 166 event times on one
+Xeon core, against 21 us for the array arm's evaluation of the same
+problem). With covariates it sums ``A``, ``B`` and their covariate moments
+once per table and ``gamma``, and an evaluation costs O(event times * p**2)
+on arrays, ``p`` coefficients. Both arms give the bits of the general
+formulas, and the Breslow estimate at the fitted coefficients reuses the
+last evaluation's risk totals.
 
 :meth:`CoxProblem.fit` returns the coefficients with their covariance, the
 inverse observed information of the weighted fit. An EM fit keeps the last
@@ -123,22 +130,76 @@ class BaselineHazard:
         return f"BaselineHazard(jumps={self.times.size}, total={total:.4g})"
 
 
+def _pivot(info):
+    """A 1 x 1 information as a float; a zero or non-finite one is singular."""
+    pivot = float(info)
+    if pivot == 0.0 or not math.isfinite(pivot):
+        raise SingularInformationError("information matrix is singular")
+    return pivot
+
+
 def _solve(info, rhs=None):
     """``info``'s inverse times ``rhs``, or the inverse itself without ``rhs``.
 
     A 1 x 1 system is one division, the quotient LAPACK's solve returns for
-    it, without the cost of numpy's ``linalg`` wrappers; a zero or
-    non-finite information is singular.
+    it, without the cost of numpy's ``linalg`` wrappers.
     """
     if info.shape == (1, 1):
-        pivot = float(info[0, 0])
-        if pivot == 0.0 or not math.isfinite(pivot):
-            raise SingularInformationError("information matrix is singular")
+        pivot = _pivot(info[0, 0])
         return 1.0 / info if rhs is None else rhs / pivot
     try:
         return np.linalg.inv(info) if rhs is None else np.linalg.solve(info, rhs)
     except np.linalg.LinAlgError:
         raise SingularInformationError("information matrix is singular") from None
+
+
+def _largest(values):
+    return np.abs(values).max()
+
+
+def _float_direction(info, score):
+    return score / _pivot(info)
+
+
+def _newton(evaluate, coefs, largest=_largest, direction_of=_solve):
+    """Newton maximization from ``coefs``; returns (coefficients, information,
+    loglik, steps).
+
+    ``evaluate`` maps coefficients to (loglik, score, information). The
+    coefficients are an array, or a float with ``largest=abs`` and
+    ``direction_of=_float_direction``: the same arithmetic either way.
+    """
+    loglik, score, info = evaluate(coefs)
+    n_steps = 0
+    converged = largest(score) < SCORE_TOL
+    # An overshooting step can underflow a risk sum to 0; its -inf or
+    # NaN log-likelihood fails the step test below and is halved.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while not converged:
+            if n_steps >= MAX_NEWTON_STEPS:
+                raise ConvergenceError(f"no convergence after {n_steps} Newton steps")
+            direction = direction_of(info, score)
+            step = 1.0
+            for _ in range(MAX_HALVINGS):
+                candidate = coefs + step * direction
+                cand_ll, cand_score, cand_info = evaluate(candidate)
+                # Relative slack: an absolute one is below an ulp of a large
+                # log-likelihood, and rounding noise would pick the step.
+                if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
+                    break
+                step /= 2.0
+            else:
+                raise ConvergenceError("step halving failed to improve the likelihood")
+            n_steps += 1
+            if largest(candidate) > COEF_BOUND:
+                raise MonotoneLikelihoodError(
+                    f"coefficient magnitude exceeded {COEF_BOUND}; the partial "
+                    "likelihood appears monotone"
+                )
+            rel_change = abs(cand_ll - loglik) / (abs(loglik) + 1.0)
+            coefs, loglik, score, info = candidate, cand_ll, cand_score, cand_info
+            converged = largest(score) < SCORE_TOL or rel_change < LOGLIK_RTOL
+    return coefs, info, loglik, n_steps
 
 
 class CoxProblem:
@@ -154,14 +215,20 @@ class CoxProblem:
 
     A new table is validated (a negative or non-finite weight raises
     ``ValueError``) and prepared once: a private copy, each event block's
-    summed event weight and the weighted event totals. Each new ``gamma``
+    summed event weight and the weighted event totals. Newton's candidates
+    pass the private copy and skip the comparison any other table gets, so
+    results depend on a table's content, not on its array.
+
+    The risk sums then take one of two arms. Without covariates (k = 0)
+    they are two vectors prepared with the table, the paternal sums A and
+    the maternal sums B at the weighted event blocks, and :meth:`fit` runs
+    Newton on a float ``beta``: an evaluation costs a handful of
+    O(event blocks) vector operations. With covariates each new ``gamma``
     costs one more O(records) step, the origin-split risk sums S0, S1, S2
-    at the weighted event blocks; without covariates, one per table. An
-    evaluation, a Newton step or a Breslow estimate then costs
-    O(event blocks * p**2), ``p = 1 + k``, and a Breslow estimate at the
-    last evaluation's coefficients reuses its risk totals. Newton's
-    candidates pass the private copy and skip the comparison any other
-    table gets, so results depend on a table's content, not on its array.
+    at the weighted event blocks, and an evaluation or a Newton step costs
+    O(event blocks * p**2), ``p = 1 + k``, on arrays. Both arms give the
+    same bits as the general formulas. A Breslow estimate at the last
+    evaluation's coefficients reuses its risk totals.
     """
 
     def __init__(self, time, status, covariates):
@@ -221,8 +288,14 @@ class CoxProblem:
         self._maternal_rows = np.concatenate(([True], has_z, np.outer(has_z, has_z).ravel()))
         self._weights = None
 
+    def _coefs(self, coefs):
+        coefs = np.asarray(coefs, dtype=float)
+        if coefs.shape != (self.p,):
+            raise ValueError(f"coefficients must have shape ({self.p},), got {coefs.shape}")
+        return coefs
+
     def _prepare(self, weights, gamma):
-        """Bring the per-table, per-gamma and per-beta caches up to date."""
+        """Bring the per-table and per-gamma caches up to date."""
         if weights is not self._weights:
             w = np.asarray(weights, dtype=float)
             if w.shape != (2, self.n):
@@ -236,7 +309,7 @@ class CoxProblem:
                 self._gamma = None
                 w_event = w.ravel()[self._event_weights]
                 d = np.bincount(self._event_block, weights=w_event, minlength=self._blocks)
-                self._kept = kept = np.flatnonzero(d > 0)
+                self._kept = kept = (d > 0).nonzero()[0]
                 self._d = d[kept]
                 self._d_total = float(self._d.sum())
                 self._event_sum = w_event @ self._event_X
@@ -244,13 +317,21 @@ class CoxProblem:
         key = gamma.tobytes()
         if key != self._gamma:
             self._gamma, self._beta = key, None
+            segments = self._blocks + 1
+            if self.p == 1:
+                # A and B at the weighted event blocks: (origin, block)
+                sums = np.bincount(self._risk_bin, weights=self._weights.ravel(),
+                                   minlength=2 * segments)
+                self._sums = sums.reshape(2, segments).cumsum(axis=-1).take(self._kept, axis=-1)
+                self._paternal_events = float(self._event_sum[0])
+                self._gamma_shift = 0.0
+                return
             u, self._gamma_shift = self._weights, 0.0
             if gamma.size and self.n:
                 linear = self._Z @ gamma
                 # exp(z gamma - shift) cannot overflow
                 self._gamma_shift = float(linear.max())
                 u = u * np.exp(linear - self._gamma_shift)
-            segments = self._blocks + 1
             sums = np.array([
                 np.bincount(self._risk_bin, weights=flat, minlength=2 * segments)
                 for flat in [u.ravel()] + [(u * moment).ravel() for moment in self._moments]
@@ -261,29 +342,54 @@ class CoxProblem:
             self._sums[1] *= self._maternal_rows[:, None]
 
     def _risk(self, beta):
-        """Risk-set sums S0, S1, S2 at the weighted event blocks, scaled.
+        """Risk-set totals at the weighted event blocks, scaled, with ``log_scale``.
 
-        Returns them with ``log_scale``: the true sums are the returned ones
-        times exp(log_scale). The shift ``max(beta, 0)`` inside it keeps
-        every exponential here from overflowing. The last ``beta``'s sums
-        are kept until the table or ``gamma`` changes.
+        The true totals are the returned ones times exp(log_scale), the last
+        entry. The shift ``max(beta, 0)`` inside it keeps every exponential
+        here from overflowing. Without covariates the entries are S0, its
+        paternal part exp(beta) * A and log_scale; with them the stacked
+        (S0, S1, S2) rows and log_scale. The last ``beta``'s totals are kept
+        until the table or ``gamma`` changes.
         """
-        beta = float(beta)
         if beta != self._beta:
             shift = max(beta, 0.0)
             pat, mat = self._sums
-            self._beta, self._risk_sums = beta, (
-                math.exp(beta - shift) * pat + math.exp(-shift) * mat, shift + self._gamma_shift
-            )
-        sums, log_scale = self._risk_sums
-        p = self.p
-        return sums[0], sums[1:p + 1].T, sums[p + 1:].T.reshape(-1, p, p), log_scale
+            pat = math.exp(beta - shift) * pat
+            total = pat + math.exp(-shift) * mat
+            log_scale = shift + self._gamma_shift
+            self._beta = beta
+            self._risk_sums = (total, pat, log_scale) if self.p == 1 else (total, log_scale)
+        return self._risk_sums
+
+    def _evaluate_origin(self, beta):
+        """:meth:`evaluate` without covariates, on a float ``beta``, as floats.
+
+        With ``x = exp(beta) * A / S0`` (both moment ratios of the general
+        formulas are ``x`` here), the score is ``E - sum(d x)`` and the
+        information ``sum(d (x - x**2))``, ``E`` being the paternal event
+        total and ``d`` the event weight of each block.
+        """
+        s0, pat, log_scale = self._risk(beta)
+        d = self._d
+        # 0.0 + E beta is the one-term dot product of the general formula
+        loglik = (0.0 + self._paternal_events * beta - float(d @ np.log(s0))
+                  - self._d_total * log_scale)
+        x = pat / s0
+        # d @ x[:, None] and the sum add up in the general formulas' order
+        score = self._paternal_events - float((d @ x[:, None])[0])
+        info = float((d * (x - x * x)).sum())
+        return loglik, score, info
 
     def evaluate(self, coefs, weights):
         """Weighted partial log-likelihood with its score and information."""
-        coefs = np.asarray(coefs, dtype=float)
+        coefs = self._coefs(coefs)
         self._prepare(weights, coefs[1:])
-        s0, s1, s2, log_scale = self._risk(coefs[0])
+        if self.p == 1:
+            loglik, score, info = self._evaluate_origin(float(coefs[0]))
+            return loglik, np.array([score]), np.array([[info]])
+        sums, log_scale = self._risk(float(coefs[0]))
+        p = self.p
+        s0, s1, s2 = sums[0], sums[1:p + 1].T, sums[p + 1:].T.reshape(-1, p, p)
         d = self._d
         loglik = float(self._event_sum @ coefs - d @ np.log(s0) - self._d_total * log_scale)
         # C order fixes the order in which the sums over blocks below add up
@@ -313,39 +419,17 @@ class CoxProblem:
         singular information matrix, and :class:`ConvergenceError` when
         Newton fails to converge.
         """
-        coefs = np.zeros(self.p) if init is None else np.asarray(init, dtype=float).copy()
+        coefs = np.zeros(self.p) if init is None else self._coefs(init).copy()
         self._prepare(weights, coefs[1:])
         self._check_rank()
-        loglik, score, info = self.evaluate(coefs, self._weights)
-        n_steps = 0
-        converged = np.abs(score).max() < SCORE_TOL
-        # An overshooting step can underflow a risk sum to 0; its -inf or
-        # NaN log-likelihood fails the step test below and is halved.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while not converged:
-                if n_steps >= MAX_NEWTON_STEPS:
-                    raise ConvergenceError(f"no convergence after {n_steps} Newton steps")
-                direction = _solve(info, score)
-                step = 1.0
-                for _ in range(MAX_HALVINGS):
-                    candidate = coefs + step * direction
-                    cand_ll, cand_score, cand_info = self.evaluate(candidate, self._weights)
-                    # Relative slack: an absolute one is below an ulp of a large
-                    # log-likelihood, and rounding noise would pick the step.
-                    if cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
-                        break
-                    step /= 2.0
-                else:
-                    raise ConvergenceError("step halving failed to improve the likelihood")
-                n_steps += 1
-                if np.abs(candidate).max() > COEF_BOUND:
-                    raise MonotoneLikelihoodError(
-                        f"coefficient magnitude exceeded {COEF_BOUND}; the partial "
-                        "likelihood appears monotone"
-                    )
-                rel_change = abs(cand_ll - loglik) / (abs(loglik) + 1.0)
-                coefs, loglik, score, info = candidate, cand_ll, cand_score, cand_info
-                converged = np.abs(score).max() < SCORE_TOL or rel_change < LOGLIK_RTOL
+        if self.p == 1:
+            beta, info, loglik, n_steps = _newton(
+                self._evaluate_origin, float(coefs[0]), abs, _float_direction
+            )
+            return np.array([beta]), np.array([[1.0 / _pivot(info)]]), loglik, n_steps
+        coefs, info, loglik, n_steps = _newton(
+            lambda candidate: self.evaluate(candidate, self._weights), coefs
+        )
         return coefs, _solve(info), loglik, n_steps
 
     def breslow(self, weights, coefs) -> BaselineHazard:
@@ -355,10 +439,11 @@ class CoxProblem:
         divided by the weighted risk-set total of exp(linear predictor);
         zero weights contribute nothing.
         """
-        coefs = np.asarray(coefs, dtype=float)
+        coefs = self._coefs(coefs)
         self._prepare(weights, coefs[1:])
-        s0, _, _, log_scale = self._risk(coefs[0])
-        increments = self._d / (s0 * math.exp(log_scale))
+        risk = self._risk(float(coefs[0]))
+        s0 = risk[0][0] if self.p > 1 else risk[0]
+        increments = self._d / (s0 * math.exp(risk[-1]))
         # event blocks are in descending time order
         return BaselineHazard(self._event_times[self._kept][::-1], increments[::-1])
 

@@ -533,6 +533,43 @@ class TestFitCommand:
         assert "Warning" not in result.stderr
         assert not report_path.exists()
 
+    LONE_CR = (
+        "# covariates: 0\n"
+        "# note\rsecond half\n"
+        "F1 1 0 0 1 70.0 0 -9 0\n"
+        "F1 2 0 0 2 65.0 1 -9 0\n"
+        "F1 3 1 2 1 45.0 2 -9 0\n"
+    )
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_lone_carriage_return_stays_inside_its_line(self, runner, tmp_path, newline):
+        # lines end at newlines alone, as parse_ped numbers a string's lines
+        ped = tmp_path / "lone-cr.ped"
+        ped.write_bytes(self.LONE_CR.replace("\n", newline).encode())
+        report_path = tmp_path / "fit.json"
+        result = runner.invoke(
+            main, ["fit", str(ped), "--q", "0.2", "--out", str(report_path)]
+        )
+        assert result.exit_code == 2
+        assert "family F1, line 5: invalid status '2' for individual 3" in result.output
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_sidecar_lines_end_at_newlines_alone(self, runner, tmp_path, newline):
+        ped = tmp_path / "good.ped"
+        ped.write_text(self.LONE_CR.replace("\r", " ").replace(" 2 -9 0\n", " 1 -9 0\n"))
+        sidecar = tmp_path / "pins.tsv"
+        sidecar.write_bytes(f"# note\rmore{newline}F1 1 bogus paternal{newline}".encode())
+        report_path = tmp_path / "fit.json"
+        result = runner.invoke(
+            main,
+            ["fit", str(ped), "--q", "0.2", "--poo-file", str(sidecar),
+             "--out", str(report_path)],
+        )
+        assert result.exit_code == 2
+        assert "truth sidecar line 2: unknown genotype 'bogus'" in result.output
+        assert not report_path.exists()
+
 
 class TestReplicateCommand:
     def test_small_study_csv(self, runner, tmp_path):

@@ -1,5 +1,6 @@
 """EM loop tests: M-step records, proband correction, determinism."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,18 @@ from poosurv import em, inference, pedigree
 from poosurv.em import STABLE_WINDOW, _fan_out, _Model
 
 from test_inference import assert_weights_equal, per_record_weights
+
+
+#: SHA-256 of the float64 bytes of ``beta_hat``, ``gamma_hat``, the
+#: covariance, the baseline's times and increments, the trace's
+#: log-likelihoods and the marginals of ``em_fit`` on
+#: ``simulate_families(100, -0.6, 0.2, scenario="S1", seed=31)`` at
+#: ``EMConfig(q=0.2, seed=3)``, without covariates and with one normal
+#: covariate per record (``TestBootstrap.with_covariate(families, 31)``).
+GOLDEN_FITS = {
+    "no covariate": "db5e254bf5997a26b8b2685f47740b0dd14d812e40d4b13dd2193963a38fdda6",
+    "one covariate": "6957b1a4fa9bd6020682241a61fbc5222a1ebfdadbda47389f64acef24ad58dc",
+}
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -347,6 +360,24 @@ class TestEMFit:
         ]
         c = em_fit(fams, EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=22))
         assert c.beta_hat != a.beta_hat or c.trace.iterations[0] != a.trace.iterations[0]
+
+    @pytest.mark.parametrize("cohort", sorted(GOLDEN_FITS))
+    def test_seeded_fit_is_pinned(self, cohort):
+        # a seeded fit gives the same bits from one version to the next, so a
+        # speed change to either step cannot move an estimate unnoticed
+        fams, _ = simulate_families(100, beta=-0.6, q=0.2, scenario="S1", seed=31)
+        if cohort == "one covariate":
+            fams = TestBootstrap.with_covariate(fams, 31)
+        result = em_fit(fams, EMConfig(q=0.2, seed=3))
+        digest = hashlib.sha256()
+        for part in (
+            np.float64(result.beta_hat), result.gamma_hat, result.covariance,
+            result.baseline.times, result.baseline.increments,
+            np.array([row.log_likelihood for row in result.trace.iterations]),
+            result.marginals,
+        ):
+            digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        assert digest.hexdigest() == GOLDEN_FITS[cohort]
 
     def test_weight_validity_and_structural_zeros(self):
         fams, _ = simulate_families(15, beta=-0.6, q=0.2, scenario="S1", seed=5)

@@ -832,3 +832,31 @@ def test_record_refuses_invalid_sex(sex):
     with pytest.raises(PedigreeError) as exc:
         Pedigree([IndividualRecord("C", "1", None, None, sex, 50.0, 0)])
     assert str(exc.value) == f"family C: individual 1 has invalid sex {sex}"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("status", True), ("status", 1.0), ("status", np.float64(0.0)), ("status", np.True_),
+    ("gene_test", True), ("gene_test", 0.0),
+], ids=repr)
+def test_record_refuses_flags_that_only_compare_equal(field, value):
+    # format_ped would write True or 1.0, which parse_ped refuses
+    with pytest.raises(PedigreeError) as exc:
+        IndividualRecord("C", "1", None, None, Sex.MALE, 50.0, **{"status": 0, field: value})
+    assert str(exc.value) == f"family C: individual 1 has invalid {field} {value}"
+
+
+@pytest.mark.parametrize("status, gene_test, sex, proband", [
+    (0, None, Sex.MALE, False),
+    (1, 1, Sex.FEMALE, True),
+    (np.int64(1), np.int64(0), 2, 1),
+    (np.uint8(0), np.int32(1), np.int64(1), np.True_),
+], ids=["plain", "flags set", "numpy integers", "small numpy integers"])
+def test_accepted_records_round_trip(status, gene_test, sex, proband):
+    records = [
+        IndividualRecord("C", "f", None, None, Sex.MALE, 70, 0, covariates=(1, -0.25)),
+        IndividualRecord("C", "m", None, None, Sex.FEMALE, 65.5, 0, covariates=(0.0, 2)),
+        IndividualRecord("C", "c", "f", "m", sex, np.float64(40.0), status, gene_test,
+                         proband, covariates=(np.float64(0.5), np.int64(3))),
+    ]
+    families = [Pedigree(records)]
+    assert parse_ped(format_ped(families)) == families

@@ -22,6 +22,7 @@ from poosurv import (
     survival_curve,
     wald_test,
 )
+from poosurv import survival
 
 
 def random_dataset(rng, n=60, n_cov=1, with_ties=True, zero_weights=True):
@@ -142,6 +143,45 @@ class TestDerivatives:
             assert loglik == pytest.approx(expected, rel=1e-10)
 
 
+class TestOriginArm:
+    """Without covariates Newton runs on floats over the origin risk sums."""
+
+    @pytest.mark.parametrize("beta", [-15.0, -0.4, 0.0, 0.7, 15.0])
+    def test_evaluation_matches_naive_and_finite_differences(self, beta):
+        # beta = -15 and 15 lie on either side of the shift max(beta, 0)
+        rng = np.random.default_rng(90)
+        h = 1e-5
+        for _ in range(5):
+            time, status, X, w = random_dataset(rng, n=50, n_cov=0)
+            Z, W = split(X, w)
+            problem = CoxProblem(time, status, Z)
+            loglik, score, info = problem.evaluate([beta], W)
+            assert (loglik, score[0], info[0, 0]) == problem._evaluate_origin(beta)
+            expected = naive_partial_loglik(time, status, X, w, [beta])
+            assert loglik == pytest.approx(expected, rel=1e-10)
+            up, down = problem._evaluate_origin(beta + h), problem._evaluate_origin(beta - h)
+            fd_score = (up[0] - down[0]) / (2 * h)
+            assert abs(score[0] - fd_score) / max(1.0, abs(fd_score)) < 1e-6
+            fd_info = -(up[1] - down[1]) / (2 * h)
+            assert abs(info[0, 0] - fd_info) / max(1.0, abs(fd_info)) < 1e-4
+
+    def test_float_newton_is_the_array_newton(self):
+        # the same steps on arrays of one coefficient give the same bits
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            time, status, X, w = random_dataset(rng, n=60, n_cov=0, zero_weights=False)
+            Z, W = split(X, w)
+            problem = CoxProblem(time, status, Z)
+            init = rng.normal(size=1)
+            beta, covariance, loglik, steps = problem.fit(W, init=init)
+            coefs, info, array_loglik, array_steps = survival._newton(
+                lambda coefs: problem.evaluate(coefs, W), init
+            )
+            assert beta.tobytes() == coefs.tobytes()
+            assert covariance.tobytes() == (1.0 / info).tobytes()
+            assert (loglik, steps) == (array_loglik, array_steps)
+
+
 class TestFit:
     def test_two_point_likelihood_shape_and_divergence(self):
         # events in both groups but perfectly separated in time: the partial
@@ -182,20 +222,20 @@ class TestFit:
     @pytest.mark.parametrize("at_optimum", [False, True])
     def test_zero_or_non_finite_information_is_singular(self, scale, at_optimum):
         # the Newton direction (away from the optimum) and the covariance
-        # (at it) of a 1 x 1 system both refuse such an information
+        # (at it) of a 1 x 1 system both refuse such an information; without
+        # covariates Newton runs on the float evaluation of the origin effect
         rng = np.random.default_rng(4)
         time, status = rng.uniform(1.0, 30.0, 40), (rng.random(40) < 0.6).astype(int)
         w = rng.uniform(0.1, 1.0, (2, 40))
         problem = CoxProblem(time, status, np.empty((40, 0)))
         init = problem.fit(w)[0] if at_optimum else None
-        evaluate = problem.evaluate
+        evaluate = problem._evaluate_origin
 
-        def scaled(coefs, weights):
-            loglik, score, info = evaluate(coefs, weights)
-            with np.errstate(invalid="ignore"):
-                return loglik, score, info * scale
+        def scaled(beta):
+            loglik, score, info = evaluate(beta)
+            return loglik, score, info * scale
 
-        problem.evaluate = scaled
+        problem._evaluate_origin = scaled
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularInformationError):
@@ -514,6 +554,18 @@ class TestReuseAndContract:
         for shape in [(2, 3), (4,), (1, 2), (2, 2, 1)]:
             with pytest.raises(ValueError, match="weights"):
                 problem.evaluate([0.0], np.ones(shape))
+
+    @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_coefficients_of_the_wrong_length_are_refused(self, n_cov):
+        # the origin arm reads one float, so a longer vector must not be cut
+        problem = CoxProblem([1.0, 2.0, 3.0], [1, 1, 0], np.zeros((3, n_cov)))
+        w = np.ones((2, 3))
+        for coefs in (np.zeros(n_cov), np.zeros(n_cov + 2)):
+            for call in (lambda: problem.evaluate(coefs, w),
+                         lambda: problem.breslow(w, coefs),
+                         lambda: problem.fit(w, init=coefs)):
+                with pytest.raises(ValueError, match="coefficients must have shape"):
+                    call()
 
     @pytest.mark.parametrize("bad", [-0.5, -math.inf, math.inf, math.nan])
     @pytest.mark.parametrize("method", ["fit", "evaluate", "breslow"])
