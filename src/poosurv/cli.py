@@ -50,6 +50,9 @@ EXIT_IO = 4
 
 ORACLE_TOLERANCE = 1e-8
 
+#: The most ages ``curve`` evaluates; a larger grid is refused before it is allocated.
+MAX_AGES = 10**6
+
 _EM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EMConfig)}
 
 
@@ -376,7 +379,7 @@ def check_oracle(ped, q, beta, epsilon, eta, hazard):
 
 @main.command()
 @click.argument("report", type=click.Path(exists=True, dir_okay=False))
-@click.option("--ages", default="0:100:1", show_default=True, help="Evaluation grid start:stop:step.")
+@click.option("--ages", default="0:100:1", show_default=True, help=f"Evaluation grid start:stop:step, at most {MAX_AGES:,} ages.")
 @click.option("--z", default="", help="Covariate values, comma separated.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded
@@ -386,12 +389,15 @@ def curve(report, ages, z, out):
     fitted = json.loads(Path(report).read_text())
     try:
         start, stop, step = (float(v) for v in ages.split(":"))
-        if not step > 0:
+        if not (step > 0 and np.isfinite([start, stop, step]).all()):
             raise ValueError
     except ValueError:
         raise ValueError(
-            f"bad age grid {ages!r}; expected start:stop:step with a positive step"
+            f"bad age grid {ages!r}; expected finite start:stop:step with a positive step"
         ) from None
+    # the length np.arange gives the grid, refused before it is allocated
+    if not (stop + step / 2 - start) / step <= MAX_AGES:
+        raise ValueError(f"age grid {ages!r} has more than {MAX_AGES:,} ages")
     grid = np.arange(start, stop + step / 2, step)
     z_values = tuple(float(v) for v in z.split(",")) if z else ()
 
@@ -415,17 +421,21 @@ def curve(report, ages, z, out):
             if not (isinstance(values, list) and all(map(number, values))):
                 raise stale(f"{name!r} is not a list of numbers")
         baseline = BaselineHazard(times, increments)
-        return survival_curve(baseline, beta, tuple(gamma), group=group, z=z_values)(grid)
+        return survival_curve(baseline, beta, tuple(gamma), group=group, z=z_values)
 
-    point = {group: curve_of(fitted, group) for group in ("pat", "mat")}
-    bands = {}
+    # every fit's curves are built, and so checked, before any is evaluated
+    built = {group: [curve_of(fitted, group)] for group in ("pat", "mat")}
     boot = fitted.get("bootstrap", {})
     fits = (boot.get("fits") or []) if isinstance(boot, dict) else None
     if not isinstance(fits, list):
         raise stale("'bootstrap' is not an object with a list of fits")
+    for group, curves in built.items():
+        curves += [curve_of(f, group) for f in fits]
+    point = {group: curves[0](grid) for group, curves in built.items()}
+    bands = {}
     if fits:
         for group in ("pat", "mat"):
-            curves = np.stack([curve_of(f, group) for f in fits])
+            curves = np.stack([c(grid) for c in built[group][1:]])
             lower = np.percentile(curves, 2.5, axis=0)
             upper = np.percentile(curves, 97.5, axis=0)
             # widen so the band always contains the point curve

@@ -66,6 +66,22 @@ def _check_error_rates(epsilon, eta):
             raise ValueError(f"{name} must be in [0, 1), got {rate}")
 
 
+def _check_beta(beta):
+    """``ValueError`` unless ``beta`` is finite and exp(beta), the paternal
+    hazard scale, is a positive finite float: about -745 < beta < 709.78.
+    Every entry point that takes an origin effect applies this one rule."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    try:
+        scale = math.exp(beta)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"beta {beta} is out of range: exp(beta) must be positive and finite"
+        )
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Fixed and fitted quantities entering the likelihood factors.
@@ -87,6 +103,7 @@ class ModelParams:
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"allele frequency q must be in [0, 1], got {self.q}")
         _check_error_rates(self.epsilon, self.eta)
+        _check_beta(self.beta)
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
 
     def cumulative_hazard(self, t):

@@ -1313,11 +1313,13 @@ class MarginalEngine:
         evidence, at origin effect ``beta``, covariate effects ``gamma`` and
         each record's baseline ``cumulative_hazard`` at its age.
 
-        Raises ``ValueError`` when ``gamma`` does not hold one effect per
-        covariate of the records or a hazard is negative or not finite,
-        before any shard runs, and :class:`ZeroEvidenceError`, naming the
-        family, when a family's observed data has zero probability.
+        Raises ``ValueError`` when exp(``beta``) is not a positive finite
+        float, ``gamma`` does not hold one effect per covariate of the
+        records or a hazard is negative or not finite, before any shard
+        runs, and :class:`ZeroEvidenceError`, naming the family, when a
+        family's observed data has zero probability.
         """
+        genetics._check_beta(beta)
         hazards = self._fixed.hazards(cumulative_hazard, gamma)
         marginals = np.empty((self.total, N_STATES))
         log_evidence = np.empty(len(self.families))

@@ -121,6 +121,12 @@ class IndividualRecord:
     genotype_pin: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        for what, value in (("family id", self.family_id), ("id", self.individual_id),
+                            ("father id", self.father_id), ("mother id", self.mother_id)):
+            fault = _id_fault(what, value)
+            if fault:
+                raise PedigreeError(f"individual {self.individual_id!r} has {fault}",
+                                    family_id=self.family_id)
         if (self.father_id is None) != (self.mother_id is None):
             raise PedigreeError(
                 f"individual {self.individual_id} has exactly one parent; "
@@ -143,6 +149,11 @@ class IndividualRecord:
                 family_id=self.family_id,
             )
         _check_value(self.family_id, self.individual_id, "gene_test", self.gene_test)
+        if self.proband not in (False, True):
+            raise PedigreeError(
+                f"individual {self.individual_id} has invalid proband {self.proband!r}",
+                family_id=self.family_id,
+            )
         if not all(map(math.isfinite, self.covariates)):
             raise PedigreeError(
                 f"individual {self.individual_id} has non-finite covariates "
@@ -154,6 +165,20 @@ class IndividualRecord:
     @property
     def is_founder(self) -> bool:
         return self.father_id is None
+
+
+def _id_fault(what, value):
+    """Why ``value`` cannot be written as a PED ``what`` token that reads
+    back as itself, or ``None`` when it can (a missing parent can)."""
+    if value is None and what in ("father id", "mother id"):
+        return None
+    if not isinstance(value, str) or value.split() != [value]:
+        return f"invalid {what} {value!r}: a PED id is a non-empty string without whitespace"
+    if what == "family id" and value.startswith("#"):
+        return f"invalid {what} {value!r}: a PED row that starts with '#' is a comment"
+    if what in ("father id", "mother id") and value == "0":
+        return f"{what} '0', which a PED file reads as no parent"
+    return None
 
 
 def _is_flag(value):

@@ -2,12 +2,14 @@
 
 Every simulated family uses one fixed three-generation, ten-member layout:
 a grandparent couple, their three children, two married-in spouses, and
-three grandchildren (two full siblings plus one cousin). Founder genotypes
-follow Hardy-Weinberg equilibrium, children receive alleles by Mendelian
-transmission, and carriers draw an age at onset from a piecewise-constant
-hazard scaled by exp(beta) when the mutation came from the father.
-Homozygous carriers follow the maternal-origin hazard. Everyone is censored
-by an independent uniform draw on [15, 80).
+three grandchildren (two full siblings plus one cousin). The draw itself,
+:func:`_simulate_family`, takes any structure whose parents come before
+their children. Founder genotypes follow Hardy-Weinberg equilibrium,
+children receive alleles by Mendelian transmission, and carriers draw an
+age at onset from a piecewise-constant hazard scaled by exp(beta) when the
+mutation came from the father. Homozygous carriers follow the
+maternal-origin hazard. Everyone is censored by an independent uniform draw
+on [15, 80).
 
 Scenarios control which genotypes are released as (error-free) test
 results: S0 hides all of them, S1 reveals 80% of affected and 10% of
@@ -46,9 +48,11 @@ from itertools import repeat
 import numpy as np
 
 from .em import EMConfig, EMError, _fan_out, em_fit
-from .genetics import GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype
+from .genetics import (
+    GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype, _check_beta,
+)
 from .inference import InferenceError
-from .pedigree import Sex, _families
+from .pedigree import IndividualRecord, Pedigree, Sex, _families
 
 __all__ = [
     "Scenario",
@@ -151,12 +155,8 @@ FAMILY_TEMPLATE = (
     ("10", "7", "4", Sex.MALE),
 )
 
-_TEMPLATE_POSITION = {row[0]: i for i, row in enumerate(FAMILY_TEMPLATE)}
-#: Parent positions of the template's members, ``(-1, -1)`` for a founder.
-_TEMPLATE_PARENTS = tuple(
-    (_TEMPLATE_POSITION.get(father, -1), _TEMPLATE_POSITION.get(mother, -1))
-    for _, father, mother, _ in FAMILY_TEMPLATE
-)
+#: The template as one family, for its member ids and structure key.
+_TEMPLATE = Pedigree([IndividualRecord("T", *row, 0.0, 0) for row in FAMILY_TEMPLATE])
 
 #: By genotype code: the state, its origin label and its Oracle pin.
 _GENOTYPES = tuple(Genotype)
@@ -225,8 +225,13 @@ def _seed_roots(seed):
     return _children(_as_seedseq(seed), 2)
 
 
-def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
-    """One family's ages, statuses, proband flags and truth records, in template order.
+def _simulate_family(family_id, ids, parents, rng, beta, q, hazard, mark_probands):
+    """One family's ages, statuses, proband flags and truth records, in member order.
+
+    ``ids`` are the members' ids and ``parents`` their (father, mother)
+    positions, ``(-1, -1)`` for a founder, as
+    :meth:`pedigree.Pedigree.structure_key` gives them. Each parent comes
+    before its children, whose draws read the parent's drawn state.
 
     A censoring age takes the one double ``uniform`` would, rounded twice
     (product, then sum) on every platform; truth records skip the frozen
@@ -236,7 +241,7 @@ def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
     paternal_scale = math.exp(beta)
     width = CENSOR_HIGH - CENSOR_LOW
     states, ages, statuses, truth = [], [], [], []
-    for (individual_id, *_), (father, mother) in zip(FAMILY_TEMPLATE, _TEMPLATE_PARENTS):
+    for individual_id, (father, mother) in zip(ids, parents):
         if father < 0:
             from_father = random() < q
             from_mother = random() < q
@@ -262,7 +267,7 @@ def _simulate_family(family_id, rng, beta, q, hazard, mark_probands):
             poo=_POO_LABEL[state], event_time=event_time, censor_time=censor_time,
         )
         truth.append(record)
-    probands = [False] * len(FAMILY_TEMPLATE)
+    probands = [False] * len(ids)
     if mark_probands and 1 in statuses:
         probands[statuses.index(1)] = True
     return ages, statuses, probands, truth
@@ -273,21 +278,6 @@ def _family_count(n):
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"the number of families must be an integer, got {n!r}")
     return int(n)
-
-
-def _check_beta(beta):
-    """``ValueError`` unless ``beta`` is finite and exp(beta), the paternal
-    hazard scale, is a positive finite float: about -745 < beta < 709.78."""
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    try:
-        scale = math.exp(beta)
-    except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise ValueError(
-            f"beta {beta} is out of range: exp(beta) must be positive and finite"
-        )
 
 
 def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
@@ -313,10 +303,11 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     truth_root, mask_root = _seed_roots(seed)
     truth_seeds = _children(truth_root, n)
     family_ids = [f"F{k + 1}" for k in range(n)]
+    ids, parents = _TEMPLATE.column("individual_id"), _TEMPLATE.structure_key()
     ages, statuses, probands, truth = [], [], [], []
     for family_id, family_seed in zip(family_ids, truth_seeds):
         rng = np.random.Generator(np.random.Philox(family_seed))
-        drawn = _simulate_family(family_id, rng, beta, q, hazard, mark_probands)
+        drawn = _simulate_family(family_id, ids, parents, rng, beta, q, hazard, mark_probands)
         for column, values in zip((ages, statuses, probands, truth), drawn):
             column.extend(values)
     size = len(FAMILY_TEMPLATE)

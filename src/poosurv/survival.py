@@ -38,6 +38,8 @@ import math
 
 import numpy as np
 
+from .genetics import _check_beta
+
 __all__ = [
     "CoxError",
     "RankDeficiencyError",
@@ -132,21 +134,13 @@ class BaselineHazard:
 
 def _pivot(info):
     """A 1 x 1 information as a float; a zero or non-finite one is singular."""
-    pivot = float(info)
-    if pivot == 0.0 or not math.isfinite(pivot):
+    if info == 0.0 or not math.isfinite(info):
         raise SingularInformationError("information matrix is singular")
-    return pivot
+    return float(info)
 
 
 def _solve(info, rhs=None):
-    """``info``'s inverse times ``rhs``, or the inverse itself without ``rhs``.
-
-    A 1 x 1 system is one division, the quotient LAPACK's solve returns for
-    it, without the cost of numpy's ``linalg`` wrappers.
-    """
-    if info.shape == (1, 1):
-        pivot = _pivot(info[0, 0])
-        return 1.0 / info if rhs is None else rhs / pivot
+    """``info``'s inverse times ``rhs``, or the inverse itself without ``rhs``."""
     try:
         return np.linalg.inv(info) if rhs is None else np.linalg.solve(info, rhs)
     except np.linalg.LinAlgError:
@@ -277,16 +271,16 @@ class CoxProblem:
         )
         # Each weight's bin of the risk sums: paternal segments, then maternal.
         self._risk_bin = np.concatenate((segment, segment + self._blocks + 1))
-        self._Z = Z
-        # The products v_i v_j of the design v = (1, z) but 1 * 1, the one each
-        # row of the stacked risk sums (S0, S1, S2 flattened) reads, and the
-        # rows that the maternal design (0, z) keeps: all but its leading 0's.
-        v = np.column_stack((np.ones(n), Z))
-        self._moments = (v[:, :, None] * v[:, None, :]).reshape(n, p * p).T[1:].copy()
-        self._stacked = np.concatenate(([0], np.arange(p), np.arange(p * p)))
-        has_z = np.arange(p) > 0
-        self._maternal_rows = np.concatenate(([True], has_z, np.outer(has_z, has_z).ravel()))
-        self._weights = None
+        self._Z, self._weights = Z, None
+        if k:
+            # The covariate arm's products v_i v_j of the design v = (1, z) but
+            # 1 * 1, the one each stacked row (S0, S1, S2 flattened) reads, and
+            # the rows the maternal design (0, z) keeps: all but its leading 0's.
+            v = np.column_stack((np.ones(n), Z))
+            self._moments = (v[:, :, None] * v[:, None, :]).reshape(n, p * p).T[1:].copy()
+            self._stacked = np.concatenate(([0], np.arange(p), np.arange(p * p)))
+            has_z = np.arange(p) > 0
+            self._maternal_rows = np.concatenate(([True], has_z, np.outer(has_z, has_z).ravel()))
 
     def _coefs(self, coefs):
         coefs = np.asarray(coefs, dtype=float)
@@ -437,13 +431,18 @@ class CoxProblem:
 
         At each distinct event time the jump equals the summed event weight
         divided by the weighted risk-set total of exp(linear predictor);
-        zero weights contribute nothing.
+        zero weights contribute nothing. Coefficients that put a risk-set
+        total or a jump outside the float range raise ``ValueError``.
         """
         coefs = self._coefs(coefs)
         self._prepare(weights, coefs[1:])
         risk = self._risk(float(coefs[0]))
         s0 = risk[0][0] if self.p > 1 else risk[0]
-        increments = self._d / (s0 * math.exp(risk[-1]))
+        try:
+            with np.errstate(over="raise", divide="raise"):
+                increments = self._d / (s0 * math.exp(risk[-1]))
+        except (OverflowError, FloatingPointError):
+            raise ValueError(f"coefficients {coefs.tolist()} are out of the float range") from None
         # event blocks are in descending time order
         return BaselineHazard(self._event_times[self._kept][::-1], increments[::-1])
 
@@ -471,8 +470,9 @@ def survival_curve(baseline, beta=0.0, gamma=(), group="mat", z=()) -> SurvivalC
     z = np.asarray(z, dtype=float)
     if gamma.shape != z.shape:
         raise ValueError("gamma and z must have matching lengths")
-    if not (math.isfinite(beta) and np.all(np.isfinite(gamma)) and np.all(np.isfinite(z))):
-        raise ValueError("beta, gamma and z must be finite")
+    _check_beta(beta)
+    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(z))):
+        raise ValueError("gamma and z must be finite")
     log_risk = beta if group == "pat" else 0.0
     if gamma.size:
         log_risk += float(z @ gamma)

@@ -29,6 +29,7 @@ from poosurv import (
     survival_curve,
     wald_test,
 )
+from poosurv import cli
 from poosurv.cli import main
 
 from test_em import fail_replicate
@@ -712,6 +713,18 @@ class TestCheckOracleCommand:
         assert result.exit_code == 0, result.output
         assert "oracle check passed" in result.output
 
+    @pytest.mark.parametrize("beta", ["710", "-746"])
+    def test_extreme_beta_is_validation_error(self, runner, tmp_path, beta):
+        # exp(beta) overflows, or underflows to 0: refused before any family
+        # is compared, not blamed on the data
+        ped = tmp_path / "trio.ped"
+        ped.write_text("T 1 0 0 1 70.0 0 -9 0\nT 2 0 0 2 65.0 0 -9 0\nT 3 1 2 1 40.0 1 -9 0\n")
+        result = runner.invoke(main, ["check-oracle", str(ped), "--q", "0.2", "--beta", beta])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: beta {float(beta)} is out of range: exp(beta) must be positive and finite\n"
+        )
+
     def test_cap_exceeded(self, runner, tmp_path):
         rows = ["C 1 0 0 1 60.0 0 -9 0", "C 2 0 0 2 58.0 0 -9 0"]
         rows += [f"C {i} 1 2 1 30.0 0 -9 0" for i in range(3, 14)]
@@ -782,7 +795,7 @@ class TestCurveCommand:
         assert result.exit_code == 2
         assert "'gamma'" in result.output
 
-    @pytest.mark.parametrize("ages", ["0:100:0", "0:100:-1"])
+    @pytest.mark.parametrize("ages", ["0:100:0", "0:100:-1", "0:inf:1", "nan:100:1", "0:100"])
     def test_non_positive_age_step_is_validation_error(
         self, runner, fitted_report, tmp_path, ages
     ):
@@ -793,6 +806,47 @@ class TestCurveCommand:
         assert result.exit_code == 2
         assert "bad age grid" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("ages", ["0:1e12:1", "0:1e6:1", "0:1:1e-300", "-1e308:1e308:1e-300"])
+    def test_grid_above_the_age_limit_is_validation_error(
+        self, runner, fitted_report, tmp_path, ages
+    ):
+        # refused by its count, before the grid is allocated
+        out = tmp_path / "c.csv"
+        result = runner.invoke(
+            main, ["curve", str(fitted_report), "--ages", ages, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert f"age grid {ages!r} has more than 1,000,000 ages" in result.output
+        assert not out.exists() and not Path(f"{out}.config.json").exists()
+
+    def test_age_limit_counts_the_grid_as_evaluated(
+        self, runner, fitted_report, tmp_path, monkeypatch
+    ):
+        # 0:100:1 holds 101 ages, the last one at the stop
+        monkeypatch.setattr(cli, "MAX_AGES", 101)
+        out = tmp_path / "c.csv"
+        run_ok(runner, ["curve", str(fitted_report), "--ages", "0:100:1", "--out", str(out)])
+        assert len(out.read_text().splitlines()) == 1 + 101
+        result = runner.invoke(
+            main, ["curve", str(fitted_report), "--ages", "0:100.5:0.5", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "has more than 101 ages" in result.output
+
+    @pytest.mark.parametrize("fit", [None, 0, 11])
+    def test_extreme_beta_hat_is_validation_error(self, runner, fitted_report, tmp_path, fit):
+        # exp(beta_hat) would overflow: no curve is evaluated, where the
+        # point curve and its band would be NaN at every age
+        report = json.loads(Path(fitted_report).read_text())
+        (report if fit is None else report["bootstrap"]["fits"][fit])["beta_hat"] = 710
+        bad = tmp_path / "big-beta.json"
+        bad.write_text(json.dumps(report))
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, ["curve", str(bad), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "beta 710 is out of range: exp(beta) must be positive and finite" in result.output
+        assert not out.exists() and not Path(f"{out}.config.json").exists()
 
     @pytest.mark.parametrize("corrupt", [
         "nan_increment", "inf_beta_hat", "nan_in_bootstrap_baseline",

@@ -849,6 +849,42 @@ class TestMarginalEngine:
                 evaluate()
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("beta", [710.0, 800.0, -746.0])
+    def test_origin_effect_out_of_range_is_refused_before_any_shard(self, monkeypatch, beta):
+        # exp(beta) would overflow, or underflow to 0, in the evidence
+        message = f"beta {beta} is out of range: exp(beta) must be positive and finite"
+        with pytest.raises(ValueError) as exc:
+            ModelParams(q=0.2, beta=beta, baseline=DEFAULT_HAZARD)
+        assert str(exc.value) == message
+        params = ModelParams(q=0.2, baseline=DEFAULT_HAZARD)
+        object.__setattr__(params, "beta", beta)  # past the constructor's check
+        shards = []
+        monkeypatch.setattr(inference, "_run_shards", lambda *args: shards.append(args))
+        for evaluate in (lambda: run(engine_at([trio()], params), params),
+                         lambda: posterior_marginals(trio(), params)):
+            with pytest.raises(ValueError) as exc:
+                evaluate()
+            assert str(exc.value) == message
+        assert shards == []
+
+    def test_cohort_over_the_potential_budget_is_refused(self, monkeypatch):
+        # each trio's one rank-3 clique fits the budget; the three together do not
+        monkeypatch.setattr(inference, "MAX_POTENTIAL_BYTES", 4 ** 3 * 8 + 1)
+        families = [renamed(trio(), f"T{i}") for i in range(3)]
+        with pytest.raises(InferenceError) as exc:
+            engine_at(families)
+        assert str(exc.value) == (
+            "the cohort's clique potential tables need 1536 bytes, above the 513-byte "
+            "budget (largest clique: 3 members, family T0)"
+        )
+
+    def test_families_of_different_covariate_counts_are_refused(self):
+        rng = np.random.default_rng(6)
+        families = [random_pedigree(rng, 4, "A"), random_pedigree(rng, 4, "B", covariates=1)]
+        with pytest.raises(InferenceError) as exc:
+            engine_at(families)
+        assert str(exc.value) == "families carry different covariate counts; cannot fit jointly"
+
     def test_zero_evidence_names_the_failing_family(self):
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
         bad = Pedigree(

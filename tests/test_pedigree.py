@@ -845,18 +845,55 @@ def test_record_refuses_flags_that_only_compare_equal(field, value):
     assert str(exc.value) == f"family C: individual 1 has invalid {field} {value}"
 
 
-@pytest.mark.parametrize("status, gene_test, sex, proband", [
-    (0, None, Sex.MALE, False),
-    (1, 1, Sex.FEMALE, True),
-    (np.int64(1), np.int64(0), 2, 1),
-    (np.uint8(0), np.int32(1), np.int64(1), np.True_),
-], ids=["plain", "flags set", "numpy integers", "small numpy integers"])
-def test_accepted_records_round_trip(status, gene_test, sex, proband):
+@pytest.mark.parametrize("status, gene_test, sex, proband, ids", [
+    (0, None, Sex.MALE, False, ("C", "f", "m", "c")),
+    (1, 1, Sex.FEMALE, True, ("C", "f", "m", "c")),
+    (np.int64(1), np.int64(0), 2, 1, ("C", "f", "m", "c")),
+    (np.uint8(0), np.int32(1), np.int64(1), np.True_, ("C", "f", "m", "c")),
+    (0, None, Sex.MALE, 0, ("0", "1", "2", "0")),
+    (0, None, Sex.MALE, np.False_, ("C#", "#f", "m#", "-9")),
+], ids=["plain", "flags set", "numpy integers", "small numpy integers", "zero ids",
+        "comment marks inside"])
+def test_accepted_records_round_trip(status, gene_test, sex, proband, ids):
+    # every record set the records and the family accept reads back from
+    # the file format_ped writes
+    family, father, mother, child = ids
     records = [
-        IndividualRecord("C", "f", None, None, Sex.MALE, 70, 0, covariates=(1, -0.25)),
-        IndividualRecord("C", "m", None, None, Sex.FEMALE, 65.5, 0, covariates=(0.0, 2)),
-        IndividualRecord("C", "c", "f", "m", sex, np.float64(40.0), status, gene_test,
+        IndividualRecord(family, father, None, None, Sex.MALE, 70, 0, covariates=(1, -0.25)),
+        IndividualRecord(family, mother, None, None, Sex.FEMALE, 65.5, 0, covariates=(0.0, 2)),
+        IndividualRecord(family, child, father, mother, sex, np.float64(40.0), status, gene_test,
                          proband, covariates=(np.float64(0.5), np.int64(3))),
     ]
     families = [Pedigree(records)]
     assert parse_ped(format_ped(families)) == families
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("proband", 2, "individual c has invalid proband 2"),
+    ("proband", "no", "individual c has invalid proband 'no'"),
+    ("individual_id", "c d", "individual 'c d' has invalid id 'c d': a PED id is a "
+     "non-empty string without whitespace"),
+    ("individual_id", "", "individual '' has invalid id '': a PED id is a non-empty "
+     "string without whitespace"),
+    ("individual_id", 7, "individual 7 has invalid id 7: a PED id is a non-empty "
+     "string without whitespace"),
+    ("family_id", "#C", "individual 'c' has invalid family id '#C': a PED row that "
+     "starts with '#' is a comment"),
+    ("family_id", "C\tD", "individual 'c' has invalid family id 'C\\tD': a PED id is "
+     "a non-empty string without whitespace"),
+    ("father_id", "0", "individual 'c' has father id '0', which a PED file reads as "
+     "no parent"),
+    ("mother_id", "0", "individual 'c' has mother id '0', which a PED file reads as "
+     "no parent"),
+    ("mother_id", "m\n", "individual 'c' has invalid mother id 'm\\n': a PED id is a "
+     "non-empty string without whitespace"),
+])
+def test_record_refuses_what_format_ped_cannot_write_back(field, value, reason):
+    # each would be written as another value (proband 2 as 1), as a row of
+    # another column count, as a comment, or as a founder
+    fields = dict(family_id="C", individual_id="c", father_id="f", mother_id="m",
+                  sex=Sex.MALE, age=40.0, status=0)
+    with pytest.raises(PedigreeError) as exc:
+        IndividualRecord(**{**fields, field: value})
+    assert exc.value.family_id == ("C" if field != "family_id" else value)
+    assert exc.value.reason == reason

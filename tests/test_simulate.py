@@ -25,12 +25,14 @@ from poosurv import (
     format_truth,
     founder_prior,
     parse_ped,
+    parse_truth,
     pin_genotypes,
     replicate_study,
     simulate,
     simulate_families,
 )
 
+from test_inference import random_pedigree
 from test_pedigree import _typed
 
 
@@ -101,6 +103,13 @@ class TestHazardSpec:
                             ((0.0, math.nan), (0.0, 0.1)), ((0.0, math.inf), (0.0, 0.1))):
             with pytest.raises(ValueError, match="finite"):
                 HazardSpec(cuts, rates)
+        with pytest.raises(ValueError, match="^need one rate per cut point$"):
+            HazardSpec((0.0, 10.0), (0.1,))
+        with pytest.raises(ValueError, match="^need one rate per cut point$"):
+            HazardSpec((), ())
+        for target in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^target must be positive$"):
+                DEFAULT_HAZARD.inverse(target)
         # and the allele frequency a simulation draws founders with
         for q in (1.5, -0.2, math.nan):
             with pytest.raises(ValueError, match=r"q must be in \[0, 1\]"):
@@ -257,6 +266,117 @@ class TestTruthRecords:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 record.poo = "pat"
         assert len(set(truth)) == len(truth)
+
+
+_POO = {
+    Genotype.NON_CARRIER: "none",
+    Genotype.HET_PATERNAL: "pat",
+    Genotype.HET_MATERNAL: "mat",
+    Genotype.HOMOZYGOUS: "both",
+}
+
+
+def _reference_draw(family_id, rows, rng, beta, q, hazard):
+    """The phenotype draw of the benchmark's heterogeneous cohorts (the loop
+    of ``_phenotypes`` in ``perfbench/cohort.py``, with ``beta``, ``q`` and
+    the hazard as arguments): ages, statuses and truth records of the
+    (id, father id, mother id) ``rows``, parents first."""
+    ages, statuses, truth, genotypes = [], [], [], {}
+    for individual_id, father, mother in rows:
+        if father is None:
+            from_father, from_mother = rng.random() < q, rng.random() < q
+        else:
+            transmit = (0.0, 0.5, 0.5, 1.0)
+            from_father = rng.random() < transmit[genotypes[father]]
+            from_mother = rng.random() < transmit[genotypes[mother]]
+        genotype = Genotype(int(from_father) + 2 * int(from_mother))
+        genotypes[individual_id] = genotype
+        if genotype == Genotype.NON_CARRIER:
+            onset = math.inf
+        else:
+            scale = math.exp(beta) if genotype == Genotype.HET_PATERNAL else 1.0
+            onset = hazard.inverse(rng.exponential(1.0) / scale)
+        censor = rng.uniform(15.0, 80.0)
+        affected = onset <= censor
+        ages.append(onset if affected else censor)
+        statuses.append(int(affected))
+        truth.append(TruthRecord(
+            family_id=family_id, individual_id=individual_id, genotype=genotype,
+            poo=_POO[genotype], event_time=onset, censor_time=censor,
+        ))
+    return ages, statuses, truth
+
+
+def _bits(values):
+    """Each float's type and exact bits."""
+    return [(type(v), float.hex(v)) for v in values]
+
+
+def _is_looped(pedigree):
+    """Whether the mating graph (members plus one node per couple) has a cycle."""
+    couples = {key for key in pedigree.structure_key() if key != (-1, -1)}
+    children = sum(key != (-1, -1) for key in pedigree.structure_key())
+    return 2 * len(couples) + children > len(pedigree) + len(couples) - 1
+
+
+class TestAnyStructure:
+    """``_simulate_family`` draws the structure it is given, the same
+    draw the benchmark's heterogeneous cohorts write out by hand."""
+
+    def test_draws_bit_for_bit_as_the_reference(self):
+        rng = np.random.default_rng(41)
+        sizes = [40, 2, *rng.integers(2, 41, size=318).tolist()]
+        families = [
+            random_pedigree(rng, size, f"H{i}", with_loop=size >= 9 and i % 3 == 0)
+            for i, size in enumerate(sizes)
+        ]
+        assert len({fam.structure_key() for fam in families}) >= 300
+        assert sum(map(_is_looped, families)) >= 100
+        assert max(map(len, families)) == 40
+        hazards = (DEFAULT_HAZARD, HazardSpec((0.0, 30.0), (0.01, 0.2)))
+        seeds = np.random.SeedSequence(42).spawn(len(families))
+        for k, (fam, seed) in enumerate(zip(families, seeds)):
+            beta, q, hazard = (-0.6, 0.4, -1.2)[k % 3], (0.2, 0.35)[k % 2], hazards[k % 4 // 3]
+            ids = fam.column("individual_id")
+            rows = zip(ids, fam.column("father_id"), fam.column("mother_id"))
+            want_ages, want_statuses, want_truth = _reference_draw(
+                fam.family_id, rows, np.random.Generator(np.random.Philox(seed)), beta, q, hazard
+            )
+            ages, statuses, probands, truth = simulate._simulate_family(
+                fam.family_id, ids, fam.structure_key(),
+                np.random.Generator(np.random.Philox(seed)), beta, q, hazard, True,
+            )
+            assert _bits(ages) == _bits(want_ages)
+            assert statuses == want_statuses
+            assert list(map(type, statuses)) == [int] * len(ids)
+            assert truth == want_truth
+            for got, want in zip(truth, want_truth):
+                assert _bits((got.event_time, got.censor_time)) == _bits(
+                    (want.event_time, want.censor_time)
+                )
+            first = statuses.index(1) if 1 in statuses else -1
+            assert probands == [i == first for i in range(len(ids))]
+
+    def test_template_families_are_the_template_draw(self):
+        families, truth = simulate_families(5, -0.6, 0.2, seed=43)
+        seeds = simulate._children(simulate._seed_roots(43)[0], 5)
+        for fam, seed, k in zip(families, seeds, range(0, 50, 10)):
+            rows = [row[:3] for row in FAMILY_TEMPLATE]
+            ages, statuses, want = _reference_draw(
+                fam.family_id, rows, np.random.Generator(np.random.Philox(seed)),
+                -0.6, 0.2, DEFAULT_HAZARD,
+            )
+            assert _bits(fam.column("age")) == _bits(ages)
+            assert list(fam.column("status")) == statuses
+            assert truth[k:k + 10] == want
+
+
+class TestTruthSidecar:
+    @pytest.mark.parametrize("line", ["F1 1 pat", "F1 1 pat pat extra"])
+    def test_row_of_another_column_count_is_refused(self, line):
+        text = f"# family_id individual_id true_genotype true_poo\n\n{line}\n"
+        with pytest.raises(ValueError, match="^truth sidecar line 3: expected 4 columns$"):
+            parse_truth(text)
 
 
 class TestScenarioLookup:
@@ -618,6 +738,12 @@ class TestReplicateStudy:
                     assert got.column("genotype_pin") == want.column("genotype_pin")
                     assert (got is fam) == (want is fam)
                     assert got.structure_key() is fam.structure_key()
+
+    def test_no_replicates_or_no_scenarios_are_refused(self):
+        with pytest.raises(ValueError, match="^need at least one replicate$"):
+            replicate_study([(5, -0.6)], ["S0"], replicates=0)
+        with pytest.raises(ValueError, match="^need at least one scenario$"):
+            replicate_study([(5, -0.6)], [], replicates=1)
 
     def test_failures_recorded_not_raised(self):
         # a single tiny family often has no informative events: the M-step

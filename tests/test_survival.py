@@ -15,6 +15,7 @@ import pytest
 
 from poosurv import (
     BaselineHazard,
+    ConvergenceError,
     CoxProblem,
     MonotoneLikelihoodError,
     RankDeficiencyError,
@@ -241,6 +242,37 @@ class TestFit:
             with pytest.raises(SingularInformationError):
                 problem.fit(w, init=init)
 
+    def test_covariate_without_contrast_is_singular(self):
+        # a covariate that is 0 on every record gives the 2 x 2 information
+        # a zero row, which the Newton direction's solve refuses
+        rng = np.random.default_rng(5)
+        time, status = rng.uniform(1.0, 30.0, 40), (rng.random(40) < 0.6).astype(int)
+        w = rng.uniform(0.1, 1.0, (2, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInformationError, match="^information matrix is singular$"):
+                CoxProblem(time, status, np.zeros((40, 1))).fit(w)
+
+    def test_step_halving_that_never_improves(self):
+        # every candidate away from the start lowers the log-likelihood
+        def evaluate(coefs):
+            return (0.0 if coefs[0] == 0.0 else -1.0), np.array([1.0]), np.array([[1.0]])
+
+        with pytest.raises(
+            ConvergenceError, match="^step halving failed to improve the likelihood$"
+        ):
+            survival._newton(evaluate, np.zeros(1))
+
+    def test_steps_that_never_converge(self):
+        # each step gains 1e-3 in log-likelihood and leaves the score at 1,
+        # far inside the coefficient bound
+        def evaluate(coefs):
+            return float(coefs[0]), np.array([1.0]), np.array([[1000.0]])
+
+        steps = survival.MAX_NEWTON_STEPS
+        with pytest.raises(ConvergenceError, match=f"^no convergence after {steps} Newton steps$"):
+            survival._newton(evaluate, np.zeros(1))
+
     def test_single_group_events_rank_deficient(self):
         time, status, X, w = two_group([(1.0, 1, "pat"), (2.0, 0, "mat"), (3.0, 1, "pat")])
         with pytest.raises(RankDeficiencyError):
@@ -396,6 +428,38 @@ class TestBreslow:
             np.testing.assert_array_equal(baseline.times, times)
             np.testing.assert_allclose(baseline.increments, jumps, rtol=1e-12)
 
+    @pytest.mark.parametrize("coefs, z", [([709.0], None), ([0.0, 8.8], 80.0)])
+    def test_largest_coefficients_that_fit(self, coefs, z):
+        rng = np.random.default_rng(37)
+        time, status = rng.uniform(1.0, 30.0, 30), (rng.random(30) < 0.6).astype(int)
+        Z = np.empty((30, 0)) if z is None else rng.uniform(0.0, z, (30, 1))
+        if z is not None:
+            Z[0] = z
+        w = rng.uniform(0.01, 0.05, (2, 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            baseline = CoxProblem(time, status, Z).breslow(w, coefs)
+        assert len(baseline) == int(status.sum())
+
+    @pytest.mark.parametrize("coefs, z, weight", [
+        ([710.0], None, 0.05), ([800.0], None, 0.05), ([0.0, 9.0], 80.0, 0.05),
+        # the scale exp(709) is a float, but the totals times it are not
+        ([709.0], None, 5.0),
+        # every z gamma is below -745, so the scale underflows to 0
+        ([0.0, -10.0], 79.0, 0.05),
+    ])
+    def test_risk_totals_outside_the_float_range_are_an_input_error(self, coefs, z, weight):
+        # the risk totals are held scaled by exp(-max(beta, 0) - max z gamma)
+        # and scaled back for the jumps
+        rng = np.random.default_rng(37)
+        time, status = rng.uniform(1.0, 30.0, 30), (rng.random(30) < 0.6).astype(int)
+        Z = np.empty((30, 0)) if z is None else rng.uniform(z, 80.0, (30, 1))
+        w = rng.uniform(0.2, 1.0, (2, 30)) * weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^coefficients \[.*\] are out of the float"):
+                CoxProblem(time, status, Z).breslow(w, coefs)
+
     def test_matches_nelson_aalen_at_null_predictor(self):
         rng = np.random.default_rng(13)
         times = rng.uniform(1, 20, size=80)
@@ -549,6 +613,10 @@ class TestReuseAndContract:
         with pytest.raises(ValueError, match="covariates must be finite"):
             CoxProblem([1.0, 2.0, 3.0], [1, 0, 1], [[0.5], [bad], [-0.5]])
 
+    def test_records_of_mismatched_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="^time, status, covariates have mismatched lengths$"):
+            CoxProblem([1.0, 2.0], [1], np.zeros((2, 0)))
+
     def test_weights_of_the_wrong_length_are_refused(self):
         problem = CoxProblem([1.0, 2.0], [1, 1], np.empty((2, 0)))
         for shape in [(2, 3), (4,), (1, 2), (2, 2, 1)]:
@@ -628,6 +696,23 @@ class TestCurvesAndWald:
         baseline = BaselineHazard([10.0, 20.0], [0.3, 0.2])
         with pytest.raises(ValueError, match="must be finite"):
             survival_curve(baseline, beta=beta, gamma=gamma, group="pat", z=z)
+
+    def test_unknown_group_is_refused(self):
+        baseline = BaselineHazard([10.0], [0.3])
+        with pytest.raises(ValueError, match="^group must be 'pat' or 'mat', got 'both'$"):
+            survival_curve(baseline, group="both")
+
+    def test_covariates_of_another_length_are_refused(self):
+        baseline = BaselineHazard([10.0], [0.3])
+        with pytest.raises(ValueError, match="^gamma and z must have matching lengths$"):
+            survival_curve(baseline, gamma=(0.5,), z=(1.0, 2.0))
+
+    @pytest.mark.parametrize("beta", [710.0, 800.0, -746.0])
+    def test_origin_effect_out_of_range_is_refused(self, beta):
+        # exp(beta) would overflow, or underflow to 0, when the curve is evaluated
+        baseline = BaselineHazard([10.0], [0.3])
+        with pytest.raises(ValueError, match=f"^beta {beta} is out of range: exp"):
+            survival_curve(baseline, beta=beta, group="pat")
 
     def test_wald_zero_coefficient(self):
         coefs, covariance, _, _ = fit_cox(
