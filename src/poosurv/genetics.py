@@ -66,20 +66,28 @@ def _check_error_rates(epsilon, eta):
             raise ValueError(f"{name} must be in [0, 1), got {rate}")
 
 
-def _check_beta(beta):
+def _check_beta(beta, name="beta"):
     """``ValueError`` unless ``beta`` is finite and exp(beta), the paternal
     hazard scale, is a positive finite float: about -745 < beta < 709.78.
-    Every entry point that takes an origin effect applies this one rule."""
+    Every entry point that takes an origin effect applies this one rule,
+    and :func:`survival.survival_curve` applies it to the log-risk it
+    exponentiates, which the message calls ``name``."""
     if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+        raise ValueError(f"{name} must be finite, got {beta}")
     try:
         scale = math.exp(beta)
     except OverflowError:
         scale = math.inf
     if not 0.0 < scale < math.inf:
         raise ValueError(
-            f"beta {beta} is out of range: exp(beta) must be positive and finite"
+            f"{name} {beta} is out of range: exp({name}) must be positive and finite"
         )
+
+
+def _check_q(q):
+    """``ValueError`` unless the allele frequency ``q`` lies in [0, 1]."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"allele frequency q must be in [0, 1], got {q}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,7 @@ class ModelParams:
     baseline: object | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"allele frequency q must be in [0, 1], got {self.q}")
+        _check_q(self.q)
         _check_error_rates(self.epsilon, self.eta)
         _check_beta(self.beta)
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
@@ -118,8 +125,7 @@ def founder_prior(q: float) -> np.ndarray:
     The heterozygote mass 2q(1-q) splits evenly between the paternal- and
     maternal-origin states.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"allele frequency q must be in [0, 1], got {q}")
+    _check_q(q)
     het = q * (1.0 - q)
     return np.array([(1.0 - q) ** 2, het, het, q * q])
 
@@ -285,8 +291,7 @@ class FixedEvidence:
         return out.T
 
 
-def evidence_matrix(cumulative_hazard, beta, gamma, fixed: FixedEvidence,
-                    *, out=None) -> np.ndarray:
+def evidence_matrix(cumulative_hazard, beta, gamma, fixed: FixedEvidence) -> np.ndarray:
     """Vectorized evidence tables for many individuals at once.
 
     Parameters
@@ -300,16 +305,13 @@ def evidence_matrix(cumulative_hazard, beta, gamma, fixed: FixedEvidence,
         per-record array
     fixed : the individuals' :class:`FixedEvidence` (statuses, gene tests
         under the error rates, suppressed phenotypes, covariates, pins)
-    out : (4, n) array or None; the factors are written into it state by
-        state, so that only the hazard-dependent ones are computed
 
     Returns
     -------
     (n, 4) array of per-individual factors, same convention as
-    :func:`evidence_factor` (times ``fixed``'s pins); a transposed view of
-    ``out`` when it is given.
+    :func:`evidence_factor` (times ``fixed``'s pins).
     """
-    return fixed.fill(fixed.hazards(cumulative_hazard, gamma), beta, gamma, out)
+    return fixed.fill(fixed.hazards(cumulative_hazard, gamma), beta, gamma)
 
 
 def origin_weights(marginals) -> np.ndarray:

@@ -103,8 +103,10 @@ class IndividualRecord:
     ``phenotype_suppressed`` is an in-memory flag (never serialized) set by
     :func:`apply_proband_correction`: the age/status pair of this record
     then contributes no likelihood information. ``genotype_pin``, also in
-    memory only, is the sorted non-empty tuple of the states 0-3 the record
-    may take (see :func:`pin_genotypes`); ``None`` allows all four.
+    memory only, names the states 0-3 the record may take: one state or a
+    collection of them, held as their sorted tuple (see
+    :func:`pin_genotypes`); ``None`` allows all four. ``covariates`` are
+    held as a tuple of floats, as :func:`parse_ped` gives them.
     """
 
     family_id: str
@@ -154,13 +156,15 @@ class IndividualRecord:
                 f"individual {self.individual_id} has invalid proband {self.proband!r}",
                 family_id=self.family_id,
             )
-        if not all(map(math.isfinite, self.covariates)):
+        if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in self.covariates):
             raise PedigreeError(
                 f"individual {self.individual_id} has non-finite covariates "
                 f"{self.covariates}",
                 family_id=self.family_id,
             )
-        _check_value(self.family_id, self.individual_id, "genotype_pin", self.genotype_pin)
+        object.__setattr__(self, "covariates", tuple(map(float, self.covariates)))
+        pin = _check_value(self.family_id, self.individual_id, "genotype_pin", self.genotype_pin)
+        object.__setattr__(self, "genotype_pin", pin)
 
     @property
     def is_founder(self) -> bool:
@@ -181,27 +185,40 @@ def _id_fault(what, value):
     return None
 
 
-def _is_flag(value):
-    """Whether ``value`` is the integer 0 or 1, a numpy integer included.
+def _is_integer(value):
+    """Whether ``value`` is an integer, a numpy integer included, but not a
+    bool: ``format_ped`` would write a bool flag as ``True``, and a bool pin
+    would read a yes/no answer, such as a carrier flag, as state 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    A bool or a float that equals one of them is not: ``format_ped`` would
-    write it as ``True`` or ``1.0``, which ``parse_ped`` refuses.
-    """
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in (0, 1)
+
+def _is_flag(value):
+    """Whether ``value`` is the integer 0 or 1 (see :func:`_is_integer`); a
+    float is not: ``format_ped`` would write it as ``1.0``."""
+    return _is_integer(value) and value in (0, 1)
 
 
 def _check_value(family_id, individual_id, name, value):
-    """Refuse a ``gene_test`` or ``genotype_pin`` value a record may not hold."""
-    if name == "gene_test" and not (value is None or _is_flag(value)):
-        problem = f"invalid gene_test {value}"
-    elif name == "genotype_pin" and value is not None and not (
-        value and {0, 1, 2, 3}.issuperset(value)
-    ):
-        problem = (
-            f"invalid genotype pin {value}; expected one or more of the states 0, 1, 2, 3"
-        )
-    else:
-        return
+    """``value`` as a record holds it, once it is a ``gene_test`` or
+    ``genotype_pin`` a record may hold; :class:`PedigreeError` otherwise.
+
+    A pin is one genotype state or a collection of them, each an integer
+    0-3 (see :func:`_is_integer`), and is held as the sorted tuple of its
+    distinct states. ``None`` is no test and no pin.
+    """
+    if value is None or (name == "gene_test" and _is_flag(value)):
+        return value
+    problem = f"invalid gene_test {value}"
+    if name == "genotype_pin":
+        try:
+            states = [*((value,) if _is_integer(value) else value)]
+        except TypeError:  # neither an integer nor a collection
+            states = [value]
+        if all(map(_is_integer, states)):
+            value = tuple(sorted(set(map(int, states))))
+            if value and {0, 1, 2, 3}.issuperset(value):
+                return value
+        problem = f"invalid genotype pin {value!r}; expected one or more of the states 0, 1, 2, 3"
     raise PedigreeError(f"individual {individual_id} has {problem}", family_id=family_id)
 
 
@@ -230,18 +247,16 @@ class Pedigree:
     Construction from records checks them as :func:`parse_ped` checks a
     file, and also that they all belong to the first record's family and
     carry one covariate count; the first violation raises
-    :class:`PedigreeError`, with the line that ``lines`` (a map from
-    individual ids to line numbers) gives. The members are stored as
+    :class:`PedigreeError`. The members are stored as
     columns (see :meth:`column`); :attr:`individuals` builds their records
     on first access and keeps them. Instances are immutable and safe to
     share across threads.
     """
 
-    def __init__(self, records, lines=None):
+    def __init__(self, records):
         records = tuple(records)
         if not records:
             raise PedigreeError("family has no members")
-        lines = dict(lines or {})
         owners, *columns = zip(*map(_ROW, records))
         family_id, ids, covariates = owners[0], columns[0], columns[_COLUMN["covariates"]]
         # member faults come first, in member order: a record of another
@@ -251,7 +266,7 @@ class Pedigree:
         for owner, ident in zip(owners, ids):
             if owner != family_id:
                 reason = f"record {ident} belongs to family {owner}, not {family_id}"
-                raise PedigreeError(reason, family_id, lines.get(ident))
+                raise PedigreeError(reason, family_id)
             if ident in seen:
                 break
             seen.add(ident)
@@ -260,11 +275,8 @@ class Pedigree:
             for ident, cov in zip(ids, covariates):
                 if len(cov) != arity:
                     reason = f"individual {ident} has {len(cov)} covariates, expected {arity}"
-                    raise PedigreeError(reason, family_id, lines.get(ident))
-        father, mother = _check(
-            [family_id], np.zeros(len(ids), np.intp), columns[:9],
-            lambda rows: [lines.get(ids[row]) for row in rows],
-        )
+                    raise PedigreeError(reason, family_id)
+        father, mother = _check([family_id], np.zeros(len(ids), np.intp), columns[:9], _no_lines)
         key = tuple(zip(father.tolist(), mother.tolist()))
         self._set(family_id, tuple(columns), key, None, records)
 
@@ -341,32 +353,29 @@ class Pedigree:
         phenotypes and ids stay as they are, so the copy shares this
         family's validated structure and :meth:`structure_key` instead of
         being built again, and builds its own records only when they are
-        read. A call that changes nothing returns ``self``. A changed value
-        still passes :class:`IndividualRecord`'s checks.
+        read. A call that changes nothing returns ``self``. Each value passes
+        :class:`IndividualRecord`'s checks, in member order, and is held as
+        a record holds it.
         """
         refused = sorted(set(columns) - _VALUE_FIELDS)
         if refused:
             raise ValueError(f"cannot change structural field(s): {', '.join(refused)}")
         n = len(self)
+        columns = {name: list(values) for name, values in columns.items()}
         for name, values in columns.items():
             if len(values) != n:
                 raise ValueError(f"{name}: {len(values)} values for {n} records")
-        new, changed = {}, {}
-        for name, values in columns.items():
-            old = self.column(name)
-            differs = list(map(operator.ne, old, values))
-            if any(differs):
-                new[name] = tuple(
-                    value if differ else was for was, value, differ in zip(old, values, differs)
-                )
-                changed[name] = differs
-        if not changed:
-            return self
+        checked = [name for name in ("gene_test", "genotype_pin") if name in columns]
         for i, individual_id in enumerate(self._columns[0]):
-            for name in ("gene_test", "genotype_pin"):
-                if name in changed and changed[name][i]:
-                    _check_value(self.family_id, individual_id, name, new[name][i])
-        return self._with_columns(**new)
+            for name in checked:
+                columns[name][i] = _check_value(
+                    self.family_id, individual_id, name, columns[name][i]
+                )
+        new = {
+            name: tuple(values) for name, values in columns.items()
+            if tuple(values) != self.column(name)
+        }
+        return self._with_columns(**new) if new else self
 
     def _with_columns(self, **columns):
         """A copy whose named value columns are replaced by the given tuples,
@@ -602,14 +611,16 @@ def _check(family_ids, family_of, columns, lines_of):
     raise fault(f"cycle in parent graph involving {stuck}", rows)
 
 
-def _families(family_ids, family_of, columns, pins=None, lines_of=lambda rows: [None] * len(rows)):
+def _no_lines(rows):
+    """No line for any row: the rows come from no file."""
+    return [None] * len(rows)
+
+
+def _families(family_ids, family_of, columns, lines_of=_no_lines):
     """One :class:`Pedigree` per entry of ``family_ids`` from a cohort's nine
     PED columns and each row's index into ``family_ids``, checked by
-    :func:`_check`, whose errors name a line only by ``lines_of``.
-    ``pins``, when given, is a ``genotype_pin`` column of checked values in
-    row order; without it no member is pinned."""
-    if pins is not None:
-        columns = [*columns, pins]
+    :func:`_check`, whose errors name a line only by ``lines_of``. No member
+    is pinned or has its phenotype suppressed."""
     n = len(columns[0])
     if not n:
         return []
@@ -636,11 +647,8 @@ def _families(family_ids, family_of, columns, pins=None, lines_of=lambda rows: [
     bounds = starts.tolist()
     for family_id, lo, hi in zip(family_ids, bounds, bounds[1:]):
         key = tuple(zip(father[lo:hi], mother[lo:hi]))
-        flags, no_pins = blanks.setdefault(hi - lo, ((False,) * (hi - lo), (None,) * (hi - lo)))
         family = [tuple(column[lo:hi]) for column in columns]
-        family.insert(_COLUMN["phenotype_suppressed"], flags)
-        if pins is None:
-            family.append(no_pins)
+        family += blanks.setdefault(hi - lo, ((False,) * (hi - lo), (None,) * (hi - lo)))
         pedigrees.append(Pedigree._of_columns(family_id, tuple(family), keys.setdefault(key, key)))
     return pedigrees
 
@@ -704,10 +712,10 @@ def format_ped(families) -> str:
 
 def pin_genotypes(families, pins) -> list[Pedigree]:
     """Copies of ``families`` whose records carry ``pins``, a map from
-    (family_id, individual_id) to one :class:`genetics.Genotype` state or a
-    collection of them; a family that gains no pin comes back as it is. A
-    key naming no record, or a value that is neither an integer nor a
-    collection of integers, raises :class:`PedigreeError`.
+    (family_id, individual_id) to a record's ``genotype_pin``: one
+    :class:`genetics.Genotype` state or a collection of them; a family that
+    gains no pin comes back as it is. A key naming no record, or a value
+    that :class:`IndividualRecord` refuses, raises :class:`PedigreeError`.
     """
     pending = dict(pins)
     pinned = []
@@ -715,18 +723,7 @@ def pin_genotypes(families, pins) -> list[Pedigree]:
         column = []
         for individual_id, pin in zip(fam.column("individual_id"), fam.column("genotype_pin")):
             states = pending.pop((fam.family_id, individual_id), None)
-            if states is None:
-                column.append(pin)
-            else:
-                states = (states,) if isinstance(states, numbers.Integral) else states
-                try:
-                    column.append(tuple(sorted(set(map(operator.index, states)))))
-                except TypeError:
-                    raise PedigreeError(
-                        f"individual {individual_id} has invalid genotype pin {states!r}; "
-                        "expected one or more of the states 0, 1, 2, 3",
-                        family_id=fam.family_id,
-                    ) from None
+            column.append(pin if states is None else states)
         pinned.append(fam.with_values(genotype_pin=column))
     if pending:
         family_id, individual_id = next(iter(pending))

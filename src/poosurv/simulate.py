@@ -31,9 +31,9 @@ serves every caller: :func:`_mask_columns` draws a scenario's columns for
 the whole cohort at once, and :func:`_mask_families` builds each family
 they change once more, sharing its validated structure;
 :func:`apply_scenario_mask` first looks the states up in a truth list.
-Families are built from the cohort's columns, as :func:`pedigree.parse_ped`
-builds a file's, with no record per member: :func:`simulate_families`
-builds each family once, already masked.
+:func:`simulate_families` builds its families unmasked from the cohort's
+columns, as :func:`pedigree.parse_ped` builds a file's, with no record per
+member, and masks them by that same path.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .em import EMConfig, EMError, _fan_out, em_fit
 from .genetics import (
-    GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype, _check_beta,
+    GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype, _check_beta, _check_q,
 )
 from .inference import InferenceError
 from .pedigree import IndividualRecord, Pedigree, Sex, _families
@@ -288,17 +288,17 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
     :class:`TruthRecord`. The genotype/onset draws depend only on
     (seed, family index), so different scenarios with the same seed share
     identical underlying families and differ purely in genotype visibility.
-    The scenario's mask is drawn for the whole cohort, as
-    :func:`apply_scenario_mask` draws it, and each family is built once,
-    already masked. With ``mark_probands`` the first affected member of each
+    The families are built unmasked and masked by :func:`_mask_families`,
+    as :func:`apply_scenario_mask` masks them, so S0 returns them as built
+    and any other scenario builds each family once more, sharing its
+    structure. With ``mark_probands`` the first affected member of each
     family is flagged as its proband.
     """
     n = _family_count(n)
     if n < 1:
         raise ValueError("need at least one family")
     _check_beta(beta)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"allele frequency q must be in [0, 1], got {q}")
+    _check_q(q)
     scenario = Scenario(scenario)
     truth_root, mask_root = _seed_roots(seed)
     truth_seeds = _children(truth_root, n)
@@ -311,17 +311,14 @@ def simulate_families(n, beta, q, hazard=DEFAULT_HAZARD, scenario=Scenario.S0,
         for column, values in zip((ages, statuses, probands, truth), drawn):
             column.extend(values)
     size = len(FAMILY_TEMPLATE)
-    gene_tests, pins = _mask_columns(
-        scenario, list(map(_GENOTYPE, truth)), statuses, [size] * n, mask_root
-    )
     template = [column * n for column in zip(*FAMILY_TEMPLATE)]
     families = _families(
         family_ids,
         np.repeat(np.arange(n), size),
-        [*template, ages, statuses, gene_tests, probands, [()] * len(ages)],
-        pins,
+        [*template, ages, statuses, [None] * len(ages), probands, [()] * len(ages)],
     )
-    return families, truth
+    states = list(map(_GENOTYPE, truth))
+    return _mask_families(families, scenario, states, statuses, [size] * n, mask_root), truth
 
 
 def _mask_columns(scenario, states, statuses, sizes, root):

@@ -120,10 +120,6 @@ class BaselineHazard:
         """Cumulative hazard at jump-grid ``positions`` from :meth:`grid_positions`."""
         return self._padded_cum[positions]
 
-    def survival(self, t):
-        """Baseline survival exp(-cumulative(t))."""
-        return np.exp(-self.cumulative(t))
-
     def __len__(self):
         return self.times.size
 
@@ -462,7 +458,9 @@ def survival_curve(baseline, beta=0.0, gamma=(), group="mat", z=()) -> SurvivalC
     """Survival curve for one origin group at covariate values ``z``.
 
     The maternal-origin group is the baseline; the paternal group is scaled
-    by exp(beta).
+    by exp(beta). ``beta`` and the group's log-risk, beta + z*gamma or
+    z*gamma, must each keep its exponential a positive finite float
+    (``ValueError`` otherwise).
     """
     if group not in ("pat", "mat"):
         raise ValueError(f"group must be 'pat' or 'mat', got {group!r}")
@@ -475,7 +473,9 @@ def survival_curve(baseline, beta=0.0, gamma=(), group="mat", z=()) -> SurvivalC
         raise ValueError("gamma and z must be finite")
     log_risk = beta if group == "pat" else 0.0
     if gamma.size:
-        log_risk += float(z @ gamma)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            log_risk += float(z @ gamma)
+    _check_beta(log_risk, "beta + z*gamma" if group == "pat" else "z*gamma")
     return SurvivalCurve(baseline, log_risk)
 
 

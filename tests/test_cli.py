@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -846,6 +847,22 @@ class TestCurveCommand:
         result = runner.invoke(main, ["curve", str(bad), "--out", str(out)])
         assert result.exit_code == 2
         assert "beta 710 is out of range: exp(beta) must be positive and finite" in result.output
+        assert not out.exists() and not Path(f"{out}.config.json").exists()
+
+    def test_log_risk_out_of_range_is_validation_error(self, runner, fitted_report, tmp_path):
+        # exp(beta_hat + z gamma) would overflow at --z 1e5 although beta_hat
+        # is in range: refused before any curve is evaluated, with no warning
+        report = json.loads(Path(fitted_report).read_text())
+        for fit in (report, *report["bootstrap"]["fits"]):
+            fit["gamma"] = [0.5]
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps(report))
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["curve", str(cov), "--z", "100000", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "is out of range: exp(beta + z*gamma) must be positive and finite" in result.output
         assert not out.exists() and not Path(f"{out}.config.json").exists()
 
     @pytest.mark.parametrize("corrupt", [

@@ -714,6 +714,22 @@ class TestCurvesAndWald:
         with pytest.raises(ValueError, match=f"^beta {beta} is out of range: exp"):
             survival_curve(baseline, beta=beta, group="pat")
 
+    @pytest.mark.parametrize("group, gamma, z, message", [
+        ("pat", (0.5,), (1e5,), "^beta \\+ z\\*gamma 50000.3 is out of range: exp"),
+        ("mat", (0.5,), (1e5,), "^z\\*gamma 50000.0 is out of range: exp"),
+        ("mat", (0.5,), (-1e5,), "^z\\*gamma -50000.0 is out of range: exp"),
+        ("pat", (1e300,), (1e300,), "^beta \\+ z\\*gamma must be finite, got inf$"),
+        ("mat", (1e300, 1e300), (1e300, -1e300), "^z\\*gamma must be finite, got "),
+    ])
+    def test_log_risk_out_of_range_is_refused(self, group, gamma, z, message):
+        # exp(beta + z gamma), not exp(beta) alone, would overflow or
+        # underflow to 0 when the curve is evaluated; refused without a warning
+        baseline = BaselineHazard([10.0], [0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                survival_curve(baseline, beta=0.3, gamma=gamma, group=group, z=z)
+
     def test_wald_zero_coefficient(self):
         coefs, covariance, _, _ = fit_cox(
             *two_group([(1.0, 1, "pat"), (1.0, 1, "mat"), (2.0, 0, "pat"), (2.0, 0, "mat")])
