@@ -226,8 +226,8 @@ class FixedEvidence:
     which fix how many covariate effects a run takes, and, per state, the
     gene-test factors times the ``pins`` indicator (n, 4) of allowed states,
     if any. A caller that evaluates the same records under the same error
-    rates many times builds them once. Its arrays are read-only, and so are
-    those of :meth:`records`, so that threads may share them.
+    rates many times builds them once. Its arrays are read-only, so that
+    engines may share them.
     """
 
     def __init__(self, status, gene_test, covariates, epsilon, eta, suppress=None,
@@ -250,14 +250,6 @@ class FixedEvidence:
         self.factor = factor
         for array in (self.covariates, self.live, self.affected, self.factor):
             array.flags.writeable = False
-
-    def records(self, start, stop):
-        """The fixed parts of records ``start`` to ``stop``, as views."""
-        view = object.__new__(FixedEvidence)
-        view.covariates = self.covariates[start:stop]
-        view.live, view.affected = self.live[start:stop], self.affected[start:stop]
-        view.factor = self.factor[:, start:stop]
-        return view
 
     def hazards(self, cumulative_hazard, gamma):
         """The records' ``cumulative_hazard``, 0 where the phenotype is

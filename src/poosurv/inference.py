@@ -81,35 +81,27 @@ than ``SHARD_BUCKET_BYTES`` per bucket of its one-shard schedule: contiguous
 ranges of families of about equal table size, each with its own buckets,
 tables, scratch and ops, laid out from the structures' forests that the
 shards share. A run checks ``gamma`` and the cumulative hazards of the
-whole cohort on the calling thread, so that an input error comes before
-any shard runs, then runs the first shard there while a helper thread runs
-the second; numpy releases the GIL inside each operation, so the shards use
-two CPUs. Each shard first computes the evidence of its own contiguous
-range of records into their columns of the evidence table, through a
-read-only view of the engine's :class:`genetics.FixedEvidence`, and then
-runs its passes, which read only those columns.
-A helper that has not started by the time the first shard is done leaves
-the second to the calling thread. Both write their own rows of one marginal
-table and one log-evidence vector, in place. With one usable CPU, and in
-the workers of a process pool (``--jobs``), which keep the CPUs busy
-already, the shards run one after the other. The shard plan depends on the
-cohort alone, so results do not depend on the CPU count. On a cohort of one
-structure two shards give a one-shard engine's bits; elsewhere a bucket may
-batch fewer columns in a shard, which may move the last bits within the
-bound documented on :func:`posterior_marginals`.
+whole cohort, so that an input error comes before any shard runs, computes
+the evidence of every record into the evidence table once, and then runs
+the shards one after the other on the calling thread. Each writes its own
+rows of one marginal table and one log-evidence vector, in place. The shard
+plan depends on the cohort alone. On a cohort of one structure two shards
+give a one-shard engine's bits; elsewhere a bucket may batch fewer columns
+in a shard, which may move the last bits within the bound documented on
+:func:`posterior_marginals`.
 
 The threshold is per bucket because a second schedule repeats every
-bucket's operations, whose cost grows with the bucket count, while the
-second CPU takes half of the work, which grows with the table size. Timed
-on 2 CPUs while a run still computed the whole cohort's evidence on the
-calling thread before the shards started, a two-shard E-step broke even at
+bucket's operations, whose cost grows with the bucket count, while each
+shard's operations work on half of the tables. It was fitted while the
+second shard ran on a helper thread: a two-shard E-step then broke even at
 about 137 KiB per bucket on cohorts of one ten-member template (1.6 MiB of
-tables in 12 buckets, 550 families) and was a third faster at 2000
-families; on cohorts of heterogeneous looped families it broke even at
-about 38 KiB per bucket (4.3 MiB in some 115 buckets, 550 families) and was
-45% faster at 2000 families. The threshold sits above the larger
-break-even, so sharding makes neither kind slower; heterogeneous cohorts
-are split only from about 2500 families.
+tables in 12 buckets, 550 families) and at about 38 KiB per bucket on
+cohorts of heterogeneous looped families (4.3 MiB in some 115 buckets, 550
+families), and the threshold sits above the larger break-even, so
+heterogeneous cohorts are split only from about 2500 families. Run one
+after the other on a shared 2-vCPU host, two shards have measured from
+even with one shard to about a tenth faster on cohorts of 3000 to 4000
+families, and within a few percent of it on smaller ones.
 
 A brute-force enumerator over all 4^n genotype configurations, with its own
 scalar factor construction, serves as an independent oracle for small
@@ -118,10 +110,7 @@ families.
 
 from __future__ import annotations
 
-import _thread
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress
@@ -161,17 +150,18 @@ ENUMERATION_CAP = 12
 MAX_POTENTIAL_BYTES = 2 ** 30
 
 #: Potential-table bytes per bucket of a cohort's schedule above which the
-#: cohort is compiled as two shards, which a run can put on two CPUs (see
-#: the module docstring for how it was measured). Below it the second
-#: schedule's operations and the thread cost more than they gain.
+#: cohort is compiled as two shards, which a run runs one after the other
+#: (see the module docstring for how it was measured). Below it the second
+#: schedule's operations cost more than they gain.
 SHARD_BUCKET_BYTES = 160 * 2 ** 10
 
-#: numpy's ufunc buffer size, in entries, while a shard's ops run. At the
-#: default of 8192, numpy copies a strided operand of a broadcast operation
-#: through its buffers when the batch axis holds at most a quarter of that,
-#: which made the in-place products of buckets of up to 2048 columns about
-#: three times slower per entry; at 1024 only buckets of up to 256 columns
-#: take that path. Reductions, products and quotients give the same bits.
+#: numpy's ufunc buffer size, in entries, while a run fills the evidence
+#: and runs its shards' ops. At the default of 8192, numpy copies a strided
+#: operand of a broadcast operation through its buffers when the batch axis
+#: holds at most a quarter of that, which made the in-place products of
+#: buckets of up to 2048 columns about three times slower per entry; at 1024
+#: only buckets of up to 256 columns take that path. Reductions, products
+#: and quotients give the same bits.
 _BUFSIZE = 1024
 
 _FLOAT_BYTES = np.dtype(float).itemsize
@@ -826,67 +816,6 @@ class _Forests:
         return entries
 
 
-def _usable_cpus():
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _in_worker():
-    """Whether this process is a worker started by :mod:`multiprocessing`,
-    which such a worker has imported; other processes are spared the
-    import."""
-    multiprocessing = sys.modules.get("multiprocessing")
-    return multiprocessing is not None and multiprocessing.parent_process() is not None
-
-
-def _run_claimed(shard, args, claim, done, failed):
-    """The helper thread of :func:`_run_shards`: run ``shard`` unless the
-    calling thread has claimed it, and release ``done`` after."""
-    if not claim.acquire(blocking=False):
-        return
-    try:
-        shard.run(*args)
-    except BaseException as err:  # re-raised on the calling thread
-        failed.append(err)
-    finally:
-        done.release()
-
-
-def _run_shards(shards, *args):
-    """``shard.run(*args)`` for each shard.
-
-    With two CPUs usable outside a process pool, a helper thread is started
-    for the second shard while the calling thread runs the first, and the
-    second goes to whichever thread claims it first: the calling thread does
-    not wait for the helper to start, so a helper that starts late costs a
-    run no more than running the shards one after the other. Otherwise they
-    run one after the other: the workers of a process pool keep the CPUs
-    busy already. A shard's error is raised once no shard runs; when both
-    fail, the first shard's error wins.
-    """
-    if len(shards) == 1 or _usable_cpus() < 2 or _in_worker():
-        for shard in shards:
-            shard.run(*args)
-        return
-    first, second = shards
-    claim, done, failed = _thread.allocate_lock(), _thread.allocate_lock(), []
-    done.acquire()
-    _thread.start_new_thread(_run_claimed, (second, args, claim, done, failed))
-    try:
-        first.run(*args)
-    finally:
-        helped = not claim.acquire(blocking=False)
-        if helped:  # wait for the helper to finish the second shard
-            done.acquire()
-    if not helped:
-        second.run(*args)
-    elif failed:
-        raise failed[0]
-
-
 class _ShardSchedule:
     """The compiled schedule of a contiguous range of a cohort's families,
     ``first`` to ``stop``: its buckets, the evidence gather of each rank, the
@@ -1079,18 +1008,14 @@ class _Schedule:
 
 class _Shard:
     """One engine's binding of a :class:`_ShardSchedule`: the shard's
-    ``families``, the range of their ``records``, the engine's ``fixed``
-    evidence of those records, its own potential and message tables, scratch
-    pools and bound ops. A run writes the evidence of the shard's records
-    into their columns of the engine's ``phi``, which its ops read with the
-    column of ones, and writes the shard's own rows of the engine's marginal
-    table and log evidence, so that shards can run at once.
+    ``families``, its own potential and message tables, scratch pools and
+    bound ops. The ops read the engine's evidence table ``phi``, which a run
+    of the engine fills for the whole cohort, and write the shard's own rows
+    of the engine's marginal table and log evidence.
     """
 
-    def __init__(self, schedule, families, phi, fixed, records):
+    def __init__(self, schedule, families, phi):
         self.schedule, self.families, self._phi = schedule, families, phi
-        self._records, self._evidence = records, phi[:, records]
-        self._fixed = fixed.records(records.start, records.stop)
         # Each run writes the evidence's gather per rank, the potentials,
         # the collected messages and the normalizers into these buffers
         # before it reads them.
@@ -1166,21 +1091,11 @@ class _Shard:
             reading.append((ops, bucket.targets, marginal.T))
         return potentials, collecting, distributing, reading
 
-    def run(self, beta, gamma, hazards, marginals, log_evidence):
-        """The evidence of the shard's records at ``beta``, ``gamma`` and the
-        cohort's checked ``hazards``, written into their columns of ``phi``,
-        then the two passes over the shard's families: their rows of
-        ``marginals`` and ``log_evidence`` are written, with numpy's buffer
-        size at ``_BUFSIZE`` on this thread. Raises
-        :class:`ZeroEvidenceError` like :meth:`MarginalEngine.run`."""
-        bufsize = np.setbufsize(_BUFSIZE)
-        try:
-            self._fixed.fill(hazards[self._records], beta, gamma, self._evidence)
-            self._run(marginals, log_evidence)
-        finally:
-            np.setbufsize(bufsize)
-
-    def _run(self, marginals, log_evidence):
+    def run(self, marginals, log_evidence):
+        """The two passes over the shard's families, from the evidence in
+        ``phi``: their rows of ``marginals`` and ``log_evidence`` are
+        written. Raises :class:`ZeroEvidenceError` like
+        :meth:`MarginalEngine.run`."""
         potentials, collect, distribute, readouts = self._ops
         for op in potentials:
             op()
@@ -1226,12 +1141,11 @@ class MarginalEngine:
     own buffers (see the module docstring). A cohort whose potential tables
     come to more than ``SHARD_BUCKET_BYTES`` per bucket is compiled as two
     shards, contiguous ranges of families of about equal table size, each
-    with its own schedule; a run checks its inputs for the whole cohort and
-    then runs the shards on two threads, or one after the other when one
-    CPU is usable or in a process-pool worker, each shard computing the
-    evidence of its own records on its own thread before its passes. The
-    shard plan depends on the cohort alone. A record with a
-    ``genotype_pin`` takes only its pinned states. :attr:`stats` reports the schedule's size.
+    with its own schedule; a run checks its inputs and computes the
+    evidence for the whole cohort, then runs the shards one after the
+    other. The shard plan depends on the cohort alone. A record with a
+    ``genotype_pin`` takes only its pinned states. :attr:`stats` reports
+    the schedule's size.
 
     The module keeps the last compiled schedule, which holds no family,
     evidence or buffer, keyed by the cohort's structures, ``q`` and the two
@@ -1301,10 +1215,8 @@ class MarginalEngine:
         self.stats = schedule.stats
         # the evidence of every record, and a last column of ones
         self._phi = np.ones((N_STATES, self.total + 1))
-        starts = [*self.offsets, self.total]  # each family's first record, and the end
         self._shards = [
-            _Shard(shard, self.families[shard.first:shard.stop], self._phi, self._fixed,
-                   slice(starts[shard.first], starts[shard.stop]))
+            _Shard(shard, self.families[shard.first:shard.stop], self._phi)
             for shard in schedule.shards
         ]
 
@@ -1323,5 +1235,11 @@ class MarginalEngine:
         hazards = self._fixed.hazards(cumulative_hazard, gamma)
         marginals = np.empty((self.total, N_STATES))
         log_evidence = np.empty(len(self.families))
-        _run_shards(self._shards, beta, gamma, hazards, marginals, log_evidence)
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            self._fixed.fill(hazards, beta, gamma, self._phi[:, :-1])
+            for shard in self._shards:
+                shard.run(marginals, log_evidence)
+        finally:
+            np.setbufsize(bufsize)
         return marginals, log_evidence

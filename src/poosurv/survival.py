@@ -451,7 +451,10 @@ class SurvivalCurve:
         self.log_risk = float(log_risk)
 
     def __call__(self, t):
-        return np.exp(-self.baseline.cumulative(t) * np.exp(self.log_risk))
+        # exp(log_risk) is finite, so a product that overflows to inf has
+        # the right limit: S(t) = 0
+        with np.errstate(over="ignore"):
+            return np.exp(-self.baseline.cumulative(t) * np.exp(self.log_risk))
 
 
 def survival_curve(baseline, beta=0.0, gamma=(), group="mat", z=()) -> SurvivalCurve:

@@ -300,20 +300,12 @@ class TestEvidenceMatrix:
             expected = evidence_matrix(hazard, beta, (0.0,), zeros)
             assert got.tobytes() == expected.tobytes()
 
-    def test_arrays_and_record_views_are_read_only(self):
+    def test_arrays_are_read_only(self):
         rng = np.random.default_rng(12)
         n = 30
         covariates = rng.normal(size=(n, 1))
         fixed = FixedEvidence(*self.fixed_parts(rng, n, covariates))
         assert not np.shares_memory(fixed.covariates, covariates)  # a copy, not the caller's
-        view = fixed.records(10, 25)
-        for parts in (fixed, view):
-            for array in (parts.covariates, parts.live, parts.affected, parts.factor):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0
-        assert view.factor.shape == (4, 15) and view.covariates.shape == (15, 1)
-        # a range's evidence is its columns of the whole table
-        hazard = rng.exponential(0.5, size=n)
-        whole = evidence_matrix(hazard, -0.4, (0.3,), fixed)
-        part = evidence_matrix(hazard[10:25], -0.4, (0.3,), view)
-        assert part.tobytes() == whole[10:25].tobytes()
+        for array in (fixed.covariates, fixed.live, fixed.affected, fixed.factor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0

@@ -2,10 +2,9 @@
 
 import dataclasses
 import sys
+import _thread
 import threading
-import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -584,7 +583,7 @@ class TestMarginalEngine:
         params = random_params(np.random.default_rng(0))
         engine = engine_at([], params)
         assert engine.stats == EngineStats(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert only_shard(engine)._records == slice(0, 0)
+        assert only_shard(engine).families == []
         marginals, log_evidence = run(engine, params)
         assert marginals.shape == (0, 4) and log_evidence.shape == (0,)
 
@@ -858,8 +857,9 @@ class TestMarginalEngine:
         assert str(exc.value) == message
         params = ModelParams(q=0.2, baseline=DEFAULT_HAZARD)
         object.__setattr__(params, "beta", beta)  # past the constructor's check
-        shards = []
-        monkeypatch.setattr(inference, "_run_shards", lambda *args: shards.append(args))
+        shards, real = [], inference._Shard.run
+        monkeypatch.setattr(inference._Shard, "run",
+                            lambda shard, *args: shards.append(shard) or real(shard, *args))
         for evaluate in (lambda: run(engine_at([trio()], params), params),
                          lambda: posterior_marginals(trio(), params)):
             with pytest.raises(ValueError) as exc:
@@ -911,23 +911,6 @@ def one_shard(monkeypatch):
 def two_shards(monkeypatch):
     """Compile every cohort of two or more families as two shards."""
     monkeypatch.setattr(inference, "SHARD_BUCKET_BYTES", 0)
-
-
-def helper_runs_second_shard(monkeypatch, started):
-    """Make each threaded run wait, once it has started its helper thread,
-    until the helper has claimed the second shard; ``started`` collects
-    the helpers."""
-    real_start = inference._thread.start_new_thread
-
-    def start(function, args):
-        started.append(function)
-        real_start(function, args)
-        claim, deadline = args[2], time.monotonic() + 30
-        while not claim.locked():
-            assert time.monotonic() < deadline, "the helper thread did not start"
-            time.sleep(1e-4)
-
-    monkeypatch.setattr(inference._thread, "start_new_thread", start)
 
 
 def buckets(engine):
@@ -996,14 +979,8 @@ class TestShards:
                 np.testing.assert_allclose(own, brute.marginals, rtol=0, atol=1e-10)
                 assert log_evidence[k] == pytest.approx(brute.log_evidence, rel=1e-10)
 
-    @pytest.mark.parametrize("path", ["serial", "threads", "late helper"])
-    def test_zero_evidence_in_either_shard_names_its_family(self, monkeypatch, path):
+    def test_zero_evidence_in_either_shard_names_its_family(self, monkeypatch):
         two_shards(monkeypatch)
-        monkeypatch.setattr(inference, "_usable_cpus", lambda: 1 if path == "serial" else 2)
-        if path == "threads":
-            helper_runs_second_shard(monkeypatch, [])
-        elif path == "late helper":  # the calling thread runs both shards
-            monkeypatch.setattr(inference._thread, "start_new_thread", lambda function, args: None)
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
         good = [trio(), cousin_marriage_family(), renamed(trio(), "T2")]
         for families, named in (
@@ -1018,42 +995,21 @@ class TestShards:
                     run(engine, params)
                 assert exc.value.family_id == named
 
-    def test_serial_path_equals_threaded_path(self, monkeypatch):
-        # pins, suppressed probands and a covariate, on a cohort whose data
-        # is possible (random pins may contradict each other)
-        families = pinned_cohort(np.random.default_rng(12), 12)
-        params = ModelParams(q=0.2, beta=-0.5, gamma=(0.3,), epsilon=0.01, eta=0.001,
-                             baseline=DEFAULT_HAZARD)
+    def test_shards_run_on_the_calling_thread(self, monkeypatch):
+        families, _ = simulate_families(60, -0.6, 0.2, scenario="S1", seed=19)
+        params = ModelParams(q=0.2, beta=-0.6, epsilon=0.01, eta=0.001, baseline=DEFAULT_HAZARD)
+        one_shard(monkeypatch)
+        expected = run_bytes(engine_at(families, params), params)
         two_shards(monkeypatch)
         engine = engine_at(families, params)
-        started = []
-        helper_runs_second_shard(monkeypatch, started)
-        monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
-        threaded = run_bytes(engine, params)
-        assert len(started) == 1
-        start = inference._thread.start_new_thread
-        # a helper that starts only after the run leaves the second shard to
-        # the calling thread, and then finds it claimed
-        late = []
-        monkeypatch.setattr(inference._thread, "start_new_thread",
-                            lambda function, args: late.append((function, args)))
-        assert run_bytes(engine, params) == threaded
-        ((function, args),) = late
-        function(*args)
-        _, _, _, done, failed = args
-        assert done.locked() and failed == []
-        monkeypatch.setattr(inference._thread, "start_new_thread", start)
-        monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
-        assert run_bytes(engine, params) == threaded and len(started) == 1
-        monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(inference, "_in_worker", lambda: True)
-        assert run_bytes(engine, params) == threaded and len(started) == 1
-        assert run_bytes(engine_at(families, params), params) == threaded
+        assert engine.stats.shards == 2
 
-    def test_process_pool_workers_know_they_are_workers(self):
-        assert not inference._in_worker()
-        with ProcessPoolExecutor(1) as pool:
-            assert pool.submit(inference._in_worker).result()
+        def refuse(*args, **kwargs):
+            raise AssertionError("the E-step started a thread")
+
+        monkeypatch.setattr(_thread, "start_new_thread", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run_bytes(engine, params) == expected
 
     def test_small_cohorts_compile_to_one_shard(self):
         families, _ = simulate_families(100, -0.6, 0.2, scenario="S1", seed=20)
@@ -1109,16 +1065,9 @@ class TestShards:
         assert np.shares_memory(larger, view((3, 2)))
 
 
-def threaded(monkeypatch):
-    """Run the second shard of each two-shard run on a helper thread."""
-    monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
-    helper_runs_second_shard(monkeypatch, [])
-
-
 class TestShardEvidence:
-    """Each shard computes the evidence of its own records, on the thread
-    that then runs its passes, after the run has checked the inputs of the
-    whole cohort."""
+    """A run computes the evidence of the whole cohort once, after checking
+    its inputs, and the shards' passes read their columns of it."""
 
     @staticmethod
     def cohort(kind, covariates):
@@ -1141,16 +1090,11 @@ class TestShardEvidence:
         two_shards(monkeypatch)
         engine = engine_at(families, params)
         assert engine.stats.shards == 2
-        first, second = (shard._records for shard in engine._shards)
-        assert (first.start, first.stop, second.stop) == (0, second.start, engine.total)
+        assert all(shard._phi is engine._phi for shard in engine._shards)
         hazard = params.cumulative_hazard(engine.ages)
         whole = genetics.evidence_matrix(hazard, params.beta, params.gamma, engine._fixed)
         results = []
-        for cpus in (2, 1):  # on a helper thread, then one shard after the other
-            if cpus == 2:
-                threaded(monkeypatch)
-            else:
-                monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
+        for _ in range(2):  # a run rewrites every record's evidence
             engine._phi[:, :engine.total] = 0.0
             results.append(run_bytes(engine, params))
             assert engine._phi[:, :engine.total].tobytes() == whole.T.tobytes()
@@ -1162,15 +1106,11 @@ class TestShardEvidence:
             assert single.stats.shards == 1
             assert run_bytes(single, params) == results[0]
 
-    @pytest.mark.parametrize("path", ["serial", "threads"])
-    def test_input_errors_come_before_any_shard(self, monkeypatch, path):
+    def test_input_errors_come_before_any_shard(self, monkeypatch):
         # a wrong gamma, and a bad hazard among the second shard's records
         # only, raise as before, also over a zero-evidence family in the
-        # first shard, and no shard writes any evidence
+        # first shard, and no evidence is written
         two_shards(monkeypatch)
-        monkeypatch.setattr(inference, "_usable_cpus", lambda: 1 if path == "serial" else 2)
-        if path == "threads":
-            helper_runs_second_shard(monkeypatch, [])
         ran, real = [], inference._Shard.run
         monkeypatch.setattr(inference._Shard, "run",
                             lambda shard, *args: ran.append(shard) or real(shard, *args))
@@ -1180,11 +1120,11 @@ class TestShardEvidence:
         for head, failure in (([], None), ([impossible_family("Z0")], ZeroEvidenceError)):
             engine = engine_at(head + good, params)
             assert engine.stats.shards == 2 and engine._shards[0].families[0] is (head + good)[0]
-            second = engine._shards[1]._records
+            second = engine.offsets[engine._shards[1].schedule.first]  # its first record
             hazard = params.cumulative_hazard(engine.ages)
             negative, missing = hazard.copy(), hazard.copy()
-            negative[second.start] = -1e-3
-            missing[second.stop - 1] = np.nan
+            negative[second] = -1e-3
+            missing[-1] = np.nan
             for gamma, hazards, message in (
                 ((0.3,), hazard,
                  "gamma must hold one effect per covariate: the records have 0, gamma has 1"),

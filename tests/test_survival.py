@@ -714,6 +714,15 @@ class TestCurvesAndWald:
         with pytest.raises(ValueError, match=f"^beta {beta} is out of range: exp"):
             survival_curve(baseline, beta=beta, group="pat")
 
+    def test_largest_origin_effect_evaluates_without_a_warning(self):
+        # exp(709) is finite, but the hazard times it overflows: S(t) is 0
+        # there, and 1 before the first jump
+        curve = survival_curve(BaselineHazard([10.0], [3.0]), beta=709.0, group="pat")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = curve(np.array([5.0, 20.0]))
+        assert values.tolist() == [1.0, 0.0]
+
     @pytest.mark.parametrize("group, gamma, z, message", [
         ("pat", (0.5,), (1e5,), "^beta \\+ z\\*gamma 50000.3 is out of range: exp"),
         ("mat", (0.5,), (1e5,), "^z\\*gamma 50000.0 is out of range: exp"),
