@@ -67,41 +67,20 @@ message tables, normalizers, scratch pools and bound operations, so two
 live engines share no buffer and can run on two threads at once. The
 module keeps the last compiled schedule, keyed by everything the compile
 reads: the cohort's distinct structure keys and the structure of each
-family, the founder prior (that is, ``q``), ``SHARD_BUCKET_BYTES`` and
-``MAX_POTENTIAL_BYTES``. An engine whose key matches skips the compile. That
-happens for the fits of a study case, whose cohorts all repeat one family
-template, and for repeated library fits of one design, such as a fit and
-then its bootstrap on one process. It misses for the first engine of a
-design, so a CLI ``fit`` compiles its point fit, and in a cycle of cohorts
-of distinct designs, such as heterogeneous cohorts fitted in turn. A reused
-schedule is the one a compile would give, so no output depends on the cache.
+family, the founder prior (that is, ``q``) and ``MAX_POTENTIAL_BYTES``. An
+engine whose key matches skips the compile. That happens for the fits of a
+study case, whose cohorts all repeat one family template, and for repeated
+library fits of one design, such as a fit and then its bootstrap on one
+process. It misses for the first engine of a design, so a CLI ``fit``
+compiles its point fit, and in a cycle of cohorts of distinct designs, such
+as heterogeneous cohorts fitted in turn. A reused schedule is the one a
+compile would give, so no output depends on the cache.
 
-A cohort is compiled as two shards when its potential tables come to more
-than ``SHARD_BUCKET_BYTES`` per bucket of its one-shard schedule: contiguous
-ranges of families of about equal table size, each with its own buckets,
-tables, scratch and ops, laid out from the structures' forests that the
-shards share. A run checks ``gamma`` and the cumulative hazards of the
-whole cohort, so that an input error comes before any shard runs, computes
-the evidence of every record into the evidence table once, and then runs
-the shards one after the other on the calling thread. Each writes its own
-rows of one marginal table and one log-evidence vector, in place. The shard
-plan depends on the cohort alone. On a cohort of one structure two shards
-give a one-shard engine's bits; elsewhere a bucket may batch fewer columns
-in a shard, which may move the last bits within the bound documented on
-:func:`posterior_marginals`.
-
-The threshold is per bucket because a second schedule repeats every
-bucket's operations, whose cost grows with the bucket count, while each
-shard's operations work on half of the tables. It was fitted while the
-second shard ran on a helper thread: a two-shard E-step then broke even at
-about 137 KiB per bucket on cohorts of one ten-member template (1.6 MiB of
-tables in 12 buckets, 550 families) and at about 38 KiB per bucket on
-cohorts of heterogeneous looped families (4.3 MiB in some 115 buckets, 550
-families), and the threshold sits above the larger break-even, so
-heterogeneous cohorts are split only from about 2500 families. Run one
-after the other on a shared 2-vCPU host, two shards have measured from
-even with one shard to about a tenth faster on cohorts of 3000 to 4000
-families, and within a few percent of it on smaller ones.
+A cohort is compiled as one schedule whatever its size. A split into two
+schedules of half the families each was fitted while a helper thread ran
+the second; run one after the other on the calling thread, two schedules
+measured within a few percent of one, either way, at the sizes the
+benchmark and the study use (up to 2000 families).
 
 A brute-force enumerator over all 4^n genotype configurations, with its own
 scalar factor construction, serves as an independent oracle for small
@@ -112,7 +91,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, chain, compress
 
 import numpy as np
@@ -132,7 +111,6 @@ __all__ = [
     "MarginalEngine",
     "family_weights",
     "MAX_POTENTIAL_BYTES",
-    "SHARD_BUCKET_BYTES",
 ]
 
 #: Largest family, in members, that :func:`brute_force_marginals` enumerates.
@@ -142,23 +120,17 @@ ENUMERATION_CAP = 12
 #: for a single clique and for the whole cohort. Between runs an engine holds
 #: two tables of that size: the static tables and the potentials each run
 #: multiplies the evidence into. Beside them it keeps the collected messages,
-#: the evidence with its gather per rank, the normalizers, and per shard
-#: scratch pools, each under four times its largest request: a pool doubles
-#: when a request outgrows it, and ops bound before keep the smaller buffers.
-#: A run adds only its evidence temporaries, per shard the zero mask of one
-#: collected-message table at a time, and the tables it returns.
+#: the evidence with its gather per rank, the normalizers, and scratch
+#: pools, each under four times its largest request: a pool doubles when a
+#: request outgrows it, and ops bound before keep the smaller buffers. A run
+#: adds only its evidence temporaries, the zero mask of one collected-message
+#: table at a time, and the tables it returns.
 MAX_POTENTIAL_BYTES = 2 ** 30
 
-#: Potential-table bytes per bucket of a cohort's schedule above which the
-#: cohort is compiled as two shards, which a run runs one after the other
-#: (see the module docstring for how it was measured). Below it the second
-#: schedule's operations cost more than they gain.
-SHARD_BUCKET_BYTES = 160 * 2 ** 10
-
 #: numpy's ufunc buffer size, in entries, while a run fills the evidence
-#: and runs its shards' ops. At the default of 8192, numpy copies a strided
-#: operand of a broadcast operation through its buffers when the batch axis
-#: holds at most a quarter of that, which made the in-place products of
+#: and runs its ops. At the default of 8192, numpy copies a strided operand
+#: of a broadcast operation through its buffers when the batch axis holds
+#: at most a quarter of that, which made the in-place products of
 #: buckets of up to 2048 columns about three times slower per entry; at 1024
 #: only buckets of up to 256 columns take that path. Reductions, products
 #: and quotients give the same bits.
@@ -170,9 +142,8 @@ _INDEX = np.int32
 _COLLECT, _ROOT, _DISTRIBUTE, _READOUT = range(4)
 
 # The last compiled :class:`_Schedule` and the design it was compiled for:
-# (SHARD_BUCKET_BYTES, MAX_POTENTIAL_BYTES, founder prior bytes, structure
-# of each family as bytes, distinct structure keys). It holds no family,
-# evidence or buffer.
+# (MAX_POTENTIAL_BYTES, founder prior bytes, structure of each family as
+# bytes, distinct structure keys). It holds no family, evidence or buffer.
 _last_schedule = (None, None)
 
 
@@ -401,11 +372,9 @@ class EngineStats:
     the two passes, ``readout_buckets`` those that read root totals and
     marginals from final beliefs, ``gathered_sides`` the bucket sides (the
     children and parents of both passes, and the read-outs) that address
-    their cliques through an index array rather than a slice,
-    ``potential_bytes`` the size of one set of clique potential tables, and
-    ``shards`` the number of schedules the cohort is compiled into (see
-    :class:`MarginalEngine`). ``structures`` counts the cohort's distinct
-    structures; the clique and bucket counts sum over the shards.
+    their cliques through an index array rather than a slice, and
+    ``potential_bytes`` the size of one set of clique potential tables.
+    ``structures`` counts the cohort's distinct structures.
     """
 
     families: int
@@ -417,7 +386,6 @@ class EngineStats:
     readout_buckets: int
     gathered_sides: int
     potential_bytes: int
-    shards: int = 1
 
 
 def _sides(rows, bounds):
@@ -594,8 +562,7 @@ def _find(codes, queries):
 
 class _Forests:
     """The forests of a cohort's structures, laid end to end, with their
-    factors placed; the shards of the cohort share them, each laying its own
-    families out with :meth:`entries`.
+    factors placed; :meth:`entries` lays the cohort's families out on them.
 
     Per clique of each group's forest, group by group: its ``rank``, its
     ``parent`` (an index into these arrays, -1 for a root), ``depth`` and
@@ -728,7 +695,6 @@ class _Forests:
         rank[order] = np.arange(len(order))
         return rank[which.reshape(-1)], [layouts[i] for i in order]
 
-    @cached_property
     def _steps(self):
         """The schedule steps of every group in bucket order, with the
         layouts.
@@ -764,21 +730,14 @@ class _Forests:
         ], axis=1)
         return steps[:, np.lexsort(steps[3::-1])], layouts
 
-    def bucket_count(self):
-        """How many buckets a schedule of every group has."""
-        steps = self._steps[0]
-        return int(np.diff(steps[:4], prepend=-1).any(0).sum())
-
     def entries(self, groups, record_offsets):
         """The :class:`_Entries` of the four stages, in stage order, of a
-        schedule of the families ``groups`` holds per group: each step once
-        per family of its group (see :meth:`_steps`). ``record_offsets``
-        holds each family's first record.
+        schedule of the families ``groups`` holds per group, each group
+        holding at least one: each step once per family of its group (see
+        :meth:`_steps`). ``record_offsets`` holds each family's first record.
         """
         sizes = np.array([len(families) for families in groups], dtype=_INDEX)
-        steps, layouts = self._steps
-        if not sizes.all():
-            steps = steps[:, sizes[self.group[steps[4]]] > 0]
+        steps, layouts = self._steps()
         heads = np.flatnonzero(np.diff(steps[:4], prepend=-1).any(0))  # each bucket's first step
         width = self.width
 
@@ -816,27 +775,53 @@ class _Forests:
         return entries
 
 
-class _ShardSchedule:
-    """The compiled schedule of a contiguous range of a cohort's families,
-    ``first`` to ``stop``: its buckets, the evidence gather of each rank, the
-    static tables, and the sizes of the buffers that a :class:`_Shard`
-    binds it to (see the module docstring). Every array it holds is
-    read-only, so that any number of engines can share it.
+class _Schedule:
+    """A cohort's compiled schedule: its buckets, the evidence gather of each
+    rank, the static tables, the sizes of the buffers that an engine binds
+    it to (see the module docstring) and its :class:`EngineStats`. Every
+    array it holds is read-only, so that engines of one design can share it.
 
-    ``structures`` holds the families' indices into the groups of the
-    ``cohort``'s :class:`_Forests` and ``offsets`` their first records in the
-    cohort. Its static tables fold in the founder ``prior``. Its evidence
-    gathers read columns of a cohort's evidence table whose last column,
-    ``ones``, holds ones.
+    ``keys`` holds the cohort's distinct structure keys, in order of first
+    appearance, ``family_ids`` the first family of each (named when its
+    tables exceed the budget) and ``structure_of`` each family's index into
+    ``keys``. The static tables fold in the founder ``prior``. The evidence
+    gathers read columns of the cohort's evidence table, whose last column
+    holds ones.
     """
 
-    def __init__(self, structures, cohort, offsets, first, ones, prior):
-        self.first, self.stop = first, first + len(structures)
-        groups = [[] for _ in cohort.forests]  # the shard's families of each structure
-        for fi, s in enumerate(structures.tolist()):
+    def __init__(self, keys, family_ids, structure_of, prior):
+        forests, largest = [], (0, None)
+        for key, family_id in zip(keys, family_ids):
+            forest = _Forest(key)
+            k_max = max(forest.ranks)
+            if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
+                raise InferenceError(
+                    f"family {family_id}: its junction tree has a "
+                    f"clique of {k_max} members, whose {N_STATES}^{k_max}-entry table "
+                    f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
+                )
+            if k_max > largest[0]:
+                largest = (k_max, family_id)
+            forests.append(forest)
+        table_bytes = np.array(
+            [sum(N_STATES ** rank for rank in forest.ranks) for forest in forests], dtype=np.int64
+        ) * _FLOAT_BYTES
+        potential_bytes = int(table_bytes[structure_of].sum())
+        if potential_bytes > MAX_POTENTIAL_BYTES:
+            raise InferenceError(
+                f"the cohort's clique potential tables need {potential_bytes} bytes, "
+                f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
+                f"{largest[0]} members, family {largest[1]})"
+            )
+        cohort = _Forests(keys, forests)
+        sizes = np.array([len(key) for key in keys], dtype=_INDEX)[structure_of]
+        offsets = (np.cumsum(sizes) - sizes).astype(_INDEX)
+        ones = int(sizes.sum())  # the evidence table's column of ones
+        groups = [[] for _ in forests]  # the families of each structure
+        for fi, s in enumerate(structure_of.tolist()):
             groups[s].append(fi)
         fam_of = []  # the family of each clique id
-        for forest, group in zip(cohort.forests, groups):
+        for forest, group in zip(forests, groups):
             fam_of += group * len(forest.ranks)
 
         # Clique ids run group by group, then clique by clique: the order in
@@ -926,205 +911,20 @@ class _ShardSchedule:
         self.separators = {  # collected messages per separator size
             int(size): int(np.sum(sep_of == size)) for size in np.unique(sep_of[sep_of > 0])
         }
-        self.counts = (  # as the EngineStats fields of the same names
-            n_cliques,
-            len(stages[_COLLECT]),
-            len(stages[_DISTRIBUTE]),
-            len(stages[_ROOT]) + len(stages[_READOUT]),
-            sum(
+        self.stats = EngineStats(
+            families=len(structure_of),
+            structures=len(forests),
+            cliques=n_cliques,
+            max_clique_size=largest[0],
+            collect_buckets=len(stages[_COLLECT]),
+            distribute_buckets=len(stages[_DISTRIBUTE]),
+            readout_buckets=len(stages[_ROOT]) + len(stages[_READOUT]),
+            gathered_sides=sum(
                 not isinstance(s.rows, slice)
                 for buckets in stages for bucket in buckets
                 for s in (bucket.child, bucket.parent) if s is not None
             ),
-        )
-
-
-class _Schedule:
-    """A cohort's compiled schedule: its :class:`_ShardSchedule` per shard
-    and its :class:`EngineStats`, which engines of one design share.
-
-    ``keys`` holds the cohort's distinct structure keys, in order of first
-    appearance, ``family_ids`` the first family of each (named when its
-    tables exceed the budget) and ``structure_of`` each family's index into
-    ``keys``. The static tables fold in the founder ``prior``.
-    """
-
-    def __init__(self, keys, family_ids, structure_of, prior):
-        forests, largest = [], (0, None)
-        for key, family_id in zip(keys, family_ids):
-            forest = _Forest(key)
-            k_max = max(forest.ranks)
-            if N_STATES ** k_max * _FLOAT_BYTES > MAX_POTENTIAL_BYTES:
-                raise InferenceError(
-                    f"family {family_id}: its junction tree has a "
-                    f"clique of {k_max} members, whose {N_STATES}^{k_max}-entry table "
-                    f"exceeds the {MAX_POTENTIAL_BYTES}-byte potential budget"
-                )
-            if k_max > largest[0]:
-                largest = (k_max, family_id)
-            forests.append(forest)
-        table_bytes = np.array(
-            [sum(N_STATES ** rank for rank in forest.ranks) for forest in forests], dtype=np.int64
-        ) * _FLOAT_BYTES
-        cumulative = np.cumsum(table_bytes[structure_of])
-        potential_bytes = int(cumulative[-1]) if len(cumulative) else 0
-        if potential_bytes > MAX_POTENTIAL_BYTES:
-            raise InferenceError(
-                f"the cohort's clique potential tables need {potential_bytes} bytes, "
-                f"above the {MAX_POTENTIAL_BYTES}-byte budget (largest clique: "
-                f"{largest[0]} members, family {largest[1]})"
-            )
-        # Two shards of about equal table size, split between families, when
-        # the tables are large for the buckets (see SHARD_BUCKET_BYTES).
-        cohort = _Forests(keys, forests)
-        n_families = len(structure_of)
-        bounds = [0, n_families]
-        if n_families > 1 and potential_bytes > SHARD_BUCKET_BYTES * cohort.bucket_count():
-            half = int(np.searchsorted(cumulative, potential_bytes / 2)) + 1
-            bounds.insert(1, min(half, n_families - 1))
-        sizes = np.array([len(key) for key in keys], dtype=_INDEX)[structure_of]
-        offsets = (np.cumsum(sizes) - sizes).astype(_INDEX)
-        ones = int(sizes.sum())  # the evidence table's column of ones
-        self.shards = tuple(
-            _ShardSchedule(structure_of[lo:hi], cohort, offsets[lo:hi], lo, ones, prior)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        )
-        cliques, collect, distribute, readout, gathered = map(
-            sum, zip(*(shard.counts for shard in self.shards))
-        )
-        self.stats = EngineStats(
-            families=n_families,
-            structures=len(forests),
-            cliques=cliques,
-            max_clique_size=largest[0],
-            collect_buckets=collect,
-            distribute_buckets=distribute,
-            readout_buckets=readout,
-            gathered_sides=gathered,
             potential_bytes=potential_bytes,
-            shards=len(self.shards),
-        )
-
-
-class _Shard:
-    """One engine's binding of a :class:`_ShardSchedule`: the shard's
-    ``families``, its own potential and message tables, scratch pools and
-    bound ops. The ops read the engine's evidence table ``phi``, which a run
-    of the engine fills for the whole cohort, and write the shard's own rows
-    of the engine's marginal table and log evidence.
-    """
-
-    def __init__(self, schedule, families, phi):
-        self.schedule, self.families, self._phi = schedule, families, phi
-        # Each run writes the evidence's gather per rank, the potentials,
-        # the collected messages and the normalizers into these buffers
-        # before it reads them.
-        self._pots, self._gathered = {}, {}
-        for rank, table in schedule.static.items():
-            self._pots[rank] = np.empty(table.shape)
-            self._gathered[rank] = np.empty((N_STATES, table.shape[-1]))
-        self._collected = {
-            size: np.empty((N_STATES,) * size + (count,))
-            for size, count in schedule.separators.items()
-        }
-        self._norm = np.empty(schedule.cliques)
-        self._ops = self._bind([_scratch() for _ in range(3)])
-
-    def _bind(self, scratch):
-        """The ops of a run, with every view of the shard's buffers bound:
-        the potentials, the collect pass with the roots, the distribute pass,
-        and per read-out bucket its ops, member rows and marginal.
-        ``scratch`` hands out the temporaries that ops reuse: gathered or
-        summed rows, messages and marginals, and their totals; a gathered
-        row temporary is dead before the next one is written."""
-        rows_of, messages, totals = scratch
-        pots, collected, norm = self._pots, self._collected, self._norm
-        schedule = self.schedule
-        potentials = []
-        for rank, pot in pots.items():
-            gathered, source = self._gathered[rank], schedule.static[rank]
-            for axis, index in schedule.evidence[rank]:
-                factor = gathered.reshape(_axes_shape((axis,), rank, (-1,)))
-                potentials += [partial(self._phi.take, index, 1, gathered, "clip"),
-                               partial(np.multiply, source, factor, pot)]
-                source = pot
-            if source is not pot:
-                potentials.append(partial(np.copyto, pot, source))
-
-        collect, roots, distribute, readouts = schedule.stages
-        collecting = []
-        for bucket in collect:
-            child, parent = bucket.child, bucket.parent
-            slot = collected[child.rank - len(child.sum_axes)][..., bucket.slots]
-            total = norm[bucket.norm]
-            collecting += [
-                _reduce(pots[child.rank][..., child.rows], child.sum_axes, slot),
-                _reduce(slot.reshape(-1, slot.shape[-1]), 0, total),
-                partial(np.divide, slot, total, slot),
-                *_absorb(pots[parent.rank], parent.rows, slot.reshape(parent.shape), rows_of),
-            ]
-        for bucket in roots:
-            table = pots[bucket.child.rank][..., bucket.child.rows]
-            collecting.append(_reduce(table.reshape(-1, table.shape[-1]), 0, norm[bucket.norm]))
-
-        distributing = [_ones_for_zeros(table) for table in collected.values()]
-        for bucket in distribute:
-            child, parent = bucket.child, bucket.parent
-            table = collected[child.rank - len(child.sum_axes)]
-            sent, fetch = _columns(table, bucket.slots, rows_of)
-            msg, total = messages(sent.shape), totals(sent.shape[-1:])
-            distributing += [
-                *_read(pots[parent.rank], parent.rows, parent.sum_axes, msg, rows_of),
-                *fetch,
-                partial(np.divide, msg, sent, msg),
-                _reduce(msg.reshape(-1, msg.shape[-1]), 0, total),
-                partial(np.divide, msg, total, msg),
-                *_absorb(pots[child.rank], child.rows, msg.reshape(child.shape), rows_of),
-            ]
-
-        reading = []
-        for bucket in readouts:
-            child, count = bucket.child, len(bucket.targets)
-            marginal, total = messages((N_STATES, count)), totals((count,))
-            ops = _read(pots[child.rank], child.rows, child.sum_axes, marginal, rows_of)
-            ops += [_reduce(marginal, 0, total), partial(np.divide, marginal, total, marginal)]
-            reading.append((ops, bucket.targets, marginal.T))
-        return potentials, collecting, distributing, reading
-
-    def run(self, marginals, log_evidence):
-        """The two passes over the shard's families, from the evidence in
-        ``phi``: their rows of ``marginals`` and ``log_evidence`` are
-        written. Raises :class:`ZeroEvidenceError` like
-        :meth:`MarginalEngine.run`."""
-        potentials, collect, distribute, readouts = self._ops
-        for op in potentials:
-            op()
-        # Collect: each child's belief, summed to the separator, multiplies
-        # into its parent's. A root's total is then its tree's evidence. A
-        # zero total spreads NaN through its own family's columns only, and
-        # is caught once both stages are done.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for op in collect:
-                op()
-        norm, schedule = self._norm, self.schedule
-        failed = ~(norm > 0)
-        if failed.any():
-            clique = np.flatnonzero(schedule.norm_of_clique == np.argmax(failed))[0]
-            raise ZeroEvidenceError(self.families[schedule.clique_family[clique]].family_id)
-        # Distribute: the parent's final belief on the separator, divided by
-        # the message it collected from the child. Where that message is 0,
-        # so is the parent's marginal; the pass first sets those zeros to 1,
-        # so the quotient is left at 0 there. The quotient's total is
-        # positive since the parent's total is.
-        for op in distribute:
-            op()
-        for ops, targets, marginal in readouts:
-            for op in ops:
-                op()
-            marginals[targets] = marginal
-        log_evidence[schedule.first:schedule.stop] = np.bincount(
-            schedule.clique_family, weights=np.log(norm)[schedule.norm_of_clique],
-            minlength=len(self.families),
         )
 
 
@@ -1136,24 +936,20 @@ class MarginalEngine:
     when it is built (``ValueError`` when ``q`` lies outside [0, 1] or a
     rate outside [0, 1)), so that a run takes only what EM estimates.
 
-    Compiles the junction forests of all families into a bucketed two-pass
-    schedule and binds it into a list of numpy operations on the engine's
-    own buffers (see the module docstring). A cohort whose potential tables
-    come to more than ``SHARD_BUCKET_BYTES`` per bucket is compiled as two
-    shards, contiguous ranges of families of about equal table size, each
-    with its own schedule; a run checks its inputs and computes the
-    evidence for the whole cohort, then runs the shards one after the
-    other. The shard plan depends on the cohort alone. A record with a
-    ``genotype_pin`` takes only its pinned states. :attr:`stats` reports
-    the schedule's size.
+    Compiles the junction forests of all families into one bucketed
+    two-pass schedule and binds it into a list of numpy operations on the
+    engine's own buffers (see the module docstring); a run checks its
+    inputs, computes the evidence for the whole cohort and runs the
+    operations. A record with a ``genotype_pin`` takes only its pinned
+    states. :attr:`stats` reports the schedule's size.
 
     The module keeps the last compiled schedule, which holds no family,
-    evidence or buffer, keyed by the cohort's structures, ``q`` and the two
-    byte constants. An engine of the same design reuses it and only binds
-    it to buffers of its own: the fits of a study case and repeated library
-    fits of one design hit, while a CLI ``fit`` and a cycle of cohorts of
-    distinct designs (the ``hetero_fit`` benchmark) compile each engine.
-    Results do not depend on whether the schedule was reused.
+    evidence or buffer, keyed by the cohort's structures, ``q`` and
+    ``MAX_POTENTIAL_BYTES``. An engine of the same design reuses it and only
+    binds it to buffers of its own: the fits of a study case and repeated
+    library fits of one design hit, while a CLI ``fit`` and a cycle of
+    cohorts of distinct designs (the ``hetero_fit`` benchmark) compile each
+    engine. Results do not depend on whether the schedule was reused.
     ``ages``, ``statuses``, ``covariates`` and ``suppressed`` are the record
     columns in global record order.
 
@@ -1205,20 +1001,89 @@ class MarginalEngine:
                 keys.append(key)
                 family_ids.append(fam.family_id)
         # everything the compile reads
-        design = (SHARD_BUCKET_BYTES, MAX_POTENTIAL_BYTES, prior.tobytes(),
-                  structure_of.tobytes(), keys)
+        design = (MAX_POTENTIAL_BYTES, prior.tobytes(), structure_of.tobytes(), keys)
         compiled, schedule = _last_schedule
         if compiled != design:
             _last_schedule = (None, None)  # the last schedule goes before this one is built
             schedule = _Schedule(keys, family_ids, structure_of, prior)
             _last_schedule = (design, schedule)
-        self.stats = schedule.stats
+        self._schedule, self.stats = schedule, schedule.stats
         # the evidence of every record, and a last column of ones
         self._phi = np.ones((N_STATES, self.total + 1))
-        self._shards = [
-            _Shard(shard, self.families[shard.first:shard.stop], self._phi)
-            for shard in schedule.shards
-        ]
+        # Each run writes the evidence's gather per rank, the potentials,
+        # the collected messages and the normalizers into these buffers
+        # before it reads them.
+        self._pots, self._gathered = {}, {}
+        for rank, table in schedule.static.items():
+            self._pots[rank] = np.empty(table.shape)
+            self._gathered[rank] = np.empty((N_STATES, table.shape[-1]))
+        self._collected = {
+            size: np.empty((N_STATES,) * size + (count,))
+            for size, count in schedule.separators.items()
+        }
+        self._norm = np.empty(schedule.cliques)
+        self._ops = self._bind([_scratch() for _ in range(3)])
+
+    def _bind(self, scratch):
+        """The ops of a run, with every view of the engine's buffers bound:
+        the potentials, the collect pass with the roots, the distribute pass,
+        and per read-out bucket its ops, member rows and marginal.
+        ``scratch`` hands out the temporaries that ops reuse: gathered or
+        summed rows, messages and marginals, and their totals; a gathered
+        row temporary is dead before the next one is written."""
+        rows_of, messages, totals = scratch
+        pots, collected, norm = self._pots, self._collected, self._norm
+        schedule = self._schedule
+        potentials = []
+        for rank, pot in pots.items():
+            gathered, source = self._gathered[rank], schedule.static[rank]
+            for axis, index in schedule.evidence[rank]:
+                factor = gathered.reshape(_axes_shape((axis,), rank, (-1,)))
+                potentials += [partial(self._phi.take, index, 1, gathered, "clip"),
+                               partial(np.multiply, source, factor, pot)]
+                source = pot
+            if source is not pot:
+                potentials.append(partial(np.copyto, pot, source))
+
+        collect, roots, distribute, readouts = schedule.stages
+        collecting = []
+        for bucket in collect:
+            child, parent = bucket.child, bucket.parent
+            slot = collected[child.rank - len(child.sum_axes)][..., bucket.slots]
+            total = norm[bucket.norm]
+            collecting += [
+                _reduce(pots[child.rank][..., child.rows], child.sum_axes, slot),
+                _reduce(slot.reshape(-1, slot.shape[-1]), 0, total),
+                partial(np.divide, slot, total, slot),
+                *_absorb(pots[parent.rank], parent.rows, slot.reshape(parent.shape), rows_of),
+            ]
+        for bucket in roots:
+            table = pots[bucket.child.rank][..., bucket.child.rows]
+            collecting.append(_reduce(table.reshape(-1, table.shape[-1]), 0, norm[bucket.norm]))
+
+        distributing = [_ones_for_zeros(table) for table in collected.values()]
+        for bucket in distribute:
+            child, parent = bucket.child, bucket.parent
+            table = collected[child.rank - len(child.sum_axes)]
+            sent, fetch = _columns(table, bucket.slots, rows_of)
+            msg, total = messages(sent.shape), totals(sent.shape[-1:])
+            distributing += [
+                *_read(pots[parent.rank], parent.rows, parent.sum_axes, msg, rows_of),
+                *fetch,
+                partial(np.divide, msg, sent, msg),
+                _reduce(msg.reshape(-1, msg.shape[-1]), 0, total),
+                partial(np.divide, msg, total, msg),
+                *_absorb(pots[child.rank], child.rows, msg.reshape(child.shape), rows_of),
+            ]
+
+        reading = []
+        for bucket in readouts:
+            child, count = bucket.child, len(bucket.targets)
+            marginal, total = messages((N_STATES, count)), totals((count,))
+            ops = _read(pots[child.rank], child.rows, child.sum_axes, marginal, rows_of)
+            ops += [_reduce(marginal, 0, total), partial(np.divide, marginal, total, marginal)]
+            reading.append((ops, bucket.targets, marginal.T))
+        return potentials, collecting, distributing, reading
 
     def run(self, beta, gamma, cumulative_hazard):
         """Marginals (total, 4) in global record order plus per-family log
@@ -1227,19 +1092,46 @@ class MarginalEngine:
 
         Raises ``ValueError`` when exp(``beta``) is not a positive finite
         float, ``gamma`` does not hold one effect per covariate of the
-        records or a hazard is negative or not finite, before any shard
-        runs, and :class:`ZeroEvidenceError`, naming the family, when a
-        family's observed data has zero probability.
+        records or a hazard is negative or not finite, before any evidence
+        is computed, and :class:`ZeroEvidenceError`, naming the family, when
+        a family's observed data has zero probability.
         """
         genetics._check_beta(beta)
         hazards = self._fixed.hazards(cumulative_hazard, gamma)
         marginals = np.empty((self.total, N_STATES))
-        log_evidence = np.empty(len(self.families))
+        schedule, norm = self._schedule, self._norm
+        potentials, collect, distribute, readouts = self._ops
         bufsize = np.setbufsize(_BUFSIZE)
         try:
             self._fixed.fill(hazards, beta, gamma, self._phi[:, :-1])
-            for shard in self._shards:
-                shard.run(marginals, log_evidence)
+            for op in potentials:
+                op()
+            # Collect: each child's belief, summed to the separator,
+            # multiplies into its parent's. A root's total is then its
+            # tree's evidence. A zero total spreads NaN through its own
+            # family's columns only, and is caught once both stages are done.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for op in collect:
+                    op()
+            failed = ~(norm > 0)
+            if failed.any():
+                clique = np.flatnonzero(schedule.norm_of_clique == np.argmax(failed))[0]
+                raise ZeroEvidenceError(self.families[schedule.clique_family[clique]].family_id)
+            # Distribute: the parent's final belief on the separator, divided
+            # by the message it collected from the child. Where that message
+            # is 0, so is the parent's marginal; the pass first sets those
+            # zeros to 1, so the quotient is left at 0 there. The quotient's
+            # total is positive since the parent's total is.
+            for op in distribute:
+                op()
+            for ops, targets, marginal in readouts:
+                for op in ops:
+                    op()
+                marginals[targets] = marginal
+            log_evidence = np.bincount(
+                schedule.clique_family, weights=np.log(norm)[schedule.norm_of_clique],
+                minlength=len(self.families),
+            )
         finally:
             np.setbufsize(bufsize)
         return marginals, log_evidence

@@ -1,6 +1,7 @@
 """Clique-tree inference tests against the brute-force enumeration oracle."""
 
 import dataclasses
+import hashlib
 import sys
 import _thread
 import threading
@@ -517,12 +518,6 @@ F1 4 1 2 2 50.0 0 0 0
     np.testing.assert_allclose(exact.marginals, brute.marginals, atol=1e-12)
 
 
-def only_shard(engine):
-    """The one shard of an engine compiled as one shard."""
-    (shard,) = engine._shards
-    return shard
-
-
 def renamed(pedigree, family_id):
     return Pedigree(
         [dataclasses.replace(rec, family_id=family_id) for rec in pedigree]
@@ -576,21 +571,35 @@ class TestMarginalEngine:
         )
         # 46 collect and 60 distribute parent sides, 32 distribute children
         # and 9 read-outs
-        distribute = only_shard(engine).schedule.stages[2]
+        distribute = engine._schedule.stages[2]
         assert any(not isinstance(b.child.rows, slice) for b in distribute)
+
+    def test_one_structure_has_the_same_buckets_at_any_size(self):
+        # one bucket per step of the template's forest, however many
+        # families batch in it, and a run of 700 families gives pinned bits
+        params = ModelParams(q=0.2, beta=-0.6, epsilon=0.01, eta=0.001, baseline=DEFAULT_HAZARD)
+        for n in (50, 700, 2000):
+            families, _ = simulate_families(n, -0.6, 0.2, scenario="S1", seed=17)
+            engine = engine_at(families, params)
+            stats = engine.stats
+            assert (stats.collect_buckets, stats.distribute_buckets, stats.readout_buckets,
+                    stats.gathered_sides) == (5, 3, 4, 3)
+            if n == 700:
+                digest = hashlib.sha256(b"".join(run_bytes(engine, params))).hexdigest()
+                assert digest == "2f31908458ecb784dc43d5ec974c0e8dae7d88d6e2abc380868eb99fb4f6b978"
 
     def test_empty_cohort_compiles_to_an_empty_schedule(self):
         params = random_params(np.random.default_rng(0))
         engine = engine_at([], params)
         assert engine.stats == EngineStats(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert only_shard(engine).families == []
+        assert engine._schedule.stages == ([], [], [], [])
         marginals, log_evidence = run(engine, params)
         assert marginals.shape == (0, 4) and log_evidence.shape == (0,)
 
     def test_template_cohort_is_slice_addressed(self):
         rng = np.random.default_rng(8)
         engine = engine_at([template_family(rng, f"T{i}", 0) for i in range(50)])
-        collect, roots, distribute, readouts = only_shard(engine).schedule.stages
+        collect, roots, distribute, readouts = engine._schedule.stages
         for bucket in collect + roots + distribute:
             assert isinstance(bucket.child.rows, slice)
         for bucket in collect + distribute:
@@ -606,7 +615,7 @@ class TestMarginalEngine:
         # array, no distribute child is gathered, and two read-outs are.
         families, _ = simulate_families(50, -0.6, 0.2, seed=8)
         engine = engine_at(families)
-        distribute, readouts = only_shard(engine).schedule.stages[2:]
+        distribute, readouts = engine._schedule.stages[2:]
         assert [i for i, b in enumerate(distribute) if not isinstance(b.parent.rows, slice)] == [0]
         assert all(isinstance(b.child.rows, slice) for b in distribute)
         assert sum(not isinstance(b.child.rows, slice) for b in readouts) == 2
@@ -622,7 +631,7 @@ class TestMarginalEngine:
         engine = engine_at(families, params)
         # the collect pass gathers only parents; distribute children and
         # read-outs whose cliques are not one run of rows are gathered too
-        collect, roots, distribute, readouts = only_shard(engine).schedule.stages
+        collect, roots, distribute, readouts = engine._schedule.stages
         for bucket in collect + roots:
             assert isinstance(bucket.child.rows, slice)
         for bucket in collect:
@@ -719,7 +728,7 @@ class TestMarginalEngine:
         params = random_params(rng)
         engine = engine_at(families + [renamed(fam, f"{fam.family_id}b") for fam in families],
                            params)
-        collect, roots, distribute, readouts = only_shard(engine).schedule.stages
+        collect, roots, distribute, readouts = engine._schedule.stages
         branches = {
             _sums_first(b.parent.rows) for b in distribute if not isinstance(b.parent.rows, slice)
         }
@@ -757,17 +766,17 @@ class TestMarginalEngine:
                            params)
         marginals, log_evidence = run(engine, params)
         gathered = [
-            b for b in only_shard(engine).schedule.stages[2]
+            b for b in engine._schedule.stages[2]
             if not isinstance(b.child.rows, slice) and not isinstance(b.slots, slice)
         ]
         assert gathered
         # the collect pass again, for the messages as the distribute pass
         # meets them, before it sets their zeros to 1
-        potentials, collect, _, _ = only_shard(engine)._ops
+        potentials, collect, _, _ = engine._ops
         for op in potentials + collect:
             op()
         assert any(
-            (only_shard(engine)._collected[b.child.rank - len(b.child.sum_axes)][..., b.slots] == 0.0).any()
+            (engine._collected[b.child.rank - len(b.child.sum_axes)][..., b.slots] == 0.0).any()
             for b in gathered
         )
         for k, fam in enumerate(families):
@@ -857,15 +866,15 @@ class TestMarginalEngine:
         assert str(exc.value) == message
         params = ModelParams(q=0.2, baseline=DEFAULT_HAZARD)
         object.__setattr__(params, "beta", beta)  # past the constructor's check
-        shards, real = [], inference._Shard.run
-        monkeypatch.setattr(inference._Shard, "run",
-                            lambda shard, *args: shards.append(shard) or real(shard, *args))
+        filled, real = [], genetics.FixedEvidence.fill  # a run fills the evidence first
+        monkeypatch.setattr(genetics.FixedEvidence, "fill",
+                            lambda fixed, *args: filled.append(fixed) or real(fixed, *args))
         for evaluate in (lambda: run(engine_at([trio()], params), params),
                          lambda: posterior_marginals(trio(), params)):
             with pytest.raises(ValueError) as exc:
                 evaluate()
             assert str(exc.value) == message
-        assert shards == []
+        assert filled == []
 
     def test_cohort_over_the_potential_budget_is_refused(self, monkeypatch):
         # each trio's one rank-3 clique fits the budget; the three together do not
@@ -903,93 +912,23 @@ def impossible_family(family_id):
     )
 
 
-def one_shard(monkeypatch):
-    """Compile every cohort as one shard while the test runs."""
-    monkeypatch.setattr(inference, "SHARD_BUCKET_BYTES", 2 ** 62)
-
-
-def two_shards(monkeypatch):
-    """Compile every cohort of two or more families as two shards."""
-    monkeypatch.setattr(inference, "SHARD_BUCKET_BYTES", 0)
-
-
-def buckets(engine):
-    """All buckets of ``engine``'s schedules, roots included."""
-    stats = engine.stats
-    return stats.collect_buckets + stats.distribute_buckets + stats.readout_buckets
-
-
 def run_bytes(engine, params):
     return tuple(table.tobytes() for table in run(engine, params))
 
 
 class TestShards:
-    def test_template_cohort_above_threshold_equals_one_shard(self, monkeypatch):
-        # One structure: every bucket of either shard batches many columns,
-        # which numpy sums in one order whatever their number, so the shards
-        # give the one-shard engine's bits, run by run and through a fit.
-        families, _ = simulate_families(700, -0.6, 0.2, scenario="S1", seed=17)
-        threshold = inference.SHARD_BUCKET_BYTES
-        config = EMConfig(q=0.2, seed=4)
-        fit = em_fit(families, config)
-        rng = np.random.default_rng(17)
-        models = (random_params(rng), ModelParams(q=0.2, beta=fit.beta_hat, baseline=fit.baseline))
-        sharded = [engine_at(families, params) for params in models]
-        one_shard(monkeypatch)
-        single = [engine_at(families, params) for params in models]
-        assert single[0].stats.potential_bytes > threshold * buckets(single[0])
-        assert (sharded[0].stats.shards, single[0].stats.shards) == (2, 1)
-        assert [s.schedule.first for s in sharded[0]._shards] == [0, 350]
-        assert sharded[0].stats == dataclasses.replace(
-            single[0].stats, shards=2, collect_buckets=2 * single[0].stats.collect_buckets,
-            distribute_buckets=2 * single[0].stats.distribute_buckets,
-            readout_buckets=2 * single[0].stats.readout_buckets,
-            gathered_sides=2 * single[0].stats.gathered_sides,
-        )
-        for params, two, one in zip(models, sharded, single):
-            assert run_bytes(two, params) == run_bytes(one, params)
-        reference = em_fit(families, config)
-        assert reference.trace == fit.trace
-        assert reference.marginals.tobytes() == fit.marginals.tobytes()
+    """Runs of the engine's one schedule. The names come from the two-shard
+    split that these tests once ran on both shards; each checks the same
+    behaviour on one schedule."""
 
-    def test_looped_heterogeneous_cohort_in_two_shards(self, monkeypatch):
-        # Shards of many structures: a bucket may batch one column in a
-        # shard where it batched two in the cohort, which moves last bits
-        # within the bound documented on posterior_marginals.
-        rng = np.random.default_rng(18)
-        families = [
-            random_pedigree(rng, int(rng.integers(2, 13)), f"H{i}", with_loop=i % 3 == 0)
-            for i in range(40)
-        ]
-        params = random_params(rng)
-        one_shard(monkeypatch)
-        single, single_log = run(engine_at(families, params), params)
-        two_shards(monkeypatch)
-        engine = engine_at(families, params)
-        assert engine.stats.shards == 2
-        first = engine._shards[1].schedule.first
-        assert [len(s.families) for s in engine._shards] == [first, 40 - first]
-        marginals, log_evidence = run(engine, params)
-        np.testing.assert_allclose(marginals, single, rtol=0, atol=3.3e-16)
-        np.testing.assert_allclose(log_evidence, single_log, rtol=1e-14)
-        for k, fam in enumerate(families):
-            if len(fam) <= 12:
-                own = marginals[engine.offsets[k]:engine.offsets[k] + len(fam)]
-                brute = brute_force_marginals(fam, params)
-                np.testing.assert_allclose(own, brute.marginals, rtol=0, atol=1e-10)
-                assert log_evidence[k] == pytest.approx(brute.log_evidence, rel=1e-10)
-
-    def test_zero_evidence_in_either_shard_names_its_family(self, monkeypatch):
-        two_shards(monkeypatch)
+    def test_zero_evidence_in_either_shard_names_its_family(self):
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
         good = [trio(), cousin_marriage_family(), renamed(trio(), "T2")]
         for families, named in (
-            (good + [impossible_family("Z1")], "Z1"),  # in the second shard
-            ([impossible_family("Z0")] + good + [impossible_family("Z1")], "Z0"),  # in both
+            (good + [impossible_family("Z1")], "Z1"),
+            ([impossible_family("Z0")] + good + [impossible_family("Z1")], "Z0"),
         ):
             engine = engine_at(families, params)
-            assert engine.stats.shards == 2
-            assert engine._shards[1].families[-1].family_id == "Z1"
             for _ in range(2):  # the engine runs again after a failed run
                 with pytest.raises(ZeroEvidenceError) as exc:
                     run(engine, params)
@@ -998,11 +937,8 @@ class TestShards:
     def test_shards_run_on_the_calling_thread(self, monkeypatch):
         families, _ = simulate_families(60, -0.6, 0.2, scenario="S1", seed=19)
         params = ModelParams(q=0.2, beta=-0.6, epsilon=0.01, eta=0.001, baseline=DEFAULT_HAZARD)
-        one_shard(monkeypatch)
         expected = run_bytes(engine_at(families, params), params)
-        two_shards(monkeypatch)
         engine = engine_at(families, params)
-        assert engine.stats.shards == 2
 
         def refuse(*args, **kwargs):
             raise AssertionError("the E-step started a thread")
@@ -1011,38 +947,11 @@ class TestShards:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert run_bytes(engine, params) == expected
 
-    def test_small_cohorts_compile_to_one_shard(self):
-        families, _ = simulate_families(100, -0.6, 0.2, scenario="S1", seed=20)
-        engine = engine_at(families)
-        assert engine.stats.potential_bytes < inference.SHARD_BUCKET_BYTES * buckets(engine)
-        assert engine.stats.shards == 1 and len(engine._shards) == 1
-        assert engine_at([]).stats.shards == 1
-
-    def test_shards_follow_table_bytes_per_bucket(self, monkeypatch):
-        # A cohort of many structures has many more buckets than a template
-        # cohort, each batching fewer columns: at a larger table size it
-        # stays one shard where the template cohort is split.
-        rng = np.random.default_rng(22)
-        mixed = [
-            random_pedigree(rng, int(rng.integers(6, 14)), f"H{i}", with_loop=i % 3 == 0)
-            for i in range(40)
-        ]
-        template, _ = simulate_families(50, -0.6, 0.2, scenario="S1", seed=22)
-        one_shard(monkeypatch)
-        mixed_one, template_one = engine_at(mixed), engine_at(template)
-        assert mixed_one.stats.potential_bytes > template_one.stats.potential_bytes
-        per_bucket = [engine.stats.potential_bytes / buckets(engine)
-                      for engine in (mixed_one, template_one)]
-        assert per_bucket[0] < per_bucket[1]
-        monkeypatch.setattr(inference, "SHARD_BUCKET_BYTES", int(sum(per_bucket) / 2))
-        assert engine_at(mixed).stats.shards == 1
-        assert engine_at(template).stats.shards == 2
-
     def test_shards_run_with_the_small_buffer_and_restore_it(self):
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
         engine = engine_at([trio(), cousin_marriage_family()], params)
         seen = []
-        engine._shards[0]._ops[0].append(lambda: seen.append(np.getbufsize()))
+        engine._ops[0].append(lambda: seen.append(np.getbufsize()))
         before = np.setbufsize(4096)
         try:
             run(engine, params)
@@ -1067,7 +976,8 @@ class TestShards:
 
 class TestShardEvidence:
     """A run computes the evidence of the whole cohort once, after checking
-    its inputs, and the shards' passes read their columns of it."""
+    its inputs, and the passes read it (named, like :class:`TestShards`,
+    for the split these tests once covered)."""
 
     @staticmethod
     def cohort(kind, covariates):
@@ -1083,14 +993,11 @@ class TestShardEvidence:
 
     @pytest.mark.parametrize("covariates", [0, 1])
     @pytest.mark.parametrize("kind", ["template", "looped"])
-    def test_shards_fill_the_whole_cohorts_evidence(self, monkeypatch, kind, covariates):
+    def test_shards_fill_the_whole_cohorts_evidence(self, kind, covariates):
         families = self.cohort(kind, covariates)
         params = ModelParams(q=0.2, beta=-0.6, gamma=(0.3,) * covariates, epsilon=0.01,
                              eta=0.001, baseline=DEFAULT_HAZARD)
-        two_shards(monkeypatch)
         engine = engine_at(families, params)
-        assert engine.stats.shards == 2
-        assert all(shard._phi is engine._phi for shard in engine._shards)
         hazard = params.cumulative_hazard(engine.ages)
         whole = genetics.evidence_matrix(hazard, params.beta, params.gamma, engine._fixed)
         results = []
@@ -1100,30 +1007,20 @@ class TestShardEvidence:
             assert engine._phi[:, :engine.total].tobytes() == whole.T.tobytes()
             assert (engine._phi[:, engine.total] == 1.0).all()
         assert results[0] == results[1]
-        if kind == "template":  # one structure: a one-shard engine's bits
-            one_shard(monkeypatch)
-            single = engine_at(families, params)
-            assert single.stats.shards == 1
-            assert run_bytes(single, params) == results[0]
 
-    def test_input_errors_come_before_any_shard(self, monkeypatch):
-        # a wrong gamma, and a bad hazard among the second shard's records
-        # only, raise as before, also over a zero-evidence family in the
-        # first shard, and no evidence is written
-        two_shards(monkeypatch)
-        ran, real = [], inference._Shard.run
-        monkeypatch.setattr(inference._Shard, "run",
-                            lambda shard, *args: ran.append(shard) or real(shard, *args))
+    def test_input_errors_come_before_any_shard(self):
+        # a wrong gamma, and a bad hazard of one record, raise as before,
+        # also over a zero-evidence family, and no evidence is written
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
         good = [trio(), cousin_marriage_family(), renamed(trio(), "T2")]
         hazard_message = "cumulative hazards must be finite and non-negative"
         for head, failure in (([], None), ([impossible_family("Z0")], ZeroEvidenceError)):
             engine = engine_at(head + good, params)
-            assert engine.stats.shards == 2 and engine._shards[0].families[0] is (head + good)[0]
-            second = engine.offsets[engine._shards[1].schedule.first]  # its first record
+            ran = []
+            engine._ops[0].insert(0, lambda: ran.append(True))
             hazard = params.cumulative_hazard(engine.ages)
             negative, missing = hazard.copy(), hazard.copy()
-            negative[second] = -1e-3
+            negative[engine.offsets[-1]] = -1e-3
             missing[-1] = np.nan
             for gamma, hazards, message in (
                 ((0.3,), hazard,
@@ -1141,7 +1038,6 @@ class TestShardEvidence:
                 with pytest.raises(failure):
                     run(engine, params)
             assert ran
-            ran.clear()
 
 
 def compiles(monkeypatch):
@@ -1160,11 +1056,6 @@ def cold(monkeypatch, build):
     """``build()`` with no schedule kept, so that its engine compiles afresh."""
     monkeypatch.setattr(inference, "_last_schedule", (None, None))
     return build()
-
-
-def schedule_of(engine):
-    """The compiled schedule of each of an engine's shards."""
-    return tuple(shard.schedule for shard in engine._shards)
 
 
 def writable_arrays(ops):
@@ -1223,7 +1114,7 @@ class TestSharedSchedule:
         compiled = compiles(monkeypatch)
         engines = [engine_at(families, params) for families in cohorts]
         assert compiled == []
-        assert len({schedule_of(engine) for engine in engines}) == 1
+        assert len({engine._schedule for engine in engines}) == 1
         for engine, families, (engine_expected, fit_expected) in zip(engines, cohorts, expected):
             assert engine_bytes(engine, params) == engine_expected
             assert fit_bytes(em_fit(families, config)) == fit_expected
@@ -1237,17 +1128,8 @@ class TestSharedSchedule:
         ]
         params = ModelParams(q=0.2, beta=-0.4, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
         config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=3)
-        engines = self.assert_reuse_is_cold(monkeypatch, cohorts, params, config)
-        assert engines[0].stats.shards == 1
+        self.assert_reuse_is_cold(monkeypatch, cohorts, params, config)
         assert any(rec.genotype_pin for rec in cohorts[3][0])
-
-    def test_two_shard_template_cohorts(self, monkeypatch):
-        two_shards(monkeypatch)
-        cohorts = [simulate_families(30, -0.6, 0.2, scenario="S1", seed=seed)[0]
-                   for seed in (23, 24)]
-        params = ModelParams(q=0.2, beta=-0.6, epsilon=0.01, eta=0.001, baseline=DEFAULT_HAZARD)
-        engines = self.assert_reuse_is_cold(monkeypatch, cohorts, params, EMConfig(q=0.2, seed=2))
-        assert engines[0].stats.shards == 2
 
     def test_covariate_cohorts(self, monkeypatch):
         cohorts = [
@@ -1271,16 +1153,9 @@ class TestSharedSchedule:
         engine_at(more)
         engine_at(families[:10] + [trio()] + families[10:19])  # as many families
         assert len(compiled) == 4
-        for constant in ("SHARD_BUCKET_BYTES", "MAX_POTENTIAL_BYTES"):
-            monkeypatch.setattr(inference, constant, getattr(inference, constant) + 1)
-            engine_at(families)
-        assert len(compiled) == 6
-        one_shard(monkeypatch)
-        engine = engine_at(families)
-        two_shards(monkeypatch)
-        sharded = engine_at(families)
-        assert len(compiled) == 8
-        assert (engine.stats.shards, sharded.stats.shards) == (1, 2)
+        monkeypatch.setattr(inference, "MAX_POTENTIAL_BYTES", inference.MAX_POTENTIAL_BYTES + 1)
+        engine_at(families)
+        assert len(compiled) == 5
 
     def test_live_engines_of_one_design_keep_their_own_buffers(self, monkeypatch):
         cohorts = [simulate_families(30, -0.6, 0.2, scenario="S1", seed=seed)[0]
@@ -1290,7 +1165,7 @@ class TestSharedSchedule:
         expected = [cold(monkeypatch, lambda: run_bytes(engine_at(families, p), p))
                     for families, p in zip(cohorts, params)]
         engines = [engine_at(families, p) for families, p in zip(cohorts, params)]
-        assert schedule_of(engines[0]) == schedule_of(engines[1])
+        assert engines[0]._schedule is engines[1]._schedule
         for _ in range(3):  # interleaved
             for engine, p, want in zip(engines, params, expected):
                 assert run_bytes(engine, p) == want
@@ -1318,7 +1193,7 @@ class TestSharedSchedule:
         for got, want in zip(results, expected):
             assert got == [want] * 20
         # and no array that one engine's ops write is the other's
-        mine, theirs = (writable_arrays(engine._shards[0]._ops) for engine in engines)
+        mine, theirs = (writable_arrays(engine._ops) for engine in engines)
         assert mine and theirs
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
@@ -1328,7 +1203,7 @@ class TestSharedSchedule:
         mixed = [random_pedigree(rng, int(rng.integers(2, 12)), f"H{i}", with_loop=i % 3 == 0)
                  for i in range(20)]
         for cohort in (families, mixed):
-            (schedule,) = schedule_of(engine_at(cohort))
+            schedule = engine_at(cohort)._schedule
             held = [b.child.rows for buckets in schedule.stages for b in buckets]
             held += [b.parent.rows for buckets in schedule.stages for b in buckets if b.parent]
             held += [b.slots for buckets in schedule.stages for b in buckets]
@@ -1349,7 +1224,7 @@ class TestSharedSchedule:
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)
         first = engine_at([trio(), impossible_family("Z0"), cousin_marriage_family()], params)
         second = engine_at([trio(), impossible_family("Z1"), cousin_marriage_family()], params)
-        assert schedule_of(first) == schedule_of(second)
+        assert first._schedule is second._schedule
         for engine, named in ((second, "Z1"), (first, "Z0"), (second, "Z1")):
             with pytest.raises(ZeroEvidenceError) as exc:
                 run(engine, params)
