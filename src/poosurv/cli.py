@@ -145,7 +145,7 @@ def main():
 @click.option("--scenario", type=click.Choice([s.value for s in Scenario], case_sensitive=False), required=True)
 @click.option("--hazard", default=None, help="Piecewise hazard as start:rate,... (default: built-in study table).")
 @click.option("--mark-probands", is_flag=True, help="Flag the first affected member of each family as proband.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @_guarded
 def simulate(families, beta, q, scenario, hazard, mark_probands, seed, out):
@@ -185,7 +185,7 @@ def _baseline_to_json(baseline: BaselineHazard):
 @click.option("--test-ages", default=",".join(f"{a:g}" for a in _EM_DEFAULTS["test_ages"]), show_default=True, help="Convergence test ages.")
 @click.option("--tol", type=float, default=_EM_DEFAULTS["tol"], show_default=True)
 @click.option("--max-iter", type=int, default=_EM_DEFAULTS["max_iter"], show_default=True)
-@click.option("--seed", type=int, default=_EM_DEFAULTS["seed"], show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=_EM_DEFAULTS["seed"], show_default=True)
 @click.option("--proband-correction", is_flag=True, help="Suppress proband phenotypes (ascertainment correction).")
 @click.option("--poo-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Oracle sidecar pinning genotype states.")
 @click.option("--bootstrap", type=click.IntRange(min=0), default=None, help="Family bootstrap replicates for honest intervals.")
@@ -284,7 +284,7 @@ FULL_DESIGN_CASES = ((100, -0.6), (400, -0.6), (100, -1.2))
 @click.option("--scenarios", default=",".join(s.value for s in Scenario), show_default=True)
 @click.option("--replicates", type=int, default=200, show_default=True)
 @click.option("--q", type=float, default=DEFAULT_Q, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded

@@ -9,17 +9,20 @@ posterior genotype weights by exact pedigree inference under the updated
 parameters. Iterations stop when the baseline survival probabilities at a
 fixed set of test ages move less than the tolerance.
 
-:func:`_em` is the one EM loop. It runs on a :class:`_Model`, a family list
-compiled once for a config's fixed constants, with a count for each family:
-``em_fit`` counts every family once, and each bootstrap replicate counts the
-families as often as it drew them. Suppressed phenotypes and genotype pins
-are record data, set before the fit (see :mod:`poosurv.pedigree`).
+:func:`_em` is the one EM loop, a driver over two half-steps. It runs on a
+:class:`_Model`, a family list compiled once for a config's fixed constants,
+with a count for each family: ``em_fit`` counts every family once, and each
+bootstrap replicate counts the families as often as it drew them. A
+:class:`_Run` holds what one run fixes before its first iteration, and its
+``m_step`` and ``e_step`` are the two half-steps; ``_em`` adds the random
+start, the trace, the monotonicity warning and the stopping rule. Suppressed
+phenotypes and genotype pins are record data, set before the fit (see
+:mod:`poosurv.pedigree`).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from .genetics import DEFAULT_EPSILON, DEFAULT_ETA, origin_weights
 from .inference import InferenceError, MarginalEngine, PosteriorWeights, family_weights
-from .pedigree import Pedigree
+from .pedigree import Pedigree, _is_integer
 from .survival import BaselineHazard, CoxError, CoxProblem, survival_curve
 
 __all__ = [
@@ -83,10 +86,12 @@ class EMConfig:
         if not ages or any(b <= a for a, b in zip(ages, ages[1:])):
             raise ValueError("test_ages must be non-empty and increasing")
         object.__setattr__(self, "test_ages", ages)
-        if not isinstance(self.max_iter, numbers.Integral):
+        if not _is_integer(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -200,26 +205,76 @@ class _Model:
         self.affected_ages = ages[affected]
 
 
-def _em(model: _Model, config: EMConfig, draws) -> FitResult:
-    """The EM loop, on the model's families as often as ``draws`` names each.
+class _Run:
+    """One EM run's fixed part and its two half-steps: the model's families,
+    each counted as often as ``draws`` names it (``None``: once each, in
+    order), the jump grid and the places of the records and of ``test_ages``
+    on it. Each M-step is one iteration in the error messages."""
 
-    ``em_fit`` draws every family once; a bootstrap replicate draws a
-    resample. A family drawn c times weighs c times in the M-step weights and
-    in the log-likelihood, as c copies of it would, and the random start
-    is the one a fit of the drawn list would take. ``config`` gives the
-    seed and the stopping rule; its ``q``, ``epsilon`` and ``eta`` are the
-    model's. ``draws=None`` is ``em_fit``'s draw: every family once, in order.
-    """
-    engine, problem, rows = model.engine, model.problem, model.rows
-    n = model.sizes.size
-    family_counts = np.ones(n, dtype=np.intp) if draws is None else np.bincount(draws, minlength=n)
-    record_counts = np.repeat(family_counts, model.sizes)
+    def __init__(self, model: _Model, draws, test_ages):
+        self.model, self.iterations = model, 0
+        engine, n = model.engine, model.sizes.size
+        counts = np.ones(n, dtype=np.intp) if draws is None else np.bincount(draws, minlength=n)
+        self.family_counts, record_counts = counts, np.repeat(counts, model.sizes)
+        # A family drawn c times weighs c times in the tables, the log
+        # evidence and the jump terms, as c copies of it would; the product
+        # is skipped when every family is drawn once (1 * x is x). The tables
+        # come straight from the marginals when every record is fitted.
+        self.every_record = model.rows.size == engine.total
+        self.counts = record_counts[model.rows] if (counts != 1).any() else None
+        # Every drawn affected age is a Breslow jump time, since affected
+        # records never lose their carrier mass, and there are no others: the
+        # jump grid is fixed for the run (each baseline is checked against
+        # it), and so are the places of the records and of the test ages on it.
+        event_counts = record_counts[model.affected_records]
+        event_times = model.affected_ages[event_counts > 0]
+        self.event_counts = event_counts[event_counts > 0]
+        self.jump_grid = grid = np.unique(event_times)
+        self.jump_of_event = np.searchsorted(grid, event_times)
+        self.positions = np.searchsorted(grid, engine.ages, side="right")
+        self.test_positions = np.searchsorted(grid, test_ages, side="right")
 
-    # One uniform row per drawn record in draw order, summed into the
-    # original records. For em_fit's draw that sum is the uniform table
-    # itself (0.0 + u is u); a draw that takes every family once in another
-    # order still needs the sum.
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    def m_step(self, weights, init):
+        """``(coefs, covariance, baseline)``: the Cox fit from ``init`` on the
+        ``(2, fitted records)`` table ``weights``, and its Breslow baseline."""
+        self.iterations += 1
+        try:
+            coefs, covariance, _, _ = self.model.problem.fit(weights, init=init)
+            baseline = self.model.problem.breslow(weights, coefs)
+        except CoxError as err:
+            raise EMError(f"M-step failed at iteration {self.iterations}: {err}") from err
+        if not np.array_equal(baseline.times, self.jump_grid):
+            raise EMError(
+                f"iteration {self.iterations}: the Breslow jump times are not the "
+                "affected ages; an affected record lost its carrier mass"
+            )
+        return coefs, covariance, baseline
+
+    def e_step(self, coefs, baseline):
+        """``(weights, marginals, log_evidence, log_likelihood)`` at ``coefs``
+        and ``baseline``, counts applied: the next M-step's table (paternal-
+        then maternal-origin weights) and the terms of :class:`EMIteration`."""
+        model = self.model
+        marginals, log_evidence_fam = model.engine.run(
+            coefs[0], coefs[1:], baseline.cumulative_at(self.positions)
+        )
+        fitted = marginals if self.every_record else marginals.take(model.rows, axis=0)
+        weights = origin_weights(fitted)
+        log_jumps = np.log(baseline.increments[self.jump_of_event])
+        if self.counts is not None:
+            weights *= self.counts
+            log_evidence_fam = self.family_counts * log_evidence_fam
+            log_jumps *= self.event_counts
+        log_evidence = float(log_evidence_fam.sum())
+        return weights, marginals, log_evidence, log_evidence + float(log_jumps.sum())
+
+
+def _start(model: _Model, draws, seed):
+    """The first M-step's table: one uniform row per drawn record in draw
+    order, summed into the original records (for em_fit's draw, the uniform
+    table itself, as 0.0 + u is u), with the non-carrier column dropped."""
+    engine = model.engine
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     if draws is None:
         start = rng.uniform(size=(engine.total, 3))
         start /= start.sum(axis=1, keepdims=True)
@@ -233,61 +288,26 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
         u /= u.sum(axis=1, keepdims=True)
         start = np.zeros((engine.total, 3))
         np.add.at(start, drawn_records, u)
-    # The M-step's weight table: each record's paternal-origin weight in
-    # row 0, its maternal-origin weight in row 1; non-carrier mass has none.
-    weights = np.stack((start[rows, 0], start[rows, 1]))
-    # Later tables come straight from the marginals when every record is
-    # fitted. The tables, the log evidence and the jump terms are weighed by
-    # the counts only when some family is not drawn once, as in a bootstrap
-    # replicate: 1 * x is x.
-    every_record = rows.size == engine.total
-    counts = record_counts[rows] if (family_counts != 1).any() else None
+    return np.stack((start[model.rows, 0], start[model.rows, 1]))
 
-    # Every drawn affected age is a Breslow jump time, since affected records
-    # never lose their carrier mass, and there are no others: the jump grid
-    # is fixed for the run (each baseline is checked against it), and so
-    # are the places of the records and of the test ages on it, found here.
-    event_counts = record_counts[model.affected_records]
-    event_times = model.affected_ages[event_counts > 0]
-    event_counts = event_counts[event_counts > 0]
-    jump_grid = np.unique(event_times)
-    jump_of_event = np.searchsorted(jump_grid, event_times)
-    positions = np.searchsorted(jump_grid, engine.ages, side="right")
-    test_positions = np.searchsorted(jump_grid, config.test_ages, side="right")
 
+def _em(model: _Model, config: EMConfig, draws) -> FitResult:
+    """The EM loop: a :class:`_Run`'s M-step and E-step in turn, from the
+    :func:`_start` a fit of the drawn list would take, until ``config``'s
+    stopping rule holds (its ``q``, ``epsilon`` and ``eta`` are the model's).
+    ``em_fit`` draws every family once; a bootstrap replicate, a resample."""
+    run = _Run(model, draws, config.test_ages)
+    weights = _start(model, draws, config.seed)
     trace = EMTrace()
-    coefs = np.zeros(problem.p)
-    prev_survival = None
-    prev_log_likelihood = None
-    marginals = None
+    coefs = np.zeros(model.problem.p)
+    prev_survival = prev_log_likelihood = None
     converged = False
     below_tol_streak = 0
     for iteration in range(1, config.max_iter + 1):
-        try:
-            coefs, covariance, _, _ = problem.fit(weights, init=coefs)
-            baseline = problem.breslow(weights, coefs)
-        except CoxError as err:
-            raise EMError(f"M-step failed at iteration {iteration}: {err}") from err
-        if not np.array_equal(baseline.times, jump_grid):
-            raise EMError(
-                f"iteration {iteration}: the Breslow jump times are not the "
-                "affected ages; an affected record lost its carrier mass"
-            )
+        coefs, covariance, baseline = run.m_step(weights, coefs)
         # a handful of floats: the change below is cheaper on them than on arrays
-        survival = np.exp(-baseline.cumulative_at(test_positions)).tolist()
-
-        marginals, log_evidence_fam = engine.run(
-            coefs[0], coefs[1:], baseline.cumulative_at(positions)
-        )
-        weights = origin_weights(marginals if every_record else marginals.take(rows, axis=0))
-        log_jumps = np.log(baseline.increments[jump_of_event])
-        if counts is not None:
-            weights *= counts
-            log_evidence_fam = family_counts * log_evidence_fam
-            log_jumps *= event_counts
-        log_evidence = float(log_evidence_fam.sum())
-        log_likelihood = log_evidence + float(log_jumps.sum())
-
+        survival = np.exp(-baseline.cumulative_at(run.test_positions)).tolist()
+        weights, marginals, log_evidence, log_likelihood = run.e_step(coefs, baseline)
         change = (
             max(abs(now - before) for now, before in zip(survival, prev_survival))
             if prev_survival is not None
@@ -323,7 +343,7 @@ def _em(model: _Model, config: EMConfig, draws) -> FitResult:
     return FitResult(
         beta_hat=float(coefs[0]), gamma_hat=coefs[1:], covariance=covariance,
         baseline=baseline, trace=trace, converged=converged, marginals=marginals,
-        families=engine.families,
+        families=model.engine.families,
     )
 
 
@@ -390,8 +410,9 @@ def bootstrap_em(families, config: EMConfig, B: int = 200,
     chunks, one compiled model per worker, so results do not depend on
     ``jobs``.
     """
-    if B < 1:
-        raise ValueError("need at least one bootstrap replicate")
+    for name, count in (("B", B), ("jobs", jobs)):
+        if not _is_integer(count) or count < 1:
+            raise ValueError(f"{name} must be an integer of at least one, got {count!r}")
     families = list(families)
     chunks = min(jobs, B)
     tasks = [(families, config, range(B * i // chunks, B * (i + 1) // chunks))

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -52,7 +51,7 @@ from .genetics import (
     GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype, _check_beta, _check_q,
 )
 from .inference import InferenceError
-from .pedigree import IndividualRecord, Pedigree, Sex, _families
+from .pedigree import IndividualRecord, Pedigree, Sex, _families, _is_integer
 
 __all__ = [
     "Scenario",
@@ -275,7 +274,7 @@ def _simulate_family(family_id, ids, parents, rng, beta, q, hazard, mark_proband
 
 def _family_count(n):
     """``n`` as an ``int``; ``ValueError`` for a bool or a number of another type."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    if not _is_integer(n):
         raise ValueError(f"the number of families must be an integer, got {n!r}")
     return int(n)
 

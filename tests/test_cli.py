@@ -468,7 +468,7 @@ class TestFitCommand:
         assert not report_path.exists()
         assert not (tmp_path / "report.json.config.json").exists()
 
-    @pytest.mark.parametrize("option", [("--bootstrap", "-2"), ("--jobs", "0")])
+    @pytest.mark.parametrize("option", [("--bootstrap", "-2"), ("--jobs", "0"), ("--seed", "-1")])
     def test_negative_counts_are_usage_errors(self, runner, sim_dir, tmp_path, option):
         report_path = tmp_path / "fit.json"
         result = runner.invoke(
@@ -477,6 +477,7 @@ class TestFitCommand:
              "--out", str(report_path)],
         )
         assert result.exit_code == 2
+        assert f"'{option[0]}'" in result.output
         assert not report_path.exists()
 
     def test_validation_findings_lead_the_warnings(self, runner, sim_dir, tmp_path):

@@ -1,6 +1,7 @@
 """EM loop tests: M-step records, proband correction, determinism."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -216,11 +217,19 @@ class TestEMConfig:
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             EMConfig(q=0.2, max_iter=0)
 
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, True])
     def test_max_iter_must_be_an_integer(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             EMConfig(q=0.2, max_iter=max_iter)
         assert EMConfig(q=0.2, max_iter=np.int64(3)).max_iter == 3
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # a bool would fit as seed 0 or 1, and numpy would refuse the others
+        # only inside the fit
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            EMConfig(q=0.2, seed=seed)
+        assert EMConfig(q=0.2, seed=np.uint32(3)).seed == 3
 
     def test_model_params_keep_the_closed_interval(self):
         # brute force and check-oracle evaluate the likelihood at the ends
@@ -419,17 +428,25 @@ class TestEMFit:
         assert rows[0].max_change == float("inf")
         assert isinstance(result.trace.warnings, list)
 
-    @pytest.mark.parametrize(
-        "scenario, correction", [("S0", False), ("S1", False), ("S1", True)]
-    )
-    def test_log_likelihood_is_monotone(self, scenario, correction):
+    @pytest.mark.parametrize("scenario, variant", [
+        ("S0", False), ("S1", False), ("S1", True), ("S1", "bootstrap draw"), ("S1", "covariate"),
+    ])
+    def test_log_likelihood_is_monotone(self, scenario, variant):
+        # variant True is the proband correction; a bootstrap draw counts
+        # families other than once
         fams, _ = simulate_families(
-            100, beta=-0.6, q=0.2, scenario=scenario, seed=31, mark_probands=correction
+            100, beta=-0.6, q=0.2, scenario=scenario, seed=31, mark_probands=variant is True
         )
-        if correction:
+        if variant is True:
             fams, _ = apply_proband_correction(fams)
+        elif variant == "covariate":
+            fams = TestBootstrap.with_covariate(fams, 31)
         config = EMConfig(q=0.2, seed=5)
-        result = em_fit(fams, config)
+        if variant == "bootstrap draw":
+            draws = np.random.default_rng(31).integers(0, len(fams), size=len(fams))
+            result = em._em(_Model(fams, config), config, draws)
+        else:
+            result = em_fit(fams, config)
         steps = np.diff([row.log_likelihood for row in result.trace.iterations])
         assert result.iterations > 5
         assert np.all(steps >= 0.0), steps.min()
@@ -594,11 +611,10 @@ class TestGatheredHazard:
 
 
 class TestWeightTables:
-    """Each iteration hands the M-step the origin split of the fitted
-    records' marginals times their draw counts: the marginals themselves
-    when every record is fitted, without the product when every family is
-    drawn once, and the same bits as a row take and a product by the
-    counts otherwise."""
+    """Each E-step hands the M-step the origin split of the fitted records'
+    marginals times their draw counts: the marginals themselves when every
+    record is fitted, without the product when every family is drawn once,
+    and the same bits as a row take and a product by the counts otherwise."""
 
     @pytest.mark.parametrize("suppressed", [False, True])
     @pytest.mark.parametrize("drawn", ["once each", "bootstrap"])
@@ -616,27 +632,58 @@ class TestWeightTables:
         family_counts = np.bincount(draws, minlength=len(fams))
         assert (family_counts == 1).all() == (drawn == "once each")
         counts = np.repeat(family_counts, model.sizes)[model.rows]
-        tables, marginals = [], []
-        engine_run, problem_fit = model.engine.run, model.problem.fit
-
-        def run(*args):
-            result = engine_run(*args)
-            marginals.append(result[0])
-            return result
-
-        def fit(weights, **kwargs):
-            tables.append(weights.copy())
-            return problem_fit(weights, **kwargs)
-
-        model.engine.run, model.problem.fit = run, fit
-        result = em._em(model, config, draws)
-        assert len(tables) == result.iterations > 1
-        for table, m in zip(tables[1:], marginals):
-            rows = m.take(model.rows, axis=0)
+        run = em._Run(model, draws, config.test_ages)
+        table, coefs = em._start(model, draws, config.seed), np.zeros(model.problem.p)
+        for _ in range(3):
+            coefs, _, baseline = run.m_step(table, coefs)
+            table, marginals, _, _ = run.e_step(coefs, baseline)
+            rows = marginals.take(model.rows, axis=0)
             expected = np.stack((rows[:, Genotype.HET_PATERNAL],
                                  rows[:, Genotype.HET_MATERNAL] + rows[:, Genotype.HOMOZYGOUS]))
             expected *= counts
             assert table.tobytes() == expected.tobytes()
+
+
+class TestHalfSteps:
+    """``_em`` is a loop over a run's two half-steps: driven by hand from
+    its start table, they reproduce its trace and its result bit for bit."""
+
+    @pytest.mark.parametrize("cohort", ["S1 proband", "covariate"])
+    @pytest.mark.parametrize("drawn", ["em_fit", "bootstrap"])
+    def test_driven_by_hand_they_reproduce_the_fit(self, drawn, cohort):
+        fams, _ = simulate_families(
+            30, beta=-0.6, q=0.2, scenario="S1", seed=84, mark_probands=True
+        )
+        if cohort == "covariate":
+            fams = TestBootstrap.with_covariate(fams, 84)
+        else:
+            fams, _ = apply_proband_correction(fams)
+        config = EMConfig(q=0.2, seed=8)
+        model = _Model(fams, config)
+        draws = (None if drawn == "em_fit"
+                 else np.random.default_rng(84).integers(0, len(fams), size=len(fams)))
+        result = em._em(model, config, draws)
+        assert result.iterations > 5
+
+        run = em._Run(model, draws, config.test_ages)
+        weights, coefs = em._start(model, draws, config.seed), np.zeros(model.problem.p)
+        previous = None
+        for row in result.trace.iterations:
+            coefs, covariance, baseline = run.m_step(weights, coefs)
+            survival = tuple(np.exp(-baseline.cumulative(config.test_ages)).tolist())
+            weights, marginals, log_evidence, log_likelihood = run.e_step(coefs, baseline)
+            change = (float("inf") if previous is None
+                      else max(abs(now - before) for now, before in zip(survival, previous)))
+            previous = survival
+            assert row == em.EMIteration(
+                index=run.iterations, beta=float(coefs[0]), gamma=tuple(coefs[1:]),
+                survival=survival, log_evidence=log_evidence,
+                log_likelihood=log_likelihood, max_change=change,
+            )
+        assert marginals.tobytes() == result.marginals.tobytes()
+        assert covariance.tobytes() == result.covariance.tobytes()
+        assert baseline.times.tobytes() == result.baseline.times.tobytes()
+        assert baseline.increments.tobytes() == result.baseline.increments.tobytes()
 
 
 class TestRunConstants:
@@ -736,6 +783,19 @@ class TestBootstrap:
         reps = bootstrap_em(fams, EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=1), B=5)
         assert len(reps) == 5
         assert compiled == [15]
+
+    @pytest.mark.parametrize("name, value", [
+        ("jobs", 0), ("jobs", -1), ("jobs", True), ("B", True), ("B", 2.5),
+    ])
+    def test_bad_counts_are_refused_by_name(self, name, value):
+        # jobs below one ran no replicate at all, B=True ran one, and B=2.5
+        # failed in range()
+        fams, _ = simulate_families(5, beta=-0.6, q=0.2, scenario="S2", seed=63)
+        config = EMConfig(q=0.2, epsilon=0.0, eta=0.0, seed=1)
+        message = re.escape(f"{name} must be an integer of at least one, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bootstrap_em(fams, config, **{"B": 3, name: value})
+        assert len(bootstrap_em(fams, config, B=np.int64(2), jobs=np.int64(1))) == 2
 
     def test_replicates_need_no_table_the_fit_did_not(self, monkeypatch):
         # a resample that draws the larger families more often than the
