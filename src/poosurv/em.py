@@ -56,6 +56,21 @@ class EMError(RuntimeError):
     """EM orchestration failure (carries the failing iteration in the message)."""
 
 
+def _check_seed(seed):
+    """``ValueError`` unless ``seed`` is a non-negative integer, a bool not
+    being one (see :func:`pedigree._is_integer`)."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_counts(**counts):
+    """``ValueError`` naming the first of ``counts`` that is not an integer
+    of at least one, a bool not being one."""
+    for name, count in counts.items():
+        if not _is_integer(count) or count < 1:
+            raise ValueError(f"{name} must be an integer of at least one, got {count!r}")
+
+
 @dataclass(frozen=True)
 class EMConfig:
     """Fixed constants and knobs of one EM run.
@@ -90,8 +105,7 @@ class EMConfig:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -410,9 +424,7 @@ def bootstrap_em(families, config: EMConfig, B: int = 200,
     chunks, one compiled model per worker, so results do not depend on
     ``jobs``.
     """
-    for name, count in (("B", B), ("jobs", jobs)):
-        if not _is_integer(count) or count < 1:
-            raise ValueError(f"{name} must be an integer of at least one, got {count!r}")
+    _check_counts(B=B, jobs=jobs)
     families = list(families)
     chunks = min(jobs, B)
     tasks = [(families, config, range(B * i // chunks, B * (i + 1) // chunks))

@@ -49,22 +49,37 @@ family's columns; one check after the collect pass names such a family.
 The distribute pass divides by the collected messages after setting their
 exact zeros to 1, which leaves the quotient as it is there.
 An engine is compiled for one allele frequency and one pair of gene-test
-error rates: its static potentials fold in the founder priors and
+error rates: its pattern tables fold in the founder priors and
 transmission tables, and the evidence parts that a new hazard leaves alone
 are built with it: the status selections, the suppressed phenotypes, the
 gene-test factors, the genotype pins and the covariates. A run, given the
 origin and covariate effects and each record's cumulative hazard, thus
 computes only the hazard-dependent evidence. Marginals are read from each
 clique's final belief.
+
+The cliques of one rank share a few patterns of founder priors and
+transmission tables (four for a cohort of one ten-member template, six
+for a cohort of clinic-like kindreds), so the schedule keeps one table per
+pattern and the pattern of each row, not a table per clique. A run writes
+each rank's potentials from them in one of two ways, chosen at compile
+time by the number of runs of one pattern in the rank's rows. Where there
+are at most ``_FEW_RUNS``, as in a cohort of one structure, each run's
+pattern table, broadcast over its rows, is multiplied by the first
+evidence factor straight into the potentials. Otherwise, as in a
+heterogeneous cohort, each row's pattern table is taken into the
+potentials by index and the evidence multiplied in place. Either way every
+product has the operands it would have with a table per clique, so the
+bits do not depend on the way.
 :func:`posterior_marginals` is the one-family case of the same engine.
 
 Engines of one design share its compiled schedule. The schedule holds the
-buckets with their index arrays, the evidence gathers, the static tables,
-the per-clique family and normalizer indices and the :class:`EngineStats`,
-all read-only. Each engine holds its own families (to name one in a
-:class:`ZeroEvidenceError`), fixed evidence, evidence table, potential and
-message tables, normalizers, scratch pools and bound operations, so two
-live engines share no buffer and can run on two threads at once. The
+buckets with their index arrays, the evidence gathers, each rank's pattern
+tables and row patterns, the per-clique family and normalizer indices and
+the :class:`EngineStats`, all read-only, and no table per clique. Each
+engine holds its own families (to name one in a :class:`ZeroEvidenceError`),
+fixed evidence, evidence table, potential and message tables, normalizers,
+scratch pools and bound operations, so two live engines share no buffer
+and can run on two threads at once. The
 module keeps the last compiled schedule, keyed by everything the compile
 reads: the cohort's distinct structure keys and the structure of each
 family, the founder prior (that is, ``q``) and ``MAX_POTENTIAL_BYTES``. An
@@ -118,13 +133,14 @@ ENUMERATION_CAP = 12
 
 #: Budget for the clique potential tables, checked before any is allocated:
 #: for a single clique and for the whole cohort. Between runs an engine holds
-#: two tables of that size: the static tables and the potentials each run
-#: multiplies the evidence into. Beside them it keeps the collected messages,
-#: the evidence with its gather per rank, the normalizers, and scratch
-#: pools, each under four times its largest request: a pool doubles when a
-#: request outgrows it, and ops bound before keep the smaller buffers. A run
-#: adds only its evidence temporaries, the zero mask of one collected-message
-#: table at a time, and the tables it returns.
+#: one table of that size, the potentials, which each run writes from the
+#: schedule's pattern tables and the evidence. Beside them it keeps the
+#: collected messages, the evidence with its gather per rank, the
+#: normalizers, and scratch pools, each under four times its largest
+#: request: a pool doubles when a request outgrows it, and ops bound before
+#: keep the smaller buffers. A run adds only its evidence temporaries, the
+#: zero mask of one collected-message table at a time, and the tables it
+#: returns.
 MAX_POTENTIAL_BYTES = 2 ** 30
 
 #: numpy's ufunc buffer size, in entries, while a run fills the evidence
@@ -135,6 +151,11 @@ MAX_POTENTIAL_BYTES = 2 ** 30
 #: only buckets of up to 256 columns take that path. Reductions, products
 #: and quotients give the same bits.
 _BUFSIZE = 1024
+
+#: Most runs of one prior pattern in a rank's rows for which a run builds
+#: its potentials with one broadcast product per run; a rank of more runs
+#: takes its rows' pattern tables into the potentials by index first.
+_FEW_RUNS = 64
 
 _FLOAT_BYTES = np.dtype(float).itemsize
 _INDEX = np.int32
@@ -333,6 +354,20 @@ def _pattern_table(rank, factors, prior):
             transmission = np.transpose(genetics.TRANSMISSION, np.argsort(axes))
             table = table * transmission.reshape(_axes_shape(sorted(axes), rank))
     return table
+
+
+@dataclass(frozen=True)
+class _Priors:
+    """The founder priors and transmission tables of one rank's cliques,
+    read-only: the rank's distinct pattern ``tables``, stacked on a last
+    axis, and the ``pattern`` of each row of its potential table, an index
+    into them. ``runs`` holds the rows' runs of one pattern as (first row,
+    end row, pattern) triples when there are at most ``_FEW_RUNS`` of them,
+    and is ``None`` otherwise."""
+
+    tables: np.ndarray
+    pattern: np.ndarray
+    runs: tuple | None
 
 
 @dataclass(frozen=True)
@@ -568,7 +603,7 @@ class _Forests:
     ``parent`` (an index into these arrays, -1 for a root), ``depth`` and
     ``height``, the masks of its separator with the parent (``inside`` over
     its own axes, ``outside`` over the parent's, both empty for a root), and
-    its static ``pattern``, an index into ``patterns[rank]``. Per member of
+    its ``pattern``, an index into ``patterns[rank]``. Per member of
     each group's structure, group by group: the clique and the axis it is
     read out from (``read_clique``, ``read_axis``), the lowest clique
     holding it; the clique holding its founder prior or transmission table
@@ -777,14 +812,16 @@ class _Forests:
 
 class _Schedule:
     """A cohort's compiled schedule: its buckets, the evidence gather of each
-    rank, the static tables, the sizes of the buffers that an engine binds
-    it to (see the module docstring) and its :class:`EngineStats`. Every
-    array it holds is read-only, so that engines of one design can share it.
+    rank, the :class:`_Priors` of each rank, the sizes of the buffers that
+    an engine binds it to (see the module docstring) and its
+    :class:`EngineStats`. Every array it holds is read-only, so that engines
+    of one design can share it, and it holds a prior table per pattern, not
+    per clique.
 
     ``keys`` holds the cohort's distinct structure keys, in order of first
     appearance, ``family_ids`` the first family of each (named when its
     tables exceed the budget) and ``structure_of`` each family's index into
-    ``keys``. The static tables fold in the founder ``prior``. The evidence
+    ``keys``. The pattern tables fold in the founder ``prior``. The evidence
     gathers read columns of the cohort's evidence table, whose last column
     holds ones.
     """
@@ -890,9 +927,10 @@ class _Schedule:
         self.stages = stages
 
         # Each member's evidence sits on its read-out axis; the ``ones``
-        # column of the evidence table serves every other axis. The static
-        # tables hold each clique's founder priors and transmission tables.
-        self.evidence, self.static = {}, {}
+        # column of the evidence table serves every other axis. A rank's
+        # few pattern tables hold its cliques' founder priors and
+        # transmission tables, which each row finds by its pattern.
+        self.evidence, self.priors = {}, {}
         for rank, by_axis in evidence.items():
             members = rank_of == rank
             count = int(members.sum())
@@ -903,11 +941,16 @@ class _Schedule:
                     index[rows] = targets
                 self.evidence[rank].append((axis, index))
                 index.flags.writeable = False
-            index = np.empty(count, dtype=_INDEX)
-            index[rank_row[members]] = pattern_of[members]
+            pattern = np.empty(count, dtype=_INDEX)
+            pattern[rank_row[members]] = pattern_of[members]
             tables = np.stack([_pattern_table(rank, f, prior) for f in cohort.patterns[rank]], -1)
-            self.static[rank] = np.take(tables, index, axis=-1)
-            self.static[rank].flags.writeable = False
+            tables.flags.writeable = pattern.flags.writeable = False
+            starts = np.flatnonzero(np.diff(pattern, prepend=-1))
+            runs = None
+            if len(starts) <= _FEW_RUNS:
+                runs = tuple(zip(starts.tolist(), np.append(starts[1:], count).tolist(),
+                                 pattern[starts].tolist()))
+            self.priors[rank] = _Priors(tables, pattern, runs)
         self.separators = {  # collected messages per separator size
             int(size): int(np.sum(sep_of == size)) for size in np.unique(sep_of[sep_of > 0])
         }
@@ -932,15 +975,17 @@ class MarginalEngine:
     """Batched posterior-marginal evaluator reused across EM iterations,
     compiled for one model: the allele frequency ``q`` and the gene-test
     error rates ``epsilon`` and ``eta``, which a fit treats as known, go
-    into the static tables and the records' :class:`genetics.FixedEvidence`
+    into the pattern tables and the records' :class:`genetics.FixedEvidence`
     when it is built (``ValueError`` when ``q`` lies outside [0, 1] or a
     rate outside [0, 1)), so that a run takes only what EM estimates.
 
     Compiles the junction forests of all families into one bucketed
     two-pass schedule and binds it into a list of numpy operations on the
     engine's own buffers (see the module docstring); a run checks its
-    inputs, computes the evidence for the whole cohort and runs the
-    operations. A record with a ``genotype_pin`` takes only its pinned
+    inputs, computes the evidence for the whole cohort, writes the
+    potentials from the pattern tables and the evidence, and runs the
+    operations. Its potentials are the only table of their size that the
+    engine holds. A record with a ``genotype_pin`` takes only its pinned
     states. :attr:`stats` reports the schedule's size.
 
     The module keeps the last compiled schedule, which holds no family,
@@ -1014,9 +1059,10 @@ class MarginalEngine:
         # the collected messages and the normalizers into these buffers
         # before it reads them.
         self._pots, self._gathered = {}, {}
-        for rank, table in schedule.static.items():
-            self._pots[rank] = np.empty(table.shape)
-            self._gathered[rank] = np.empty((N_STATES, table.shape[-1]))
+        for rank, priors in schedule.priors.items():
+            rows = len(priors.pattern)
+            self._pots[rank] = np.empty((N_STATES,) * rank + (rows,))
+            self._gathered[rank] = np.empty((N_STATES, rows))
         self._collected = {
             size: np.empty((N_STATES,) * size + (count,))
             for size, count in schedule.separators.items()
@@ -1036,14 +1082,27 @@ class MarginalEngine:
         schedule = self._schedule
         potentials = []
         for rank, pot in pots.items():
-            gathered, source = self._gathered[rank], schedule.static[rank]
-            for axis, index in schedule.evidence[rank]:
-                factor = gathered.reshape(_axes_shape((axis,), rank, (-1,)))
-                potentials += [partial(self._phi.take, index, 1, gathered, "clip"),
-                               partial(np.multiply, source, factor, pot)]
-                source = pot
-            if source is not pot:
-                potentials.append(partial(np.copyto, pot, source))
+            gathered, priors = self._gathered[rank], schedule.priors[rank]
+            tables = priors.tables
+            factors = [
+                (partial(self._phi.take, index, 1, gathered, "clip"),
+                 gathered.reshape(_axes_shape((axis,), rank, (-1,))))
+                for axis, index in schedule.evidence[rank]
+            ]
+            if priors.runs is None or not factors:
+                # each row's pattern table taken into place
+                potentials.append(partial(tables.take, priors.pattern, -1, pot, "clip"))
+            else:
+                # each run's pattern table broadcast over its rows, times the
+                # first factor
+                (fetch, factor), *factors = factors
+                potentials.append(fetch)
+                potentials += [
+                    partial(np.multiply, tables[..., p:p + 1], factor[..., lo:hi], pot[..., lo:hi])
+                    for lo, hi, p in priors.runs
+                ]
+            for fetch, factor in factors:
+                potentials += [fetch, partial(np.multiply, pot, factor, pot)]
 
         collect, roots, distribute, readouts = schedule.stages
         collecting = []

@@ -46,7 +46,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .em import EMConfig, EMError, _fan_out, em_fit
+from .em import EMConfig, EMError, _check_counts, _check_seed, _fan_out, em_fit
 from .genetics import (
     GENOTYPE_LABELS, LABEL_TO_GENOTYPE, TRANSMIT_PROBABILITY, Genotype, _check_beta, _check_q,
 )
@@ -531,9 +531,11 @@ def replicate_study(cases, scenarios, replicates, seed=0, q=DEFAULT_Q,
     become rows carrying the failure reason instead of aborting the study.
     Rows come in (case, scenario, replicate) order, and order and content
     are independent of ``jobs``, which sets how many units run at once.
+    ``replicates`` and ``jobs`` must be integers of at least one and
+    ``seed`` a non-negative integer, bools excluded (``ValueError``).
     """
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
+    _check_counts(replicates=replicates, jobs=jobs)
+    _check_seed(seed)
     scenarios = [Scenario(s) for s in scenarios]
     if not scenarios:
         raise ValueError("need at least one scenario")

@@ -658,6 +658,16 @@ class TestReplicateCommand:
         assert "q must be in (0, 1)" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_replicates_below_one_is_validation_error(self, runner, tmp_path, replicates):
+        out = tmp_path / "study.csv"
+        result = runner.invoke(
+            main, ["replicate", "--case", "6:-0.6", "--replicates", replicates, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert f"replicates must be an integer of at least one, got {replicates}" in result.output
+        assert not out.exists()
+
     def test_case_argument_validation(self, runner, tmp_path):
         result = runner.invoke(
             main, ["replicate", "--case", "banana", "--out", str(tmp_path / "x.csv")]

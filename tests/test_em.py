@@ -31,7 +31,7 @@ from poosurv import (
 from poosurv import em, inference, pedigree
 from poosurv.em import STABLE_WINDOW, _fan_out, _Model
 
-from test_inference import assert_weights_equal, per_record_weights
+from test_inference import assert_weights_equal, per_record_weights, random_pedigree
 
 
 #: SHA-256 of the float64 bytes of ``beta_hat``, ``gamma_hat``, the
@@ -44,6 +44,13 @@ GOLDEN_FITS = {
     "no covariate": "db5e254bf5997a26b8b2685f47740b0dd14d812e40d4b13dd2193963a38fdda6",
     "one covariate": "6957b1a4fa9bd6020682241a61fbc5222a1ebfdadbda47389f64acef24ad58dc",
 }
+
+#: The same digest of ``em_fit`` at ``EMConfig(q=0.2, seed=3)`` on
+#: :func:`heterogeneous_cohort`, whose rank-3 cliques run through so many
+#: prior patterns that the engine takes its potentials from the pattern
+#: tables by index, where the template cohorts of ``GOLDEN_FITS`` multiply
+#: each run of one pattern by broadcast.
+GOLDEN_HETEROGENEOUS_FIT = "47edada76960713a1dece1087f9e234a4e0e59012f25e93278b7bbbd39fb0e9f"
 
 
 def make_record(family_id, individual_id, father=None, mother=None, sex=Sex.MALE,
@@ -63,6 +70,29 @@ def informative_family(family_id="F1"):
             make_record(family_id, "c2", "f", "m", Sex.FEMALE, 50.0, 0, 0),
         ]
     )
+
+
+def heterogeneous_cohort():
+    """60 random families of 2-13 members, every third with a
+    first-cousin marriage loop; nearly each has its own structure."""
+    rng = np.random.default_rng(41)
+    return [random_pedigree(rng, int(rng.integers(2, 14)), f"H{i}", with_loop=i % 3 == 0)
+            for i in range(60)]
+
+
+def fit_digest(result):
+    """SHA-256 of the float64 bytes of what a fit estimates: ``beta_hat``,
+    ``gamma_hat``, the covariance, the baseline's times and increments, the
+    trace's log-likelihoods and the marginals."""
+    digest = hashlib.sha256()
+    for part in (
+        np.float64(result.beta_hat), result.gamma_hat, result.covariance,
+        result.baseline.times, result.baseline.increments,
+        np.array([row.log_likelihood for row in result.trace.iterations]),
+        result.marginals,
+    ):
+        digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    return digest.hexdigest()
 
 
 def replicate_key(rep):
@@ -377,16 +407,14 @@ class TestEMFit:
         fams, _ = simulate_families(100, beta=-0.6, q=0.2, scenario="S1", seed=31)
         if cohort == "one covariate":
             fams = TestBootstrap.with_covariate(fams, 31)
-        result = em_fit(fams, EMConfig(q=0.2, seed=3))
-        digest = hashlib.sha256()
-        for part in (
-            np.float64(result.beta_hat), result.gamma_hat, result.covariance,
-            result.baseline.times, result.baseline.increments,
-            np.array([row.log_likelihood for row in result.trace.iterations]),
-            result.marginals,
-        ):
-            digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
-        assert digest.hexdigest() == GOLDEN_FITS[cohort]
+        assert fit_digest(em_fit(fams, EMConfig(q=0.2, seed=3))) == GOLDEN_FITS[cohort]
+
+    def test_seeded_heterogeneous_fit_is_pinned(self):
+        families = heterogeneous_cohort()
+        priors = inference.MarginalEngine(families, 0.2, 0.0, 0.0)._schedule.priors
+        assert [p.runs is None for p in priors.values()] == [False, True, False]
+        result = em_fit(families, EMConfig(q=0.2, seed=3))
+        assert fit_digest(result) == GOLDEN_HETEROGENEOUS_FIT
 
     def test_weight_validity_and_structural_zeros(self):
         fams, _ = simulate_families(15, beta=-0.6, q=0.2, scenario="S1", seed=5)

@@ -128,6 +128,38 @@ def random_pedigree(rng, size, family_id="R", with_loop=False, covariates=0):
     return Pedigree(records)
 
 
+def kindred(rng, family_id, cousins_marry=False):
+    """A clinic-like kindred with random phenotypes and tests: a founder
+    couple, their 1-4 children, each of whom marries in and has 1-4
+    children, and, when ``cousins_marry`` and the grandchildren allow it,
+    1-3 children of two first cousins, which closes a loop."""
+    rows = []
+
+    def add(father=None, mother=None, sex=Sex.MALE):
+        rows.append((str(len(rows) + 1), father, mother, sex))
+        return rows[-1][0]
+
+    def children(father, mother, most):
+        sexes = [Sex.MALE if rng.random() < 0.5 else Sex.FEMALE
+                 for _ in range(int(rng.integers(1, most + 1)))]
+        return [(add(father, mother, sex), sex) for sex in sexes]
+
+    branches = []
+    for child, sex in children(add(), add(sex=Sex.FEMALE), 4):
+        spouse = add(sex=Sex.FEMALE if sex == Sex.MALE else Sex.MALE)
+        branches.append(children(*((child, spouse) if sex == Sex.MALE else (spouse, child)), 4))
+    cousins = [(m, f) for a, men in enumerate(branches) for m, s in men if s == Sex.MALE
+               for b, women in enumerate(branches) for f, t in women if t == Sex.FEMALE and a != b]
+    if cousins_marry and cousins:
+        children(*cousins[int(rng.integers(len(cousins)))], 3)
+    return Pedigree([
+        make_record(family_id, ident, father, mother, sex, float(rng.uniform(1.0, 90.0)),
+                    int(rng.random() < 0.35), [None, None, 0, 1][rng.integers(0, 4)],
+                    bool(rng.random() < 0.1))
+        for ident, father, mother, sex in rows
+    ])
+
+
 def random_params(rng, covariates=0):
     return ModelParams(
         q=float(rng.uniform(0.05, 0.4)),
@@ -1058,22 +1090,39 @@ def cold(monkeypatch, build):
     return build()
 
 
-def writable_arrays(ops):
-    """The writable arrays that bound ``ops`` hold: as partial arguments or
-    bound-method owners, in closures, and in nested lists and tuples."""
-    found, stack = [], [ops]
+def held_arrays(root):
+    """The arrays that own the data of every array ``root`` holds: in
+    attributes of package objects, dict values, lists and tuples, partial
+    arguments and bound-method owners, and closures; each once."""
+    found, seen, stack = {}, set(), [root]
     while stack:
         item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
         if isinstance(item, np.ndarray):
-            if item.flags.writeable:
-                found.append(item)
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            found[id(item)] = item
+        elif isinstance(item, dict):
+            stack += item.values()
         elif isinstance(item, (list, tuple)):
             stack += item
         elif isinstance(item, partial):
-            stack += [getattr(item.func, "__self__", None), *item.args]
+            stack += [item.func, *item.args]
+        elif isinstance(getattr(item, "__self__", None), np.ndarray):
+            stack.append(item.__self__)
         elif callable(item) and getattr(item, "__closure__", None):
             stack += [cell.cell_contents for cell in item.__closure__]
-    return found
+        elif type(item).__module__.startswith("poosurv") and hasattr(item, "__dict__"):
+            stack += vars(item).values()
+    return list(found.values())
+
+
+def writable_arrays(ops):
+    """The writable arrays that own the data bound ``ops`` hold (see
+    :func:`held_arrays`)."""
+    return [array for array in held_arrays(ops) if array.flags.writeable]
 
 
 def engine_bytes(engine, params):
@@ -1211,7 +1260,10 @@ class TestSharedSchedule:
             arrays = [a for a in held if isinstance(a, np.ndarray)]
             assert len(arrays) > len(schedule.stages[3])  # gathered sides among them
             arrays += [schedule.clique_family, schedule.norm_of_clique]
-            arrays += list(schedule.static.values())
+            priors = list(schedule.priors.values())
+            assert priors and all(isinstance(p.tables, np.ndarray) for p in priors)
+            assert all(p.pattern.dtype == np.int32 for p in priors)
+            arrays += [array for p in priors for array in (p.tables, p.pattern)]
             arrays += [index for gathers in schedule.evidence.values() for _, index in gathers]
             for array in arrays:
                 while isinstance(array, np.ndarray):
@@ -1219,6 +1271,36 @@ class TestSharedSchedule:
                     with pytest.raises(ValueError, match="read-only"):
                         array[...] = 0
                     array = array.base
+
+    @pytest.mark.parametrize("kind", ["template", "kindreds"])
+    def test_an_engine_holds_one_set_of_potentials(self, kind):
+        # The schedule keeps each rank's pattern tables and a pattern per
+        # row, not a copy of the priors per clique, so that between runs the
+        # engine's potentials are its only tables of their size.
+        if kind == "template":
+            families, _ = simulate_families(2000, -0.6, 0.2, scenario="S1", seed=31)
+        else:
+            rng = np.random.default_rng(41)
+            families = [kindred(rng, f"K{i}", cousins_marry=i % 3 == 0) for i in range(120)]
+        engine = engine_at(families)
+        assert engine.stats.structures > (90 if kind == "kindreds" else 0)
+        run(engine, ModelParams(q=0.2, beta=-0.6, baseline=DEFAULT_HAZARD))
+        potential_bytes = engine.stats.potential_bytes
+        assert sum(a.nbytes for a in held_arrays(engine._schedule)) < potential_bytes / 8
+        pots = list(engine._pots.values())
+        assert sum(p.nbytes for p in pots) == potential_bytes
+        floats = [a for a in held_arrays(engine) if a.dtype.kind == "f"]
+        assert all(any(p is a for a in floats) for p in pots)
+        others = [a for a in floats if not any(p is a for p in pots)]
+        assert not any(a.shape == p.shape for a in others for p in pots)
+        assert max(a.nbytes for a in others) < max(p.nbytes for p in pots)
+        # the template cohort builds its rows run by run, the kindreds take
+        # some rank's rows by their pattern
+        runs = [p.runs for p in engine._schedule.priors.values()]
+        if kind == "template":
+            assert [len(r) for r in runs] == [5]
+        else:
+            assert None in runs and any(r is not None for r in runs)
 
     def test_zero_evidence_names_a_family_of_the_engines_own_cohort(self):
         params = ModelParams(q=0.2, epsilon=0.0, eta=0.0, baseline=DEFAULT_HAZARD)

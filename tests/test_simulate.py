@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -740,10 +741,52 @@ class TestReplicateStudy:
                     assert got.structure_key() is fam.structure_key()
 
     def test_no_replicates_or_no_scenarios_are_refused(self):
-        with pytest.raises(ValueError, match="^need at least one replicate$"):
+        with pytest.raises(ValueError,
+                           match="^replicates must be an integer of at least one, got 0$"):
             replicate_study([(5, -0.6)], ["S0"], replicates=0)
         with pytest.raises(ValueError, match="^need at least one scenario$"):
             replicate_study([(5, -0.6)], [], replicates=1)
+
+    @staticmethod
+    def refused_before_any_unit(monkeypatch, message, **args):
+        ran = []
+        monkeypatch.setattr(simulate, "_run_unit", ran.append)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replicate_study([(5, -0.6)], ["S2"], **{"replicates": 1, **args})
+        assert ran == []
+
+    def test_replicates_true_is_refused(self, monkeypatch):
+        # it ran one replicate
+        self.refused_before_any_unit(
+            monkeypatch, "replicates must be an integer of at least one, got True",
+            replicates=True)
+
+    def test_fractional_replicates_are_refused(self, monkeypatch):
+        # range() raised a TypeError
+        self.refused_before_any_unit(
+            monkeypatch, "replicates must be an integer of at least one, got 2.5",
+            replicates=2.5)
+
+    def test_no_jobs_is_refused(self, monkeypatch):
+        # it ran the units serially
+        self.refused_before_any_unit(
+            monkeypatch, "jobs must be an integer of at least one, got 0", jobs=0)
+
+    def test_seed_true_is_refused(self, monkeypatch):
+        # it fitted as seed 1 and wrote "True-0-0" in every row's seed field
+        self.refused_before_any_unit(
+            monkeypatch, "seed must be a non-negative integer, got True", seed=True)
+
+    def test_negative_seed_is_refused(self, monkeypatch):
+        # numpy refused it inside SeedSequence, in the first unit
+        self.refused_before_any_unit(
+            monkeypatch, "seed must be a non-negative integer, got -1", seed=-1)
+
+    def test_numpy_counts_and_seed_are_taken(self):
+        args = dict(replicates=1, seed=3, jobs=1)
+        expected = replicate_study([(4, -0.6)], ["S2"], **args)
+        numpy_args = {name: np.int64(value) for name, value in args.items()}
+        assert replicate_study([(4, -0.6)], ["S2"], **numpy_args) == expected
 
     def test_failures_recorded_not_raised(self):
         # a single tiny family often has no informative events: the M-step
